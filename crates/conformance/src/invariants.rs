@@ -22,10 +22,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dbcast_alloc::{Cds, CdsOutcome, Drp, ReferenceCds};
 use dbcast_baselines::ExactBnB;
 use dbcast_model::{
-    allocation_cost, AllocError, Allocation, ChannelAllocator, ChannelId, Database, ItemId,
-    Move,
+    allocation_cost, AllocError, Allocation, BroadcastProgram, ChannelAllocator, ChannelId,
+    Database, ItemId, Move,
 };
-use dbcast_workload::TraceBuilder;
+use dbcast_sim::Simulation;
+use dbcast_workload::{Request, RequestTrace, TraceBuilder};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -156,6 +157,7 @@ pub fn check_instance_refs(
 
     check_cds(instance, &db, &mut rng, &mut v);
     check_cds_differential(instance, &db, &mut v);
+    check_wait_kernel(instance, &db, &mut v);
     check_oracle(instance, &db, &produced, cfg, &mut v);
     if cfg.check_sim {
         check_sim_agreement(instance, &db, cfg, &mut rng, &mut v);
@@ -595,6 +597,136 @@ fn check_cds_differential(instance: &Instance, db: &Database, v: &mut Vec<Violat
             }),
         }
     }
+}
+
+/// Wait-kernel agreement: the program's placement-table kernel
+/// (`best_start`, `response_time`) must equal a brute-force scan of
+/// every channel's slots **bit for bit**, on a random partition and on
+/// a replicated program with in-channel duplicates, at random arrivals,
+/// exact slot starts and exact cycle multiples; and the discrete-event
+/// simulator's per-request waits must match `response_time` to 1e-9
+/// (relative to the wait, absolute below one second).
+fn check_wait_kernel(instance: &Instance, db: &Database, v: &mut Vec<Violation>) {
+    const BANDWIDTH: f64 = 10.0;
+    let k = instance.channels.max(1);
+    // Own deterministic stream, like `cds-differential`.
+    let mut rng = ChaCha8Rng::seed_from_u64(
+        instance.seed.rotate_left(29) ^ instance.case ^ 0x3A17_CE11,
+    );
+    let mut fail = |detail: String| {
+        v.push(Violation {
+            invariant: "wait-kernel".into(),
+            algorithm: None,
+            detail,
+            instance: instance.clone(),
+        })
+    };
+    let home: Vec<usize> = (0..db.len()).map(|_| rng.gen_range(0..k)).collect();
+    let mut groups: Vec<Vec<ItemId>> = vec![Vec::new(); k];
+    for (item, &c) in home.iter().enumerate() {
+        groups[c].push(ItemId::new(item));
+        // Replicas on other channels, and repeats within one channel.
+        if rng.gen_bool(0.3) {
+            groups[rng.gen_range(0..k)].push(ItemId::new(item));
+        }
+    }
+    let programs = [
+        Allocation::from_assignment(db, k, home)
+            .and_then(|alloc| BroadcastProgram::new(db, &alloc, BANDWIDTH)),
+        BroadcastProgram::from_overlapping_groups(db, &groups, BANDWIDTH),
+    ];
+    for (label, program) in ["partition", "replicated"].into_iter().zip(programs) {
+        let program = match program {
+            Ok(p) => p,
+            Err(e) => {
+                fail(format!("{label}: program failed to build: {e}"));
+                continue;
+            }
+        };
+        let longest = program.channels().iter().map(|c| c.cycle_size()).fold(0.0, f64::max);
+        // Exact slot starts and cycle multiples, then random instants.
+        let mut arrivals: Vec<f64> = Vec::new();
+        for c in program.channels() {
+            for cycles in 0..3 {
+                let base = f64::from(cycles) * c.cycle_size() / BANDWIDTH;
+                arrivals.push(base);
+                arrivals.extend(c.slots().iter().map(|s| base + s.offset / BANDWIDTH));
+            }
+        }
+        arrivals.extend((0..16).map(|_| rng.gen::<f64>() * 3.0 * longest / BANDWIDTH));
+        let bits = |x: Option<(ChannelId, f64, f64)>| {
+            x.map(|(c, t, z)| (c, t.to_bits(), z.to_bits()))
+        };
+        let mut requests = Vec::new();
+        for item in (0..db.len()).map(ItemId::new) {
+            for &now in &arrivals {
+                let kernel = program.best_start(item, now);
+                let oracle = brute_force_best_start(&program, item, now);
+                if bits(kernel) != bits(oracle) {
+                    fail(format!(
+                        "{label}: best_start({item}, {now}) = {kernel:?}, scan gives {oracle:?}"
+                    ));
+                    return;
+                }
+                let want = oracle.map(|(_, t, z)| (t - now + z / BANDWIDTH).to_bits());
+                if program.response_time(item, now).map(f64::to_bits) != want {
+                    fail(format!(
+                        "{label}: response_time({item}, {now}) differs from the scan"
+                    ));
+                    return;
+                }
+            }
+            let now = arrivals[requests.len() % arrivals.len()];
+            requests.push(Request { time: now, item });
+        }
+        let trace = RequestTrace::from_requests(requests);
+        let report = match Simulation::new(&program, &trace).run() {
+            Ok(r) => r,
+            Err(e) => {
+                fail(format!("{label}: simulation failed: {e}"));
+                continue;
+            }
+        };
+        for r in report.records() {
+            let expected = program.response_time(r.item, r.arrival);
+            let gap = expected.map(|w| (w - r.waiting_time()).abs());
+            if !gap.is_some_and(|g| g <= 1e-9 * r.waiting_time().abs().max(1.0)) {
+                fail(format!(
+                    "{label}: simulated wait {} for {} at {} vs response_time {expected:?}",
+                    r.waiting_time(),
+                    r.item,
+                    r.arrival
+                ));
+                return;
+            }
+        }
+    }
+}
+
+/// The paper-literal Eq. 1 oracle: scan every channel for the item's
+/// first slot, compute its next start with the textbook formula and
+/// keep the earliest (the first, i.e. lowest channel, on ties).
+fn brute_force_best_start(
+    program: &BroadcastProgram,
+    item: ItemId,
+    now: f64,
+) -> Option<(ChannelId, f64, f64)> {
+    let b = program.bandwidth();
+    program
+        .channels()
+        .iter()
+        .filter_map(|c| {
+            let slot = c.slots().iter().find(|s| s.item == item)?;
+            let cycle_time = c.cycle_size() / b;
+            let offset_time = slot.offset / b;
+            let k = ((now - offset_time) / cycle_time).ceil().max(0.0);
+            let mut t = offset_time + k * cycle_time;
+            if t < now {
+                t += cycle_time;
+            }
+            Some((c.channel(), t, slot.size))
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 /// The first point where two CDS outcomes stop being bit-identical, or

@@ -62,6 +62,14 @@ pub enum ModelError {
         /// The rejected bandwidth value.
         value: f64,
     },
+    /// A broadcast program too large to index: the placement table
+    /// stores channel and slot indices as `u32`.
+    ProgramTooLarge {
+        /// Number of channels in the program.
+        channels: usize,
+        /// Total number of slots across all channels.
+        slots: usize,
+    },
     /// A move's source channel does not currently hold the item.
     ItemNotOnChannel {
         /// The item being moved.
@@ -107,6 +115,10 @@ impl fmt::Display for ModelError {
                 f,
                 "channel bandwidth {value} is invalid; must be finite and > 0"
             ),
+            ModelError::ProgramTooLarge { channels, slots } => write!(
+                f,
+                "program of {channels} channels and {slots} slots exceeds the u32 index range"
+            ),
             ModelError::ItemNotOnChannel { item, channel } => {
                 write!(f, "item {item} is not allocated to channel {channel}")
             }
@@ -133,6 +145,7 @@ mod tests {
             ModelError::ChannelOutOfRange { channel: 7, channels: 3 },
             ModelError::ItemOutOfRange { item: 10, items: 10 },
             ModelError::InvalidBandwidth { value: 0.0 },
+            ModelError::ProgramTooLarge { channels: 1, slots: 1 << 33 },
             ModelError::ItemNotOnChannel { item: 2, channel: 0 },
         ];
         for v in variants {

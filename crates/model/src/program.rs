@@ -1,7 +1,15 @@
 //! Concrete broadcast programs: the cyclic per-channel schedules a server
 //! actually transmits, derived from an [`Allocation`].
+//!
+//! Every Eq. 1 question ("when does item j next air, and on which
+//! channel?") is answered by one kernel: a per-item placement table,
+//! built once with the program, that maps each item to its slot on every
+//! channel carrying it. Lookups are O(1) and allocation-free; the wait
+//! arithmetic itself lives in one function shared with
+//! [`ChannelSchedule::next_start`], so every engine gets bit-identical
+//! waits.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::allocation::{Allocation, ChannelId};
 use crate::database::Database;
@@ -67,19 +75,169 @@ impl ChannelSchedule {
     ///
     /// Panics (debug) if `bandwidth <= 0` or `now < 0`.
     pub fn next_start(&self, item: ItemId, now: f64, bandwidth: f64) -> Option<f64> {
-        debug_assert!(bandwidth > 0.0 && now >= 0.0);
         let slot = self.slot_of(item)?;
-        let cycle_time = self.cycle_size / bandwidth;
-        let offset_time = slot.offset / bandwidth;
-        // Number of whole cycles completed before `now`.
-        let k = ((now - offset_time) / cycle_time).ceil().max(0.0);
-        let mut t = offset_time + k * cycle_time;
-        // Guard against floating-point rounding putting t just below now.
-        if t < now {
-            t += cycle_time;
-        }
-        Some(t)
+        Some(next_slot_start(slot.offset, self.cycle_size, now, bandwidth))
     }
+}
+
+/// The Eq. 1 kernel: the first time `>= now` (seconds) at which a slot
+/// starting `offset` size units into a cycle of `cycle_size` units
+/// begins, at `bandwidth` units per second.
+///
+/// The only place the wait arithmetic lives; its operation order is
+/// part of the contract, since the simulator, the serving runtime and
+/// the fleet planner all compare waits bit for bit.
+#[inline]
+fn next_slot_start(offset: f64, cycle_size: f64, now: f64, bandwidth: f64) -> f64 {
+    debug_assert!(bandwidth > 0.0 && now >= 0.0);
+    let cycle_time = cycle_size / bandwidth;
+    let offset_time = offset / bandwidth;
+    // Number of whole cycles completed before `now`.
+    let k = ((now - offset_time) / cycle_time).ceil().max(0.0);
+    let mut t = offset_time + k * cycle_time;
+    // Guard against floating-point rounding putting t just below now.
+    if t < now {
+        t += cycle_time;
+    }
+    t
+}
+
+/// Where one item airs: a channel index and the item's first slot on
+/// that channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Placement {
+    channel: u32,
+    slot: u32,
+}
+
+/// Packed entry of an item no channel carries.
+const ABSENT: u32 = u32::MAX;
+
+/// The per-item placement table behind every Eq. 1 lookup. Within a
+/// channel only an item's first slot counts, as with
+/// [`ChannelSchedule::slot_of`]; replicas are listed lowest channel
+/// first, so ties go to the lowest channel.
+#[derive(Debug, Clone, PartialEq)]
+enum PlacementTable {
+    /// Every item on at most one channel: item j's placement packed as
+    /// `channel << shift | slot`, 4 bytes per item.
+    Single { shift: u32, packed: Vec<u32> },
+    /// Some item on several channels, or indices too wide to pack: item
+    /// j's placements are `all[start[j]..start[j + 1]]`.
+    Spread { start: Vec<u32>, all: Vec<Placement> },
+}
+
+impl PlacementTable {
+    /// Indexes `channels`. Sized by the largest item id, which must be
+    /// below the total slot count (every program built from a database
+    /// satisfies this), so a hostile id cannot size the table.
+    fn build(channels: &[ChannelSchedule]) -> Result<Self, ModelError> {
+        let slots: usize = channels.iter().map(|c| c.slots.len()).sum();
+        if channels.len() >= u32::MAX as usize || slots > u32::MAX as usize {
+            return Err(ModelError::ProgramTooLarge { channels: channels.len(), slots });
+        }
+        let items = match placements(channels).map(|(item, _)| item).max() {
+            Some(max) if max >= slots => {
+                return Err(ModelError::ItemOutOfRange { item: max, items: slots })
+            }
+            Some(max) => max + 1,
+            None => 0,
+        };
+        let longest = channels.iter().map(|c| c.slots.len()).max().unwrap_or(0) as u64;
+        let shift = u64::BITS - longest.saturating_sub(1).leading_zeros();
+        let widest = ((channels.len() as u64).saturating_sub(1) << shift)
+            | longest.saturating_sub(1);
+        if shift < 32 && widest < u64::from(ABSENT) {
+            let mut packed = vec![ABSENT; items];
+            let mut single = true;
+            for (item, p) in placements(channels) {
+                let entry = &mut packed[item];
+                if *entry == ABSENT {
+                    *entry = p.channel << shift | p.slot;
+                } else if *entry >> shift != p.channel {
+                    single = false;
+                    break;
+                }
+            }
+            if single {
+                return Ok(PlacementTable::Single { shift, packed });
+            }
+        }
+        // First slot per (item, channel), in (item, channel) order.
+        let mut all: Vec<(usize, Placement)> = placements(channels).collect();
+        all.sort_by_key(|&(item, p)| (item, p.channel, p.slot));
+        all.dedup_by_key(|&mut (item, p)| (item, p.channel));
+        let mut start = vec![0u32; items + 1];
+        for &(item, _) in &all {
+            start[item + 1] += 1;
+        }
+        for j in 0..items {
+            start[j + 1] += start[j];
+        }
+        Ok(PlacementTable::Spread { start, all: all.into_iter().map(|(_, p)| p).collect() })
+    }
+
+    /// Every placement of `item`, lowest channel first (none when no
+    /// channel carries it).
+    #[inline]
+    fn of(&self, item: ItemId) -> Placements<'_> {
+        let j = item.index();
+        match self {
+            PlacementTable::Single { shift, packed } => {
+                Placements::One(packed.get(j).filter(|&&e| e != ABSENT).map(|&e| {
+                    Placement { channel: e >> shift, slot: e & ((1 << shift) - 1) }
+                }))
+            }
+            PlacementTable::Spread { start, all } => {
+                let range = match (start.get(j), start.get(j + 1)) {
+                    (Some(&a), Some(&b)) => &all[a as usize..b as usize],
+                    _ => &[],
+                };
+                Placements::Many(range.iter())
+            }
+        }
+    }
+}
+
+/// An item's placements, as [`PlacementTable::of`] yields them.
+enum Placements<'a> {
+    One(Option<Placement>),
+    Many(std::slice::Iter<'a, Placement>),
+}
+
+impl Iterator for Placements<'_> {
+    type Item = Placement;
+
+    #[inline]
+    fn next(&mut self) -> Option<Placement> {
+        match self {
+            Placements::One(p) => p.take(),
+            Placements::Many(it) => it.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match self {
+            Placements::One(p) => usize::from(p.is_some()),
+            Placements::Many(it) => it.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Placements<'_> {}
+
+/// Every slot of `channels` as `(item index, placement)`, in channel
+/// then slot order. [`PlacementTable::build`] checks first that channel
+/// and slot indices fit `u32`.
+fn placements(
+    channels: &[ChannelSchedule],
+) -> impl Iterator<Item = (usize, Placement)> + '_ {
+    channels.iter().enumerate().flat_map(|(c, schedule)| {
+        schedule.slots.iter().enumerate().map(move |(s, slot)| {
+            (slot.item.index(), Placement { channel: c as u32, slot: s as u32 })
+        })
+    })
 }
 
 /// A complete broadcast program: one [`ChannelSchedule`] per channel plus
@@ -89,6 +247,10 @@ impl ChannelSchedule {
 /// only fixes the grouping). Waiting-time expectations (Eq. 1–2) are
 /// order-independent, but a concrete order is needed to actually
 /// broadcast — and for the discrete-event simulator.
+///
+/// Serializes as `{channels, bandwidth}`; the placement table is rebuilt
+/// on deserialization, which rejects a non-finite or non-positive
+/// bandwidth and any item id at or above the program's slot count.
 ///
 /// # Example
 ///
@@ -106,10 +268,36 @@ impl ChannelSchedule {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastProgram {
     channels: Vec<ChannelSchedule>,
     bandwidth: f64,
+    /// Derived from `channels`; never serialized.
+    table: PlacementTable,
+}
+
+/// The serialized shape of a [`BroadcastProgram`].
+#[derive(Deserialize)]
+struct ProgramRepr {
+    channels: Vec<ChannelSchedule>,
+    bandwidth: f64,
+}
+
+impl Serialize for BroadcastProgram {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("channels".to_string(), self.channels.to_value()),
+            ("bandwidth".to_string(), self.bandwidth.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for BroadcastProgram {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let ProgramRepr { channels, bandwidth } = ProgramRepr::from_value(v)?;
+        BroadcastProgram::from_channels(channels, bandwidth)
+            .map_err(|e| DeError::custom(format!("invalid broadcast program: {e}")))
+    }
 }
 
 impl BroadcastProgram {
@@ -125,9 +313,6 @@ impl BroadcastProgram {
         alloc: &Allocation,
         bandwidth: f64,
     ) -> Result<Self, ModelError> {
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return Err(ModelError::InvalidBandwidth { value: bandwidth });
-        }
         if alloc.items() != db.len() {
             return Err(ModelError::AssignmentLength {
                 expected: db.len(),
@@ -149,7 +334,7 @@ impl BroadcastProgram {
                 cycle_size: offset,
             });
         }
-        Ok(BroadcastProgram { channels, bandwidth })
+        BroadcastProgram::from_channels(channels, bandwidth)
     }
 
     /// Builds a program from explicit per-channel groups that may
@@ -169,9 +354,6 @@ impl BroadcastProgram {
         groups: &[Vec<ItemId>],
         bandwidth: f64,
     ) -> Result<Self, ModelError> {
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return Err(ModelError::InvalidBandwidth { value: bandwidth });
-        }
         if groups.is_empty() {
             return Err(ModelError::ZeroChannels);
         }
@@ -205,7 +387,19 @@ impl BroadcastProgram {
                 actual: db.len() - missing,
             });
         }
-        Ok(BroadcastProgram { channels, bandwidth })
+        BroadcastProgram::from_channels(channels, bandwidth)
+    }
+
+    /// Validates the bandwidth and indexes `channels`.
+    fn from_channels(
+        channels: Vec<ChannelSchedule>,
+        bandwidth: f64,
+    ) -> Result<Self, ModelError> {
+        if !bandwidth.is_finite() || bandwidth <= 0.0 {
+            return Err(ModelError::InvalidBandwidth { value: bandwidth });
+        }
+        let table = PlacementTable::build(&channels)?;
+        Ok(BroadcastProgram { channels, bandwidth, table })
     }
 
     /// All channel schedules, indexed by channel id.
@@ -218,31 +412,50 @@ impl BroadcastProgram {
         self.bandwidth
     }
 
+    /// The schedule and slot a placement points at.
+    #[inline]
+    fn resolve(&self, p: Placement) -> (&ChannelSchedule, &ScheduledItem) {
+        let schedule = &self.channels[p.channel as usize];
+        (schedule, &schedule.slots[p.slot as usize])
+    }
+
     /// The first schedule carrying `item`, with its slot. With
     /// replication, prefer [`locate_all`](Self::locate_all) or
     /// [`best_start`](Self::best_start).
     pub fn locate(&self, item: ItemId) -> Option<(&ChannelSchedule, &ScheduledItem)> {
-        self.channels.iter().find_map(|c| c.slot_of(item).map(|s| (c, s)))
+        self.table.of(item).next().map(|p| self.resolve(p))
     }
 
-    /// Every schedule carrying `item` (more than one under replication).
-    pub fn locate_all(&self, item: ItemId) -> Vec<(&ChannelSchedule, &ScheduledItem)> {
-        self.channels.iter().filter_map(|c| c.slot_of(item).map(|s| (c, s))).collect()
+    /// Every schedule carrying `item` (more than one under replication),
+    /// lowest channel first, each with the item's first slot there.
+    pub fn locate_all(
+        &self,
+        item: ItemId,
+    ) -> impl ExactSizeIterator<Item = (&ChannelSchedule, &ScheduledItem)> + '_ {
+        self.table.of(item).map(|p| self.resolve(p))
     }
 
     /// The earliest upcoming broadcast of `item` at or after `now`,
     /// across all channels carrying it: `(channel, start time, size)`.
+    /// Ties go to the lowest channel.
     ///
     /// Returns `None` if no channel broadcasts the item.
+    #[inline]
     pub fn best_start(&self, item: ItemId, now: f64) -> Option<(ChannelId, f64, f64)> {
-        self.locate_all(item)
-            .into_iter()
-            .filter_map(|(schedule, slot)| {
-                schedule
-                    .next_start(item, now, self.bandwidth)
-                    .map(|t| (schedule.channel(), t, slot.size))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+        let start_on = |p: Placement| {
+            let (schedule, slot) = self.resolve(p);
+            let t = next_slot_start(slot.offset, schedule.cycle_size, now, self.bandwidth);
+            (schedule.channel, t, slot.size)
+        };
+        let mut placements = self.table.of(item);
+        let mut best = start_on(placements.next()?);
+        for p in placements {
+            let candidate = start_on(p);
+            if candidate.1.total_cmp(&best.1).is_lt() {
+                best = candidate;
+            }
+        }
+        Some(best)
     }
 
     /// Time (seconds) a request for `item` issued at `now` waits until
@@ -252,6 +465,7 @@ impl BroadcastProgram {
     /// unreplicated case).
     ///
     /// Returns `None` if no channel broadcasts the item.
+    #[inline]
     pub fn response_time(&self, item: ItemId, now: f64) -> Option<f64> {
         let (_, start, size) = self.best_start(item, now)?;
         Some(start - now + size / self.bandwidth)

@@ -8,6 +8,8 @@
 //! then *verified* against the frames that actually aired, so a wrong
 //! world view shows up as a torn frame, never as a silent bias.
 
+use std::sync::OnceLock;
+
 use dbcast_index::{optimal_segments, IndexedChannel};
 use dbcast_model::{BroadcastProgram, ChannelId, ItemId};
 use dbcast_replication::expected_min_probe;
@@ -69,6 +71,8 @@ pub struct WorldView {
     /// Virtual instant this generation stops being on the air.
     /// `f64::INFINITY` until a successor directory arrives.
     pub valid_until: f64,
+    /// [`WorldView::expected_access`] per item, filled on first use.
+    expected: Vec<OnceLock<Option<f64>>>,
 }
 
 impl WorldView {
@@ -102,7 +106,8 @@ impl WorldView {
                 Some(per_channel)
             }
         };
-        Ok(WorldView { directory, indexed, valid_until: f64::INFINITY })
+        let expected = (0..directory.frequencies.len()).map(|_| OnceLock::new()).collect();
+        Ok(WorldView { directory, indexed, valid_until: f64::INFINITY, expected })
     }
 
     /// Size of an item per the directory, if in range.
@@ -119,15 +124,18 @@ impl WorldView {
         let mut worst = 0.0f64;
         for idx in 0..self.directory.frequencies.len() {
             let item = ItemId::new(idx);
-            let carriers = self.directory.program.locate_all(item);
-            if carriers.is_empty() {
+            let Some((_, slot)) = self.directory.program.locate(item) else {
                 continue;
-            }
+            };
+            let size = slot.size;
             // The client can always fall back to the fastest-cycle
             // carrier, so its wait-to-start is bounded by that cycle.
-            let best_cycle =
-                carriers.iter().map(|(s, _)| s.cycle_size()).fold(f64::INFINITY, f64::min);
-            let size = carriers[0].1.size;
+            let best_cycle = self
+                .directory
+                .program
+                .locate_all(item)
+                .map(|(s, _)| s.cycle_size())
+                .fold(f64::INFINITY, f64::min);
             let bound = match self.directory.index {
                 // Indexed: wait for an index copy (≤ one cycle), read
                 // it, then doze to the item (≤ one more cycle).
@@ -146,25 +154,31 @@ impl WorldView {
     /// the exact (1,m) grid expectation.
     ///
     /// Returns `None` when the program does not carry the item.
+    ///
+    /// A pure function of the directory, so each item's value is
+    /// computed on first use and memoized.
     pub fn expected_access(&self, item: ItemId) -> Option<f64> {
+        match self.expected.get(item.index()) {
+            Some(cell) => *cell.get_or_init(|| self.compute_expected_access(item)),
+            None => self.compute_expected_access(item),
+        }
+    }
+
+    fn compute_expected_access(&self, item: ItemId) -> Option<f64> {
         let bandwidth = self.directory.bandwidth;
         let carriers = self.directory.program.locate_all(item);
-        if carriers.is_empty() {
-            return None;
-        }
-        let size = carriers[0].1.size;
+        let replicas = carriers.len();
+        let (schedule, slot) = self.directory.program.locate(item)?;
+        let size = slot.size;
         match &self.indexed {
-            Some(per_channel) if carriers.len() == 1 => {
-                let schedule = carriers[0].0;
-                per_channel
-                    .get(schedule.channel().index())
-                    .and_then(|c| c.as_ref())
-                    .and_then(|ic| ic.expected_metrics(item, bandwidth, 512))
-                    .map(|(access, _)| access)
-            }
+            Some(per_channel) if replicas == 1 => per_channel
+                .get(schedule.channel().index())
+                .and_then(|c| c.as_ref())
+                .and_then(|ic| ic.expected_metrics(item, bandwidth, 512))
+                .map(|(access, _)| access),
             _ => {
                 let cycles: Vec<f64> =
-                    carriers.iter().map(|(s, _)| s.cycle_size() / bandwidth).collect();
+                    carriers.map(|(s, _)| s.cycle_size() / bandwidth).collect();
                 Some(expected_min_probe(&cycles) + size / bandwidth)
             }
         }

@@ -89,7 +89,7 @@ fn standard_suite_measures_every_benchmark() {
     let mut suite = standard_suite();
     let report =
         run_suite(&mut suite, &RunOptions { iterations: 1, warmup: 0, profile: true });
-    assert_eq!(report.benchmarks.len(), 14);
+    assert_eq!(report.benchmarks.len(), 15);
     for rec in &report.benchmarks {
         assert!(rec.median_ns > 0.0, "{} measured zero time", rec.name);
         assert!(rec.allocs_available);

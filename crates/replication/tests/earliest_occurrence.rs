@@ -36,7 +36,7 @@ fn best_start_is_the_brute_force_minimum_over_carriers() {
     let (db, program) = replicated_program();
     for idx in 0..db.len() {
         let item = ItemId::new(idx);
-        let carriers = program.locate_all(item);
+        let carriers: Vec<_> = program.locate_all(item).collect();
         assert!(!carriers.is_empty(), "every item is broadcast");
         for step in 0..200 {
             let now = step as f64 * 0.0973;

@@ -4,13 +4,15 @@
 //! The runtime streams the current broadcast program in *virtual time*:
 //! requests are consumed in arrival order and each is served
 //! analytically against the program generation active at its arrival
-//! (`BroadcastProgram::response_time`), so the loop is exact,
-//! deterministic and runs millions of requests per second — the
+//! (`BroadcastProgram::response_time`, the same O(1) placement-table
+//! kernel the simulator and the fleet planner use), so the loop is
+//! exact, deterministic and runs millions of requests per second — the
 //! serving-side dual of the discrete-event simulator.
 //!
-//! Time is chopped into **ticks** of one full cycle of the slowest
-//! channel of the active generation. All control actions happen at tick
-//! boundaries, which is what makes the swap safe-by-construction:
+//! Time is chopped into **ticks** of one full cycle of the fastest
+//! non-empty channel of the active generation. All control actions
+//! happen at tick boundaries, which is what makes the swap
+//! safe-by-construction:
 //!
 //! 1. a finished re-allocation is **installed** (published as the next
 //!    generation through [`EpochCell`]),
@@ -19,9 +21,11 @@
 //!    against the active generation's build profile and may **dispatch**
 //!    a re-allocation.
 //!
-//! Requests in flight across a swap keep the `Arc` of the generation
-//! that admitted them, so their waits are accounted to that generation
-//! — nothing is dropped, re-routed or double-counted.
+//! The loop is the [`EpochCell`]'s only publisher, so it holds the
+//! serving generation's `Arc` and refreshes it right after each install
+//! instead of reading the cell per request. Each request is served and
+//! accounted against the generation active at its arrival — nothing is
+//! dropped, re-routed or double-counted.
 //!
 //! Re-allocation runs either inline ([`WorkerMode::Deterministic`], the
 //! seed-replayable mode the tests pin) or on a background worker thread
@@ -370,7 +374,8 @@ fn recompute(job: &RepairJob, mode: RepairMode, channels: usize) -> Option<Repai
 /// The request's position in the channel's cyclic "queue" at `now`:
 /// how many of the channel's slots start strictly between the current
 /// broadcast phase and the requested item's next start. Deterministic
-/// and allocation-free (a scan over the channel's slot table).
+/// and allocation-free (the slot comes from the program's placement
+/// table; only the count scans the channel).
 fn queue_position(
     program: &BroadcastProgram,
     channel: usize,
@@ -378,12 +383,15 @@ fn queue_position(
     now: f64,
     bandwidth: f64,
 ) -> u64 {
-    let Some(schedule) = program.channels().get(channel) else { return 0 };
+    let Some((schedule, slot)) =
+        program.locate_all(item).find(|(s, _)| s.channel().index() == channel)
+    else {
+        return 0;
+    };
     let cycle = schedule.cycle_size();
     if cycle <= 0.0 {
         return 0;
     }
-    let Some(slot) = schedule.slot_of(item) else { return 0 };
     let phase = (now * bandwidth).rem_euclid(cycle);
     let target = (slot.offset - phase).rem_euclid(cycle);
     schedule
@@ -644,30 +652,28 @@ impl ServeRuntime {
             estimated_frequencies: Vec::new(),
             audit: AuditSummary::default(),
         };
-        let mut slo_tracker = {
-            let gen0 = self.cell.current();
-            report.generations.push(GenerationStats {
-                generation: gen0.generation,
-                installed_at: 0.0,
-                installed_tick: 0,
-                requests: 0,
-                waiting: SummaryStats::new(),
-                cost: gen0.value.cost,
-                drift_at_dispatch: None,
-                repair: None,
-                swap_latency: None,
-                slo: None,
-            });
-            let tracker =
-                self.config.slo.map(|c| SloTracker::new(c, gen0.value.expected_wait));
-            if tracker.is_some() {
-                self.metrics.slo_target_wait.set(gen0.value.expected_wait);
-            }
-            tracker
-        };
+        // Refreshed only after `install`, the cell's sole publisher.
+        let mut serving = self.cell.current();
+        report.generations.push(GenerationStats {
+            generation: serving.generation,
+            installed_at: 0.0,
+            installed_tick: 0,
+            requests: 0,
+            waiting: SummaryStats::new(),
+            cost: serving.value.cost,
+            drift_at_dispatch: None,
+            repair: None,
+            swap_latency: None,
+            slo: None,
+        });
+        let mut slo_tracker =
+            self.config.slo.map(|c| SloTracker::new(c, serving.value.expected_wait));
+        if slo_tracker.is_some() {
+            self.metrics.slo_target_wait.set(serving.value.expected_wait);
+        }
         let mut slo_trigger_pending = false;
 
-        let mut tick_len = self.tick_len(&self.cell.current().value);
+        let mut tick_len = self.tick_len(&serving.value);
         let mut tick_end = tick_len;
         let mut observations_since_swap: u64 = 0;
         let mut job_in_flight = false;
@@ -727,7 +733,7 @@ impl ServeRuntime {
                 // (2) Install it at this cycle boundary.
                 if let Some(result) = pending.take() {
                     job_in_flight = false;
-                    if result.base_generation == self.cell.generation() {
+                    if result.base_generation == serving.generation {
                         // Freeze the replaced generation's SLO ledger
                         // and restart tracking against the incoming
                         // generation's Eq. 2 target.
@@ -737,10 +743,11 @@ impl ServeRuntime {
                             }
                         }
                         self.install(result, boundary, report.ticks, &mut report)?;
+                        serving = self.cell.current();
                         observations_since_swap = 0;
-                        tick_len = self.tick_len(&self.cell.current().value);
+                        tick_len = self.tick_len(&serving.value);
                         if let Some(config) = self.config.slo {
-                            let target = self.cell.current().value.expected_wait;
+                            let target = serving.value.expected_wait;
                             slo_tracker = Some(SloTracker::new(config, target));
                             slo_trigger_pending = false;
                             self.metrics.slo_target_wait.set(target);
@@ -758,7 +765,6 @@ impl ServeRuntime {
                 // threshold (the workload can degrade the observed
                 // wait without moving far in L1).
                 if !job_in_flight {
-                    let serving = self.cell.current();
                     estimator.frequency_vector_into(&mut estimated);
                     let drift: Drift = self.config.detector.check(
                         &estimated,
@@ -844,7 +850,6 @@ impl ServeRuntime {
 
             // Serve the arrival against the generation active *now*.
             let r = *requests.next().expect("peeked above");
-            let serving = self.cell.current();
             match serving.value.program.response_time(r.item, r.time) {
                 Some(base_wait) => {
                     let request_id = report.requests;

@@ -28,6 +28,8 @@
 
 use std::fmt;
 
+use dbcast_obs::snapshot::json_f64;
+
 use crate::residual::{ChannelResidual, GenerationResiduals};
 use crate::ring::{TraceRecord, FLAG_SEEDED, FLAG_STRADDLED, FLAG_TAIL};
 use crate::AuditSnapshot;
@@ -61,16 +63,6 @@ impl fmt::Display for AuditJsonError {
 }
 
 impl std::error::Error for AuditJsonError {}
-
-fn json_f64(v: f64) -> String {
-    // The tracer never admits non-finite values, so this is belt and
-    // braces for a hand-built document.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
 
 fn push_channels(out: &mut String, channels: &[ChannelResidual]) {
     out.push('[');

@@ -1,25 +1,21 @@
 //! The trace ring: a fixed-capacity, power-of-two buffer of
-//! [`TraceRecord`]s guarded by the flight crate's per-slot seqlock
-//! idiom.
+//! [`TraceRecord`]s, a typed view over the obs crate's seqlock
+//! [`SeqRing`] (twelve words per record, floats as raw bits).
 //!
 //! The ring is **single-writer**: only the serving loop records and
 //! amends slots, while any number of reader threads (the `/exemplars`
-//! endpoint, `dbcast trace` scrapes mid-run) snapshot concurrently.
-//! Each slot carries a sequence word that is bumped to an *odd* value
-//! before the payload is touched and to the next *even* value after,
-//! so a reader that observes a consistent even sequence on both sides
-//! of its payload loads has read an untorn record — torn slots are
-//! simply skipped, which is the right trade for telemetry.
+//! endpoint, `dbcast trace` scrapes mid-run) snapshot concurrently and
+//! skip any slot a write is touching.
 //!
-//! The single-writer discipline is what additionally permits
+//! The single-writer discipline is what permits
 //! [`TraceRing::mark_straddles`]: at a swap boundary the serving loop
 //! re-opens *live* slots whose request was admitted before the
 //! boundary but satisfied after it, stamps the swap-straddle penalty
-//! in, and re-seals them under the same odd/even protocol. A
-//! concurrent reader either sees the record before the amendment, or
-//! after it, or skips it — never a half-written mix.
+//! in, and re-seals them through [`SeqRing::amend`]. A concurrent
+//! reader either sees the record before the amendment, or after it, or
+//! skips it — never a half-written mix.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use dbcast_obs::ring::SeqRing;
 
 /// The record was caught by the deterministic seeded sampling stage.
 pub const FLAG_SEEDED: u64 = 1;
@@ -90,173 +86,97 @@ impl TraceRecord {
     pub fn straddled(&self) -> bool {
         self.flags & FLAG_STRADDLED != 0
     }
-}
 
-/// One seqlock-guarded slot. Field order mirrors [`TraceRecord`];
-/// floats are stored as raw bits.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    request_id: AtomicU64,
-    item: AtomicU64,
-    arrival_tick: AtomicU64,
-    satisfied_tick: AtomicU64,
-    generation: AtomicU64,
-    channel: AtomicU64,
-    queue_position: AtomicU64,
-    arrival: AtomicU64,
-    wait: AtomicU64,
-    predicted: AtomicU64,
-    straddle_penalty: AtomicU64,
-    flags: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            request_id: AtomicU64::new(0),
-            item: AtomicU64::new(0),
-            arrival_tick: AtomicU64::new(0),
-            satisfied_tick: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            channel: AtomicU64::new(0),
-            queue_position: AtomicU64::new(0),
-            arrival: AtomicU64::new(0),
-            wait: AtomicU64::new(0),
-            predicted: AtomicU64::new(0),
-            straddle_penalty: AtomicU64::new(0),
-            flags: AtomicU64::new(0),
-        }
+    fn to_words(self) -> [u64; 12] {
+        [
+            self.request_id,
+            self.item,
+            self.arrival_tick,
+            self.satisfied_tick,
+            self.generation,
+            self.channel,
+            self.queue_position,
+            self.arrival.to_bits(),
+            self.wait.to_bits(),
+            self.predicted.to_bits(),
+            self.straddle_penalty.to_bits(),
+            self.flags,
+        ]
     }
 
-    fn load(&self) -> TraceRecord {
+    fn from_words(w: [u64; 12]) -> Self {
         TraceRecord {
-            request_id: self.request_id.load(Ordering::Relaxed),
-            item: self.item.load(Ordering::Relaxed),
-            arrival_tick: self.arrival_tick.load(Ordering::Relaxed),
-            satisfied_tick: self.satisfied_tick.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-            channel: self.channel.load(Ordering::Relaxed),
-            queue_position: self.queue_position.load(Ordering::Relaxed),
-            arrival: f64::from_bits(self.arrival.load(Ordering::Relaxed)),
-            wait: f64::from_bits(self.wait.load(Ordering::Relaxed)),
-            predicted: f64::from_bits(self.predicted.load(Ordering::Relaxed)),
-            straddle_penalty: f64::from_bits(self.straddle_penalty.load(Ordering::Relaxed)),
-            flags: self.flags.load(Ordering::Relaxed),
+            request_id: w[0],
+            item: w[1],
+            arrival_tick: w[2],
+            satisfied_tick: w[3],
+            generation: w[4],
+            channel: w[5],
+            queue_position: w[6],
+            arrival: f64::from_bits(w[7]),
+            wait: f64::from_bits(w[8]),
+            predicted: f64::from_bits(w[9]),
+            straddle_penalty: f64::from_bits(w[10]),
+            flags: w[11],
         }
-    }
-
-    fn store(&self, r: &TraceRecord) {
-        self.request_id.store(r.request_id, Ordering::Relaxed);
-        self.item.store(r.item, Ordering::Relaxed);
-        self.arrival_tick.store(r.arrival_tick, Ordering::Relaxed);
-        self.satisfied_tick.store(r.satisfied_tick, Ordering::Relaxed);
-        self.generation.store(r.generation, Ordering::Relaxed);
-        self.channel.store(r.channel, Ordering::Relaxed);
-        self.queue_position.store(r.queue_position, Ordering::Relaxed);
-        self.arrival.store(r.arrival.to_bits(), Ordering::Relaxed);
-        self.wait.store(r.wait.to_bits(), Ordering::Relaxed);
-        self.predicted.store(r.predicted.to_bits(), Ordering::Relaxed);
-        self.straddle_penalty.store(r.straddle_penalty.to_bits(), Ordering::Relaxed);
-        self.flags.store(r.flags, Ordering::Relaxed);
     }
 }
 
 /// Fixed-capacity ring of sampled request lifecycles.
 #[derive(Debug)]
-pub struct TraceRing {
-    slots: Vec<Slot>,
-    cursor: AtomicU64,
-}
+pub struct TraceRing(SeqRing<12>);
 
 impl TraceRing {
     /// Creates a ring holding at least `capacity` records (rounded up
     /// to the next power of two, minimum 64).
     pub fn new(capacity: usize) -> Self {
-        let len = capacity.max(64).next_power_of_two();
-        TraceRing {
-            slots: (0..len).map(|_| Slot::empty()).collect(),
-            cursor: AtomicU64::new(0),
-        }
+        TraceRing(SeqRing::new(capacity))
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.0.capacity()
     }
 
     /// Records ever written (not clamped to capacity).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Acquire)
-    }
-
-    fn slot_at(&self, idx: u64) -> &Slot {
-        &self.slots[(idx as usize) & (self.slots.len() - 1)]
+        self.0.recorded()
     }
 
     /// Appends a record (single writer: the serving loop).
     pub fn record(&self, record: &TraceRecord) {
-        let idx = self.cursor.fetch_add(1, Ordering::AcqRel);
-        let slot = self.slot_at(idx);
-        // Odd = write in progress; readers back off.
-        slot.seq.store(2 * idx + 1, Ordering::Release);
-        slot.store(record);
-        // Even and unique to this lap: readers accept.
-        slot.seq.store(2 * (idx + 1), Ordering::Release);
+        self.0.record(record.to_words());
     }
 
     /// At a swap boundary, stamps the straddle penalty into every live
     /// record whose service spans `boundary` and is not yet marked.
     /// Returns how many records were marked. Single writer only — the
-    /// amendment reuses the slot's odd/even seqlock protocol, so
-    /// concurrent snapshots stay untorn.
+    /// amendment goes through [`SeqRing::amend`], so concurrent
+    /// snapshots stay untorn.
     pub fn mark_straddles(&self, boundary: f64) -> u64 {
-        let end = self.cursor.load(Ordering::Acquire);
-        let start = end.saturating_sub(self.slots.len() as u64);
         let mut marked = 0;
-        for idx in start..end {
-            let slot = self.slot_at(idx);
-            // Only this lap's sealed records are eligible; anything else
-            // was lapped between the cursor load and now (impossible for
-            // the single writer, but cheap to guard).
-            if slot.seq.load(Ordering::Acquire) != 2 * (idx + 1) {
-                continue;
-            }
-            let record = slot.load();
+        self.0.for_each(|idx, words| {
+            let record = TraceRecord::from_words(words);
             let straddles = record.arrival < boundary && record.completion() > boundary;
             if !straddles || record.straddled() {
-                continue;
+                return;
             }
-            slot.seq.store(2 * idx + 1, Ordering::Release);
-            slot.straddle_penalty
-                .store((record.completion() - boundary).to_bits(), Ordering::Relaxed);
-            slot.flags.store(record.flags | FLAG_STRADDLED, Ordering::Relaxed);
-            slot.seq.store(2 * (idx + 1), Ordering::Release);
-            marked += 1;
-        }
+            let amended = TraceRecord {
+                straddle_penalty: record.completion() - boundary,
+                flags: record.flags | FLAG_STRADDLED,
+                ..record
+            };
+            if self.0.amend(idx, amended.to_words()) {
+                marked += 1;
+            }
+        });
         marked
     }
 
     /// Copies out every untorn live record, oldest first. Slots being
     /// overwritten or amended concurrently are skipped.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let end = self.cursor.load(Ordering::Acquire);
-        let start = end.saturating_sub(self.slots.len() as u64);
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for idx in start..end {
-            let slot = self.slot_at(idx);
-            let expected = 2 * (idx + 1);
-            if slot.seq.load(Ordering::Acquire) != expected {
-                continue;
-            }
-            let record = slot.load();
-            if slot.seq.load(Ordering::Acquire) != expected {
-                continue;
-            }
-            out.push(record);
-        }
-        out
+        self.0.snapshot(|_, words| TraceRecord::from_words(words))
     }
 }
 
@@ -279,20 +199,6 @@ mod tests {
             straddle_penalty: 0.0,
             flags: FLAG_SEEDED,
         }
-    }
-
-    #[test]
-    fn capacity_rounds_up_and_ring_wraps() {
-        let ring = TraceRing::new(100);
-        assert_eq!(ring.capacity(), 128);
-        for i in 0..300 {
-            ring.record(&rec(i, i as f64, 1.0));
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 128);
-        assert_eq!(snap.first().unwrap().request_id, 172);
-        assert_eq!(snap.last().unwrap().request_id, 299);
-        assert_eq!(ring.recorded(), 300);
     }
 
     #[test]
@@ -320,32 +226,46 @@ mod tests {
         assert!((sum - snap[1].wait).abs() < 1e-9);
     }
 
+    /// The writer-side invariants of `rec`: `predicted == 0.8·wait`,
+    /// the wait split sums back, and a record carries a penalty exactly
+    /// when it carries the straddle flag. A torn read breaks one.
+    fn assert_untorn(r: &TraceRecord) {
+        assert!((r.predicted - r.wait * 0.8).abs() < 1e-12, "torn record: {r:?}");
+        let sum = r.predicted + r.residual() + r.straddle_penalty;
+        assert!((sum - r.wait).abs() < 1e-9, "split does not sum back: {r:?}");
+        assert_eq!(r.straddled(), r.straddle_penalty != 0.0, "torn amendment: {r:?}");
+    }
+
     #[test]
-    fn concurrent_snapshots_never_tear() {
-        use std::sync::atomic::AtomicBool;
-        let ring = std::sync::Arc::new(TraceRing::new(64));
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
+    fn concurrent_snapshots_never_see_a_torn_record_or_amendment() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let ring = Arc::new(TraceRing::new(64));
+        let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..2)
             .map(|_| {
-                let ring = std::sync::Arc::clone(&ring);
-                let stop = std::sync::Arc::clone(&stop);
+                let (ring, stop) = (Arc::clone(&ring), Arc::clone(&stop));
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        for r in ring.snapshot() {
-                            // Writer keeps predicted = 0.8·wait; a torn
-                            // read would break the invariant.
-                            assert!((r.predicted - r.wait * 0.8).abs() < 1e-12);
-                        }
+                        ring.snapshot().iter().for_each(assert_untorn);
                     }
                 })
             })
             .collect();
-        for i in 0..20_000 {
+        // Arrivals 0.1 apart with waits up to 12.5, so every boundary
+        // catches live records mid-service.
+        let mut marked = 0;
+        for i in 0..20_000u64 {
             ring.record(&rec(i, i as f64 * 0.1, (i % 13) as f64 + 0.5));
+            if i % 8 == 7 {
+                marked += ring.mark_straddles(i as f64 * 0.1 - 0.05);
+            }
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
         }
+        assert!(marked > 10_000, "only {marked} amendments exercised");
+        ring.snapshot().iter().for_each(assert_untorn);
     }
 }

@@ -1,10 +1,13 @@
 //! The structured events the flight recorder retains.
 //!
-//! Events are fixed-size (seven 64-bit words) so the ring can store
-//! them field-per-atomic with no allocation: a kind tag, the serving
-//! runtime's tick/generation coordinates, a virtual timestamp, one
-//! `f64` payload (`value`) and one `u64` payload (`extra`) whose
-//! meanings are per-kind (documented on [`EventKind`]).
+//! Events are fixed-size so the ring can store them as six 64-bit
+//! words with no allocation: a kind tag, the serving runtime's
+//! tick/generation coordinates, a virtual timestamp, one `f64` payload
+//! (`value`) and one `u64` payload (`extra`) whose meanings are
+//! per-kind (documented on [`EventKind`]). The seventh field, `seq`, is
+//! the ring index the event was recorded under.
+
+use dbcast_obs::snapshot::json_f64;
 
 /// What happened. The `value`/`extra` payload meaning per kind:
 ///
@@ -49,7 +52,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// All kinds, for iteration in inspectors.
+    /// All kinds in tag order (`ALL[k as usize] == k`), for iteration
+    /// in inspectors and for decoding tags.
     pub const ALL: [EventKind; 11] = [
         EventKind::Tick,
         EventKind::RequestServed,
@@ -84,20 +88,11 @@ impl EventKind {
     /// Decodes a stored tag; unknown tags decode as [`EventKind::Fault`]
     /// (a snapshot must never panic on a torn or future-version slot).
     pub fn from_u64(v: u64) -> EventKind {
-        match v {
-            0 => EventKind::Tick,
-            1 => EventKind::RequestServed,
-            2 => EventKind::DriftScore,
-            3 => EventKind::RepairStart,
-            4 => EventKind::RepairOutcome,
-            5 => EventKind::SwapPublish,
-            6 => EventKind::BudgetExhausted,
-            7 => EventKind::SloBreach,
-            8 => EventKind::SloTrigger,
-            9 => EventKind::Fault,
-            10 => EventKind::Watchdog,
-            _ => EventKind::Fault,
-        }
+        usize::try_from(v)
+            .ok()
+            .and_then(|i| EventKind::ALL.get(i))
+            .copied()
+            .unwrap_or(EventKind::Fault)
     }
 }
 
@@ -139,6 +134,31 @@ impl FlightEvent {
         self
     }
 
+    /// The ring payload: every field but `seq`, floats as raw bits.
+    pub(crate) fn to_words(self) -> [u64; 6] {
+        [
+            self.kind as u64,
+            self.tick,
+            self.generation,
+            self.vtime.to_bits(),
+            self.value.to_bits(),
+            self.extra,
+        ]
+    }
+
+    /// Rebuilds the event recorded under ring index `seq`.
+    pub(crate) fn from_words(seq: u64, w: [u64; 6]) -> Self {
+        FlightEvent {
+            seq,
+            kind: EventKind::from_u64(w[0]),
+            tick: w[1],
+            generation: w[2],
+            vtime: f64::from_bits(w[3]),
+            value: f64::from_bits(w[4]),
+            extra: w[5],
+        }
+    }
+
     /// Renders the event as one JSON object (self-contained writer,
     /// like the obs snapshot exporter).
     pub fn to_json(&self) -> String {
@@ -156,12 +176,25 @@ impl FlightEvent {
     }
 }
 
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "null".to_string()
+/// Appends `events` to `out` as a JSON array, one event per line at
+/// `indent` + two spaces, with the closing bracket at `indent`. The
+/// `/flight` document and postmortem dumps both embed the ring this way.
+pub(crate) fn push_events(out: &mut String, events: &[FlightEvent], indent: &str) {
+    out.push('[');
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        out.push_str(indent);
+        out.push_str("  ");
+        out.push_str(&e.to_json());
     }
+    if !events.is_empty() {
+        out.push('\n');
+        out.push_str(indent);
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::event::push_events;
 use crate::recorder;
 
 /// Produces the `/status` JSON body on demand.
@@ -159,20 +160,13 @@ impl Drop for ExpositionServer {
 pub fn flight_json() -> String {
     let ring = recorder();
     let events = ring.snapshot();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"capacity\": {}, \"recorded\": {}, \"events\": [",
+    let mut out = format!(
+        "{{\"capacity\": {}, \"recorded\": {}, \"events\": ",
         ring.capacity(),
         ring.recorded()
-    ));
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        out.push_str(&e.to_json());
-    }
-    out.push_str(if events.is_empty() { "]}\n" } else { "\n]}\n" });
+    );
+    push_events(&mut out, &events, "");
+    out.push_str("}\n");
     out
 }
 

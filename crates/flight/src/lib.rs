@@ -4,9 +4,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`ring::FlightRing`] — a fixed-capacity, lock-free ring of
-//!   structured [`event::FlightEvent`]s. Recording is wait-free (one
-//!   `fetch_add` plus atomic stores) and allocation-free, so it is
+//! * [`FlightRing`] — a fixed-capacity, lock-free ring of structured
+//!   [`event::FlightEvent`]s, a typed view over the obs crate's
+//!   [`SeqRing`]. Recording is wait-free (one `fetch_add` plus atomic
+//!   stores) and allocation-free, so it is
 //!   *always on*: the serving loop records ticks, served requests,
 //!   drift scores, repair dispatch/outcomes, swap publishes and budget
 //!   exhaustions unconditionally, independent of the `obs` feature.
@@ -26,13 +27,52 @@
 pub mod event;
 pub mod http;
 pub mod postmortem;
-pub mod ring;
 
 pub use event::{EventKind, FlightEvent};
 pub use http::{ExpositionServer, Route};
-pub use ring::FlightRing;
 
 use std::sync::OnceLock;
+
+use dbcast_obs::ring::SeqRing;
+
+/// A fixed-capacity, wait-free-write ring of [`FlightEvent`]s; each
+/// event is stored as six words of a [`SeqRing`].
+#[derive(Debug)]
+pub struct FlightRing(SeqRing<6>);
+
+impl FlightRing {
+    /// Creates a ring holding the most recent `capacity` events
+    /// (rounded up to a power of two, minimum 64).
+    pub fn new(capacity: usize) -> Self {
+        FlightRing(SeqRing::new(capacity))
+    }
+
+    /// Ring capacity (events retained).
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// Total events ever recorded (monotone; `recorded - capacity`
+    /// of them have been overwritten when it exceeds the capacity).
+    pub fn recorded(&self) -> u64 {
+        self.0.recorded()
+    }
+
+    /// Records one event (its `seq` is ignored; the ring assigns it).
+    /// Wait-free and allocation-free for any number of writers.
+    #[inline]
+    pub fn record(&self, event: FlightEvent) {
+        self.0.record(event.to_words());
+    }
+
+    /// Copies the most recent events, oldest first, tagged with their
+    /// global sequence index. Slots a concurrent writer touched
+    /// mid-read are skipped, so the sequence indices are strictly
+    /// increasing.
+    pub fn snapshot(&self) -> Vec<FlightEvent> {
+        self.0.snapshot(FlightEvent::from_words)
+    }
+}
 
 /// Default capacity of the global recorder (events retained).
 pub const DEFAULT_CAPACITY: usize = 4096;

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::event::push_events;
 use crate::recorder;
 
 /// Postmortem JSON schema version.
@@ -59,15 +60,9 @@ pub fn render(reason: &str) -> String {
         ring.recorded(),
         events.len()
     ));
-    out.push_str("  \"events\": [");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&e.to_json());
-    }
-    out.push_str(if events.is_empty() { "],\n" } else { "\n  ],\n" });
+    out.push_str("  \"events\": ");
+    push_events(&mut out, &events, "  ");
+    out.push_str(",\n");
     // Embed the metrics snapshot verbatim: it is already a JSON object.
     let metrics = dbcast_obs::registry().snapshot().to_json();
     out.push_str("  \"metrics\": ");

@@ -17,6 +17,7 @@ use std::io::Read;
 
 use dbcast_cache::{CachePolicy, LruCache, PixCache};
 use dbcast_model::{Database, ItemId, ItemSpec};
+use dbcast_workload::Categorical;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -345,7 +346,7 @@ pub struct GeneratedRequest {
 /// `start` — the instant the client's recorded coverage begins (a
 /// client joining a live stream mid-generation must not issue requests
 /// into virtual time it never recorded). Items are drawn from the
-/// broadcast frequencies (inverse CDF). In
+/// broadcast frequencies (a [`Categorical`] CDF). In
 /// [`WorkloadPattern::Frequent`] mode a pool of `config.patterns`
 /// item-sets is drawn once and each request samples a pattern with a
 /// harmonically decaying weight, so the same correlated groups recur.
@@ -355,27 +356,15 @@ pub fn generate_requests(
     start: f64,
 ) -> Vec<GeneratedRequest> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let total: f64 = directory.frequencies.iter().sum();
-    let draw_item = |u: f64, freqs: &[f64]| -> ItemId {
-        let mut acc = 0.0;
-        let target = u * total;
-        for (i, &f) in freqs.iter().enumerate() {
-            acc += f;
-            if target <= acc {
-                return ItemId::new(i);
-            }
-        }
-        ItemId::new(freqs.len() - 1)
-    };
+    let item_cdf = Categorical::from_weights(&directory.frequencies);
     // Frequent-pattern pool, drawn before arrivals so Single/Frequent
     // share the arrival sequence for the same seed.
     let pool: Vec<Vec<ItemId>> = if config.pattern == WorkloadPattern::Frequent {
         (0..config.patterns.max(1))
             .map(|_| {
                 let len = 1 + (rng.gen::<f64>() * config.max_size.max(1) as f64) as usize;
-                let mut items: Vec<ItemId> = (0..len)
-                    .map(|_| draw_item(rng.gen::<f64>(), &directory.frequencies))
-                    .collect();
+                let mut items: Vec<ItemId> =
+                    (0..len).map(|_| ItemId::new(item_cdf.sample(&mut rng))).collect();
                 items.sort();
                 items.dedup();
                 items
@@ -385,18 +374,8 @@ pub fn generate_requests(
         Vec::new()
     };
     // Harmonic pattern weights: pattern k has weight 1/(k+1).
-    let pool_cdf: Vec<f64> = {
-        let mut acc = 0.0;
-        let weights: Vec<f64> = (0..pool.len()).map(|k| 1.0 / (k as f64 + 1.0)).collect();
-        let sum: f64 = weights.iter().sum();
-        weights
-            .iter()
-            .map(|w| {
-                acc += w / sum.max(f64::MIN_POSITIVE);
-                acc
-            })
-            .collect()
-    };
+    let weights: Vec<f64> = (0..pool.len()).map(|k| 1.0 / (k as f64 + 1.0)).collect();
+    let pool_cdf = Categorical::from_weights(&weights);
     let mut requests = Vec::with_capacity(config.requests);
     let mut t = start;
     for _ in 0..config.requests {
@@ -405,13 +384,9 @@ pub fn generate_requests(
         t += -u.ln() / config.rate;
         let items = match config.pattern {
             WorkloadPattern::Single => {
-                vec![draw_item(rng.gen::<f64>(), &directory.frequencies)]
+                vec![ItemId::new(item_cdf.sample(&mut rng))]
             }
-            WorkloadPattern::Frequent => {
-                let u = rng.gen::<f64>();
-                let k = pool_cdf.partition_point(|&c| c < u).min(pool.len() - 1);
-                pool[k].clone()
-            }
+            WorkloadPattern::Frequent => pool[pool_cdf.sample(&mut rng)].clone(),
         };
         requests.push(GeneratedRequest { arrival: t, items });
     }

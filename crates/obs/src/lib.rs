@@ -2,8 +2,9 @@
 //! workspace — monotonic counters, gauges, log-scale histograms with
 //! lock-free recording, RAII span timers, hierarchical span trees
 //! with self-time attribution and Chrome trace-event export
-//! ([`tree`]), structured convergence traces, a leveled logger and a
-//! JSON snapshot exporter.
+//! ([`tree`]), structured convergence traces, a leveled logger, a
+//! JSON snapshot exporter and the seqlock ring ([`ring::SeqRing`])
+//! under the flight recorder and the audit trace ring.
 //!
 //! # Enabling
 //!
@@ -31,6 +32,7 @@ pub mod catalog;
 pub mod log;
 pub mod metrics;
 pub mod openmetrics;
+pub mod ring;
 pub mod snapshot;
 pub mod span;
 pub mod trace;

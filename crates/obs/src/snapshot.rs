@@ -274,9 +274,12 @@ fn event_json(event: &TraceEvent) -> String {
     }
 }
 
-fn json_f64(v: f64) -> String {
+/// Renders `v` as a JSON number in Rust's shortest round-tripping
+/// form (`1.0`, `2.5e-7`); non-finite values become `null`. Every
+/// hand-written document in the workspace renders floats through this.
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        v.to_string()
+        format!("{v:?}")
     } else {
         "null".to_string()
     }

@@ -2,15 +2,18 @@
 //! counting allocator is installed for this test binary, so the deltas
 //! below are real heap traffic, not estimates.
 //!
-//! Two contracts from the flight-recorder design:
+//! Three contracts from the flight-recorder design:
 //!
-//! 1. recording a flight event is allocation-free (pure atomics), and
-//! 2. the serve loop performs zero per-tick heap allocations — total
+//! 1. recording a flight event is allocation-free (pure atomics),
+//! 2. so are the audit trace ring's record and straddle-amend paths,
+//!    which write through the same seqlock ring, and
+//! 3. the serve loop performs zero per-tick heap allocations — total
 //!    allocations for a run depend on the request count, never on how
 //!    many scheduling ticks the same stream is chopped into.
 
 use std::sync::Mutex;
 
+use dbcast_audit::{TraceRecord, TraceRing, FLAG_SEEDED};
 use dbcast_flight::{EventKind, FlightEvent};
 use dbcast_perf::{allocation_counts, CountingAllocator};
 use dbcast_serve::{
@@ -52,6 +55,43 @@ fn flight_record_is_allocation_free() {
         "flight record allocated {} time(s) over 9999 events",
         after - before
     );
+}
+
+#[test]
+fn trace_ring_record_and_mark_straddles_are_allocation_free() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ring = TraceRing::new(256);
+    let mut marked = 0;
+    let mut pass = |round: u64| {
+        let (before, _) = allocation_counts();
+        for i in round * 10_000..(round + 1) * 10_000 {
+            let wait = (i % 7) as f64 + 0.5;
+            ring.record(&TraceRecord {
+                request_id: i,
+                item: i % 40,
+                arrival_tick: i,
+                satisfied_tick: i + 1,
+                generation: 0,
+                channel: i % 4,
+                queue_position: i % 5,
+                arrival: i as f64 * 0.25,
+                wait,
+                predicted: wait * 0.8,
+                straddle_penalty: 0.0,
+                flags: FLAG_SEEDED,
+            });
+            if i % 16 == 15 {
+                marked += ring.mark_straddles(i as f64 * 0.25 - 0.1);
+            }
+        }
+        allocation_counts().0 - before
+    };
+    // The counters are process-wide, so the harness thread can leak an
+    // allocation into one window; it cannot into all three, while a
+    // per-call allocation would show in every one.
+    let fewest = (0..3).map(&mut pass).min().unwrap();
+    assert!(marked > 0, "no straddle was amended");
+    assert_eq!(fewest, 0, "trace ring allocated over 10000 records and 625 amend passes");
 }
 
 /// Runs one quiet serve loop (no drift, no swaps, deterministic) and

@@ -1,6 +1,7 @@
 //! Multi-item query workloads.
 
 use dbcast_model::{Database, ItemId};
+use dbcast_workload::Categorical;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -146,20 +147,8 @@ impl<'a> QueryWorkloadBuilder<'a> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let n = self.db.len();
 
-        // Item CDF by frequency for weighted draws.
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for d in self.db.iter() {
-            acc += d.frequency();
-            cdf.push(acc);
-        }
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
-        let draw_item = |rng: &mut ChaCha8Rng| -> ItemId {
-            let u: f64 = rng.gen();
-            ItemId::new(cdf.partition_point(|&c| c <= u).min(n - 1))
-        };
+        let item_cdf =
+            Categorical::from_probabilities(self.db.iter().map(|d| d.frequency()));
 
         let mut queries = Vec::with_capacity(self.queries);
         for _ in 0..self.queries {
@@ -168,7 +157,7 @@ impl<'a> QueryWorkloadBuilder<'a> {
             // Rejection-sample distinct items (cheap for size << n).
             let mut guard = 0;
             while items.len() < size && guard < 10_000 {
-                let candidate = draw_item(&mut rng);
+                let candidate = ItemId::new(item_cdf.sample(&mut rng));
                 if !items.contains(&candidate) {
                     items.push(candidate);
                 }
@@ -184,23 +173,13 @@ impl<'a> QueryWorkloadBuilder<'a> {
             queries.into_iter().zip(weights).map(|(q, w)| (q, w / total)).collect();
 
         // Arrivals: Poisson instants, query index by weight.
-        let mut qcdf = Vec::with_capacity(self.queries);
-        let mut qacc = 0.0;
-        for (_, w) in &weighted {
-            qacc += w;
-            qcdf.push(qacc);
-        }
-        if let Some(last) = qcdf.last_mut() {
-            *last = 1.0;
-        }
+        let query_cdf = Categorical::from_probabilities(weighted.iter().map(|&(_, w)| w));
         let mut arrivals = Vec::with_capacity(self.arrivals);
         let mut t = 0.0;
         for _ in 0..self.arrivals {
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
             t += -u.ln() / self.arrival_rate;
-            let v: f64 = rng.gen();
-            let qi = qcdf.partition_point(|&c| c <= v).min(self.queries - 1);
-            arrivals.push((qi, t));
+            arrivals.push((query_cdf.sample(&mut rng), t));
         }
         QueryWorkload { queries: weighted, arrivals }
     }

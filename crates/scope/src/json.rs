@@ -25,6 +25,8 @@
 
 use std::fmt;
 
+use dbcast_obs::snapshot::json_f64;
+
 use crate::series::{Bin, Sample, SeriesKind};
 use crate::store::{SeriesStore, WindowQuantiles};
 
@@ -129,16 +131,6 @@ impl fmt::Display for SeriesError {
 }
 
 impl std::error::Error for SeriesError {}
-
-fn json_f64(v: f64) -> String {
-    // The store never admits non-finite values, so this is belt and
-    // braces for a hand-built document.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
 
 fn push_samples(out: &mut String, samples: &[Sample]) {
     out.push('[');

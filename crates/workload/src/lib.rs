@@ -45,4 +45,4 @@ pub use io::{
 };
 pub use sizes::SizeDistribution;
 pub use trace::{Request, RequestTrace, TraceBuilder};
-pub use zipf::Zipf;
+pub use zipf::{Categorical, Zipf};

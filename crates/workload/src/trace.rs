@@ -11,6 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::WorkloadError;
+use crate::zipf::Categorical;
 
 /// One client request: at `time` seconds, a client asks for `item`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -149,25 +150,15 @@ impl<'a> TraceBuilder<'a> {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        // Categorical CDF over item frequencies.
-        let mut cdf = Vec::with_capacity(self.db.len());
-        let mut acc = 0.0;
-        for d in self.db.iter() {
-            acc += d.frequency();
-            cdf.push(acc);
-        }
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
+        let items = Categorical::from_probabilities(self.db.iter().map(|d| d.frequency()));
         let mut requests = Vec::with_capacity(self.requests);
         let mut t = 0.0f64;
         for _ in 0..self.requests {
             // Exponential inter-arrival via inverse CDF.
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
             t += -u.ln() / self.arrival_rate;
-            let v: f64 = rng.gen();
-            let idx = cdf.partition_point(|&c| c <= v).min(self.db.len() - 1);
-            requests.push(Request { time: t, item: ItemId::new(idx) });
+            let item = ItemId::new(items.sample(&mut rng));
+            requests.push(Request { time: t, item });
         }
         Ok(RequestTrace { requests })
     }

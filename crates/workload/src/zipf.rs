@@ -1,5 +1,7 @@
 //! The Zipf distribution used by the paper for access frequencies:
-//! `f_i = (1/i)^θ / Σ_j (1/j)^θ` for ranks `i = 1..=N`.
+//! `f_i = (1/i)^θ / Σ_j (1/j)^θ` for ranks `i = 1..=N`, and the
+//! categorical CDF sampler behind it and every other weighted draw in
+//! the workspace (request traces, query workloads, client requests).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -28,7 +30,7 @@ pub struct Zipf {
     n: usize,
     theta: f64,
     pmf: Vec<f64>,
-    cdf: Vec<f64>,
+    cdf: Categorical,
 }
 
 impl Zipf {
@@ -56,16 +58,7 @@ impl Zipf {
         let weights: Vec<f64> = (1..=n).map(|i| (1.0 / i as f64).powf(theta)).collect();
         let total: f64 = weights.iter().sum();
         let pmf: Vec<f64> = weights.iter().map(|w| w / total).collect();
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for &p in &pmf {
-            acc += p;
-            cdf.push(acc);
-        }
-        // Guard the tail against rounding so sampling can never overflow.
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
+        let cdf = Categorical::from_probabilities(pmf.iter().copied());
         Ok(Zipf { n, theta, pmf, cdf })
     }
 
@@ -101,10 +94,60 @@ impl Zipf {
 
     /// Samples a rank (1-based) by CDF inversion, O(log n).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        // partition_point returns the first index with cdf > u.
-        let idx = self.cdf.partition_point(|&c| c <= u);
-        idx.min(self.n - 1) + 1
+        self.cdf.sample(rng) + 1
+    }
+}
+
+/// A categorical distribution over indices `0..len`, sampled by CDF
+/// inversion in O(log len).
+///
+/// The cumulative table is summed in index order and its last entry is
+/// pinned to exactly 1.0, so rounding in the sum can never leave a
+/// uniform draw past the end.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Categorical {
+    cdf: Vec<f64>,
+}
+
+impl Categorical {
+    /// Builds the distribution from probabilities that already sum to
+    /// (about) 1, such as a database's access frequencies.
+    pub fn from_probabilities(probabilities: impl IntoIterator<Item = f64>) -> Self {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = probabilities
+            .into_iter()
+            .map(|p| {
+                acc += p;
+                acc
+            })
+            .collect();
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
+        Categorical { cdf }
+    }
+
+    /// Builds the distribution from non-negative weights, each
+    /// normalized by their sum.
+    pub fn from_weights(weights: &[f64]) -> Self {
+        let total: f64 = weights.iter().sum();
+        Categorical::from_probabilities(weights.iter().map(|w| w / total))
+    }
+
+    /// Maps a uniform `u` in `[0, 1)` to the first index whose
+    /// cumulative probability exceeds `u`.
+    fn index(&self, u: f64) -> usize {
+        assert!(!self.cdf.is_empty(), "sampling an empty categorical distribution");
+        self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1)
+    }
+
+    /// Draws one index by inverting the CDF at one uniform draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the distribution is empty.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.index(rng.gen())
     }
 }
 
@@ -190,6 +233,24 @@ mod tests {
             (0..50).map(|_| z.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn categorical_skips_zero_weights_and_clamps_the_tail() {
+        let c = Categorical::from_weights(&[0.0, 2.0, 0.0, 2.0]);
+        assert_eq!(c.index(0.0), 1);
+        assert_eq!(c.index(0.4999), 1);
+        assert_eq!(c.index(0.5), 3);
+        // A probability table summing just short of 1 still lands every
+        // draw in range.
+        let short = Categorical::from_probabilities([0.3, 0.3, 0.3]);
+        assert_eq!(short.index(0.95), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty categorical")]
+    fn categorical_empty_panics() {
+        let _ = Categorical::from_weights(&[]).index(0.5);
     }
 
     #[test]

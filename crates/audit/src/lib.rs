@@ -17,8 +17,9 @@
 //!   each swap.
 //! * [`AuditTracer`] — the facade the serving loop drives: a two-stage
 //!   sampler (seeded + tail-biased, which catches *every* SLO-slow
-//!   request), residual accounting per served request, and snapshot /
-//!   JSON / OpenMetrics-exemplar exports for the exposition server.
+//!   request), residual accounting per served request, and snapshot
+//!   ([`AuditSnapshot`], the `/exemplars` document of [`doc`]) and
+//!   OpenMetrics-exemplar exports for the exposition server.
 //!
 //! Every sampled wait decomposes exactly as
 //! `wait = predicted + residual + straddle_penalty`, where `predicted`
@@ -30,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+pub mod doc;
 mod residual;
 mod ring;
 mod sampler;
@@ -39,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+pub use doc::ExemplarRecord;
 pub use residual::{ChannelResidual, GenerationResiduals, ResidualLedger};
 pub use ring::{TraceRecord, TraceRing, FLAG_SEEDED, FLAG_STRADDLED, FLAG_TAIL};
 pub use sampler::Sampler;
@@ -67,8 +69,10 @@ impl Default for AuditConfig {
     }
 }
 
-/// Everything the tracer knows, copied out at one instant.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything the tracer knows, copied out at one instant: the
+/// `/exemplars` document body.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AuditSnapshot {
     /// Trace-ring capacity.
     pub capacity: usize,
@@ -85,7 +89,7 @@ pub struct AuditSnapshot {
     /// Frozen residual tables of finished generations, oldest first.
     pub history: Vec<GenerationResiduals>,
     /// Live trace records, oldest first.
-    pub records: Vec<TraceRecord>,
+    pub records: Vec<ExemplarRecord>,
 }
 
 /// The audit totals that ride along in a serve report.
@@ -205,7 +209,7 @@ impl AuditTracer {
             straddled: self.straddled(),
             residuals: self.ledger.current(),
             history: self.ledger.history(),
-            records: self.ring.snapshot(),
+            records: self.ring.snapshot().into_iter().map(ExemplarRecord::from).collect(),
         }
     }
 
@@ -219,11 +223,6 @@ impl AuditTracer {
             records: snap.records.len() as u64,
             residuals: snap.residuals.channels,
         }
-    }
-
-    /// Renders the `/exemplars` schema-v1 JSON document.
-    pub fn render_json(&self) -> String {
-        json::render(&self.snapshot())
     }
 
     /// OpenMetrics exemplars for the serve wait histogram: for each
@@ -314,14 +313,18 @@ mod tests {
         assert_eq!(snap.history.len(), 1);
         assert!((snap.history[0].channels[0].residual - 1.0).abs() < 1e-12);
         let rec = snap.records[0];
-        assert!(rec.straddled());
+        assert!(rec.straddled);
         assert!((rec.straddle_penalty - 3.0).abs() < 1e-12);
-        let sum = rec.predicted + rec.residual() + rec.straddle_penalty;
+        let sum = rec.predicted + rec.residual + rec.straddle_penalty;
         assert!((sum - rec.wait).abs() < 1e-9);
     }
 
+    type Tamper = fn(&mut AuditSnapshot);
+
+    /// Each tampering breaks exactly one invariant of a valid snapshot.
     #[test]
-    fn rendered_json_round_trips_the_validator() {
+    fn check_rejects_each_broken_invariant() {
+        use dbcast_obs::doc::Document;
         let tracer = AuditTracer::new(AuditConfig::default(), 2);
         for id in 0..50 {
             let flags = if id % 5 == 0 { FLAG_SEEDED | FLAG_TAIL } else { FLAG_SEEDED };
@@ -329,32 +332,27 @@ mod tests {
             tracer.record(&record(id, 1.0 + id as f64 * 0.01, flags));
         }
         tracer.on_swap(6.0, 1);
-        let text = tracer.render_json();
-        let doc = json::validate(&text).expect("rendered payload validates");
-        assert_eq!(doc.records.len(), 50);
-        assert_eq!(doc.residuals.generation, 1);
-        assert_eq!(doc.history.len(), 1);
-        assert_eq!(doc.records, tracer.snapshot().records);
-    }
-
-    #[test]
-    fn tampered_json_is_rejected() {
-        let tracer = AuditTracer::new(AuditConfig::default(), 1);
-        tracer.record(&record(0, 2.0, FLAG_SEEDED));
-        let text = tracer.render_json();
-        for (needle, replacement, why) in [
-            ("\"schema\": 1", "\"schema\": 3", "wrong version"),
-            ("\"seeded\": true", "\"seeded\": false", "stageless record"),
-            ("\"straddle_penalty\": 0.0", "\"straddle_penalty\": 0.5", "broken sum"),
-        ] {
-            assert!(text.contains(needle), "fixture lost the {why} needle");
-            let bad = text.replacen(needle, replacement, 1);
-            assert!(
-                matches!(json::validate(&bad), Err(json::AuditJsonError::Schema(_))),
-                "{why} accepted"
-            );
+        let good = tracer.snapshot();
+        assert_eq!(good.check(), Ok(()));
+        let cases: [(&str, Tamper); 8] = [
+            ("does not sum to wait", |s| s.records[3].straddle_penalty += 0.5),
+            ("residual", |s| s.history[0].channels[1].residual += 1e-3),
+            ("not a power of two", |s| s.capacity = 1000),
+            ("request_ids not strictly increasing", |s| s.records.swap(2, 3)),
+            ("generations not strictly increasing", |s| {
+                let again = s.history[0].clone();
+                s.history.push(again);
+            }),
+            ("neither sampling stage", |s| s.records[1].seeded = false),
+            ("straddled=true but penalty=0", |s| s.records[4].straddled = true),
+            ("exceed the declared capacity", |s| s.capacity = 32),
+        ];
+        for (needle, tamper) in cases {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            let err = bad.check().expect_err(needle);
+            assert!(err.contains(needle), "{needle}: {err}");
         }
-        assert!(matches!(json::validate("{"), Err(json::AuditJsonError::Parse(_))));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub const FLAG_TAIL: u64 = 1 << 1;
 pub const FLAG_STRADDLED: u64 = 1 << 2;
 
 /// One sampled request lifecycle, as captured by the serving loop.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Served-request ordinal (0-based position among served requests).
     pub request_id: u64,

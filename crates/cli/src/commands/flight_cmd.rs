@@ -1,25 +1,24 @@
-//! `dbcast flight` — inspect flight-recorder artifacts:
+//! `dbcast flight` — inspect telemetry artifacts:
 //!
 //! * `dbcast flight dump --input <file|dir>` — summarize a postmortem
-//!   JSON dump (the latest one when given a directory),
-//! * `dbcast flight check-metrics --input scrape.txt` — validate an
-//!   OpenMetrics scrape with the strict parser,
-//! * `dbcast flight check-series --input series.json` — validate a
-//!   `/series` time-series document with the scope validator,
-//! * `dbcast flight check-exemplars --input exemplars.json` — validate
-//!   a `/exemplars` audit-trace document with the strict schema-v1
-//!   validator; `--metrics scrape.txt` additionally parses an
-//!   OpenMetrics scrape and counts its exemplar annotations
-//!   (`--min-exemplars N` makes fewer than N a hard failure),
-//! * `dbcast flight check-fleet --input fleet.json` — validate a
-//!   `/fleet` fleet-aggregate document with the strict schema-v1
-//!   validator,
+//!   dump (the latest one when given a directory),
+//! * `dbcast flight check --input <file|http://host:port/path>` —
+//!   validate any telemetry document: JSON input is decoded from its
+//!   `dbcast_obs::doc` envelope and checked by the type its `kind`
+//!   names (`flight`, `postmortem`, `status`, `series`, `exemplars`,
+//!   `fleet`; `--max-gap G` also bounds every fleet generation's
+//!   observed-vs-Eq. 2 gap); anything else must be an OpenMetrics
+//!   scrape (`--min-exemplars N` requires N exemplar annotations),
 //! * `dbcast flight catalog` — print the metrics catalogue as the
 //!   markdown committed at `docs/METRICS.md`.
 
 use std::path::{Path, PathBuf};
 
-use serde_json::Value;
+use dbcast_audit::AuditSnapshot;
+use dbcast_flight::{FlightDoc, Postmortem, StatusDoc};
+use dbcast_obs::doc::{self, Document, Envelope};
+use dbcast_scope::SeriesDoc;
+use dbcast_serve::FleetDoc;
 
 use crate::args::Args;
 use crate::commands::CliError;
@@ -28,22 +27,18 @@ use crate::commands::CliError;
 ///
 /// # Errors
 ///
-/// Unknown actions, unreadable inputs, malformed postmortem JSON and
-/// OpenMetrics violations all fail the command.
+/// Unknown actions, unreadable inputs and documents or scrapes that
+/// fail validation all fail the command.
 pub fn run_flight(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     match args.action() {
         Some("dump") => run_dump(args, out),
-        Some("check-metrics") => run_check_metrics(args, out),
-        Some("check-series") => run_check_series(args, out),
-        Some("check-exemplars") => run_check_exemplars(args, out),
-        Some("check-fleet") => run_check_fleet(args, out),
+        Some("check") => run_check(args, out),
         Some("catalog") => {
             write!(out, "{}", dbcast_obs::catalog::markdown())?;
             Ok(())
         }
         other => Err(CliError::InvalidOption(format!(
-            "flight action {:?}; expected dump, check-metrics, check-series, \
-             check-exemplars, check-fleet or catalog",
+            "flight action {:?}; expected dump, check or catalog",
             other.unwrap_or("<none>")
         ))),
     }
@@ -80,150 +75,138 @@ fn run_dump(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> 
     let input = args.require::<String>("input")?;
     let last = args.opt_or("last", 16usize)?;
     let path = resolve_postmortem(&input)?;
-    let body = std::fs::read_to_string(&path)?;
-    let doc: Value = serde_json::from_str(&body).map_err(|e| {
-        CliError::InvalidOption(format!("{}: not valid JSON: {e}", path.display()))
-    })?;
-
-    let version = doc.get("version").and_then(Value::as_u64).unwrap_or(0);
-    let reason = doc.get("reason").and_then(Value::as_str).unwrap_or("<missing>");
-    let unix_ms = doc.get("unix_ms").and_then(Value::as_u64).unwrap_or(0);
+    let dump: Postmortem = doc::decode(&std::fs::read_to_string(&path)?)
+        .map_err(|e| CliError::InvalidOption(format!("{}: {e}", path.display())))?;
+    let flight = &dump.flight;
     writeln!(out, "postmortem: {}", path.display())?;
-    writeln!(out, "schema version {version}, unix_ms {unix_ms}")?;
-    writeln!(out, "reason: {reason}")?;
-    if let Some(ring) = doc.get("ring") {
-        writeln!(
-            out,
-            "ring: capacity {}, recorded {}, dumped {}",
-            ring.get("capacity").and_then(Value::as_u64).unwrap_or(0),
-            ring.get("recorded").and_then(Value::as_u64).unwrap_or(0),
-            ring.get("dumped").and_then(Value::as_u64).unwrap_or(0),
-        )?;
-    }
-
-    let events = doc.get("events").and_then(Value::as_seq).unwrap_or(&[]);
-    let shown = events.len().min(last);
-    writeln!(out, "events: {} (showing last {shown})", events.len())?;
-    for e in &events[events.len() - shown..] {
+    writeln!(out, "schema version {}, unix_ms {}", Postmortem::SCHEMA, dump.unix_ms)?;
+    writeln!(out, "reason: {}", dump.reason)?;
+    writeln!(
+        out,
+        "ring: capacity {}, recorded {}, dumped {}",
+        flight.capacity,
+        flight.recorded,
+        flight.events.len()
+    )?;
+    let shown = flight.events.len().min(last);
+    writeln!(out, "events: {} (showing last {shown})", flight.events.len())?;
+    for e in &flight.events[flight.events.len() - shown..] {
         writeln!(
             out,
             "  #{:<8} tick {:<6} gen {:<3} t={:<10.3} {:<16} value {:<12} extra {}",
-            e.get("seq").and_then(Value::as_u64).unwrap_or(0),
-            e.get("tick").and_then(Value::as_u64).unwrap_or(0),
-            e.get("generation").and_then(Value::as_u64).unwrap_or(0),
-            e.get("vtime").and_then(Value::as_f64).unwrap_or(0.0),
-            e.get("kind").and_then(Value::as_str).unwrap_or("?"),
-            e.get("value").and_then(Value::as_f64).unwrap_or(0.0),
-            e.get("extra").and_then(Value::as_u64).unwrap_or(0),
+            e.seq,
+            e.tick,
+            e.generation,
+            e.vtime,
+            e.kind.name(),
+            e.value,
+            e.extra,
         )?;
     }
+    let count =
+        |k: &str| dump.metrics.get(k).and_then(|m| m.as_map()).map_or(0, |m| m.len());
+    writeln!(
+        out,
+        "metrics snapshot: {} counter(s), {} gauge(s), {} histogram(s)",
+        count("counters"),
+        count("gauges"),
+        count("histograms"),
+    )?;
+    Ok(())
+}
 
-    if let Some(metrics) = doc.get("metrics") {
-        let count =
-            |k: &str| metrics.get(k).and_then(Value::as_map).map(|m| m.len()).unwrap_or(0);
+fn run_check(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    let input = args.require::<String>("input")?;
+    let body = super::read_input(&input)?;
+    let invalid =
+        |e: &dyn std::fmt::Display| CliError::InvalidOption(format!("{input}: {e}"));
+    if !body.trim_start().starts_with('{') {
+        let families = dbcast_obs::openmetrics::parse(&body).map_err(|e| invalid(&e))?;
+        let samples = families.iter().flat_map(|f| &f.samples);
+        let exemplars = samples.clone().filter(|s| s.exemplar.is_some()).count();
         writeln!(
             out,
-            "metrics snapshot: {} counter(s), {} gauge(s), {} histogram(s)",
-            count("counters"),
-            count("gauges"),
-            count("histograms"),
+            "{input}: valid OpenMetrics — {} famil{}, {} sample(s), {exemplars} exemplar(s)",
+            families.len(),
+            if families.len() == 1 { "y" } else { "ies" },
+            samples.count(),
         )?;
-    }
-    Ok(())
-}
-
-fn run_check_metrics(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    let input = args.require::<String>("input")?;
-    let body = std::fs::read_to_string(&input)?;
-    let families = dbcast_obs::openmetrics::parse(&body)
-        .map_err(|e| CliError::InvalidOption(format!("{input}: {e}")))?;
-    let samples: usize = families.iter().map(|f| f.samples.len()).sum();
-    writeln!(
-        out,
-        "{input}: valid OpenMetrics — {} famil{}, {samples} sample(s)",
-        families.len(),
-        if families.len() == 1 { "y" } else { "ies" },
-    )?;
-    Ok(())
-}
-
-fn run_check_exemplars(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    let input = args.require::<String>("input")?;
-    let body = std::fs::read_to_string(&input)?;
-    let snap = dbcast_audit::json::validate(&body)
-        .map_err(|e| CliError::InvalidOption(format!("{input}: {e}")))?;
-    writeln!(
-        out,
-        "{input}: valid /exemplars document — schema {}, {} record(s), \
-         {} channel(s), {} frozen generation(s)",
-        dbcast_audit::json::SCHEMA_VERSION,
-        snap.records.len(),
-        snap.residuals.channels.len(),
-        snap.history.len(),
-    )?;
-    if let Some(scrape) = args.opt::<String>("metrics")? {
-        let text = std::fs::read_to_string(&scrape)?;
-        let families = dbcast_obs::openmetrics::parse(&text)
-            .map_err(|e| CliError::InvalidOption(format!("{scrape}: {e}")))?;
-        let exemplars: usize = families
-            .iter()
-            .flat_map(|f| &f.samples)
-            .filter(|s| s.exemplar.is_some())
-            .count();
-        writeln!(out, "{scrape}: valid OpenMetrics — {exemplars} exemplar(s)")?;
         let min = args.opt_or("min-exemplars", 0usize)?;
         if exemplars < min {
-            return Err(CliError::InvalidOption(format!(
-                "{scrape}: {exemplars} exemplar(s) parsed, --min-exemplars {min} required"
+            return Err(invalid(&format!(
+                "{exemplars} exemplar(s) parsed, --min-exemplars {min} required"
             )));
         }
+        return Ok(());
     }
-    Ok(())
-}
-
-fn run_check_fleet(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    let input = args.require::<String>("input")?;
-    let body = std::fs::read_to_string(&input)?;
-    let doc = dbcast_serve::validate_fleet(&body)
-        .map_err(|e| CliError::InvalidOption(format!("{input}: {e}")))?;
-    writeln!(
-        out,
-        "{input}: valid /fleet document — schema {}, published generation {}, \
-         {} client(s) ({} straggling), {} digest(s), {} generation(s)",
-        doc.schema,
-        doc.published,
-        doc.clients,
-        doc.stragglers,
-        doc.digests,
-        doc.generations.len(),
-    )?;
-    if let Some(max_gap) = args.opt::<f64>("max-gap")? {
-        for g in &doc.generations {
-            if g.samples > 0 && g.gap > max_gap {
-                return Err(CliError::InvalidOption(format!(
-                    "{input}: generation {} observed-vs-Eq.2 gap {:.4} exceeds \
-                     --max-gap {max_gap}",
-                    g.generation, g.gap
-                )));
-            }
+    let envelope = Envelope::parse(&body).map_err(|e| invalid(&e))?;
+    let summary = match envelope.kind.as_str() {
+        FlightDoc::KIND => {
+            let d: FlightDoc = envelope.open().map_err(|e| invalid(&e))?;
+            format!(
+                "capacity {}, recorded {}, {} event(s)",
+                d.capacity,
+                d.recorded,
+                d.events.len()
+            )
         }
-    }
-    Ok(())
-}
-
-fn run_check_series(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    let input = args.require::<String>("input")?;
-    let body = std::fs::read_to_string(&input)?;
-    let doc = dbcast_scope::validate(&body)
-        .map_err(|e| CliError::InvalidOption(format!("{input}: {e}")))?;
+        Postmortem::KIND => {
+            let d: Postmortem = envelope.open().map_err(|e| invalid(&e))?;
+            format!("reason {:?}, {} event(s)", d.reason, d.flight.events.len())
+        }
+        StatusDoc::KIND => {
+            let d: StatusDoc = envelope.open().map_err(|e| invalid(&e))?;
+            format!(
+                "command {}, {} item(s), {} request(s)",
+                d.command, d.items, d.trace_requests
+            )
+        }
+        SeriesDoc::KIND => {
+            let d: SeriesDoc = envelope.open().map_err(|e| invalid(&e))?;
+            format!(
+                "tick {}, {} series, {} histogram(s)",
+                d.tick,
+                d.series.len(),
+                d.histograms.len()
+            )
+        }
+        AuditSnapshot::KIND => {
+            let d: AuditSnapshot = envelope.open().map_err(|e| invalid(&e))?;
+            format!(
+                "{} record(s), {} channel(s), {} frozen generation(s)",
+                d.records.len(),
+                d.residuals.channels.len(),
+                d.history.len()
+            )
+        }
+        FleetDoc::KIND => {
+            let d: FleetDoc = envelope.open().map_err(|e| invalid(&e))?;
+            if let Some(max_gap) = args.opt::<f64>("max-gap")? {
+                if let Some(g) =
+                    d.generations.iter().find(|g| g.samples > 0 && g.gap > max_gap)
+                {
+                    return Err(invalid(&format!(
+                        "generation {} observed-vs-Eq.2 gap {:.4} exceeds --max-gap {max_gap}",
+                        g.generation, g.gap
+                    )));
+                }
+            }
+            format!(
+                "published generation {}, {} client(s) ({} straggling), {} digest(s), \
+                 {} generation(s)",
+                d.published,
+                d.clients,
+                d.stragglers,
+                d.digests,
+                d.generations.len()
+            )
+        }
+        other => return Err(invalid(&format!("unknown document kind {other:?}"))),
+    };
     writeln!(
         out,
-        "{input}: valid /series document — schema {}, tick {}, {} series, \
-         {} histogram(s)",
-        doc.schema,
-        doc.tick,
-        doc.series.len(),
-        doc.histograms.len(),
+        "{input}: valid {} document (schema {}) — {summary}",
+        envelope.kind, envelope.schema
     )?;
     Ok(())
 }
@@ -239,199 +222,130 @@ mod tests {
         dir
     }
 
+    fn flight(args: &[&str]) -> Result<String, CliError> {
+        let args =
+            Args::parse(std::iter::once("flight").chain(args.iter().copied())).unwrap();
+        let mut out = Vec::new();
+        run_flight(&args, &mut out).map(|()| String::from_utf8(out).unwrap())
+    }
+
+    fn check_file(
+        dir: &Path,
+        name: &str,
+        body: &str,
+        extra: &[&str],
+    ) -> Result<String, CliError> {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let mut args = vec!["check", "--input", path.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        flight(&args)
+    }
+
     #[test]
     fn catalog_action_prints_markdown() {
-        let args = Args::parse(["flight", "catalog"]).unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = flight(&["catalog"]).unwrap();
         assert!(text.contains("# Metrics catalogue"));
         assert!(text.contains("`serve.slo.burn_rate`"));
     }
 
     #[test]
-    fn check_fleet_accepts_an_aggregator_document() {
-        let dir = temp_dir("check_fleet_ok");
+    fn unknown_action_is_an_error() {
+        assert!(matches!(flight(&["bogus"]), Err(CliError::InvalidOption(_))));
+    }
+
+    #[test]
+    fn check_dispatches_on_kind_and_bounds_the_fleet_gap() {
+        let dir = temp_dir("check_fleet");
         let aggregator = dbcast_serve::FleetAggregator::new();
         aggregator.set_published(2);
         aggregator.ingest(&dbcast_serve::FleetDigest::ack(0, 0, 2));
         aggregator.ingest(&dbcast_serve::FleetDigest::ack(1, 0, 1));
-        let path = dir.join("fleet.json");
-        std::fs::write(&path, aggregator.fleet_json()).unwrap();
+        let fleet = doc::render(&aggregator.doc());
+        let text = check_file(&dir, "fleet.json", &fleet, &["--max-gap", "0.25"]).unwrap();
+        assert!(text.contains("valid fleet document"), "{text}");
+        assert!(text.contains("2 client(s) (1 straggling)"), "{text}");
 
-        let args =
-            Args::parse(["flight", "check-fleet", "--input", path.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("valid /fleet document"), "got: {text}");
-        assert!(text.contains("2 client(s) (1 straggling)"), "got: {text}");
+        let series = doc::render(&dbcast_scope::SeriesStore::default().export());
+        let text = check_file(&dir, "series.json", &series, &[]).unwrap();
+        assert!(text.contains("valid series document"), "{text}");
+
+        for bad in ["{\"schema\": 99}", &fleet.replace("\"fleet\"", "\"fleat\"")] {
+            let err = check_file(&dir, "bad.json", bad, &[]);
+            assert!(matches!(err, Err(CliError::InvalidOption(_))), "{bad} accepted");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn check_fleet_rejects_a_malformed_document() {
-        let dir = temp_dir("check_fleet_bad");
-        let path = dir.join("fleet.json");
-        std::fs::write(&path, "{\"schema\": 99}").unwrap();
-        let args =
-            Args::parse(["flight", "check-fleet", "--input", path.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(run_flight(&args, &mut out), Err(CliError::InvalidOption(_))));
+    fn check_counts_openmetrics_exemplars() {
+        let dir = temp_dir("check_metrics");
+        let scrape = "# TYPE serve_ticks counter\n\
+                      serve_ticks_total 5 # {request_id=\"7\",channel=\"1\"} 5\n\
+                      # EOF\n";
+        let text = check_file(&dir, "s.txt", scrape, &["--min-exemplars", "1"]).unwrap();
+        assert!(text.contains("valid OpenMetrics"), "{text}");
+        assert!(text.contains("1 exemplar(s)"), "{text}");
+        let more = check_file(&dir, "s.txt", scrape, &["--min-exemplars", "2"]);
+        assert!(matches!(more, Err(CliError::InvalidOption(_))));
+        let torn = check_file(&dir, "t.txt", "serve_ticks_total 5\n", &[]);
+        assert!(torn.is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn unknown_action_is_an_error() {
-        let args = Args::parse(["flight", "bogus"]).unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(run_flight(&args, &mut out), Err(CliError::InvalidOption(_))));
+    fn check_reads_a_live_url() {
+        let tracer =
+            dbcast_audit::AuditTracer::new(dbcast_audit::AuditConfig::default(), 2);
+        let server = dbcast_flight::ExpositionServer::bind_with_routes(
+            "127.0.0.1:0",
+            Box::new(|| "{}".to_string()),
+            vec![dbcast_flight::Route::json("/exemplars", move || {
+                doc::render(&tracer.snapshot())
+            })],
+        )
+        .unwrap();
+        let base = format!("http://{}", server.addr());
+        let text = flight(&["check", "--input", &format!("{base}/exemplars")]).unwrap();
+        assert!(text.contains("valid exemplars document"), "{text}");
+        let text = flight(&["check", "--input", &format!("{base}/flight")]).unwrap();
+        assert!(text.contains("valid flight document"), "{text}");
+        let text = flight(&["check", "--input", &format!("{base}/metrics")]).unwrap();
+        assert!(text.contains("valid OpenMetrics"), "{text}");
+        let missing = flight(&["check", "--input", &format!("{base}/nope")]);
+        assert!(matches!(missing, Err(CliError::Scrape(_))));
+    }
+
+    fn postmortem(reason: &str, events: &[dbcast_flight::EventKind]) -> String {
+        let ring = dbcast_flight::FlightRing::new(64);
+        for &kind in events {
+            ring.record(dbcast_flight::FlightEvent::new(kind, 1, 0, 0.5));
+        }
+        let metrics = r#"{"counters": {"serve.ticks": 1}, "gauges": {}, "histograms": {}}"#;
+        let metrics = serde_json::from_str(metrics).unwrap();
+        doc::render(&Postmortem {
+            reason: reason.into(),
+            unix_ms: 0,
+            flight: ring.doc(),
+            metrics,
+        })
     }
 
     #[test]
     fn dump_summarizes_the_latest_postmortem_in_a_directory() {
+        use dbcast_flight::EventKind;
         let dir = temp_dir("dump");
         // Two dumps; the lexicographically larger name is the later one.
-        std::fs::write(
-            dir.join("postmortem-1000-0-old.json"),
-            "{\"version\": 1, \"reason\": \"old\", \"unix_ms\": 1000, \
-             \"ring\": {\"capacity\": 64, \"recorded\": 1, \"dumped\": 1}, \
-             \"events\": [], \"metrics\": {\"counters\": {}, \"gauges\": {}, \
-             \"histograms\": {}}}",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("postmortem-2000-1-new.json"),
-            "{\"version\": 1, \"reason\": \"panic: injected\", \"unix_ms\": 2000, \
-             \"ring\": {\"capacity\": 64, \"recorded\": 2, \"dumped\": 2}, \
-             \"events\": [{\"seq\": 0, \"kind\": \"tick\", \"tick\": 1, \
-             \"generation\": 0, \"vtime\": 0.5, \"value\": 0.5, \"extra\": 0}, \
-             {\"seq\": 1, \"kind\": \"fault\", \"tick\": 1, \"generation\": 0, \
-             \"vtime\": 0.5, \"value\": 0, \"extra\": 1}], \
-             \"metrics\": {\"counters\": {\"serve.ticks\": 1}, \"gauges\": {}, \
-             \"histograms\": {}}}",
-        )
-        .unwrap();
-        let args =
-            Args::parse(["flight", "dump", "--input", dir.to_str().unwrap()]).unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        std::fs::write(dir.join("postmortem-1000-0-old.json"), postmortem("old", &[]))
+            .unwrap();
+        let new = postmortem("panic: injected", &[EventKind::Tick, EventKind::Fault]);
+        let text = check_file(&dir, "postmortem-2000-1-new.json", &new, &[]).unwrap();
+        assert!(text.contains("valid postmortem document"), "{text}");
+        let text = flight(&["dump", "--input", dir.to_str().unwrap()]).unwrap();
         assert!(text.contains("panic: injected"), "{text}");
         assert!(text.contains("fault"), "{text}");
         assert!(text.contains("1 counter(s)"), "{text}");
         assert!(!text.contains("old"), "picked the stale dump:\n{text}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn check_series_accepts_valid_and_rejects_invalid() {
-        let dir = temp_dir("series");
-        let store = dbcast_scope::SeriesStore::default();
-        let snap = dbcast_obs::snapshot::Snapshot {
-            counters: vec![("serve.ticks".to_string(), 7)],
-            gauges: vec![("serve.drift_distance".to_string(), 0.1)],
-            histograms: Vec::new(),
-            traces: Vec::new(),
-        };
-        store.append_snapshot(&snap, 100);
-        let good = dir.join("good.json");
-        std::fs::write(&good, dbcast_scope::render_store(&store)).unwrap();
-        let args =
-            Args::parse(["flight", "check-series", "--input", good.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        assert!(String::from_utf8(out).unwrap().contains("valid /series document"));
-
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{\"schema\": 99}").unwrap();
-        let args =
-            Args::parse(["flight", "check-series", "--input", bad.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        assert!(run_flight(&args, &mut out).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn check_exemplars_validates_doc_and_counts_scrape_exemplars() {
-        let dir = temp_dir("exemplars");
-        let tracer =
-            dbcast_audit::AuditTracer::new(dbcast_audit::AuditConfig::default(), 2);
-        let good = dir.join("exemplars.json");
-        std::fs::write(&good, tracer.render_json()).unwrap();
-        let scrape = dir.join("scrape.txt");
-        std::fs::write(
-            &scrape,
-            "# TYPE serve_ticks counter\n\
-             serve_ticks_total 5 # {request_id=\"7\",channel=\"1\"} 5\n\
-             # EOF\n",
-        )
-        .unwrap();
-
-        let args = Args::parse([
-            "flight",
-            "check-exemplars",
-            "--input",
-            good.to_str().unwrap(),
-            "--metrics",
-            scrape.to_str().unwrap(),
-            "--min-exemplars",
-            "1",
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("valid /exemplars document"), "{text}");
-        assert!(text.contains("1 exemplar(s)"), "{text}");
-
-        // Demanding more exemplars than the scrape carries fails.
-        let args = Args::parse([
-            "flight",
-            "check-exemplars",
-            "--input",
-            good.to_str().unwrap(),
-            "--metrics",
-            scrape.to_str().unwrap(),
-            "--min-exemplars",
-            "2",
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(run_flight(&args, &mut out), Err(CliError::InvalidOption(_))));
-
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{\"schema\": 99}").unwrap();
-        let args =
-            Args::parse(["flight", "check-exemplars", "--input", bad.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(run_flight(&args, &mut out), Err(CliError::InvalidOption(_))));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn check_metrics_accepts_valid_and_rejects_invalid() {
-        let dir = temp_dir("check");
-        let good = dir.join("good.txt");
-        std::fs::write(&good, "# TYPE serve_ticks counter\nserve_ticks_total 5\n# EOF\n")
-            .unwrap();
-        let args =
-            Args::parse(["flight", "check-metrics", "--input", good.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        run_flight(&args, &mut out).unwrap();
-        assert!(String::from_utf8(out).unwrap().contains("valid OpenMetrics"));
-
-        let bad = dir.join("bad.txt");
-        std::fs::write(&bad, "serve_ticks_total 5\n").unwrap();
-        let args =
-            Args::parse(["flight", "check-metrics", "--input", bad.to_str().unwrap()])
-                .unwrap();
-        let mut out = Vec::new();
-        assert!(run_flight(&args, &mut out).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

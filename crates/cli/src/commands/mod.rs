@@ -178,6 +178,43 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+/// One `GET` over a fresh connection (the exposition server answers a
+/// single request per connection), with client-side timeouts so a
+/// wedged server cannot hang the command.
+pub(crate) fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
+    use std::io::{Read as _, Write as _};
+    let timeout = Some(std::time::Duration::from_secs(5));
+    let mut stream = std::net::TcpStream::connect(addr)
+        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
+    let status_line = head.lines().next().unwrap_or("");
+    if !status_line.contains("200") {
+        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
+    }
+    Ok(body.to_string())
+}
+
+/// Reads `input`: an `http://host:port/path` URL is fetched with
+/// [`http_get`], anything else is read as a file.
+pub(crate) fn read_input(input: &str) -> Result<String, CliError> {
+    match input.strip_prefix("http://") {
+        Some(rest) => {
+            let (addr, path) = rest.split_at(rest.find('/').unwrap_or(rest.len()));
+            http_get(addr, if path.is_empty() { "/" } else { path })
+        }
+        None => Ok(std::fs::read_to_string(input)?),
+    }
+}
+
 /// Resolves an algorithm by CLI name.
 pub(crate) fn algorithm_by_name(
     name: &str,

@@ -1,6 +1,7 @@
 //! `dbcast serve` — run the online serving runtime over a request
 //! stream with live workload estimation and hot program swap.
 
+use dbcast_obs::doc::render;
 use dbcast_serve::{
     poisson_trace, shifted_trace, shifted_workload, AuditConfig, DriftDetector,
     EstimatorConfig, RepairMode, ServeConfig, ServeRuntime, SloConfig, WorkerMode,
@@ -172,8 +173,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
 
     // The runtime is built before the exposition server so /exemplars
     // and the OpenMetrics exemplar provider can capture its tracer.
-    let config_json =
-        serde_json::to_string(&config).map_err(|e| std::io::Error::other(e.to_string()))?;
+    let config_value = serde::Serialize::to_value(&config);
     let runtime = ServeRuntime::new(&db, config)?;
     let audit = runtime.audit();
 
@@ -249,31 +249,31 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     let exposition = match &listen {
         None => None,
         Some(addr) => {
-            let items = db.len();
-            let requests = trace.len();
+            let (items, trace_requests) = (db.len() as u64, trace.len() as u64);
             let status = Box::new(move || {
-                format!(
-                    "{{\"command\": \"serve\", \"items\": {items}, \
-                     \"trace_requests\": {requests}, \"flight_recorded\": {}, \
-                     \"config\": {config_json}}}",
-                    dbcast_flight::recorder().recorded()
-                )
+                render(&dbcast_flight::StatusDoc {
+                    command: "serve".to_string(),
+                    items,
+                    trace_requests,
+                    flight_recorded: dbcast_flight::recorder().recorded(),
+                    config: config_value.clone(),
+                })
             });
             let mut routes = Vec::new();
             if let Some(s) = &sampler {
                 let store = std::sync::Arc::clone(s.store());
                 routes.push(dbcast_flight::Route::json("/series", move || {
-                    dbcast_scope::render_store(&store)
+                    render(&store.export())
                 }));
             }
             let audit_route = std::sync::Arc::clone(&audit);
             routes.push(dbcast_flight::Route::json("/exemplars", move || {
-                audit_route.render_json()
+                render(&audit_route.snapshot())
             }));
             if let Some((_, aggregator)) = &uplink {
                 let fleet_route = std::sync::Arc::clone(aggregator);
                 routes.push(dbcast_flight::Route::json("/fleet", move || {
-                    fleet_route.fleet_json()
+                    render(&fleet_route.doc())
                 }));
             }
             let server = dbcast_flight::ExpositionServer::bind_with_routes(

@@ -1,6 +1,6 @@
 //! `dbcast top` — the live operator console: scrapes a serving
 //! process's `/series` endpoint (see `dbcast serve --listen`),
-//! validates the document and renders sparklines/tables for req/s,
+//! decodes the document and renders sparklines/tables for req/s,
 //! drift L1, SLO burn rate, swap history, windowed wait quantiles and
 //! the per-channel Eq. 2 `W_i` table.
 //!
@@ -9,8 +9,6 @@
 //! clears and redraws every `--interval-ms` until `--frames` is
 //! reached (or forever).
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::args::Args;
@@ -21,7 +19,7 @@ use crate::commands::CliError;
 /// # Errors
 ///
 /// Connection failures, non-200 responses and `/series` documents
-/// that fail strict validation all fail the command.
+/// that fail strict decoding all fail the command.
 pub fn run_top(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     let addr = args.require::<String>("addr")?;
     let once = args.switch("once");
@@ -32,8 +30,8 @@ pub fn run_top(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliErro
 
     let mut rendered = 0u64;
     loop {
-        let body = http_get(&addr, "/series")?;
-        let doc = dbcast_scope::validate(&body)
+        let body = super::http_get(&addr, "/series")?;
+        let doc = dbcast_obs::doc::decode(&body)
             .map_err(|e| CliError::Scrape(format!("/series from {addr}: {e}")))?;
         let frame = dbcast_scope::render_top(&doc, &opts);
         if once {
@@ -48,29 +46,6 @@ pub fn run_top(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliErro
         }
         std::thread::sleep(interval);
     }
-}
-
-/// One `GET` over a fresh connection (the exposition server answers a
-/// single request per connection), with client-side timeouts so a
-/// wedged server cannot hang the console.
-fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains("200") {
-        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
-    }
-    Ok(body.to_string())
 }
 
 #[cfg(test)]
@@ -101,7 +76,7 @@ mod tests {
                 traces: Vec::new(),
             };
             store.append_snapshot(&snap, 500);
-            dbcast_scope::render_store(&store)
+            dbcast_obs::doc::render(&store.export())
         };
         let server = dbcast_flight::ExpositionServer::bind_with_routes(
             "127.0.0.1:0",
@@ -122,7 +97,7 @@ mod tests {
 
     #[test]
     fn scrape_failures_are_reported() {
-        // A status endpoint is not a valid /series document.
+        // A status endpoint is not a /series document.
         let server = dbcast_flight::ExpositionServer::bind(
             "127.0.0.1:0",
             Box::new(|| "{}".to_string()),

@@ -11,14 +11,10 @@
 //!   decomposition `wait = predicted + residual + straddle penalty`.
 //!
 //! The document comes from `--input FILE` (a saved scrape) or a live
-//! `--addr HOST:PORT` scrape of `/exemplars`; either way it passes the
-//! strict schema-v1 validator before anything is rendered.
+//! `--addr HOST:PORT` scrape of `/exemplars`; either way it is strictly
+//! decoded (`dbcast_obs::doc::decode`) before anything is rendered.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::time::Duration;
-
-use dbcast_audit::{AuditSnapshot, GenerationResiduals, TraceRecord};
+use dbcast_audit::{AuditSnapshot, ExemplarRecord, GenerationResiduals};
 
 use crate::args::Args;
 use crate::commands::CliError;
@@ -44,51 +40,20 @@ pub fn run_trace(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     }
 }
 
-/// Loads and validates the `/exemplars` document from `--input FILE`
-/// or a live `--addr HOST:PORT` scrape.
+/// Loads and decodes the `/exemplars` document from `--input FILE` or
+/// a live `--addr HOST:PORT` scrape.
 fn load_snapshot(args: &Args) -> Result<AuditSnapshot, CliError> {
-    let (origin, body) = match args.opt::<String>("input")? {
-        Some(path) => {
-            let body = std::fs::read_to_string(&path)?;
-            (path, body)
+    let origin = match (args.opt::<String>("input")?, args.opt::<String>("addr")?) {
+        (Some(path), _) => path,
+        (None, Some(addr)) => format!("http://{addr}/exemplars"),
+        (None, None) => {
+            return Err(CliError::InvalidOption(
+                "trace needs a source: --input FILE or --addr HOST:PORT".to_string(),
+            ))
         }
-        None => match args.opt::<String>("addr")? {
-            Some(addr) => {
-                let body = http_get(&addr, "/exemplars")?;
-                (format!("{addr}/exemplars"), body)
-            }
-            None => {
-                return Err(CliError::InvalidOption(
-                    "trace needs a source: --input FILE or --addr HOST:PORT".to_string(),
-                ))
-            }
-        },
     };
-    dbcast_audit::json::validate(&body)
-        .map_err(|e| CliError::Scrape(format!("{origin}: {e}")))
-}
-
-/// One `GET` over a fresh connection (the exposition server answers a
-/// single request per connection), with client-side timeouts so a
-/// wedged server cannot hang the command.
-fn http_get(addr: &str, path: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Scrape(format!("connect {addr}: {e}")))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: dbcast\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| CliError::Scrape(format!("read {addr}{path}: {e}")))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| CliError::Scrape(format!("malformed response from {addr}")))?;
-    let status_line = head.lines().next().unwrap_or("");
-    if !status_line.contains("200") {
-        return Err(CliError::Scrape(format!("{addr}{path}: {status_line}")));
-    }
-    Ok(body.to_string())
+    let body = super::read_input(&origin)?;
+    dbcast_obs::doc::decode(&body).map_err(|e| CliError::Scrape(format!("{origin}: {e}")))
 }
 
 fn write_header(
@@ -110,15 +75,15 @@ fn write_header(
 }
 
 /// One fixed-width record line shared by `dump` and `slowest`.
-fn write_record(r: &TraceRecord, out: &mut impl std::io::Write) -> std::io::Result<()> {
+fn write_record(r: &ExemplarRecord, out: &mut impl std::io::Write) -> std::io::Result<()> {
     let mut stages = String::new();
-    if r.seeded() {
+    if r.seeded {
         stages.push('S');
     }
-    if r.tail() {
+    if r.tail {
         stages.push('T');
     }
-    if r.straddled() {
+    if r.straddled {
         stages.push('X');
     }
     writeln!(
@@ -133,7 +98,7 @@ fn write_record(r: &TraceRecord, out: &mut impl std::io::Write) -> std::io::Resu
         r.arrival,
         r.wait,
         r.predicted,
-        r.residual(),
+        r.residual,
         r.straddle_penalty,
     )
 }
@@ -238,22 +203,22 @@ fn run_explain(
     writeln!(
         out,
         "  + scheduling residual{:>12.6} s  (phase alignment the model averages out)",
-        r.residual()
+        r.residual
     )?;
     writeln!(
         out,
         "  + swap straddle      {:>12.6} s  ({})",
         r.straddle_penalty,
-        if r.straddled() {
+        if r.straddled {
             "service crossed a program-swap boundary"
         } else {
             "no swap crossed"
         }
     )?;
-    let sum = r.predicted + r.residual() + r.straddle_penalty;
+    let sum = r.predicted + r.residual + r.straddle_penalty;
     let error = (sum - r.wait).abs();
     writeln!(out, "  reassembled          {sum:>12.6} s  (|error| {error:.3e})")?;
-    if error > dbcast_audit::json::DECOMPOSITION_TOLERANCE * r.wait.abs().max(1.0) {
+    if error > dbcast_audit::doc::DECOMPOSITION_TOLERANCE * r.wait.abs().max(1.0) {
         return Err(CliError::Scrape(format!(
             "decomposition of request {id} does not reassemble: \
              {sum} vs observed {} (error {error:.3e})",
@@ -266,7 +231,9 @@ fn run_explain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcast_audit::{AuditConfig, AuditTracer, FLAG_SEEDED, FLAG_STRADDLED, FLAG_TAIL};
+    use dbcast_audit::{
+        AuditConfig, AuditTracer, TraceRecord, FLAG_SEEDED, FLAG_STRADDLED, FLAG_TAIL,
+    };
 
     /// A tracer with three hand-planted records on two channels.
     fn tracer() -> AuditTracer {
@@ -299,7 +266,7 @@ mod tests {
 
     fn write_doc(name: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!("dbcast_trace_cmd_{name}.json"));
-        std::fs::write(&path, tracer().render_json()).unwrap();
+        std::fs::write(&path, dbcast_obs::doc::render(&tracer().snapshot())).unwrap();
         path
     }
 
@@ -389,7 +356,9 @@ mod tests {
         let server = dbcast_flight::ExpositionServer::bind_with_routes(
             "127.0.0.1:0",
             Box::new(|| "{}".to_string()),
-            vec![dbcast_flight::Route::json("/exemplars", move || route_t.render_json())],
+            vec![dbcast_flight::Route::json("/exemplars", move || {
+                dbcast_obs::doc::render(&route_t.snapshot())
+            })],
         )
         .unwrap();
         let args = Args::parse([

@@ -41,8 +41,7 @@ COMMANDS:
     stats           Run one allocation under telemetry, print metrics JSON
     conformance     Fuzz every allocator against the invariant suite
     perf            Run the pinned benchmark suite; gate against a baseline
-    flight          Inspect flight-recorder artifacts (dump | check-metrics |
-                    check-series | catalog)
+    flight          Inspect telemetry artifacts (dump | check | catalog)
     top             Live operator console over a serving process's /series
                     endpoint (sparklines for req/s, drift, SLO burn, Eq. 2
                     per-channel waits)
@@ -148,11 +147,12 @@ COMMAND-SPECIFIC:
                --corpus DIR   replay a regression corpus directory first
     flight:    dump          summarize a postmortem JSON (--input FILE|DIR,
                              --last N events            [default: 16])
-               check-metrics validate an OpenMetrics scrape (--input FILE)
-               check-series  validate a /series JSON document (--input FILE)
-               check-exemplars  validate an /exemplars audit-trace JSON
-                             (--input FILE); --metrics SCRAPE also counts
-                             exemplar annotations (--min-exemplars N)
+               check         validate any telemetry document or an
+                             OpenMetrics scrape (--input FILE or
+                             http://H:P/PATH); JSON dispatches on its
+                             envelope kind; --max-gap G bounds a fleet
+                             document's Eq. 2 gaps, --min-exemplars N
+                             requires N scrape exemplars
                catalog       print the metrics catalogue (docs/METRICS.md)
     trace:     dump | slowest | residuals | explain
                --input FILE  a saved /exemplars document, or

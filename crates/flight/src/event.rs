@@ -7,7 +7,7 @@
 //! per-kind (documented on [`EventKind`]). The seventh field, `seq`, is
 //! the ring index the event was recorded under.
 
-use dbcast_obs::snapshot::json_f64;
+use serde::{Deserialize, Serialize};
 
 /// What happened. The `value`/`extra` payload meaning per kind:
 ///
@@ -24,7 +24,8 @@ use dbcast_obs::snapshot::json_f64;
 /// | `SloTrigger` | budget burn rate | generation |
 /// | `Fault` | — | fault code (free-form) |
 /// | `Watchdog` | observed signal value | rule index |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 #[repr(u8)]
 pub enum EventKind {
     /// A virtual-time tick boundary was crossed.
@@ -68,7 +69,7 @@ impl EventKind {
         EventKind::Watchdog,
     ];
 
-    /// Stable lowercase name (used in postmortem JSON).
+    /// Stable lowercase name, as in the `/flight` document.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Tick => "tick",
@@ -97,7 +98,8 @@ impl EventKind {
 }
 
 /// One recorded event (plain data; `seq` is assigned by the ring).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FlightEvent {
     /// Global sequence index (0 = first event ever recorded).
     pub seq: u64,
@@ -158,43 +160,6 @@ impl FlightEvent {
             extra: w[5],
         }
     }
-
-    /// Renders the event as one JSON object (self-contained writer,
-    /// like the obs snapshot exporter).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\": {}, \"kind\": \"{}\", \"tick\": {}, \"generation\": {}, \
-             \"vtime\": {}, \"value\": {}, \"extra\": {}}}",
-            self.seq,
-            self.kind.name(),
-            self.tick,
-            self.generation,
-            json_f64(self.vtime),
-            json_f64(self.value),
-            self.extra
-        )
-    }
-}
-
-/// Appends `events` to `out` as a JSON array, one event per line at
-/// `indent` + two spaces, with the closing bracket at `indent`. The
-/// `/flight` document and postmortem dumps both embed the ring this way.
-pub(crate) fn push_events(out: &mut String, events: &[FlightEvent], indent: &str) {
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(indent);
-        out.push_str("  ");
-        out.push_str(&e.to_json());
-    }
-    if !events.is_empty() {
-        out.push('\n');
-        out.push_str(indent);
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -210,20 +175,19 @@ mod tests {
     }
 
     #[test]
+    fn wire_names_are_the_stable_names() {
+        for kind in EventKind::ALL {
+            let wire = serde_json::to_string(&kind).unwrap();
+            assert_eq!(wire, format!("\"{}\"", kind.name()));
+        }
+    }
+
+    #[test]
     fn builder_sets_payloads() {
         let e = FlightEvent::new(EventKind::DriftScore, 7, 2, 3.5).value(0.4).extra(1);
         assert_eq!(e.tick, 7);
         assert_eq!(e.generation, 2);
         assert_eq!(e.value, 0.4);
         assert_eq!(e.extra, 1);
-    }
-
-    #[test]
-    fn json_is_well_formed() {
-        let e = FlightEvent::new(EventKind::SwapPublish, 1, 2, 0.25).value(9.75).extra(2);
-        let j = e.to_json();
-        assert!(j.contains("\"kind\": \"swap_publish\""));
-        assert!(j.contains("\"vtime\": 0.25"));
-        assert!(j.contains("\"value\": 9.75"));
     }
 }

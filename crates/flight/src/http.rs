@@ -2,8 +2,8 @@
 //! on `std::net::TcpListener`, serving
 //!
 //! * `GET /metrics` — the obs registry in OpenMetrics text format,
-//! * `GET /flight`  — the flight ring as a JSON event array,
-//! * `GET /status`  — a caller-provided JSON status document,
+//! * `GET /flight`  — the flight ring as a [`crate::FlightDoc`],
+//! * `GET /status`  — a caller-provided [`StatusDoc`],
 //! * plus any caller-registered [`Route`]s (e.g. the scope crate's
 //!   `/series` history endpoint),
 //!
@@ -27,11 +27,35 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::event::push_events;
+use dbcast_obs::doc::{self, Document};
+use serde::{Deserialize, Serialize};
+
 use crate::recorder;
 
-/// Produces the `/status` JSON body on demand.
+/// Produces the `/status` JSON body on demand (normally a rendered
+/// [`StatusDoc`]).
 pub type StatusFn = Box<dyn Fn() -> String + Send + Sync>;
+
+/// The `/status` document of a serving process.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct StatusDoc {
+    /// The command serving, e.g. `serve`.
+    pub command: String,
+    /// Items in the broadcast database.
+    pub items: u64,
+    /// Requests in the stream being served.
+    pub trace_requests: u64,
+    /// Events the flight recorder has recorded so far.
+    pub flight_recorded: u64,
+    /// The command's configuration.
+    pub config: serde_json::Value,
+}
+
+impl Document for StatusDoc {
+    const KIND: &'static str = "status";
+    const SCHEMA: u32 = 1;
+}
 
 /// How long a connected client may sit silent before its stream is
 /// dropped and the accept loop moves on.
@@ -156,20 +180,6 @@ impl Drop for ExpositionServer {
     }
 }
 
-/// The flight ring as a JSON document (also used by `/flight`).
-pub fn flight_json() -> String {
-    let ring = recorder();
-    let events = ring.snapshot();
-    let mut out = format!(
-        "{{\"capacity\": {}, \"recorded\": {}, \"events\": ",
-        ring.capacity(),
-        ring.recorded()
-    );
-    push_events(&mut out, &events, "");
-    out.push_str("}\n");
-    out
-}
-
 fn handle_connection(
     mut stream: TcpStream,
     status: &StatusFn,
@@ -224,9 +234,12 @@ fn handle_connection(
                     "application/openmetrics-text; version=1.0.0; charset=utf-8",
                     dbcast_obs::openmetrics::render_global(),
                 ),
-                "/flight" => {
-                    ("200", "OK", "application/json; charset=utf-8", flight_json())
-                }
+                "/flight" => (
+                    "200",
+                    "OK",
+                    "application/json; charset=utf-8",
+                    doc::render(&recorder().doc()),
+                ),
                 "/status" => ("200", "OK", "application/json; charset=utf-8", status()),
                 other => match routes.iter().find(|r| r.path == other) {
                     Some(route) => ("200", "OK", route.content_type, (route.handler)()),
@@ -275,6 +288,7 @@ fn not_found_body(routes: &[Route]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlightDoc;
     use std::io::BufRead as _;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -318,7 +332,8 @@ mod tests {
 
         let (status, body) = get(addr, "/flight");
         assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"capacity\""), "{body}");
+        let flight: FlightDoc = doc::decode(&body).expect("/flight decodes");
+        assert_eq!(flight.capacity, recorder().capacity());
 
         let (status, body) = get(addr, "/status");
         assert!(status.contains("200"), "{status}");

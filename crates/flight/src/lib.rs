@@ -17,8 +17,10 @@
 //!   file under the armed `--postmortem-dir`.
 //! * [`http::ExpositionServer`] — a blocking `TcpListener` responder
 //!   on its own thread serving `/metrics` (OpenMetrics text),
-//!   `/flight` (the ring as JSON) and `/status` (serving-generation
-//!   status), all built from snapshot reads.
+//!   `/flight` (the ring as a [`FlightDoc`]) and `/status` (a
+//!   [`StatusDoc`]), all built from snapshot reads.
+//!
+//! Every JSON document here travels in the `dbcast_obs::doc` envelope.
 //!
 //! The crate-level [`recorder()`] is the process-global ring everything
 //! writes to; it exists so the panic hook and the exposition endpoint
@@ -29,11 +31,14 @@ pub mod http;
 pub mod postmortem;
 
 pub use event::{EventKind, FlightEvent};
-pub use http::{ExpositionServer, Route};
+pub use http::{ExpositionServer, Route, StatusDoc};
+pub use postmortem::Postmortem;
 
 use std::sync::OnceLock;
 
+use dbcast_obs::doc::Document;
 use dbcast_obs::ring::SeqRing;
+use serde::{Deserialize, Serialize};
 
 /// A fixed-capacity, wait-free-write ring of [`FlightEvent`]s; each
 /// event is stored as six words of a [`SeqRing`].
@@ -71,6 +76,43 @@ impl FlightRing {
     /// increasing.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
         self.0.snapshot(FlightEvent::from_words)
+    }
+
+    /// The ring as a `/flight` document.
+    pub fn doc(&self) -> FlightDoc {
+        let events = self.snapshot();
+        FlightDoc { capacity: self.capacity(), recorded: self.recorded(), events }
+    }
+}
+
+/// The `/flight` document: ring statistics plus the retained events.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct FlightDoc {
+    /// Ring capacity (events retained).
+    pub capacity: usize,
+    /// Events ever recorded.
+    pub recorded: u64,
+    /// The retained events, oldest first.
+    pub events: Vec<FlightEvent>,
+}
+
+impl Document for FlightDoc {
+    const KIND: &'static str = "flight";
+    const SCHEMA: u32 = 1;
+
+    fn check(&self) -> Result<(), String> {
+        if self.events.len() > self.capacity {
+            return Err(format!(
+                "{} events exceed the capacity {}",
+                self.events.len(),
+                self.capacity
+            ));
+        }
+        if !self.events.windows(2).all(|w| w[0].seq < w[1].seq) {
+            return Err("event sequence numbers are not strictly increasing".into());
+        }
+        Ok(())
     }
 }
 

@@ -14,11 +14,54 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::event::push_events;
-use crate::recorder;
+use dbcast_obs::doc::{self, Document};
+use serde::{Deserialize, Serialize};
 
-/// Postmortem JSON schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+use crate::{recorder, FlightDoc};
+
+/// A postmortem dump: why it was written, when, the flight ring and
+/// the full obs metrics snapshot.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct Postmortem {
+    /// The trigger (`panic: …` or the incident's reason).
+    pub reason: String,
+    /// Wall-clock time of the dump, ms since the Unix epoch.
+    pub unix_ms: u64,
+    /// The flight ring at dump time.
+    pub flight: FlightDoc,
+    /// The obs registry snapshot (its own versioned JSON shape).
+    pub metrics: serde_json::Value,
+}
+
+impl Postmortem {
+    /// Captures the global recorder and registry for `reason`.
+    pub fn capture(reason: &str) -> Postmortem {
+        Postmortem {
+            reason: reason.to_string(),
+            unix_ms: unix_ms(),
+            flight: recorder().doc(),
+            metrics: serde_json::from_str(&dbcast_obs::registry().snapshot().to_json())
+                .unwrap_or(serde_json::Value::Null),
+        }
+    }
+}
+
+impl Document for Postmortem {
+    const KIND: &'static str = "postmortem";
+    const SCHEMA: u32 = 1;
+
+    fn check(&self) -> Result<(), String> {
+        if self.metrics.as_map().is_none() {
+            return Err("metrics is not a snapshot object".into());
+        }
+        self.flight.check()
+    }
+}
+
+fn unix_ms() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
+}
 
 fn dir_cell() -> &'static Mutex<Option<PathBuf>> {
     static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
@@ -36,41 +79,6 @@ pub fn dir() -> Option<PathBuf> {
     dir_cell().lock().expect("postmortem dir lock poisoned").clone()
 }
 
-/// Renders the postmortem document for `reason`: schema version,
-/// wall-clock timestamp, ring statistics, the most recent flight
-/// events and the full obs metrics snapshot.
-pub fn render(reason: &str) -> String {
-    let ring = recorder();
-    let events = ring.snapshot();
-    let unix_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"version\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!(
-        "  \"reason\": {},\n",
-        dbcast_obs::snapshot::json_string(reason)
-    ));
-    out.push_str(&format!("  \"unix_ms\": {unix_ms},\n"));
-    out.push_str(&format!(
-        "  \"ring\": {{\"capacity\": {}, \"recorded\": {}, \"dumped\": {}}},\n",
-        ring.capacity(),
-        ring.recorded(),
-        events.len()
-    ));
-    out.push_str("  \"events\": ");
-    push_events(&mut out, &events, "  ");
-    out.push_str(",\n");
-    // Embed the metrics snapshot verbatim: it is already a JSON object.
-    let metrics = dbcast_obs::registry().snapshot().to_json();
-    out.push_str("  \"metrics\": ");
-    out.push_str(metrics.trim_end());
-    out.push_str("\n}\n");
-    out
-}
-
 /// Writes the postmortem for `reason` into `dir`, returning the file
 /// path (`postmortem-<unix_ms>-<counter>-<slug>.json`; the counter
 /// disambiguates dumps within one millisecond).
@@ -81,18 +89,15 @@ pub fn render(reason: &str) -> String {
 pub fn dump_to(dir: &Path, reason: &str) -> io::Result<PathBuf> {
     static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
     std::fs::create_dir_all(dir)?;
-    let unix_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
+    let dump = Postmortem::capture(reason);
     let n = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let slug: String = reason
         .chars()
         .take(32)
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
         .collect();
-    let path = dir.join(format!("postmortem-{unix_ms}-{n}-{slug}.json"));
-    std::fs::write(&path, render(reason))?;
+    let path = dir.join(format!("postmortem-{}-{n}-{slug}.json", dump.unix_ms));
+    std::fs::write(&path, doc::render(&dump))?;
     Ok(path)
 }
 
@@ -147,10 +152,10 @@ mod tests {
         );
         let path = dump_to(&dir, "unit-test incident").unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"version\": 1"), "{body}");
-        assert!(body.contains("unit-test incident"));
-        assert!(body.contains("\"drift_score\""));
-        assert!(body.contains("\"metrics\": {"));
+        let dump: Postmortem = doc::decode(&body).expect("dump decodes");
+        assert_eq!(dump.reason, "unit-test incident");
+        assert!(dump.flight.events.iter().any(|e| e.kind == EventKind::DriftScore));
+        assert!(dump.metrics.get("counters").is_some(), "{body}");
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(name.starts_with("postmortem-") && name.ends_with(".json"), "{name}");
         let _ = std::fs::remove_dir_all(&dir);

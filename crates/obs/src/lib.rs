@@ -1,10 +1,12 @@
-//! `dbcast-obs`: a zero-dependency telemetry layer for the dbcast
-//! workspace — monotonic counters, gauges, log-scale histograms with
-//! lock-free recording, RAII span timers, hierarchical span trees
-//! with self-time attribution and Chrome trace-event export
-//! ([`tree`]), structured convergence traces, a leveled logger, a
-//! JSON snapshot exporter and the seqlock ring ([`ring::SeqRing`])
-//! under the flight recorder and the audit trace ring.
+//! `dbcast-obs`: the telemetry layer for the dbcast workspace —
+//! monotonic counters, gauges, log-scale histograms with lock-free
+//! recording, RAII span timers, hierarchical span trees with
+//! self-time attribution and Chrome trace-event export ([`tree`]),
+//! structured convergence traces, a leveled logger, a JSON snapshot
+//! exporter, the seqlock ring ([`ring::SeqRing`]) under the flight
+//! recorder and the audit trace ring, and the one envelope every
+//! telemetry document is rendered and decoded through ([`doc`]). Its
+//! only dependencies are the workspace's serde shims.
 //!
 //! # Enabling
 //!
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
+pub mod doc;
 pub mod log;
 pub mod metrics;
 pub mod openmetrics;

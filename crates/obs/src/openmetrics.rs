@@ -16,7 +16,7 @@
 //! as finite floats, and exemplars appear only where the spec allows
 //! them (bucket and counter samples, label set ≤ 128 runes). CI feeds
 //! scraped `/metrics` bodies through it via
-//! `dbcast flight check-metrics`.
+//! `dbcast flight check`.
 //!
 //! Exemplars follow the OpenMetrics annotation syntax
 //! `name_bucket{le="X"} N # {label="v",…} value [timestamp]` and are

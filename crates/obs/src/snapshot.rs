@@ -1,7 +1,8 @@
 //! Point-in-time snapshots of the registry, exportable as JSON.
 //!
-//! The writer is self-contained (the telemetry layer carries no
-//! dependencies, not even the workspace serde shim). Schema, version 2
+//! The writer is hand-written and outside the `doc` envelope: this is
+//! the `--metrics-out` file format, and postmortems embed it verbatim.
+//! Schema, version 2
 //! (v2 changed the histogram `p50`/`p90`/`p95`/`p99` fields from
 //! bucket upper bounds — pessimistic by up to 2× — to bucket
 //! midpoints; see `Histogram::percentile_bounds`):
@@ -275,9 +276,8 @@ fn event_json(event: &TraceEvent) -> String {
 }
 
 /// Renders `v` as a JSON number in Rust's shortest round-tripping
-/// form (`1.0`, `2.5e-7`); non-finite values become `null`. Every
-/// hand-written document in the workspace renders floats through this.
-pub fn json_f64(v: f64) -> String {
+/// form (`1.0`, `2.5e-7`); non-finite values become `null`.
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
     } else {
@@ -285,9 +285,9 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes `s` as a JSON string literal (shared by the flight
-/// recorder's self-contained postmortem writer).
-pub fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal (shared with the span-tree
+/// trace writer).
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

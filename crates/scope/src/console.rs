@@ -5,7 +5,7 @@
 //! (plus display options) so CI can assert on the exact text with
 //! `--once` while the live console just re-renders per frame.
 
-use crate::json::{SeriesDoc, SeriesEntry};
+use crate::doc::{SeriesDoc, SeriesEntry};
 
 /// Sparkline glyphs, shortest to tallest.
 const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -281,7 +281,6 @@ pub fn clear_screen() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::series::{Sample, SeriesKind};
 
     #[test]
@@ -296,8 +295,8 @@ mod tests {
         assert_eq!(sparkline(&long, 10).chars().count(), 10);
     }
 
-    fn entry(name: &str, kind: SeriesKind, values: &[f64]) -> json::SeriesEntry {
-        json::SeriesEntry {
+    fn entry(name: &str, kind: SeriesKind, values: &[f64]) -> SeriesEntry {
+        SeriesEntry {
             name: name.to_string(),
             kind,
             raw: values
@@ -305,8 +304,6 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| Sample { tick: i as u64, wall_ms: i as u64 * 100, value: v })
                 .collect(),
-            mid: Vec::new(),
-            coarse: Vec::new(),
             rate: match kind {
                 SeriesKind::Counter => values
                     .iter()
@@ -324,8 +321,7 @@ mod tests {
 
     #[test]
     fn top_renders_all_sections_from_a_doc() {
-        let doc = json::SeriesDoc {
-            schema: 1,
+        let doc = SeriesDoc {
             tick: 42,
             wall_ms: 12_400,
             series: vec![
@@ -361,8 +357,7 @@ mod tests {
 
     #[test]
     fn top_renders_the_fleet_panel_when_uplink_series_exist() {
-        let doc = json::SeriesDoc {
-            schema: 1,
+        let doc = SeriesDoc {
             tick: 3,
             wall_ms: 900,
             series: vec![
@@ -384,25 +379,15 @@ mod tests {
         assert!(text.contains("gap    5.0%"), "{text}");
 
         // No fleet series → no fleet panel.
-        let bare = json::SeriesDoc {
-            schema: 1,
-            tick: 0,
-            wall_ms: 0,
-            series: Vec::new(),
-            histograms: Vec::new(),
-        };
+        let bare =
+            SeriesDoc { tick: 0, wall_ms: 0, series: Vec::new(), histograms: Vec::new() };
         assert!(!render_top(&bare, &TopOptions::default()).contains("fleet"));
     }
 
     #[test]
     fn empty_doc_renders_just_the_header() {
-        let doc = json::SeriesDoc {
-            schema: 1,
-            tick: 0,
-            wall_ms: 0,
-            series: Vec::new(),
-            histograms: Vec::new(),
-        };
+        let doc =
+            SeriesDoc { tick: 0, wall_ms: 0, series: Vec::new(), histograms: Vec::new() };
         let text = render_top(&doc, &TopOptions::default());
         assert_eq!(text.lines().count(), 1);
         assert!(text.starts_with("dbcast top"));

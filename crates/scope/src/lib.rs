@@ -7,15 +7,12 @@
 //! allocation-bounded:
 //!
 //! * [`store::SeriesStore`] — fixed-capacity per-metric rings of
-//!   `(virtual_tick, wall_ms, value)` samples with multi-resolution
-//!   downsampling (raw → 10-sample → 100-sample bins, each keeping
-//!   min/max/mean/last so spikes survive decimation), counter → rate
+//!   `(virtual_tick, wall_ms, value)` samples, counter → rate
 //!   derivation and windowed histogram quantiles from bucket deltas;
 //! * [`sampler::Sampler`] — a background thread scraping the registry
 //!   on a fixed cadence (cost pinned in the BENCH contract);
-//! * [`json`] — the schema-versioned `/series` wire format plus its
-//!   strict validator (the `/metrics` OpenMetrics posture, applied to
-//!   history);
+//! * [`doc`] — the `/series` document ([`SeriesDoc`]), rendered and
+//!   strictly decoded through the `dbcast_obs::doc` envelope;
 //! * [`watchdog`] — threshold/stall rules with sustained windows
 //!   ("burn_rate > 1 for 5s", "drift but no repair within N ticks")
 //!   that latch, emit flight events, fire postmortem dumps and drive
@@ -25,17 +22,15 @@
 #![forbid(unsafe_code)]
 
 pub mod console;
-pub mod json;
-pub mod ring;
+pub mod doc;
 pub mod sampler;
 pub mod series;
 pub mod store;
 pub mod watchdog;
 
 pub use console::{render_top, sparkline, TopOptions};
-pub use json::{render_store, validate, SeriesDoc, SeriesError};
-pub use ring::Ring;
+pub use doc::{HistEntry, SeriesDoc, SeriesEntry};
 pub use sampler::{sample_once, Sampler};
-pub use series::{Bin, Sample, Series, SeriesKind};
+pub use series::{Sample, Series, SeriesKind};
 pub use store::{ScopeConfig, SeriesStore, WindowQuantiles};
 pub use watchdog::{parse_rule, parse_rules, Firing, Rule, Watchdog};

@@ -1,19 +1,25 @@
-//! One metric's windowed history: a raw sample ring plus two
-//! decimated tiers. Each tier bin keeps min/max/mean/last so spikes
-//! survive decimation — a drift excursion that lasted three samples is
-//! still visible in the coarse tier's `max` long after the raw window
-//! has rotated past it.
+//! One metric's windowed history: a bounded raw sample window, plus
+//! the per-second rates derived from it for counters.
 
-use crate::ring::Ring;
+use std::collections::VecDeque;
 
-/// Raw samples folded into one mid-tier bin.
-pub const TIER_MID_FACTOR: usize = 10;
-/// Raw samples folded into one coarse-tier bin.
-pub const TIER_COARSE_FACTOR: usize = 100;
+use serde::{Deserialize, Serialize};
+
+/// Appends `value`, evicting the oldest element once `window` holds
+/// `capacity` (at least one). A window created with that capacity
+/// never reallocates, so the steady-state append path is
+/// allocation-free.
+pub(crate) fn push_bounded<T>(window: &mut VecDeque<T>, capacity: usize, value: T) {
+    if window.len() >= capacity.max(1) {
+        window.pop_front();
+    }
+    window.push_back(value);
+}
 
 /// How a series' values evolve, which decides what derived views make
 /// sense (rates only exist for counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum SeriesKind {
     /// Last-write-wins level (drift distance, burn rate, `W_i`, …).
     Gauge,
@@ -21,27 +27,9 @@ pub enum SeriesKind {
     Counter,
 }
 
-impl SeriesKind {
-    /// Stable lowercase name used in the `/series` JSON schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            SeriesKind::Gauge => "gauge",
-            SeriesKind::Counter => "counter",
-        }
-    }
-
-    /// Parses the JSON schema name.
-    pub fn from_name(s: &str) -> Option<SeriesKind> {
-        match s {
-            "gauge" => Some(SeriesKind::Gauge),
-            "counter" => Some(SeriesKind::Counter),
-            _ => None,
-        }
-    }
-}
-
 /// One scraped observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Sample {
     /// Serving-loop virtual tick at scrape time (0 before serving).
     pub tick: u64,
@@ -51,112 +39,18 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A decimated bin: the aggregate of `count` consecutive raw samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bin {
-    /// Tick of the first folded sample.
-    pub start_tick: u64,
-    /// Tick of the last folded sample.
-    pub end_tick: u64,
-    /// Wall clock of the first folded sample (ms since store start).
-    pub start_wall_ms: u64,
-    /// Wall clock of the last folded sample.
-    pub end_wall_ms: u64,
-    /// Raw samples folded in.
-    pub count: u64,
-    /// Smallest folded value.
-    pub min: f64,
-    /// Largest folded value.
-    pub max: f64,
-    /// Sum of folded values (`mean()` divides by `count`).
-    pub sum: f64,
-    /// Most recent folded value.
-    pub last: f64,
-}
-
-impl Bin {
-    fn seed(s: Sample) -> Bin {
-        Bin {
-            start_tick: s.tick,
-            end_tick: s.tick,
-            start_wall_ms: s.wall_ms,
-            end_wall_ms: s.wall_ms,
-            count: 1,
-            min: s.value,
-            max: s.value,
-            sum: s.value,
-            last: s.value,
-        }
-    }
-
-    fn fold(&mut self, s: Sample) {
-        self.end_tick = s.tick;
-        self.end_wall_ms = s.wall_ms;
-        self.count += 1;
-        self.min = self.min.min(s.value);
-        self.max = self.max.max(s.value);
-        self.sum += s.value;
-        self.last = s.value;
-    }
-
-    /// Mean of the folded samples.
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-}
-
-/// Accumulates raw samples into bins of a fixed decimation factor.
-#[derive(Debug, Clone)]
-struct TierAcc {
-    factor: usize,
-    pending: Option<Bin>,
-}
-
-impl TierAcc {
-    fn new(factor: usize) -> Self {
-        TierAcc { factor, pending: None }
-    }
-
-    /// Folds one sample; returns the completed bin when the factor is
-    /// reached.
-    fn push(&mut self, s: Sample) -> Option<Bin> {
-        match &mut self.pending {
-            None => {
-                self.pending = Some(Bin::seed(s));
-            }
-            Some(bin) => bin.fold(s),
-        }
-        if self.pending.as_ref().is_some_and(|b| b.count as usize >= self.factor) {
-            self.pending.take()
-        } else {
-            None
-        }
-    }
-}
-
-/// One metric's bounded multi-resolution history.
+/// One metric's bounded history.
 #[derive(Debug, Clone)]
 pub struct Series {
     kind: SeriesKind,
-    raw: Ring<Sample>,
-    mid: Ring<Bin>,
-    coarse: Ring<Bin>,
-    mid_acc: TierAcc,
-    coarse_acc: TierAcc,
+    capacity: usize,
+    raw: VecDeque<Sample>,
 }
 
 impl Series {
-    /// An empty series. `raw_capacity` bounds the raw ring;
-    /// `tier_capacity` bounds each decimated tier.
-    pub fn new(kind: SeriesKind, raw_capacity: usize, tier_capacity: usize) -> Self {
-        Series {
-            kind,
-            raw: Ring::new(raw_capacity),
-            mid: Ring::new(tier_capacity),
-            coarse: Ring::new(tier_capacity),
-            mid_acc: TierAcc::new(TIER_MID_FACTOR),
-            coarse_acc: TierAcc::new(TIER_COARSE_FACTOR),
-        }
+    /// An empty series; `raw_capacity` bounds the raw window.
+    pub fn new(kind: SeriesKind, raw_capacity: usize) -> Self {
+        Series { kind, capacity: raw_capacity, raw: VecDeque::with_capacity(raw_capacity) }
     }
 
     /// The series' kind.
@@ -164,36 +58,19 @@ impl Series {
         self.kind
     }
 
-    /// Appends one sample, flushing completed tier bins.
+    /// Appends one sample.
     pub fn push(&mut self, s: Sample) {
-        self.raw.push(s);
-        if let Some(bin) = self.mid_acc.push(s) {
-            self.mid.push(bin);
-        }
-        if let Some(bin) = self.coarse_acc.push(s) {
-            self.coarse.push(bin);
-        }
+        push_bounded(&mut self.raw, self.capacity, s);
     }
 
     /// The newest sample.
     pub fn latest(&self) -> Option<Sample> {
-        self.raw.latest()
+        self.raw.back().copied()
     }
 
     /// Raw samples oldest → newest.
     pub fn raw(&self) -> Vec<Sample> {
-        self.raw.to_vec()
-    }
-
-    /// Completed mid-tier bins oldest → newest (the in-progress
-    /// accumulator is not included).
-    pub fn mid(&self) -> Vec<Bin> {
-        self.mid.to_vec()
-    }
-
-    /// Completed coarse-tier bins oldest → newest.
-    pub fn coarse(&self) -> Vec<Bin> {
-        self.coarse.to_vec()
+        self.raw.iter().copied().collect()
     }
 
     /// Counter → per-second rate over the retained raw window. Gauges
@@ -201,7 +78,7 @@ impl Series {
     pub fn rates(&self) -> Vec<Sample> {
         match self.kind {
             SeriesKind::Gauge => Vec::new(),
-            SeriesKind::Counter => derive_rates(&self.raw.to_vec()),
+            SeriesKind::Counter => derive_rates(&self.raw()),
         }
     }
 
@@ -243,46 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn tiers_flush_at_their_factors() {
-        let mut series = Series::new(SeriesKind::Gauge, 1000, 100);
-        for i in 0..250u64 {
-            series.push(s(i, i * 10, i as f64));
-        }
-        assert_eq!(series.raw().len(), 250);
-        assert_eq!(series.mid().len(), 25);
-        assert_eq!(series.coarse().len(), 2);
-
-        let first_mid = series.mid()[0];
-        assert_eq!(first_mid.count, 10);
-        assert_eq!(first_mid.min, 0.0);
-        assert_eq!(first_mid.max, 9.0);
-        assert_eq!(first_mid.last, 9.0);
-        assert!((first_mid.mean() - 4.5).abs() < 1e-12);
-        assert_eq!(first_mid.start_tick, 0);
-        assert_eq!(first_mid.end_tick, 9);
-
-        let first_coarse = series.coarse()[0];
-        assert_eq!(first_coarse.count, 100);
-        assert_eq!(first_coarse.min, 0.0);
-        assert_eq!(first_coarse.max, 99.0);
-        assert!((first_coarse.mean() - 49.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spikes_survive_decimation() {
-        let mut series = Series::new(SeriesKind::Gauge, 10, 100);
-        for i in 0..200u64 {
-            let v = if i == 42 { 1000.0 } else { 1.0 };
-            series.push(s(i, i, v));
-        }
-        // The raw ring (capacity 10) rotated past the spike long ago…
-        assert!(series.raw().iter().all(|x| x.value == 1.0));
-        // …but both tiers still carry it in `max`.
-        assert!(series.mid().iter().any(|b| b.max == 1000.0));
-        assert!(series.coarse().iter().any(|b| b.max == 1000.0));
-    }
-
-    #[test]
     fn rates_are_per_second_and_reset_tolerant() {
         let raw = vec![
             s(0, 0, 0.0),
@@ -300,8 +137,19 @@ mod tests {
     }
 
     #[test]
+    fn the_raw_window_keeps_the_newest_samples() {
+        let mut series = Series::new(SeriesKind::Gauge, 3);
+        for i in 0..5u64 {
+            series.push(s(i, i, i as f64));
+        }
+        let ticks: Vec<u64> = series.raw().iter().map(|x| x.tick).collect();
+        assert_eq!(ticks, [2, 3, 4]);
+        assert_eq!(series.latest().map(|x| x.tick), Some(4));
+    }
+
+    #[test]
     fn gauge_series_has_no_rates() {
-        let mut series = Series::new(SeriesKind::Gauge, 10, 10);
+        let mut series = Series::new(SeriesKind::Gauge, 10);
         series.push(s(0, 0, 1.0));
         series.push(s(1, 100, 2.0));
         assert!(series.rates().is_empty());

@@ -5,25 +5,23 @@
 //! state — and the memory held is fixed by [`ScopeConfig`] no matter
 //! how long the process runs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use dbcast_obs::metrics::HistogramSnapshot;
 use dbcast_obs::metrics::{bucket_index, bucket_lower_bound, bucket_upper_bound, BUCKETS};
 use dbcast_obs::snapshot::Snapshot;
+use serde::{Deserialize, Serialize};
 
-use crate::json::{HistEntry, SeriesDoc, SeriesEntry};
-use crate::ring::Ring;
-use crate::series::{Sample, Series, SeriesKind};
+use crate::doc::{HistEntry, SeriesDoc, SeriesEntry};
+use crate::series::{push_bounded, Sample, Series, SeriesKind};
 
 /// Capacity and naming knobs for a [`SeriesStore`].
 #[derive(Debug, Clone)]
 pub struct ScopeConfig {
     /// Raw samples retained per series.
     pub raw_capacity: usize,
-    /// Bins retained per decimated tier.
-    pub tier_capacity: usize,
     /// Histogram bucket snapshots retained per histogram.
     pub hist_capacity: usize,
     /// Raw samples included per series in the `/series` export (the
@@ -37,7 +35,6 @@ impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
             raw_capacity: 240,
-            tier_capacity: 240,
             hist_capacity: 128,
             render_raw: 120,
             tick_counter: "serve.ticks".to_string(),
@@ -93,7 +90,8 @@ impl HistSnap {
 /// Quantiles over the observations that arrived within a scrape
 /// window, estimated from bucket-count deltas (bucket midpoints, like
 /// the obs snapshot percentiles).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WindowQuantiles {
     /// Requested window length (scrape samples).
     pub window: u64,
@@ -112,21 +110,22 @@ pub struct WindowQuantiles {
 /// A histogram's retained scrape history.
 #[derive(Debug, Clone)]
 pub struct HistSeries {
-    ring: Ring<HistSnap>,
+    capacity: usize,
+    snaps: VecDeque<HistSnap>,
 }
 
 impl HistSeries {
     fn new(capacity: usize) -> Self {
-        HistSeries { ring: Ring::new(capacity) }
+        HistSeries { capacity, snaps: VecDeque::with_capacity(capacity) }
     }
 
     fn push(&mut self, snap: HistSnap) {
-        self.ring.push(snap);
+        push_bounded(&mut self.snaps, self.capacity, snap);
     }
 
     /// The newest scrape.
     pub fn latest(&self) -> Option<HistSnap> {
-        self.ring.latest()
+        self.snaps.back().copied()
     }
 
     /// Quantiles of the observations recorded during the last
@@ -134,15 +133,15 @@ impl HistSeries {
     /// before the first scrape. A cumulative-count dip (source reset)
     /// falls back to the newest snapshot's full contents.
     pub fn window_quantiles(&self, window: usize) -> Option<WindowQuantiles> {
-        let newest = self.ring.latest()?;
-        let len = self.ring.len();
+        let newest = self.latest()?;
+        let len = self.snaps.len();
         let (delta, spanned) = if window >= len {
             // The window reaches past retained history: the oldest
             // snapshot's cumulative content has no earlier baseline to
             // subtract, so the whole cumulative histogram is in scope.
             (newest.buckets, len.saturating_sub(1))
         } else {
-            let base = self.ring.back_or_oldest(window)?;
+            let base = self.snaps[len - 1 - window];
             if newest.count < base.count {
                 (newest.buckets, 0) // Reset: everything in `newest` is fresh.
             } else {
@@ -194,13 +193,12 @@ fn push_sample(
     name: &str,
     kind: SeriesKind,
     raw_cap: usize,
-    tier_cap: usize,
     sample: Sample,
 ) {
     if let Some(s) = map.get_mut(name) {
         s.push(sample);
     } else {
-        let mut s = Series::new(kind, raw_cap, tier_cap);
+        let mut s = Series::new(kind, raw_cap);
         s.push(sample);
         map.insert(name.to_string(), s);
     }
@@ -247,7 +245,7 @@ impl SeriesStore {
         let r = dbcast_obs::registry();
         let wall_ms = self.wall_ms();
         let tick = r.counter_value(&self.config.tick_counter).unwrap_or(0);
-        let (raw_cap, tier_cap) = (self.config.raw_capacity, self.config.tier_capacity);
+        let raw_cap = self.config.raw_capacity;
         let mut inner = self.inner.lock().expect("series store poisoned");
         r.for_each_counter(|name, value| {
             push_sample(
@@ -255,7 +253,6 @@ impl SeriesStore {
                 name,
                 SeriesKind::Counter,
                 raw_cap,
-                tier_cap,
                 Sample { tick, wall_ms, value: value as f64 },
             );
         });
@@ -266,7 +263,6 @@ impl SeriesStore {
                     name,
                     SeriesKind::Gauge,
                     raw_cap,
-                    tier_cap,
                     Sample { tick, wall_ms, value },
                 );
             }
@@ -293,24 +289,16 @@ impl SeriesStore {
         let mut inner = self.inner.lock().expect("series store poisoned");
         for (name, value) in &snap.counters {
             let s = inner.series.entry(name.clone()).or_insert_with(|| {
-                Series::new(
-                    SeriesKind::Counter,
-                    self.config.raw_capacity,
-                    self.config.tier_capacity,
-                )
+                Series::new(SeriesKind::Counter, self.config.raw_capacity)
             });
             s.push(Sample { tick, wall_ms, value: *value as f64 });
         }
         for (name, value) in &snap.gauges {
             if !value.is_finite() {
-                continue; // A NaN/inf gauge would poison min/max folds.
+                continue; // A NaN/inf gauge has no JSON number.
             }
             let s = inner.series.entry(name.clone()).or_insert_with(|| {
-                Series::new(
-                    SeriesKind::Gauge,
-                    self.config.raw_capacity,
-                    self.config.tier_capacity,
-                )
+                Series::new(SeriesKind::Gauge, self.config.raw_capacity)
             });
             s.push(Sample { tick, wall_ms, value: *value });
         }
@@ -347,9 +335,9 @@ impl SeriesStore {
         self.inner.lock().expect("series store poisoned").series.len()
     }
 
-    /// Freezes the store into the `/series` document (plain data; see
-    /// [`crate::json::render`] for the wire form). Raw windows are
-    /// trimmed to the newest `render_raw` samples.
+    /// Freezes the store into the `/series` document (render it with
+    /// `dbcast_obs::doc::render`). Raw windows are trimmed to the
+    /// newest `render_raw` samples.
     pub fn export(&self) -> SeriesDoc {
         let inner = self.inner.lock().expect("series store poisoned");
         let series = inner
@@ -360,14 +348,7 @@ impl SeriesStore {
                 if raw.len() > self.config.render_raw {
                     raw.drain(..raw.len() - self.config.render_raw);
                 }
-                SeriesEntry {
-                    name: name.clone(),
-                    kind: s.kind(),
-                    raw,
-                    mid: s.mid(),
-                    coarse: s.coarse(),
-                    rate: s.rates(),
-                }
+                SeriesEntry { name: name.clone(), kind: s.kind(), raw, rate: s.rates() }
             })
             .collect();
         let histograms = inner
@@ -394,7 +375,7 @@ impl SeriesStore {
             .map(|s| s.tick)
             .max()
             .unwrap_or(0);
-        SeriesDoc { schema: 1, tick, wall_ms: self.wall_ms(), series, histograms }
+        SeriesDoc { tick, wall_ms: self.wall_ms(), series, histograms }
     }
 }
 
@@ -489,7 +470,6 @@ mod tests {
             store.append_snapshot(&snap_with(vec![("c", i)], vec![]), i * 100);
         }
         let doc = store.export();
-        assert_eq!(doc.schema, 1);
         assert_eq!(doc.series.len(), 1);
         assert_eq!(doc.series[0].raw.len(), 5);
         assert_eq!(doc.series[0].raw.last().unwrap().value, 19.0);

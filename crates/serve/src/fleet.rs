@@ -7,7 +7,8 @@
 //! them — element-wise, via the mergeable [`HistogramCells`] — into
 //! exact per-generation fleet rollups, tracks stragglers whose acked
 //! generation trails the published one, and exposes the whole state as
-//! a schema-versioned `/fleet` document plus live `fleet.*` metrics.
+//! the `/fleet` document ([`FleetDoc`], in the `dbcast_obs::doc`
+//! envelope) plus live `fleet.*` metrics.
 //!
 //! The aggregation is *exact*, not approximate: a slice digest carries
 //! the client's per-generation sample count and means bit-exact, so the
@@ -22,13 +23,11 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use dbcast_obs::doc::Document;
 use dbcast_obs::metrics::HistogramCells;
 
 use crate::runtime::ProgramGeneration;
 use crate::swap::EpochCell;
-
-/// `/fleet` document schema version; bump on incompatible changes.
-pub const FLEET_OBS_SCHEMA: u32 = 1;
 
 /// One decoded client telemetry digest, transport-agnostic.
 ///
@@ -152,12 +151,10 @@ pub struct FleetGeneration {
     pub coverage: Vec<FleetCoverage>,
 }
 
-/// The schema-versioned `/fleet` document.
+/// The `/fleet` document body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct FleetDoc {
-    /// Document schema version, [`FLEET_OBS_SCHEMA`].
-    pub schema: u32,
     /// Generation the server currently publishes.
     pub published: u64,
     /// Distinct clients heard on the uplink.
@@ -172,76 +169,75 @@ pub struct FleetDoc {
     pub generations: Vec<FleetGeneration>,
 }
 
-/// Strictly parses and validates a `/fleet` document.
-///
-/// # Errors
-///
-/// Returns a message on unknown fields, schema mismatch, unsorted or
-/// duplicated generations/coverage, non-finite or negative stats, or a
-/// straggler count that disagrees with the lagging list.
-pub fn validate_fleet(body: &str) -> Result<FleetDoc, String> {
-    let doc: FleetDoc =
-        serde_json::from_str(body).map_err(|e| format!("fleet document invalid: {e}"))?;
-    if doc.schema != FLEET_OBS_SCHEMA {
-        return Err(format!(
-            "fleet schema {} does not match supported {FLEET_OBS_SCHEMA}",
-            doc.schema
-        ));
-    }
-    if doc.stragglers != doc.lagging.len() as u64 {
-        return Err(format!(
-            "stragglers {} disagrees with lagging list of {}",
-            doc.stragglers,
-            doc.lagging.len()
-        ));
-    }
-    if !doc.lagging.windows(2).all(|w| w[0] < w[1]) {
-        return Err("lagging client ids are not strictly ascending".into());
-    }
-    if doc.stragglers > doc.clients {
-        return Err(format!("{} stragglers among {} clients", doc.stragglers, doc.clients));
-    }
-    if !doc.generations.windows(2).all(|w| w[0].generation < w[1].generation) {
-        return Err("generations are not strictly ascending".into());
-    }
-    for g in &doc.generations {
-        if !g.origin.is_finite()
-            || !g.mean_access.is_finite()
-            || !g.mean_tuning.is_finite()
-            || !g.predicted_access.is_finite()
-            || !g.gap.is_finite()
-        {
-            return Err(format!("generation {} has non-finite stats", g.generation));
-        }
-        if g.mean_access < 0.0 || g.mean_tuning < 0.0 || g.gap < 0.0 {
-            return Err(format!("generation {} has negative stats", g.generation));
-        }
-        if g.reporters > doc.clients {
+impl Document for FleetDoc {
+    const KIND: &'static str = "fleet";
+    const SCHEMA: u32 = 1;
+
+    /// A straggler count that matches the strictly ascending lagging
+    /// list and never exceeds the clients; strictly ascending
+    /// generations and coverage channels; finite, non-negative stats;
+    /// no more reporters than clients, samples or completions than
+    /// requests.
+    fn check(&self) -> Result<(), String> {
+        let doc = self;
+        if doc.stragglers != doc.lagging.len() as u64 {
             return Err(format!(
-                "generation {} reports {} reporters among {} clients",
-                g.generation, g.reporters, doc.clients
+                "stragglers {} disagrees with lagging list of {}",
+                doc.stragglers,
+                doc.lagging.len()
             ));
         }
-        if g.samples > g.requests {
+        if !doc.lagging.windows(2).all(|w| w[0] < w[1]) {
+            return Err("lagging client ids are not strictly ascending".into());
+        }
+        if doc.stragglers > doc.clients {
             return Err(format!(
-                "generation {} has {} samples for {} requests",
-                g.generation, g.samples, g.requests
+                "{} stragglers among {} clients",
+                doc.stragglers, doc.clients
             ));
         }
-        if g.completed > g.requests {
-            return Err(format!(
-                "generation {} completed {} of {} requests",
-                g.generation, g.completed, g.requests
-            ));
+        if !doc.generations.windows(2).all(|w| w[0].generation < w[1].generation) {
+            return Err("generations are not strictly ascending".into());
         }
-        if !g.coverage.windows(2).all(|w| w[0].channel < w[1].channel) {
-            return Err(format!(
-                "generation {} coverage channels are not strictly ascending",
-                g.generation
-            ));
+        for g in &doc.generations {
+            if !g.origin.is_finite()
+                || !g.mean_access.is_finite()
+                || !g.mean_tuning.is_finite()
+                || !g.predicted_access.is_finite()
+                || !g.gap.is_finite()
+            {
+                return Err(format!("generation {} has non-finite stats", g.generation));
+            }
+            if g.mean_access < 0.0 || g.mean_tuning < 0.0 || g.gap < 0.0 {
+                return Err(format!("generation {} has negative stats", g.generation));
+            }
+            if g.reporters > doc.clients {
+                return Err(format!(
+                    "generation {} reports {} reporters among {} clients",
+                    g.generation, g.reporters, doc.clients
+                ));
+            }
+            if g.samples > g.requests {
+                return Err(format!(
+                    "generation {} has {} samples for {} requests",
+                    g.generation, g.samples, g.requests
+                ));
+            }
+            if g.completed > g.requests {
+                return Err(format!(
+                    "generation {} completed {} of {} requests",
+                    g.generation, g.completed, g.requests
+                ));
+            }
+            if !g.coverage.windows(2).all(|w| w[0].channel < w[1].channel) {
+                return Err(format!(
+                    "generation {} coverage channels are not strictly ascending",
+                    g.generation
+                ));
+            }
         }
+        Ok(())
     }
-    Ok(doc)
 }
 
 /// One client's sample-weighted share of a generation fold.
@@ -426,7 +422,7 @@ impl FleetAggregator {
         r.gauge(&format!("fleet.generation.gap.{generation}")).set(gap);
     }
 
-    /// The current aggregate state as a schema-v1 document.
+    /// The current aggregate state as a `/fleet` document.
     pub fn doc(&self) -> FleetDoc {
         let published = self.published();
         let state = self.state.lock().expect("fleet aggregator poisoned");
@@ -467,7 +463,6 @@ impl FleetAggregator {
             })
             .collect();
         FleetDoc {
-            schema: FLEET_OBS_SCHEMA,
             published,
             clients: state.acked.len() as u64,
             stragglers: lagging.len() as u64,
@@ -475,11 +470,6 @@ impl FleetAggregator {
             lagging,
             generations,
         }
-    }
-
-    /// The `/fleet` endpoint body: the document as JSON.
-    pub fn fleet_json(&self) -> String {
-        serde_json::to_string_pretty(&self.doc()).expect("fleet doc serializes")
     }
 }
 
@@ -512,6 +502,7 @@ fn gen_means(agg: &GenAgg) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbcast_obs::doc::{self, DocError};
 
     fn slice_digest(client: u32, generation: u64, samples: u64, mean: f64) -> FleetDigest {
         let mut d = FleetDigest::ack(client, 0, generation);
@@ -557,7 +548,7 @@ mod tests {
                 FleetCoverage { channel: 1, frames: 16 }
             ]
         );
-        validate_fleet(&agg.fleet_json()).expect("document validates");
+        assert_eq!(doc::decode::<FleetDoc>(&doc::render(&agg.doc())), Ok(agg.doc()));
     }
 
     #[test]
@@ -600,19 +591,49 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_malformed_documents() {
+    fn decode_rejects_malformed_documents() {
         let agg = FleetAggregator::new();
         agg.ingest(&slice_digest(0, 1, 4, 2.0));
-        let good = agg.fleet_json();
-        validate_fleet(&good).expect("baseline validates");
+        let good = doc::render(&agg.doc());
+        doc::decode::<FleetDoc>(&good).expect("baseline decodes");
+        let reject = |text: &str| doc::decode::<FleetDoc>(text).unwrap_err();
         let bad_schema = good.replace("\"schema\": 1", "\"schema\": 9");
-        assert!(validate_fleet(&bad_schema).is_err());
-        let unknown = good.replace("\"published\"", "\"publishedd\"");
-        assert!(validate_fleet(&unknown).is_err());
+        assert!(matches!(reject(&bad_schema), DocError::Schema { .. }));
+        // A renamed key is both unknown and leaves `published` missing;
+        // an added key is unknown alone. Both fail field decoding.
+        let renamed = good.replace("\"published\"", "\"publishedd\"");
+        assert!(matches!(reject(&renamed), DocError::Parse(_)));
+        let extra = good.replace("\"published\": ", "\"bogus\": 3, \"published\": ");
+        assert!(reject(&extra).to_string().contains("unknown field `bogus`"), "{extra}");
         let bad_stragglers = good.replace("\"stragglers\": 0", "\"stragglers\": 7");
-        assert!(validate_fleet(&bad_stragglers).is_err());
-        assert!(validate_fleet("{}").is_err());
-        assert!(validate_fleet("not json").is_err());
+        assert!(matches!(reject(&bad_stragglers), DocError::Check { .. }));
+        assert!(matches!(reject("{}"), DocError::Parse(_)));
+        assert!(matches!(reject("not json"), DocError::Parse(_)));
+    }
+
+    type Tamper = fn(&mut FleetDoc);
+
+    #[test]
+    fn check_rejects_straggler_and_ordering_violations() {
+        let agg = FleetAggregator::new();
+        agg.set_published(3);
+        agg.ingest(&slice_digest(0, 1, 4, 2.0));
+        agg.ingest(&slice_digest(1, 2, 4, 2.0));
+        let good = agg.doc();
+        assert_eq!(good.check(), Ok(()));
+        let cases: [(&str, Tamper); 5] = [
+            ("disagrees with lagging", |d| d.stragglers += 1),
+            ("lagging client ids", |d| d.lagging.reverse()),
+            ("stragglers among", |d| d.clients = 1),
+            ("generations are not strictly ascending", |d| d.generations.reverse()),
+            ("coverage channels", |d| d.generations[0].coverage.reverse()),
+        ];
+        for (needle, tamper) in cases {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            let err = bad.check().expect_err(needle);
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
     }
 
     #[test]

@@ -38,10 +38,7 @@ mod swap;
 pub use dbcast_audit::{AuditConfig, AuditSummary};
 pub use drift::{l1_distance, Drift, DriftDetector};
 pub use estimator::{EstimatorConfig, FrequencyEstimator};
-pub use fleet::{
-    validate_fleet, FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration,
-    FLEET_OBS_SCHEMA,
-};
+pub use fleet::{FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration};
 pub use runtime::{
     GenerationStats, ProgramGeneration, RepairMode, RepairReport, ServeConfig, ServeError,
     ServeReport, ServeRuntime, WorkerMode,

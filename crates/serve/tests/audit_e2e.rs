@@ -12,7 +12,9 @@
 //! * the seqlock ring's straddle marking is exact and single-shot
 //!   (property-tested against a brute-force model).
 
-use dbcast_audit::{AuditConfig, AuditTracer, TraceRecord, TraceRing, FLAG_SEEDED};
+use dbcast_audit::{
+    AuditConfig, AuditTracer, ExemplarRecord, TraceRecord, TraceRing, FLAG_SEEDED,
+};
 use dbcast_serve::{
     shifted_trace, shifted_workload, DriftDetector, EstimatorConfig, RepairMode,
     ServeConfig, ServeRuntime, WorkerMode,
@@ -54,8 +56,8 @@ fn config(sample_shift: u32) -> ServeConfig {
 
 /// The decomposition tolerance of the acceptance criteria: the three
 /// components must reassemble the observed wait to ±1e-9 (scaled).
-fn assert_reassembles(r: &TraceRecord) {
-    let sum = r.predicted + r.residual() + r.straddle_penalty;
+fn assert_reassembles(r: &ExemplarRecord) {
+    let sum = r.predicted + r.residual + r.straddle_penalty;
     let error = (sum - r.wait).abs();
     assert!(
         error <= 1e-9 * r.wait.abs().max(1.0),
@@ -63,7 +65,7 @@ fn assert_reassembles(r: &TraceRecord) {
          + straddle {} = {} vs observed {} (error {error:e})",
         r.request_id,
         r.predicted,
-        r.residual(),
+        r.residual,
         r.straddle_penalty,
         sum,
         r.wait
@@ -97,7 +99,7 @@ fn swap_straddling_requests_are_stamped_and_never_double_counted() {
     assert!(!snap.records.is_empty());
     for r in &snap.records {
         assert_reassembles(r);
-        if r.straddled() {
+        if r.straddled {
             assert!(r.straddle_penalty > 0.0);
             assert!(r.straddle_penalty <= r.wait + 1e-9);
             // The stamped penalty is `completion − boundary` for a
@@ -175,7 +177,7 @@ fn a_request_satisfied_after_the_swap_gets_the_penalty_once() {
 
     let snap = tracer.snapshot();
     let r = &snap.records[0];
-    assert!(r.straddled());
+    assert!(r.straddled);
     assert!((r.straddle_penalty - 1.0).abs() < 1e-12, "penalty = completion − boundary");
     assert_reassembles(r);
 

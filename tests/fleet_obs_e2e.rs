@@ -5,15 +5,17 @@
 //!
 //! Acceptance criteria pinned here:
 //! * a mid-run `/fleet` scrape (uplink + exposition still live) passes
-//!   the strict schema-v1 validator and shows per-generation fleet
+//!   the strict `/fleet` decoder and shows per-generation fleet
 //!   access time within 10% of the Eq. 2 expectation;
 //! * live aggregates for fully-covered generations reconcile with the
 //!   final post-hoc `FleetReport` within 1e-6;
 //! * the same seed produces bit-identical per-client digest streams.
 
+mod common;
+
+use common::http_get;
+
 use std::collections::BTreeMap;
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -25,7 +27,8 @@ use dbcast::net::{
     ScriptedSource, SourceGeneration, TelemetryFrame, UplinkConfig, UplinkServer,
     WorkloadPattern,
 };
-use dbcast::serve::{validate_fleet, FleetAggregator, FleetDoc};
+use dbcast::serve::{FleetAggregator, FleetDoc};
+use dbcast_obs::doc;
 
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
 
@@ -124,19 +127,6 @@ impl DigestSink for RecordingSink {
     }
 }
 
-/// Minimal HTTP GET against the exposition server.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to exposition server");
-    let request =
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("header terminator");
-    assert!(head.starts_with("HTTP/1.1 200"), "non-200 for {path}: {head}");
-    body.to_string()
-}
-
 /// One full run: broadcast + uplink + exposition live together, the
 /// `/fleet` scrape happens over real HTTP while both servers are still
 /// up, and only then does the stack shut down.
@@ -159,7 +149,7 @@ fn run_once() -> (FleetReport, FleetDoc, BTreeMap<u32, Vec<u8>>) {
     let mut exposition = dbcast_flight::ExpositionServer::bind_with_routes(
         "127.0.0.1:0",
         Box::new(|| String::from("{\"command\": \"fleet-obs-e2e\"}")),
-        vec![dbcast_flight::Route::json("/fleet", move || fleet_route.fleet_json())],
+        vec![dbcast_flight::Route::json("/fleet", move || doc::render(&fleet_route.doc()))],
     )
     .expect("bind exposition server");
 
@@ -194,7 +184,7 @@ fn run_once() -> (FleetReport, FleetDoc, BTreeMap<u32, Vec<u8>>) {
     // The mid-run scrape: broadcast measurement is complete but the
     // whole observability stack is still live.
     let body = http_get(exposition.addr(), "/fleet");
-    let doc = validate_fleet(&body).expect("mid-run /fleet scrape validates strictly");
+    let doc: FleetDoc = doc::decode(&body).expect("mid-run /fleet scrape decodes strictly");
 
     let streams = {
         let mut guard = sink.streams.lock().unwrap_or_else(|e| e.into_inner());
@@ -210,7 +200,6 @@ fn fleet_uplink_tracks_eq2_through_a_hot_swap() {
     let (report, doc, streams) = run_once();
     report.validate().expect("post-hoc report validates");
 
-    assert_eq!(doc.schema, dbcast::serve::FLEET_OBS_SCHEMA);
     assert_eq!(doc.published, 1);
     assert_eq!(doc.clients, CLIENTS as u64);
     assert_eq!(doc.stragglers, 0, "nobody straggles without pacing: {:?}", doc.lagging);

@@ -15,7 +15,10 @@
 //! only the *content* of metric scrapes needs the `obs` feature, so
 //! those assertions are gated on `dbcast_obs::enabled()`.
 
-use std::io::{Read as _, Write as _};
+mod common;
+
+use common::http_get;
+
 use std::net::TcpStream;
 use std::sync::Mutex;
 
@@ -53,20 +56,6 @@ fn base_config() -> ServeConfig {
         inject_slow_channel: None,
         inject_slow_factor: 1.0,
     }
-}
-
-/// Minimal HTTP GET against the exposition server: one `write_all`,
-/// read to EOF, return the body after the header terminator.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to exposition server");
-    let request =
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("header terminator");
-    assert!(head.starts_with("HTTP/1.1 200"), "non-200 for {path}: {head}");
-    body.to_string()
 }
 
 #[test]
@@ -184,22 +173,21 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
         })
         .expect("panic hook wrote a postmortem dump");
     let body = std::fs::read_to_string(&dump).expect("read dump");
-    let doc: serde_json::Value = serde_json::from_str(&body).expect("dump is JSON");
+    let doc: dbcast_flight::Postmortem =
+        dbcast_obs::doc::decode(&body).expect("dump decodes strictly");
 
-    let reason = doc.get("reason").and_then(|v| v.as_str()).expect("reason");
-    assert!(reason.contains("injected fault at tick 30"), "reason: {reason}");
+    assert!(doc.reason.contains("injected fault at tick 30"), "reason: {}", doc.reason);
 
-    let events = doc.get("events").and_then(|v| v.as_seq()).expect("events");
+    let events = &doc.flight.events;
     assert!(events.len() >= 64, "only {} events in the dump", events.len());
-    let kinds: Vec<&str> =
-        events.iter().filter_map(|e| e.get("kind").and_then(|k| k.as_str())).collect();
+    let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
     for expected in ["tick", "request_served", "drift_score", "swap_publish", "fault"] {
         assert!(kinds.contains(&expected), "no {expected} event before the fault");
     }
     assert_eq!(kinds.last(), Some(&"fault"), "fault must be the final event");
 
     // The metrics snapshot rode along (contents need the obs feature).
-    assert!(doc.get("metrics").is_some(), "no metrics snapshot in the dump");
+    assert!(doc.metrics.get("counters").is_some(), "no metrics snapshot in the dump");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

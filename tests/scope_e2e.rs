@@ -15,15 +15,18 @@
 //! *content* of registry scrapes needs the `obs` feature, so those
 //! assertions are gated on `dbcast_obs::enabled()`.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+mod common;
+
+use common::http_get;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use dbcast_obs::doc::{decode, render};
 use dbcast_scope::{
-    parse_rules, render_store, render_top, validate, Sampler, ScopeConfig, SeriesStore,
-    TopOptions, Watchdog,
+    parse_rules, render_top, Sampler, ScopeConfig, SeriesDoc, SeriesStore, TopOptions,
+    Watchdog,
 };
 use dbcast_serve::{
     poisson_trace, DriftDetector, EstimatorConfig, RepairMode, ServeConfig, ServeRuntime,
@@ -61,19 +64,6 @@ fn base_config() -> ServeConfig {
     }
 }
 
-/// Minimal HTTP GET against the exposition server.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to exposition server");
-    let request =
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("header terminator");
-    assert!(head.starts_with("HTTP/1.1 200"), "non-200 for {path}: {head}");
-    body.to_string()
-}
-
 #[test]
 fn live_series_scrape_mid_run_validates_and_top_renders() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -101,7 +91,7 @@ fn live_series_scrape_mid_run_validates_and_top_renders() {
     let server = dbcast_flight::ExpositionServer::bind_with_routes(
         "127.0.0.1:0",
         Box::new(|| String::from("{\"command\": \"scope-e2e\"}")),
-        vec![dbcast_flight::Route::json("/series", move || render_store(&route_store))],
+        vec![dbcast_flight::Route::json("/series", move || render(&route_store.export()))],
     )
     .expect("bind exposition server");
     let addr = server.addr();
@@ -109,13 +99,13 @@ fn live_series_scrape_mid_run_validates_and_top_renders() {
     let runtime = ServeRuntime::new(&db, config).expect("runtime builds");
     let run = std::thread::spawn(move || runtime.run(&trace));
 
-    // Every mid-run scrape must round-trip the strict validator, and
+    // Every mid-run scrape must round-trip the strict decoder, and
     // the document's tick stamp must never go backwards.
     let mut scrapes = 0usize;
     let mut last_tick = 0u64;
     while !run.is_finished() {
         let body = http_get(addr, "/series");
-        let doc = validate(&body).expect("mid-run /series validates");
+        let doc: SeriesDoc = decode(&body).expect("mid-run /series decodes");
         assert!(doc.tick >= last_tick, "tick went backwards: {} < {last_tick}", doc.tick);
         last_tick = doc.tick;
         scrapes += 1;
@@ -126,7 +116,7 @@ fn live_series_scrape_mid_run_validates_and_top_renders() {
     let firings = sampler.stop();
     assert!(firings.is_empty(), "no watchdog rules were armed: {firings:?}");
 
-    let doc = validate(&render_store(&store)).expect("final export validates");
+    let doc: SeriesDoc = decode(&render(&store.export())).expect("final export decodes");
     if live {
         assert!(doc.tick > 0, "sampler never saw a tick");
         let req = doc.series("serve.requests").expect("request counter series");
@@ -241,9 +231,10 @@ fn sampler_stays_consistent_under_concurrent_writers() {
     assert!(firings.is_empty());
 
     // Whatever interleaving happened, the export must round-trip the
-    // strict validator (counters non-negative, rates non-negative,
-    // bins ordered) and the counter series must be non-decreasing.
-    let doc = validate(&render_store(&store)).expect("concurrent export validates");
+    // strict decoder (counters and rates non-negative, clocks ordered)
+    // and the counter series must be non-decreasing.
+    let doc: SeriesDoc =
+        decode(&render(&store.export())).expect("concurrent export decodes");
     let req = doc.series("scope.test.conc_requests").expect("counter series present");
     assert!(!req.raw.is_empty(), "sampler never scraped");
     for pair in req.raw.windows(2) {

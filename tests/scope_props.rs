@@ -1,64 +1,16 @@
 //! Property tests for the scope time-series layer:
 //!
-//! * tiered bins bound their raw samples (min ≤ mean ≤ max, and both
-//!   extremes lie inside the global raw range — a spike can never be
-//!   manufactured or lost by decimation),
-//! * per-bin means are conserved: a completed mid bin's mean equals
-//!   the arithmetic mean of exactly the raw samples it covers,
 //! * derived counter rates are always non-negative and finite, even
 //!   across counter resets,
 //! * any store built from randomized snapshots renders a document that
-//!   round-trips the strict `/series` validator.
+//!   round-trips the strict `/series` decoder.
 
 use proptest::prelude::*;
 
-use dbcast_scope::{
-    render_store, validate, Sample, ScopeConfig, Series, SeriesKind, SeriesStore,
-};
-
-fn gauge_series(values: &[f64]) -> Series {
-    let mut series = Series::new(SeriesKind::Gauge, 4096, 4096);
-    for (i, &v) in values.iter().enumerate() {
-        series.push(Sample { tick: i as u64, wall_ms: i as u64 * 100, value: v });
-    }
-    series
-}
+use dbcast_obs::doc;
+use dbcast_scope::{Sample, ScopeConfig, Series, SeriesDoc, SeriesKind, SeriesStore};
 
 proptest! {
-    #[test]
-    fn tier_bins_bound_the_raw_window(
-        values in prop::collection::vec(-1.0e6f64..1.0e6, 10..200)
-    ) {
-        let series = gauge_series(&values);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in &values {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let eps = 1e-9 * hi.abs().max(lo.abs()).max(1.0);
-        for bin in series.mid().iter().chain(series.coarse().iter()) {
-            prop_assert!(bin.min >= lo - eps, "bin min {} below raw min {lo}", bin.min);
-            prop_assert!(bin.max <= hi + eps, "bin max {} above raw max {hi}", bin.max);
-            prop_assert!(bin.min <= bin.mean() + eps && bin.mean() <= bin.max + eps,
-                "bin mean {} outside [{}, {}]", bin.mean(), bin.min, bin.max);
-        }
-    }
-
-    #[test]
-    fn mid_bin_means_are_conserved(
-        values in prop::collection::vec(-1.0e3f64..1.0e3, 10..200)
-    ) {
-        let series = gauge_series(&values);
-        for bin in series.mid().iter() {
-            let chunk = &values[bin.start_tick as usize..=bin.end_tick as usize];
-            prop_assert_eq!(chunk.len() as u64, bin.count);
-            let mean = chunk.iter().sum::<f64>() / chunk.len() as f64;
-            let eps = 1e-9 * mean.abs().max(1.0);
-            prop_assert!((bin.mean() - mean).abs() <= eps,
-                "bin mean {} != chunk mean {mean}", bin.mean());
-        }
-    }
-
     #[test]
     fn counter_rates_are_non_negative_even_across_resets(
         steps in prop::collection::vec((0u64..500, 0u8..10), 2..100)
@@ -66,7 +18,7 @@ proptest! {
         // A counter that mostly increments but occasionally (flag 0,
         // ~10% of samples) resets to a small value (process restart),
         // sampled every 100 ms.
-        let mut series = Series::new(SeriesKind::Counter, 4096, 4096);
+        let mut series = Series::new(SeriesKind::Counter, 4096);
         let mut total = 0u64;
         for (i, &(delta, flag)) in steps.iter().enumerate() {
             total = if flag == 0 { delta } else { total.saturating_add(delta) };
@@ -91,7 +43,6 @@ proptest! {
     ) {
         let store = SeriesStore::new(ScopeConfig {
             raw_capacity: 16,
-            tier_capacity: 8,
             hist_capacity: 8,
             render_raw: 12,
             ..ScopeConfig::default()
@@ -135,8 +86,8 @@ proptest! {
             };
             store.append_snapshot(&snap, wall);
         }
-        let text = render_store(&store);
-        let doc = validate(&text).expect("randomized export validates");
+        let text = doc::render(&store.export());
+        let doc: SeriesDoc = doc::decode(&text).expect("randomized export decodes");
         prop_assert_eq!(doc.tick, scrapes.len() as u64 - 1);
         prop_assert!(doc.series("prop.count").is_some());
     }

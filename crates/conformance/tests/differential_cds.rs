@@ -133,3 +133,30 @@ fn midsize_workloads_are_bit_identical_across_engines() {
         assert_bit_identical(&db, rough, &format!("workload n={n} k={k} seed={seed}"));
     }
 }
+
+/// The shapes the `serve_drift` benchmark repairs: N=2000, K=16 over
+/// the Zipf θ=0.8, Φ=2 catalogue (seed 42) with its hot set rotated by
+/// `p·N/5` for `p = 0..4` (phase 0 is the catalogue itself, as in the
+/// benchmark), plus K ∈ {2, 40} on the unrotated catalogue — hundreds
+/// of moves per descent from the DRP start.
+#[test]
+fn serve_drift_scale_is_bit_identical_across_engines() {
+    use dbcast_serve::shifted_workload;
+    use dbcast_workload::{SizeDistribution, WorkloadBuilder};
+    const N: usize = 2_000;
+    let db = WorkloadBuilder::new(N)
+        .skewness(0.8)
+        .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
+        .seed(42)
+        .build()
+        .unwrap();
+    let mut cases = vec![(db.clone(), 0, 2), (db.clone(), 0, 40), (db.clone(), 0, 16)];
+    for p in 1..5 {
+        let rotation = p * N / 5;
+        cases.push((shifted_workload(&db, 0.8, rotation).unwrap(), rotation, 16));
+    }
+    for (phase, rotation, k) in cases {
+        let rough = Drp::new().allocate(&phase, k).unwrap();
+        assert_bit_identical(&phase, rough, &format!("n={N} k={k} rotation={rotation}"));
+    }
+}

@@ -13,8 +13,16 @@
 //! payload words (relaxed; each word is its own atomic, so a race is
 //! staleness, never UB) and stamps the sequence *even and
 //! index-carrying* (`2(i + 1)`, release). A reader accepts slot `i`
-//! only when the sequence reads `2(i + 1)` (acquire) before the payload
-//! loads and again after an acquire fence that follows them.
+//! only when the sequence carries `2(i + 1)` (acquire) before the
+//! payload loads and reads the very same stamp again after an acquire
+//! fence that follows them.
+//!
+//! An [`SeqRing::amend`] rewrites a sealed slot in place. Its stamps
+//! carry the slot's amendment count in the top byte, so the re-sealed
+//! stamp differs from the one a reader saw before the amendment began:
+//! without it, a reader that loaded the old seal, then a half-amended
+//! payload, then the new seal would see two equal stamps and accept a
+//! torn record.
 //!
 //! The two fences are Boehm's seqlock fences. The writer's keeps the
 //! payload stores from moving above the odd stamp; the reader's keeps
@@ -35,6 +43,19 @@
 //! closing it needs a per-slot CAS claim.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+
+/// Stamp bits from here up carry the slot's amendment count (wrapping
+/// at [`AMEND_MAX`]); the bits below carry the index stamp, which fits
+/// them for every index below 2^55.
+const AMEND_SHIFT: u32 = 56;
+const AMEND_MAX: u64 = (1 << (64 - AMEND_SHIFT)) - 1;
+const INDEX_MASK: u64 = (1 << AMEND_SHIFT) - 1;
+
+/// The even, index-carrying stamp that seals index `idx`.
+#[inline]
+fn sealed(idx: u64) -> u64 {
+    2 * (idx + 1)
+}
 
 /// One slot: a sequence stamp plus `W` payload words.
 #[derive(Debug)]
@@ -81,19 +102,20 @@ impl<const W: usize> SeqRing<W> {
     }
 
     /// Writes `words` into the slot for index `idx` under the odd/even
-    /// stamps.
+    /// stamps, tagged with amendment count `amends`.
     #[inline]
-    fn write(&self, idx: u64, words: &[u64; W]) {
+    fn write(&self, idx: u64, amends: u64, words: &[u64; W]) {
         let slot = self.slot(idx);
+        let tag = amends << AMEND_SHIFT;
         // The odd stamp can be relaxed: the release fence orders it
         // before every payload store, pairing with the reader's acquire
         // fence after its payload loads.
-        slot.seq.store(2 * idx + 1, Ordering::Relaxed);
+        slot.seq.store((2 * idx + 1) | tag, Ordering::Relaxed);
         fence(Ordering::Release);
         for (word, &v) in slot.words.iter().zip(words) {
             word.store(v, Ordering::Relaxed);
         }
-        slot.seq.store(2 * (idx + 1), Ordering::Release);
+        slot.seq.store(sealed(idx) | tag, Ordering::Release);
     }
 
     /// Reads the payload for index `idx`; `None` when the slot is not
@@ -101,13 +123,13 @@ impl<const W: usize> SeqRing<W> {
     #[inline]
     fn read(&self, idx: u64) -> Option<[u64; W]> {
         let slot = self.slot(idx);
-        let sealed = 2 * (idx + 1);
-        if slot.seq.load(Ordering::Acquire) != sealed {
+        let stamp = slot.seq.load(Ordering::Acquire);
+        if stamp & INDEX_MASK != sealed(idx) {
             return None;
         }
         let words = std::array::from_fn(|k| slot.words[k].load(Ordering::Relaxed));
         fence(Ordering::Acquire);
-        (slot.seq.load(Ordering::Relaxed) == sealed).then_some(words)
+        (slot.seq.load(Ordering::Relaxed) == stamp).then_some(words)
     }
 
     /// Records one payload. Wait-free for any number of writers: one
@@ -115,21 +137,24 @@ impl<const W: usize> SeqRing<W> {
     #[inline]
     pub fn record(&self, words: [u64; W]) {
         let idx = self.cursor.fetch_add(1, Ordering::AcqRel);
-        self.write(idx, &words);
+        self.write(idx, 0, &words);
     }
 
     /// Reopens the live, sealed slot of index `idx`, rewrites it with
-    /// `words` and re-seals it under the same stamps, so a concurrent
-    /// reader sees the old payload, the new one, or skips the slot.
+    /// `words` and re-seals it with its amendment count bumped, so a
+    /// concurrent reader sees the old payload, the new one, or skips
+    /// the slot.
     /// Returns `false` (and writes nothing) when `idx` is no longer
     /// sealed in its slot. **Single writer only:** a concurrent
     /// [`record`](Self::record) could lap the slot between the check
     /// and the write.
     pub fn amend(&self, idx: u64, words: [u64; W]) -> bool {
-        if self.slot(idx).seq.load(Ordering::Acquire) != 2 * (idx + 1) {
+        let stamp = self.slot(idx).seq.load(Ordering::Acquire);
+        if stamp & INDEX_MASK != sealed(idx) {
             return false;
         }
-        self.write(idx, &words);
+        let amends = ((stamp >> AMEND_SHIFT) + 1) & AMEND_MAX;
+        self.write(idx, amends, &words);
         true
     }
 
@@ -210,5 +235,23 @@ mod tests {
             assert_eq!(words, want, "index {idx}");
         }
         assert_eq!(ring.recorded(), 70);
+    }
+
+    #[test]
+    fn amend_reseals_under_a_fresh_stamp() {
+        // A reader that loaded the old seal must not find it again after
+        // an amendment, or a payload read mid-amend would pass as
+        // untorn.
+        let ring = SeqRing::new(64);
+        ring.record(payload(0));
+        let mut prev = ring.slot(0).seq.load(Ordering::Relaxed);
+        for k in 1..=AMEND_MAX + 1 {
+            assert!(ring.amend(0, payload(k)));
+            let stamp = ring.slot(0).seq.load(Ordering::Relaxed);
+            assert_ne!(stamp, prev, "amendment {k} reused the seal");
+            assert_eq!(stamp & INDEX_MASK, sealed(0));
+            prev = stamp;
+            assert_eq!(snapshot(&ring), vec![(0, payload(k))]);
+        }
     }
 }

@@ -34,7 +34,9 @@ pub mod report;
 pub mod runner;
 pub mod suite;
 
-pub use alloc_count::{allocation_counts, counting_active, CountingAllocator};
+pub use alloc_count::{
+    allocation_counts, counting_active, thread_allocations, CountingAllocator,
+};
 pub use compare::{compare, Comparison, Finding, FindingKind, Tolerances};
 pub use report::{git_short_sha, BenchRecord, BenchReport, SCHEMA_VERSION};
 pub use runner::{run_suite, RunOptions};

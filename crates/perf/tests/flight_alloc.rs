@@ -15,7 +15,7 @@ use std::sync::Mutex;
 
 use dbcast_audit::{TraceRecord, TraceRing, FLAG_SEEDED};
 use dbcast_flight::{EventKind, FlightEvent};
-use dbcast_perf::{allocation_counts, CountingAllocator};
+use dbcast_perf::{allocation_counts, thread_allocations, CountingAllocator};
 use dbcast_serve::{
     poisson_trace, DriftDetector, EstimatorConfig, RepairMode, ServeConfig, ServeRuntime,
     WorkerMode,
@@ -24,9 +24,9 @@ use dbcast_serve::{
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The allocation counters are process-wide, so a test's measured
-/// window sees every thread's heap traffic — the tests below must not
-/// overlap.
+/// The serve-loop test reads the process-wide counters, whose window
+/// sees every thread's heap traffic — the tests below must not overlap
+/// it. The record-path tests count the calling thread only.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn event(i: u64) -> FlightEvent {
@@ -42,19 +42,12 @@ fn flight_record_is_allocation_free() {
     // allocation); do it outside the measured window.
     dbcast_flight::record(event(0));
 
-    let (before, _) = allocation_counts();
+    let before = thread_allocations();
     for i in 1..10_000u64 {
         dbcast_flight::record(event(i));
     }
-    let (after, _) = allocation_counts();
-    // The counters are process-wide, so the harness thread printing a
-    // sibling test's result can leak a couple of allocations into the
-    // window; any per-event allocation would show up as >= 9999.
-    assert!(
-        after - before < 16,
-        "flight record allocated {} time(s) over 9999 events",
-        after - before
-    );
+    let allocs = thread_allocations() - before;
+    assert_eq!(allocs, 0, "flight record allocated {allocs} time(s) over 9999 events");
 }
 
 #[test]
@@ -62,36 +55,30 @@ fn trace_ring_record_and_mark_straddles_are_allocation_free() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ring = TraceRing::new(256);
     let mut marked = 0;
-    let mut pass = |round: u64| {
-        let (before, _) = allocation_counts();
-        for i in round * 10_000..(round + 1) * 10_000 {
-            let wait = (i % 7) as f64 + 0.5;
-            ring.record(&TraceRecord {
-                request_id: i,
-                item: i % 40,
-                arrival_tick: i,
-                satisfied_tick: i + 1,
-                generation: 0,
-                channel: i % 4,
-                queue_position: i % 5,
-                arrival: i as f64 * 0.25,
-                wait,
-                predicted: wait * 0.8,
-                straddle_penalty: 0.0,
-                flags: FLAG_SEEDED,
-            });
-            if i % 16 == 15 {
-                marked += ring.mark_straddles(i as f64 * 0.25 - 0.1);
-            }
+    let before = thread_allocations();
+    for i in 0..30_000u64 {
+        let wait = (i % 7) as f64 + 0.5;
+        ring.record(&TraceRecord {
+            request_id: i,
+            item: i % 40,
+            arrival_tick: i,
+            satisfied_tick: i + 1,
+            generation: 0,
+            channel: i % 4,
+            queue_position: i % 5,
+            arrival: i as f64 * 0.25,
+            wait,
+            predicted: wait * 0.8,
+            straddle_penalty: 0.0,
+            flags: FLAG_SEEDED,
+        });
+        if i % 16 == 15 {
+            marked += ring.mark_straddles(i as f64 * 0.25 - 0.1);
         }
-        allocation_counts().0 - before
-    };
-    // The counters are process-wide, so the harness thread can leak an
-    // allocation into one window; it cannot into all three, while a
-    // per-call allocation would show in every one.
-    let fewest = (0..3).map(&mut pass).min().unwrap();
+    }
+    let allocs = thread_allocations() - before;
     assert!(marked > 0, "no straddle was amended");
-    assert_eq!(fewest, 0, "trace ring allocated over 10000 records and 625 amend passes");
+    assert_eq!(allocs, 0, "trace ring allocated over 30000 records and 1875 amend passes");
 }
 
 /// Runs one quiet serve loop (no drift, no swaps, deterministic) and

@@ -3,8 +3,8 @@
 //! injected slowdown must make the gate fail.
 
 use dbcast_perf::{
-    compare, run_suite, standard_suite, Benchmark, CountingAllocator, RunOptions,
-    Tolerances,
+    compare, run_suite, standard_suite, thread_allocations, Benchmark, CountingAllocator,
+    RunOptions, Tolerances,
 };
 
 #[global_allocator]
@@ -108,4 +108,31 @@ fn standard_suite_measures_every_benchmark() {
         let drp = report.benchmark("drp").unwrap();
         assert!(drp.peak_span_depth >= 1, "no span tree recorded for drp");
     }
+}
+
+#[test]
+fn thread_allocations_see_only_the_calling_thread() {
+    use std::sync::Barrier;
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The two barriers bracket this thread's allocations inside the
+    // worker's measured window.
+    let (opened, closed) = (Barrier::new(2), Barrier::new(2));
+    let worker = std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let before = thread_allocations();
+            std::hint::black_box(Vec::<u8>::with_capacity(4096));
+            opened.wait();
+            closed.wait();
+            thread_allocations() - before
+        });
+        opened.wait();
+        let before = thread_allocations();
+        for _ in 0..100 {
+            std::hint::black_box(Vec::<u8>::with_capacity(64));
+        }
+        assert_eq!(thread_allocations() - before, 100, "this thread's allocations");
+        closed.wait();
+        worker.join().expect("worker thread panicked")
+    });
+    assert_eq!(worker, 1, "the worker saw another thread's allocations");
 }

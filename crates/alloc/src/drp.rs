@@ -93,16 +93,68 @@ impl DrpIteration {
     }
 }
 
-/// The full result of a DRP run: the allocation plus the per-iteration
-/// trace used to reproduce Table 3.
+/// One DRP cut: the group holding position `at` of the benefit-ratio
+/// order was split there into a prefix and a suffix group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DrpSplit {
+    /// Cut position in the benefit-ratio order (the suffix's first
+    /// index).
+    pub at: usize,
+    /// Cost of the prefix group after the cut.
+    pub prefix_cost: f64,
+    /// Cost of the suffix group after the cut.
+    pub suffix_cost: f64,
+}
+
+/// The full result of a DRP run: the allocation plus the split log
+/// that reproduces Table 3.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrpOutcome {
     /// The final allocation (channel `i` = `i`-th segment in
     /// benefit-ratio order).
     pub allocation: Allocation,
-    /// State after every iteration, starting with the initial
-    /// single-group state (so there are `K` entries in total).
-    pub iterations: Vec<DrpIteration>,
+    /// Item ids in benefit-ratio order; every group is a contiguous
+    /// range of it.
+    order: Vec<ItemId>,
+    /// Cost of the initial single group.
+    initial_cost: f64,
+    /// The `K − 1` cuts, in the order DRP made them; each cuts a group
+    /// of the replay so far strictly inside.
+    splits: Vec<DrpSplit>,
+}
+
+impl DrpOutcome {
+    /// The `K − 1` cuts, in the order DRP made them.
+    pub fn splits(&self) -> &[DrpSplit] {
+        &self.splits
+    }
+
+    /// The state after every iteration, starting with the initial
+    /// single-group state (so there are `K` entries in total), rebuilt
+    /// by replaying [`splits`](Self::splits) over the benefit-ratio
+    /// order.
+    pub fn iterations(&self) -> Vec<DrpIteration> {
+        // Groups as `(start, end, cost)` ranges, in benefit-ratio order.
+        let mut groups = vec![(0, self.order.len(), self.initial_cost)];
+        let row = |groups: &[(usize, usize, f64)]| DrpIteration {
+            groups: groups
+                .iter()
+                .map(|&(start, end, cost)| GroupSnapshot {
+                    members: self.order[start..end].to_vec(),
+                    cost,
+                })
+                .collect(),
+        };
+        let mut rows = vec![row(&groups)];
+        for s in &self.splits {
+            let i = groups.partition_point(|g| g.1 <= s.at);
+            let (start, end, _) = groups[i];
+            groups[i] = (start, s.at, s.prefix_cost);
+            groups.insert(i + 1, (s.at, end, s.suffix_cost));
+            rows.push(row(&groups));
+        }
+        rows
+    }
 }
 
 /// The DRP allocator (paper §3.1).
@@ -160,7 +212,7 @@ impl Drp {
         Segment { start, end, cost, split, priority }
     }
 
-    /// Runs DRP and returns both the allocation and the iteration trace.
+    /// Runs DRP and returns both the allocation and the split log.
     ///
     /// # Errors
     ///
@@ -198,25 +250,11 @@ impl Drp {
             .collect();
         let (pf, pz) = prefix_sums(&features);
 
-        let mut heap: BinaryHeap<Segment> = BinaryHeap::new();
-        heap.push(self.make_segment(&pf, &pz, 0, db.len()));
-
-        let snapshot = |heap: &BinaryHeap<Segment>| {
-            let mut segs: Vec<Segment> = heap.iter().copied().collect();
-            segs.sort_by_key(|s| s.start);
-            DrpIteration {
-                groups: segs
-                    .into_iter()
-                    .map(|s| GroupSnapshot {
-                        members: order[s.start..s.end].to_vec(),
-                        cost: s.cost,
-                    })
-                    .collect(),
-            }
-        };
-
-        let mut iterations = vec![snapshot(&heap)];
-        let mut obs_trace = dbcast_obs::trace::ConvergenceTrace::new("alloc.drp");
+        let root = self.make_segment(&pf, &pz, 0, db.len());
+        let initial_cost = root.cost;
+        let mut heap: BinaryHeap<Segment> = BinaryHeap::with_capacity(channels);
+        heap.push(root);
+        let mut splits = Vec::with_capacity(channels - 1);
         // Segments that can no longer be split (len 1) keep NEG_INFINITY
         // priority and sink to the bottom of the heap; if one surfaces,
         // every group is a singleton and K > N would have been required
@@ -229,19 +267,14 @@ impl Drp {
             let prefix = self.make_segment(&pf, &pz, seg.start, split.at);
             let suffix = self.make_segment(&pf, &pz, split.at, seg.end);
             dbcast_obs::counter!("alloc.drp.splits").inc();
-            if dbcast_obs::enabled() {
-                obs_trace.push(dbcast_obs::trace::TraceEvent::DrpSplit {
-                    split: obs_trace.len() + 1,
-                    chosen_index: split.at,
-                    prefix_cost: prefix.cost,
-                    suffix_cost: suffix.cost,
-                });
-            }
+            splits.push(DrpSplit {
+                at: split.at,
+                prefix_cost: prefix.cost,
+                suffix_cost: suffix.cost,
+            });
             heap.push(prefix);
             heap.push(suffix);
-            iterations.push(snapshot(&heap));
         }
-        obs_trace.record();
 
         let mut segs: Vec<Segment> = heap.into_iter().collect();
         segs.sort_by_key(|s| s.start);
@@ -252,7 +285,7 @@ impl Drp {
             }
         }
         let allocation = Allocation::from_assignment(db, channels, assignment)?;
-        Ok(DrpOutcome { allocation, iterations })
+        Ok(DrpOutcome { allocation, order, initial_cost, splits })
     }
 }
 
@@ -301,7 +334,8 @@ mod tests {
     fn k_one_is_the_whole_database() {
         let db = uniform_db(5);
         let out = Drp::new().allocate_traced(&db, 1).unwrap();
-        assert_eq!(out.iterations.len(), 1);
+        assert!(out.splits.is_empty());
+        assert_eq!(out.iterations().len(), 1);
         assert_eq!(out.allocation.all_channel_stats()[0].items, 5);
     }
 
@@ -334,11 +368,20 @@ mod tests {
         let db = dbcast_workload::WorkloadBuilder::new(80).seed(9).build().unwrap();
         for priority in [SplitPriority::Cost, SplitPriority::Gain] {
             let out = Drp::new().with_priority(priority).allocate_traced(&db, 8).unwrap();
-            for w in out.iterations.windows(2) {
+            let iterations = out.iterations();
+            assert_eq!(out.splits.len(), 7);
+            assert_eq!(iterations.len(), 8);
+            for w in iterations.windows(2) {
                 assert!(w[1].total_cost() <= w[0].total_cost() + 1e-9);
             }
-            let final_cost = out.iterations.last().unwrap().total_cost();
-            assert!((final_cost - out.allocation.total_cost()).abs() < 1e-9);
+            let last = iterations.last().unwrap();
+            assert!((last.total_cost() - out.allocation.total_cost()).abs() < 1e-9);
+            // The replayed final groups are the allocation's channels.
+            for (ch, group) in last.groups.iter().enumerate() {
+                for &id in &group.members {
+                    assert_eq!(out.allocation.channel_of(id).unwrap().index(), ch);
+                }
+            }
         }
     }
 
@@ -349,9 +392,10 @@ mod tests {
             Drp::new().with_priority(SplitPriority::Cost).allocate_traced(&db, 3).unwrap();
         // Iteration 1 has two groups; iteration 2 must have split the
         // costlier one, so its cost no longer appears.
-        let it1 = &out.iterations[1];
+        let iterations = out.iterations();
+        let it1 = &iterations[1];
         let max_cost = it1.groups.iter().map(|g| g.cost).fold(f64::MIN, f64::max);
-        let it2 = &out.iterations[2];
+        let it2 = &iterations[2];
         assert!(it2.groups.iter().all(|g| (g.cost - max_cost).abs() > 1e-9));
     }
 
@@ -362,7 +406,7 @@ mod tests {
         let db = dbcast_workload::paper::table2_profile();
         for priority in [SplitPriority::Cost, SplitPriority::Gain] {
             let out = Drp::new().with_priority(priority).allocate_traced(&db, 5).unwrap();
-            let it1 = &out.iterations[1];
+            let it1 = &out.iterations()[1];
             assert_eq!(it1.groups.len(), 2);
             assert!((it1.groups[0].cost - 29.04).abs() < 0.01, "{}", it1.groups[0].cost);
             assert!((it1.groups[1].cost - 28.62).abs() < 0.01, "{}", it1.groups[1].cost);
@@ -380,7 +424,7 @@ mod tests {
         let db = dbcast_workload::paper::table2_profile();
         let out = Drp::new().allocate_traced(&db, 5).unwrap();
         let final_groups: Vec<(Vec<usize>, f64)> = out
-            .iterations
+            .iterations()
             .last()
             .unwrap()
             .groups

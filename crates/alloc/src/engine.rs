@@ -41,21 +41,11 @@
 //! equivalence. Members are not visited in item order, so the global
 //! best is folded with the explicit rule the ascending strict-`>` scan
 //! implies: larger reduction first, then smaller item id.
-//!
-//! With the `par` feature the init scan and the per-move pass split
-//! runs of channels across `std::thread::scope` threads; the local
-//! bests merge under the same rule, so the outcome is identical to the
-//! serial pass (there is no rayon in this workspace's vendored
-//! dependency set).
 
 /// Sentinel channel id: an empty candidate slot. In the second-best
 /// slot it means "unknown" — either fewer than two destinations exist
 /// or lazy invalidation discarded the runner-up.
 const NONE_CH: u32 = u32::MAX;
-
-/// Item count below which the `par` feature stays serial (thread spawn
-/// would dominate). Tunable via [`BestMoveEngine::set_par_min`].
-const PAR_MIN_ITEMS: usize = 16_384;
 
 /// One move selected (and possibly applied) by the engine, in dense
 /// item-index coordinates.
@@ -144,8 +134,7 @@ fn fill_row(row: &mut [(f64, f64)], c: usize, freq: &[f64], size: &[f64]) {
     }
 }
 
-/// The running global best of a pass (or of one worker's share of it)
-/// plus the rescans it performed.
+/// The running global best of a pass plus the rescans it performed.
 #[derive(Debug, Clone, Copy)]
 struct Local {
     item: usize,
@@ -170,18 +159,9 @@ impl Local {
             self.r = r;
         }
     }
-
-    /// Folds another worker's result in; order-independent.
-    #[cfg(feature = "par")]
-    fn merge(&mut self, other: Local) {
-        self.rescans += other.rescans;
-        if other.item != usize::MAX {
-            self.offer(other.item, other.r);
-        }
-    }
 }
 
-/// Read-only inputs of one pass, shared across threads under `par`.
+/// Read-only inputs of one pass.
 struct Pass<'a> {
     freq: &'a [f64],
     size: &'a [f64],
@@ -192,25 +172,16 @@ struct Pass<'a> {
 }
 
 impl Pass<'_> {
-    /// Runs the pass over the channels `lo..lo + bounds.len() - 1`, whose
-    /// members are `slots` (channel `lo + i` owns the global slot range
-    /// `bounds[i]..bounds[i + 1]`), using `row` (length `K`) as
+    /// Runs the pass over every channel (channel `c` owns the slot range
+    /// `start[c]..start[c + 1]`), using `row` (length `K`) as
     /// difference-row scratch.
-    fn run(
-        &self,
-        lo: usize,
-        bounds: &[usize],
-        slots: &mut [Member],
-        row: &mut [(f64, f64)],
-    ) -> Local {
+    fn run(&self, start: &[usize], slots: &mut [Member], row: &mut [(f64, f64)]) -> Local {
         let mut best = Local::new(self.threshold);
-        let base = bounds[0];
-        for (i, seg) in bounds.windows(2).enumerate() {
-            let members = &mut slots[seg[0] - base..seg[1] - base];
+        for (c, seg) in start.windows(2).enumerate() {
+            let members = &mut slots[seg[0]..seg[1]];
             if members.is_empty() {
                 continue;
             }
-            let c = lo + i;
             match self.moved {
                 Some((p, qs)) if c != p as usize && c != qs as usize => {
                     self.repair(c, members, row, p, qs, &mut best);
@@ -375,7 +346,6 @@ pub struct BestMoveEngine {
     row: Vec<(f64, f64)>,
     best_item: usize,
     rescans: u64,
-    par_min: usize,
 }
 
 impl std::fmt::Debug for BestMoveEngine {
@@ -465,7 +435,6 @@ impl BestMoveEngine {
             row: vec![(0.0, 0.0); channels],
             best_item: usize::MAX,
             rescans: 0,
-            par_min: PAR_MIN_ITEMS,
         };
         engine.init_scan();
         engine
@@ -506,12 +475,6 @@ impl BestMoveEngine {
     /// is O(1) per item per move).
     pub fn rescans(&self) -> u64 {
         self.rescans
-    }
-
-    /// Sets the item count below which the `par` feature stays serial.
-    /// No effect without the feature; exposed for tests and tuning.
-    pub fn set_par_min(&mut self, n: usize) {
-        self.par_min = n;
     }
 
     /// The best strictly-improving move above the threshold, if any —
@@ -590,54 +553,10 @@ impl BestMoveEngine {
     fn run_pass(&mut self, moved: Option<(u32, u32)>) {
         let pass =
             Pass { freq: &self.freq, size: &self.size, threshold: self.threshold, moved };
-        #[cfg(feature = "par")]
-        let local = if self.assign.len() >= self.par_min {
-            par_pass(&pass, &self.start, &mut self.slots)
-        } else {
-            pass.run(0, &self.start, &mut self.slots, &mut self.row)
-        };
-        #[cfg(not(feature = "par"))]
-        let local = pass.run(0, &self.start, &mut self.slots, &mut self.row);
+        let local = pass.run(&self.start, &mut self.slots, &mut self.row);
         self.best_item = local.item;
         self.rescans += local.rescans;
     }
-}
-
-/// Splits the channels into runs of roughly `N / threads` members,
-/// runs the pass on each under `std::thread::scope` (each worker with
-/// its own difference row), and merges the local bests under the
-/// explicit (reduction, item id) rule — identical to the serial pass.
-#[cfg(feature = "par")]
-fn par_pass(pass: &Pass<'_>, start: &[usize], slots: &mut [Member]) -> Local {
-    let channels = start.len() - 1;
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get()).min(8);
-    if threads < 2 || slots.is_empty() {
-        return pass.run(0, start, slots, &mut vec![(0.0, 0.0); channels]);
-    }
-    let mut best = Local::new(pass.threshold);
-    let target = slots.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let (mut rest, mut lo) = (slots, 0);
-        while lo < channels {
-            // Channels `lo..hi`: at least one, then until the run
-            // reaches its share of the members.
-            let mut hi = lo + 1;
-            while hi < channels && start[hi] - start[lo] < target {
-                hi += 1;
-            }
-            let (run, tail) = rest.split_at_mut(start[hi] - start[lo]);
-            let bounds = &start[lo..=hi];
-            handles.push(
-                s.spawn(move || pass.run(lo, bounds, run, &mut vec![(0.0, 0.0); channels])),
-            );
-            (rest, lo) = (tail, hi);
-        }
-        for h in handles {
-            best.merge(h.join().expect("scan worker panicked"));
-        }
-    });
-    best
 }
 
 #[cfg(test)]
@@ -875,39 +794,5 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[cfg(feature = "par")]
-    #[test]
-    fn par_pass_matches_serial_pass() {
-        let (f, z) = features(300, 31);
-        let assign: Vec<u32> = (0..300).map(|x| (x % 7) as u32).collect();
-        let (freq, size) = aggregates(7, &f, &z, &assign);
-        let mut serial = BestMoveEngine::new(
-            7,
-            1e-9,
-            f.clone(),
-            z.clone(),
-            assign.clone(),
-            freq.clone(),
-            size.clone(),
-        );
-        serial.set_par_min(usize::MAX);
-        let mut par = BestMoveEngine::new(7, 1e-9, f, z, assign, freq, size);
-        par.set_par_min(0);
-        // Rebuild caches through the par init path too.
-        par.init_scan();
-        loop {
-            let a = serial.apply_best();
-            let b = par.apply_best();
-            assert_eq!(
-                a.map(|m| (m.item, m.from, m.to, m.reduction.to_bits())),
-                b.map(|m| (m.item, m.from, m.to, m.reduction.to_bits()))
-            );
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(serial.assignment(), par.assignment());
     }
 }

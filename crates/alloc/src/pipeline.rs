@@ -119,7 +119,7 @@ mod tests {
     fn trace_contains_both_phases() {
         let db = dbcast_workload::paper::table2_profile();
         let out = DrpCds::new().allocate_traced(&db, 5).unwrap();
-        assert_eq!(out.drp.iterations.len(), 5);
+        assert_eq!(out.drp.iterations().len(), 5);
         assert!(out.cds.converged);
         assert_eq!(out.allocation(), &out.cds.allocation);
     }

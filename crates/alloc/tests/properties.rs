@@ -164,29 +164,4 @@ proptest! {
             fast.allocation.total_cost().to_bits()
         );
     }
-
-    #[cfg(feature = "par")]
-    #[test]
-    fn par_descent_is_bit_identical_to_serial((k, f, z, assign) in columns()) {
-        let (freq, size) = aggregates(k, &f, &z, &assign);
-        let mut serial = BestMoveEngine::new(
-            k, 1e-9, f.clone(), z.clone(), assign.clone(),
-            freq.clone(), size.clone(),
-        );
-        serial.set_par_min(usize::MAX);
-        let mut par = BestMoveEngine::new(k, 1e-9, f, z, assign, freq, size);
-        par.set_par_min(0);
-        for _ in 0..20_000usize {
-            let a = serial.apply_best();
-            let b = par.apply_best();
-            prop_assert_eq!(
-                a.map(|m| (m.item, m.from, m.to, m.reduction.to_bits())),
-                b.map(|m| (m.item, m.from, m.to, m.reduction.to_bits()))
-            );
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(serial.assignment(), par.assignment());
-    }
 }

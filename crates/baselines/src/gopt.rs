@@ -253,17 +253,6 @@ impl Gopt {
 
         dbcast_obs::counter!("baselines.gopt.runs").inc();
         dbcast_obs::counter!("baselines.gopt.generations").add(generations as u64);
-        if dbcast_obs::enabled() {
-            // `best_cost_history` re-expressed in the shared trace type.
-            let mut trace = dbcast_obs::trace::ConvergenceTrace::new("baselines.gopt");
-            for (generation, &best_cost) in history.iter().enumerate() {
-                trace.push(dbcast_obs::trace::TraceEvent::GoptGeneration {
-                    generation,
-                    best_cost,
-                });
-            }
-            trace.record();
-        }
 
         let mut allocation = Allocation::from_assignment(db, channels, best.0)?;
         let mut polish_gain = 0.0;

@@ -17,7 +17,7 @@ use crate::timing::run_timing_sweep;
 /// Writes the telemetry snapshot accumulated so far next to a figure's
 /// report files (`<stem>.metrics.json`). A no-op when the `obs`
 /// feature is off or recording is disabled at runtime.
-fn write_metrics_snapshot(dir: &Path, stem: &str) -> io::Result<()> {
+fn write_metrics_json(dir: &Path, stem: &str) -> io::Result<()> {
     if dbcast_obs::enabled() {
         dbcast_obs::snapshot::write_global(&dir.join(format!("{stem}.metrics.json")))?;
     }
@@ -34,7 +34,7 @@ fn waiting_figure(
     let result = run_sweep(config, &axis, &AlgoSpec::paper_lineup());
     let table = ReportTable::from_sweep(title, &result);
     let md = write_reports(dir, stem, &table)?;
-    write_metrics_snapshot(dir, stem)?;
+    write_metrics_json(dir, stem)?;
     Ok(md)
 }
 
@@ -109,7 +109,7 @@ pub fn run_fig6(config: &ExperimentConfig, dir: &Path) -> io::Result<String> {
     let table =
         ReportTable::from_timing("Figure 6: channel number K vs execution time", &result);
     let md = write_reports(dir, "fig6_exec_channels", &table)?;
-    write_metrics_snapshot(dir, "fig6_exec_channels")?;
+    write_metrics_json(dir, "fig6_exec_channels")?;
     Ok(md)
 }
 
@@ -124,7 +124,7 @@ pub fn run_fig7(config: &ExperimentConfig, dir: &Path) -> io::Result<String> {
     let table =
         ReportTable::from_timing("Figure 7: broadcast items N vs execution time", &result);
     let md = write_reports(dir, "fig7_exec_items", &table)?;
-    write_metrics_snapshot(dir, "fig7_exec_items")?;
+    write_metrics_json(dir, "fig7_exec_items")?;
     Ok(md)
 }
 
@@ -152,7 +152,7 @@ pub fn run_tables(dir: &Path) -> io::Result<String> {
     }
 
     md.push_str("\n### Table 3: DRP iterations\n\n");
-    for (i, it) in outcome.drp.iterations.iter().enumerate() {
+    for (i, it) in outcome.drp.iterations().iter().enumerate() {
         md.push_str(&format!("Iteration {i} (total cost {:.2}):\n\n", it.total_cost()));
         md.push_str("| group | members | cost |\n|---|---|---|\n");
         for (g, snap) in it.groups.iter().enumerate() {
@@ -189,7 +189,7 @@ pub fn run_tables(dir: &Path) -> io::Result<String> {
 
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("tables_2_3_4.md"), &md)?;
-    write_metrics_snapshot(dir, "tables_2_3_4")?;
+    write_metrics_json(dir, "tables_2_3_4")?;
     Ok(md)
 }
 
@@ -236,7 +236,7 @@ pub fn run_sim_validation(config: &ExperimentConfig, dir: &Path) -> io::Result<S
         ]);
     }
     let md = write_reports(dir, "sim_validation", &table)?;
-    write_metrics_snapshot(dir, "sim_validation")?;
+    write_metrics_json(dir, "sim_validation")?;
     Ok(md)
 }
 

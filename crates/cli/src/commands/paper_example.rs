@@ -22,7 +22,7 @@ pub fn run_paper_example(
 
     writeln!(out, "paper worked example: 15 items, 5 channels")?;
     if args.switch("trace") {
-        for (i, it) in outcome.drp.iterations.iter().enumerate() {
+        for (i, it) in outcome.drp.iterations().iter().enumerate() {
             writeln!(out, "DRP iteration {i} (total cost {:.2}):", it.total_cost())?;
             for (g, snap) in it.groups.iter().enumerate() {
                 let members: Vec<String> =

@@ -5,8 +5,8 @@ use crate::args::Args;
 use crate::commands::{algorithm_by_name, CliError};
 
 /// Allocates a workload with `--algo NAME` (default `drp-cds`) under
-/// full telemetry and prints the registry snapshot (counters, span
-/// timers, convergence traces) to stdout.
+/// full telemetry and prints the registry snapshot (counters, gauges,
+/// span-timer histograms; schema version 3) to stdout.
 ///
 /// With `--simulate`, additionally drives the discrete-event simulator
 /// so engine counters and queue-depth histograms populate too.

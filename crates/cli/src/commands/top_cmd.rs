@@ -63,7 +63,6 @@ mod tests {
                 ],
                 gauges: vec![("serve.drift_distance".to_string(), 0.07)],
                 histograms: Vec::new(),
-                traces: Vec::new(),
             };
             store.append_snapshot(&snap, 0);
             let snap = dbcast_obs::snapshot::Snapshot {
@@ -73,7 +72,6 @@ mod tests {
                 ],
                 gauges: vec![("serve.drift_distance".to_string(), 0.21)],
                 histograms: Vec::new(),
-                traces: Vec::new(),
             };
             store.append_snapshot(&snap, 500);
             dbcast_obs::doc::render(&store.export())

@@ -2,11 +2,15 @@
 //! monotonic counters, gauges, log-scale histograms with lock-free
 //! recording, RAII span timers, hierarchical span trees with
 //! self-time attribution and Chrome trace-event export ([`tree`]),
-//! structured convergence traces, a leveled logger, a JSON snapshot
-//! exporter, the seqlock ring ([`ring::SeqRing`]) under the flight
-//! recorder and the audit trace ring, and the one envelope every
-//! telemetry document is rendered and decoded through ([`doc`]). Its
-//! only dependencies are the workspace's serde shims.
+//! a leveled logger, a JSON snapshot exporter, the seqlock ring
+//! ([`ring::SeqRing`]) under the flight recorder and the audit trace
+//! ring, and the one envelope every telemetry document is rendered and
+//! decoded through ([`doc`]). Its only dependencies are the
+//! workspace's serde shims.
+//!
+//! Optimizer progress (DRP's splits, CDS's moves, GOPT's best cost per
+//! generation) is not recorded here: each optimizer returns it in its
+//! outcome, and the registry only counts it.
 //!
 //! # Enabling
 //!
@@ -38,7 +42,6 @@ pub mod openmetrics;
 pub mod ring;
 pub mod snapshot;
 pub mod span;
-pub mod trace;
 pub mod tree;
 
 use std::collections::BTreeMap;
@@ -46,7 +49,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use metrics::{Counter, Gauge, Histogram};
-use trace::ConvergenceTrace;
 
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -72,7 +74,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
-    traces: Mutex<Vec<ConvergenceTrace>>,
 }
 
 impl Registry {
@@ -81,7 +82,6 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(Vec::new()),
         }
     }
 
@@ -116,27 +116,8 @@ impl Registry {
         leaked
     }
 
-    /// Appends a completed convergence trace (honouring [`enabled()`]).
-    pub fn record_trace(&self, trace: ConvergenceTrace) {
-        if !enabled() {
-            return;
-        }
-        self.traces.lock().expect("registry poisoned").push(trace);
-    }
-
-    /// Takes a point-in-time copy of every metric and trace.
+    /// Takes a point-in-time copy of every metric.
     pub fn snapshot(&self) -> snapshot::Snapshot {
-        let mut snap = self.metrics_snapshot();
-        snap.traces = self.traces.lock().expect("registry poisoned").clone();
-        snap
-    }
-
-    /// Like [`snapshot`](Self::snapshot) but with `traces` left
-    /// empty. Convergence traces grow without bound over a run, so a
-    /// periodic scraper that only reads scalar metrics (the scope
-    /// sampler) would otherwise pay a clone whose cost scales with
-    /// run length on every cadence tick.
-    pub fn metrics_snapshot(&self) -> snapshot::Snapshot {
         snapshot::Snapshot {
             counters: self
                 .counters
@@ -159,7 +140,6 @@ impl Registry {
                 .iter()
                 .map(|(n, h)| (n.clone(), h.snapshot()))
                 .collect(),
-            traces: Vec::new(),
         }
     }
 
@@ -194,8 +174,8 @@ impl Registry {
         }
     }
 
-    /// Zeroes every metric and discards traces. Registrations (and the
-    /// `'static` references handed out) stay valid.
+    /// Zeroes every metric. Registrations (and the `'static`
+    /// references handed out) stay valid.
     pub fn reset(&self) {
         for (_, c) in self.counters.lock().expect("registry poisoned").iter() {
             c.reset();
@@ -206,7 +186,6 @@ impl Registry {
         for (_, h) in self.histograms.lock().expect("registry poisoned").iter() {
             h.reset();
         }
-        self.traces.lock().expect("registry poisoned").clear();
     }
 }
 

@@ -574,7 +574,6 @@ mod tests {
                     buckets: vec![(127, 1), (1023, 2)],
                 },
             )],
-            traces: vec![],
         }
     }
 
@@ -742,12 +741,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_bare_eof() {
-        let s = Snapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![],
-            traces: vec![],
-        };
+        let s = Snapshot { counters: vec![], gauges: vec![], histograms: vec![] };
         let text = render(&s);
         assert_eq!(text, "# EOF\n");
         assert!(parse(&text).unwrap().is_empty());

@@ -2,14 +2,17 @@
 //!
 //! The writer is hand-written and outside the `doc` envelope: this is
 //! the `--metrics-out` file format, and postmortems embed it verbatim.
-//! Schema, version 2
+//! Schema, version 3
 //! (v2 changed the histogram `p50`/`p90`/`p95`/`p99` fields from
 //! bucket upper bounds — pessimistic by up to 2× — to bucket
-//! midpoints; see `Histogram::percentile_bounds`):
+//! midpoints; see `Histogram::percentile_bounds`. v3 dropped the
+//! `traces` array: optimizer progress lives in each optimizer's
+//! returned outcome, so a snapshot's size no longer grows with the
+//! number of optimizer runs):
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "counters": { "<name>": <u64>, ... },
 //!   "gauges": { "<name>": <f64>, ... },
 //!   "histograms": {
@@ -19,11 +22,7 @@
 //!       "p50": <u64>, "p90": <u64>, "p95": <u64>, "p99": <u64>,
 //!       "buckets": [ { "le": <u64>, "count": <u64> }, ... ]
 //!     }, ...
-//!   },
-//!   "traces": [
-//!     { "name": "<crate>.<algo>",
-//!       "events": [ { "kind": "...", ...fields... }, ... ] }, ...
-//!   ]
+//!   }
 //! }
 //! ```
 
@@ -32,7 +31,6 @@ use std::io;
 use std::path::Path;
 
 use crate::metrics::HistogramSnapshot;
-use crate::trace::{ConvergenceTrace, TraceEvent};
 
 /// Plain-data copy of the registry at one instant.
 #[derive(Debug, Clone)]
@@ -40,7 +38,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    pub traces: Vec<ConvergenceTrace>,
 }
 
 impl Snapshot {
@@ -59,11 +56,6 @@ impl Snapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// Looks up a convergence trace by name (first match).
-    pub fn trace(&self, name: &str) -> Option<&ConvergenceTrace> {
-        self.traces.iter().find(|t| t.name == name)
-    }
-
     /// Folds `other` into this snapshot element-wise, so per-process
     /// (or per-client) snapshots roll up into one fleet view:
     ///
@@ -74,8 +66,7 @@ impl Snapshot {
     /// * histograms merge bucket-wise, with count/sum summed, min/max
     ///   folded, and mean/percentiles recomputed from the merged
     ///   buckets — identical to having recorded both streams into one
-    ///   histogram;
-    /// * traces are concatenated.
+    ///   histogram.
     ///
     /// Names present only in `other` are appended; both sides' name
     /// lists are assumed sorted (registry snapshots are) and the
@@ -102,13 +93,12 @@ impl Snapshot {
                 Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
             }
         }
-        self.traces.extend(other.traces.iter().cloned());
     }
 
     /// Renders the snapshot as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"version\": 2,\n  \"counters\": {");
+        out.push_str("{\n  \"version\": 3,\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -153,26 +143,7 @@ impl Snapshot {
             }
             out.push_str("]}");
         }
-        out.push_str(if self.histograms.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"traces\": [");
-        for (i, trace) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": {}, \"events\": [",
-                json_string(&trace.name)
-            );
-            for (j, event) in trace.events.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&event_json(event));
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.traces.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
+        out.push_str(if self.histograms.is_empty() { "}\n}\n" } else { "\n  }\n}\n" });
         out
     }
 
@@ -245,36 +216,6 @@ fn merge_histogram_snapshots(
     }
 }
 
-fn event_json(event: &TraceEvent) -> String {
-    match *event {
-        TraceEvent::CdsIteration { iteration, item, from, to, reduction, cost_after } => {
-            format!(
-                "{{\"kind\": \"cds_iteration\", \"iteration\": {iteration}, \
-                 \"item\": {item}, \"from\": {from}, \"to\": {to}, \
-                 \"reduction\": {}, \"cost_after\": {}}}",
-                json_f64(reduction),
-                json_f64(cost_after)
-            )
-        }
-        TraceEvent::DrpSplit { split, chosen_index, prefix_cost, suffix_cost } => {
-            format!(
-                "{{\"kind\": \"drp_split\", \"split\": {split}, \
-                 \"chosen_index\": {chosen_index}, \"prefix_cost\": {}, \
-                 \"suffix_cost\": {}}}",
-                json_f64(prefix_cost),
-                json_f64(suffix_cost)
-            )
-        }
-        TraceEvent::GoptGeneration { generation, best_cost } => {
-            format!(
-                "{{\"kind\": \"gopt_generation\", \"generation\": {generation}, \
-                 \"best_cost\": {}}}",
-                json_f64(best_cost)
-            )
-        }
-    }
-}
-
 /// Renders `v` as a JSON number in Rust's shortest round-tripping
 /// form (`1.0`, `2.5e-7`); non-finite values become `null`.
 pub(crate) fn json_f64(v: f64) -> String {
@@ -339,10 +280,6 @@ mod tests {
                     buckets: vec![(3, 1), (7, 1)],
                 },
             )],
-            traces: vec![ConvergenceTrace {
-                name: "alloc.cds".into(),
-                events: vec![TraceEvent::GoptGeneration { generation: 0, best_cost: 9.5 }],
-            }],
         }
     }
 
@@ -363,13 +300,11 @@ mod tests {
             counters: vec![("c.only_a".into(), 2), ("c.shared".into(), 5)],
             gauges: vec![("g.level".into(), 1.0)],
             histograms: vec![("h".into(), ha.snapshot())],
-            traces: vec![],
         };
         let b = Snapshot {
             counters: vec![("c.only_b".into(), 7), ("c.shared".into(), 11)],
             gauges: vec![("g.level".into(), 4.5), ("g.new".into(), 2.0)],
             histograms: vec![("h".into(), hb.snapshot()), ("h2".into(), ha.snapshot())],
-            traces: vec![],
         };
         a.merge(&b);
         assert_eq!(a.counter("c.shared"), Some(16));
@@ -388,12 +323,7 @@ mod tests {
     #[test]
     fn merge_with_an_empty_snapshot_is_identity() {
         let mut a = sample();
-        let empty = Snapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![],
-            traces: vec![],
-        };
+        let empty = Snapshot { counters: vec![], gauges: vec![], histograms: vec![] };
         let before = a.to_json();
         a.merge(&empty);
         assert_eq!(a.to_json(), before);
@@ -405,7 +335,6 @@ mod tests {
         assert_eq!(s.counter("a.b.c"), Some(3));
         assert_eq!(s.gauge("g"), Some(1.5));
         assert_eq!(s.histogram("h").unwrap().count, 2);
-        assert_eq!(s.trace("alloc.cds").unwrap().len(), 1);
         assert_eq!(s.counter("missing"), None);
     }
 
@@ -413,13 +342,11 @@ mod tests {
     fn json_contains_all_sections() {
         let j = sample().to_json();
         for needle in [
-            "\"version\": 2",
+            "\"version\": 3",
             "\"a.b.c\": 3",
             "\"g\": 1.5",
             "\"count\": 2",
             "\"buckets\": [{\"le\": 3, \"count\": 1}, {\"le\": 7, \"count\": 1}]",
-            "\"kind\": \"gopt_generation\"",
-            "\"best_cost\": 9.5",
         ] {
             assert!(j.contains(needle), "missing {needle} in:\n{j}");
         }
@@ -427,15 +354,11 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_valid_shape() {
-        let s = Snapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![],
-            traces: vec![],
-        };
+        let s = Snapshot { counters: vec![], gauges: vec![], histograms: vec![] };
         let j = s.to_json();
         assert!(j.contains("\"counters\": {}"));
-        assert!(j.contains("\"traces\": []"));
+        assert!(j.contains("\"histograms\": {}"));
+        assert!(!j.contains("traces"));
     }
 
     #[test]
@@ -450,7 +373,7 @@ mod tests {
         let path = dir.join("nested").join("metrics.json");
         sample().write_json(&path).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"version\": 2"));
+        assert!(body.contains("\"version\": 3"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -388,7 +388,6 @@ mod tests {
             counters: counters.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
             gauges: gauges.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
             histograms: Vec::new(),
-            traces: Vec::new(),
         }
     }
 

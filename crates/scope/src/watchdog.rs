@@ -429,7 +429,6 @@ mod tests {
             counters,
             gauges: gauges.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
             histograms: Vec::new(),
-            traces: Vec::new(),
         };
         store.append_snapshot(&snap, wall_ms);
     }

@@ -75,7 +75,6 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
                 counters: vec![("serve.ticks".into(), i), ("serve.requests".into(), 9 * i)],
                 gauges: vec![("serve.drift_distance".into(), (i as f64 / 7.0).sin())],
                 histograms: Vec::new(),
-                traces: Vec::new(),
             },
             i * 250,
         );

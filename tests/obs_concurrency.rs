@@ -7,15 +7,10 @@
 //! feature configurations (the runtime switch is bypassed).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Both tests reset the global registry; hold this across each test
-/// body so the harness's parallel threads cannot interleave them.
-static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 #[test]
 fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reg = dbcast_obs::registry();
     reg.reset();
 
@@ -57,7 +52,7 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
         let json = snap.to_json();
         let parsed: serde_json::Value =
             serde_json::from_str(&json).expect("snapshot JSON parses");
-        assert_eq!(parsed.get("version").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(parsed.get("version").and_then(|v| v.as_u64()), Some(3));
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -105,75 +100,4 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
     stop.store(true, Ordering::Relaxed);
     racer.join().expect("racer exits cleanly");
     reg.reset();
-}
-
-#[test]
-fn trace_recording_races_snapshots_and_resets() {
-    use dbcast_obs::trace::{ConvergenceTrace, TraceEvent};
-
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // record_trace honours the runtime switch; flip it on so the test
-    // exercises the real append path when the feature is compiled in
-    // (feature-off builds degrade to checking nothing crashes).
-    dbcast_obs::set_enabled(true);
-    let live = dbcast_obs::enabled();
-    let reg = dbcast_obs::registry();
-    reg.reset();
-
-    // Bounded writers (a free-running producer would grow the trace
-    // list — and the cost of cloning it per snapshot — without limit).
-    const PER_WRITER: u64 = 2_000;
-    let writers: Vec<_> = (0..3u64)
-        .map(|t| {
-            std::thread::spawn(move || {
-                for i in 0..PER_WRITER {
-                    let mut trace =
-                        ConvergenceTrace::new(format!("concurrency.test.trace{t}"));
-                    trace.push(TraceEvent::GoptGeneration {
-                        generation: i as usize,
-                        best_cost: i as f64,
-                    });
-                    dbcast_obs::registry().record_trace(trace);
-                }
-            })
-        })
-        .collect();
-
-    // Snapshots racing appends (and a couple of resets thrown in) must
-    // always clone a consistent trace list and serialize to parseable
-    // JSON.
-    let mut resets = 0u64;
-    for i in 0..30 {
-        if i % 10 == 9 {
-            reg.reset();
-            resets += 1;
-        }
-        let snap = reg.snapshot();
-        for t in &snap.traces {
-            assert!(t.name.starts_with("concurrency.test.trace"), "{}", t.name);
-            assert_eq!(t.len(), 1);
-        }
-        serde_json::from_str::<serde_json::Value>(&snap.to_json())
-            .expect("snapshot with traces parses");
-    }
-
-    for w in writers {
-        w.join().expect("writer exits cleanly");
-    }
-    let snap = reg.snapshot();
-    if live {
-        // Every append either survived to the final snapshot or was
-        // discarded by one of the interleaved resets — never corrupted.
-        assert!(
-            snap.traces.len() as u64 <= 3 * PER_WRITER,
-            "{} traces from {} appends",
-            snap.traces.len(),
-            3 * PER_WRITER
-        );
-        assert!(resets > 0);
-    } else {
-        assert!(snap.traces.is_empty(), "feature-off build recorded traces");
-    }
-    reg.reset();
-    assert!(reg.snapshot().traces.is_empty());
 }

@@ -157,7 +157,6 @@ fn watchdog_drill_fires_flight_event_and_postmortem() {
             counters: vec![("serve.ticks".to_string(), i)],
             gauges: vec![("scope.test.drill_burn".to_string(), 2.5)],
             histograms: Vec::new(),
-            traces: Vec::new(),
         };
         store.append_snapshot(&snap, i * 200);
         fired.extend(watchdog.check_at(&store, i, i * 200));

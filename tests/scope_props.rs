@@ -82,7 +82,6 @@ proptest! {
                 ],
                 gauges: vec![("prop.level".to_string(), gauge)],
                 histograms: vec![("prop.dist".to_string(), hist)],
-                traces: Vec::new(),
             };
             store.append_snapshot(&snap, wall);
         }

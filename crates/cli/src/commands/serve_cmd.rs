@@ -336,7 +336,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         )?;
         server.shutdown();
     }
-    if let Some(mut server) = exposition {
+    if let Some(server) = exposition {
         server.shutdown();
     }
     // The provider holds the tracer alive and would serve stale

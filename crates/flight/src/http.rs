@@ -1,35 +1,33 @@
 //! The live exposition endpoint: a tiny blocking HTTP/1.1 responder
-//! on `std::net::TcpListener`, serving
+//! serving
 //!
 //! * `GET /metrics` — the obs registry in OpenMetrics text format,
 //! * `GET /flight`  — the flight ring as a [`crate::FlightDoc`],
 //! * `GET /status`  — a caller-provided [`StatusDoc`],
 //! * plus any caller-registered [`Route`]s (e.g. the scope crate's
-//!   `/series` history endpoint),
+//!   `/series` history endpoint).
 //!
-//! from a dedicated thread. Every response is built from snapshot
-//! reads (registry snapshot, ring snapshot, handler closures), so a
-//! scrape never blocks the serving loop — the exposition thread and
-//! the runtime share only lock-free structures and the registry's
-//! short-lived snapshot locks.
+//! Every response is built from snapshot reads (registry snapshot,
+//! ring snapshot, handler closures), so a scrape never blocks the
+//! serving loop — the exposition threads and the runtime share only
+//! lock-free structures and the registry's short-lived snapshot locks.
 //!
-//! Connections are answered inline, one at a time, so the accept loop
-//! is defended against misbehaving clients: every stream carries a
-//! read and a write timeout (a client that connects and never writes
-//! can stall scrapes for at most [`READ_TIMEOUT`], not forever), and
-//! a request whose header section exceeds the buffer is answered
-//! `431` instead of being read without bound.
+//! Connections come through a [`Listener`] capped at
+//! [`MAX_CONNECTIONS`]: each one is answered on its own thread, so a
+//! client that connects and never writes holds only its own thread,
+//! for at most [`READ_TIMEOUT`], and never delays another scrape. A
+//! request whose header section exceeds the buffer is answered `431`
+//! instead of being read without bound.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dbcast_obs::doc::{self, Document};
 use serde::{Deserialize, Serialize};
 
+use crate::listener::Listener;
 use crate::recorder;
 
 /// Produces the `/status` JSON body on demand (normally a rendered
@@ -58,7 +56,7 @@ impl Document for StatusDoc {
 }
 
 /// How long a connected client may sit silent before its stream is
-/// dropped and the accept loop moves on.
+/// dropped.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long a response write may block on an unread socket.
@@ -67,6 +65,10 @@ pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Largest request header section accepted (everything up to the
 /// `\r\n\r\n` terminator); longer requests are answered `431`.
 pub const MAX_REQUEST_BYTES: usize = 4096;
+
+/// Most connections answered at once; further ones are refused and
+/// counted on `flight.exposition.refused`.
+pub const MAX_CONNECTIONS: usize = 16;
 
 /// A caller-registered endpoint served alongside the built-in three.
 pub struct Route {
@@ -99,22 +101,20 @@ impl std::fmt::Debug for Route {
 }
 
 /// A running exposition endpoint. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the thread.
+/// [`shutdown`](Self::shutdown)) stops it.
 pub struct ExpositionServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl std::fmt::Debug for ExpositionServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExpositionServer").field("addr", &self.addr).finish()
+        f.debug_struct("ExpositionServer").field("addr", &self.addr()).finish()
     }
 }
 
 impl ExpositionServer {
     /// Binds `addr` (e.g. `127.0.0.1:9898`; port 0 picks a free port)
-    /// and starts answering on a background thread.
+    /// and starts answering on background threads.
     ///
     /// # Errors
     ///
@@ -134,49 +134,30 @@ impl ExpositionServer {
         status: StatusFn,
         routes: Vec<Route>,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new().name("dbcast-exposition".into()).spawn(
-            move || {
-                for conn in listener.incoming() {
-                    if thread_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        // One request per connection, answered inline:
-                        // scrapes are rare and tiny, a thread pool
-                        // would be ceremony. The per-stream timeouts
-                        // bound how long one bad client can hold the
-                        // loop.
-                        let _ = handle_connection(stream, &status, &routes);
-                    }
-                }
-            },
-        )?;
-        Ok(ExpositionServer { addr, stop, handle: Some(handle) })
+        let handlers = Arc::new((status, routes));
+        let listener =
+            Listener::bind(addr, "flight.exposition", MAX_CONNECTIONS, move |stream| {
+                let handlers = Arc::clone(&handlers);
+                Some(move |_: &_| {
+                    let _ = handle_connection(stream, &handlers.0, &handlers.1);
+                })
+            })?;
+        Ok(ExpositionServer { listener })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
-    /// Stops the listener thread and waits for it to exit.
-    pub fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Release);
-            // Unblock the accept loop with one throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
+    /// Connections refused over [`MAX_CONNECTIONS`] since startup.
+    pub fn refused(&self) -> u64 {
+        self.listener.refused()
     }
-}
 
-impl Drop for ExpositionServer {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// Stops accepting and waits for every in-flight answer. Idempotent.
+    pub fn shutdown(&self) {
+        self.listener.shutdown();
     }
 }
 
@@ -185,9 +166,9 @@ fn handle_connection(
     status: &StatusFn,
     routes: &[Route],
 ) -> io::Result<()> {
-    // A silent or trickling client gets at most READ_TIMEOUT of the
-    // accept loop's attention; an unread response write gives up after
-    // WRITE_TIMEOUT instead of wedging every later scrape.
+    // A silent or trickling client holds its thread for at most
+    // READ_TIMEOUT; an unread response write gives up after
+    // WRITE_TIMEOUT.
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     // Read until the header terminator (requests can arrive split
@@ -318,7 +299,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_flight_and_status() {
-        let mut server = ExpositionServer::bind(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
             Box::new(|| "{\"state\": \"testing\"}".to_string()),
         )

@@ -2,7 +2,7 @@
 //! runtime, plus the machinery that gets its contents out of the
 //! process — live HTTP exposition and postmortem dumps.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`FlightRing`] — a fixed-capacity, lock-free ring of structured
 //!   [`event::FlightEvent`]s, a typed view over the obs crate's
@@ -15,10 +15,12 @@
 //!   hook, or an explicit incident such as a drift alarm) dump the
 //!   last events plus a full metrics snapshot to a timestamped JSON
 //!   file under the armed `--postmortem-dir`.
-//! * [`http::ExpositionServer`] — a blocking `TcpListener` responder
-//!   on its own thread serving `/metrics` (OpenMetrics text),
-//!   `/flight` (the ring as a [`FlightDoc`]) and `/status` (a
-//!   [`StatusDoc`]), all built from snapshot reads.
+//! * [`http::ExpositionServer`] — a blocking HTTP responder serving
+//!   `/metrics` (OpenMetrics text), `/flight` (the ring as a
+//!   [`FlightDoc`]) and `/status` (a [`StatusDoc`]), all built from
+//!   snapshot reads.
+//! * [`Listener`] — the one capped accept loop under every TCP server
+//!   in the workspace, this endpoint included.
 //!
 //! Every JSON document here travels in the `dbcast_obs::doc` envelope.
 //!
@@ -28,10 +30,12 @@
 
 pub mod event;
 pub mod http;
+pub mod listener;
 pub mod postmortem;
 
 pub use event::{EventKind, FlightEvent};
 pub use http::{ExpositionServer, Route, StatusDoc};
+pub use listener::{Listener, StopToken};
 pub use postmortem::Postmortem;
 
 use std::sync::OnceLock;

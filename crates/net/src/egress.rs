@@ -8,7 +8,7 @@
 //! which case the straddler is **dropped**: it never fully aired, so a
 //! correct client must not count on it. The new generation starts its
 //! phase 0 exactly at the boundary, and the swap is announced on the
-//! wire by a fresh [`Directory`](crate::Directory) frame. Clients mirror
+//! wire by a fresh [`Directory`] frame. Clients mirror
 //! the same rule (a planned fetch only counts if it completes before the
 //! directory's `valid_until`), which is what makes hot swaps visible but
 //! never *torn* on the wire.

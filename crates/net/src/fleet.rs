@@ -10,8 +10,10 @@
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dbcast_serve::FleetDigest;
 use serde::{Deserialize, Serialize};
 
 use crate::client::{
@@ -19,7 +21,6 @@ use crate::client::{
     WorkloadPattern,
 };
 use crate::egress::{run_egress, EgressConfig, EgressReport, ProgramSource};
-use crate::frame::{TelemetryFrame, TELEMETRY_FLAG_SLICE};
 use crate::server::{BroadcastServer, NetConfig};
 use crate::uplink::UplinkClient;
 use crate::world::WorldView;
@@ -477,7 +478,7 @@ fn build_slices(
     log: &AirLog,
     outcomes: &[RequestOutcome],
     report: &ClientReport,
-) -> Vec<TelemetryFrame> {
+) -> Vec<FleetDigest> {
     let last_generation =
         log.worlds.last().map(|w| w.directory.generation).unwrap_or_default();
     let spans: Vec<(f64, f64)> = log
@@ -498,10 +499,8 @@ fn build_slices(
         .zip(&report.generations)
         .zip(&spans)
         .map(|((world, slice), &(start, end))| {
-            let mut t = TelemetryFrame::empty();
-            t.client = config.id as u32;
-            t.flags = TELEMETRY_FLAG_SLICE;
-            t.last_generation = last_generation;
+            let mut t = FleetDigest::ack(config.id as u32, 0, last_generation);
+            t.slice = true;
             t.generation = slice.generation;
             t.origin = slice.origin;
             t.samples = slice.requests;
@@ -576,9 +575,9 @@ fn run_client_with(
     let outcomes = measure(&config, &log, &requests)?;
     let report = summarize(&config, &log, &outcomes);
     if let Some((client, _)) = &mut up {
-        for mut frame in build_slices(&config, &log, &outcomes, &report) {
+        for mut digest in build_slices(&config, &log, &outcomes, &report) {
             client
-                .send(&mut frame)
+                .send(&mut digest)
                 .map_err(|e| format!("client {id} uplink send failed: {e}"))?;
         }
     }
@@ -623,24 +622,40 @@ fn fold_report(
     FleetReport { schema: FLEET_SCHEMA, config: *config, indexed, clients, totals }
 }
 
+/// Connects `config.clients` clients to the broadcast server at `addr`
+/// and starts each one's pipeline on its own thread.
+fn spawn_clients(
+    addr: SocketAddr,
+    config: &FleetConfig,
+    uplink: Option<&UplinkConfig>,
+) -> Result<Vec<JoinHandle<Result<ClientReport, String>>>, String> {
+    (0..config.clients)
+        .map(|id| {
+            let client = config.client(id);
+            let up = resolve_uplink(uplink, id)?;
+            let stream = TcpStream::connect(addr)
+                .map_err(|e| format!("client {id} connect failed: {e}"))?;
+            std::thread::Builder::new()
+                .name(format!("dbcast-fleet-{id}"))
+                .spawn(move || run_client_with(client, stream, up))
+                .map_err(|e| format!("spawn failed: {e}"))
+        })
+        .collect()
+}
+
+/// Joins the client threads in id order.
+fn join_clients(
+    handles: Vec<JoinHandle<Result<ClientReport, String>>>,
+) -> Result<Vec<ClientReport>, String> {
+    handles.into_iter().map(|h| h.join().map_err(|_| "client thread panicked")?).collect()
+}
+
 /// Connects a fleet to an already-running broadcast server and runs
 /// every client to completion (the server must eventually send the
 /// end-of-stream frame, e.g. `dbcast serve --listen-bcast` finishing
-/// its request trace).
-///
-/// # Errors
-///
-/// Propagates connection failures and client pipeline errors.
-pub fn run_fleet(
-    addr: impl ToSocketAddrs,
-    config: &FleetConfig,
-) -> Result<FleetReport, String> {
-    run_fleet_with(addr, config, None)
-}
-
-/// [`run_fleet`] with an optional telemetry uplink: every client pushes
-/// live generation acks and post-measurement slices to
-/// `uplink.addr` (see [`UplinkConfig`]).
+/// its request trace). With an `uplink`, every client pushes live
+/// generation acks and post-measurement slices to `uplink.addr` (see
+/// [`UplinkConfig`]).
 ///
 /// # Errors
 ///
@@ -655,24 +670,7 @@ pub fn run_fleet_with(
         .map_err(|e| format!("bad address: {e}"))?
         .next()
         .ok_or("address resolved to nothing")?;
-    let mut handles = Vec::with_capacity(config.clients);
-    for id in 0..config.clients {
-        let client = config.client(id);
-        let up = resolve_uplink(uplink, id)?;
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| format!("client {id} connect failed: {e}"))?;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("dbcast-fleet-{id}"))
-                .spawn(move || run_client_with(client, stream, up))
-                .map_err(|e| format!("spawn failed: {e}"))?,
-        );
-    }
-    let mut clients = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let report = handle.join().map_err(|_| "client thread panicked")??;
-        clients.push(report);
-    }
+    let clients = join_clients(spawn_clients(addr, config, uplink)?)?;
     // A connecting fleet does not see the server's egress config, so
     // infer index frames from tuning strictly below access.
     let indexed =
@@ -714,20 +712,7 @@ pub fn run_fleet_inline_with(
 ) -> Result<(FleetReport, EgressReport), String> {
     let server = BroadcastServer::bind("127.0.0.1:0", net)
         .map_err(|e| format!("bind failed: {e}"))?;
-    let addr = server.addr();
-    let mut handles = Vec::with_capacity(config.clients);
-    for id in 0..config.clients {
-        let client = config.client(id);
-        let up = resolve_uplink(uplink, id)?;
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| format!("client {id} connect failed: {e}"))?;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("dbcast-fleet-{id}"))
-                .spawn(move || run_client_with(client, stream, up))
-                .map_err(|e| format!("spawn failed: {e}"))?,
-        );
-    }
+    let handles = spawn_clients(server.addr(), config, uplink)?;
     // Every subscriber must be registered before the first frame airs,
     // otherwise late joiners would miss the head of the stream.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -740,11 +725,7 @@ pub fn run_fleet_inline_with(
     }
     let stop = AtomicBool::new(false);
     let egress_report = run_egress(&server, source, egress, &stop)?;
-    let mut clients = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let report = handle.join().map_err(|_| "client thread panicked")??;
-        clients.push(report);
-    }
+    let clients = join_clients(handles)?;
     let dropped = server.dropped_frames();
     server.shutdown();
     let indexed = egress.index.is_some();

@@ -23,6 +23,7 @@
 use std::fmt;
 
 use dbcast_obs::metrics::{HistogramCells, BUCKETS};
+use dbcast_serve::FleetDigest;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"DBN1";
@@ -50,11 +51,11 @@ const TYPE_TELEMETRY: u8 = 5;
 /// Fixed payload size of a data frame.
 const DATA_PAYLOAD_LEN: usize = 32;
 
-/// [`TelemetryFrame::flags`] bit: the digest carries a finished
-/// per-generation measurement slice (means, Eq. 2 prediction,
-/// histogram deltas). Unset means a lightweight live **ack**: the
-/// client has tuned to `generation` and reports nothing else yet.
-pub const TELEMETRY_FLAG_SLICE: u32 = 1;
+/// Telemetry flags bit for [`FleetDigest::slice`]: the digest carries
+/// a finished per-generation measurement slice (means, Eq. 2
+/// prediction, histogram deltas). Unset means a lightweight live
+/// **ack**. No other flag bit is defined; the decoder rejects them.
+const TELEMETRY_FLAG_SLICE: u32 = 1;
 
 /// One item occurrence on the air.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,98 +98,6 @@ pub struct IndexFrame {
     pub entries: Vec<IndexEntry>,
 }
 
-/// A compact, generation-stamped client digest pushed **up** the TCP
-/// uplink — the only frame type that travels client → server. Counter
-/// fields are per-generation deltas, never cumulative, so digests from
-/// any number of clients fold into exact fleet rollups by addition
-/// (the [`HistogramCells`] merge algebra).
-///
-/// On the wire the histogram cells travel sparse (`(bucket, count)`
-/// pairs in strictly ascending bucket order — the canonical encoding)
-/// and `count` is derived from the bucket deltas on decode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryFrame {
-    /// Fleet-assigned client id.
-    pub client: u32,
-    /// Per-client digest sequence number (gaps mean uplink loss).
-    pub seq: u32,
-    /// Digest kind bits; see [`TELEMETRY_FLAG_SLICE`].
-    pub flags: u32,
-    /// Newest program generation the client has decoded a directory
-    /// for — the straggler signal.
-    pub last_generation: u64,
-    /// Generation this digest's measurements belong to.
-    pub generation: u64,
-    /// Virtual time the generation's directory took effect (bit-exact
-    /// copy of the directory's origin, so server-side reconciliation
-    /// can match slices to directories).
-    pub origin: f64,
-    /// Clean Eq. 2-comparable samples behind the slice means.
-    pub samples: u64,
-    /// Mean access time over the clean samples (virtual seconds).
-    pub mean_access: f64,
-    /// Mean tuning time over the clean samples (virtual seconds).
-    pub mean_tuning: f64,
-    /// Mean Eq. 2 expected access time for the same requests.
-    pub predicted_access: f64,
-    /// Requests attributed to the generation (delta).
-    pub requests: u64,
-    /// Requests fully satisfied (delta).
-    pub completed: u64,
-    /// Items answered from the client cache (delta).
-    pub cache_hits: u64,
-    /// Retrieval conflicts: wanted items airing while busy (delta).
-    pub conflicts: u64,
-    /// Downloads abandoned at a hot-swap boundary (delta).
-    pub retunes: u64,
-    /// Torn frames the recorded air could not corroborate (delta).
-    pub torn: u64,
-    /// Access-time log2 histogram deltas (virtual microseconds).
-    pub access: HistogramCells,
-    /// Tuning-time log2 histogram deltas (virtual microseconds).
-    pub tuning: HistogramCells,
-    /// Frames seen per channel, `(channel, frames)` ascending.
-    pub coverage: Vec<(u32, u64)>,
-}
-
-impl TelemetryFrame {
-    /// An all-zero digest (identity under fleet folding).
-    pub fn empty() -> Self {
-        TelemetryFrame {
-            client: 0,
-            seq: 0,
-            flags: 0,
-            last_generation: 0,
-            generation: 0,
-            origin: 0.0,
-            samples: 0,
-            mean_access: 0.0,
-            mean_tuning: 0.0,
-            predicted_access: 0.0,
-            requests: 0,
-            completed: 0,
-            cache_hits: 0,
-            conflicts: 0,
-            retunes: 0,
-            torn: 0,
-            access: HistogramCells::empty(),
-            tuning: HistogramCells::empty(),
-            coverage: Vec::new(),
-        }
-    }
-
-    /// Whether this digest carries a finished measurement slice.
-    pub fn is_slice(&self) -> bool {
-        self.flags & TELEMETRY_FLAG_SLICE != 0
-    }
-}
-
-impl Default for TelemetryFrame {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
 /// A complete frame as seen on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -206,7 +115,10 @@ pub enum Frame {
     /// One client telemetry digest (uplink direction). Boxed: the
     /// inline histogram cells would otherwise quintuple the size of
     /// every `Frame` moved through the broadcast egress path.
-    Telemetry(Box<TelemetryFrame>),
+    /// On the wire, flag bit 1 is [`FleetDigest::slice`], and histogram
+    /// cells travel as sparse `(bucket, count)` pairs in strictly
+    /// ascending bucket order (the canonical encoding).
+    Telemetry(Box<FleetDigest>),
 }
 
 /// Typed decoding failures. All are recoverable: after an error the
@@ -318,11 +230,12 @@ fn push_cells(buf: &mut Vec<u8>, cells: &HistogramCells) {
 /// clearing it. This is the steady-state uplink path; with a warm
 /// (pre-sized) buffer it performs **zero heap allocations** — pinned
 /// by a perf test, like the data-frame egress path.
-pub fn encode_telemetry_frame_into(out: &mut Vec<u8>, t: &TelemetryFrame) {
+pub fn encode_telemetry_frame_into(out: &mut Vec<u8>, t: &FleetDigest) {
     encode_envelope(out, TYPE_TELEMETRY, |buf| {
+        let flags = if t.slice { TELEMETRY_FLAG_SLICE } else { 0 };
         buf.extend_from_slice(&t.client.to_le_bytes());
         buf.extend_from_slice(&t.seq.to_le_bytes());
-        buf.extend_from_slice(&t.flags.to_le_bytes());
+        buf.extend_from_slice(&flags.to_le_bytes());
         buf.extend_from_slice(&t.last_generation.to_le_bytes());
         buf.extend_from_slice(&t.generation.to_le_bytes());
         push_f64(buf, t.origin);
@@ -474,11 +387,15 @@ fn parse_cells_into(
 
 fn parse_telemetry_into(
     c: &mut Cursor<'_>,
-    t: &mut TelemetryFrame,
+    t: &mut FleetDigest,
 ) -> Result<(), DecodeError> {
     t.client = c.u32()?;
     t.seq = c.u32()?;
-    t.flags = c.u32()?;
+    let flags = c.u32()?;
+    if flags & !TELEMETRY_FLAG_SLICE != 0 {
+        return Err(DecodeError::Payload("unknown telemetry flag bits"));
+    }
+    t.slice = flags != 0;
     t.last_generation = c.u64()?;
     t.generation = c.u64()?;
     t.origin = c.finite_f64("non-finite telemetry origin")?;
@@ -511,7 +428,7 @@ fn parse_telemetry_into(
     Ok(())
 }
 
-/// Parses a telemetry payload into a caller-owned frame, reusing its
+/// Parses a telemetry payload into a caller-owned digest, reusing its
 /// coverage buffer. With warm capacity this is the **zero-allocation**
 /// steady-state uplink decode path (pinned by a perf test); the
 /// general [`FrameDecoder`] route allocates a fresh frame instead.
@@ -522,7 +439,7 @@ fn parse_telemetry_into(
 /// decoder reports for a malformed telemetry body.
 pub fn decode_telemetry_payload(
     payload: &[u8],
-    t: &mut TelemetryFrame,
+    t: &mut FleetDigest,
 ) -> Result<(), DecodeError> {
     let mut c = Cursor::new(payload);
     parse_telemetry_into(&mut c, t)?;
@@ -577,7 +494,7 @@ fn parse_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
             Frame::End { horizon: c.finite_f64("non-finite stream horizon")? }
         }
         TYPE_TELEMETRY => {
-            let mut t = Box::new(TelemetryFrame::empty());
+            let mut t = Box::new(FleetDigest::ack(0, 0, 0));
             parse_telemetry_into(&mut c, &mut t)?;
             Frame::Telemetry(t)
         }
@@ -692,17 +609,17 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
-    fn sample_telemetry() -> TelemetryFrame {
+    fn sample_telemetry() -> FleetDigest {
         let mut access = HistogramCells::empty();
         let mut tuning = HistogramCells::empty();
         for v in [1_500_000u64, 2_250_000, 40] {
             access.record(v);
             tuning.record(v / 3);
         }
-        TelemetryFrame {
+        FleetDigest {
             client: 4,
             seq: 9,
-            flags: TELEMETRY_FLAG_SLICE,
+            slice: true,
             last_generation: 3,
             generation: 2,
             origin: 17.25,
@@ -797,14 +714,12 @@ mod tests {
         let mut wire = Vec::new();
         encode_telemetry_frame_into(&mut wire, &t);
         let payload = &wire[HEADER_LEN..wire.len() - TRAILER_LEN];
-        let mut reused = TelemetryFrame::empty();
+        let mut reused = FleetDigest::ack(0, 0, 0);
         reused.coverage.reserve(8);
         decode_telemetry_payload(payload, &mut reused).expect("clean payload decodes");
         assert_eq!(reused, t);
         // An ack (empty cells, no coverage) round-trips too.
-        let mut ack = TelemetryFrame::empty();
-        ack.client = 7;
-        ack.last_generation = 5;
+        let ack = FleetDigest::ack(7, 0, 5);
         let mut wire = Vec::new();
         encode_telemetry_frame_into(&mut wire, &ack);
         let payload = &wire[HEADER_LEN..wire.len() - TRAILER_LEN];
@@ -818,7 +733,7 @@ mod tests {
         let mut wire = Vec::new();
         encode_telemetry_frame_into(&mut wire, &t);
         let payload = wire[HEADER_LEN..wire.len() - TRAILER_LEN].to_vec();
-        let mut out = TelemetryFrame::empty();
+        let mut out = FleetDigest::ack(0, 0, 0);
         // Truncation anywhere inside the payload is a typed error.
         for cut in 0..payload.len() {
             assert!(
@@ -828,12 +743,30 @@ mod tests {
         }
         // A non-canonical empty-cells block (sum without buckets) is
         // rejected: 176-byte fixed head, then sum at the access block.
-        let mut ack = TelemetryFrame::empty();
+        let mut ack = FleetDigest::ack(0, 0, 0);
         ack.access.sum = 9;
         let mut wire = Vec::new();
         encode_telemetry_frame_into(&mut wire, &ack);
         let payload = &wire[HEADER_LEN..wire.len() - TRAILER_LEN];
         assert!(decode_telemetry_payload(payload, &mut out).is_err());
+    }
+
+    #[test]
+    fn telemetry_flags_keep_their_bytes_and_reject_unknown_bits() {
+        let mut wire = Vec::new();
+        encode_telemetry_frame_into(&mut wire, &sample_telemetry());
+        let mut payload = wire[HEADER_LEN..wire.len() - TRAILER_LEN].to_vec();
+        // Flags follow client and seq: a slice is exactly bit 1.
+        assert_eq!(payload[8..12], 1u32.to_le_bytes());
+        let mut out = FleetDigest::ack(0, 0, 0);
+        for flags in [2u32, 3, 1 << 31] {
+            payload[8..12].copy_from_slice(&flags.to_le_bytes());
+            assert_eq!(
+                decode_telemetry_payload(&payload, &mut out),
+                Err(DecodeError::Payload("unknown telemetry flag bits")),
+                "flags {flags:#x} decoded"
+            );
+        }
     }
 
     #[test]

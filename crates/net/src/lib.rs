@@ -9,7 +9,8 @@
 //!   while timing stays deterministic and Eq. 2-comparable.
 //! * [`server`] — [`BroadcastServer`]: a fan-out server with a bounded
 //!   per-subscriber queue and a drop-and-count slow-client policy, so
-//!   one stalled client never back-pressures the serve loop.
+//!   one stalled client never back-pressures the serve loop. It and the
+//!   uplink accept through one capped [`dbcast_flight::Listener`].
 //! * [`egress`] — turns program generations (live from a serve
 //!   runtime's epoch cell, or scripted for determinism) into data,
 //!   index, and directory frames; hot swaps truncate straddling frames
@@ -47,16 +48,15 @@ pub use egress::{
     SourceGeneration,
 };
 pub use fleet::{
-    predicted_access, run_fleet, run_fleet_inline, run_fleet_inline_with, run_fleet_with,
+    predicted_access, run_fleet_inline, run_fleet_inline_with, run_fleet_with,
     ClientReport, FleetConfig, FleetReport, FleetTotals, GenerationSlice, StatSummary,
     UplinkConfig, FLEET_SCHEMA,
 };
 pub use frame::{
     decode_telemetry_payload, encode_data_frame_into, encode_frame, encode_frame_into,
     encode_telemetry_frame_into, DataFrame, DecodeError, Frame, FrameDecoder, IndexEntry,
-    IndexFrame, TelemetryFrame, HEADER_LEN, MAGIC, MAX_PAYLOAD, TELEMETRY_FLAG_SLICE,
-    TRAILER_LEN, VERSION,
+    IndexFrame, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
 };
-pub use server::{BroadcastServer, NetConfig, OverflowPolicy};
-pub use uplink::{digest_from_frame, DigestSink, UplinkClient, UplinkServer};
+pub use server::{BroadcastServer, NetConfig, OverflowPolicy, MAX_SUBSCRIBERS};
+pub use uplink::{DigestSink, UplinkClient, UplinkServer, MAX_UPLINKS};
 pub use world::{Directory, FetchPlan, IndexParams, WorldView};

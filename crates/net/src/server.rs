@@ -1,22 +1,28 @@
 //! Framed TCP broadcast server.
 //!
-//! One accept thread registers subscribers; each subscriber owns a
-//! bounded frame queue drained by a dedicated writer thread. The serve
-//! loop only ever *enqueues* — a stalled client fills its own queue and
-//! (under [`OverflowPolicy::DropNewest`]) loses frames, counted on
+//! Connections arrive through a [`Listener`] capped at
+//! [`MAX_SUBSCRIBERS`] (`net.broadcast.refused` counts the rest). Its
+//! accept thread registers each one as a subscriber with the current
+//! directory already queued, then the subscriber's writer drains its
+//! bounded frame queue on a thread of its own. The serve loop only ever
+//! *enqueues* — a stalled client fills its own queue and (under
+//! [`OverflowPolicy::DropNewest`]) loses frames, counted on
 //! `net.dropped_frames`, while every other subscriber and the broadcast
-//! tick itself stay unaffected. Per-connection write timeouts evict
-//! clients whose TCP window has been closed for too long.
+//! tick itself stay unaffected. A write timeout or hang-up ends the
+//! writer, and the next broadcast prunes its subscriber.
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dbcast_flight::{Listener, StopToken};
 use dbcast_obs::metrics::{Counter, Gauge};
+
+/// Most subscribers served at once; further connections are refused.
+pub const MAX_SUBSCRIBERS: usize = 256;
 
 /// What to do when a subscriber's frame queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,14 +173,12 @@ impl BoundedQueue {
     }
 }
 
-/// One connected client: its queue and writer thread.
+/// One connected client: its queue and whether its writer has exited.
 #[derive(Debug)]
 struct Subscriber {
     queue: Arc<BoundedQueue>,
-    /// Set by the writer thread when the connection died; the next
-    /// broadcast prunes the entry.
+    /// Set when the writer exits; the next broadcast prunes the entry.
     dead: Arc<AtomicBool>,
-    writer: Option<JoinHandle<()>>,
 }
 
 #[derive(Debug)]
@@ -188,7 +192,6 @@ struct Roster {
 #[derive(Debug)]
 struct Shared {
     roster: Mutex<Roster>,
-    stop: AtomicBool,
     config: NetConfig,
     metrics: NetMetrics,
     // Local mirrors of the obs counters so behaviour is assertable even
@@ -206,8 +209,7 @@ struct Shared {
 #[derive(Debug)]
 pub struct BroadcastServer {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    listener: Listener,
 }
 
 impl BroadcastServer {
@@ -217,11 +219,8 @@ impl BroadcastServer {
     ///
     /// Propagates bind/spawn failures.
     pub fn bind(addr: impl ToSocketAddrs, config: NetConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             roster: Mutex::new(Roster { subscribers: Vec::new(), directory: None }),
-            stop: AtomicBool::new(false),
             config,
             metrics: NetMetrics::resolve(),
             dropped: AtomicU64::new(0),
@@ -230,24 +229,17 @@ impl BroadcastServer {
             queue_peak: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new().name("dbcast-bcast-accept".into()).spawn(
-            move || {
-                for stream in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        register_subscriber(&accept_shared, stream);
-                    }
-                }
-            },
-        )?;
-        Ok(BroadcastServer { shared, addr, accept: Mutex::new(Some(accept)) })
+        let listener =
+            Listener::bind(addr, "net.broadcast", MAX_SUBSCRIBERS, move |stream| {
+                let writer = subscribe(&accept_shared, stream);
+                Some(move |_: &StopToken| writer.run())
+            })?;
+        Ok(BroadcastServer { shared, listener })
     }
 
     /// The bound socket address (useful after binding port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Publishes the directory handed to every future subscriber, and
@@ -295,28 +287,24 @@ impl BroadcastServer {
         self.shared.queue_peak.load(Ordering::SeqCst)
     }
 
+    /// Connections refused over [`MAX_SUBSCRIBERS`] since startup.
+    pub fn refused(&self) -> u64 {
+        self.listener.refused()
+    }
+
     /// Stops accepting, closes every subscriber queue (letting queued
     /// frames drain), and joins all threads. Idempotent.
     pub fn shutdown(&self) {
-        if !self.shared.stop.swap(true, Ordering::SeqCst) {
-            // Unblock the accept loop with one throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(handle) = self.accept.lock().expect("accept poisoned").take() {
-            let _ = handle.join();
-        }
-        let mut subs = {
-            let mut roster = self.shared.roster.lock().expect("roster poisoned");
-            std::mem::take(&mut roster.subscribers)
-        };
+        // Registration runs on the accept thread, so once `stop`
+        // returns no subscriber can join behind the closes below.
+        self.listener.stop();
+        let subs = std::mem::take(
+            &mut self.shared.roster.lock().expect("roster poisoned").subscribers,
+        );
         for sub in &subs {
             sub.queue.close();
         }
-        for sub in &mut subs {
-            if let Some(handle) = sub.writer.take() {
-                let _ = handle.join();
-            }
-        }
+        self.listener.shutdown();
         self.shared.metrics.subscribers.set(0.0);
     }
 }
@@ -327,58 +315,65 @@ impl Drop for BroadcastServer {
     }
 }
 
-fn register_subscriber(shared: &Arc<Shared>, stream: TcpStream) {
+/// Registers `stream` as a subscriber (directory first) and returns
+/// its writer, to run on the connection's own thread.
+fn subscribe(shared: &Arc<Shared>, stream: TcpStream) -> Writer {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(shared.config.write_timeout);
     let queue = Arc::new(BoundedQueue::new(shared.config.queue_capacity));
     let dead = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let queue = Arc::clone(&queue);
-        let dead = Arc::clone(&dead);
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("dbcast-bcast-writer".into())
-            .spawn(move || writer_loop(stream, &queue, &dead, &shared))
-    };
-    let writer = match writer {
-        Ok(handle) => handle,
-        Err(_) => return,
-    };
     let mut roster = shared.roster.lock().expect("roster poisoned");
     if let Some(dir) = &roster.directory {
         // The directory must be the first thing a subscriber sees; the
         // queue is empty here so this cannot fail short of a close.
         let _ = queue.try_push(Arc::clone(dir));
     }
-    roster.subscribers.push(Subscriber { queue, dead, writer: Some(writer) });
+    roster
+        .subscribers
+        .push(Subscriber { queue: Arc::clone(&queue), dead: Arc::clone(&dead) });
     let live = roster.subscribers.iter().filter(|s| !s.dead.load(Ordering::SeqCst)).count();
     shared.metrics.subscribers.set(live as f64);
+    Writer { stream, queue, dead, shared: Arc::clone(shared) }
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    queue: &BoundedQueue,
-    dead: &AtomicBool,
-    shared: &Shared,
-) {
-    while let Some(blob) = queue.pop() {
-        if stream.write_all(&blob).and_then(|()| stream.flush()).is_err() {
-            // Timeout or hangup: evict this client, drain nothing more.
-            dead.store(true, Ordering::SeqCst);
-            queue.close();
-            return;
+/// One subscriber's writer: drains its queue onto the socket.
+struct Writer {
+    stream: TcpStream,
+    queue: Arc<BoundedQueue>,
+    dead: Arc<AtomicBool>,
+    shared: Arc<Shared>,
+}
+
+impl Writer {
+    fn run(mut self) {
+        while let Some(blob) = self.queue.pop() {
+            if self.stream.write_all(&blob).and_then(|()| self.stream.flush()).is_err() {
+                // Timeout or hangup: evict this client (see `Drop`).
+                return;
+            }
+            let shared = &self.shared;
+            shared.frames_sent.fetch_add(1, Ordering::SeqCst);
+            shared.bytes_sent.fetch_add(blob.len() as u64, Ordering::SeqCst);
+            shared.metrics.frames_sent.inc();
+            shared.metrics.bytes_sent.add(blob.len() as u64);
         }
-        shared.frames_sent.fetch_add(1, Ordering::SeqCst);
-        shared.bytes_sent.fetch_add(blob.len() as u64, Ordering::SeqCst);
-        shared.metrics.frames_sent.inc();
-        shared.metrics.bytes_sent.add(blob.len() as u64);
+        let _ = self.stream.flush();
     }
-    let _ = stream.flush();
+}
+
+impl Drop for Writer {
+    /// However the writer ends — evicted, shut down, or dropped unrun
+    /// because its thread failed to spawn — its queue closes and the
+    /// next broadcast prunes the subscriber.
+    fn drop(&mut self) {
+        self.dead.store(true, Ordering::SeqCst);
+        self.queue.close();
+    }
 }
 
 fn broadcast_locked(shared: &Shared, roster: &mut Roster, blob: Arc<Vec<u8>>) {
     let mut pruned = false;
-    for sub in &mut roster.subscribers {
+    for sub in &roster.subscribers {
         if sub.dead.load(Ordering::SeqCst) {
             pruned = true;
             continue;
@@ -405,16 +400,9 @@ fn broadcast_locked(shared: &Shared, roster: &mut Roster, blob: Arc<Vec<u8>>) {
     shared.metrics.queue_depth.set(depth as f64);
     shared.metrics.queue_peak.set(peak as f64);
     if pruned {
-        roster.subscribers.retain_mut(|sub| {
-            if !sub.dead.load(Ordering::SeqCst) {
-                return true;
-            }
-            sub.queue.close();
-            if let Some(handle) = sub.writer.take() {
-                let _ = handle.join();
-            }
-            false
-        });
+        // A dead writer already closed its queue and its thread is the
+        // listener's to reap; only the roster entry is left.
+        roster.subscribers.retain(|sub| !sub.dead.load(Ordering::SeqCst));
         let live = roster.subscribers.len();
         shared.metrics.subscribers.set(live as f64);
     }

@@ -2,67 +2,52 @@
 //!
 //! Downlink subscribers are mute — the server fans frames out and never
 //! hears back. The uplink closes the loop: each client opens a second
-//! TCP connection and pushes compact [`TelemetryFrame`] digests (live
-//! generation acknowledgements while recording, per-generation
-//! measurement slices after), framed with the same DBN1 envelope,
-//! checksum and resync discipline as the downlink. The
-//! [`UplinkServer`] decodes them on per-connection reader threads and
-//! hands every digest to a [`DigestSink`] — in production the serve
-//! process's [`FleetAggregator`].
+//! TCP connection and pushes compact [`FleetDigest`]s (live generation
+//! acknowledgements while recording, per-generation measurement slices
+//! after), framed with the same DBN1 envelope, checksum and resync
+//! discipline as the downlink. The [`UplinkServer`] decodes them on
+//! per-connection reader threads, at most [`MAX_UPLINKS`] at once
+//! (further connections are refused and counted on
+//! `net.uplink.refused`), and hands every digest to a [`DigestSink`] —
+//! in production the serve process's [`FleetAggregator`].
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use dbcast_flight::{Listener, StopToken};
 use dbcast_obs::metrics::{Counter, Gauge};
 use dbcast_serve::{FleetAggregator, FleetDigest};
 
-use crate::frame::{
-    encode_telemetry_frame_into, Frame, FrameDecoder, TelemetryFrame, TELEMETRY_FLAG_SLICE,
-};
+use crate::frame::{encode_telemetry_frame_into, Frame, FrameDecoder};
+
+/// Most uplink connections read at once; further ones are refused.
+pub const MAX_UPLINKS: usize = 256;
+
+/// Bytes read off the socket per call.
+const READ_CHUNK: usize = 8192;
+
+/// Most bytes a connection may leave buffered short of a complete
+/// frame. The largest legitimate digest is two sparse histograms plus
+/// 12 B per coverage channel, far under 64 KiB; a peer past this plus
+/// one read chunk is sending something else, and is dropped.
+const MAX_PENDING: usize = 64 * 1024 + READ_CHUNK;
 
 /// Receives every decoded telemetry digest, in per-client arrival
 /// order. Implementations must tolerate concurrent calls from
 /// different connection reader threads.
 pub trait DigestSink: Send + Sync {
     /// One digest, freshly decoded off an uplink connection.
-    fn on_digest(&self, frame: &TelemetryFrame);
+    fn on_digest(&self, digest: &FleetDigest);
 }
 
 /// The production sink: fold digests straight into the serve-side
 /// fleet aggregates.
 impl DigestSink for FleetAggregator {
-    fn on_digest(&self, frame: &TelemetryFrame) {
-        self.ingest(&digest_from_frame(frame));
-    }
-}
-
-/// Converts a wire telemetry frame into the transport-agnostic digest
-/// the serve-side aggregator folds.
-pub fn digest_from_frame(t: &TelemetryFrame) -> FleetDigest {
-    FleetDigest {
-        client: t.client,
-        seq: t.seq,
-        slice: t.is_slice(),
-        last_generation: t.last_generation,
-        generation: t.generation,
-        origin: t.origin,
-        samples: t.samples,
-        mean_access: t.mean_access,
-        mean_tuning: t.mean_tuning,
-        predicted_access: t.predicted_access,
-        requests: t.requests,
-        completed: t.completed,
-        cache_hits: t.cache_hits,
-        conflicts: t.conflicts,
-        retunes: t.retunes,
-        torn: t.torn,
-        access: t.access.clone(),
-        tuning: t.tuning.clone(),
-        coverage: t.coverage.clone(),
+    fn on_digest(&self, digest: &FleetDigest) {
+        self.ingest(digest);
     }
 }
 
@@ -89,14 +74,19 @@ impl UplinkMetrics {
 
 struct UplinkShared {
     sink: Arc<dyn DigestSink>,
-    stop: AtomicBool,
     metrics: UplinkMetrics,
     // Local mirrors so behaviour is assertable with obs compiled out.
     frames: AtomicU64,
     bytes: AtomicU64,
     decode_errors: AtomicU64,
     clients: AtomicU64,
-    readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl UplinkShared {
+    fn decode_error(&self) {
+        self.decode_errors.fetch_add(1, Ordering::SeqCst);
+        self.metrics.decode_errors.inc();
+    }
 }
 
 /// A telemetry ingest server on a TCP listener.
@@ -105,13 +95,12 @@ struct UplinkShared {
 /// connection reader thread is joined.
 pub struct UplinkServer {
     shared: Arc<UplinkShared>,
-    addr: SocketAddr,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    listener: Listener,
 }
 
 impl std::fmt::Debug for UplinkServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UplinkServer").field("addr", &self.addr).finish_non_exhaustive()
+        f.debug_struct("UplinkServer").field("addr", &self.addr()).finish_non_exhaustive()
     }
 }
 
@@ -130,46 +119,25 @@ impl UplinkServer {
         addr: impl ToSocketAddrs,
         sink: Arc<dyn DigestSink>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(UplinkShared {
             sink,
-            stop: AtomicBool::new(false),
             metrics: UplinkMetrics::resolve(),
             frames: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
             clients: AtomicU64::new(0),
-            readers: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("dbcast-uplink-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let reader_shared = Arc::clone(&accept_shared);
-                    let reader = std::thread::Builder::new()
-                        .name("dbcast-uplink-reader".into())
-                        .spawn(move || reader_loop(stream, &reader_shared));
-                    if let Ok(handle) = reader {
-                        accept_shared
-                            .readers
-                            .lock()
-                            .expect("readers poisoned")
-                            .push(handle);
-                    }
-                }
-            })?;
-        Ok(UplinkServer { shared, addr, accept: Mutex::new(Some(accept)) })
+        let listener = Listener::bind(addr, "net.uplink", MAX_UPLINKS, move |stream| {
+            let shared = Arc::clone(&accept_shared);
+            Some(move |stop: &StopToken| reader_loop(stream, &shared, stop))
+        })?;
+        Ok(UplinkServer { shared, listener })
     }
 
     /// The bound socket address (useful after binding port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Telemetry frames decoded since startup.
@@ -182,42 +150,31 @@ impl UplinkServer {
         self.shared.bytes.load(Ordering::SeqCst)
     }
 
-    /// Envelope/payload decode errors since startup.
+    /// Envelope/payload decode errors since startup, plus connections
+    /// dropped for buffering more than a digest's worth of bytes.
     pub fn decode_errors(&self) -> u64 {
         self.shared.decode_errors.load(Ordering::SeqCst)
+    }
+
+    /// Connections refused over [`MAX_UPLINKS`] since startup.
+    pub fn refused(&self) -> u64 {
+        self.listener.refused()
     }
 
     /// Stops accepting, interrupts every reader at its next poll, and
     /// joins all threads. Idempotent.
     pub fn shutdown(&self) {
-        if !self.shared.stop.swap(true, Ordering::SeqCst) {
-            // Unblock the accept loop with one throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(handle) = self.accept.lock().expect("accept poisoned").take() {
-            let _ = handle.join();
-        }
-        let readers =
-            std::mem::take(&mut *self.shared.readers.lock().expect("readers poisoned"));
-        for handle in readers {
-            let _ = handle.join();
-        }
+        self.listener.shutdown();
         self.shared.metrics.clients.set(0.0);
     }
 }
 
-impl Drop for UplinkServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, shared: &UplinkShared) {
+fn reader_loop(mut stream: TcpStream, shared: &UplinkShared, stop: &StopToken) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let clients = shared.clients.fetch_add(1, Ordering::SeqCst) + 1;
     shared.metrics.clients.set(clients as f64);
     let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 8192];
+    let mut buf = [0u8; READ_CHUNK];
     'conn: loop {
         let n = match stream.read(&mut buf) {
             Ok(0) => break,
@@ -227,7 +184,7 @@ fn reader_loop(mut stream: TcpStream, shared: &UplinkShared) {
                     || e.kind() == std::io::ErrorKind::TimedOut
                     || e.kind() == std::io::ErrorKind::Interrupted =>
             {
-                if shared.stop.load(Ordering::SeqCst) {
+                if stop.is_stopped() {
                     break;
                 }
                 continue;
@@ -246,19 +203,16 @@ fn reader_loop(mut stream: TcpStream, shared: &UplinkShared) {
                 }
                 // The uplink carries telemetry only; anything else that
                 // frames correctly is counted and skipped.
-                Ok(Some(_)) => {
-                    shared.decode_errors.fetch_add(1, Ordering::SeqCst);
-                    shared.metrics.decode_errors.inc();
-                }
+                Ok(Some(_)) | Err(_) => shared.decode_error(),
                 Ok(None) => break,
-                Err(_) => {
-                    shared.decode_errors.fetch_add(1, Ordering::SeqCst);
-                    shared.metrics.decode_errors.inc();
-                }
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            if stop.is_stopped() {
                 break 'conn;
             }
+        }
+        if decoder.pending() > MAX_PENDING {
+            shared.decode_error();
+            break;
         }
     }
     let clients = shared.clients.fetch_sub(1, Ordering::SeqCst) - 1;
@@ -287,18 +241,18 @@ impl UplinkClient {
         Ok(UplinkClient { stream, scratch: Vec::with_capacity(1024), seq: 0 })
     }
 
-    /// Stamps `frame` with the next sequence number, encodes and sends
+    /// Stamps `digest` with the next sequence number, encodes and sends
     /// it. The sent wire bytes are a pure function of the digests
     /// pushed, so same-seed runs produce bit-identical uplink streams.
     ///
     /// # Errors
     ///
     /// Propagates socket write failures.
-    pub fn send(&mut self, frame: &mut TelemetryFrame) -> std::io::Result<()> {
-        frame.seq = self.seq;
+    pub fn send(&mut self, digest: &mut FleetDigest) -> std::io::Result<()> {
+        digest.seq = self.seq;
         self.seq = self.seq.wrapping_add(1);
         self.scratch.clear();
-        encode_telemetry_frame_into(&mut self.scratch, frame);
+        encode_telemetry_frame_into(&mut self.scratch, digest);
         self.stream.write_all(&self.scratch)?;
         self.stream.flush()
     }
@@ -310,16 +264,8 @@ impl UplinkClient {
     ///
     /// Propagates socket write failures.
     pub fn send_ack(&mut self, client: u32, generation: u64) -> std::io::Result<()> {
-        let mut frame = TelemetryFrame::empty();
-        frame.client = client;
-        frame.last_generation = generation;
-        self.send(&mut frame)
+        self.send(&mut FleetDigest::ack(client, 0, generation))
     }
-}
-
-/// Marks `frame` as a measurement slice (sets the flag bit).
-pub fn mark_slice(frame: &mut TelemetryFrame) {
-    frame.flags |= TELEMETRY_FLAG_SLICE;
 }
 
 #[cfg(test)]
@@ -335,11 +281,9 @@ mod tests {
         }
     }
 
-    fn slice_frame(client: u32, generation: u64) -> TelemetryFrame {
-        let mut t = TelemetryFrame::empty();
-        t.client = client;
-        mark_slice(&mut t);
-        t.last_generation = generation;
+    fn slice_frame(client: u32, generation: u64) -> FleetDigest {
+        let mut t = FleetDigest::ack(client, 0, generation);
+        t.slice = true;
         t.generation = generation;
         t.origin = 3.0 * generation as f64;
         t.samples = 2;
@@ -394,6 +338,37 @@ mod tests {
         wait_until(5000, || server.frames() == 1);
         assert!(server.decode_errors() > 0, "garbage must be counted");
         assert_eq!(agg.doc().clients, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_peer_buffering_past_one_digest_is_dropped() {
+        let agg = Arc::new(FleetAggregator::new());
+        let server =
+            UplinkServer::bind("127.0.0.1:0", Arc::clone(&agg) as _).expect("bind uplink");
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        // A well-formed header announcing a 16 MiB telemetry payload,
+        // then 1 MiB of it: the decoder would wait for all 16 MiB.
+        let mut header = Vec::from(crate::frame::MAGIC);
+        header.extend_from_slice(&[crate::frame::VERSION, 5]);
+        header.extend_from_slice(&(crate::frame::MAX_PAYLOAD as u32).to_le_bytes());
+        raw.write_all(&header).expect("header");
+        let chunk = vec![0u8; 64 * 1024];
+        for _ in 0..16 {
+            // The server hangs up mid-body; later writes may fail.
+            if raw.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut byte = [0u8; 1];
+        match raw.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection still open after 1 MiB of one frame: {other:?}"),
+        }
+        assert!(server.decode_errors() > 0, "the drop must count as a decode error");
+        assert!(server.bytes() <= (MAX_PENDING + READ_CHUNK) as u64 + 4096);
         server.shutdown();
     }
 }

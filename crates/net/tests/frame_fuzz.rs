@@ -4,18 +4,15 @@
 
 use dbcast_net::{
     encode_frame_into, DataFrame, Frame, FrameDecoder, IndexEntry, IndexFrame,
-    TelemetryFrame, TELEMETRY_FLAG_SLICE,
 };
+use dbcast_serve::FleetDigest;
 use proptest::prelude::*;
 
 /// Builds a telemetry digest honestly — histogram cells populated via
 /// `record` so the sparse encoding stays canonical.
 fn build_telemetry(channel: u32, item: u32, generation: u64, a: f64, b: f64) -> Frame {
-    let mut t = TelemetryFrame::empty();
-    t.client = channel;
-    t.seq = item;
-    t.flags = if item.is_multiple_of(2) { TELEMETRY_FLAG_SLICE } else { 0 };
-    t.last_generation = generation;
+    let mut t = FleetDigest::ack(channel, item, generation);
+    t.slice = item.is_multiple_of(2);
     t.generation = generation;
     t.origin = a;
     t.samples = u64::from(item % 9);

@@ -341,6 +341,18 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Fleet tuning-time rollup merged from client digest histogram cells",
     },
     MetricDef {
+        name: "flight.exposition.refused",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Exposition connections closed unanswered at the connection cap",
+    },
+    MetricDef {
+        name: "net.broadcast.refused",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Broadcast connections closed unsubscribed at the subscriber cap",
+    },
+    MetricDef {
         name: "net.bytes_sent",
         kind: MetricKind::Counter,
         unit: "By",
@@ -405,6 +417,12 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Counter,
         unit: "1",
         help: "Telemetry frames decoded off the uplink",
+    },
+    MetricDef {
+        name: "net.uplink.refused",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Uplink connections closed unread at the connection cap",
     },
     MetricDef {
         name: "scope.sampler.scrape",
@@ -718,6 +736,9 @@ mod tests {
             "net.uplink.clients",
             "net.uplink.decode_errors",
             "net.uplink.frames",
+            "net.uplink.refused",
+            "net.broadcast.refused",
+            "flight.exposition.refused",
         ] {
             assert!(describe(name).is_some(), "missing catalogue entry: {name}");
         }

@@ -1,6 +1,6 @@
 //! The schema-versioned `BENCH_*.json` report: what a benchmark run
 //! measured, serializable for committing as `BENCH_baseline.json` and
-//! for diffing by [`crate::compare`].
+//! for diffing by [`crate::compare()`].
 
 use std::io;
 use std::path::Path;

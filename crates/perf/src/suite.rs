@@ -14,7 +14,7 @@ use dbcast_baselines::{Gopt, GoptConfig, Vfk};
 use dbcast_conformance::{GeneratorConfig, InstanceGenerator};
 use dbcast_model::{Allocation, BroadcastProgram, ChannelAllocator, Database};
 use dbcast_net::{EgressConfig, FleetConfig, NetConfig, ScriptedSource, SourceGeneration};
-use dbcast_serve::{DriftDetector, ServeConfig, ServeRuntime, WorkerMode};
+use dbcast_serve::{DriftDetector, FleetDigest, ServeConfig, ServeRuntime, WorkerMode};
 use dbcast_sim::Simulation;
 use dbcast_workload::{SizeDistribution, TraceBuilder, WorkloadBuilder};
 
@@ -373,17 +373,11 @@ pub fn standard_suite() -> Vec<Benchmark> {
         let mut wire = Vec::new();
         for client in 0..4u32 {
             for generation in 0..2u64 {
-                let mut ack = dbcast_net::TelemetryFrame::empty();
-                ack.client = client;
-                ack.seq = generation as u32 * 2;
-                ack.last_generation = generation;
+                let ack = FleetDigest::ack(client, generation as u32 * 2, generation);
                 dbcast_net::encode_telemetry_frame_into(&mut wire, &ack);
 
-                let mut slice = dbcast_net::TelemetryFrame::empty();
-                slice.client = client;
-                slice.seq = generation as u32 * 2 + 1;
-                slice.flags = dbcast_net::TELEMETRY_FLAG_SLICE;
-                slice.last_generation = 1;
+                let mut slice = FleetDigest::ack(client, generation as u32 * 2 + 1, 1);
+                slice.slice = true;
                 slice.generation = generation;
                 slice.origin = generation as f64 * 12.5;
                 slice.samples = 6;
@@ -414,7 +408,7 @@ pub fn standard_suite() -> Vec<Benchmark> {
         let mut digests = 0u64;
         while let Ok(Some(frame)) = decoder.next_frame() {
             if let dbcast_net::Frame::Telemetry(t) = frame {
-                aggregator.ingest(&dbcast_net::digest_from_frame(&t));
+                aggregator.ingest(&t);
                 digests += 1;
             }
         }

@@ -12,9 +12,10 @@ use std::sync::Mutex;
 
 use dbcast_net::{
     decode_telemetry_payload, encode_data_frame_into, encode_telemetry_frame_into,
-    DataFrame, TelemetryFrame, HEADER_LEN, TRAILER_LEN,
+    DataFrame, HEADER_LEN, TRAILER_LEN,
 };
 use dbcast_perf::{allocation_counts, CountingAllocator};
+use dbcast_serve::FleetDigest;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -62,12 +63,9 @@ fn steady_state_frame_encode_is_allocation_free() {
 /// A representative measurement-slice digest: populated histogram
 /// cells and a few coverage rows, like a real client's per-generation
 /// upload.
-fn telemetry(i: u32) -> TelemetryFrame {
-    let mut t = TelemetryFrame::empty();
-    t.client = i % 8;
-    t.seq = i;
-    t.flags = dbcast_net::TELEMETRY_FLAG_SLICE;
-    t.last_generation = 1;
+fn telemetry(i: u32) -> FleetDigest {
+    let mut t = FleetDigest::ack(i % 8, i, 1);
+    t.slice = true;
     t.generation = u64::from(i % 2);
     t.origin = f64::from(i % 2) * 12.5;
     t.samples = 6;

@@ -2,7 +2,7 @@
 //!
 //! Clients on the broadcast downlink measure what the allocator can
 //! only promise: end-to-end access and tuning time against Eq. 2. The
-//! uplink (crates/net) decodes their telemetry frames into plain
+//! uplink (crates/net) decodes their telemetry frames straight into
 //! [`FleetDigest`]s and feeds them here; the [`FleetAggregator`] folds
 //! them — element-wise, via the mergeable [`HistogramCells`] — into
 //! exact per-generation fleet rollups, tracks stragglers whose acked
@@ -29,11 +29,9 @@ use dbcast_obs::metrics::HistogramCells;
 use crate::runtime::ProgramGeneration;
 use crate::swap::EpochCell;
 
-/// One decoded client telemetry digest, transport-agnostic.
-///
-/// The wire form lives in `crates/net` (which depends on this crate,
-/// not the other way around); the uplink server converts frames into
-/// this plain struct before handing them to the aggregator.
+/// One client telemetry digest, as the aggregator folds it and as the
+/// uplink codec in `crates/net` (which depends on this crate, not the
+/// other way around) encodes and decodes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetDigest {
     /// Reporting client id.

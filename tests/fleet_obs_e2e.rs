@@ -22,12 +22,11 @@ use std::time::{Duration, Instant};
 use dbcast::alloc::DrpCds;
 use dbcast::model::{BroadcastProgram, ChannelAllocator, Database};
 use dbcast::net::{
-    digest_from_frame, encode_telemetry_frame_into, run_fleet_inline_with, CacheKind,
-    DigestSink, EgressConfig, FleetConfig, FleetReport, NetConfig, OverflowPolicy,
-    ScriptedSource, SourceGeneration, TelemetryFrame, UplinkConfig, UplinkServer,
-    WorkloadPattern,
+    encode_telemetry_frame_into, run_fleet_inline_with, CacheKind, DigestSink,
+    EgressConfig, FleetConfig, FleetReport, NetConfig, OverflowPolicy, ScriptedSource,
+    SourceGeneration, UplinkConfig, UplinkServer, WorkloadPattern,
 };
-use dbcast::serve::{FleetAggregator, FleetDoc};
+use dbcast::serve::{FleetAggregator, FleetDigest, FleetDoc};
 use dbcast_obs::doc;
 
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
@@ -120,10 +119,10 @@ struct RecordingSink {
 }
 
 impl DigestSink for RecordingSink {
-    fn on_digest(&self, frame: &TelemetryFrame) {
+    fn on_digest(&self, digest: &FleetDigest) {
         let mut streams = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        encode_telemetry_frame_into(streams.entry(frame.client).or_default(), frame);
-        self.aggregator.ingest(&digest_from_frame(frame));
+        encode_telemetry_frame_into(streams.entry(digest.client).or_default(), digest);
+        self.aggregator.ingest(digest);
     }
 }
 
@@ -146,7 +145,7 @@ fn run_once() -> (FleetReport, FleetDoc, BTreeMap<u32, Vec<u8>>) {
         UplinkServer::bind("127.0.0.1:0", Arc::clone(&sink) as Arc<dyn DigestSink>)
             .expect("bind uplink server");
     let fleet_route = Arc::clone(&aggregator);
-    let mut exposition = dbcast_flight::ExpositionServer::bind_with_routes(
+    let exposition = dbcast_flight::ExpositionServer::bind_with_routes(
         "127.0.0.1:0",
         Box::new(|| String::from("{\"command\": \"fleet-obs-e2e\"}")),
         vec![dbcast_flight::Route::json("/fleet", move || doc::render(&fleet_route.doc()))],

@@ -8,7 +8,6 @@ mod flight_cmd;
 mod generate;
 mod index_cmd;
 mod paper_example;
-mod perf_cmd;
 mod replicate;
 mod serve_cmd;
 mod simulate;
@@ -25,7 +24,6 @@ pub use flight_cmd::run_flight;
 pub use generate::run_generate;
 pub use index_cmd::run_index;
 pub use paper_example::run_paper_example;
-pub use perf_cmd::run_perf;
 pub use replicate::run_replicate;
 pub use serve_cmd::run_serve;
 pub use simulate::run_simulate;
@@ -76,11 +74,6 @@ pub enum CliError {
         /// What was being checked (corpus replay or a fuzzing run).
         context: String,
     },
-    /// `perf --check` found regressions against the baseline.
-    PerfRegression {
-        /// Number of regressed findings.
-        regressions: usize,
-    },
     /// A telemetry scrape (`dbcast top`, `/series` validation) failed.
     Scrape(String),
     /// A network fleet run or fleet-report validation failed.
@@ -117,11 +110,6 @@ impl fmt::Display for CliError {
                 f,
                 "conformance failed: {violations} violation(s) ({context}); \
                  see the report above for minimized reproducers"
-            ),
-            CliError::PerfRegression { regressions } => write!(
-                f,
-                "perf check failed: {regressions} regression(s) against the baseline; \
-                 see the comparison above (refresh intentionally with --update-baseline)"
             ),
             CliError::Scrape(msg) => write!(f, "telemetry scrape failed: {msg}"),
             CliError::Fleet(msg) => write!(f, "fleet: {msg}"),

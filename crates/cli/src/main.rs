@@ -12,12 +12,6 @@
 use dbcast_cli::args::Args;
 use dbcast_cli::commands::{self, CliError};
 
-// Heap traffic is part of the perf contract: installing the counting
-// allocator in the binary makes `dbcast perf` report real per-iteration
-// allocation counts (`allocs_available: true` in BENCH_*.json).
-#[global_allocator]
-static ALLOC: dbcast_perf::CountingAllocator = dbcast_perf::CountingAllocator;
-
 const USAGE: &str = "\
 dbcast — diverse data broadcasting channel allocation (ICDCS 2005 reproduction)
 
@@ -40,7 +34,6 @@ COMMANDS:
     replicate       Greedy replication on top of an allocation
     stats           Run one allocation under telemetry, print metrics JSON
     conformance     Fuzz every allocator against the invariant suite
-    perf            Run the pinned benchmark suite; gate against a baseline
     flight          Inspect telemetry artifacts (dump | check | catalog)
     top             Live operator console over a serving process's /series
                     endpoint (sparklines for req/s, drift, SLO burn, Eq. 2
@@ -166,16 +159,6 @@ COMMAND-SPECIFIC:
                --interval-ms N  live refresh cadence        [default: 1000]
                --frames N    stop after N live frames (default: forever)
                --width N     sparkline width                [default: 40]
-    perf:      --iterations N timed iterations per benchmark [default: 10]
-               --warmup W     discarded warmup runs          [default: 2]
-               --filter S     only benchmarks whose name contains S
-               --out PATH     report path [default: BENCH_<gitsha>.json]
-               --baseline P   baseline path [default: BENCH_baseline.json]
-               --check        compare against the baseline; exit 1 on regression
-               --update-baseline  rewrite the baseline from this run
-               --tolerance PCT       wall-time tolerance     [default: 20]
-               --alloc-tolerance PCT allocation tolerance (also disables
-                                     the exact-count requirement)
 
 Telemetry records real data only when the binary is built with
 `--features obs`; --metrics-out, --listen and --postmortem-dir are hard
@@ -235,7 +218,6 @@ fn run() -> Result<(), CliError> {
         Some("replicate") => commands::run_replicate(&args, &mut stdout),
         Some("stats") => commands::run_stats(&args, &mut stdout),
         Some("conformance") => commands::run_conformance(&args, &mut stdout),
-        Some("perf") => commands::run_perf(&args, &mut stdout),
         Some("flight") => commands::run_flight(&args, &mut stdout),
         Some("top") => commands::run_top(&args, &mut stdout),
         Some("trace") => commands::run_trace(&args, &mut stdout),

@@ -133,96 +133,6 @@ fn unknown_algorithm_is_a_clean_error() {
 }
 
 #[test]
-fn perf_runs_a_filtered_suite_and_checks_its_own_baseline() {
-    let dir = std::env::temp_dir().join("dbcast-cli-perf-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let report = dir.join("BENCH_current.json");
-    let baseline = dir.join("BENCH_base.json");
-    let report_str = report.to_str().unwrap().to_string();
-    let baseline_str = baseline.to_str().unwrap().to_string();
-
-    // First run records the baseline.
-    let args = Args::parse([
-        "perf",
-        "--filter",
-        "drp",
-        "--iterations",
-        "2",
-        "--warmup",
-        "0",
-        "--out",
-        &report_str,
-        "--baseline",
-        &baseline_str,
-        "--update-baseline",
-    ])
-    .unwrap();
-    let out = run(|w| commands::run_perf(&args, w));
-    assert!(out.contains("benchmark"), "missing table header in:\n{out}");
-    assert!(out.contains("drp"), "filtered bench absent in:\n{out}");
-    assert!(baseline.exists(), "baseline was not written");
-    let parsed: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(parsed.get("schema_version").and_then(|v| v.as_u64()), Some(1));
-
-    // Second run gates against it; a generous tolerance keeps the tiny
-    // two-iteration workload from flaking while still exercising the
-    // whole compare path.
-    let check = Args::parse([
-        "perf",
-        "--filter",
-        "drp",
-        "--iterations",
-        "2",
-        "--warmup",
-        "0",
-        "--out",
-        &report_str,
-        "--baseline",
-        &baseline_str,
-        "--tolerance",
-        "10000",
-        "--alloc-tolerance",
-        "10000",
-        "--check",
-    ])
-    .unwrap();
-    let out = run(|w| commands::run_perf(&check, w));
-    assert!(out.contains("gate:") && out.contains("PASS"), "missing verdict in:\n{out}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn perf_check_without_a_baseline_is_a_clean_error() {
-    let args = Args::parse([
-        "perf",
-        "--filter",
-        "drp",
-        "--iterations",
-        "1",
-        "--warmup",
-        "0",
-        "--out",
-        "/dev/null",
-        "--baseline",
-        "/nonexistent/BENCH_baseline.json",
-        "--check",
-    ])
-    .unwrap();
-    let mut out = Vec::new();
-    let err = commands::run_perf(&args, &mut out).unwrap_err();
-    assert!(err.to_string().contains("cannot load baseline"));
-}
-
-#[test]
-fn perf_rejects_a_filter_matching_nothing() {
-    let args = Args::parse(["perf", "--filter", "no-such-bench"]).unwrap();
-    let mut out = Vec::new();
-    let err = commands::run_perf(&args, &mut out).unwrap_err();
-    assert!(err.to_string().contains("matches no benchmark"));
-}
-
-#[test]
 fn allocate_trace_out_writes_a_chrome_trace() {
     let dir = std::env::temp_dir().join("dbcast-cli-trace-test");
     std::fs::create_dir_all(&dir).unwrap();

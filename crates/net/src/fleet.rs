@@ -681,8 +681,8 @@ pub fn run_fleet_with(
 /// Runs a complete in-process scenario: bind a loopback server, connect
 /// the fleet, then drive `source` through the egress until
 /// `max_windows` windows have aired. Deterministic for scripted
-/// sources; used by the e2e test, the perf benchmark, and the CLI's
-/// inline mode.
+/// sources; used by the e2e test, the repository benchmark's output
+/// check, and the CLI's inline mode.
 ///
 /// # Errors
 ///

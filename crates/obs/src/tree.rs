@@ -61,7 +61,6 @@ impl SpanRecord {
 static PROFILING: AtomicBool = AtomicBool::new(false);
 static CAPACITY: AtomicUsize = AtomicUsize::new(1 << 19);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
-static PEAK_DEPTH: AtomicUsize = AtomicUsize::new(0);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
 fn collected() -> &'static Mutex<Vec<SpanRecord>> {
@@ -116,17 +115,6 @@ pub fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// The deepest nesting observed since the last [`reset_peak_depth`]
-/// (1 = a lone root span; 0 = nothing profiled).
-pub fn peak_depth() -> usize {
-    PEAK_DEPTH.load(Ordering::Relaxed)
-}
-
-/// Zeroes the [`peak_depth`] watermark.
-pub fn reset_peak_depth() {
-    PEAK_DEPTH.store(0, Ordering::Relaxed);
-}
-
 /// Opens a tree node for a span. Returns `None` when profiling is off
 /// (the common case — [`crate::span::SpanGuard`] then skips
 /// [`close_span`] entirely).
@@ -139,7 +127,6 @@ pub(crate) fn open_span(name: &'static str) -> Option<usize> {
         let mut l = l.borrow_mut();
         let parent = l.open.last().copied();
         let depth = l.open.len();
-        PEAK_DEPTH.fetch_max(depth + 1, Ordering::Relaxed);
         let idx = l.nodes.len();
         l.nodes.push(SpanRecord {
             name,
@@ -198,65 +185,9 @@ pub fn take_spans() -> Vec<SpanRecord> {
     std::mem::take(&mut *collected().lock().expect("span collector poisoned"))
 }
 
-/// Copies the collected spans without draining them.
-pub fn spans_snapshot() -> Vec<SpanRecord> {
-    collected().lock().expect("span collector poisoned").clone()
-}
-
 /// Number of spans currently held by the collector.
 pub fn collected_len() -> usize {
     collected().lock().expect("span collector poisoned").len()
-}
-
-/// Aggregate statistics for one root-to-span path (names joined by
-/// `>`), produced by [`aggregate_paths`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathStat {
-    /// `root>child>…>span`.
-    pub path: String,
-    /// Number of spans on this path.
-    pub count: u64,
-    /// Summed durations.
-    pub total_ns: u64,
-    /// Summed self times (durations minus children).
-    pub self_ns: u64,
-    /// Deepest nesting of any span on this path (0-based).
-    pub max_depth: usize,
-}
-
-/// Folds a span batch into per-path totals, sorted by descending self
-/// time (ties broken by path for determinism).
-pub fn aggregate_paths(spans: &[SpanRecord]) -> Vec<PathStat> {
-    let mut paths: Vec<String> = Vec::with_capacity(spans.len());
-    for (i, s) in spans.iter().enumerate() {
-        let path = match s.parent {
-            // Parents always precede children within a batch, so the
-            // parent's path is already built.
-            Some(p) if p < i => format!("{}>{}", paths[p], s.name),
-            _ => s.name.to_string(),
-        };
-        paths.push(path);
-    }
-    let mut stats: Vec<PathStat> = Vec::new();
-    for (s, path) in spans.iter().zip(&paths) {
-        match stats.iter_mut().find(|st| st.path == *path) {
-            Some(st) => {
-                st.count += 1;
-                st.total_ns += s.dur_ns;
-                st.self_ns += s.self_ns();
-                st.max_depth = st.max_depth.max(s.depth);
-            }
-            None => stats.push(PathStat {
-                path: path.clone(),
-                count: 1,
-                total_ns: s.dur_ns,
-                self_ns: s.self_ns(),
-                max_depth: s.depth,
-            }),
-        }
-    }
-    stats.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.path.cmp(&b.path)));
-    stats
 }
 
 /// Renders spans as Chrome trace-event JSON (the `{"traceEvents":
@@ -356,17 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_groups_by_path() {
-        let stats = aggregate_paths(&sample_batch());
-        assert_eq!(stats.len(), 2);
-        let root = stats.iter().find(|s| s.path == "root").unwrap();
-        assert_eq!((root.count, root.total_ns, root.self_ns), (1, 80, 30));
-        let child = stats.iter().find(|s| s.path == "root>child").unwrap();
-        assert_eq!((child.count, child.total_ns, child.self_ns), (2, 50, 50));
-        assert_eq!(child.max_depth, 1);
-    }
-
-    #[test]
     fn chrome_trace_shape() {
         let json = chrome_trace_json(&sample_batch());
         for needle in [
@@ -394,7 +314,6 @@ mod tests {
         let _lock = crate::TEST_SWITCH_LOCK.lock().unwrap();
         crate::set_enabled(true);
         set_profiling(true);
-        reset_peak_depth();
         let _ = take_spans();
         {
             let _root = crate::span!("tree.test.root");
@@ -403,7 +322,7 @@ mod tests {
                 let _leaf = crate::span!("tree.test.leaf");
             }
             // Nothing flushes until the root closes.
-            assert!(spans_snapshot().iter().all(|s| !s.name.starts_with("tree.test")));
+            assert_eq!(collected_len(), 0);
         }
         set_profiling(false);
         let spans: Vec<SpanRecord> =
@@ -420,7 +339,8 @@ mod tests {
         // parent is one past the inner's (= the inner itself).
         let batch_offset = spans[inner].parent.expect("inner is nested");
         assert_eq!(spans[leaf].parent, Some(batch_offset + 1));
-        assert!(peak_depth() >= 3);
+        // Three spans open at once: the deepest sits at depth 2.
+        assert_eq!(spans.iter().map(|s| s.depth).max(), Some(2));
     }
 
     #[cfg(feature = "enabled")]
@@ -438,6 +358,6 @@ mod tests {
         set_capacity(1 << 19);
         set_profiling(false);
         assert!(dropped() > before_dropped);
-        assert!(spans_snapshot().iter().all(|s| s.name != "tree.test.capacity"));
+        assert!(take_spans().iter().all(|s| s.name != "tree.test.capacity"));
     }
 }

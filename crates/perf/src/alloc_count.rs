@@ -10,12 +10,9 @@
 //! static ALLOC: dbcast_perf::CountingAllocator = dbcast_perf::CountingAllocator;
 //! ```
 //!
-//! The `dbcast` binary installs it unconditionally — the overhead is
-//! two relaxed `fetch_add`s and one thread-local increment per
-//! allocation, far below `malloc` itself.
-//! When it is *not* installed (e.g. a downstream library user), the
-//! counters stay at zero and [`crate::runner`] marks allocation data
-//! as unavailable rather than reporting misleading zeros.
+//! The overhead is two relaxed `fetch_add`s and one thread-local
+//! increment per allocation, far below `malloc` itself. When it is
+//! *not* installed, the counters stay at zero.
 
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the wrapper adds only counters.
 
@@ -77,11 +74,4 @@ pub fn allocation_counts() -> (u64, u64) {
 /// thread's heap traffic.
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
-}
-
-/// Whether the counting allocator is live (i.e. any allocation has
-/// been observed). Called after at least one heap allocation has
-/// certainly happened, a `false` means the allocator is not installed.
-pub fn counting_active() -> bool {
-    ALLOCATIONS.load(Ordering::Relaxed) > 0
 }

@@ -1,43 +1,18 @@
-//! `dbcast-perf`: the deterministic performance-baseline harness.
+//! `dbcast-perf`: the counting allocator behind the repository's exact
+//! allocation tests and its benchmark.
 //!
-//! The paper's headline empirical claim (Figures 6–7) is a *runtime*
-//! claim — DRP+CDS reaches near-GOPT cost at a tiny fraction of
-//! GOPT's execution time — so this workspace treats performance as a
-//! tested contract, not a hope:
-//!
-//! 1. [`suite::standard_suite`] pins a set of macro-benchmarks (DRP,
-//!    CDS, DRP+CDS, VF^K, small GOPT, the simulation engine, the
-//!    conformance generator) to seed-replayable workloads.
-//! 2. [`runner::run_suite`] measures wall time (mean/median/p95 over
-//!    iterations, after a warmup discard), per-iteration heap
-//!    allocation counts via the [`CountingAllocator`], and the peak
-//!    span-tree depth from `dbcast_obs::tree`.
-//! 3. [`report::BenchReport`] serializes the run as a schema-versioned
-//!    `BENCH_<gitsha>.json`; `BENCH_baseline.json` at the repo root is
-//!    the committed contract.
-//! 4. [`compare::compare`] diffs a fresh run against the baseline with
-//!    per-metric tolerances (±20% wall time by default, exact
-//!    allocation counts where both runs observed stable counts) —
-//!    `dbcast perf --check` exits non-zero on any regression, and CI
-//!    runs it with relaxed (±35%) tolerances.
-//!
-//! Refreshing the baseline is always an explicit act
-//! (`dbcast perf --update-baseline`), so a slow commit cannot quietly
-//! ratchet the contract.
+//! Runtime is measured end to end by the repository benchmark
+//! (`benchmark/`), which installs [`CountingAllocator`] as its global
+//! allocator so its allocation figures are exact counts. This crate's
+//! `tests/*_alloc.rs` pin the host-independent half of the performance
+//! contract: each installs the same allocator and asserts an exact heap
+//! budget for one hot path (the Eq. 1 wait kernel, the serve loop, a CDS
+//! move, the audit and flight rings, the wire codec), so a change that
+//! adds an allocation there fails on any machine.
 
 #![deny(unsafe_code)] // the counting allocator is the one audited exception
 #![warn(missing_docs)]
 
 mod alloc_count;
-pub mod compare;
-pub mod report;
-pub mod runner;
-pub mod suite;
 
-pub use alloc_count::{
-    allocation_counts, counting_active, thread_allocations, CountingAllocator,
-};
-pub use compare::{compare, Comparison, Finding, FindingKind, Tolerances};
-pub use report::{git_short_sha, BenchRecord, BenchReport, SCHEMA_VERSION};
-pub use runner::{run_suite, RunOptions};
-pub use suite::{standard_suite, Benchmark};
+pub use alloc_count::{allocation_counts, thread_allocations, CountingAllocator};

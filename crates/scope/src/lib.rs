@@ -10,7 +10,7 @@
 //!   `(virtual_tick, wall_ms, value)` samples, counter → rate
 //!   derivation and windowed histogram quantiles from bucket deltas;
 //! * [`sampler::Sampler`] — a background thread scraping the registry
-//!   on a fixed cadence (cost pinned in the BENCH contract);
+//!   on a fixed cadence;
 //! * [`doc`] — the `/series` document ([`SeriesDoc`]), rendered and
 //!   strictly decoded through the `dbcast_obs::doc` envelope;
 //! * [`watchdog`] — threshold/stall rules with sustained windows

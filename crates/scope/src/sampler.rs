@@ -1,10 +1,9 @@
 //! The background sampler: a thread that scrapes the global obs
 //! registry into a [`SeriesStore`] on a fixed cadence and runs the
-//! watchdog after every scrape. One scrape is a registry snapshot
-//! plus one bounded append per metric — its cost is pinned by the
-//! `scope_sampler` benchmark in the BENCH contract (≤2% of the
-//! serve-loop median), so leaving the sampler on in production is the
-//! expected configuration, not a tax.
+//! watchdog after every scrape. One scrape is a registry walk plus one
+//! bounded append per metric, with no name allocations in steady state,
+//! so leaving the sampler on in production is the expected
+//! configuration.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

@@ -239,8 +239,7 @@ impl SeriesStore {
     ///
     /// This is the sampler's hot path: it visits the registry in
     /// place instead of cloning a [`Snapshot`], so a steady-state
-    /// scrape performs no name allocations at all — the cost the
-    /// `scope_sampler` benchmark pins against the serve loop.
+    /// scrape performs no name allocations at all.
     pub fn append_global(&self) -> (u64, u64) {
         let r = dbcast_obs::registry();
         let wall_ms = self.wall_ms();

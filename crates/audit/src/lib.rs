@@ -16,8 +16,9 @@
 //!   predicted mean-wait residuals, frozen into a bounded history at
 //!   each swap.
 //! * [`AuditTracer`] — the facade the serving loop drives: a two-stage
-//!   sampler (seeded + tail-biased, which catches *every* SLO-slow
-//!   request), residual accounting per served request, and snapshot
+//!   sampler (seeded + tail-biased, which catches *every* slow request
+//!   and so is the one slow counter), residual accounting per served
+//!   request, the live generation's [`GenerationTotals`], and snapshot
 //!   ([`AuditSnapshot`], the `/exemplars` document of [`doc`]) and
 //!   OpenMetrics-exemplar exports for the exposition server.
 //!
@@ -56,10 +57,9 @@ pub struct AuditConfig {
     pub seed: u64,
     /// Trace-ring capacity (rounded up to a power of two, minimum 64).
     pub capacity: usize,
-    /// Without an SLO tracker, the tail stage treats a request as slow
-    /// when its wait exceeds this multiple of the serving generation's
-    /// Eq. 2 expected wait (with one, the tracker's slow verdict is
-    /// authoritative).
+    /// A request is *slow* when its wait exceeds this multiple of the
+    /// serving generation's Eq. 2 expected wait: the tail stage records
+    /// it, and the SLO burn rate counts it.
     pub tail_multiplier: f64,
 }
 
@@ -92,6 +92,29 @@ pub struct AuditSnapshot {
     pub records: Vec<ExemplarRecord>,
 }
 
+/// The live generation's running totals, read without allocating:
+/// what the SLO verdict is evaluated on.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GenerationTotals {
+    /// Requests served under the live generation.
+    pub requests: u64,
+    /// Sum of their observed waits (seconds).
+    pub wait_sum: f64,
+    /// How many of them the tail stage caught as slow.
+    pub slow: u64,
+}
+
+impl GenerationTotals {
+    /// Mean observed wait (0 before the first request).
+    pub fn mean_wait(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.wait_sum / self.requests as f64
+        }
+    }
+}
+
 /// The audit totals that ride along in a serve report.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AuditSummary {
@@ -103,8 +126,6 @@ pub struct AuditSummary {
     pub straddled: u64,
     /// Live records in the ring when the run ended.
     pub records: u64,
-    /// Final generation's residual table.
-    pub residuals: Vec<ChannelResidual>,
 }
 
 /// The per-request audit facade the serving loop drives.
@@ -116,6 +137,8 @@ pub struct AuditTracer {
     sampled: AtomicU64,
     tail: AtomicU64,
     straddled: AtomicU64,
+    /// `tail` when the live generation's window opened.
+    tail_base: AtomicU64,
     tail_multiplier: f64,
 }
 
@@ -129,6 +152,7 @@ impl AuditTracer {
             sampled: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             straddled: AtomicU64::new(0),
+            tail_base: AtomicU64::new(0),
             tail_multiplier: config.tail_multiplier,
         }
     }
@@ -140,7 +164,7 @@ impl AuditTracer {
         self.sampler.decide(request_id)
     }
 
-    /// The tail-stage fallback when no SLO tracker is configured:
+    /// The one definition of a slow request:
     /// `wait > tail_multiplier × expected_wait`.
     #[inline]
     pub fn tail_slow(&self, wait: f64, expected_wait: f64) -> bool {
@@ -175,7 +199,23 @@ impl AuditTracer {
         let marked = self.ring.mark_straddles(boundary);
         self.straddled.fetch_add(marked, Ordering::Relaxed);
         self.ledger.roll(new_generation);
+        self.tail_base.store(self.tail(), Ordering::Relaxed);
         marked
+    }
+
+    /// Reopens the live generation's window empty, freezing nothing:
+    /// a serving run starts here, so a reused tracer's previous run
+    /// (which already reported its windows) does not leak into it.
+    pub fn reset_generation(&self) {
+        self.ledger.reset();
+        self.tail_base.store(self.tail(), Ordering::Relaxed);
+    }
+
+    /// The live generation's running totals (allocation-free).
+    pub fn totals(&self) -> GenerationTotals {
+        let (requests, wait_sum) = self.ledger.totals();
+        let slow = self.tail() - self.tail_base.load(Ordering::Relaxed);
+        GenerationTotals { requests, wait_sum, slow }
     }
 
     /// Requests caught by the seeded stage.
@@ -215,13 +255,11 @@ impl AuditTracer {
 
     /// The report-level totals.
     pub fn summary(&self) -> AuditSummary {
-        let snap = self.snapshot();
         AuditSummary {
-            sampled: snap.sampled,
-            tail: snap.tail,
-            straddled: snap.straddled,
-            records: snap.records.len() as u64,
-            residuals: snap.residuals.channels,
+            sampled: self.sampled(),
+            tail: self.tail(),
+            straddled: self.straddled(),
+            records: self.ring.snapshot().len() as u64,
         }
     }
 
@@ -302,12 +340,19 @@ mod tests {
     fn on_swap_marks_and_rolls() {
         let tracer = AuditTracer::new(AuditConfig::default(), 2);
         tracer.observe_wait(0, 2.0, 1.0);
-        let mut r = record(0, 4.0, FLAG_SEEDED);
+        let mut r = record(0, 4.0, FLAG_SEEDED | FLAG_TAIL);
         r.arrival = 0.0;
         tracer.record(&r);
+        let totals = GenerationTotals { requests: 1, wait_sum: 2.0, slow: 1 };
+        assert_eq!(tracer.totals(), totals);
         let marked = tracer.on_swap(1.0, 1);
         assert_eq!(marked, 1);
         assert_eq!(tracer.straddled(), 1);
+        assert_eq!(
+            tracer.totals(),
+            GenerationTotals::default(),
+            "swap opens an empty window"
+        );
         let snap = tracer.snapshot();
         assert_eq!(snap.residuals.generation, 1);
         assert_eq!(snap.history.len(), 1);
@@ -317,6 +362,14 @@ mod tests {
         assert!((rec.straddle_penalty - 3.0).abs() < 1e-12);
         let sum = rec.predicted + rec.residual + rec.straddle_penalty;
         assert!((sum - rec.wait).abs() < 1e-9);
+
+        // A new run reopens the window without touching the history.
+        tracer.observe_wait(1, 3.0, 1.0);
+        tracer.record(&record(1, 9.0, FLAG_TAIL));
+        assert_eq!(tracer.totals().slow, 1);
+        tracer.reset_generation();
+        assert_eq!(tracer.totals(), GenerationTotals::default());
+        assert_eq!((tracer.tail(), tracer.snapshot().history.len()), (2, 1));
     }
 
     type Tamper = fn(&mut AuditSnapshot);

@@ -102,11 +102,6 @@ impl ResidualLedger {
         }
     }
 
-    /// Channels tracked.
-    pub fn channels(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Generation the live accumulators belong to.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
@@ -126,6 +121,17 @@ impl ResidualLedger {
             f64::from_bits(cell.predicted_sum.load(Ordering::Relaxed)) + predicted;
         cell.predicted_sum.store(predicted_sum.to_bits(), Ordering::Relaxed);
         (wait_sum - predicted_sum) / n as f64
+    }
+
+    /// The live generation's `(requests, wait_sum)` over all channels,
+    /// summed in channel order without allocating.
+    pub fn totals(&self) -> (u64, f64) {
+        self.cells.iter().fold((0, 0.0), |(requests, wait_sum), cell| {
+            (
+                requests + cell.requests.load(Ordering::Relaxed),
+                wait_sum + f64::from_bits(cell.wait_sum.load(Ordering::Relaxed)),
+            )
+        })
     }
 
     /// Snapshot of the live generation's residuals.
@@ -151,12 +157,18 @@ impl ResidualLedger {
         }
         history.push(frozen);
         drop(history);
+        self.reset();
+        self.generation.store(new_generation, Ordering::Relaxed);
+    }
+
+    /// Zeroes the live accumulators without freezing them into the
+    /// history (the generation number is kept).
+    pub fn reset(&self) {
         for cell in &self.cells {
             cell.requests.store(0, Ordering::Relaxed);
             cell.wait_sum.store(0.0f64.to_bits(), Ordering::Relaxed);
             cell.predicted_sum.store(0.0f64.to_bits(), Ordering::Relaxed);
         }
-        self.generation.store(new_generation, Ordering::Relaxed);
     }
 
     /// Frozen generations, oldest first.
@@ -181,6 +193,19 @@ mod tests {
         assert_eq!(current.channels[0].requests, 2);
         assert!((current.channels[0].observed_mean - 3.0).abs() < 1e-12);
         assert!((current.channels[0].residual - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn totals_sum_every_channel_and_reset_clears_them() {
+        let ledger = ResidualLedger::new(3);
+        ledger.observe(0, 2.0, 1.0);
+        ledger.observe(2, 0.5, 1.0);
+        ledger.observe(2, 1.0, 1.0);
+        assert_eq!(ledger.totals(), (3, 3.5));
+        ledger.reset();
+        assert_eq!(ledger.totals(), (0, 0.0));
+        assert_eq!(ledger.generation(), 0);
+        assert!(ledger.history().is_empty(), "reset freezes nothing");
     }
 
     #[test]

@@ -90,31 +90,26 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     };
 
     let slo_trigger = args.switch("slo-trigger");
-    // --slo-multiplier scales the per-request breach threshold; values
-    // below 1 make breaches easy to provoke, which is how CI drills
-    // force a watchdog firing on an otherwise healthy run.
+    // --slo-multiplier sets the audit tail stage's slow threshold, which
+    // the SLO burn rate counts; values below 1 make breaches easy to
+    // provoke, which is how CI drills force a watchdog firing on an
+    // otherwise healthy run.
     let slo_multiplier = args.opt::<f64>("slo-multiplier")?;
+    if let Some(mult) = slo_multiplier.filter(|&m| m <= 0.0) {
+        return Err(CliError::InvalidOption(format!(
+            "--slo-multiplier {mult} must be positive"
+        )));
+    }
     let slo = match (args.opt::<f64>("slo")?, slo_trigger, slo_multiplier) {
         (None, false, None) => None,
-        (tol, trigger, mult) => {
+        (tol, trigger, _) => {
             let tolerance = tol.unwrap_or(SloConfig::default().tolerance);
             if tolerance <= 0.0 {
                 return Err(CliError::InvalidOption(format!(
                     "--slo {tolerance} must be positive"
                 )));
             }
-            let breach_multiplier = mult.unwrap_or(SloConfig::default().breach_multiplier);
-            if breach_multiplier <= 0.0 {
-                return Err(CliError::InvalidOption(format!(
-                    "--slo-multiplier {breach_multiplier} must be positive"
-                )));
-            }
-            Some(SloConfig {
-                tolerance,
-                trigger,
-                breach_multiplier,
-                ..SloConfig::default()
-            })
+            Some(SloConfig { tolerance, trigger, ..SloConfig::default() })
         }
     };
 
@@ -142,6 +137,8 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
             seed,
             sample_shift: args
                 .opt_or("audit-shift", AuditConfig::default().sample_shift)?,
+            tail_multiplier: slo_multiplier
+                .unwrap_or(AuditConfig::default().tail_multiplier),
             ..AuditConfig::default()
         },
         inject_slow_channel: args.opt::<usize>("inject-slow-channel")?,
@@ -367,16 +364,12 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         report.waiting.mean(),
         report.waiting.percentile(95.0).unwrap_or(0.0)
     )?;
-    if report.slo_breaches > 0 || report.slo_trigger_events > 0 {
-        writeln!(
-            out,
-            "SLO: {} breach(es), {} trigger-dispatched repair(s)",
-            report.slo_breaches, report.slo_trigger_events
-        )?;
+    if report.slo_trigger_events > 0 {
+        writeln!(out, "SLO: {} trigger-dispatched repair(s)", report.slo_trigger_events)?;
     }
     writeln!(
         out,
-        "audit: {} seeded + {} tail sample(s), {} swap-straddled, \
+        "audit: {} seeded + {} tail (slow) sample(s), {} swap-straddled, \
          {} record(s) live in the trace ring",
         report.audit.sampled,
         report.audit.tail,
@@ -405,8 +398,8 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
             g.generation,
             g.installed_at,
             g.installed_tick,
-            g.requests,
-            g.waiting.mean(),
+            g.requests(),
+            g.mean_wait(),
             g.cost,
             repair
         )?;
@@ -420,12 +413,10 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         if let Some(slo) = &g.slo {
             writeln!(
                 out,
-                "  SLO: Eq.2 target {:.4} s, observed mean {:.4} s over {} \
-                 request(s) — {} (burn rate {:.2})",
+                "  SLO: Eq.2 target {:.4} s — {} ({} slow, burn rate {:.2})",
                 slo.target_wait,
-                slo.observed_mean,
-                slo.requests,
                 if slo.within_tolerance { "within tolerance" } else { "OUT OF TOLERANCE" },
+                slo.slow,
                 slo.burn_rate
             )?;
         }

@@ -95,8 +95,10 @@ COMMAND-SPECIFIC:
                               \"serve.slo.burn_rate > 1 for 2s;
                               stall(serve.swaps) while serve.drift_distance
                               > 0.3 for 40 ticks\"; any firing exits non-zero
-               --slo-multiplier X  scale the per-request breach threshold
-                              (values < 1 force breaches — CI drills)
+               --slo-multiplier X  a request is slow above X × W_b (the
+                              audit tail stage and the SLO burn rate;
+                              values < 1 force breaches — CI drills;
+                              implies --slo)                [default: 2]
                --audit-shift S  seeded audit sampling keeps 1-in-2^S
                               requests (0 = all)            [default: 6]
                --inject-slow-channel I  scale the wait of channel I's

@@ -465,7 +465,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.audit.tail_sampled",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "SLO-slow requests captured by the audit tracer's tail-biased stage",
+        help: "Slow requests (wait > tail multiplier x W_b), all captured by the audit tail stage",
     },
     MetricDef {
         name: "serve.channel.expected_wait",
@@ -534,16 +534,10 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Span: one complete ServeRuntime::run over a trace",
     },
     MetricDef {
-        name: "serve.slo.breaches",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Requests whose wait exceeded the per-request SLO threshold",
-    },
-    MetricDef {
         name: "serve.slo.burn_rate",
         kind: MetricKind::Gauge,
         unit: "1",
-        help: "Error-budget burn rate of the serving generation (1.0 = budget spent)",
+        help: "Error-budget burn rate of the serving generation, per tick (1.0 = budget spent)",
     },
     MetricDef {
         name: "serve.slo.target_wait",

@@ -56,45 +56,6 @@ impl Snapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// Folds `other` into this snapshot element-wise, so per-process
-    /// (or per-client) snapshots roll up into one fleet view:
-    ///
-    /// * counters with the same name are **summed**;
-    /// * gauges are last-write-wins — `other`'s value replaces ours
-    ///   (a gauge is a level, not a flow; summing levels across
-    ///   processes would fabricate a quantity nobody observed);
-    /// * histograms merge bucket-wise, with count/sum summed, min/max
-    ///   folded, and mean/percentiles recomputed from the merged
-    ///   buckets — identical to having recorded both streams into one
-    ///   histogram.
-    ///
-    /// Names present only in `other` are appended; both sides' name
-    /// lists are assumed sorted (registry snapshots are) and the
-    /// result stays sorted.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.counters[i].1 += v,
-                Err(i) => self.counters.insert(i, (name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.gauges[i].1 = *v,
-                Err(i) => self.gauges.insert(i, (name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => {
-                    let merged = merge_histogram_snapshots(&self.histograms[i].1, h);
-                    self.histograms[i].1 = merged;
-                }
-                Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
-            }
-        }
-    }
-
     /// Renders the snapshot as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -159,60 +120,6 @@ impl Snapshot {
             }
         }
         std::fs::write(path, self.to_json())
-    }
-}
-
-/// Bucket-wise merge of two histogram snapshots, recomputing mean and
-/// percentile midpoints from the merged buckets with the same walk
-/// [`crate::metrics::Histogram::percentile_bounds`] uses — the result
-/// equals a snapshot of one histogram that recorded both streams.
-fn merge_histogram_snapshots(
-    a: &HistogramSnapshot,
-    b: &HistogramSnapshot,
-) -> HistogramSnapshot {
-    use crate::metrics::{bucket_index, bucket_lower_bound};
-    if a.count == 0 {
-        return b.clone();
-    }
-    if b.count == 0 {
-        return a.clone();
-    }
-    let mut buckets: Vec<(u64, u64)> = a.buckets.clone();
-    for &(le, c) in &b.buckets {
-        match buckets.binary_search_by(|&(l, _)| l.cmp(&le)) {
-            Ok(i) => buckets[i].1 += c,
-            Err(i) => buckets.insert(i, (le, c)),
-        }
-    }
-    let count = a.count + b.count;
-    let sum = a.sum.wrapping_add(b.sum);
-    let min = a.min.min(b.min);
-    let max = a.max.max(b.max);
-    let percentile_midpoint = |q: f64| -> u64 {
-        let target = ((q / 100.0) * count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for &(le, c) in &buckets {
-            cumulative += c;
-            if cumulative >= target {
-                let i = bucket_index(le);
-                let lo = bucket_lower_bound(i).clamp(min, max);
-                let hi = le.clamp(min, max);
-                return lo + (hi - lo) / 2;
-            }
-        }
-        max
-    };
-    HistogramSnapshot {
-        count,
-        sum,
-        mean: sum as f64 / count as f64,
-        min,
-        max,
-        p50: percentile_midpoint(50.0),
-        p90: percentile_midpoint(90.0),
-        p95: percentile_midpoint(95.0),
-        p99: percentile_midpoint(99.0),
-        buckets,
     }
 }
 
@@ -281,52 +188,6 @@ mod tests {
                 },
             )],
         }
-    }
-
-    #[test]
-    fn merge_folds_counters_gauges_and_histograms() {
-        use crate::metrics::Histogram;
-        let (ha, hb, pooled) =
-            (Histogram::detached(), Histogram::detached(), Histogram::detached());
-        for v in [3u64, 17, 900] {
-            ha.force_record(v);
-            pooled.force_record(v);
-        }
-        for v in [0u64, 17, 40_000] {
-            hb.force_record(v);
-            pooled.force_record(v);
-        }
-        let mut a = Snapshot {
-            counters: vec![("c.only_a".into(), 2), ("c.shared".into(), 5)],
-            gauges: vec![("g.level".into(), 1.0)],
-            histograms: vec![("h".into(), ha.snapshot())],
-        };
-        let b = Snapshot {
-            counters: vec![("c.only_b".into(), 7), ("c.shared".into(), 11)],
-            gauges: vec![("g.level".into(), 4.5), ("g.new".into(), 2.0)],
-            histograms: vec![("h".into(), hb.snapshot()), ("h2".into(), ha.snapshot())],
-        };
-        a.merge(&b);
-        assert_eq!(a.counter("c.shared"), Some(16));
-        assert_eq!(a.counter("c.only_a"), Some(2));
-        assert_eq!(a.counter("c.only_b"), Some(7));
-        assert_eq!(a.gauge("g.level"), Some(4.5), "gauges are last-write-wins");
-        assert_eq!(a.gauge("g.new"), Some(2.0));
-        // The merged histogram equals pooled single-histogram recording.
-        assert_eq!(a.histogram("h"), Some(&pooled.snapshot()));
-        assert_eq!(a.histogram("h2"), Some(&ha.snapshot()));
-        // Name lists stay sorted so later merges keep binary-searching.
-        assert!(a.counters.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(a.gauges.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn merge_with_an_empty_snapshot_is_identity() {
-        let mut a = sample();
-        let empty = Snapshot { counters: vec![], gauges: vec![], histograms: vec![] };
-        let before = a.to_json();
-        a.merge(&empty);
-        assert_eq!(a.to_json(), before);
     }
 
     #[test]

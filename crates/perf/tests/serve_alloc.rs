@@ -6,14 +6,15 @@
 //!    `locate_all`) reads the program's placement table and performs
 //!    no heap allocation, replicated programs included.
 //! 2. `ServeRuntime::run` allocates a fixed amount per run: serving ten
-//!    times the requests costs no more allocations.
+//!    times the requests costs no more allocations, with the SLO
+//!    verdict (read from the audit ledger at tick boundaries) on or off.
 
 use std::hint::black_box;
 use std::sync::Mutex;
 
 use dbcast_model::{Allocation, BroadcastProgram, Database, ItemId, ItemSpec};
 use dbcast_perf::{allocation_counts, CountingAllocator};
-use dbcast_serve::{poisson_trace, DriftDetector, ServeConfig, ServeRuntime};
+use dbcast_serve::{poisson_trace, DriftDetector, ServeConfig, ServeRuntime, SloConfig};
 use dbcast_workload::WorkloadBuilder;
 
 #[global_allocator]
@@ -76,27 +77,36 @@ fn wait_kernel_is_allocation_free() {
 fn serve_run_allocations_do_not_scale_with_requests() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = WorkloadBuilder::new(120).skewness(0.8).seed(42).build().unwrap();
-    let config = ServeConfig {
+    let slo_off = ServeConfig {
         // L1 distance never exceeds 2: drift is unreachable.
         detector: DriftDetector { threshold: 10.0, min_observations: u64::MAX },
         ..ServeConfig::default()
     };
-    let run_allocs = |requests: usize| {
-        let trace = poisson_trace(&db, 50.0, requests, 7).unwrap();
-        let runtime = ServeRuntime::new(&db, config).unwrap();
-        // Warm once so lazily built registry entries are not counted.
-        runtime.run(&trace).unwrap();
-        fewest_allocations(|| {
-            let report = runtime.run(&trace).unwrap();
-            assert_eq!(report.requests, requests as u64);
-            assert_eq!(report.swaps, 0);
-            black_box(report);
-        })
+    let slo_on = ServeConfig {
+        slo: Some(SloConfig { trigger: true, ..SloConfig::default() }),
+        ..slo_off
     };
-    let small = run_allocs(2_000);
-    let large = run_allocs(20_000);
-    assert!(
-        large <= small + 16,
-        "serving 10x the requests went from {small} to {large} allocations"
-    );
+    for config in [slo_off, slo_on] {
+        let run_allocs = |requests: usize| {
+            let trace = poisson_trace(&db, 50.0, requests, 7).unwrap();
+            let runtime = ServeRuntime::new(&db, config).unwrap();
+            // Warm once so lazily built registry entries are not counted.
+            runtime.run(&trace).unwrap();
+            fewest_allocations(|| {
+                let report = runtime.run(&trace).unwrap();
+                assert_eq!(report.requests, requests as u64);
+                assert_eq!(report.swaps, 0);
+                assert_eq!(report.final_generation().slo.is_some(), config.slo.is_some());
+                black_box(report);
+            })
+        };
+        let small = run_allocs(2_000);
+        let large = run_allocs(20_000);
+        assert!(
+            large <= small + 16,
+            "serving 10x the requests went from {small} to {large} allocations \
+             (slo {:?})",
+            config.slo
+        );
+    }
 }

@@ -4,11 +4,12 @@
 //! only promise: end-to-end access and tuning time against Eq. 2. The
 //! uplink (crates/net) decodes their telemetry frames straight into
 //! [`FleetDigest`]s and feeds them here; the [`FleetAggregator`] folds
-//! them — element-wise, via the mergeable [`HistogramCells`] — into
-//! exact per-generation fleet rollups, tracks stragglers whose acked
-//! generation trails the published one, and exposes the whole state as
-//! the `/fleet` document ([`FleetDoc`], in the `dbcast_obs::doc`
-//! envelope) plus live `fleet.*` metrics.
+//! them into exact per-generation fleet rollups, tracks stragglers
+//! whose acked generation trails the published one, and exposes the
+//! whole state as the `/fleet` document ([`FleetDoc`], in the
+//! `dbcast_obs::doc` envelope) plus live `fleet.*` metrics; the
+//! digests' mergeable [`HistogramCells`] go straight into the
+//! fleet-wide `fleet.uplink.{access,tuning}` histograms.
 //!
 //! The aggregation is *exact*, not approximate: a slice digest carries
 //! the client's per-generation sample count and means bit-exact, so the
@@ -253,8 +254,8 @@ struct Contribution {
 /// order at read time: uplink reader threads ingest digests in
 /// whatever order the sockets drain, and folding `Σ nᵢ·x̄ᵢ` eagerly
 /// would make the last few bits of the fleet means depend on that
-/// arrival order. Integer counters, histogram cells and coverage are
-/// order-independent already.
+/// arrival order. Integer counters and coverage are order-independent
+/// already.
 #[derive(Debug, Default)]
 struct GenAgg {
     origin: f64,
@@ -265,8 +266,6 @@ struct GenAgg {
     conflicts: u64,
     retunes: u64,
     torn: u64,
-    access: HistogramCells,
-    tuning: HistogramCells,
     coverage: BTreeMap<u32, u64>,
 }
 
@@ -387,8 +386,6 @@ impl FleetAggregator {
             agg.conflicts += d.conflicts;
             agg.retunes += d.retunes;
             agg.torn += d.torn;
-            agg.access.merge(&d.access);
-            agg.tuning.merge(&d.tuning);
             for &(channel, frames) in &d.coverage {
                 *agg.coverage.entry(channel).or_insert(0) += frames;
             }

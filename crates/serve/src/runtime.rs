@@ -38,7 +38,8 @@ use std::time::{Duration, Instant};
 
 use dbcast_alloc::{DrpCds, DynamicBroadcast, RepairOutcome};
 use dbcast_audit::{
-    AuditConfig, AuditSummary, AuditTracer, TraceRecord, FLAG_SEEDED, FLAG_TAIL,
+    AuditConfig, AuditSummary, AuditTracer, ChannelResidual, TraceRecord, FLAG_SEEDED,
+    FLAG_TAIL,
 };
 use dbcast_flight::{EventKind, FlightEvent};
 use dbcast_model::{
@@ -120,7 +121,9 @@ pub struct ServeConfig {
     /// flight event), for postmortem-dump drills. `None` in production.
     pub inject_panic_at_tick: Option<u64>,
     /// Per-request audit tracer (always on; the sampling shift keeps
-    /// its steady-state cost to a hash and compare per request).
+    /// its steady-state cost to a hash and compare per request). Its
+    /// residual ledger is the per-generation wait accounting, and its
+    /// tail multiplier defines a slow request for the SLO too.
     pub audit: AuditConfig,
     /// Fail point: multiply observed waits on this channel by
     /// [`ServeConfig::inject_slow_factor`], for residual-attribution
@@ -226,11 +229,12 @@ pub struct GenerationStats {
     pub installed_at: f64,
     /// Tick index at which the generation went live.
     pub installed_tick: u64,
-    /// Requests whose arrival this generation admitted (their waits are
-    /// accounted here even if they completed after a later swap).
-    pub requests: u64,
-    /// Waiting times of those requests (seconds).
-    pub waiting: SummaryStats,
+    /// The generation's residual-ledger row, one entry per channel,
+    /// frozen when a swap replaced the generation (or the run ended):
+    /// the requests whose arrival it admitted (accounted here even if
+    /// they completed after a later swap) with their observed and
+    /// predicted mean waits. Empty while the generation serves.
+    pub residuals: Vec<ChannelResidual>,
     /// Eq. 3 cost of the generation under its build profile.
     pub cost: f64,
     /// L1 drift distance measured when the replacing re-allocation was
@@ -246,6 +250,24 @@ pub struct GenerationStats {
     pub slo: Option<SloReport>,
 }
 
+impl GenerationStats {
+    /// Requests the generation admitted.
+    pub fn requests(&self) -> u64 {
+        self.residuals.iter().map(|c| c.requests).sum()
+    }
+
+    /// Mean observed wait of those requests (seconds; 0 with none).
+    pub fn mean_wait(&self) -> f64 {
+        let requests = self.requests();
+        if requests == 0 {
+            return 0.0;
+        }
+        let wait_sum: f64 =
+            self.residuals.iter().map(|c| c.requests as f64 * c.observed_mean).sum();
+        wait_sum / requests as f64
+    }
+}
+
 /// The outcome of one serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
@@ -258,9 +280,6 @@ pub struct ServeReport {
     pub unserved: u64,
     /// Drift detections that dispatched a re-allocation.
     pub drift_events: u64,
-    /// Requests that exceeded the per-request SLO slow threshold
-    /// (0 when tracking is off).
-    pub slo_breaches: u64,
     /// Re-allocations dispatched by the SLO tracker rather than L1
     /// drift (0 when tracking is off or `trigger` is unset).
     pub slo_trigger_events: u64,
@@ -276,7 +295,7 @@ pub struct ServeReport {
     pub final_assignment: Vec<usize>,
     /// The estimator's frequency vector when the run ended.
     pub estimated_frequencies: Vec<f64>,
-    /// Audit-tracer totals and the final generation's residual table.
+    /// Audit-tracer totals; `tail` counts the slow requests.
     pub audit: AuditSummary,
 }
 
@@ -446,7 +465,6 @@ struct ServeMetrics {
     swaps: &'static Counter,
     budget_exhausted: &'static Counter,
     ticks: &'static Counter,
-    slo_breaches: &'static Counter,
     slo_trigger_events: &'static Counter,
     drift_distance: &'static Gauge,
     generation: &'static Gauge,
@@ -472,7 +490,6 @@ impl ServeMetrics {
             swaps: r.counter("serve.swaps"),
             budget_exhausted: r.counter("serve.repair_budget_exhausted"),
             ticks: r.counter("serve.ticks"),
-            slo_breaches: r.counter("serve.slo.breaches"),
             slo_trigger_events: r.counter("serve.slo.trigger_events"),
             drift_distance: r.gauge("serve.drift_distance"),
             generation: r.gauge("serve.generation"),
@@ -642,7 +659,6 @@ impl ServeRuntime {
             dropped: 0,
             unserved: 0,
             drift_events: 0,
-            slo_breaches: 0,
             slo_trigger_events: 0,
             swaps: 0,
             ticks: 0,
@@ -654,12 +670,14 @@ impl ServeRuntime {
         };
         // Refreshed only after `install`, the cell's sole publisher.
         let mut serving = self.cell.current();
+        // Each run accounts its generations afresh, even on a reused
+        // runtime whose tracer still holds the last run's window.
+        self.audit.reset_generation();
         report.generations.push(GenerationStats {
             generation: serving.generation,
             installed_at: 0.0,
             installed_tick: 0,
-            requests: 0,
-            waiting: SummaryStats::new(),
+            residuals: Vec::new(),
             cost: serving.value.cost,
             drift_at_dispatch: None,
             repair: None,
@@ -722,6 +740,27 @@ impl ServeRuntime {
                 }
                 let boundary = tick_end;
 
+                // (0) Judge the serving generation's SLO on its ledger
+                // totals; a trigger waits for the dispatch in (4).
+                if let Some(tracker) = slo_tracker.as_mut() {
+                    let totals = self.audit.totals();
+                    let verdict = tracker.evaluate(totals);
+                    self.metrics.slo_burn_rate.set(verdict.burn_rate);
+                    if verdict.breached {
+                        dbcast_flight::record(
+                            FlightEvent::new(
+                                EventKind::SloBreach,
+                                report.ticks,
+                                serving.generation,
+                                boundary,
+                            )
+                            .value(verdict.burn_rate)
+                            .extra(totals.slow),
+                        );
+                    }
+                    slo_trigger_pending |= verdict.trigger;
+                }
+
                 // (1) Collect a finished re-allocation, if any.
                 if let Some((_, res_rx, _)) = &worker {
                     if pending.is_none() {
@@ -734,14 +773,10 @@ impl ServeRuntime {
                 if let Some(result) = pending.take() {
                     job_in_flight = false;
                     if result.base_generation == serving.generation {
-                        // Freeze the replaced generation's SLO ledger
-                        // and restart tracking against the incoming
-                        // generation's Eq. 2 target.
-                        if let Some(tracker) = &slo_tracker {
-                            if let Some(stats) = report.generations.last_mut() {
-                                stats.slo = Some(tracker.report());
-                            }
-                        }
+                        // Freeze the replaced generation's row before
+                        // the swap rolls the ledger, and restart SLO
+                        // tracking against the incoming Eq. 2 target.
+                        self.close_generation(&mut report, slo_tracker.as_ref());
                         self.install(result, boundary, report.ticks, &mut report)?;
                         serving = self.cell.current();
                         observations_since_swap = 0;
@@ -791,8 +826,10 @@ impl ServeRuntime {
                         if slo_fire {
                             report.slo_trigger_events += 1;
                             self.metrics.slo_trigger_events.inc();
-                            let burn =
-                                slo_tracker.as_ref().map(|t| t.burn_rate()).unwrap_or(0.0);
+                            let burn = slo_tracker
+                                .as_ref()
+                                .map(|t| t.burn_rate(self.audit.totals()))
+                                .unwrap_or(0.0);
                             dbcast_flight::record(
                                 FlightEvent::new(
                                     EventKind::SloTrigger,
@@ -865,13 +902,6 @@ impl ServeRuntime {
                     };
                     report.requests += 1;
                     report.waiting.record(wait);
-                    let stats = report
-                        .generations
-                        .iter_mut()
-                        .rfind(|g| g.generation == serving.generation)
-                        .expect("serving generation is recorded at install");
-                    stats.requests += 1;
-                    stats.waiting.record(wait);
                     estimator.observe(r.item);
                     observations_since_swap += 1;
                     self.metrics.requests.inc();
@@ -886,44 +916,16 @@ impl ServeRuntime {
                         .value(wait)
                         .extra(r.item.index() as u64),
                     );
-                    let mut verdict = None;
-                    if let Some(tracker) = slo_tracker.as_mut() {
-                        let v = tracker.observe(wait);
-                        if v.slow {
-                            report.slo_breaches += 1;
-                            self.metrics.slo_breaches.inc();
-                        }
-                        self.metrics.slo_burn_rate.set(v.burn_rate);
-                        if v.breached {
-                            dbcast_flight::record(
-                                FlightEvent::new(
-                                    EventKind::SloBreach,
-                                    report.ticks,
-                                    serving.generation,
-                                    r.time,
-                                )
-                                .value(v.burn_rate)
-                                .extra(tracker.report().slow),
-                            );
-                        }
-                        if v.trigger {
-                            slo_trigger_pending = true;
-                        }
-                        verdict = Some(v);
-                    }
-                    // Audit: residual accounting on every request, a
-                    // full lifecycle record for the seeded sample plus
-                    // every SLO-slow (tail) request.
+                    // Audit: the generation's ledger row accounts every
+                    // request; a full lifecycle record goes to the
+                    // seeded sample plus every slow (tail) request.
                     let predicted = self.predicted_wait(&serving.value, channel, r.item);
                     let residual = self.audit.observe_wait(channel, wait, predicted);
                     if let Some(g) = self.metrics.audit_residual.get(channel) {
                         g.set(residual);
                     }
                     let seeded = self.audit.should_sample(request_id);
-                    let slow = match verdict {
-                        Some(v) => v.slow,
-                        None => self.audit.tail_slow(wait, serving.value.expected_wait),
-                    };
+                    let slow = self.audit.tail_slow(wait, serving.value.expected_wait);
                     if seeded || slow {
                         if seeded {
                             self.metrics.audit_sampled.inc();
@@ -976,15 +978,19 @@ impl ServeRuntime {
         let final_gen = self.cell.current();
         report.final_assignment = final_gen.value.assignment.clone();
         report.estimated_frequencies = estimator.frequency_vector();
-        if let Some(tracker) = &slo_tracker {
-            if let Some(stats) = report.generations.last_mut() {
-                stats.slo = Some(tracker.report());
-            }
-        }
+        self.close_generation(&mut report, slo_tracker.as_ref());
         self.metrics.generation.set(final_gen.generation as f64);
         self.metrics.generation_cost.set(final_gen.value.cost);
         report.audit = self.audit.summary();
         Ok(report)
+    }
+
+    /// Freezes the serving generation's stats from the live ledger row
+    /// (before a swap rolls it, or at run end).
+    fn close_generation(&self, report: &mut ServeReport, slo: Option<&SloTracker>) {
+        let stats = report.generations.last_mut().expect("at least generation 0 exists");
+        stats.residuals = self.audit.residuals().channels;
+        stats.slo = slo.map(|t| t.report(self.audit.totals()));
     }
 
     /// Publishes a finished re-allocation as the next generation.
@@ -1037,8 +1043,7 @@ impl ServeRuntime {
             generation: gen,
             installed_at: boundary,
             installed_tick: tick,
-            requests: 0,
-            waiting: SummaryStats::new(),
+            residuals: Vec::new(),
             cost,
             drift_at_dispatch: Some(result.drift),
             repair: Some(result.repair),

@@ -8,12 +8,16 @@
 //!   W_b = cost / (2b) + (Σ_j f_j z_j) / b        (probe + download)
 //! ```
 //!
-//! The tracker compares live serving against that prediction two ways:
+//! The tracker holds no counts of its own. At each tick boundary it
+//! reads the serving generation's [`GenerationTotals`] from the audit
+//! tracer (the residual ledger's request and wait sums, plus the tail
+//! stage's slow count) and judges them two ways:
 //!
-//! * **per request** — a wait above `breach_multiplier × W_b` is a
-//!   *slow* request; the fraction of slow requests against the allowed
-//!   `budget` is the error-budget **burn rate** (1.0 = budget exactly
-//!   spent). Crossing 1.0 latches a breach.
+//! * **slow requests** — a request is *slow* when the audit tail stage
+//!   flags it (`AuditTracer::tail_slow`: `wait > tail_multiplier ×
+//!   W_b`); the fraction of slow requests against the allowed `budget`
+//!   is the error-budget **burn rate** (1.0 = budget exactly spent).
+//!   Crossing 1.0 latches a breach.
 //! * **in aggregate** — once warmed up, an observed mean outside the
 //!   relative `tolerance` band around `W_b` means the analytical model
 //!   no longer describes live traffic (the workload moved in a way
@@ -22,6 +26,7 @@
 //!   re-allocation per generation — the SLO path into the same repair
 //!   machinery the drift detector feeds.
 
+use dbcast_audit::GenerationTotals;
 use dbcast_model::{average_waiting_time, Allocation, Database, ModelError};
 use serde::{Deserialize, Serialize};
 
@@ -31,8 +36,6 @@ pub struct SloConfig {
     /// Relative tolerance on the observed mean wait vs the Eq. 2
     /// prediction before the generation counts as out of band.
     pub tolerance: f64,
-    /// Per-request slow threshold as a multiple of `W_b`.
-    pub breach_multiplier: f64,
     /// Allowed fraction of slow requests (the error budget).
     pub budget: f64,
     /// Dispatch a re-allocation when the mean leaves the tolerance
@@ -46,13 +49,7 @@ pub struct SloConfig {
 
 impl Default for SloConfig {
     fn default() -> Self {
-        SloConfig {
-            tolerance: 0.15,
-            breach_multiplier: 2.0,
-            budget: 0.05,
-            trigger: false,
-            min_requests: 200,
-        }
+        SloConfig { tolerance: 0.15, budget: 0.05, trigger: false, min_requests: 200 }
     }
 }
 
@@ -72,137 +69,88 @@ pub fn expected_wait(
     Ok(average_waiting_time(db, &alloc, bandwidth)?.total())
 }
 
-/// What one observed request did to the SLO state.
+/// What one evaluation found.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloVerdict {
-    /// The request exceeded the per-request slow threshold.
-    pub slow: bool,
-    /// Burn rate after this request.
+    /// Burn rate of the generation so far.
     pub burn_rate: f64,
-    /// This request pushed the burn rate across 1.0 (latched: reported
-    /// at most once per generation).
+    /// The burn rate crossed 1.0 (latched: reported at most once per
+    /// generation).
     pub breached: bool,
     /// The tracker wants a re-allocation dispatched (latched: at most
     /// once per generation, only with [`SloConfig::trigger`]).
     pub trigger: bool,
 }
 
-/// Per-generation SLO accounting against a fixed Eq. 2 target.
+/// Per-generation SLO verdict against a fixed Eq. 2 target.
 #[derive(Debug, Clone)]
 pub struct SloTracker {
     config: SloConfig,
     target: f64,
-    threshold: f64,
-    requests: u64,
-    sum_wait: f64,
-    slow: u64,
     breach_latched: bool,
     trigger_latched: bool,
 }
 
 impl SloTracker {
-    /// Starts tracking a generation whose Eq. 2 expected wait is
+    /// Starts judging a generation whose Eq. 2 expected wait is
     /// `target` seconds.
     pub fn new(config: SloConfig, target: f64) -> Self {
-        SloTracker {
-            config,
-            target,
-            threshold: config.breach_multiplier * target,
-            requests: 0,
-            sum_wait: 0.0,
-            slow: 0,
-            breach_latched: false,
-            trigger_latched: false,
-        }
+        SloTracker { config, target, breach_latched: false, trigger_latched: false }
     }
 
-    /// The Eq. 2 target wait (seconds).
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
-    /// Folds one served request in and reports what changed.
-    pub fn observe(&mut self, wait: f64) -> SloVerdict {
-        self.requests += 1;
-        self.sum_wait += wait;
-        let slow = wait > self.threshold;
-        if slow {
-            self.slow += 1;
-        }
-        let burn_rate = self.burn_rate();
-        let warmed = self.requests >= self.config.min_requests;
+    /// Judges the generation's running `totals` and reports what
+    /// changed.
+    pub fn evaluate(&mut self, totals: GenerationTotals) -> SloVerdict {
+        let burn_rate = self.burn_rate(totals);
+        let warmed = totals.requests >= self.config.min_requests;
         let breached = warmed && burn_rate > 1.0 && !self.breach_latched;
-        if breached {
-            self.breach_latched = true;
-        }
+        self.breach_latched |= breached;
         let trigger = self.config.trigger
             && warmed
             && !self.trigger_latched
-            && !self.within_tolerance();
-        if trigger {
-            self.trigger_latched = true;
-        }
-        SloVerdict { slow, burn_rate, breached, trigger }
-    }
-
-    /// Requests observed by this tracker.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Mean observed wait so far (0 before the first request).
-    pub fn observed_mean(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.sum_wait / self.requests as f64
-        }
+            && !self.within_tolerance(totals);
+        self.trigger_latched |= trigger;
+        SloVerdict { burn_rate, breached, trigger }
     }
 
     /// `(slow fraction) / budget`; 1.0 means the error budget is
     /// exactly spent.
-    pub fn burn_rate(&self) -> f64 {
-        if self.requests == 0 || self.config.budget <= 0.0 {
+    pub fn burn_rate(&self, totals: GenerationTotals) -> f64 {
+        if totals.requests == 0 || self.config.budget <= 0.0 {
             0.0
         } else {
-            (self.slow as f64 / self.requests as f64) / self.config.budget
+            (totals.slow as f64 / totals.requests as f64) / self.config.budget
         }
     }
 
     /// Whether the observed mean sits inside the relative tolerance
     /// band around the Eq. 2 target (vacuously true before the first
     /// request).
-    pub fn within_tolerance(&self) -> bool {
-        if self.requests == 0 {
-            return true;
-        }
-        (self.observed_mean() - self.target).abs()
-            <= self.config.tolerance * self.target.abs()
+    pub fn within_tolerance(&self, totals: GenerationTotals) -> bool {
+        totals.requests == 0
+            || (totals.mean_wait() - self.target).abs()
+                <= self.config.tolerance * self.target.abs()
     }
 
-    /// Freezes the tracker into the per-generation report.
-    pub fn report(&self) -> SloReport {
+    /// The per-generation report on the generation's final `totals`.
+    pub fn report(&self, totals: GenerationTotals) -> SloReport {
         SloReport {
             target_wait: self.target,
-            observed_mean: self.observed_mean(),
-            requests: self.requests,
-            slow: self.slow,
-            burn_rate: self.burn_rate(),
-            within_tolerance: self.within_tolerance(),
+            slow: totals.slow,
+            burn_rate: self.burn_rate(totals),
+            within_tolerance: self.within_tolerance(totals),
         }
     }
 }
 
-/// Per-generation SLO outcome, embedded in the serve report.
+/// Per-generation SLO outcome, embedded in the serve report (the
+/// generation's request count and mean wait sit beside it, on its
+/// residual-ledger row).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloReport {
     /// Eq. 2 expected wait `W_b` the generation was held to (seconds).
     pub target_wait: f64,
-    /// Mean observed wait over the generation's requests (seconds).
-    pub observed_mean: f64,
-    /// Requests the generation served while tracked.
-    pub requests: u64,
-    /// Requests slower than `breach_multiplier × W_b`.
+    /// Requests the audit tail stage caught as slow.
     pub slow: u64,
     /// Final error-budget burn rate.
     pub burn_rate: f64,
@@ -216,12 +164,35 @@ mod tests {
     use dbcast_model::ItemSpec;
 
     fn config() -> SloConfig {
-        SloConfig {
-            tolerance: 0.1,
-            breach_multiplier: 2.0,
-            budget: 0.1,
-            trigger: true,
-            min_requests: 10,
+        SloConfig { tolerance: 0.1, budget: 0.1, trigger: true, min_requests: 10 }
+    }
+
+    /// A generation held to `W_b` = 1 whose totals grow the way the
+    /// audit tracer counts them: every wait into the ledger sums, and a
+    /// wait above the default tail multiplier (2 × W_b) as slow.
+    struct Window {
+        tracker: SloTracker,
+        totals: GenerationTotals,
+    }
+
+    impl Window {
+        fn new(config: SloConfig) -> Self {
+            Window {
+                tracker: SloTracker::new(config, 1.0),
+                totals: GenerationTotals::default(),
+            }
+        }
+
+        /// Serves one request, then evaluates as at a tick boundary.
+        fn serve(&mut self, wait: f64) -> SloVerdict {
+            self.totals.requests += 1;
+            self.totals.wait_sum += wait;
+            self.totals.slow += u64::from(wait > 2.0);
+            self.tracker.evaluate(self.totals)
+        }
+
+        fn report(&self) -> SloReport {
+            self.tracker.report(self.totals)
         }
     }
 
@@ -240,12 +211,12 @@ mod tests {
 
     #[test]
     fn on_target_traffic_stays_quiet() {
-        let mut t = SloTracker::new(config(), 1.0);
+        let mut w = Window::new(config());
         for _ in 0..100 {
-            let v = t.observe(1.0);
-            assert!(!v.slow && !v.breached && !v.trigger);
+            let v = w.serve(1.0);
+            assert!(!v.breached && !v.trigger);
         }
-        let r = t.report();
+        let r = w.report();
         assert!(r.within_tolerance);
         assert_eq!(r.slow, 0);
         assert_eq!(r.burn_rate, 0.0);
@@ -253,63 +224,63 @@ mod tests {
 
     #[test]
     fn burn_rate_breaches_once() {
-        let mut t = SloTracker::new(config(), 1.0);
+        let mut w = Window::new(config());
         // 50% slow against a 10% budget: burn rate 5.0, one latched
         // breach after warm-up.
         let mut breaches = 0;
         for i in 0..100 {
             let wait = if i % 2 == 0 { 3.0 } else { 0.5 };
-            let v = t.observe(wait);
-            if v.breached {
+            if w.serve(wait).breached {
                 breaches += 1;
             }
         }
         assert_eq!(breaches, 1);
-        assert!((t.burn_rate() - 5.0).abs() < 1e-9);
-        assert_eq!(t.report().slow, 50);
+        let r = w.report();
+        assert!((r.burn_rate - 5.0).abs() < 1e-9);
+        assert_eq!(r.slow, 50);
     }
 
     #[test]
     fn warmup_suppresses_breach_and_trigger() {
-        let mut t = SloTracker::new(config(), 1.0);
+        let mut w = Window::new(config());
         for _ in 0..9 {
-            let v = t.observe(10.0);
+            let v = w.serve(10.0);
             assert!(!v.breached && !v.trigger, "fired before min_requests");
         }
-        let v = t.observe(10.0);
+        let v = w.serve(10.0);
         assert!(v.breached && v.trigger, "10th request warms the tracker up");
     }
 
     #[test]
     fn trigger_fires_once_per_generation() {
-        let mut t = SloTracker::new(config(), 1.0);
+        let mut w = Window::new(config());
         let mut triggers = 0;
         for _ in 0..100 {
-            if t.observe(1.5).trigger {
+            if w.serve(1.5).trigger {
                 triggers += 1;
             }
         }
         assert_eq!(triggers, 1);
-        assert!(!t.within_tolerance());
+        assert!(!w.report().within_tolerance);
     }
 
     #[test]
     fn trigger_disabled_never_fires() {
-        let mut t = SloTracker::new(SloConfig { trigger: false, ..config() }, 1.0);
+        let mut w = Window::new(SloConfig { trigger: false, ..config() });
         for _ in 0..100 {
-            assert!(!t.observe(10.0).trigger);
+            assert!(!w.serve(10.0).trigger);
         }
     }
 
     #[test]
     fn slow_mean_leaves_tolerance_in_both_directions() {
-        let mut fast = SloTracker::new(config(), 1.0);
-        let mut slow = SloTracker::new(config(), 1.0);
+        let mut fast = Window::new(config());
+        let mut slow = Window::new(config());
         for _ in 0..20 {
-            fast.observe(0.5);
-            slow.observe(1.5);
+            fast.serve(0.5);
+            slow.serve(1.5);
         }
-        assert!(!fast.within_tolerance());
-        assert!(!slow.within_tolerance());
+        assert!(!fast.report().within_tolerance);
+        assert!(!slow.report().within_tolerance);
     }
 }

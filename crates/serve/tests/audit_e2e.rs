@@ -9,6 +9,9 @@
 //!   the observed wait within 1e-9,
 //! * the same seed yields a bit-identical sampled trace set and
 //!   residual tables across replays,
+//! * each generation's stats row is its residual-ledger row, so the
+//!   per-generation waits reconcile with the run-wide summary, and a
+//!   reused runtime accounts each run afresh,
 //! * the seqlock ring's straddle marking is exact and single-shot
 //!   (property-tested against a brute-force model).
 
@@ -90,7 +93,10 @@ fn swap_straddling_requests_are_stamped_and_never_double_counted() {
     // Exactly-once accounting: the per-generation request counts
     // partition the served total — a straddler lives in its admitting
     // generation's window only.
-    assert_eq!(report.generations.iter().map(|g| g.requests).sum::<u64>(), report.requests);
+    assert_eq!(
+        report.generations.iter().map(|g| g.requests()).sum::<u64>(),
+        report.requests
+    );
 
     // Swap boundaries, in install order (generation 0 has no boundary).
     let boundaries: Vec<f64> =
@@ -122,16 +128,45 @@ fn swap_straddling_requests_are_stamped_and_never_double_counted() {
     }
 
     // The residual ledger rolled once per swap: one frozen table per
-    // finished generation, each counting its own requests once.
+    // finished generation, each counting its own requests once, and
+    // each the very row the report carries for that generation.
     assert_eq!(snap.history.len() as u64, report.swaps);
-    let frozen: u64 = snap
-        .history
-        .iter()
-        .chain(std::iter::once(&snap.residuals))
-        .flat_map(|g| &g.channels)
-        .map(|c| c.requests)
-        .sum();
+    let rows: Vec<_> =
+        snap.history.iter().chain(std::iter::once(&snap.residuals)).collect();
+    assert_eq!(rows.len(), report.generations.len());
+    for (stats, row) in report.generations.iter().zip(&rows) {
+        assert_eq!(stats.generation, row.generation);
+        assert_eq!(stats.residuals, row.channels);
+    }
+    let frozen: u64 = rows.iter().flat_map(|g| &g.channels).map(|c| c.requests).sum();
     assert_eq!(frozen, report.requests, "residual ledger double- or under-counted");
+
+    // The two wait accumulators left — the ledger rows and the run-wide
+    // summary — agree on the total wait.
+    let per_generation: f64 =
+        report.generations.iter().map(|g| g.requests() as f64 * g.mean_wait()).sum();
+    let run_wide = report.waiting.mean() * report.waiting.count() as f64;
+    assert!(
+        (per_generation - run_wide).abs() <= 1e-9 * run_wide.abs(),
+        "generation rows total {per_generation} s of waiting, the run {run_wide} s"
+    );
+}
+
+#[test]
+fn a_reused_runtime_accounts_each_run_afresh() {
+    let (pre, trace) = scenario();
+    let config = ServeConfig {
+        // L1 distance never exceeds 2: drift is unreachable.
+        detector: DriftDetector { threshold: 10.0, min_observations: u64::MAX },
+        ..config(4)
+    };
+    let runtime = ServeRuntime::new(&pre, config).unwrap();
+    let first = runtime.run(&trace).unwrap();
+    let second = runtime.run(&trace).unwrap();
+    assert_eq!(first.swaps, 0);
+    assert_eq!(first.final_generation().requests(), trace.len() as u64);
+    // PartialEq on f64 fields: bit-identical rows, not merely close.
+    assert_eq!(first.generations, second.generations);
 }
 
 #[test]

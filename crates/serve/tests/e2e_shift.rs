@@ -61,7 +61,10 @@ fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
     assert_eq!(report.requests, trace.len() as u64);
     assert_eq!(report.dropped, 0);
     assert_eq!(report.unserved, 0);
-    assert_eq!(report.generations.iter().map(|g| g.requests).sum::<u64>(), report.requests);
+    assert_eq!(
+        report.generations.iter().map(|g| g.requests()).sum::<u64>(),
+        report.requests
+    );
 
     // The shift was detected and at least one hot swap happened, at a
     // tick (= cycle) boundary strictly inside the run.

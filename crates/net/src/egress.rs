@@ -20,7 +20,9 @@ use dbcast_index::{optimal_segments, IndexedChannel, LayoutEntry};
 use dbcast_model::BroadcastProgram;
 use dbcast_serve::{EpochCell, ProgramGeneration};
 
-use crate::frame::{encode_frame_into, DataFrame, Frame, IndexEntry, IndexFrame};
+use crate::frame::{
+    encode_frame, encode_frame_into, DataFrame, Frame, IndexEntry, IndexFrame,
+};
 use crate::world::{Directory, IndexParams};
 use crate::BroadcastServer;
 
@@ -354,7 +356,7 @@ pub fn run_egress(
     publish_directory(server, &on_air, &mut report);
 
     let mut frames: Vec<Frame> = Vec::new();
-    let mut wire = Vec::with_capacity(4096);
+    let mut wire: Vec<Arc<Vec<u8>>> = Vec::new();
     let mut window_index: u64 = 0;
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -368,12 +370,12 @@ pub fn run_egress(
         let window_end = now + on_air.window;
         frames.clear();
         on_air.emit_until(window_end, &mut frames);
-        for frame in &frames {
-            wire.clear();
-            encode_frame_into(&mut wire, frame);
-            server.broadcast(Arc::new(wire.clone()));
-            report.frames += 1;
-        }
+        // Each frame is encoded straight into the blob the subscriber
+        // queues share, and the window fans out in one call.
+        wire.clear();
+        wire.extend(frames.iter().map(|frame| Arc::new(encode_frame(frame))));
+        server.broadcast(&wire);
+        report.frames += frames.len() as u64;
         now = window_end;
         window_index += 1;
         if let Some(pace) = config.pace {
@@ -387,9 +389,7 @@ pub fn run_egress(
             publish_directory(server, &on_air, &mut report);
         }
     }
-    let mut end = Vec::new();
-    encode_frame_into(&mut end, &Frame::End { horizon: now });
-    server.broadcast(Arc::new(end));
+    server.broadcast(&[Arc::new(encode_frame(&Frame::End { horizon: now }))]);
     report.windows = window_index;
     Ok(report)
 }

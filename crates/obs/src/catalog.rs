@@ -356,7 +356,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "net.bytes_sent",
         kind: MetricKind::Counter,
         unit: "By",
-        help: "Frame bytes enqueued to broadcast subscribers",
+        help: "Frame bytes written to broadcast subscriber sockets",
     },
     MetricDef {
         name: "net.decode_errors",
@@ -374,7 +374,13 @@ pub const CATALOG: &[MetricDef] = &[
         name: "net.frames_sent",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Frames enqueued to broadcast subscribers (fan-out counted per subscriber)",
+        help: "Frames written to broadcast subscriber sockets (fan-out counted per subscriber)",
+    },
+    MetricDef {
+        name: "net.socket_writes",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Broadcast writer drains: each writes every frame its subscriber had queued",
     },
     MetricDef {
         name: "net.subscriber.queue_depth",
@@ -724,6 +730,7 @@ mod tests {
             "fleet.uplink.access",
             "fleet.uplink.digests",
             "fleet.uplink.tuning",
+            "net.socket_writes",
             "net.subscriber.queue_depth",
             "net.subscriber.queue_peak",
             "net.uplink.bytes",

@@ -9,13 +9,20 @@
 //!   10% of the Eq. 2 expectation for that generation's program;
 //! * with (1,m) index frames on the air, tuning time is strictly below
 //!   the full-listening time;
-//! * the same seed produces a bit-identical fleet report.
+//! * the same seed produces a bit-identical fleet report;
+//! * a subscriber that never reads is evicted by the write timeout,
+//!   while a reading subscriber records the whole stream.
 
 use dbcast::alloc::DrpCds;
 use dbcast::model::{BroadcastProgram, ChannelAllocator, Database};
+use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
+
 use dbcast::net::{
-    run_fleet_inline, CacheKind, EgressConfig, FleetConfig, IndexParams, NetConfig,
-    OverflowPolicy, ScriptedSource, SourceGeneration, WorkloadPattern,
+    run_egress, run_fleet_inline, AirLog, BroadcastServer, CacheKind, EgressConfig,
+    FleetConfig, IndexParams, NetConfig, OverflowPolicy, ScriptedSource, SourceGeneration,
+    WorkloadPattern,
 };
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
 
@@ -231,4 +238,64 @@ fn frequent_pattern_fleet_exercises_cache_and_conflicts() {
     for client in &report.clients {
         assert_eq!(client.completed, client.requests);
     }
+}
+
+/// Slowloris on the broadcast port: under `Block` a subscriber that
+/// never reads holds the egress only until its write timeout evicts it.
+#[test]
+fn stalled_subscriber_is_evicted_without_starving_a_reader() {
+    // A 300-item catalogue's index frames make each window tens of
+    // KiB, so the stream far outgrows what the stalled socket's
+    // buffers can absorb.
+    let db = WorkloadBuilder::new(300)
+        .skewness(0.8)
+        .sizes(SizeDistribution::Diversity { phi_max: 1.0 })
+        .seed(11)
+        .build()
+        .expect("workload builds");
+    let source = ScriptedSource::new(scripted_stages(&db, 200));
+    let egress = EgressConfig {
+        index: Some(IndexParams { index_size: 0.05, header_size: 0.01 }),
+        max_windows: Some(400),
+        pace: None,
+    };
+    let net = NetConfig {
+        queue_capacity: 256,
+        overflow: OverflowPolicy::Block,
+        write_timeout: Some(Duration::from_millis(200)),
+    };
+    let server = BroadcastServer::bind("127.0.0.1:0", net).expect("bind");
+    let stalled = TcpStream::connect(server.addr()).expect("connect stalled");
+    let reading = TcpStream::connect(server.addr()).expect("connect reader");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.subscriber_count() < 2 {
+        assert!(Instant::now() < deadline, "both subscribers registered");
+        std::thread::yield_now();
+    }
+    let reader = std::thread::spawn(move || AirLog::record(reading));
+
+    let report = run_egress(&server, &source, &egress, &AtomicBool::new(false))
+        .expect("egress returns");
+    assert_eq!(report.windows, 400);
+    assert_eq!(server.subscriber_count(), 1, "the stalled subscriber is evicted");
+    assert!(server.dropped_frames() > 0, "the evicted subscriber's frames are counted");
+
+    // The reader's socket stays open until shutdown, so a recording
+    // that finishes first has stopped on the End frame, not on EOF.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !reader.is_finished() {
+        assert!(Instant::now() < deadline, "the reader never saw the End frame");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+    let log = reader.join().expect("reader thread").expect("reader records");
+    assert_eq!(log.truncated_bytes, 0);
+    assert_eq!(log.decode_errors, 0);
+    assert_eq!(log.worlds.len(), 2, "both generations reached the reader");
+    assert_eq!(
+        (log.frames.len() + log.index_frames.len()) as u64,
+        report.frames,
+        "the reader lost no frame to the stalled subscriber"
+    );
+    drop(stalled);
 }

@@ -5,8 +5,8 @@
 //! * `dbcast flight check --input <file|http://host:port/path>` —
 //!   validate any telemetry document: JSON input is decoded from its
 //!   `dbcast_obs::doc` envelope and checked by the type its `kind`
-//!   names (`flight`, `postmortem`, `status`, `series`, `exemplars`,
-//!   `fleet`; `--max-gap G` also bounds every fleet generation's
+//!   names (`flight`, `postmortem`, `status`, `exemplars`, `fleet`;
+//!   `--max-gap G` also bounds every fleet generation's
 //!   observed-vs-Eq. 2 gap); anything else must be an OpenMetrics
 //!   scrape (`--min-exemplars N` requires N exemplar annotations),
 //! * `dbcast flight catalog` — print the metrics catalogue as the
@@ -17,7 +17,6 @@ use std::path::{Path, PathBuf};
 use dbcast_audit::AuditSnapshot;
 use dbcast_flight::{FlightDoc, Postmortem, StatusDoc};
 use dbcast_obs::doc::{self, Document, Envelope};
-use dbcast_scope::SeriesDoc;
 use dbcast_serve::FleetDoc;
 
 use crate::args::Args;
@@ -161,15 +160,6 @@ fn run_check(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError>
                 d.command, d.items, d.trace_requests
             )
         }
-        SeriesDoc::KIND => {
-            let d: SeriesDoc = envelope.open().map_err(|e| invalid(&e))?;
-            format!(
-                "tick {}, {} series, {} histogram(s)",
-                d.tick,
-                d.series.len(),
-                d.histograms.len()
-            )
-        }
         AuditSnapshot::KIND => {
             let d: AuditSnapshot = envelope.open().map_err(|e| invalid(&e))?;
             format!(
@@ -265,10 +255,6 @@ mod tests {
         let text = check_file(&dir, "fleet.json", &fleet, &["--max-gap", "0.25"]).unwrap();
         assert!(text.contains("valid fleet document"), "{text}");
         assert!(text.contains("2 client(s) (1 straggling)"), "{text}");
-
-        let series = doc::render(&dbcast_scope::SeriesStore::default().export());
-        let text = check_file(&dir, "series.json", &series, &[]).unwrap();
-        assert!(text.contains("valid series document"), "{text}");
 
         for bad in ["{\"schema\": 99}", &fleet.replace("\"fleet\"", "\"fleat\"")] {
             let err = check_file(&dir, "bad.json", bad, &[]);

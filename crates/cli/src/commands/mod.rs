@@ -74,11 +74,11 @@ pub enum CliError {
         /// What was being checked (corpus replay or a fuzzing run).
         context: String,
     },
-    /// A telemetry scrape (`dbcast top`, `/series` validation) failed.
+    /// A telemetry scrape (`dbcast top`, `flight check` of a URL) failed.
     Scrape(String),
     /// A network fleet run or fleet-report validation failed.
     Fleet(String),
-    /// Scope watchdog rules fired during a `serve --watch` run.
+    /// Watchdog rules fired during a `serve --watch` run.
     Watchdog {
         /// Number of rules that fired.
         firings: usize,

@@ -54,8 +54,8 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         return Err(CliError::InvalidOption(format!("--decay {decay} not in [0, 1]")));
     }
 
-    // Live exposition, postmortem metric snapshots, the scope sampler
-    // and watchdogs are only meaningful with real telemetry, so (like
+    // Live exposition, postmortem metric snapshots and watchdogs are
+    // only meaningful with real telemetry, so (like
     // --metrics-out) these are hard errors on a feature-off binary
     // rather than silent no-ops.
     let listen = args.opt::<String>("listen")?;
@@ -85,7 +85,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     }
     let watch_rules = match &watch {
         None => Vec::new(),
-        Some(specs) => dbcast_scope::parse_rules(specs)
+        Some(specs) => dbcast_flight::watchdog::parse_rules(specs)
             .map_err(|e| CliError::InvalidOption(format!("--watch: {e}")))?,
     };
 
@@ -150,24 +150,6 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         dbcast_flight::postmortem::set_dir(Some(std::path::PathBuf::from(dir)));
         dbcast_flight::postmortem::install_panic_hook();
     }
-    // The scope sampler runs whenever it has a consumer: a live
-    // /series endpoint under --listen, or watchdog rules from --watch.
-    let sampler = if listen.is_some() || watch.is_some() {
-        let sample_ms = args.opt_or("sample-ms", 250u64)?;
-        if sample_ms == 0 {
-            return Err(CliError::InvalidOption(
-                "--sample-ms 0; the sampler needs a positive cadence".to_string(),
-            ));
-        }
-        Some(dbcast_scope::Sampler::start(
-            std::sync::Arc::new(dbcast_scope::SeriesStore::default()),
-            dbcast_scope::Watchdog::new(watch_rules),
-            std::time::Duration::from_millis(sample_ms),
-        )?)
-    } else {
-        None
-    };
-
     // The runtime is built before the exposition server so /exemplars
     // and the OpenMetrics exemplar provider can capture its tracer.
     let config_value = serde::Serialize::to_value(&config);
@@ -257,12 +239,6 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
                 })
             });
             let mut routes = Vec::new();
-            if let Some(s) = &sampler {
-                let store = std::sync::Arc::clone(s.store());
-                routes.push(dbcast_flight::Route::json("/series", move || {
-                    render(&store.export())
-                }));
-            }
             let audit_route = std::sync::Arc::clone(&audit);
             routes.push(dbcast_flight::Route::json("/exemplars", move || {
                 render(&audit_route.snapshot())
@@ -280,7 +256,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
             )?;
             writeln!(
                 out,
-                "exposing /metrics, /flight, /status, /series{} and /exemplars on http://{}",
+                "exposing /metrics, /flight, /status{} and /exemplars on http://{}",
                 if uplink.is_some() { ", /fleet" } else { "" },
                 server.addr()
             )?;
@@ -288,6 +264,13 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         }
     };
 
+    // Watchdog rules read the live registry on their own thread, and
+    // only when --watch armed some.
+    let watchdog = if watch_rules.is_empty() {
+        None
+    } else {
+        Some(dbcast_flight::Watchdog::new(watch_rules).spawn()?)
+    };
     let run_result = runtime.run(&trace);
     if let Some((server, stop, handle)) = bcast {
         // Let the egress notice the stop flag, send its End frame and
@@ -339,9 +322,9 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     // The provider holds the tracer alive and would serve stale
     // exemplars to any later render in this process; unhook it.
     dbcast_obs::openmetrics::set_exemplar_provider(None);
-    // Stop (with a final scrape + watchdog pass) even when the run
-    // errored, so the thread never outlives the command.
-    let firings = sampler.map(dbcast_scope::Sampler::stop).unwrap_or_default();
+    // Stop (with a final check) even when the run errored, so the
+    // thread never outlives the command.
+    let firings = watchdog.map(dbcast_flight::WatchdogThread::stop).unwrap_or_default();
     let report = run_result?;
 
     if args.switch("json") {
@@ -427,7 +410,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
 /// Reports watchdog firings and turns any into a non-zero exit — the
 /// contract CI drills rely on.
 fn finish_watchdog(
-    firings: Vec<dbcast_scope::Firing>,
+    firings: Vec<dbcast_flight::Firing>,
     out: &mut impl std::io::Write,
 ) -> Result<(), CliError> {
     if firings.is_empty() {

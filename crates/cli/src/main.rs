@@ -35,7 +35,7 @@ COMMANDS:
     stats           Run one allocation under telemetry, print metrics JSON
     conformance     Fuzz every allocator against the invariant suite
     flight          Inspect telemetry artifacts (dump | check | catalog)
-    top             Live operator console over a serving process's /series
+    top             Live operator console over a serving process's /metrics
                     endpoint (sparklines for req/s, drift, SLO burn, Eq. 2
                     per-channel waits)
     trace           Inspect a serving process's per-request audit trace
@@ -89,8 +89,6 @@ COMMAND-SPECIFIC:
                --pace-ms N    sleep N wall-clock ms per tick (lets an
                               external scraper watch a replay live)
                --inject-panic-at-tick T   panic at tick T (postmortem test)
-               --sample-ms N  scope sampler cadence (with --listen or
-                              --watch)                        [default: 250]
                --watch SPECS  `;`-separated watchdog rules, e.g.
                               \"serve.slo.burn_rate > 1 for 2s;
                               stall(serve.swaps) while serve.drift_distance
@@ -157,10 +155,11 @@ COMMAND-SPECIFIC:
                              prediction + scheduling residual + swap
                              straddle penalty)
     top:       --addr H:P    the serve process's --listen address (required)
-               --once        render one plain frame and exit (CI / non-TTY)
-               --interval-ms N  live refresh cadence        [default: 1000]
+               --once        scrape twice, render one plain frame and exit
+                             (CI / non-TTY)
+               --interval-ms N  scrape interval, > 0        [default: 1000]
                --frames N    stop after N live frames (default: forever)
-               --width N     sparkline width                [default: 40]
+               --width N     scrapes kept and sparkline width [default: 40]
 
 Telemetry records real data only when the binary is built with
 `--features obs`; --metrics-out, --listen and --postmortem-dir are hard

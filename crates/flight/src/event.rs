@@ -48,7 +48,7 @@ pub enum EventKind {
     SloTrigger = 8,
     /// A fault marker (injected panic, incident trigger, …).
     Fault = 9,
-    /// A scope watchdog rule fired (sustained threshold or stall).
+    /// A watchdog rule fired (sustained threshold or stall).
     Watchdog = 10,
 }
 

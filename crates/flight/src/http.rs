@@ -4,8 +4,8 @@
 //! * `GET /metrics` — the obs registry in OpenMetrics text format,
 //! * `GET /flight`  — the flight ring as a [`crate::FlightDoc`],
 //! * `GET /status`  — a caller-provided [`StatusDoc`],
-//! * plus any caller-registered [`Route`]s (e.g. the scope crate's
-//!   `/series` history endpoint).
+//! * plus any caller-registered [`Route`]s (e.g. the serve command's
+//!   `/exemplars` and `/fleet` documents).
 //!
 //! Every response is built from snapshot reads (registry snapshot,
 //! ring snapshot, handler closures), so a scrape never blocks the
@@ -72,7 +72,7 @@ pub const MAX_CONNECTIONS: usize = 16;
 
 /// A caller-registered endpoint served alongside the built-in three.
 pub struct Route {
-    /// Absolute path, e.g. `/series`.
+    /// Absolute path, e.g. `/exemplars`.
     pub path: String,
     /// The `Content-Type` header value.
     pub content_type: &'static str,
@@ -333,15 +333,15 @@ mod tests {
         let server = ExpositionServer::bind_with_routes(
             "127.0.0.1:0",
             Box::new(|| "{}".to_string()),
-            vec![Route::json("/series", || "{\"schema\": 1}".to_string())],
+            vec![Route::json("/custom", || "{\"schema\": 1}".to_string())],
         )
         .unwrap();
-        let (status, body) = get(server.addr(), "/series");
+        let (status, body) = get(server.addr(), "/custom");
         assert!(status.contains("200"), "{status}");
         assert_eq!(body, "{\"schema\": 1}");
         let (status, body) = get(server.addr(), "/missing");
         assert!(status.contains("404"), "{status}");
-        assert!(body.contains("/series"), "404 should advertise routes: {body}");
+        assert!(body.contains("/custom"), "404 should advertise routes: {body}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! runtime, plus the machinery that gets its contents out of the
 //! process — live HTTP exposition and postmortem dumps.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * [`FlightRing`] — a fixed-capacity, lock-free ring of structured
 //!   [`event::FlightEvent`]s, a typed view over the obs crate's
@@ -21,6 +21,8 @@
 //!   snapshot reads.
 //! * [`Listener`] — the one capped accept loop under every TCP server
 //!   in the workspace, this endpoint included.
+//! * [`watchdog`] — sustained threshold and stall rules over the live
+//!   registry that fire flight events and postmortem dumps.
 //!
 //! Every JSON document here travels in the `dbcast_obs::doc` envelope.
 //!
@@ -32,11 +34,13 @@ pub mod event;
 pub mod http;
 pub mod listener;
 pub mod postmortem;
+pub mod watchdog;
 
 pub use event::{EventKind, FlightEvent};
 pub use http::{ExpositionServer, Route, StatusDoc};
 pub use listener::{Listener, StopToken};
 pub use postmortem::Postmortem;
+pub use watchdog::{Firing, Watchdog, WatchdogThread};
 
 use std::sync::OnceLock;
 

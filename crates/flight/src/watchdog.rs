@@ -1,9 +1,9 @@
-//! Watchdog rules over the series store: threshold and stall
+//! Watchdog rules over the live obs registry: threshold and stall
 //! predicates that must hold for a sustained window before firing.
-//! A firing is latched (once per rule per process), emits a
-//! [`dbcast_flight`] `watchdog` event, fires a postmortem incident
-//! dump when one is armed, and bumps `scope.watchdog.firings` — the
-//! CLI turns any firing into a non-zero exit for CI drills.
+//! A firing is latched (once per rule per process), emits a `watchdog`
+//! flight event, fires a postmortem incident dump when one is armed,
+//! and bumps `scope.watchdog.firings` — the CLI turns any firing into
+//! a non-zero exit for CI drills.
 //!
 //! Rule specs are parsed from compact operator strings:
 //!
@@ -18,27 +18,70 @@
 //! guard predicate holds continuously for the window and the counter
 //! never advances, the rule fires — "drift detected but no repair
 //! dispatched within N ticks".
+//!
+//! A signal reads the registry by name without interning it
+//! ([`Registry::counter_value`](dbcast_obs::Registry::counter_value),
+//! then [`gauge_value`](dbcast_obs::Registry::gauge_value)), so a rule
+//! naming an absent metric simply never fires and never publishes a
+//! zero-valued metric of that name.
 
 use std::fmt;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use dbcast_flight::{postmortem, recorder, EventKind, FlightEvent};
+use crate::{postmortem, recorder, EventKind, FlightEvent};
 
-use crate::store::SeriesStore;
+/// How often a [`WatchdogThread`] checks its rules.
+pub const CHECK_PERIOD: Duration = Duration::from_millis(50);
 
-/// What a rule reads from the store each check.
+/// Per-second rate of a cumulative counter read `dt_ms` apart. A drop
+/// means the source reset, so everything in `now` was counted since:
+/// the delta is `now` itself and the rate is never negative. `None`
+/// when `dt_ms` is 0 (no meaningful rate).
+pub fn counter_rate(before: f64, now: f64, dt_ms: u64) -> Option<f64> {
+    let delta = if now >= before { now - before } else { now.max(0.0) };
+    (dt_ms > 0).then(|| delta / (dt_ms as f64 / 1000.0))
+}
+
+/// The current value of the counter or gauge `name`, interning
+/// nothing.
+fn metric_value(name: &str) -> Option<f64> {
+    let r = dbcast_obs::registry();
+    r.counter_value(name).map(|v| v as f64).or_else(|| r.gauge_value(name))
+}
+
+/// What a rule reads from the registry each check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Signal {
-    /// The newest raw value of a series (counter or gauge).
+    /// The current value of a counter or gauge.
     Value(String),
-    /// The newest derived per-second rate of a counter.
+    /// The per-second rate of a counter since the previous check.
     Rate(String),
 }
 
+/// A rate signal's memory between checks: the previous read and the
+/// newest rate derived from it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RateState {
+    last: Option<(f64, u64)>,
+    rate: Option<f64>,
+}
+
 impl Signal {
-    fn resolve(&self, store: &SeriesStore) -> Option<f64> {
+    fn resolve(&self, rate: &mut RateState, wall_ms: u64) -> Option<f64> {
         match self {
-            Signal::Value(name) => store.latest(name).map(|s| s.value),
-            Signal::Rate(name) => store.latest_rate(name),
+            Signal::Value(name) => metric_value(name),
+            Signal::Rate(name) => {
+                let now = metric_value(name)?;
+                if let Some((before, at)) = rate.last {
+                    if let Some(r) = counter_rate(before, now, wall_ms.saturating_sub(at)) {
+                        rate.rate = Some(r);
+                    }
+                }
+                rate.last = Some((now, wall_ms));
+                rate.rate
+            }
         }
     }
 }
@@ -247,7 +290,7 @@ pub struct Firing {
     pub observed: f64,
     /// Virtual tick at firing time.
     pub tick: u64,
-    /// Store wall clock at firing time (ms).
+    /// Watchdog wall clock at firing time (ms).
     pub wall_ms: u64,
     /// Path of the postmortem dump, when one was armed and written.
     pub postmortem: Option<std::path::PathBuf>,
@@ -266,32 +309,36 @@ struct Hold {
 struct RuleState {
     rule: Rule,
     hold: Option<Hold>,
+    rate: RateState,
     fired: bool,
 }
 
-/// Evaluates a rule set against the store; call [`check`](Self::check)
-/// once per scrape.
-#[derive(Debug, Clone, Default)]
+/// Evaluates a rule set against the global registry; call
+/// [`check`](Self::check) periodically, or [`spawn`](Self::spawn) a
+/// thread that does.
+#[derive(Debug, Clone)]
 pub struct Watchdog {
+    start: Instant,
     rules: Vec<RuleState>,
     firings: Vec<Firing>,
 }
 
 impl Watchdog {
-    /// A watchdog over `rules`.
+    /// A watchdog over `rules`; its wall clock starts now.
     pub fn new(rules: Vec<Rule>) -> Self {
         Watchdog {
+            start: Instant::now(),
             rules: rules
                 .into_iter()
-                .map(|rule| RuleState { rule, hold: None, fired: false })
+                .map(|rule| RuleState {
+                    rule,
+                    hold: None,
+                    rate: RateState::default(),
+                    fired: false,
+                })
                 .collect(),
             firings: Vec::new(),
         }
-    }
-
-    /// Number of configured rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// All latched firings so far.
@@ -299,20 +346,17 @@ impl Watchdog {
         &self.firings
     }
 
-    /// Evaluates every rule at the store's current clock; returns the
-    /// rules that newly fired during this check.
-    pub fn check(&mut self, store: &SeriesStore) -> Vec<Firing> {
-        self.check_at(store, store.latest_tick(), store.wall_ms())
+    /// Evaluates every rule now, stamped with the `serve.ticks`
+    /// counter and the watchdog's wall clock; returns the rules that
+    /// newly fired during this check.
+    pub fn check(&mut self) -> Vec<Firing> {
+        let tick = dbcast_obs::registry().counter_value("serve.ticks").unwrap_or(0);
+        self.check_at(tick, self.start.elapsed().as_millis() as u64)
     }
 
     /// [`check`](Self::check) with an explicit `(tick, wall_ms)` stamp
-    /// — what the sampler uses, and what deterministic tests drive.
-    pub fn check_at(
-        &mut self,
-        store: &SeriesStore,
-        tick: u64,
-        wall_ms: u64,
-    ) -> Vec<Firing> {
+    /// — what deterministic tests drive.
+    pub fn check_at(&mut self, tick: u64, wall_ms: u64) -> Vec<Firing> {
         let mut new = Vec::new();
         for (index, state) in self.rules.iter_mut().enumerate() {
             if state.fired {
@@ -320,8 +364,7 @@ impl Watchdog {
             }
             let fired_value = match &state.rule {
                 Rule::Threshold { signal, predicate, window } => {
-                    let value = signal.resolve(store);
-                    match value {
+                    match signal.resolve(&mut state.rate, wall_ms) {
                         Some(v) if predicate.holds(v) => {
                             let hold = state.hold.get_or_insert(Hold {
                                 since_wall_ms: wall_ms,
@@ -337,9 +380,8 @@ impl Watchdog {
                     }
                 }
                 Rule::Stall { watched, guard_signal, guard_predicate, window } => {
-                    let guard = guard_signal.resolve(store);
-                    let progress = store.latest(watched).map(|s| s.value);
-                    match (guard, progress) {
+                    let guard = guard_signal.resolve(&mut state.rate, wall_ms);
+                    match (guard, metric_value(watched)) {
                         (Some(g), Some(p)) if guard_predicate.holds(g) => {
                             let hold = state.hold.get_or_insert(Hold {
                                 since_wall_ms: wall_ms,
@@ -367,12 +409,64 @@ impl Watchdog {
             };
             if let Some(observed) = fired_value {
                 state.fired = true;
-                let firing = emit(&state.rule, index, observed, tick, wall_ms, store);
+                let firing = emit(&state.rule, index, observed, tick, wall_ms);
                 new.push(firing.clone());
                 self.firings.push(firing);
             }
         }
         new
+    }
+
+    /// Moves the watchdog onto a thread that checks every
+    /// [`CHECK_PERIOD`] until [`WatchdogThread::stop`].
+    ///
+    /// # Errors
+    ///
+    /// The thread could not be spawned.
+    pub fn spawn(mut self) -> std::io::Result<WatchdogThread> {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let handle = std::thread::Builder::new().name("dbcast-watchdog".into()).spawn(
+            move || {
+                while let Err(RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(CHECK_PERIOD)
+                {
+                    self.check();
+                }
+                self
+            },
+        )?;
+        Ok(WatchdogThread { stop: Some(stop), handle: Some(handle) })
+    }
+}
+
+/// A [`Watchdog`] checking on its own thread. Dropping it without
+/// [`stop`](Self::stop) joins the thread and discards the verdict.
+#[derive(Debug)]
+pub struct WatchdogThread {
+    stop: Option<mpsc::Sender<()>>,
+    handle: Option<JoinHandle<Watchdog>>,
+}
+
+impl WatchdogThread {
+    /// Stops the thread, runs one final check (so short runs always
+    /// end with a verdict on fresh values) and returns the latched
+    /// firings.
+    pub fn stop(mut self) -> Vec<Firing> {
+        drop(self.stop.take());
+        let handle = self.handle.take().expect("a running watchdog owns its thread");
+        let mut dog =
+            handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        dog.check();
+        dog.firings
+    }
+}
+
+impl Drop for WatchdogThread {
+    fn drop(&mut self) {
+        drop(self.stop.take());
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -383,17 +477,11 @@ fn window_elapsed(window: Window, hold: &Hold, tick: u64, wall_ms: u64) -> bool 
     }
 }
 
-fn emit(
-    rule: &Rule,
-    index: usize,
-    observed: f64,
-    tick: u64,
-    wall_ms: u64,
-    store: &SeriesStore,
-) -> Firing {
+fn emit(rule: &Rule, index: usize, observed: f64, tick: u64, wall_ms: u64) -> Firing {
     let spec = rule.to_string();
-    let generation =
-        store.latest("serve.generation").map(|s| s.value.max(0.0) as u64).unwrap_or(0);
+    let generation = dbcast_obs::registry()
+        .gauge_value("serve.generation")
+        .map_or(0, |g| g.max(0.0) as u64);
     recorder().record(
         FlightEvent::new(EventKind::Watchdog, tick, generation, wall_ms as f64 / 1000.0)
             .value(observed)
@@ -411,26 +499,18 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::SeriesStore;
-    use dbcast_obs::snapshot::Snapshot;
 
-    fn feed(
-        store: &SeriesStore,
-        wall_ms: u64,
-        tick: u64,
-        gauges: Vec<(&str, f64)>,
-        counters: Vec<(&str, u64)>,
-    ) {
-        let mut counters: Vec<(String, u64)> =
-            counters.into_iter().map(|(n, v)| (n.to_string(), v)).collect();
-        counters.push(("serve.ticks".to_string(), tick));
-        counters.sort();
-        let snap = Snapshot {
-            counters,
-            gauges: gauges.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
-            histograms: Vec::new(),
-        };
-        store.append_snapshot(&snap, wall_ms);
+    /// Sets each `t.test.*` gauge and raises each counter to the given
+    /// cumulative value (counters only move forward here).
+    fn feed(gauges: &[(&str, f64)], counters: &[(&str, u64)]) {
+        let r = dbcast_obs::registry();
+        for &(name, v) in gauges {
+            r.gauge(name).force_set(v);
+        }
+        for &(name, v) in counters {
+            let c = r.counter(name);
+            c.force_add(v - c.get());
+        }
     }
 
     #[test]
@@ -459,87 +539,124 @@ mod tests {
 
     #[test]
     fn threshold_rule_needs_a_sustained_hold() {
-        let store = SeriesStore::default();
         let mut dog =
             Watchdog::new(vec![parse_rule("t.test.burn > 1 for 1000ms").unwrap()]);
 
-        feed(&store, 0, 0, vec![("t.test.burn", 2.0)], vec![]);
-        assert!(dog.check_at(&store, 0, 0).is_empty(), "fired instantly");
-        feed(&store, 500, 5, vec![("t.test.burn", 0.5)], vec![]);
-        assert!(dog.check_at(&store, 5, 500).is_empty());
+        feed(&[("t.test.burn", 2.0)], &[]);
+        assert!(dog.check_at(0, 0).is_empty(), "fired instantly");
+        feed(&[("t.test.burn", 0.5)], &[]);
+        assert!(dog.check_at(5, 500).is_empty());
         // Dip reset the hold: 900 ms above threshold is not enough…
-        feed(&store, 600, 6, vec![("t.test.burn", 3.0)], vec![]);
-        assert!(dog.check_at(&store, 6, 600).is_empty());
-        feed(&store, 1500, 15, vec![("t.test.burn", 3.0)], vec![]);
-        assert!(dog.check_at(&store, 15, 1500).is_empty());
+        feed(&[("t.test.burn", 3.0)], &[]);
+        assert!(dog.check_at(6, 600).is_empty());
+        assert!(dog.check_at(15, 1500).is_empty());
         // …but 1000 ms is.
-        feed(&store, 1600, 16, vec![("t.test.burn", 4.0)], vec![]);
-        let fired = dog.check_at(&store, 16, 1600);
+        feed(&[("t.test.burn", 4.0)], &[]);
+        let fired = dog.check_at(16, 1600);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].observed, 4.0);
         assert_eq!(fired[0].tick, 16);
         // Latched: never fires again.
-        feed(&store, 3000, 30, vec![("t.test.burn", 9.0)], vec![]);
-        assert!(dog.check_at(&store, 30, 3000).is_empty());
+        feed(&[("t.test.burn", 9.0)], &[]);
+        assert!(dog.check_at(30, 3000).is_empty());
         assert_eq!(dog.firings().len(), 1);
     }
 
     #[test]
     fn tick_windows_count_virtual_ticks() {
-        let store = SeriesStore::default();
         let mut dog =
             Watchdog::new(vec![parse_rule("t.test.drift > 0.25 for 10 ticks").unwrap()]);
-        feed(&store, 0, 100, vec![("t.test.drift", 0.5)], vec![]);
-        assert!(dog.check_at(&store, 100, 0).is_empty());
-        feed(&store, 1, 105, vec![("t.test.drift", 0.5)], vec![]);
-        assert!(dog.check_at(&store, 105, 1).is_empty());
-        feed(&store, 2, 110, vec![("t.test.drift", 0.5)], vec![]);
-        assert_eq!(dog.check_at(&store, 110, 2).len(), 1);
+        feed(&[("t.test.drift", 0.5)], &[]);
+        assert!(dog.check_at(100, 0).is_empty());
+        assert!(dog.check_at(105, 1).is_empty());
+        assert_eq!(dog.check_at(110, 2).len(), 1);
     }
 
     #[test]
     fn stall_rule_fires_only_without_progress() {
-        let store = SeriesStore::default();
-        let spec = "stall(t.test.repairs) while t.test.drift > 0.25 for 20 ticks";
+        let spec = "stall(t.test.repairs) while t.test.stall_drift > 0.25 for 20 ticks";
         let mut dog = Watchdog::new(vec![parse_rule(spec).unwrap()]);
 
         // Guard up, repairs advancing: window keeps restarting.
-        feed(&store, 0, 0, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 0)]);
-        dog.check_at(&store, 0, 0);
-        feed(&store, 100, 15, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 1)]);
-        assert!(dog.check_at(&store, 15, 100).is_empty());
-        feed(&store, 200, 30, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 2)]);
-        assert!(dog.check_at(&store, 30, 200).is_empty());
+        feed(&[("t.test.stall_drift", 0.5)], &[("t.test.repairs", 0)]);
+        dog.check_at(0, 0);
+        feed(&[], &[("t.test.repairs", 1)]);
+        assert!(dog.check_at(15, 100).is_empty());
+        feed(&[], &[("t.test.repairs", 2)]);
+        assert!(dog.check_at(30, 200).is_empty());
         // Repairs stop while the guard stays up: fires after 20 ticks.
-        feed(&store, 300, 45, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 2)]);
-        assert!(dog.check_at(&store, 45, 300).is_empty(), "window restarted at 30");
-        feed(&store, 400, 55, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 2)]);
-        let fired = dog.check_at(&store, 55, 400);
+        assert!(dog.check_at(45, 300).is_empty(), "window restarted at 30");
+        let fired = dog.check_at(55, 400);
         assert_eq!(fired.len(), 1, "25 ticks without progress under guard");
         assert!(fired[0].rule.contains("stall(t.test.repairs)"));
     }
 
     #[test]
     fn stall_rule_resets_when_guard_drops() {
-        let store = SeriesStore::default();
-        let spec = "stall(t.test.repairs) while t.test.drift > 0.25 for 10 ticks";
+        let spec = "stall(t.test.idle_repairs) while t.test.guard > 0.25 for 10 ticks";
         let mut dog = Watchdog::new(vec![parse_rule(spec).unwrap()]);
-        feed(&store, 0, 0, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 0)]);
-        dog.check_at(&store, 0, 0);
-        feed(&store, 100, 8, vec![("t.test.drift", 0.1)], vec![("t.test.repairs", 0)]);
-        assert!(dog.check_at(&store, 8, 100).is_empty());
+        feed(&[("t.test.guard", 0.5)], &[("t.test.idle_repairs", 0)]);
+        dog.check_at(0, 0);
+        feed(&[("t.test.guard", 0.1)], &[]);
+        assert!(dog.check_at(8, 100).is_empty());
         // Guard re-arms at tick 9; tick 12 is only 3 ticks in.
-        feed(&store, 200, 9, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 0)]);
-        dog.check_at(&store, 9, 200);
-        feed(&store, 300, 12, vec![("t.test.drift", 0.5)], vec![("t.test.repairs", 0)]);
-        assert!(dog.check_at(&store, 12, 300).is_empty());
+        feed(&[("t.test.guard", 0.5)], &[]);
+        dog.check_at(9, 200);
+        assert!(dog.check_at(12, 300).is_empty());
     }
 
     #[test]
-    fn missing_signals_never_fire() {
-        let store = SeriesStore::default();
-        let mut dog = Watchdog::new(parse_rules("no.such.metric > 0 for 0s").unwrap());
-        assert!(dog.check_at(&store, 0, 0).is_empty());
-        assert!(dog.check_at(&store, 100, 10_000).is_empty());
+    fn missing_signals_never_fire_and_are_never_published() {
+        let mut dog = Watchdog::new(
+            parse_rules(
+                "t.test.no_such_metric > -1 for 0s; \
+                 rate(t.test.no_such_rate) > -1 for 0s; \
+                 stall(t.test.no_such_progress) while t.test.burn_guard < 1 for 0 ticks",
+            )
+            .unwrap(),
+        );
+        assert!(dog.check_at(0, 0).is_empty());
+        assert!(dog.check_at(10, 10_000).is_empty());
+        assert!(dog.check().is_empty());
+        let exposition = dbcast_obs::openmetrics::render_global();
+        for name in ["no_such_metric", "no_such_rate", "no_such_progress", "burn_guard"] {
+            assert!(!exposition.contains(name), "{name} was interned:\n{exposition}");
+        }
+    }
+
+    #[test]
+    fn rates_are_per_second_and_reset_tolerant() {
+        let signal = Signal::Rate("t.test.rate_seq".to_string());
+        let mut state = RateState::default();
+        let mut read = |wall_ms: u64, value: f64| {
+            feed(&[("t.test.rate_seq", value)], &[]);
+            signal.resolve(&mut state, wall_ms)
+        };
+        let rates = [
+            read(0, 0.0),
+            read(1000, 50.0), // 50/s
+            read(1500, 75.0), // 25 over 0.5s = 50/s
+            read(1500, 80.0), // dt 0 → no new rate
+            read(2500, 10.0), // reset: 10 counted since, over 1s
+            read(3500, 10.0), // idle
+        ];
+        assert_eq!(
+            rates,
+            [None, Some(50.0), Some(50.0), Some(50.0), Some(10.0), Some(0.0)]
+        );
+        assert_eq!(counter_rate(80.0, 10.0, 1000), Some(10.0));
+        assert_eq!(counter_rate(1.0, 2.0, 0), None);
+    }
+
+    #[test]
+    fn a_thread_checks_until_stopped_then_checks_once_more() {
+        let dog = Watchdog::new(parse_rules("t.test.thread_flag > 0 for 0ms").unwrap());
+        let running = dog.spawn().expect("watchdog thread spawns");
+        // Raised after the last periodic check at the latest: the
+        // final check on stop must still see it.
+        feed(&[("t.test.thread_flag", 1.0)], &[]);
+        let firings = running.stop();
+        assert_eq!(firings.len(), 1, "{firings:?}");
+        assert_eq!(firings[0].observed, 1.0);
     }
 }

@@ -431,22 +431,10 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Uplink connections closed unread at the connection cap",
     },
     MetricDef {
-        name: "scope.sampler.scrape",
-        kind: MetricKind::Histogram,
-        unit: "ns",
-        help: "Span: one scope sampler scrape (registry snapshot + series append)",
-    },
-    MetricDef {
-        name: "scope.sampler.scrapes",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Registry scrapes taken by the scope time-series sampler",
-    },
-    MetricDef {
         name: "scope.watchdog.firings",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Scope watchdog rules that fired (sustained threshold or stall)",
+        help: "Watchdog rules that fired (sustained threshold or stall)",
     },
     MetricDef {
         name: "serve.audit.residual",

@@ -1,8 +1,7 @@
 //! The one envelope every telemetry document travels in.
 //!
-//! `/flight`, `/status`, `/series`, `/exemplars`, `/fleet` and
-//! postmortem dumps are all rendered by [`render`] and read back by
-//! [`decode`]:
+//! `/flight`, `/status`, `/exemplars`, `/fleet` and postmortem dumps
+//! are all rendered by [`render`] and read back by [`decode`]:
 //!
 //! ```text
 //! { "schema": <u32>, "kind": "<Document::KIND>", "body": { … } }
@@ -34,7 +33,7 @@ pub struct Envelope {
 
 /// A schema-versioned telemetry document body.
 pub trait Document: Serialize + Deserialize {
-    /// The envelope `kind`, e.g. `"series"`.
+    /// The envelope `kind`, e.g. `"flight"`.
     const KIND: &'static str;
     /// The body schema version; bump on incompatible changes.
     const SCHEMA: u32;

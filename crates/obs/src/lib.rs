@@ -149,29 +149,10 @@ impl Registry {
         self.counters.lock().expect("registry poisoned").get(name).map(|c| c.get())
     }
 
-    /// Visits every counter as `(name, value)` in sorted-name order
-    /// without building a snapshot. The registry's counter table is
-    /// locked for the duration, so `f` must not intern new counters.
-    pub fn for_each_counter(&self, mut f: impl FnMut(&str, u64)) {
-        for (n, c) in self.counters.lock().expect("registry poisoned").iter() {
-            f(n, c.get());
-        }
-    }
-
-    /// Visits every gauge; same locking caveat as
-    /// [`for_each_counter`](Self::for_each_counter).
-    pub fn for_each_gauge(&self, mut f: impl FnMut(&str, f64)) {
-        for (n, g) in self.gauges.lock().expect("registry poisoned").iter() {
-            f(n, g.get());
-        }
-    }
-
-    /// Visits every histogram; same locking caveat as
-    /// [`for_each_counter`](Self::for_each_counter).
-    pub fn for_each_histogram(&self, mut f: impl FnMut(&str, &Histogram)) {
-        for (n, h) in self.histograms.lock().expect("registry poisoned").iter() {
-            f(n, h);
-        }
+    /// The current value of the gauge registered under `name`,
+    /// without interning a new one when absent.
+    pub fn gauge_value(&self, name: &str) -> Option<f64> {
+        self.gauges.lock().expect("registry poisoned").get(name).map(|g| g.get())
     }
 
     /// Zeroes every metric. Registrations (and the `'static`
@@ -246,6 +227,17 @@ pub(crate) static TEST_SWITCH_LOCK: Mutex<()> = Mutex::new(());
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn value_lookups_never_intern() {
+        assert_eq!(registry().counter_value("lib.test.absent_counter"), None);
+        assert_eq!(registry().gauge_value("lib.test.absent_gauge"), None);
+        let snap = registry().snapshot();
+        assert!(snap.counters.iter().all(|(n, _)| n != "lib.test.absent_counter"));
+        assert!(snap.gauges.iter().all(|(n, _)| n != "lib.test.absent_gauge"));
+        registry().gauge("lib.test.present_gauge").force_set(2.5);
+        assert_eq!(registry().gauge_value("lib.test.present_gauge"), Some(2.5));
+    }
 
     #[test]
     fn registry_interns_by_name() {

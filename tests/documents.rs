@@ -1,6 +1,6 @@
 //! Every telemetry document — `/flight`, postmortem dumps, `/status`,
-//! `/series`, `/exemplars` and `/fleet` — goes through the one
-//! `dbcast_obs::doc` envelope. One table drives all six kinds: each
+//! `/exemplars` and `/fleet` — goes through the one `dbcast_obs::doc`
+//! envelope. One table drives all five kinds: each
 //! must render and decode back to an equal value, and each must reject
 //! the same five envelope-level tamperings with the same typed error.
 //! The per-kind semantic checks are tested next to each body type.
@@ -10,7 +10,6 @@ use std::fmt::Debug;
 use dbcast_audit::{AuditConfig, AuditTracer, TraceRecord, FLAG_SEEDED, FLAG_TAIL};
 use dbcast_flight::{EventKind, FlightEvent, FlightRing, Postmortem, StatusDoc};
 use dbcast_obs::doc::{decode, render, DocError, Document};
-use dbcast_scope::SeriesStore;
 use dbcast_serve::{FleetAggregator, FleetDigest};
 use serde_json::Value;
 
@@ -68,18 +67,6 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
     }
     tracer.on_swap(1.1, 1);
 
-    let store = SeriesStore::default();
-    for i in 0..12u64 {
-        store.append_snapshot(
-            &dbcast_obs::snapshot::Snapshot {
-                counters: vec![("serve.ticks".into(), i), ("serve.requests".into(), 9 * i)],
-                gauges: vec![("serve.drift_distance".into(), (i as f64 / 7.0).sin())],
-                histograms: Vec::new(),
-            },
-            i * 250,
-        );
-    }
-
     let fleet = FleetAggregator::new();
     fleet.set_published(2);
     fleet.ingest(&FleetDigest::ack(0, 0, 2));
@@ -110,7 +97,6 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
             flight_recorded: 12,
             config: json(r#"{"channels": 5, "bandwidth": 10.5}"#),
         }),
-        case(store.export()),
         case(tracer.snapshot()),
         case(fleet.doc()),
     ]
@@ -150,7 +136,7 @@ const TAMPERS: [Tamper; 5] = [
 fn every_document_kind_round_trips_and_rejects_envelope_tampering() {
     let table = table();
     let kinds: Vec<&str> = table.iter().map(|(kind, _, _)| *kind).collect();
-    assert_eq!(kinds, ["flight", "postmortem", "status", "series", "exemplars", "fleet"]);
+    assert_eq!(kinds, ["flight", "postmortem", "status", "exemplars", "fleet"]);
     for (kind, text, decode) in &table {
         decode(text).unwrap_or_else(|e| panic!("{kind} does not round-trip: {e}\n{text}"));
         let envelope: Value = serde_json::from_str(text).unwrap();

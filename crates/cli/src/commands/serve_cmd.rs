@@ -118,8 +118,10 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         bandwidth,
         estimator: EstimatorConfig { decay, seed, ..EstimatorConfig::default() },
         detector: DriftDetector {
-            threshold: args.opt_or("drift-threshold", 0.25f64)?,
-            min_observations: args.opt_or("min-observations", 200u64)?,
+            threshold: args
+                .opt_or("drift-threshold", DriftDetector::default().threshold)?,
+            min_observations: args
+                .opt_or("min-observations", DriftDetector::default().min_observations)?,
         },
         repair,
         worker: if args.switch("deterministic") {
@@ -389,7 +391,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         if let (Some(d), Some(l)) = (g.drift_at_dispatch, g.swap_latency) {
             writeln!(
                 out,
-                "  drift L1 {:.4} at dispatch; swap latency {:.2} virtual s",
+                "  drift score {:.4} at dispatch; swap latency {:.2} virtual s",
                 d, l
             )?;
         }

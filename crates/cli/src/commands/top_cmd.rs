@@ -1,7 +1,7 @@
 //! `dbcast top` — the live operator console: polls a serving process's
 //! `/metrics` exposition (see `dbcast serve --listen`), keeps a window
 //! of at most `--width` scrapes and renders sparklines/tables for
-//! req/s, drift L1, SLO burn rate, swap history, wait quantiles over
+//! req/s, drift score, SLO burn rate, swap history, wait quantiles over
 //! the window and the per-channel Eq. 2 `W_i` table.
 //!
 //! Counter rates come from successive scrapes (a counter that drops
@@ -272,7 +272,7 @@ fn render(window: &VecDeque<Scrape>, color: bool, width: usize) -> String {
         let dispatched = last(window, "serve_drift_events_total")
             .map(|v| format!("({} repairs dispatched)", v as u64))
             .unwrap_or_default();
-        row("drift L1", fmt_value(now), &drift, dispatched);
+        row("drift score", fmt_value(now), &drift, dispatched);
     }
     let burn = values(window, "serve_slo_burn_rate");
     if let Some(&now) = burn.last() {
@@ -492,7 +492,7 @@ mod tests {
             text.lines().any(|l| l.starts_with(" req/s") && l.contains(" 150.00 ")),
             "100 → 250 requests over 1 s:\n{text}"
         );
-        for needle in ["drift L1", "SLO burn", "generation", "ch0", "ch1"] {
+        for needle in ["drift score", "SLO burn", "generation", "ch0", "ch1"] {
             assert!(text.contains(needle), "missing {needle}:\n{text}");
         }
         // Channel 0 has an audit residual, channel 1 does not.
@@ -557,7 +557,7 @@ mod tests {
         let text = top(&["--addr", &addr, "--once", "--interval-ms", "20"]).unwrap();
         assert!(text.starts_with("dbcast top — tick"), "{text}");
         assert!(text.contains("req/s"), "two scrapes give a rate:\n{text}");
-        assert!(text.contains("drift L1"), "{text}");
+        assert!(text.contains("drift score"), "{text}");
         assert!(!text.contains('\x1b'), "--once must be ANSI-free:\n{text}");
     }
 

@@ -69,8 +69,11 @@ COMMAND-SPECIFIC:
                --requests R   synthetic stream length         [default: 10000]
                --shift-at F   inject a Zipf shift after fraction F of the
                               stream (with --shift-theta X, --shift-rotation N)
-               --drift-threshold D   L1 drift trigger         [default: 0.25]
-               --min-observations M  warm-up guard            [default: 200]
+               --drift-threshold E   repair when the Eq. 3 gap (serving
+                              cost / certified lower bound) exceeds
+                              (1+E) × its floor           [default: 0.15]
+               --min-observations M  requests since a swap before the
+                              gap floor opens             [default: 200]
                --repair MODE  full | budgeted                 [default: full]
                --budget N     CDS moves per budgeted repair   [default: 32]
                --decay A      EWMA decay per virtual second   [default: 0.98]
@@ -83,7 +86,7 @@ COMMAND-SPECIFIC:
                --slo TOL      track the Eq. 2 expected wait with relative
                               tolerance TOL               [default: 0.15]
                --slo-trigger  let a persistent SLO miss dispatch a repair
-                              even without L1 drift (implies --slo)
+                              even without drift (implies --slo)
                --postmortem-dir P   arm panic/incident postmortem dumps
                               (flight events + metrics) into directory P
                --pace-ms N    sleep N wall-clock ms per tick (lets an
@@ -92,7 +95,7 @@ COMMAND-SPECIFIC:
                --watch SPECS  `;`-separated watchdog rules, e.g.
                               \"serve.slo.burn_rate > 1 for 2s;
                               stall(serve.swaps) while serve.drift_distance
-                              > 0.3 for 40 ticks\"; any firing exits non-zero
+                              > 0.15 for 40 ticks\"; any firing exits non-zero
                --slo-multiplier X  a request is slow above X × W_b (the
                               audit tail stage and the SLO burn rate;
                               values < 1 force breaches — CI drills;

@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// |---|---|---|
 /// | `Tick` | tick length (virtual s) | — |
 /// | `RequestServed` | waiting time (virtual s) | item id |
-/// | `DriftScore` | L1 distance | 1 if drift declared |
-/// | `RepairStart` | L1 distance at dispatch | base generation |
+/// | `DriftScore` | Eq. 3 gap over its floor, minus 1 | 1 if drift declared |
+/// | `RepairStart` | drift score at dispatch (0 before the floor opens) | base generation |
 /// | `RepairOutcome` | repair wall time (ms) | CDS moves applied |
 /// | `SwapPublish` | Eq. 3 cost of the new generation | new generation |
 /// | `BudgetExhausted` | remaining-gain lower bound | CDS moves applied |
@@ -32,7 +32,7 @@ pub enum EventKind {
     Tick = 0,
     /// A request was admitted and served analytically.
     RequestServed = 1,
-    /// A drift check ran (every tick once warmed up).
+    /// A drift check ran (every tick once the gap floor is open).
     DriftScore = 2,
     /// A re-allocation was dispatched.
     RepairStart = 3,

@@ -10,8 +10,8 @@
 //! ```text
 //! serve.slo.burn_rate > 1 for 5s            value threshold, wall window
 //! rate(serve.requests) < 10 for 2s          derived-rate threshold
-//! serve.drift_distance > 0.3 for 40 ticks   virtual-tick window
-//! stall(serve.swaps) while serve.drift_detected > 0 for 50 ticks
+//! serve.drift_distance > 0.15 for 40 ticks  virtual-tick window
+//! stall(serve.swaps) while serve.drift_distance > 0.15 for 50 ticks
 //! ```
 //!
 //! The `stall` form watches a *progress counter* under a guard: if the

@@ -49,14 +49,18 @@ fn concurrent_wraparound_never_tears() {
         })
         .collect();
 
-    // A dedicated reader hammers snapshots the whole time.
+    // A dedicated reader hammers snapshots the whole time, and takes one
+    // more once the writers are done: the flag is read before each
+    // snapshot, so the pass that reads it set post-dates every write and
+    // the reader sees events even if it was scheduled only after them.
     let reader = {
         let ring = Arc::clone(&ring);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut snapshots = 0u64;
             let mut seen = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                let done = stop.load(Ordering::Acquire);
                 let snap = ring.snapshot();
                 for e in &snap {
                     assert!(untorn(e), "torn event in snapshot: {e:?}");
@@ -74,6 +78,9 @@ fn concurrent_wraparound_never_tears() {
                 }
                 snapshots += 1;
                 seen += snap.len() as u64;
+                if done {
+                    break;
+                }
             }
             (snapshots, seen)
         })
@@ -82,7 +89,7 @@ fn concurrent_wraparound_never_tears() {
     for w in writers {
         w.join().expect("writer panicked");
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     let (snapshots, seen) = reader.join().expect("reader panicked");
     assert!(snapshots > 0 && seen > 0, "reader never observed anything");
 

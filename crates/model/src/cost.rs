@@ -64,6 +64,67 @@ pub fn allocation_cost(
     Ok(freq.iter().zip(&size).map(|(f, z)| f * z).sum())
 }
 
+/// A certified lower bound on the Eq. 3 cost `Σ_i F_i Z_i` that *any*
+/// assignment of the items onto `channels` channels can reach, in O(N).
+///
+/// With `a_j = √(f_j z_j)`, Cauchy–Schwarz gives `F_i Z_i ≥ (Σ_{j∈i}
+/// a_j)²` per channel, so the cost is at least `Σ_i A_i²` over the
+/// channel sums `A_i` of `a`. That sum is smallest when the mass is
+/// spread evenly, `(Σ_j a_j)² / K`, except that an item cannot be
+/// split: water-filling takes the largest remaining `a_j` alone while
+/// it exceeds an even share of what remains, and spreads the rest
+/// evenly over the channels left. Only the `K` largest `a_j` can sit
+/// alone, so they are selected (not sorted) out of `scratch`, a
+/// caller-owned buffer that stops reallocating after the first call.
+/// When `K ≥ N` every item sits alone and the bound is `Σ_j f_j z_j`,
+/// the cost of exactly that allocation.
+///
+/// # Example
+///
+/// ```
+/// use dbcast_model::cost_lower_bound;
+/// let (f, z) = ([0.5, 0.3, 0.2], [2.0, 4.0, 1.0]);
+/// let mut scratch = Vec::new();
+/// // Items 1 and 2 share a channel: (0.5·2) + (0.5·5) = 3.5.
+/// let lb = cost_lower_bound(&f, &z, 2, &mut scratch);
+/// assert!(lb > 0.0 && lb <= 3.5);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the slices differ in length.
+pub fn cost_lower_bound(
+    frequencies: &[f64],
+    sizes: &[f64],
+    channels: usize,
+    scratch: &mut Vec<f64>,
+) -> f64 {
+    assert!(channels > 0, "the cost bound requires at least one channel");
+    assert_eq!(frequencies.len(), sizes.len(), "one size per frequency");
+    scratch.clear();
+    scratch.extend(frequencies.iter().zip(sizes).map(|(f, z)| (f * z).sqrt()));
+    let mut remaining: f64 = scratch.iter().sum();
+    let k = channels.min(scratch.len());
+    let descending = |x: &f64, y: &f64| y.total_cmp(x);
+    if k < scratch.len() {
+        scratch.select_nth_unstable_by(k, descending);
+    }
+    let top = &mut scratch[..k];
+    top.sort_unstable_by(descending);
+    let mut bound = 0.0;
+    for (taken, &a) in top.iter().enumerate() {
+        let left = (channels - taken) as f64;
+        if a <= remaining / left {
+            return bound + remaining * remaining / left;
+        }
+        bound += a * a;
+        remaining -= a;
+    }
+    // Only reached with `K ≥ N` (the last channel always takes the even
+    // share of what remains): every item sat alone.
+    bound
+}
+
 /// Incremental `(F_i, Z_i)` bookkeeping over a mutable assignment.
 ///
 /// Search algorithms (CDS, GOPT mutation repair, greedy) need to evaluate

@@ -61,7 +61,7 @@ mod waiting;
 
 pub use allocation::{Allocation, ChannelId, ChannelStats, Move};
 pub use allocator::{AllocError, ChannelAllocator};
-pub use cost::{allocation_cost, channel_cost, CostTracker};
+pub use cost::{allocation_cost, channel_cost, cost_lower_bound, CostTracker};
 pub use database::{Database, DatabaseStats};
 pub use error::ModelError;
 pub use item::{BenefitRatio, DataItem, ItemId, ItemSpec};

@@ -1,8 +1,8 @@
 //! Property-based tests of the model crate's core invariants.
 
 use dbcast_model::{
-    allocation_cost, average_waiting_time, Allocation, BroadcastProgram, ChannelId,
-    CostTracker, Database, ItemId, ItemSpec, Move,
+    allocation_cost, average_waiting_time, cost_lower_bound, Allocation, BroadcastProgram,
+    ChannelId, CostTracker, Database, ItemId, ItemSpec, Move,
 };
 use proptest::prelude::*;
 
@@ -23,7 +23,57 @@ fn db_k_assignment() -> impl Strategy<Value = (Database, usize, Vec<usize>)> {
     })
 }
 
+/// The exact Eq. 3 optimum by enumerating all `K^N` assignments (empty
+/// channels allowed, so this is the minimum over every grouping).
+fn exhaustive_optimum(f: &[f64], z: &[f64], k: usize) -> f64 {
+    let n = f.len();
+    let mut best = f64::INFINITY;
+    let mut assignment = vec![0usize; n];
+    loop {
+        let (mut fs, mut zs) = (vec![0.0; k], vec![0.0; k]);
+        for (j, &ch) in assignment.iter().enumerate() {
+            fs[ch] += f[j];
+            zs[ch] += z[j];
+        }
+        best = best.min(fs.iter().zip(&zs).map(|(a, b)| a * b).sum());
+        // Odometer increment over base-k digits.
+        let mut digit = 0;
+        while digit < n && assignment[digit] + 1 == k {
+            assignment[digit] = 0;
+            digit += 1;
+        }
+        if digit == n {
+            return best;
+        }
+        assignment[digit] += 1;
+    }
+}
+
 proptest! {
+    #[test]
+    fn cost_lower_bound_never_exceeds_the_exhaustive_optimum(
+        items in prop::collection::vec((0.001f64..1.0, 0.01f64..100.0), 1..=8),
+        k in 1usize..=4,
+    ) {
+        let (f, z): (Vec<f64>, Vec<f64>) = items.into_iter().unzip();
+        let bound = cost_lower_bound(&f, &z, k, &mut Vec::new());
+        let optimum = exhaustive_optimum(&f, &z, k);
+        prop_assert!(bound > 0.0);
+        prop_assert!(bound <= optimum * (1.0 + 1e-12), "bound {bound} > optimum {optimum}");
+    }
+
+    #[test]
+    fn cost_lower_bound_is_exact_with_a_channel_per_item(
+        items in prop::collection::vec((0.001f64..1.0, 0.01f64..100.0), 1..40),
+        spare in 0usize..4,
+    ) {
+        let (f, z): (Vec<f64>, Vec<f64>) = items.into_iter().unzip();
+        let mut scratch = Vec::new();
+        let bound = cost_lower_bound(&f, &z, f.len() + spare, &mut scratch);
+        let alone: f64 = f.iter().zip(&z).map(|(a, b)| a * b).sum();
+        prop_assert!((bound - alone).abs() <= 1e-12 * alone, "{bound} vs {alone}");
+    }
+
     #[test]
     fn database_normalizes_any_positive_profile(specs in specs_strategy()) {
         let db = Database::try_from_specs(specs).unwrap();

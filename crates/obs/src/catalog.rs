@@ -477,7 +477,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.drift_distance",
         kind: MetricKind::Gauge,
         unit: "1",
-        help: "Latest L1 distance between estimated and serving frequencies",
+        help: "Latest drift score: Eq. 3 gap of the serving generation over its floor, minus 1",
     },
     MetricDef {
         name: "serve.drift_events",
@@ -543,7 +543,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.slo.trigger_events",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Re-allocations dispatched by SLO burn rather than L1 drift",
+        help: "Re-allocations dispatched by SLO burn rather than the drift rule",
     },
     MetricDef {
         name: "serve.swap_latency",

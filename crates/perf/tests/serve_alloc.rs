@@ -7,7 +7,8 @@
 //!    no heap allocation, replicated programs included.
 //! 2. `ServeRuntime::run` allocates a fixed amount per run: serving ten
 //!    times the requests costs no more allocations, with the SLO
-//!    verdict (read from the audit ledger at tick boundaries) on or off.
+//!    verdict (read from the audit ledger at tick boundaries) on or off,
+//!    and with the drift rule's per-tick Eq. 3 gap check running.
 
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -78,7 +79,7 @@ fn serve_run_allocations_do_not_scale_with_requests() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = WorkloadBuilder::new(120).skewness(0.8).seed(42).build().unwrap();
     let slo_off = ServeConfig {
-        // L1 distance never exceeds 2: drift is unreachable.
+        // The gap floor never opens: drift is unreachable.
         detector: DriftDetector { threshold: 10.0, min_observations: u64::MAX },
         ..ServeConfig::default()
     };
@@ -86,7 +87,11 @@ fn serve_run_allocations_do_not_scale_with_requests() {
         slo: Some(SloConfig { trigger: true, ..SloConfig::default() }),
         ..slo_off
     };
-    for config in [slo_off, slo_on] {
+    // The shipped rule: past 200 requests every tick computes the gap,
+    // which a stationary stream keeps below the dispatch threshold.
+    let drift_on =
+        ServeConfig { detector: DriftDetector::default(), ..ServeConfig::default() };
+    for config in [slo_off, slo_on, drift_on] {
         let run_allocs = |requests: usize| {
             let trace = poisson_trace(&db, 50.0, requests, 7).unwrap();
             let runtime = ServeRuntime::new(&db, config).unwrap();
@@ -105,8 +110,9 @@ fn serve_run_allocations_do_not_scale_with_requests() {
         assert!(
             large <= small + 16,
             "serving 10x the requests went from {small} to {large} allocations \
-             (slo {:?})",
-            config.slo
+             (slo {:?}, detector {:?})",
+            config.slo,
+            config.detector
         );
     }
 }

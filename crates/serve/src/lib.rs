@@ -9,7 +9,7 @@
 //!   request stream ──▶ FrequencyEstimator (count-min + EWMA)
 //!                          │ frequency vector
 //!                          ▼
-//!                      DriftDetector (L1 vs serving profile)
+//!                      GapMonitor (Eq. 3 cost vs certified bound)
 //!                          │ drift!
 //!                          ▼
 //!                      re-allocator (full DRP-CDS or budgeted repair)
@@ -36,7 +36,7 @@ mod source;
 mod swap;
 
 pub use dbcast_audit::{AuditConfig, AuditSummary};
-pub use drift::{l1_distance, Drift, DriftDetector};
+pub use drift::{l1_distance, Drift, DriftDetector, GapMonitor};
 pub use estimator::{EstimatorConfig, FrequencyEstimator};
 pub use fleet::{FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration};
 pub use runtime::{

@@ -17,9 +17,10 @@
 //! 1. a finished re-allocation is **installed** (published as the next
 //!    generation through [`EpochCell`]),
 //! 2. the estimator **decays** one EWMA step,
-//! 3. the drift detector compares the estimated frequency vector
-//!    against the active generation's build profile and may **dispatch**
-//!    a re-allocation.
+//! 3. the gap monitor charges the active generation its Eq. 3 cost under
+//!    the estimated frequency vector, compares it with a certified lower
+//!    bound on any allocation's cost, and may **dispatch** a
+//!    re-allocation when the gap rises clearly above its own floor.
 //!
 //! The loop is the [`EpochCell`]'s only publisher, so it holds the
 //! serving generation's `Arc` and refreshes it right after each install
@@ -51,7 +52,7 @@ use dbcast_sim::SummaryStats;
 use dbcast_workload::RequestTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::drift::{Drift, DriftDetector};
+use crate::drift::{DriftDetector, GapMonitor};
 use crate::estimator::{EstimatorConfig, FrequencyEstimator};
 use crate::slo::{SloConfig, SloReport, SloTracker};
 use crate::swap::EpochCell;
@@ -237,8 +238,10 @@ pub struct GenerationStats {
     pub residuals: Vec<ChannelResidual>,
     /// Eq. 3 cost of the generation under its build profile.
     pub cost: f64,
-    /// L1 drift distance measured when the replacing re-allocation was
-    /// dispatched (`None` for generation 0).
+    /// Drift score (Eq. 3 gap over its floor, minus 1) measured when the
+    /// re-allocation producing this generation was dispatched; 0 when
+    /// the SLO trigger dispatched it before the gap floor opened
+    /// (`None` for generation 0).
     pub drift_at_dispatch: Option<f64>,
     /// What the re-allocation producing this generation did (`None` for
     /// generation 0).
@@ -280,8 +283,8 @@ pub struct ServeReport {
     pub unserved: u64,
     /// Drift detections that dispatched a re-allocation.
     pub drift_events: u64,
-    /// Re-allocations dispatched by the SLO tracker rather than L1
-    /// drift (0 when tracking is off or `trigger` is unset).
+    /// Re-allocations dispatched by the SLO tracker rather than the
+    /// drift rule (0 when tracking is off or `trigger` is unset).
     pub slo_trigger_events: u64,
     /// Hot swaps performed.
     pub swaps: u64,
@@ -315,7 +318,7 @@ struct RepairJob {
     db: Database,
     /// The serving assignment (seed for budgeted repair).
     assignment: Vec<usize>,
-    /// L1 distance at dispatch (for the report).
+    /// Drift score at dispatch (for the report).
     drift: f64,
     /// Virtual dispatch time (for swap-latency accounting).
     dispatched_at: f64,
@@ -691,15 +694,21 @@ impl ServeRuntime {
         }
         let mut slo_trigger_pending = false;
 
+        self.metrics.generation.set(serving.generation as f64);
+        self.metrics.generation_cost.set(serving.value.cost);
+
         let mut tick_len = self.tick_len(&serving.value);
         let mut tick_end = tick_len;
-        let mut observations_since_swap: u64 = 0;
+        // Owns the per-tick buffers, so the steady-state loop performs
+        // no heap allocation.
+        let mut monitor = GapMonitor::new(
+            self.config.detector,
+            self.config.estimator.decay,
+            self.sizes.len(),
+        );
         let mut job_in_flight = false;
         let mut pending: Option<RepairResult> = None;
         let mut capped = false;
-        // Reused per tick — filled in place so the steady-state loop
-        // performs no heap allocation.
-        let mut estimated = Vec::with_capacity(self.sizes.len());
 
         let mut requests = trace.iter().peekable();
         // Advance through every tick boundary at or before the next
@@ -779,7 +788,7 @@ impl ServeRuntime {
                         self.close_generation(&mut report, slo_tracker.as_ref());
                         self.install(result, boundary, report.ticks, &mut report)?;
                         serving = self.cell.current();
-                        observations_since_swap = 0;
+                        monitor.installed();
                         tick_len = self.tick_len(&serving.value);
                         if let Some(config) = self.config.slo {
                             let target = serving.value.expected_wait;
@@ -792,34 +801,40 @@ impl ServeRuntime {
                     // simply discarded; the drift check below may
                     // re-dispatch against the live generation.
                 }
-                // (3) Age the estimate by the tick's virtual duration.
+                // (3) Age the estimate, and the repair inputs it carries,
+                // by the tick's virtual duration.
                 estimator.tick(tick_len);
+                monitor.tick(tick_len);
                 // (4) Check for drift; dispatch at most one job. The
                 // SLO tracker's trigger rides the same dispatch path:
-                // it forces a re-allocation even below the L1
-                // threshold (the workload can degrade the observed
-                // wait without moving far in L1).
+                // it forces a re-allocation even when the estimate
+                // shows no gap (the observed wait can degrade in ways
+                // the frequency estimate cannot see).
                 if !job_in_flight {
-                    estimator.frequency_vector_into(&mut estimated);
-                    let drift: Drift = self.config.detector.check(
-                        &estimated,
-                        &serving.value.frequencies,
-                        observations_since_swap,
+                    let drift = monitor.check(
+                        &estimator,
+                        &self.sizes,
+                        &serving.value.program,
+                        &serving.value.assignment,
                     );
-                    self.metrics.drift_distance.set(drift.distance);
-                    dbcast_flight::record(
-                        FlightEvent::new(
-                            EventKind::DriftScore,
-                            report.ticks,
-                            serving.generation,
-                            boundary,
-                        )
-                        .value(drift.distance)
-                        .extra(drift.drifted as u64),
-                    );
+                    if let Some(drift) = drift {
+                        self.metrics.drift_distance.set(drift.distance);
+                        dbcast_flight::record(
+                            FlightEvent::new(
+                                EventKind::DriftScore,
+                                report.ticks,
+                                serving.generation,
+                                boundary,
+                            )
+                            .value(drift.distance)
+                            .extra(drift.drifted as u64),
+                        );
+                    }
+                    let drifted = drift.is_some_and(|d| d.drifted);
+                    let score = drift.map_or(0.0, |d| d.distance);
                     let slo_fire = std::mem::take(&mut slo_trigger_pending);
-                    if drift.drifted || slo_fire {
-                        if drift.drifted {
+                    if drifted || slo_fire {
+                        if drifted {
                             report.drift_events += 1;
                             self.metrics.drift_events.inc();
                         }
@@ -848,14 +863,15 @@ impl ServeRuntime {
                                 serving.generation,
                                 boundary,
                             )
-                            .value(drift.distance)
+                            .value(score)
                             .extra(serving.generation),
                         );
+                        monitor.dispatched(estimator.mass());
                         let job = RepairJob {
                             base_generation: serving.generation,
                             db: self.estimated_db(&estimator),
                             assignment: serving.value.assignment.clone(),
-                            drift: drift.distance,
+                            drift: score,
                             dispatched_at: boundary,
                             dispatched_tick: report.ticks,
                         };
@@ -903,7 +919,7 @@ impl ServeRuntime {
                     report.requests += 1;
                     report.waiting.record(wait);
                     estimator.observe(r.item);
-                    observations_since_swap += 1;
+                    monitor.observe();
                     self.metrics.requests.inc();
                     self.metrics.wait.record((wait * 1e6) as u64);
                     dbcast_flight::record(
@@ -979,8 +995,6 @@ impl ServeRuntime {
         report.final_assignment = final_gen.value.assignment.clone();
         report.estimated_frequencies = estimator.frequency_vector();
         self.close_generation(&mut report, slo_tracker.as_ref());
-        self.metrics.generation.set(final_gen.generation as f64);
-        self.metrics.generation_cost.set(final_gen.value.cost);
         report.audit = self.audit.summary();
         Ok(report)
     }
@@ -1019,6 +1033,12 @@ impl ServeRuntime {
         };
         let gen = self.cell.publish(generation);
         self.publish_channel_gauges(&self.cell.current().value);
+        // Live scrapes, `dbcast top` and watchdog firings read these
+        // mid-run; the new generation's drift score starts from 0 until
+        // its gap floor opens.
+        self.metrics.generation.set(gen as f64);
+        self.metrics.generation_cost.set(cost);
+        self.metrics.drift_distance.set(0.0);
         // Stamp swap-straddle penalties into in-flight sampled records
         // and roll the residual ledger onto the new generation.
         let straddled = self.audit.on_swap(boundary, gen);

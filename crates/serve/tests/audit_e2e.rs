@@ -44,7 +44,7 @@ fn config(sample_shift: u32) -> ServeConfig {
             seed: SEED,
             ..EstimatorConfig::default()
         },
-        detector: DriftDetector { threshold: 0.25, min_observations: 200 },
+        detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,
         max_ticks: None,

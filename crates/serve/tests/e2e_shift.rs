@@ -37,7 +37,7 @@ fn config() -> ServeConfig {
             seed: SEED,
             ..EstimatorConfig::default()
         },
-        detector: DriftDetector { threshold: 0.25, min_observations: 200 },
+        detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,
         max_ticks: None,

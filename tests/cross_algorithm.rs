@@ -173,3 +173,15 @@ fn drp_alone_is_strong_at_power_of_two_channels() {
         );
     }
 }
+
+#[test]
+fn cost_lower_bound_certifies_drpcds_on_the_serving_catalogue() {
+    // The N=2000, K=16 catalogue the serving runtime is sized on.
+    let db = workloads(2000, 2.0, 0.8, 42..43).remove(0);
+    let (f, z): (Vec<f64>, Vec<f64>) = db.iter().map(|d| (d.frequency(), d.size())).unzip();
+    let bound = dbcast::model::cost_lower_bound(&f, &z, 16, &mut Vec::new());
+    let heuristic = DrpCds::new().allocate(&db, 16).unwrap().total_cost();
+    assert!(bound <= heuristic, "bound {bound} exceeds DRP-CDS {heuristic}");
+    // Tight enough to read a gap off: DRP-CDS sits within a few percent.
+    assert!(heuristic / bound < 1.05, "DRP-CDS / bound = {}", heuristic / bound);
+}

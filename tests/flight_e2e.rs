@@ -9,6 +9,8 @@
 //! * a stationary workload's observed mean wait (its generation's
 //!   residual-ledger row, which the SLO verdict reads) lands within
 //!   tolerance of the Eq. 2 prediction `W_b`,
+//! * `serve.generation` and `serve.generation_cost` follow each install
+//!   while the run is live, not only once it returns,
 //! * `docs/METRICS.md` is exactly the generated catalogue, and every
 //!   metric the runtime records is catalogued.
 //!
@@ -46,7 +48,7 @@ fn base_config() -> ServeConfig {
         channels: 5,
         bandwidth: 10.0,
         estimator: EstimatorConfig::default(),
-        detector: DriftDetector { threshold: 0.25, min_observations: 200 },
+        detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,
         max_ticks: None,
@@ -139,6 +141,45 @@ fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
     assert!(report.swaps >= 1, "shifted workload should hot-swap");
     drop(server); // Drop shuts the listener down.
     assert!(TcpStream::connect(addr).is_err(), "server still listening after drop");
+}
+
+#[test]
+fn generation_gauges_follow_each_install_mid_run() {
+    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    dbcast_obs::set_enabled(true);
+    dbcast_obs::registry().reset();
+    let generation = dbcast_obs::registry().gauge("serve.generation");
+    let cost = dbcast_obs::registry().gauge("serve.generation_cost");
+
+    let db = db();
+    let post = shifted_workload(&db, 1.2, db.len() / 2).expect("shifted workload");
+    let trace = shifted_trace(&db, &post, 1200, 2800, 10.0, 9).expect("trace builds");
+    let config = ServeConfig { pace_ms: 10, ..base_config() };
+    let runtime = ServeRuntime::new(&db, config).expect("runtime builds");
+    let run = std::thread::spawn(move || runtime.run(&trace));
+
+    // Another thread reads the gauges while the paced run swaps: a
+    // reading counts only if the run was still going after it.
+    let mut live = None;
+    while live.is_none() && !run.is_finished() {
+        let reading = (generation.get(), cost.get());
+        if reading.0 >= 1.0 && !run.is_finished() {
+            live = Some(reading);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let report = run.join().expect("run thread").expect("run succeeds");
+    assert!(report.swaps >= 1, "shifted workload should hot-swap");
+    if dbcast_obs::enabled() {
+        let (gen, gen_cost) = live.expect("serve.generation read 0 for the whole run");
+        assert!(gen as u64 <= report.swaps, "gauge {gen} past {} swaps", report.swaps);
+        assert!(
+            report.generations[1..].iter().any(|g| g.cost == gen_cost),
+            "serve.generation_cost {gen_cost} is no installed generation's cost"
+        );
+        assert_eq!(generation.get(), report.swaps as f64);
+        assert_eq!(cost.get(), report.final_generation().cost);
+    }
 }
 
 #[test]

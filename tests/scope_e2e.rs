@@ -39,7 +39,7 @@ fn base_config() -> ServeConfig {
         channels: 5,
         bandwidth: 10.0,
         estimator: EstimatorConfig::default(),
-        detector: DriftDetector { threshold: 0.25, min_observations: 200 },
+        detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,
         max_ticks: None,
@@ -105,7 +105,7 @@ fn live_metrics_scrape_mid_run_renders_top() {
     assert!(frame.starts_with("dbcast top — tick"), "{frame}");
     assert!(!frame.contains('\x1b'), "--once must be ANSI-free:\n{frame}");
     if live {
-        for needle in ["req/s", "drift L1", "SLO burn", "channels (Eq. 2", "ch0"] {
+        for needle in ["req/s", "drift score", "SLO burn", "channels (Eq. 2", "ch0"] {
             assert!(frame.contains(needle), "missing {needle}:\n{frame}");
         }
         let channels = frame.lines().filter(|l| l.starts_with("  ch")).count();

@@ -172,11 +172,16 @@ impl AuditTracer {
     }
 
     /// Accounts one served request in the residual ledger (serving
-    /// loop only; allocation-free) and returns the channel's updated
-    /// residual `observed_mean − predicted_mean`.
+    /// loop only; allocation-free).
     #[inline]
-    pub fn observe_wait(&self, channel: usize, wait: f64, predicted: f64) -> f64 {
-        self.ledger.observe(channel, wait, predicted)
+    pub fn observe_wait(&self, channel: usize, wait: f64, predicted: f64) {
+        self.ledger.observe(channel, wait, predicted);
+    }
+
+    /// The channel's live residual, `None` before it has served a
+    /// request in the live generation (see [`ResidualLedger::residual`]).
+    pub fn residual(&self, channel: usize) -> Option<f64> {
+        self.ledger.residual(channel)
     }
 
     /// Appends a sampled lifecycle to the ring, bumping the stage
@@ -259,7 +264,7 @@ impl AuditTracer {
             sampled: self.sampled(),
             tail: self.tail(),
             straddled: self.straddled(),
-            records: self.ring.snapshot().len() as u64,
+            records: self.ring.live(),
         }
     }
 

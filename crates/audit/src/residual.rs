@@ -107,12 +107,11 @@ impl ResidualLedger {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Accounts one served request (serving loop only) and returns the
-    /// channel's updated residual `observed_mean − predicted_mean`.
+    /// Accounts one served request (serving loop only).
     /// Allocation-free: three load-add-stores on pre-sized atomics.
     #[inline]
-    pub fn observe(&self, channel: usize, wait: f64, predicted: f64) -> f64 {
-        let Some(cell) = self.cells.get(channel) else { return 0.0 };
+    pub fn observe(&self, channel: usize, wait: f64, predicted: f64) {
+        let Some(cell) = self.cells.get(channel) else { return };
         let n = cell.requests.load(Ordering::Relaxed) + 1;
         cell.requests.store(n, Ordering::Relaxed);
         let wait_sum = f64::from_bits(cell.wait_sum.load(Ordering::Relaxed)) + wait;
@@ -120,7 +119,16 @@ impl ResidualLedger {
         let predicted_sum =
             f64::from_bits(cell.predicted_sum.load(Ordering::Relaxed)) + predicted;
         cell.predicted_sum.store(predicted_sum.to_bits(), Ordering::Relaxed);
-        (wait_sum - predicted_sum) / n as f64
+    }
+
+    /// The channel's live residual `(wait_sum − predicted_sum) / n`, or
+    /// `None` before it has served a request in the live generation.
+    pub fn residual(&self, channel: usize) -> Option<f64> {
+        let cell = self.cells.get(channel)?;
+        let n = cell.requests.load(Ordering::Relaxed);
+        let wait_sum = f64::from_bits(cell.wait_sum.load(Ordering::Relaxed));
+        let predicted_sum = f64::from_bits(cell.predicted_sum.load(Ordering::Relaxed));
+        (n > 0).then(|| (wait_sum - predicted_sum) / n as f64)
     }
 
     /// The live generation's `(requests, wait_sum)` over all channels,
@@ -184,9 +192,14 @@ mod tests {
     #[test]
     fn observe_accumulates_running_residual() {
         let ledger = ResidualLedger::new(2);
-        assert_eq!(ledger.observe(0, 2.0, 1.5), 0.5);
-        let r = ledger.observe(0, 4.0, 1.5);
+        assert_eq!(ledger.residual(0), None);
+        ledger.observe(0, 2.0, 1.5);
+        assert_eq!(ledger.residual(0), Some(0.5));
+        ledger.observe(0, 4.0, 1.5);
+        let r = ledger.residual(0).unwrap();
         assert!((r - 1.5).abs() < 1e-12, "running residual {r}");
+        assert_eq!(ledger.residual(1), None);
+        assert_eq!(ledger.residual(2), None);
         // Channel 1 untouched.
         let current = ledger.current();
         assert_eq!(current.channels[1].requests, 0);
@@ -211,8 +224,10 @@ mod tests {
     #[test]
     fn out_of_range_channel_is_ignored() {
         let ledger = ResidualLedger::new(1);
-        assert_eq!(ledger.observe(9, 1.0, 1.0), 0.0);
+        ledger.observe(9, 1.0, 1.0);
+        assert_eq!(ledger.residual(9), None);
         assert_eq!(ledger.current().channels.len(), 1);
+        assert_eq!(ledger.totals(), (0, 0.0));
     }
 
     #[test]

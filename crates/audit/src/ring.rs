@@ -173,6 +173,13 @@ impl TraceRing {
         marked
     }
 
+    /// Counts the untorn live records without copying them out.
+    pub fn live(&self) -> u64 {
+        let mut live = 0;
+        self.0.for_each(|_, _| live += 1);
+        live
+    }
+
     /// Copies out every untorn live record, oldest first. Slots being
     /// overwritten or amended concurrently are skipped.
     pub fn snapshot(&self) -> Vec<TraceRecord> {

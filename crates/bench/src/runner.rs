@@ -15,8 +15,9 @@ use crate::sweep::run_sweep;
 use crate::timing::run_timing_sweep;
 
 /// Writes the telemetry snapshot accumulated so far next to a figure's
-/// report files (`<stem>.metrics.json`). A no-op when the `obs`
-/// feature is off or recording is disabled at runtime.
+/// report files (`<stem>.metrics.json`). A no-op unless the caller
+/// turned recording on ([`dbcast_obs::set_enabled`]); the bench
+/// binaries never do.
 fn write_metrics_json(dir: &Path, stem: &str) -> io::Result<()> {
     if dbcast_obs::enabled() {
         dbcast_obs::snapshot::write_global(&dir.join(format!("{stem}.metrics.json")))?;

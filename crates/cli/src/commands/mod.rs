@@ -54,13 +54,6 @@ pub enum CliError {
     UnknownAlgorithm(String),
     /// An option value that parses but is out of its valid domain.
     InvalidOption(String),
-    /// An option that needs a compile-time feature this binary lacks.
-    FeatureRequired {
-        /// The offending command-line option.
-        option: &'static str,
-        /// The cargo feature it needs.
-        feature: &'static str,
-    },
     /// Simulation failure.
     Sim(dbcast_sim::SimError),
     /// Serving-runtime failure.
@@ -98,11 +91,6 @@ impl fmt::Display for CliError {
                  drp-cds, dp, gopt"
             ),
             CliError::InvalidOption(msg) => write!(f, "invalid option: {msg}"),
-            CliError::FeatureRequired { option, feature } => write!(
-                f,
-                "{option} requires a binary built with `--features {feature}` \
-                 (this one was not); rebuild with `cargo build --features {feature}`"
-            ),
             CliError::Sim(e) => write!(f, "{e}"),
             CliError::Serve(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),

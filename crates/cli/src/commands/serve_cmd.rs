@@ -54,10 +54,8 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         return Err(CliError::InvalidOption(format!("--decay {decay} not in [0, 1]")));
     }
 
-    // Live exposition, postmortem metric snapshots and watchdogs are
-    // only meaningful with real telemetry, so (like
-    // --metrics-out) these are hard errors on a feature-off binary
-    // rather than silent no-ops.
+    // Live exposition, postmortem metric snapshots, watchdogs and the
+    // fleet uplink read recorded telemetry, so each turns recording on.
     let listen = args.opt::<String>("listen")?;
     let postmortem_dir = args.opt::<String>("postmortem-dir")?;
     let watch = args.opt::<String>("watch")?;
@@ -68,20 +66,6 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         || listen_uplink.is_some()
     {
         dbcast_obs::set_enabled(true);
-        if !dbcast_obs::enabled() {
-            return Err(CliError::FeatureRequired {
-                option: if listen.is_some() {
-                    "--listen"
-                } else if postmortem_dir.is_some() {
-                    "--postmortem-dir"
-                } else if watch.is_some() {
-                    "--watch"
-                } else {
-                    "--listen-uplink"
-                },
-                feature: "obs",
-            });
-        }
     }
     let watch_rules = match &watch {
         None => Vec::new(),
@@ -345,7 +329,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     )?;
     writeln!(
         out,
-        "waiting: mean {:.4} s, p95 {:.4} s",
+        "waiting: mean {:.4} s, p95 ≈{:.2} s (histogram bucket midpoint)",
         report.waiting.mean(),
         report.waiting.percentile(95.0).unwrap_or(0.0)
     )?;

@@ -22,12 +22,6 @@ pub fn run_stats(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     let algo_name: String = args.opt_or("algo", "drp-cds".to_string())?;
 
     dbcast_obs::set_enabled(true);
-    if !dbcast_obs::enabled() {
-        eprintln!(
-            "note: this binary was built without the `obs` feature; \
-             the snapshot below contains no recorded data"
-        );
-    }
     dbcast_obs::registry().reset();
 
     let algo = algorithm_by_name(&algo_name, seed)?;

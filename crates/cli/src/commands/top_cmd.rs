@@ -233,7 +233,7 @@ fn fmt_value(v: f64) -> String {
 
 /// Renders one `dbcast top` frame from the scrape window. Sections
 /// whose metrics are absent are skipped, so the console degrades
-/// gracefully against feature-off or non-serve processes.
+/// gracefully against non-recording or non-serve processes.
 fn render(window: &VecDeque<Scrape>, color: bool, width: usize) -> String {
     let paint = |code: &str, text: &str| {
         if color {

@@ -164,9 +164,9 @@ COMMAND-SPECIFIC:
                --frames N    stop after N live frames (default: forever)
                --width N     scrapes kept and sparkline width [default: 40]
 
-Telemetry records real data only when the binary is built with
-`--features obs`; --metrics-out, --listen and --postmortem-dir are hard
-errors without it (--trace-out still warns and writes an empty trace).
+Telemetry recording is off until a flag that needs it turns it on:
+--metrics-out, --trace-out, and serve's --listen, --listen-uplink,
+--postmortem-dir and --watch (`stats` always records).
 ";
 
 fn run() -> Result<(), CliError> {
@@ -189,24 +189,12 @@ fn run() -> Result<(), CliError> {
     let metrics_out = args.opt::<String>("metrics-out")?;
     if metrics_out.is_some() {
         dbcast_obs::set_enabled(true);
-        if !dbcast_obs::enabled() {
-            return Err(CliError::FeatureRequired {
-                option: "--metrics-out",
-                feature: "obs",
-            });
-        }
     }
 
     let trace_out = args.opt::<String>("trace-out")?;
     if trace_out.is_some() {
         dbcast_obs::set_enabled(true);
         dbcast_obs::tree::set_profiling(true);
-        if !dbcast_obs::enabled() {
-            eprintln!(
-                "warning: built without the `obs` feature; \
-                 the --trace-out trace will be empty"
-            );
-        }
     }
 
     match args.command() {

@@ -155,15 +155,13 @@ fn allocate_trace_out_writes_a_chrome_trace() {
     let body = std::fs::read_to_string(&trace).expect("trace file written");
     let parsed: serde_json::Value = serde_json::from_str(&body).expect("valid json");
     let events = parsed.get("traceEvents").and_then(|v| v.as_seq()).expect("traceEvents");
-    // With the obs feature the DRP run span (and its split scans) must
-    // appear as complete events; without it the trace is valid but empty.
-    if cfg!(feature = "obs") {
-        assert!(
-            events.iter().any(|e| {
-                e.get("name").and_then(|n| n.as_str()) == Some("alloc.drp.run")
-            }),
-            "missing alloc.drp.run in:\n{body}"
-        );
-    }
+    // --trace-out turns recording on, so the DRP run span (and its
+    // split scans) must appear as complete events.
+    assert!(
+        events
+            .iter()
+            .any(|e| { e.get("name").and_then(|n| n.as_str()) == Some("alloc.drp.run") }),
+        "missing alloc.drp.run in:\n{body}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// | kind | `value` | `extra` |
 /// |---|---|---|
 /// | `Tick` | tick length (virtual s) | — |
-/// | `RequestServed` | waiting time (virtual s) | item id |
+/// | `RequestServed` | waiting time (virtual s) of a tail-slow request | item id |
 /// | `DriftScore` | Eq. 3 gap over its floor, minus 1 | 1 if drift declared |
 /// | `RepairStart` | drift score at dispatch (0 before the floor opens) | base generation |
 /// | `RepairOutcome` | repair wall time (ms) | CDS moves applied |
@@ -30,7 +30,9 @@ use serde::{Deserialize, Serialize};
 pub enum EventKind {
     /// A virtual-time tick boundary was crossed.
     Tick = 0,
-    /// A request was admitted and served analytically.
+    /// A tail-slow request was served (its wait passed the audit
+    /// tracer's slow threshold); other requests are counted by the
+    /// audit ledger, not recorded one by one.
     RequestServed = 1,
     /// A drift check ran (every tick once the gap floor is open).
     DriftScore = 2,

@@ -8,9 +8,9 @@
 //!   [`event::FlightEvent`]s, a typed view over the obs crate's
 //!   [`SeqRing`]. Recording is wait-free (one `fetch_add` plus atomic
 //!   stores) and allocation-free, so it is
-//!   *always on*: the serving loop records ticks, served requests,
+//!   *always on*: the serving loop records ticks, tail-slow requests,
 //!   drift scores, repair dispatch/outcomes, swap publishes and budget
-//!   exhaustions unconditionally, independent of the `obs` feature.
+//!   exhaustions unconditionally, whether or not metrics record.
 //! * [`postmortem`] — triggers (a process panic via the installed
 //!   hook, or an explicit incident such as a drift alarm) dump the
 //!   last events plus a full metrics snapshot to a timestamped JSON

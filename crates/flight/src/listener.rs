@@ -12,7 +12,7 @@
 //! waits for a thread to be scheduled. A connection accepted while
 //! `cap` bodies run is closed at once and counted on the catalogued
 //! `<server>.refused` counter and on [`refused`](Listener::refused),
-//! which works with the obs feature compiled out.
+//! which works with recording off.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

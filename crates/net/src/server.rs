@@ -214,7 +214,7 @@ struct Shared {
     config: NetConfig,
     metrics: NetMetrics,
     // Local mirrors of the obs counters so behaviour is assertable even
-    // with the obs feature compiled out.
+    // with recording off.
     dropped: AtomicU64,
     frames_sent: AtomicU64,
     bytes_sent: AtomicU64,

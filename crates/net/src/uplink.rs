@@ -75,7 +75,7 @@ impl UplinkMetrics {
 struct UplinkShared {
     sink: Arc<dyn DigestSink>,
     metrics: UplinkMetrics,
-    // Local mirrors so behaviour is assertable with obs compiled out.
+    // Local mirrors so behaviour is assertable with recording off.
     frames: AtomicU64,
     bytes: AtomicU64,
     decode_errors: AtomicU64,

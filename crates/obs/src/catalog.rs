@@ -441,13 +441,15 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Gauge,
         unit: "s",
         help: "Per-channel observed-mean wait minus Eq. 2 predicted mean for the \
-               serving generation; indexed as .<channel>",
+               serving generation, published per tick from the audit ledger; indexed \
+               as .<channel>",
     },
     MetricDef {
         name: "serve.audit.sampled",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Requests captured by the audit tracer's deterministic seeded stage",
+        help: "Requests captured by the audit tracer's deterministic seeded stage \
+               (published per tick)",
     },
     MetricDef {
         name: "serve.audit.straddled",
@@ -459,7 +461,8 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.audit.tail_sampled",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Slow requests (wait > tail multiplier x W_b), all captured by the audit tail stage",
+        help: "Slow requests (wait > tail multiplier x W_b), all captured by the audit \
+               tail stage (published per tick)",
     },
     MetricDef {
         name: "serve.channel.expected_wait",
@@ -519,7 +522,8 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.requests",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Requests admitted and served by the runtime",
+        help: "Requests admitted and served by the runtime (published per tick and \
+               at run end)",
     },
     MetricDef {
         name: "serve.runtime.run",
@@ -567,7 +571,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.wait",
         kind: MetricKind::Histogram,
         unit: "us",
-        help: "Per-request waiting time in virtual microseconds",
+        help: "Per-request waiting time in virtual microseconds (published per tick)",
     },
     MetricDef {
         name: "sim.engine.event_loop",
@@ -656,7 +660,10 @@ pub fn markdown() -> String {
     out.push_str(
         "Generated from `dbcast_obs::catalog::CATALOG` by `dbcast flight catalog`; \
          do not edit by hand.\nA test (`tests/flight_e2e.rs`) fails if this file \
-         is stale or if a recorded metric is missing from the catalogue.\n\n",
+         is stale or if a recorded metric is missing from the catalogue.\n\n\
+         Recording is off until a flag that needs it turns it on: `--metrics-out`, \
+         `--trace-out`, serve's `--listen`, `--listen-uplink`, `--postmortem-dir` \
+         and `--watch`, or the `stats` command. Until then every metric reads 0.\n\n",
     );
     out.push_str("| Name | Type | Unit | Help |\n|---|---|---|---|\n");
     for d in CATALOG {

@@ -14,11 +14,14 @@
 //!
 //! # Enabling
 //!
-//! Recording is compiled in only with the `enabled` cargo feature
-//! (consumer crates re-export it as their `obs` feature). Without it,
-//! [`enabled()`] is `const false`, every `record`/`inc` body folds
-//! away, and [`span!`] never reads the clock. With the feature on, a
-//! runtime switch ([`set_enabled`]) can still silence recording.
+//! Recording is one runtime switch, [`set_enabled`], and it starts
+//! **off**: until something turns it on, every `record`/`inc` body is
+//! one relaxed load and a not-taken branch, and [`span!`] never reads
+//! the clock. The CLI turns it on for the flags that need recorded data
+//! (`--metrics-out`, `--trace-out`, `--listen`, `--postmortem-dir`,
+//! `--watch`, `--listen-uplink` and `dbcast stats`); nothing else does,
+//! so a library user or a benchmark that never calls it measures the
+//! code as shipped.
 //!
 //! # Naming
 //!
@@ -50,18 +53,16 @@ use std::sync::{Mutex, OnceLock};
 
 use metrics::{Counter, Gauge, Histogram};
 
-static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
+static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether recording is active: requires the `enabled` cargo feature
-/// AND the runtime switch. With the feature off this is a compile-time
-/// `false`, so callers' recording branches disappear entirely.
+/// Whether recording is active: the runtime switch, off until
+/// [`set_enabled`] turns it on.
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && RUNTIME_ENABLED.load(Ordering::Relaxed)
+    RUNTIME_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flips the runtime recording switch (a no-op without the `enabled`
-/// cargo feature, where recording cannot happen regardless).
+/// Flips the runtime recording switch.
 pub fn set_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
@@ -258,17 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn enabled_tracks_feature_and_switch() {
+    fn enabled_tracks_the_switch() {
         let _guard = TEST_SWITCH_LOCK.lock().unwrap();
-        if cfg!(feature = "enabled") {
-            set_enabled(true);
-            assert!(enabled());
-            set_enabled(false);
-            assert!(!enabled());
-            set_enabled(true);
-        } else {
-            set_enabled(true);
-            assert!(!enabled());
-        }
+        set_enabled(true);
+        assert!(enabled());
+        set_enabled(false);
+        assert!(!enabled());
     }
 }

@@ -3,6 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use serde::{Deserialize, Serialize};
+
 /// A monotonically increasing event count.
 #[derive(Debug)]
 pub struct Counter {
@@ -28,8 +30,7 @@ impl Counter {
         }
     }
 
-    /// Adds `n` unconditionally, bypassing the enable switch. Exists
-    /// so the arithmetic stays testable with the feature off.
+    /// Adds `n` unconditionally, bypassing the enable switch.
     #[inline]
     pub fn force_add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -150,8 +151,7 @@ impl Histogram {
     }
 
     /// Records one observation unconditionally, bypassing the enable
-    /// switch. Exists so the bucket math stays testable with the
-    /// feature off.
+    /// switch (a span opened while recording was on must close).
     pub fn force_record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -220,23 +220,7 @@ impl Histogram {
     ///
     /// Panics if `q` is outside `[0, 100]`.
     pub fn percentile_bounds(&self, q: f64) -> Option<(u64, u64)> {
-        assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let (min, max) = (self.min()?, self.max()?);
-        let target = ((q / 100.0) * n as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for i in 0..BUCKETS {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            if cumulative >= target {
-                let lo = bucket_lower_bound(i).clamp(min, max);
-                let hi = bucket_upper_bound(i).clamp(min, max);
-                return Some((lo, hi));
-            }
-        }
-        Some((max, max))
+        self.cells().percentile_bounds(q)
     }
 
     /// Midpoint of [`percentile_bounds`](Self::percentile_bounds): a
@@ -247,7 +231,7 @@ impl Histogram {
     ///
     /// Panics if `q` is outside `[0, 100]`.
     pub fn percentile_midpoint(&self, q: f64) -> Option<u64> {
-        self.percentile_bounds(q).map(|(lo, hi)| lo + (hi - lo) / 2)
+        self.cells().percentile_midpoint(q)
     }
 
     /// Copies the non-empty buckets as `(upper_bound, count)` pairs.
@@ -314,8 +298,7 @@ impl Histogram {
         }
     }
 
-    /// [`merge_cells`](Self::merge_cells) bypassing the enable switch,
-    /// so the merge arithmetic stays testable with the feature off.
+    /// [`merge_cells`](Self::merge_cells) bypassing the enable switch.
     pub fn force_merge_cells(&self, cells: &HistogramCells) {
         for (i, &c) in cells.buckets.iter().enumerate() {
             if c > 0 {
@@ -355,7 +338,7 @@ impl Histogram {
 ///
 /// `min` is `u64::MAX` while empty so that `min.min(other.min)` is the
 /// correct fold without a special case.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramCells {
     /// Dense per-bucket counts (see [`bucket_index`]).
     pub buckets: [u64; BUCKETS],
@@ -409,6 +392,56 @@ impl HistogramCells {
     /// Mean observation, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
+    }
+
+    /// The observations recorded since `earlier`, an older copy of these
+    /// same cells: bucket counts, count and sum are the differences,
+    /// while min and max stay these cells' own, so merging the result
+    /// into a histogram that already holds `earlier` is exact.
+    pub fn since(&self, earlier: &HistogramCells) -> HistogramCells {
+        HistogramCells {
+            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
+            count: self.count - earlier.count,
+            sum: self.sum.wrapping_sub(earlier.sum),
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// The `(lo, hi)` inclusive bounds of the bucket containing the
+    /// `q`-th percentile, clamped to the observed min/max — the true
+    /// percentile is guaranteed to lie within. `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 100]`.
+    pub fn percentile_bounds(&self, q: f64) -> Option<(u64, u64)> {
+        assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+        if self.count == 0 {
+            return None;
+        }
+        let (min, max) = (self.min, self.max);
+        let target = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut cumulative = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            cumulative += c;
+            if cumulative >= target {
+                let lo = bucket_lower_bound(i).clamp(min, max);
+                let hi = bucket_upper_bound(i).clamp(min, max);
+                return Some((lo, hi));
+            }
+        }
+        Some((max, max))
+    }
+
+    /// Midpoint of [`percentile_bounds`](Self::percentile_bounds), at
+    /// most half a bucket width from the true percentile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 100]`.
+    pub fn percentile_midpoint(&self, q: f64) -> Option<u64> {
+        self.percentile_bounds(q).map(|(lo, hi)| lo + (hi - lo) / 2)
     }
 }
 
@@ -602,6 +635,22 @@ mod tests {
     }
 
     #[test]
+    fn cells_since_an_earlier_copy_merge_back_exactly() {
+        let mut cells = HistogramCells::empty();
+        for v in [3u64, 70, 70] {
+            cells.record(v);
+        }
+        let earlier = cells.clone();
+        assert!(cells.since(&earlier).is_empty());
+        for v in [0u64, 9000] {
+            cells.record(v);
+        }
+        let mut rebuilt = earlier.clone();
+        rebuilt.merge(&cells.since(&earlier));
+        assert_eq!(rebuilt, cells);
+    }
+
+    #[test]
     fn empty_cells_are_the_merge_identity() {
         let mut cells = HistogramCells::empty();
         assert!(cells.is_empty());
@@ -633,11 +682,10 @@ mod tests {
         crate::set_enabled(true);
         let g = Histogram::detached();
         g.force_merge_cells(&cells);
-        if crate::enabled() {
-            let f = Histogram::detached();
-            f.merge_from(&g);
-            assert_eq!(f.count(), 1);
-        }
+        let f = Histogram::detached();
+        f.merge_from(&g);
+        assert_eq!(f.count(), 1);
+        crate::set_enabled(false);
     }
 
     #[test]
@@ -649,8 +697,6 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
-        // Under default features `crate::enabled()` is const-false;
-        // with the feature on we flip the runtime switch instead.
         let _guard = crate::TEST_SWITCH_LOCK.lock().unwrap();
         crate::set_enabled(false);
         let c = Counter::new();
@@ -663,6 +709,5 @@ mod tests {
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
         assert_eq!(g.get(), 0.0);
-        crate::set_enabled(true);
     }
 }

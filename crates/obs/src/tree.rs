@@ -17,7 +17,7 @@
 //! [`SpanRecord::self_ns`] = `dur_ns - child_ns` without a second
 //! pass.
 //!
-//! Profiling is off by default even with the `enabled` feature — span
+//! Profiling is off by default even with recording on — span
 //! trees allocate (one node per span), which the flat histograms never
 //! do. The collector is bounded ([`set_capacity`]); spans beyond the
 //! cap are counted in [`dropped`] rather than growing without limit.
@@ -92,8 +92,7 @@ struct LocalTree {
 }
 
 /// Turns span-tree collection on or off. Requires recording to be on
-/// too ([`crate::enabled`]); without the `enabled` cargo feature this
-/// has no effect.
+/// too ([`crate::enabled`]).
 pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
 }
@@ -308,7 +307,6 @@ mod tests {
         assert!(!json.contains("\"ph\": \"X\""));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn guards_build_a_tree_and_flush_on_root_close() {
         let _lock = crate::TEST_SWITCH_LOCK.lock().unwrap();
@@ -343,7 +341,6 @@ mod tests {
         assert_eq!(spans.iter().map(|s| s.depth).max(), Some(2));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn capacity_drops_excess_batches() {
         let _lock = crate::TEST_SWITCH_LOCK.lock().unwrap();

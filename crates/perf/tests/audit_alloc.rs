@@ -35,7 +35,7 @@ fn audit_decision_path_is_allocation_free() {
         let channel = (id % 6) as usize;
         let predicted = 0.3 + channel as f64 * 0.01;
         let wait = predicted + (id % 13) as f64 * 0.005;
-        std::hint::black_box(tracer.observe_wait(channel, wait, predicted));
+        tracer.observe_wait(channel, wait, predicted);
         sampled += u64::from(tracer.should_sample(id));
         std::hint::black_box(tracer.tail_slow(wait, 0.35));
     }

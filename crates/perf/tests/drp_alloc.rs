@@ -5,7 +5,8 @@
 //! DRP keeps its Table 3 trace as the benefit-ratio order plus `K − 1`
 //! split records, so its heap use is a few `O(N)` buffers and nothing
 //! proportional to `K·N`: the allocation count stays flat in both `N`
-//! and `K`, and the bytes per item stay flat in `K`.
+//! and `K`, and the bytes per item stay flat in `K`, whether telemetry
+//! recording (its span timers and counters) is on or off.
 
 use dbcast_alloc::Drp;
 use dbcast_model::ChannelAllocator;
@@ -17,7 +18,11 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
 fn drp_allocate_heap_use_is_independent_of_channel_count() {
-    for (items, channels) in [(2_000usize, 16usize), (20_000, 64)] {
+    let cases = [(2_000usize, 16usize), (20_000, 64)];
+    for (recording, (items, channels)) in
+        [false, true].into_iter().flat_map(|r| cases.map(|c| (r, c)))
+    {
+        dbcast_obs::set_enabled(recording);
         // The paper's catalogue family: Zipf θ=0.8, size diversity Φ=2.
         let db = WorkloadBuilder::new(items)
             .skewness(0.8)
@@ -38,10 +43,14 @@ fn drp_allocate_heap_use_is_independent_of_channel_count() {
             .min()
             .expect("three windows");
         let per_item = bytes as f64 / items as f64;
-        assert!(allocs <= 64, "N={items} K={channels}: {allocs} allocations (budget 64)");
+        assert!(
+            allocs <= 64,
+            "N={items} K={channels} recording {recording}: {allocs} allocations (budget 64)"
+        );
         assert!(
             per_item <= 128.0,
-            "N={items} K={channels}: {per_item:.1} B/item (budget 128)"
+            "N={items} K={channels} recording {recording}: {per_item:.1} B/item (budget 128)"
         );
     }
+    dbcast_obs::set_enabled(false);
 }

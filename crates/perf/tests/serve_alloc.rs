@@ -6,9 +6,12 @@
 //!    `locate_all`) reads the program's placement table and performs
 //!    no heap allocation, replicated programs included.
 //! 2. `ServeRuntime::run` allocates a fixed amount per run: serving ten
-//!    times the requests costs no more allocations, with the SLO
-//!    verdict (read from the audit ledger at tick boundaries) on or off,
-//!    and with the drift rule's per-tick Eq. 3 gap check running.
+//!    times the requests costs no more allocations and no more bytes,
+//!    with the SLO verdict (read from the audit ledger at tick
+//!    boundaries) on or off, with the drift rule's per-tick Eq. 3 gap
+//!    check running, and with telemetry recording on or off. Nothing
+//!    the run keeps (the report's wait summary included) grows with the
+//!    requests it serves.
 
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -26,19 +29,18 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// overlap.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-/// Allocations made by `f`, as the fewest over three runs: the harness
-/// thread reporting a sibling test can leak into one window, but a
-/// per-call allocation shows up in every window.
-fn fewest_allocations(mut f: impl FnMut()) -> u64 {
+/// Allocations and bytes allocated by `f`, each the fewest over three
+/// runs: the harness thread reporting a sibling test can leak into one
+/// window, but a per-call allocation shows up in every window.
+fn fewest_allocations(mut f: impl FnMut()) -> (u64, u64) {
     (0..3)
         .map(|_| {
-            let (before, _) = allocation_counts();
+            let (allocs, bytes) = allocation_counts();
             f();
-            let (after, _) = allocation_counts();
-            after - before
+            let (allocs_after, bytes_after) = allocation_counts();
+            (allocs_after - allocs, bytes_after - bytes)
         })
-        .min()
-        .expect("three windows")
+        .fold((u64::MAX, u64::MAX), |(a, b), (x, y)| (a.min(x), b.min(y)))
 }
 
 #[test]
@@ -59,7 +61,7 @@ fn wait_kernel_is_allocation_free() {
     let replicated = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
 
     for program in [&partition, &replicated] {
-        let allocs = fewest_allocations(|| {
+        let (allocs, _) = fewest_allocations(|| {
             for r in 0..10_000u32 {
                 let item = ItemId::new(r as usize % 60);
                 let now = f64::from(r) * 0.0137;
@@ -91,7 +93,11 @@ fn serve_run_allocations_do_not_scale_with_requests() {
     // which a stationary stream keeps below the dispatch threshold.
     let drift_on =
         ServeConfig { detector: DriftDetector::default(), ..ServeConfig::default() };
-    for config in [slo_off, slo_on, drift_on] {
+    let configs = [slo_off, slo_on, drift_on];
+    for (recording, config) in
+        [false, true].into_iter().flat_map(|r| configs.map(|c| (r, c)))
+    {
+        dbcast_obs::set_enabled(recording);
         let run_allocs = |requests: usize| {
             let trace = poisson_trace(&db, 50.0, requests, 7).unwrap();
             let runtime = ServeRuntime::new(&db, config).unwrap();
@@ -105,14 +111,22 @@ fn serve_run_allocations_do_not_scale_with_requests() {
                 black_box(report);
             })
         };
-        let small = run_allocs(2_000);
-        let large = run_allocs(20_000);
+        let (small, small_bytes) = run_allocs(2_000);
+        let (large, large_bytes) = run_allocs(20_000);
         assert!(
             large <= small + 16,
             "serving 10x the requests went from {small} to {large} allocations \
-             (slo {:?}, detector {:?})",
+             (recording {recording}, slo {:?}, detector {:?})",
+            config.slo,
+            config.detector
+        );
+        assert!(
+            large_bytes <= small_bytes,
+            "serving 10x the requests went from {small_bytes} to {large_bytes} bytes \
+             allocated (recording {recording}, slo {:?}, detector {:?})",
             config.slo,
             config.detector
         );
     }
+    dbcast_obs::set_enabled(false);
 }

@@ -41,7 +41,7 @@ pub use estimator::{EstimatorConfig, FrequencyEstimator};
 pub use fleet::{FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration};
 pub use runtime::{
     GenerationStats, ProgramGeneration, RepairMode, RepairReport, ServeConfig, ServeError,
-    ServeReport, ServeRuntime, WorkerMode,
+    ServeReport, ServeRuntime, WaitStats, WorkerMode,
 };
 pub use sketch::CountMinSketch;
 pub use slo::{expected_wait, SloConfig, SloReport, SloTracker, SloVerdict};

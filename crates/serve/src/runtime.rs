@@ -47,8 +47,7 @@ use dbcast_model::{
     average_waiting_time, AllocError, Allocation, BroadcastProgram, ChannelAllocator,
     Database, ItemId, ItemSpec, ModelError,
 };
-use dbcast_obs::metrics::{Counter, Gauge, Histogram};
-use dbcast_sim::SummaryStats;
+use dbcast_obs::metrics::{Counter, Gauge, Histogram, HistogramCells};
 use dbcast_workload::RequestTrace;
 use serde::{Deserialize, Serialize};
 
@@ -271,6 +270,45 @@ impl GenerationStats {
     }
 }
 
+/// Waiting-time summary of a serving run in fixed memory: the running
+/// mean (Welford's update) and a log2 histogram of the waits in
+/// microseconds, which backs the percentiles and is what the runtime
+/// publishes as `serve.wait`. Serving more requests never grows it.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct WaitStats {
+    mean: f64,
+    micros: HistogramCells,
+}
+
+impl WaitStats {
+    /// Adds one wait (seconds).
+    pub fn record(&mut self, wait: f64) {
+        self.micros.record((wait * 1e6) as u64);
+        self.mean += (wait - self.mean) / self.micros.count as f64;
+    }
+
+    /// Waits recorded.
+    pub fn count(&self) -> u64 {
+        self.micros.count
+    }
+
+    /// Mean wait in seconds (0 when empty).
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// The `p`-th percentile wait in seconds, `p ∈ [0, 100]`: the
+    /// midpoint of the log2 bucket holding it, so within half that
+    /// bucket's width of the true value (`None` when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        self.micros.percentile_midpoint(p).map(|us| us as f64 / 1e6)
+    }
+}
+
 /// The outcome of one serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
@@ -291,7 +329,7 @@ pub struct ServeReport {
     /// Ticks the runtime advanced through.
     pub ticks: u64,
     /// Waiting-time statistics across all served requests.
-    pub waiting: SummaryStats,
+    pub waiting: WaitStats,
     /// Per-generation breakdown, in installation order.
     pub generations: Vec<GenerationStats>,
     /// The assignment being served when the run ended.
@@ -307,6 +345,16 @@ impl ServeReport {
     pub fn final_generation(&self) -> &GenerationStats {
         self.generations.last().expect("at least generation 0 exists")
     }
+}
+
+/// What the registry has been told of the request path, so each
+/// publish adds only what accrued since the last.
+struct Published {
+    sampled: u64,
+    tail: u64,
+    /// `ServeReport::waiting`'s histogram as last published; its count
+    /// is the requests served.
+    waits: HistogramCells,
 }
 
 /// A re-allocation job handed to the worker.
@@ -665,7 +713,7 @@ impl ServeRuntime {
             slo_trigger_events: 0,
             swaps: 0,
             ticks: 0,
-            waiting: SummaryStats::new(),
+            waiting: WaitStats::default(),
             generations: Vec::new(),
             final_assignment: Vec::new(),
             estimated_frequencies: Vec::new(),
@@ -696,6 +744,11 @@ impl ServeRuntime {
 
         self.metrics.generation.set(serving.generation as f64);
         self.metrics.generation_cost.set(serving.value.cost);
+        let mut published = Published {
+            sampled: self.audit.sampled(),
+            tail: self.audit.tail(),
+            waits: HistogramCells::empty(),
+        };
 
         let mut tick_len = self.tick_len(&serving.value);
         let mut tick_end = tick_len;
@@ -717,6 +770,7 @@ impl ServeRuntime {
             while next_time >= tick_end {
                 report.ticks += 1;
                 self.metrics.ticks.inc();
+                self.publish_requests(&report.waiting, &mut published);
                 dbcast_flight::record(
                     FlightEvent::new(
                         EventKind::Tick,
@@ -920,34 +974,27 @@ impl ServeRuntime {
                     report.waiting.record(wait);
                     estimator.observe(r.item);
                     monitor.observe();
-                    self.metrics.requests.inc();
-                    self.metrics.wait.record((wait * 1e6) as u64);
-                    dbcast_flight::record(
-                        FlightEvent::new(
-                            EventKind::RequestServed,
-                            report.ticks,
-                            serving.generation,
-                            r.time,
-                        )
-                        .value(wait)
-                        .extra(r.item.index() as u64),
-                    );
                     // Audit: the generation's ledger row accounts every
                     // request; a full lifecycle record goes to the
-                    // seeded sample plus every slow (tail) request.
+                    // seeded sample plus every slow (tail) request, and
+                    // only a slow one takes a flight-ring slot. The
+                    // registry hears of requests once per tick.
                     let predicted = self.predicted_wait(&serving.value, channel, r.item);
-                    let residual = self.audit.observe_wait(channel, wait, predicted);
-                    if let Some(g) = self.metrics.audit_residual.get(channel) {
-                        g.set(residual);
-                    }
+                    self.audit.observe_wait(channel, wait, predicted);
                     let seeded = self.audit.should_sample(request_id);
                     let slow = self.audit.tail_slow(wait, serving.value.expected_wait);
                     if seeded || slow {
-                        if seeded {
-                            self.metrics.audit_sampled.inc();
-                        }
                         if slow {
-                            self.metrics.audit_tail.inc();
+                            dbcast_flight::record(
+                                FlightEvent::new(
+                                    EventKind::RequestServed,
+                                    report.ticks,
+                                    serving.generation,
+                                    r.time,
+                                )
+                                .value(wait)
+                                .extra(r.item.index() as u64),
+                            );
                         }
                         let completion = r.time + wait;
                         let satisfied_tick = report.ticks
@@ -987,6 +1034,7 @@ impl ServeRuntime {
         }
 
         report.unserved = requests.count() as u64;
+        self.publish_requests(&report.waiting, &mut published);
         if let Some((job_tx, _, handle)) = worker {
             drop(job_tx);
             let _ = handle.join();
@@ -997,6 +1045,28 @@ impl ServeRuntime {
         self.close_generation(&mut report, slo_tracker.as_ref());
         report.audit = self.audit.summary();
         Ok(report)
+    }
+
+    /// Publishes what the request path accounts without touching the
+    /// registry: `serve.requests`, `serve.audit.sampled`,
+    /// `serve.audit.tail_sampled` and the `serve.wait` histogram advance
+    /// by what accrued since the last publish, and each
+    /// `serve.audit.residual.<c>` gauge takes its channel's live
+    /// residual once the channel has served a request under the live
+    /// generation. Runs at each tick boundary and at run end.
+    fn publish_requests(&self, waiting: &WaitStats, published: &mut Published) {
+        let fresh = waiting.micros.since(&published.waits);
+        let (sampled, tail) = (self.audit.sampled(), self.audit.tail());
+        self.metrics.requests.add(fresh.count);
+        self.metrics.wait.merge_cells(&fresh);
+        self.metrics.audit_sampled.add(sampled - published.sampled);
+        self.metrics.audit_tail.add(tail - published.tail);
+        *published = Published { sampled, tail, waits: waiting.micros.clone() };
+        for (channel, gauge) in self.metrics.audit_residual.iter().enumerate() {
+            if let Some(residual) = self.audit.residual(channel) {
+                gauge.set(residual);
+            }
+        }
     }
 
     /// Freezes the serving generation's stats from the live ledger row

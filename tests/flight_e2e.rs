@@ -5,7 +5,8 @@
 //!   counters across scrapes,
 //! * an injected panic produces a postmortem JSON carrying a deep
 //!   flight-event history including the drift and swap events that
-//!   preceded the fault,
+//!   preceded the fault, even when more requests than the flight ring
+//!   holds were served between the swap and the fault,
 //! * a stationary workload's observed mean wait (its generation's
 //!   residual-ledger row, which the SLO verdict reads) lands within
 //!   tolerance of the Eq. 2 prediction `W_b`,
@@ -14,9 +15,9 @@
 //! * `docs/METRICS.md` is exactly the generated catalogue, and every
 //!   metric the runtime records is catalogued.
 //!
-//! The flight ring, postmortem machinery and SLO tracker are always-on;
-//! only the *content* of metric scrapes needs the `obs` feature, so
-//! those assertions are gated on `dbcast_obs::enabled()`.
+//! The flight ring, postmortem machinery and SLO tracker are always on;
+//! metric recording is off until a test switches it on, which each test
+//! that reads the registry does under the global-state lock.
 
 mod common;
 
@@ -65,7 +66,6 @@ fn base_config() -> ServeConfig {
 fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     dbcast_obs::set_enabled(true);
-    let live = dbcast_obs::enabled();
     dbcast_obs::registry().reset();
 
     let db = db();
@@ -113,24 +113,20 @@ fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
         let body = http_get(addr, "/metrics");
         let families =
             dbcast_obs::openmetrics::parse(&body).expect("post-run scrape parses");
-        if live {
-            let t = dbcast_obs::openmetrics::sample_value(&families, "serve_ticks_total")
-                .expect("serve_ticks_total exposed");
-            ticks_seen.push(t);
-            let served =
-                dbcast_obs::openmetrics::sample_value(&families, "serve_requests_total")
-                    .expect("serve_requests_total exposed");
-            assert_eq!(served as u64, report.requests);
-        }
+        let t = dbcast_obs::openmetrics::sample_value(&families, "serve_ticks_total")
+            .expect("serve_ticks_total exposed");
+        ticks_seen.push(t);
+        let served =
+            dbcast_obs::openmetrics::sample_value(&families, "serve_requests_total")
+                .expect("serve_requests_total exposed");
+        assert_eq!(served as u64, report.requests);
     }
-    if live {
-        assert!(ticks_seen.len() >= 2);
-        assert!(
-            ticks_seen.windows(2).all(|w| w[1] >= w[0]),
-            "serve_ticks_total went backwards: {ticks_seen:?}"
-        );
-        assert_eq!(*ticks_seen.last().unwrap() as u64, report.ticks);
-    }
+    assert!(ticks_seen.len() >= 2);
+    assert!(
+        ticks_seen.windows(2).all(|w| w[1] >= w[0]),
+        "serve_ticks_total went backwards: {ticks_seen:?}"
+    );
+    assert_eq!(*ticks_seen.last().unwrap() as u64, report.ticks);
 
     // The other two endpoints serve consistent JSON.
     let status = http_get(addr, "/status");
@@ -170,21 +166,21 @@ fn generation_gauges_follow_each_install_mid_run() {
     }
     let report = run.join().expect("run thread").expect("run succeeds");
     assert!(report.swaps >= 1, "shifted workload should hot-swap");
-    if dbcast_obs::enabled() {
-        let (gen, gen_cost) = live.expect("serve.generation read 0 for the whole run");
-        assert!(gen as u64 <= report.swaps, "gauge {gen} past {} swaps", report.swaps);
-        assert!(
-            report.generations[1..].iter().any(|g| g.cost == gen_cost),
-            "serve.generation_cost {gen_cost} is no installed generation's cost"
-        );
-        assert_eq!(generation.get(), report.swaps as f64);
-        assert_eq!(cost.get(), report.final_generation().cost);
-    }
+    let (gen, gen_cost) = live.expect("serve.generation read 0 for the whole run");
+    assert!(gen as u64 <= report.swaps, "gauge {gen} past {} swaps", report.swaps);
+    assert!(
+        report.generations[1..].iter().any(|g| g.cost == gen_cost),
+        "serve.generation_cost {gen_cost} is no installed generation's cost"
+    );
+    assert_eq!(generation.get(), report.swaps as f64);
+    assert_eq!(cost.get(), report.final_generation().cost);
 }
 
 #[test]
 fn injected_panic_dumps_a_postmortem_with_deep_history() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    dbcast_obs::set_enabled(true);
+    dbcast_obs::registry().reset();
     let dir = std::env::temp_dir().join("dbcast_flight_e2e_postmortem");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create postmortem dir");
@@ -204,20 +200,7 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
     // Disarm before asserting so a failure below cannot re-dump.
     dbcast_flight::postmortem::set_dir(None);
 
-    let dump = std::fs::read_dir(&dir)
-        .expect("read postmortem dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("postmortem-") && n.ends_with(".json"))
-        })
-        .expect("panic hook wrote a postmortem dump");
-    let body = std::fs::read_to_string(&dump).expect("read dump");
-    let doc: dbcast_flight::Postmortem =
-        dbcast_obs::doc::decode(&body).expect("dump decodes strictly");
-
+    let doc = read_postmortem(&dir);
     assert!(doc.reason.contains("injected fault at tick 30"), "reason: {}", doc.reason);
 
     let events = &doc.flight.events;
@@ -228,8 +211,72 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
     }
     assert_eq!(kinds.last(), Some(&"fault"), "fault must be the final event");
 
-    // The metrics snapshot rode along (contents need the obs feature).
-    assert!(doc.metrics.get("counters").is_some(), "no metrics snapshot in the dump");
+    // The metrics snapshot rode along, with the request count the
+    // loop publishes at each tick boundary.
+    let counters = doc.metrics.get("counters").expect("no metrics snapshot in the dump");
+    let served = counters.get("serve.requests").and_then(|v| v.as_u64());
+    assert!(served.is_some_and(|n| n > 0), "serve.requests in the dump: {served:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads the one postmortem dump the panic hook wrote into `dir`.
+fn read_postmortem(dir: &std::path::Path) -> dbcast_flight::Postmortem {
+    let dump = std::fs::read_dir(dir)
+        .expect("read postmortem dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("postmortem-") && n.ends_with(".json"))
+        })
+        .expect("panic hook wrote a postmortem dump");
+    let body = std::fs::read_to_string(&dump).expect("read dump");
+    dbcast_obs::doc::decode(&body).expect("dump decodes strictly")
+}
+
+#[test]
+fn postmortem_keeps_the_swap_behind_more_requests_than_the_ring_holds() {
+    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let capacity = dbcast_flight::recorder().capacity();
+    let dir = std::env::temp_dir().join("dbcast_flight_e2e_deep_postmortem");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create postmortem dir");
+
+    let db = db();
+    let post = shifted_workload(&db, 1.2, db.len() / 2).expect("shifted workload");
+    // The shift swaps early; three ring capacities of requests follow.
+    let trace = shifted_trace(&db, &post, 1200, 3 * capacity, 10.0, 9).expect("trace");
+    // The deterministic worker replays bit for bit, so a clean run
+    // finds the last tick boundary, where the fault is injected.
+    let clean = ServeRuntime::new(&db, base_config()).unwrap().run(&trace).unwrap();
+    assert!(clean.swaps >= 1, "shifted workload should hot-swap");
+
+    dbcast_flight::postmortem::set_dir(Some(dir.clone()));
+    dbcast_flight::postmortem::install_panic_hook();
+    let first_seq = dbcast_flight::recorder().recorded();
+    let config = ServeConfig { inject_panic_at_tick: Some(clean.ticks), ..base_config() };
+    let runtime = ServeRuntime::new(&db, config).expect("runtime builds");
+    let faulty = trace.clone();
+    let result = std::thread::spawn(move || runtime.run(&faulty)).join();
+    assert!(result.is_err(), "injected fault must panic the run");
+    dbcast_flight::postmortem::set_dir(None);
+
+    let doc = read_postmortem(&dir);
+    let events = &doc.flight.events;
+    let fault = events.last().expect("dump holds events");
+    assert_eq!(fault.kind, dbcast_flight::EventKind::Fault, "fault must be last");
+    let swap = events
+        .iter()
+        .rfind(|e| e.kind == dbcast_flight::EventKind::SwapPublish && e.seq >= first_seq)
+        .expect("the run's swap_publish fell out of the flight ring");
+    let served_since_swap =
+        trace.iter().filter(|r| r.time >= swap.vtime && r.time < fault.vtime).count();
+    assert!(
+        served_since_swap > capacity,
+        "only {served_since_swap} requests between the swap and the fault; the case \
+         needs more than the ring's {capacity} slots"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,7 @@
-//! End-to-end telemetry check: with `--features obs`, running the
+//! End-to-end telemetry check: with recording switched on, running the
 //! paper's algorithms populates the global registry with DRP split
 //! timers and counters, CDS iteration counters and GOPT generation
 //! counts, each agreeing with the progress the optimizer returns.
-
-#![cfg(feature = "obs")]
 
 use dbcast_alloc::DrpCds;
 use dbcast_baselines::{Gopt, GoptConfig};

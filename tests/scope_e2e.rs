@@ -8,8 +8,8 @@
 //!   registry) latches a firing, records a `watchdog` flight event and
 //!   produces a postmortem dump.
 //!
-//! Only the *content* of registry scrapes needs the `obs` feature, so
-//! the frame assertions are gated on `dbcast_obs::enabled()`.
+//! Recording is off until a test switches it on; each test that reads
+//! the registry does so under the global-state lock.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -73,7 +73,6 @@ fn top_once(addr: std::net::SocketAddr) -> String {
 fn live_metrics_scrape_mid_run_renders_top() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     dbcast_obs::set_enabled(true);
-    let live = dbcast_obs::enabled();
     dbcast_obs::registry().reset();
 
     let db = db();
@@ -104,17 +103,15 @@ fn live_metrics_scrape_mid_run_renders_top() {
 
     assert!(frame.starts_with("dbcast top — tick"), "{frame}");
     assert!(!frame.contains('\x1b'), "--once must be ANSI-free:\n{frame}");
-    if live {
-        for needle in ["req/s", "drift score", "SLO burn", "channels (Eq. 2", "ch0"] {
-            assert!(frame.contains(needle), "missing {needle}:\n{frame}");
-        }
-        let channels = frame.lines().filter(|l| l.starts_with("  ch")).count();
-        assert_eq!(channels, 5, "one Eq. 2 row per channel:\n{frame}");
-        assert!(
-            frame.chars().any(|c| ('\u{2581}'..='\u{2588}').contains(&c)),
-            "no sparkline glyphs in frame:\n{frame}"
-        );
+    for needle in ["req/s", "drift score", "SLO burn", "channels (Eq. 2", "ch0"] {
+        assert!(frame.contains(needle), "missing {needle}:\n{frame}");
     }
+    let channels = frame.lines().filter(|l| l.starts_with("  ch")).count();
+    assert_eq!(channels, 5, "one Eq. 2 row per channel:\n{frame}");
+    assert!(
+        frame.chars().any(|c| ('\u{2581}'..='\u{2588}').contains(&c)),
+        "no sparkline glyphs in frame:\n{frame}"
+    );
 }
 
 #[test]

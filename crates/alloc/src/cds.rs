@@ -45,6 +45,10 @@ pub struct CdsOutcome {
     /// `true` when CDS stopped because no improving move exists (a
     /// genuine local optimum); `false` when the iteration cap fired.
     pub converged: bool,
+    /// When the cap fired, the Eq. 4 reduction of the best move left
+    /// untaken: a lower bound on the further gain a continued run would
+    /// realize (steepest descent only compounds it). `0` when converged.
+    pub remaining_gain_bound: f64,
 }
 
 impl CdsOutcome {
@@ -83,15 +87,16 @@ fn scan_best_move(alloc: &Allocation, min_reduction: f64) -> Option<(Move, f64)>
     best
 }
 
-/// Shared refinement driver: `next` yields the best move for the
-/// current allocation (both implementations plug their scan in here, so
-/// step accounting, the iteration counter and the capped-run
-/// convergence re-check stay literally the same code).
+/// Shared refinement loop: `next(alloc, take)` yields the best move
+/// for the current allocation, and with `take` the implementation also
+/// commits to it (both implementations plug their scan in here, so step
+/// accounting, the iteration counter and the capped-run re-check stay
+/// literally the same code). The re-check only peeks.
 fn refine_with(
     db: &dbcast_model::Database,
     mut alloc: Allocation,
     max_iterations: usize,
-    mut next: impl FnMut(&Allocation) -> Option<(Move, f64)>,
+    mut next: impl FnMut(&Allocation, bool) -> Option<(Move, f64)>,
 ) -> Result<CdsOutcome, ModelError> {
     if alloc.items() != db.len() {
         return Err(ModelError::AssignmentLength {
@@ -104,7 +109,7 @@ fn refine_with(
     let mut steps = Vec::new();
     let mut converged = false;
     while steps.len() < max_iterations {
-        match next(&alloc) {
+        match next(&alloc, true) {
             Some((mv, reduction)) => {
                 alloc.apply_move(mv)?;
                 let cost_after = alloc.total_cost();
@@ -117,11 +122,16 @@ fn refine_with(
             }
         }
     }
-    // A capped run that would find no further move is still converged.
-    if !converged && next(&alloc).is_none() {
-        converged = true;
-    }
-    Ok(CdsOutcome { allocation: alloc, initial_cost, steps, converged })
+    // A capped run reports the move it left untaken; with none left it
+    // is converged after all.
+    let left = if converged { None } else { next(&alloc, false) };
+    Ok(CdsOutcome {
+        allocation: alloc,
+        initial_cost,
+        steps,
+        converged: left.is_none(),
+        remaining_gain_bound: left.map_or(0.0, |(_, reduction)| reduction),
+    })
 }
 
 /// The paper-literal CDS refiner: a full `O(KN)` candidate scan per
@@ -142,21 +152,12 @@ fn refine_with(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReferenceCds {
-    min_reduction: f64,
-    max_iterations: usize,
-}
-
-impl Default for ReferenceCds {
-    fn default() -> Self {
-        ReferenceCds { min_reduction: 1e-9, max_iterations: 1_000_000 }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ReferenceCds(Cds);
 
 impl ReferenceCds {
-    /// Creates the oracle with default threshold (`1e-9`) and iteration
-    /// cap (`1_000_000`).
+    /// Creates the oracle with [`Cds`]'s defaults: threshold `1e-9`,
+    /// iteration cap `1_000_000`.
     pub fn new() -> Self {
         ReferenceCds::default()
     }
@@ -166,25 +167,19 @@ impl ReferenceCds {
     /// # Panics
     ///
     /// Panics if `threshold` is negative or not finite.
-    pub fn min_reduction(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold >= 0.0,
-            "min_reduction must be finite and >= 0"
-        );
-        self.min_reduction = threshold;
-        self
+    pub fn min_reduction(self, threshold: f64) -> Self {
+        ReferenceCds(self.0.min_reduction(threshold))
     }
 
     /// Caps the number of applied moves.
-    pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.max_iterations = cap;
-        self
+    pub fn max_iterations(self, cap: usize) -> Self {
+        ReferenceCds(self.0.max_iterations(cap))
     }
 
     /// Finds the best single-item move via the exhaustive scan, if any
     /// clears the threshold.
     pub fn best_move(&self, alloc: &Allocation) -> Option<(Move, f64)> {
-        scan_best_move(alloc, self.min_reduction)
+        scan_best_move(alloc, self.0.min_reduction)
     }
 
     /// Refines `alloc` to a local optimum over `db`'s cost surface
@@ -199,8 +194,8 @@ impl ReferenceCds {
         db: &dbcast_model::Database,
         alloc: Allocation,
     ) -> Result<CdsOutcome, ModelError> {
-        refine_with(db, alloc, self.max_iterations, |a| {
-            scan_best_move(a, self.min_reduction)
+        refine_with(db, alloc, self.0.max_iterations, |a, _| {
+            scan_best_move(a, self.0.min_reduction)
         })
     }
 }
@@ -269,33 +264,8 @@ impl Cds {
         self
     }
 
-    /// Finds the best single-item move, if any clears the threshold.
-    ///
-    /// One-shot queries use the exhaustive scan (building the engine
-    /// would do the same work); `refine` amortizes via the engine.
-    #[cfg(test)]
-    fn best_move(&self, alloc: &Allocation) -> Option<(Move, f64)> {
-        scan_best_move(alloc, self.min_reduction)
-    }
-
-    /// Builds the incremental engine from the current allocation state,
-    /// handing over the *evolved* aggregates so every cached reduction
-    /// is bit-identical to what the exhaustive scan would compute.
-    pub(crate) fn engine(
-        &self,
-        db: &dbcast_model::Database,
-        alloc: &Allocation,
-    ) -> BestMoveEngine {
-        let f: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
-        let z: Vec<f64> = db.iter().map(|d| d.size()).collect();
-        let assign: Vec<u32> = alloc.assignment().iter().map(|&c| c as u32).collect();
-        let stats = alloc.all_channel_stats();
-        let freq: Vec<f64> = stats.iter().map(|s| s.frequency).collect();
-        let size: Vec<f64> = stats.iter().map(|s| s.size).collect();
-        BestMoveEngine::new(alloc.channels(), self.min_reduction, f, z, assign, freq, size)
-    }
-
-    /// Refines `alloc` to a local optimum over `db`'s cost surface.
+    /// Refines `alloc` over `db`'s cost surface to a local optimum, or
+    /// until the iteration cap stops it.
     ///
     /// # Errors
     ///
@@ -306,17 +276,25 @@ impl Cds {
         db: &dbcast_model::Database,
         alloc: Allocation,
     ) -> Result<CdsOutcome, ModelError> {
-        if alloc.items() != db.len() {
-            return Err(ModelError::AssignmentLength {
-                expected: db.len(),
-                actual: alloc.items(),
+        let mut engine: Option<BestMoveEngine> = None;
+        refine_with(db, alloc, self.max_iterations, |a, take| {
+            // Built on the first call, after `refine_with` has checked `a`
+            // against `db`, from the allocation's *evolved* aggregates so
+            // every cached reduction is bit-identical to the scan's.
+            let engine = engine.get_or_insert_with(|| {
+                let stats = a.all_channel_stats();
+                BestMoveEngine::new(
+                    a.channels(),
+                    self.min_reduction,
+                    db.iter().map(|d| d.frequency()).collect(),
+                    db.iter().map(|d| d.size()).collect(),
+                    a.assignment().iter().map(|&c| c as u32).collect(),
+                    stats.iter().map(|s| s.frequency).collect(),
+                    stats.iter().map(|s| s.size).collect(),
+                )
             });
-        }
-        let mut engine = self.engine(db, &alloc);
-        refine_with(db, alloc, self.max_iterations, move |a| {
-            let em = engine.best()?;
+            let em = if take { engine.apply_best() } else { engine.best() }?;
             debug_assert_eq!(em.from, a.assignment()[em.item]);
-            engine.apply_best();
             Some((
                 Move {
                     item: ItemId::new(em.item),
@@ -352,7 +330,7 @@ mod tests {
         let db = dbcast_workload::paper::table2_profile();
         let out = Cds::new().refine(&db, paper_drp_allocation(&db)).unwrap();
         assert!(out.converged);
-        assert!(Cds::new().best_move(&out.allocation).is_none());
+        assert!(ReferenceCds::new().best_move(&out.allocation).is_none());
     }
 
     #[test]
@@ -417,6 +395,7 @@ mod tests {
     fn incremental_matches_reference_under_caps_and_thresholds() {
         let db = dbcast_workload::WorkloadBuilder::new(90).seed(13).build().unwrap();
         let rough = crate::Drp::new().allocate(&db, 6).unwrap();
+        let mut capped_runs = 0;
         for cap in [0usize, 1, 3, 1000] {
             for threshold in [0.0, 1e-9, 1e-3] {
                 let oracle = ReferenceCds::new()
@@ -432,8 +411,20 @@ mod tests {
                 assert_eq!(oracle.steps, fast.steps, "cap={cap} threshold={threshold}");
                 assert_eq!(oracle.converged, fast.converged);
                 assert_eq!(oracle.allocation, fast.allocation);
+                assert_eq!(
+                    oracle.remaining_gain_bound.to_bits(),
+                    fast.remaining_gain_bound.to_bits(),
+                    "cap={cap} threshold={threshold}"
+                );
+                assert_eq!(
+                    fast.remaining_gain_bound == 0.0,
+                    fast.converged,
+                    "cap={cap} threshold={threshold}"
+                );
+                capped_runs += usize::from(!fast.converged);
             }
         }
+        assert!(capped_runs > 0, "some cap must stop a run with gain left");
     }
 
     #[test]

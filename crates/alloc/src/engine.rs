@@ -1,5 +1,5 @@
-//! The incremental best-move engine behind [`Cds`](crate::Cds) and
-//! [`DynamicBroadcast`](crate::DynamicBroadcast) repair.
+//! The incremental best-move engine behind [`Cds`](crate::Cds), and so
+//! behind DRP-CDS and the serving runtime's budgeted repair.
 //!
 //! The exhaustive CDS scan re-evaluates all `O(KN)` candidate moves per
 //! iteration even though Eq. 4's reduction
@@ -12,9 +12,11 @@
 //! change, so one `O(N)` pass repairs the caches.
 //!
 //! The pass runs **channel by channel**. Each channel keeps a member
-//! list holding its items' Eq. 4 inputs and cached top-2 (each item
-//! knows its position in it, so a move is one swap-remove from `p` and
-//! one push onto `q*`). Everything an item's repair reads besides its
+//! list holding its items' Eq. 4 inputs and cached top-2: one segment
+//! of a channel-major slot array, and each item knows its slot. A move
+//! walks the item's entry across the segment bounds between `p` and
+//! `q*` (one swap and one bound shift per bound, at most `K − 1`, never
+//! an allocation). Everything an item's repair reads besides its
 //! own entry is a property of its source channel `c`, so it is hoisted
 //! out of the member loop:
 //!
@@ -726,7 +728,7 @@ mod tests {
             moves += 1;
             assert_members_consistent(&engine);
         }
-        assert!(moves > 0, "the descent must exercise swap-remove and push");
+        assert!(moves > 0, "the descent must walk entries across segment bounds");
         let single = engine_for(10, 1, 5);
         assert_members_consistent(&single);
         assert!(single.best().is_none(), "one channel has no moves");
@@ -776,8 +778,8 @@ mod tests {
     #[test]
     fn equal_reductions_go_to_the_smaller_item_id() {
         // Identical items on one channel tie on every candidate; the
-        // member list is reversed by the swap-remove/push traffic of
-        // the descent, so only the explicit rule picks the smallest id.
+        // slot swaps of the descent reorder the member lists, so only
+        // the explicit rule picks the smallest id.
         let n = 8;
         let f = vec![0.5; n];
         let z = vec![2.0; n];

@@ -37,14 +37,12 @@
 
 mod cds;
 mod drp;
-mod dynamic;
 pub mod engine;
 mod partition;
 mod pipeline;
 
 pub use cds::{Cds, CdsOutcome, CdsStep, ReferenceCds};
 pub use drp::{Drp, DrpIteration, DrpOutcome, DrpSplit, GroupSnapshot, SplitPriority};
-pub use dynamic::{DynamicBroadcast, DynamicError, ItemHandle, RepairOutcome, RepairStats};
 pub use engine::{BestMoveEngine, EngineMove};
 pub use partition::{best_split, SplitPoint};
 pub use pipeline::{DrpCds, DrpCdsOutcome};

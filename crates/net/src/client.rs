@@ -166,18 +166,12 @@ impl AirLog {
         if log.worlds.is_empty() {
             return Err("stream carried no directory".into());
         }
-        log.frames.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .expect("finite starts")
-                .then(a.channel.cmp(&b.channel))
-        });
-        log.index_frames.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .expect("finite starts")
-                .then(a.channel.cmp(&b.channel))
-        });
+        // The decoder admits only finite starts, on which `total_cmp` is
+        // the numeric order; it cannot panic on whatever the wire holds.
+        log.frames
+            .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.channel.cmp(&b.channel)));
+        log.index_frames
+            .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.channel.cmp(&b.channel)));
         Ok(log)
     }
 

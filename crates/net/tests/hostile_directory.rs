@@ -1,9 +1,12 @@
 //! A directory frame is peer input: a program inside it that names an
 //! item far past its own slot count must fail to decode with an error,
-//! never panic or size a table from the hostile id.
+//! never panic or size a table from the hostile id. Data frames are peer
+//! input too: a non-finite start must never reach the recorder's sort.
 
 use dbcast_model::{Allocation, BroadcastProgram, Database, ItemSpec};
-use dbcast_net::{encode_frame_into, AirLog, Directory, Frame};
+use dbcast_net::{
+    encode_data_frame_into, encode_frame_into, AirLog, DataFrame, Directory, Frame,
+};
 
 fn directory_json() -> String {
     let db = Database::try_from_specs(vec![
@@ -56,4 +59,20 @@ fn a_program_with_a_non_positive_bandwidth_fails_to_decode() {
     assert_ne!(honest, hostile, "the program's bandwidth must be replaced");
     let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
     assert!(err.contains("bandwidth"), "{err}");
+}
+
+#[test]
+fn a_data_frame_with_a_nan_start_counts_as_a_decode_error() {
+    let frame =
+        |start| DataFrame { channel: 0, item: 0, generation: 0, start, duration: 1.0 };
+    let mut bytes = Vec::new();
+    encode_frame_into(&mut bytes, &Frame::Directory(directory_json().into_bytes()));
+    encode_data_frame_into(&mut bytes, &frame(2.0));
+    encode_data_frame_into(&mut bytes, &frame(f64::NAN));
+    encode_data_frame_into(&mut bytes, &frame(1.0));
+    encode_frame_into(&mut bytes, &Frame::End { horizon: 10.0 });
+    let log = AirLog::record(&bytes[..]).unwrap();
+    assert_eq!(log.decode_errors, 1);
+    let starts: Vec<f64> = log.frames.iter().map(|f| f.start).collect();
+    assert_eq!(starts, [1.0, 2.0], "the honest frames record, in start order");
 }

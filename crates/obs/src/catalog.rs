@@ -68,7 +68,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: "alloc.cds.refine",
         kind: MetricKind::Histogram,
         unit: "ns",
-        help: "Span: one full CDS refinement to local optimality",
+        help: "Span: one CDS refinement, to local optimality or its move cap",
     },
     MetricDef {
         name: "alloc.drp.run",
@@ -87,42 +87,6 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Counter,
         unit: "1",
         help: "DRP split decisions taken across all runs",
-    },
-    MetricDef {
-        name: "alloc.dynamic.budget_exhausted",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Budgeted repairs that stopped with gain still available",
-    },
-    MetricDef {
-        name: "alloc.dynamic.inserts",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Items inserted into a live DynamicBroadcast allocation",
-    },
-    MetricDef {
-        name: "alloc.dynamic.removes",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Items removed from a live DynamicBroadcast allocation",
-    },
-    MetricDef {
-        name: "alloc.dynamic.repair",
-        kind: MetricKind::Histogram,
-        unit: "ns",
-        help: "Span: one DynamicBroadcast steepest-descent repair",
-    },
-    MetricDef {
-        name: "alloc.dynamic.repair_moves",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Steepest-descent moves applied by DynamicBroadcast repairs",
-    },
-    MetricDef {
-        name: "alloc.dynamic.weight_updates",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Frequency re-weightings applied to a live allocation",
     },
     MetricDef {
         name: "alloc.pipeline.cds",

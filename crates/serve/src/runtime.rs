@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dbcast_alloc::{DrpCds, DynamicBroadcast, RepairOutcome};
+use dbcast_alloc::{Cds, DrpCds};
 use dbcast_audit::{
     AuditConfig, AuditSummary, AuditTracer, ChannelResidual, TraceRecord, FLAG_SEEDED,
     FLAG_TAIL,
@@ -61,9 +61,9 @@ use crate::swap::EpochCell;
 pub enum RepairMode {
     /// Full DRP-CDS from scratch on the estimated workload.
     Full,
-    /// Budgeted incremental repair: seed a [`DynamicBroadcast`] with the
-    /// serving assignment re-weighted to the estimated frequencies and
-    /// apply at most `budget` steepest-descent moves.
+    /// Budgeted incremental repair: a [`Cds::refine`] capped at `budget`
+    /// steepest-descent moves, started from the serving assignment
+    /// re-weighted to the estimated frequencies.
     Budgeted {
         /// Maximum CDS moves per repair.
         budget: usize,
@@ -204,8 +204,8 @@ pub struct ProgramGeneration {
     pub expected_wait: f64,
 }
 
-/// What one re-allocation did — surfaced from
-/// [`RepairOutcome`](dbcast_alloc::RepairOutcome) through the runtime.
+/// What one re-allocation did — for budgeted repair, surfaced from the
+/// capped run's [`CdsOutcome`](dbcast_alloc::CdsOutcome).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepairReport {
     /// `"full"` or `"budgeted"`.
@@ -214,7 +214,8 @@ pub struct RepairReport {
     pub moves: usize,
     /// Whether the budgeted repair ran out of moves with gain left.
     pub budget_exhausted: bool,
-    /// Lower bound on the unrealized gain when the budget was exhausted.
+    /// Lower bound on the unrealized gain when the budget was exhausted
+    /// ([`CdsOutcome::remaining_gain_bound`](dbcast_alloc::CdsOutcome::remaining_gain_bound)).
     pub remaining_gain_bound: f64,
     /// Wall-clock nanoseconds the re-allocation took.
     pub wall_ns: u64,
@@ -388,30 +389,16 @@ struct RepairResult {
 fn recompute(job: &RepairJob, mode: RepairMode, channels: usize) -> Option<RepairResult> {
     let _span = dbcast_obs::span!("serve.repair");
     let start = Instant::now();
-    let (assignment, moves, exhausted, bound) = match mode {
+    let (alloc, moves, exhausted, bound) = match mode {
         RepairMode::Full => {
-            let alloc = DrpCds::new().allocate(&job.db, channels).ok()?;
-            (alloc.assignment().to_vec(), 0, false, 0.0)
+            (DrpCds::new().allocate(&job.db, channels).ok()?, 0, false, 0.0)
         }
         RepairMode::Budgeted { budget } => {
-            let seed_alloc =
+            let seed =
                 Allocation::from_assignment(&job.db, channels, job.assignment.clone())
                     .ok()?;
-            let (live, handles) =
-                DynamicBroadcast::from_allocation(&job.db, &seed_alloc).ok()?;
-            let mut live = live.with_repair_budget(budget);
-            let outcome = live.repair();
-            let assignment: Vec<usize> = handles
-                .iter()
-                .map(|&h| live.channel_of(h).expect("handles stay live during repair"))
-                .collect();
-            let (exhausted, bound) = match outcome {
-                RepairOutcome::Converged(_) => (false, 0.0),
-                RepairOutcome::BudgetExhausted { remaining_gain_bound, .. } => {
-                    (true, remaining_gain_bound)
-                }
-            };
-            (assignment, outcome.stats().moves, exhausted, bound)
+            let out = Cds::new().max_iterations(budget).refine(&job.db, seed).ok()?;
+            (out.allocation, out.steps.len(), !out.converged, out.remaining_gain_bound)
         }
     };
     let wall_ns = start.elapsed().as_nanos() as u64;
@@ -428,7 +415,7 @@ fn recompute(job: &RepairJob, mode: RepairMode, channels: usize) -> Option<Repai
     Some(RepairResult {
         base_generation: job.base_generation,
         db: job.db.clone(),
-        assignment,
+        assignment: alloc.assignment().to_vec(),
         repair: RepairReport {
             mode: mode.name().to_string(),
             moves,

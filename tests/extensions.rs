@@ -1,8 +1,10 @@
 //! Integration tests for the extension crates (heterogeneous
-//! bandwidths, replication, dynamic maintenance) working together with
-//! the core pipeline and the simulator.
+//! bandwidths, replication) working together with the core pipeline and
+//! the simulator. Online maintenance of a serving assignment is budgeted
+//! repair, a capped `Cds::refine`; the serving runtime's tests cover it
+//! (`crates/serve/tests/e2e_shift.rs`, `budget_exhausted.rs`).
 
-use dbcast::alloc::{DrpCds, DynamicBroadcast};
+use dbcast::alloc::DrpCds;
 use dbcast::hetero::{hetero_waiting_time, Bandwidths, HeteroDrpCds};
 use dbcast::model::{Allocation, BroadcastProgram, ChannelAllocator};
 use dbcast::replication::{approx_waiting_time, GreedyReplicator, ReplicatedAllocation};
@@ -105,61 +107,6 @@ fn replication_approximation_is_exact_without_replicas_everywhere() {
         let exact = dbcast::model::average_waiting_time(&db, &alloc, 10.0).unwrap().total();
         assert!((approx - exact).abs() < 1e-6);
     }
-}
-
-#[test]
-fn dynamic_catalogue_tracks_offline_quality_through_churn() {
-    // Start from an offline optimum, then churn: remove items, insert
-    // items, spike weights. The maintained cost must stay within 15% of
-    // a from-scratch DRP-CDS on the final snapshot.
-    let db = WorkloadBuilder::new(50).seed(48).build().unwrap();
-    let offline = DrpCds::new().allocate(&db, 4).unwrap();
-    let (mut live, handles) = DynamicBroadcast::from_allocation(&db, &offline).unwrap();
-    let live = {
-        live = live.with_repair_budget(12);
-        // Remove a third of the catalogue.
-        for h in handles.iter().step_by(3) {
-            live.remove(*h).unwrap();
-        }
-        // Insert fresh items.
-        for i in 0..15 {
-            live.insert(0.01 + 0.002 * i as f64, 1.0 + (i * 7 % 40) as f64).unwrap();
-        }
-        // Popularity spike on a survivor.
-        let survivor = handles[1];
-        live.update_weight(survivor, 0.5).unwrap();
-        live
-    };
-    let (snap_db, snap_alloc) = live.snapshot().unwrap();
-    let fresh = DrpCds::new().allocate(&snap_db, 4).unwrap();
-    let maintained = snap_alloc.total_cost();
-    let recomputed = fresh.total_cost();
-    assert!(
-        maintained <= recomputed * 1.15,
-        "maintained {maintained} vs recomputed {recomputed}"
-    );
-}
-
-#[test]
-fn dynamic_reoptimize_closes_the_gap() {
-    let mut live = DynamicBroadcast::new(4).with_repair_budget(1);
-    let mut state = 77u64;
-    for _ in 0..60 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let w = ((state >> 33) % 1000 + 1) as f64;
-        let z = ((state >> 13) % 200 + 1) as f64;
-        live.insert(w, z).unwrap();
-    }
-    let before = live.cost();
-    let gain = live.reoptimize().unwrap();
-    assert!(gain >= 0.0);
-    assert!(live.cost() <= before);
-    // After reoptimize + full repair, another repair finds nothing.
-    let mut live = live.with_repair_budget(64);
-    live.repair();
-    let outcome = live.repair();
-    assert!(outcome.converged());
-    assert_eq!(outcome.stats().moves, 0);
 }
 
 #[test]

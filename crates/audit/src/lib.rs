@@ -57,9 +57,11 @@ pub struct AuditConfig {
     pub seed: u64,
     /// Trace-ring capacity (rounded up to a power of two, minimum 64).
     pub capacity: usize,
-    /// A request is *slow* when its wait exceeds this multiple of the
-    /// serving generation's Eq. 2 expected wait: the tail stage records
-    /// it, and the SLO burn rate counts it.
+    /// A request is *slow* when its wait exceeds this multiple of its
+    /// own Eq. 2 prediction `Z_c/(2b) + z/b`: the tail stage records it,
+    /// and the SLO burn rate counts it. A wait charged on the arrival
+    /// generation is at most `Z_c/b + z/b`, under twice the prediction,
+    /// so the default 2 flags only waits the model does not explain.
     pub tail_multiplier: f64,
 }
 
@@ -165,10 +167,12 @@ impl AuditTracer {
     }
 
     /// The one definition of a slow request:
-    /// `wait > tail_multiplier × expected_wait`.
+    /// `wait > tail_multiplier × predicted`, where `predicted` is the
+    /// request's own Eq. 2 wait (probe of its channel's cycle plus its
+    /// item's download).
     #[inline]
-    pub fn tail_slow(&self, wait: f64, expected_wait: f64) -> bool {
-        wait > self.tail_multiplier * expected_wait
+    pub fn tail_slow(&self, wait: f64, predicted: f64) -> bool {
+        wait > self.tail_multiplier * predicted
     }
 
     /// Accounts one served request in the residual ledger (serving

@@ -50,18 +50,7 @@ impl fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// Option keys that act as bare switches (no value).
-const SWITCHES: &[&str] = &[
-    "json",
-    "quick",
-    "help",
-    "trace",
-    "simulate",
-    "check",
-    "update-baseline",
-    "deterministic",
-    "slo-trigger",
-    "once",
-];
+const SWITCHES: &[&str] = &["json", "quick", "help", "trace", "simulate", "once"];
 
 impl Args {
     /// Parses an iterator of raw arguments (without the program name).

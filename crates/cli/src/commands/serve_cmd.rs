@@ -8,7 +8,7 @@ use dbcast_serve::{
 };
 use dbcast_workload::RequestTrace;
 
-use crate::args::Args;
+use crate::args::{Args, ArgsError};
 use crate::commands::CliError;
 
 /// Drives [`ServeRuntime`] over either a replayed trace (`--replay
@@ -21,15 +21,21 @@ use crate::commands::CliError;
 /// `--drift-threshold D`, `--min-observations M`, `--repair
 /// full|budgeted`, `--budget MOVES`, `--decay A`, `--ticks T`,
 /// `--shift-at FRAC`, `--shift-theta X`, `--shift-rotation N`,
-/// `--save-trace PATH`, `--seed S`, `--deterministic`, `--json`,
+/// `--save-trace PATH`, `--seed S`, `--json`,
 /// `--audit-shift S` (seeded trace sampling rate `2^-S`),
 /// `--inject-slow-channel I` / `--inject-slow-factor X` (scale the
 /// wait of one channel's requests — residual-attribution drills).
 ///
 /// # Errors
 ///
-/// Infeasible instances, trace I/O failures, invalid option domains.
+/// Infeasible instances, trace I/O failures, invalid option domains, and
+/// a positional action: `serve` takes none, and an unknown bare `--flag`
+/// takes the next token as its value, which can leave a stray word
+/// behind; rejecting it keeps that mistake loud.
 pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
+    if let Some(action) = args.action() {
+        return Err(ArgsError::UnexpectedPositional(action.to_string()).into());
+    }
     let db = crate::commands::load_or_generate(args)?;
     let channels = args.opt_or("channels", 6usize)?;
     let bandwidth = args.opt_or("bandwidth", 10.0f64)?;
@@ -73,7 +79,6 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
             .map_err(|e| CliError::InvalidOption(format!("--watch: {e}")))?,
     };
 
-    let slo_trigger = args.switch("slo-trigger");
     // --slo-multiplier sets the audit tail stage's slow threshold, which
     // the SLO burn rate counts; values below 1 make breaches easy to
     // provoke, which is how CI drills force a watchdog firing on an
@@ -84,16 +89,16 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
             "--slo-multiplier {mult} must be positive"
         )));
     }
-    let slo = match (args.opt::<f64>("slo")?, slo_trigger, slo_multiplier) {
-        (None, false, None) => None,
-        (tol, trigger, _) => {
+    let slo = match (args.opt::<f64>("slo")?, slo_multiplier) {
+        (None, None) => None,
+        (tol, _) => {
             let tolerance = tol.unwrap_or(SloConfig::default().tolerance);
             if tolerance <= 0.0 {
                 return Err(CliError::InvalidOption(format!(
                     "--slo {tolerance} must be positive"
                 )));
             }
-            Some(SloConfig { tolerance, trigger, ..SloConfig::default() })
+            Some(SloConfig { tolerance })
         }
     };
 
@@ -108,11 +113,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
                 .opt_or("min-observations", DriftDetector::default().min_observations)?,
         },
         repair,
-        worker: if args.switch("deterministic") {
-            WorkerMode::Deterministic
-        } else {
-            WorkerMode::Threaded
-        },
+        worker: WorkerMode::Deterministic,
         max_ticks: args.opt::<u64>("ticks")?,
         slo,
         pace_ms: args.opt_or("pace-ms", 0u64)?,
@@ -333,9 +334,6 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         report.waiting.mean(),
         report.waiting.percentile(95.0).unwrap_or(0.0)
     )?;
-    if report.slo_trigger_events > 0 {
-        writeln!(out, "SLO: {} trigger-dispatched repair(s)", report.slo_trigger_events)?;
-    }
     writeln!(
         out,
         "audit: {} seeded + {} tail (slow) sample(s), {} swap-straddled, \

@@ -79,14 +79,11 @@ COMMAND-SPECIFIC:
                --decay A      EWMA decay per virtual second   [default: 0.98]
                --ticks T      stop after T ticks
                --save-trace P archive the synthesized stream for --replay
-               --deterministic   inline re-allocation (seed-replayable)
                --json         emit the full serve report as JSON
                --listen ADDR  serve live /metrics, /flight and /status over
-                              HTTP while the run is in progress (needs obs)
+                              HTTP while the run is in progress
                --slo TOL      track the Eq. 2 expected wait with relative
                               tolerance TOL               [default: 0.15]
-               --slo-trigger  let a persistent SLO miss dispatch a repair
-                              even without drift (implies --slo)
                --postmortem-dir P   arm panic/incident postmortem dumps
                               (flight events + metrics) into directory P
                --pace-ms N    sleep N wall-clock ms per tick (lets an
@@ -96,10 +93,11 @@ COMMAND-SPECIFIC:
                               \"serve.slo.burn_rate > 1 for 2s;
                               stall(serve.swaps) while serve.drift_distance
                               > 0.15 for 40 ticks\"; any firing exits non-zero
-               --slo-multiplier X  a request is slow above X × W_b (the
-                              audit tail stage and the SLO burn rate;
-                              values < 1 force breaches — CI drills;
-                              implies --slo)                [default: 2]
+               --slo-multiplier X  a request is slow above X × its own
+                              Eq. 2 prediction (the audit tail stage and
+                              the SLO burn rate; values < 1 force
+                              breaches — CI drills; implies --slo)
+                                                            [default: 2]
                --audit-shift S  seeded audit sampling keeps 1-in-2^S
                               requests (0 = all)            [default: 6]
                --inject-slow-channel I  scale the wait of channel I's

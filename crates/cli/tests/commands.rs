@@ -133,6 +133,16 @@ fn unknown_algorithm_is_a_clean_error() {
 }
 
 #[test]
+fn serve_rejects_a_positional_action() {
+    // An unknown `--key` takes the next token as its value, so a stray
+    // bare flag swallows `--seed` and leaves `11` as an action.
+    let args = Args::parse(["serve", "--items", "10", "--stray", "--seed", "11"]).unwrap();
+    let mut out = Vec::new();
+    let err = commands::run_serve(&args, &mut out).unwrap_err();
+    assert!(err.to_string().contains("unexpected positional argument \"11\""), "{err}");
+}
+
+#[test]
 fn allocate_trace_out_writes_a_chrome_trace() {
     let dir = std::env::temp_dir().join("dbcast-cli-trace-test");
     std::fs::create_dir_all(&dir).unwrap();

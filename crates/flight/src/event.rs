@@ -16,12 +16,11 @@ use serde::{Deserialize, Serialize};
 /// | `Tick` | tick length (virtual s) | — |
 /// | `RequestServed` | waiting time (virtual s) of a tail-slow request | item id |
 /// | `DriftScore` | Eq. 3 gap over its floor, minus 1 | 1 if drift declared |
-/// | `RepairStart` | drift score at dispatch (0 before the floor opens) | base generation |
+/// | `RepairStart` | drift score at dispatch | base generation |
 /// | `RepairOutcome` | repair wall time (ms) | CDS moves applied |
 /// | `SwapPublish` | Eq. 3 cost of the new generation | new generation |
 /// | `BudgetExhausted` | remaining-gain lower bound | CDS moves applied |
 /// | `SloBreach` | budget burn rate | slow requests so far |
-/// | `SloTrigger` | budget burn rate | generation |
 /// | `Fault` | — | fault code (free-form) |
 /// | `Watchdog` | observed signal value | rule index |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,12 +30,13 @@ pub enum EventKind {
     /// A virtual-time tick boundary was crossed.
     Tick = 0,
     /// A tail-slow request was served (its wait passed the audit
-    /// tracer's slow threshold); other requests are counted by the
-    /// audit ledger, not recorded one by one.
+    /// tracer's slow threshold, a multiple of its own Eq. 2
+    /// prediction); other requests are counted by the audit ledger, not
+    /// recorded one by one.
     RequestServed = 1,
     /// A drift check ran (every tick once the gap floor is open).
     DriftScore = 2,
-    /// A re-allocation was dispatched.
+    /// The Eq. 3 gap rule dispatched a re-allocation.
     RepairStart = 3,
     /// A re-allocation finished computing.
     RepairOutcome = 4,
@@ -46,18 +46,16 @@ pub enum EventKind {
     BudgetExhausted = 6,
     /// The SLO error budget crossed burn rate 1.0.
     SloBreach = 7,
-    /// The SLO tracker dispatched a re-allocation.
-    SloTrigger = 8,
     /// A fault marker (injected panic, incident trigger, …).
-    Fault = 9,
+    Fault = 8,
     /// A watchdog rule fired (sustained threshold or stall).
-    Watchdog = 10,
+    Watchdog = 9,
 }
 
 impl EventKind {
     /// All kinds in tag order (`ALL[k as usize] == k`), for iteration
     /// in inspectors and for decoding tags.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::Tick,
         EventKind::RequestServed,
         EventKind::DriftScore,
@@ -66,7 +64,6 @@ impl EventKind {
         EventKind::SwapPublish,
         EventKind::BudgetExhausted,
         EventKind::SloBreach,
-        EventKind::SloTrigger,
         EventKind::Fault,
         EventKind::Watchdog,
     ];
@@ -82,7 +79,6 @@ impl EventKind {
             EventKind::SwapPublish => "swap_publish",
             EventKind::BudgetExhausted => "budget_exhausted",
             EventKind::SloBreach => "slo_breach",
-            EventKind::SloTrigger => "slo_trigger",
             EventKind::Fault => "fault",
             EventKind::Watchdog => "watchdog",
         }

@@ -1,6 +1,6 @@
 //! One broadcast channel with (1, m) index interleaving.
 
-use dbcast_model::{ChannelSchedule, ItemId, ModelError};
+use dbcast_model::{next_slot_start, ChannelSchedule, ItemId, ModelError};
 use serde::{Deserialize, Serialize};
 
 /// One entry of the indexed cycle layout.
@@ -189,38 +189,21 @@ impl IndexedChannel {
 
     /// The next index-copy start time `>= now` (seconds).
     pub fn next_index_start(&self, now: f64, bandwidth: f64) -> f64 {
-        debug_assert!(bandwidth > 0.0 && now >= 0.0);
-        let cycle_time = self.cycle_size / bandwidth;
         self.slots
             .iter()
             .filter(|s| matches!(s.entry, LayoutEntry::Index { .. }))
-            .map(|s| {
-                let offset_time = s.offset / bandwidth;
-                let k = ((now - offset_time) / cycle_time).ceil().max(0.0);
-                let mut t = offset_time + k * cycle_time;
-                if t < now {
-                    t += cycle_time;
-                }
-                t
-            })
+            .map(|s| next_slot_start(s.offset, self.cycle_size, now, bandwidth))
             .fold(f64::INFINITY, f64::min)
     }
 
     /// The next start time `>= now` of `item`'s slot (seconds), or
     /// `None` if the channel does not carry the item.
     pub fn next_item_start(&self, item: ItemId, now: f64, bandwidth: f64) -> Option<f64> {
-        let cycle_time = self.cycle_size / bandwidth;
         let slot = self
             .slots
             .iter()
             .find(|s| matches!(s.entry, LayoutEntry::Item { item: i } if i == item))?;
-        let offset_time = slot.offset / bandwidth;
-        let k = ((now - offset_time) / cycle_time).ceil().max(0.0);
-        let mut t = offset_time + k * cycle_time;
-        if t < now {
-            t += cycle_time;
-        }
-        Some(t)
+        Some(next_slot_start(slot.offset, self.cycle_size, now, bandwidth))
     }
 
     /// Item size (size units), if carried.

@@ -65,7 +65,7 @@ pub use cost::{allocation_cost, channel_cost, cost_lower_bound, CostTracker};
 pub use database::{Database, DatabaseStats};
 pub use error::ModelError;
 pub use item::{BenefitRatio, DataItem, ItemId, ItemSpec};
-pub use program::{BroadcastProgram, ChannelSchedule, ScheduledItem};
+pub use program::{next_slot_start, BroadcastProgram, ChannelSchedule, ScheduledItem};
 pub use waiting::{
     average_waiting_time, channel_waiting_time, item_waiting_time, WaitingTimeBreakdown,
 };

@@ -85,10 +85,14 @@ impl ChannelSchedule {
 /// begins, at `bandwidth` units per second.
 ///
 /// The only place the wait arithmetic lives; its operation order is
-/// part of the contract, since the simulator, the serving runtime and
-/// the fleet planner all compare waits bit for bit.
+/// part of the contract, since the simulator, the serving runtime, the
+/// fleet planner and the air index all compare waits bit for bit.
+///
+/// # Panics
+///
+/// Panics (debug) if `bandwidth <= 0` or `now < 0`.
 #[inline]
-fn next_slot_start(offset: f64, cycle_size: f64, now: f64, bandwidth: f64) -> f64 {
+pub fn next_slot_start(offset: f64, cycle_size: f64, now: f64, bandwidth: f64) -> f64 {
     debug_assert!(bandwidth > 0.0 && now >= 0.0);
     let cycle_time = cycle_size / bandwidth;
     let offset_time = offset / bandwidth;

@@ -425,8 +425,8 @@ pub const CATALOG: &[MetricDef] = &[
         name: "serve.audit.tail_sampled",
         kind: MetricKind::Counter,
         unit: "1",
-        help: "Slow requests (wait > tail multiplier x W_b), all captured by the audit \
-               tail stage (published per tick)",
+        help: "Slow requests (wait > tail multiplier x the request's Eq. 2 prediction), \
+               all captured by the audit tail stage (published per tick)",
     },
     MetricDef {
         name: "serve.channel.expected_wait",
@@ -506,12 +506,6 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Gauge,
         unit: "s",
         help: "Eq. 2 expected wait W_b of the serving generation (the SLO target)",
-    },
-    MetricDef {
-        name: "serve.slo.trigger_events",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Re-allocations dispatched by SLO burn rather than the drift rule",
     },
     MetricDef {
         name: "serve.swap_latency",

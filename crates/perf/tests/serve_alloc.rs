@@ -85,10 +85,7 @@ fn serve_run_allocations_do_not_scale_with_requests() {
         detector: DriftDetector { threshold: 10.0, min_observations: u64::MAX },
         ..ServeConfig::default()
     };
-    let slo_on = ServeConfig {
-        slo: Some(SloConfig { trigger: true, ..SloConfig::default() }),
-        ..slo_off
-    };
+    let slo_on = ServeConfig { slo: Some(SloConfig::default()), ..slo_off };
     // The shipped rule: past 200 requests every tick computes the gap,
     // which a stationary stream keeps below the dispatch threshold.
     let drift_on =

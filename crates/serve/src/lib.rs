@@ -12,19 +12,21 @@
 //!                      GapMonitor (Eq. 3 cost vs certified bound)
 //!                          │ drift!
 //!                          ▼
-//!                      re-allocator (full DRP-CDS or budgeted repair)
+//!                      re-allocator (full DRP-CDS or budgeted repair,
+//!                      run inline at the detecting boundary)
 //!                          │ new assignment
 //!                          ▼
-//!                      EpochCell::publish — hot swap at a cycle
+//!                      EpochCell::publish — hot swap at the next cycle
 //!                      boundary; readers never block, in-flight
 //!                      requests stay accounted to their generation
 //! ```
 //!
 //! [`ServeRuntime`] drives the loop in virtual time over a request
-//! trace (replayed or synthetic Poisson); [`WorkerMode::Deterministic`]
-//! makes the entire closed loop seed-replayable, while
-//! [`WorkerMode::Threaded`] moves re-allocation onto a background
-//! thread so serving never stalls.
+//! trace (replayed or synthetic Poisson). Every request is charged its
+//! Eq. 1 wait in virtual time, so recomputing inline stalls no request
+//! and the whole closed loop replays bit for bit from its seed; the one
+//! real-time consumer, a broadcast egress, reads the [`EpochCell`] on
+//! its own thread.
 
 mod drift;
 mod estimator;
@@ -44,6 +46,6 @@ pub use runtime::{
     ServeReport, ServeRuntime, WaitStats, WorkerMode,
 };
 pub use sketch::CountMinSketch;
-pub use slo::{expected_wait, SloConfig, SloReport, SloTracker, SloVerdict};
+pub use slo::{SloConfig, SloReport, SloTracker, SloVerdict};
 pub use source::{poisson_trace, shifted_trace, shifted_workload};
 pub use swap::{EpochCell, Versioned};

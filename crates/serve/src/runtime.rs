@@ -14,24 +14,27 @@
 //! happen at tick boundaries, which is what makes the swap
 //! safe-by-construction:
 //!
-//! 1. a finished re-allocation is **installed** (published as the next
-//!    generation through [`EpochCell`]),
+//! 1. the re-allocation computed at the previous boundary is
+//!    **installed** (published as the next generation through
+//!    [`EpochCell`]),
 //! 2. the estimator **decays** one EWMA step,
 //! 3. the gap monitor charges the active generation its Eq. 3 cost under
 //!    the estimated frequency vector, compares it with a certified lower
 //!    bound on any allocation's cost, and may **dispatch** a
-//!    re-allocation when the gap rises clearly above its own floor.
+//!    re-allocation when the gap rises clearly above its own floor. The
+//!    dispatch recomputes inline; step 1 of the next boundary installs
+//!    the result.
+//!
+//! The gap rule is the only dispatcher: the SLO tracker judges each
+//! generation against its Eq. 2 target and reports, but never swaps.
 //!
 //! The loop is the [`EpochCell`]'s only publisher, so it holds the
 //! serving generation's `Arc` and refreshes it right after each install
 //! instead of reading the cell per request. Each request is served and
 //! accounted against the generation active at its arrival — nothing is
-//! dropped, re-routed or double-counted.
-//!
-//! Re-allocation runs either inline ([`WorkerMode::Deterministic`], the
-//! seed-replayable mode the tests pin) or on a background worker thread
-//! over `crossbeam-channel` ([`WorkerMode::Threaded`], the production
-//! mode — the serving loop never blocks on DRP-CDS).
+//! dropped, re-routed or double-counted. Since every wait is charged in
+//! virtual time, recomputing inline delays no request, and a run
+//! replays bit for bit from its seed.
 
 use std::fmt;
 use std::sync::Arc;
@@ -80,16 +83,15 @@ impl RepairMode {
     }
 }
 
-/// Where the re-allocation work runs.
+/// Where the re-allocation work runs. There is one mode; the type and
+/// [`ServeConfig::worker`] remain because the repository benchmark
+/// names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkerMode {
     /// Recompute inline at the detection boundary; the result installs
-    /// at the *next* boundary (mirroring the threaded handoff), making
-    /// the whole closed loop bit-for-bit seed-replayable.
+    /// at the *next* boundary, and the whole closed loop is bit-for-bit
+    /// seed-replayable.
     Deterministic,
-    /// Recompute on a background thread; the serving loop polls for the
-    /// result at each boundary and installs the first one it finds.
-    Threaded,
 }
 
 /// Configuration of a [`ServeRuntime`].
@@ -105,7 +107,7 @@ pub struct ServeConfig {
     pub detector: DriftDetector,
     /// Re-allocation strategy on drift.
     pub repair: RepairMode,
-    /// Inline (deterministic) or background-thread re-allocation.
+    /// Where re-allocation runs (always inline; see [`WorkerMode`]).
     pub worker: WorkerMode,
     /// Stop serving after this many ticks (`None` = run the whole
     /// trace). Requests past the cap are left unserved, not dropped.
@@ -239,9 +241,8 @@ pub struct GenerationStats {
     /// Eq. 3 cost of the generation under its build profile.
     pub cost: f64,
     /// Drift score (Eq. 3 gap over its floor, minus 1) measured when the
-    /// re-allocation producing this generation was dispatched; 0 when
-    /// the SLO trigger dispatched it before the gap floor opened
-    /// (`None` for generation 0).
+    /// re-allocation producing this generation was dispatched (`None`
+    /// for generation 0).
     pub drift_at_dispatch: Option<f64>,
     /// What the re-allocation producing this generation did (`None` for
     /// generation 0).
@@ -322,9 +323,6 @@ pub struct ServeReport {
     pub unserved: u64,
     /// Drift detections that dispatched a re-allocation.
     pub drift_events: u64,
-    /// Re-allocations dispatched by the SLO tracker rather than the
-    /// drift rule (0 when tracking is off or `trigger` is unset).
-    pub slo_trigger_events: u64,
     /// Hot swaps performed.
     pub swaps: u64,
     /// Ticks the runtime advanced through.
@@ -358,74 +356,48 @@ struct Published {
     waits: HistogramCells,
 }
 
-/// A re-allocation job handed to the worker.
-struct RepairJob {
-    /// Generation the job was computed against (stale results whose
-    /// base generation was already replaced are discarded).
-    base_generation: u64,
-    /// The estimated workload to optimize for.
+/// A re-allocation computed at one tick boundary, waiting to install
+/// at the next.
+struct RepairResult {
+    /// The estimated workload it optimized for.
     db: Database,
-    /// The serving assignment (seed for budgeted repair).
+    /// The new item → channel assignment.
     assignment: Vec<usize>,
+    repair: RepairReport,
     /// Drift score at dispatch (for the report).
     drift: f64,
     /// Virtual dispatch time (for swap-latency accounting).
     dispatched_at: f64,
-    /// Tick at dispatch (flight-event coordinates).
-    dispatched_tick: u64,
 }
 
-/// The worker's answer.
-struct RepairResult {
-    base_generation: u64,
-    db: Database,
-    assignment: Vec<usize>,
-    repair: RepairReport,
-    drift: f64,
-    dispatched_at: f64,
-}
-
-/// Runs one re-allocation job (shared by both worker modes).
-fn recompute(job: &RepairJob, mode: RepairMode, channels: usize) -> Option<RepairResult> {
+/// Re-allocates the estimated workload `db` under `mode` (budgeted
+/// repair starts from the serving `assignment`), returning the new
+/// assignment and what the re-allocation did.
+fn recompute(
+    mode: RepairMode,
+    db: &Database,
+    channels: usize,
+    assignment: &[usize],
+) -> Option<(Vec<usize>, RepairReport)> {
     let _span = dbcast_obs::span!("serve.repair");
     let start = Instant::now();
     let (alloc, moves, exhausted, bound) = match mode {
-        RepairMode::Full => {
-            (DrpCds::new().allocate(&job.db, channels).ok()?, 0, false, 0.0)
-        }
+        RepairMode::Full => (DrpCds::new().allocate(db, channels).ok()?, 0, false, 0.0),
         RepairMode::Budgeted { budget } => {
             let seed =
-                Allocation::from_assignment(&job.db, channels, job.assignment.clone())
-                    .ok()?;
-            let out = Cds::new().max_iterations(budget).refine(&job.db, seed).ok()?;
+                Allocation::from_assignment(db, channels, assignment.to_vec()).ok()?;
+            let out = Cds::new().max_iterations(budget).refine(db, seed).ok()?;
             (out.allocation, out.steps.len(), !out.converged, out.remaining_gain_bound)
         }
     };
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    dbcast_flight::record(
-        FlightEvent::new(
-            EventKind::RepairOutcome,
-            job.dispatched_tick,
-            job.base_generation,
-            job.dispatched_at,
-        )
-        .value(wall_ns as f64 / 1e6)
-        .extra(moves as u64),
-    );
-    Some(RepairResult {
-        base_generation: job.base_generation,
-        db: job.db.clone(),
-        assignment: alloc.assignment().to_vec(),
-        repair: RepairReport {
-            mode: mode.name().to_string(),
-            moves,
-            budget_exhausted: exhausted,
-            remaining_gain_bound: bound,
-            wall_ns,
-        },
-        drift: job.drift,
-        dispatched_at: job.dispatched_at,
-    })
+    let repair = RepairReport {
+        mode: mode.name().to_string(),
+        moves,
+        budget_exhausted: exhausted,
+        remaining_gain_bound: bound,
+        wall_ns: start.elapsed().as_nanos() as u64,
+    };
+    Some((alloc.assignment().to_vec(), repair))
 }
 
 /// The request's position in the channel's cyclic "queue" at `now`:
@@ -503,7 +475,6 @@ struct ServeMetrics {
     swaps: &'static Counter,
     budget_exhausted: &'static Counter,
     ticks: &'static Counter,
-    slo_trigger_events: &'static Counter,
     drift_distance: &'static Gauge,
     generation: &'static Gauge,
     generation_cost: &'static Gauge,
@@ -528,7 +499,6 @@ impl ServeMetrics {
             swaps: r.counter("serve.swaps"),
             budget_exhausted: r.counter("serve.repair_budget_exhausted"),
             ticks: r.counter("serve.ticks"),
-            slo_trigger_events: r.counter("serve.slo.trigger_events"),
             drift_distance: r.gauge("serve.drift_distance"),
             generation: r.gauge("serve.generation"),
             generation_cost: r.gauge("serve.generation_cost"),
@@ -670,34 +640,11 @@ impl ServeRuntime {
         let mut estimator =
             FrequencyEstimator::new(self.sizes.len(), self.config.estimator);
 
-        // Threaded worker: jobs flow out, results flow back; dropping
-        // the sender shuts the thread down.
-        let worker = match self.config.worker {
-            WorkerMode::Deterministic => None,
-            WorkerMode::Threaded => {
-                let (job_tx, job_rx) = crossbeam_channel::unbounded::<RepairJob>();
-                let (res_tx, res_rx) = crossbeam_channel::unbounded::<RepairResult>();
-                let mode = self.config.repair;
-                let channels = self.config.channels;
-                let handle = std::thread::spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
-                        if let Some(result) = recompute(&job, mode, channels) {
-                            if res_tx.send(result).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                });
-                Some((job_tx, res_rx, handle))
-            }
-        };
-
         let mut report = ServeReport {
             requests: 0,
             dropped: 0,
             unserved: 0,
             drift_events: 0,
-            slo_trigger_events: 0,
             swaps: 0,
             ticks: 0,
             waiting: WaitStats::default(),
@@ -727,7 +674,6 @@ impl ServeRuntime {
         if slo_tracker.is_some() {
             self.metrics.slo_target_wait.set(serving.value.expected_wait);
         }
-        let mut slo_trigger_pending = false;
 
         self.metrics.generation.set(serving.generation as f64);
         self.metrics.generation_cost.set(serving.value.cost);
@@ -746,7 +692,6 @@ impl ServeRuntime {
             self.config.estimator.decay,
             self.sizes.len(),
         );
-        let mut job_in_flight = false;
         let mut pending: Option<RepairResult> = None;
         let mut capped = false;
 
@@ -791,7 +736,7 @@ impl ServeRuntime {
                 let boundary = tick_end;
 
                 // (0) Judge the serving generation's SLO on its ledger
-                // totals; a trigger waits for the dispatch in (4).
+                // totals; the verdict reports and never dispatches.
                 if let Some(tracker) = slo_tracker.as_mut() {
                     let totals = self.audit.totals();
                     let verdict = tracker.evaluate(totals);
@@ -808,132 +753,85 @@ impl ServeRuntime {
                             .extra(totals.slow),
                         );
                     }
-                    slo_trigger_pending |= verdict.trigger;
                 }
 
-                // (1) Collect a finished re-allocation, if any.
-                if let Some((_, res_rx, _)) = &worker {
-                    if pending.is_none() {
-                        if let Ok(result) = res_rx.try_recv() {
-                            pending = Some(result);
-                        }
-                    }
-                }
-                // (2) Install it at this cycle boundary.
+                // (1) Install the re-allocation the previous boundary
+                // computed. Freeze the replaced generation's row before
+                // the swap rolls the ledger, and restart SLO tracking
+                // against the incoming Eq. 2 target.
                 if let Some(result) = pending.take() {
-                    job_in_flight = false;
-                    if result.base_generation == serving.generation {
-                        // Freeze the replaced generation's row before
-                        // the swap rolls the ledger, and restart SLO
-                        // tracking against the incoming Eq. 2 target.
-                        self.close_generation(&mut report, slo_tracker.as_ref());
-                        self.install(result, boundary, report.ticks, &mut report)?;
-                        serving = self.cell.current();
-                        monitor.installed();
-                        tick_len = self.tick_len(&serving.value);
-                        if let Some(config) = self.config.slo {
-                            let target = serving.value.expected_wait;
-                            slo_tracker = Some(SloTracker::new(config, target));
-                            slo_trigger_pending = false;
-                            self.metrics.slo_target_wait.set(target);
-                        }
+                    self.close_generation(&mut report, slo_tracker.as_ref());
+                    self.install(result, boundary, report.ticks, &mut report)?;
+                    serving = self.cell.current();
+                    monitor.installed();
+                    tick_len = self.tick_len(&serving.value);
+                    if let Some(config) = self.config.slo {
+                        let target = serving.value.expected_wait;
+                        slo_tracker = Some(SloTracker::new(config, target));
+                        self.metrics.slo_target_wait.set(target);
                     }
-                    // A stale result (its base was already replaced) is
-                    // simply discarded; the drift check below may
-                    // re-dispatch against the live generation.
                 }
-                // (3) Age the estimate, and the repair inputs it carries,
+                // (2) Age the estimate, and the repair inputs it carries,
                 // by the tick's virtual duration.
                 estimator.tick(tick_len);
                 monitor.tick(tick_len);
-                // (4) Check for drift; dispatch at most one job. The
-                // SLO tracker's trigger rides the same dispatch path:
-                // it forces a re-allocation even when the estimate
-                // shows no gap (the observed wait can degrade in ways
-                // the frequency estimate cannot see).
-                if !job_in_flight {
-                    let drift = monitor.check(
-                        &estimator,
-                        &self.sizes,
-                        &serving.value.program,
-                        &serving.value.assignment,
+                // (3) Check the Eq. 3 gap; on drift, recompute now and
+                // install at the next boundary.
+                let drift = monitor.check(
+                    &estimator,
+                    &self.sizes,
+                    &serving.value.program,
+                    &serving.value.assignment,
+                );
+                if let Some(drift) = drift {
+                    self.metrics.drift_distance.set(drift.distance);
+                    dbcast_flight::record(
+                        FlightEvent::new(
+                            EventKind::DriftScore,
+                            report.ticks,
+                            serving.generation,
+                            boundary,
+                        )
+                        .value(drift.distance)
+                        .extra(drift.drifted as u64),
                     );
-                    if let Some(drift) = drift {
-                        self.metrics.drift_distance.set(drift.distance);
+                }
+                if let Some(drift) = drift.filter(|d| d.drifted) {
+                    report.drift_events += 1;
+                    self.metrics.drift_events.inc();
+                    dbcast_flight::record(
+                        FlightEvent::new(
+                            EventKind::RepairStart,
+                            report.ticks,
+                            serving.generation,
+                            boundary,
+                        )
+                        .value(drift.distance)
+                        .extra(serving.generation),
+                    );
+                    monitor.dispatched(estimator.mass());
+                    let db = self.estimated_db(&estimator);
+                    let (mode, channels) = (self.config.repair, self.config.channels);
+                    let repaired =
+                        recompute(mode, &db, channels, &serving.value.assignment);
+                    if let Some((assignment, repair)) = repaired {
                         dbcast_flight::record(
                             FlightEvent::new(
-                                EventKind::DriftScore,
+                                EventKind::RepairOutcome,
                                 report.ticks,
                                 serving.generation,
                                 boundary,
                             )
-                            .value(drift.distance)
-                            .extra(drift.drifted as u64),
+                            .value(repair.wall_ns as f64 / 1e6)
+                            .extra(repair.moves as u64),
                         );
-                    }
-                    let drifted = drift.is_some_and(|d| d.drifted);
-                    let score = drift.map_or(0.0, |d| d.distance);
-                    let slo_fire = std::mem::take(&mut slo_trigger_pending);
-                    if drifted || slo_fire {
-                        if drifted {
-                            report.drift_events += 1;
-                            self.metrics.drift_events.inc();
-                        }
-                        if slo_fire {
-                            report.slo_trigger_events += 1;
-                            self.metrics.slo_trigger_events.inc();
-                            let burn = slo_tracker
-                                .as_ref()
-                                .map(|t| t.burn_rate(self.audit.totals()))
-                                .unwrap_or(0.0);
-                            dbcast_flight::record(
-                                FlightEvent::new(
-                                    EventKind::SloTrigger,
-                                    report.ticks,
-                                    serving.generation,
-                                    boundary,
-                                )
-                                .value(burn)
-                                .extra(serving.generation),
-                            );
-                        }
-                        dbcast_flight::record(
-                            FlightEvent::new(
-                                EventKind::RepairStart,
-                                report.ticks,
-                                serving.generation,
-                                boundary,
-                            )
-                            .value(score)
-                            .extra(serving.generation),
-                        );
-                        monitor.dispatched(estimator.mass());
-                        let job = RepairJob {
-                            base_generation: serving.generation,
-                            db: self.estimated_db(&estimator),
-                            assignment: serving.value.assignment.clone(),
-                            drift: score,
+                        pending = Some(RepairResult {
+                            db,
+                            assignment,
+                            repair,
+                            drift: drift.distance,
                             dispatched_at: boundary,
-                            dispatched_tick: report.ticks,
-                        };
-                        match &worker {
-                            Some((job_tx, _, _)) => {
-                                if job_tx.send(job).is_ok() {
-                                    job_in_flight = true;
-                                }
-                            }
-                            None => {
-                                // Deterministic mode: compute now,
-                                // install at the next boundary (the same
-                                // one-boundary handoff the thread has).
-                                pending = recompute(
-                                    &job,
-                                    self.config.repair,
-                                    self.config.channels,
-                                );
-                                job_in_flight = pending.is_some();
-                            }
-                        }
+                        });
                     }
                 }
                 tick_end += tick_len;
@@ -969,7 +867,7 @@ impl ServeRuntime {
                     let predicted = self.predicted_wait(&serving.value, channel, r.item);
                     self.audit.observe_wait(channel, wait, predicted);
                     let seeded = self.audit.should_sample(request_id);
-                    let slow = self.audit.tail_slow(wait, serving.value.expected_wait);
+                    let slow = self.audit.tail_slow(wait, predicted);
                     if seeded || slow {
                         if slow {
                             dbcast_flight::record(
@@ -1022,10 +920,6 @@ impl ServeRuntime {
 
         report.unserved = requests.count() as u64;
         self.publish_requests(&report.waiting, &mut published);
-        if let Some((job_tx, _, handle)) = worker {
-            drop(job_tx);
-            let _ = handle.join();
-        }
         let final_gen = self.cell.current();
         report.final_assignment = final_gen.value.assignment.clone();
         report.estimated_frequencies = estimator.frequency_vector();

@@ -14,21 +14,25 @@
 //! stage's slow count) and judges them two ways:
 //!
 //! * **slow requests** — a request is *slow* when the audit tail stage
-//!   flags it (`AuditTracer::tail_slow`: `wait > tail_multiplier ×
-//!   W_b`); the fraction of slow requests against the allowed `budget`
-//!   is the error-budget **burn rate** (1.0 = budget exactly spent).
-//!   Crossing 1.0 latches a breach.
-//! * **in aggregate** — once warmed up, an observed mean outside the
-//!   relative `tolerance` band around `W_b` means the analytical model
-//!   no longer describes live traffic (the workload moved in a way
-//!   that may not register as L1 drift, e.g. mass concentrating on the
-//!   slowest channel). With `trigger` set this dispatches one
-//!   re-allocation per generation — the SLO path into the same repair
-//!   machinery the drift detector feeds.
+//!   flags it (`AuditTracer::tail_slow`: its wait exceeds
+//!   `tail_multiplier ×` its own Eq. 2 prediction `Z_c/(2b) + z/b`, a
+//!   wait the model does not explain); the fraction of slow requests
+//!   against the allowed [`BUDGET`] is the error-budget **burn rate**
+//!   (1.0 = budget exactly spent). Crossing 1.0 latches a breach.
+//! * **in aggregate** — an observed mean outside the relative
+//!   `tolerance` band around `W_b` means the analytical model no
+//!   longer describes live traffic. The verdict is reported per
+//!   generation; only the drift rule's Eq. 3 gap dispatches repairs.
 
 use dbcast_audit::GenerationTotals;
-use dbcast_model::{average_waiting_time, Allocation, Database, ModelError};
 use serde::{Deserialize, Serialize};
+
+/// Allowed fraction of slow requests (the error budget).
+const BUDGET: f64 = 0.05;
+
+/// Requests a generation must serve before a breach can fire — the
+/// burn rate is meaningless over a handful of arrivals.
+const MIN_REQUESTS: u64 = 200;
 
 /// Configuration of the per-generation SLO tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,37 +40,12 @@ pub struct SloConfig {
     /// Relative tolerance on the observed mean wait vs the Eq. 2
     /// prediction before the generation counts as out of band.
     pub tolerance: f64,
-    /// Allowed fraction of slow requests (the error budget).
-    pub budget: f64,
-    /// Dispatch a re-allocation when the mean leaves the tolerance
-    /// band (at most once per generation).
-    pub trigger: bool,
-    /// Requests a generation must serve before breaches or triggers
-    /// can fire — the aggregate is meaningless over a handful of
-    /// arrivals.
-    pub min_requests: u64,
 }
 
 impl Default for SloConfig {
     fn default() -> Self {
-        SloConfig { tolerance: 0.15, budget: 0.05, trigger: false, min_requests: 200 }
+        SloConfig { tolerance: 0.15 }
     }
-}
-
-/// Eq. 2 expected wait `W_b` for `assignment` over `db` — the SLO
-/// target a generation is held to.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] for an invalid assignment or bandwidth.
-pub fn expected_wait(
-    db: &Database,
-    channels: usize,
-    assignment: Vec<usize>,
-    bandwidth: f64,
-) -> Result<f64, ModelError> {
-    let alloc = Allocation::from_assignment(db, channels, assignment)?;
-    Ok(average_waiting_time(db, &alloc, bandwidth)?.total())
 }
 
 /// What one evaluation found.
@@ -77,9 +56,6 @@ pub struct SloVerdict {
     /// The burn rate crossed 1.0 (latched: reported at most once per
     /// generation).
     pub breached: bool,
-    /// The tracker wants a re-allocation dispatched (latched: at most
-    /// once per generation, only with [`SloConfig::trigger`]).
-    pub trigger: bool,
 }
 
 /// Per-generation SLO verdict against a fixed Eq. 2 target.
@@ -88,38 +64,32 @@ pub struct SloTracker {
     config: SloConfig,
     target: f64,
     breach_latched: bool,
-    trigger_latched: bool,
 }
 
 impl SloTracker {
     /// Starts judging a generation whose Eq. 2 expected wait is
     /// `target` seconds.
     pub fn new(config: SloConfig, target: f64) -> Self {
-        SloTracker { config, target, breach_latched: false, trigger_latched: false }
+        SloTracker { config, target, breach_latched: false }
     }
 
     /// Judges the generation's running `totals` and reports what
     /// changed.
     pub fn evaluate(&mut self, totals: GenerationTotals) -> SloVerdict {
         let burn_rate = self.burn_rate(totals);
-        let warmed = totals.requests >= self.config.min_requests;
-        let breached = warmed && burn_rate > 1.0 && !self.breach_latched;
+        let breached =
+            totals.requests >= MIN_REQUESTS && burn_rate > 1.0 && !self.breach_latched;
         self.breach_latched |= breached;
-        let trigger = self.config.trigger
-            && warmed
-            && !self.trigger_latched
-            && !self.within_tolerance(totals);
-        self.trigger_latched |= trigger;
-        SloVerdict { burn_rate, breached, trigger }
+        SloVerdict { burn_rate, breached }
     }
 
-    /// `(slow fraction) / budget`; 1.0 means the error budget is
+    /// `(slow fraction) / BUDGET`; 1.0 means the error budget is
     /// exactly spent.
     pub fn burn_rate(&self, totals: GenerationTotals) -> f64 {
-        if totals.requests == 0 || self.config.budget <= 0.0 {
+        if totals.requests == 0 {
             0.0
         } else {
-            (totals.slow as f64 / totals.requests as f64) / self.config.budget
+            (totals.slow as f64 / totals.requests as f64) / BUDGET
         }
     }
 
@@ -161,15 +131,15 @@ pub struct SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcast_model::ItemSpec;
 
     fn config() -> SloConfig {
-        SloConfig { tolerance: 0.1, budget: 0.1, trigger: true, min_requests: 10 }
+        SloConfig { tolerance: 0.1 }
     }
 
     /// A generation held to `W_b` = 1 whose totals grow the way the
     /// audit tracer counts them: every wait into the ledger sums, and a
-    /// wait above the default tail multiplier (2 × W_b) as slow.
+    /// wait above the default tail multiplier (2 × a prediction of 1)
+    /// as slow.
     struct Window {
         tracker: SloTracker,
         totals: GenerationTotals,
@@ -197,24 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn expected_wait_matches_hand_computation() {
-        // Two equal items on one channel, cycle 8, bandwidth 10:
-        // probe 8/20 = 0.4, download 4/10 = 0.4.
-        let db = Database::try_from_specs(vec![
-            ItemSpec::new(0.5, 4.0),
-            ItemSpec::new(0.5, 4.0),
-        ])
-        .unwrap();
-        let w = expected_wait(&db, 1, vec![0, 0], 10.0).unwrap();
-        assert!((w - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn on_target_traffic_stays_quiet() {
         let mut w = Window::new(config());
-        for _ in 0..100 {
-            let v = w.serve(1.0);
-            assert!(!v.breached && !v.trigger);
+        for _ in 0..2 * MIN_REQUESTS {
+            assert!(!w.serve(1.0).breached);
         }
         let r = w.report();
         assert!(r.within_tolerance);
@@ -225,10 +181,10 @@ mod tests {
     #[test]
     fn burn_rate_breaches_once() {
         let mut w = Window::new(config());
-        // 50% slow against a 10% budget: burn rate 5.0, one latched
+        // 50% slow against the 5% budget: burn rate 10.0, one latched
         // breach after warm-up.
         let mut breaches = 0;
-        for i in 0..100 {
+        for i in 0..2 * MIN_REQUESTS {
             let wait = if i % 2 == 0 { 3.0 } else { 0.5 };
             if w.serve(wait).breached {
                 breaches += 1;
@@ -236,40 +192,17 @@ mod tests {
         }
         assert_eq!(breaches, 1);
         let r = w.report();
-        assert!((r.burn_rate - 5.0).abs() < 1e-9);
-        assert_eq!(r.slow, 50);
+        assert!((r.burn_rate - 0.5 / BUDGET).abs() < 1e-9);
+        assert_eq!(r.slow, MIN_REQUESTS);
     }
 
     #[test]
-    fn warmup_suppresses_breach_and_trigger() {
+    fn warmup_suppresses_breach() {
         let mut w = Window::new(config());
-        for _ in 0..9 {
-            let v = w.serve(10.0);
-            assert!(!v.breached && !v.trigger, "fired before min_requests");
+        for _ in 1..MIN_REQUESTS {
+            assert!(!w.serve(10.0).breached, "fired before MIN_REQUESTS");
         }
-        let v = w.serve(10.0);
-        assert!(v.breached && v.trigger, "10th request warms the tracker up");
-    }
-
-    #[test]
-    fn trigger_fires_once_per_generation() {
-        let mut w = Window::new(config());
-        let mut triggers = 0;
-        for _ in 0..100 {
-            if w.serve(1.5).trigger {
-                triggers += 1;
-            }
-        }
-        assert_eq!(triggers, 1);
-        assert!(!w.report().within_tolerance);
-    }
-
-    #[test]
-    fn trigger_disabled_never_fires() {
-        let mut w = Window::new(SloConfig { trigger: false, ..config() });
-        for _ in 0..100 {
-            assert!(!w.serve(10.0).trigger);
-        }
+        assert!(w.serve(10.0).breached, "the last warm-up request arms the breach");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end flight recorder / exposition / SLO acceptance tests:
 //!
-//! * a live `/metrics` scrape taken while a paced, threaded serve run
-//!   is in flight parses as OpenMetrics and shows monotone serve
+//! * a live `/metrics` scrape taken while a paced serve run on its own
+//!   thread is in flight parses as OpenMetrics and shows monotone serve
 //!   counters across scrapes,
 //! * an injected panic produces a postmortem JSON carrying a deep
 //!   flight-event history including the drift and swap events that
@@ -72,9 +72,8 @@ fn live_scrape_during_threaded_run_parses_and_counters_are_monotone() {
     let post = shifted_workload(&db, 1.2, db.len() / 2).expect("shifted workload");
     let trace = shifted_trace(&db, &post, 2000, 2000, 10.0, 5).expect("trace builds");
     let config = ServeConfig {
-        worker: WorkerMode::Threaded,
         pace_ms: 10,
-        slo: Some(SloConfig { tolerance: 0.5, ..SloConfig::default() }),
+        slo: Some(SloConfig { tolerance: 0.5 }),
         ..base_config()
     };
 
@@ -192,7 +191,14 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
     // Shift early so drift fires and a swap publishes well before the
     // injected fault at tick 30.
     let trace = shifted_trace(&db, &post, 1200, 2800, 10.0, 9).expect("trace builds");
-    let config = ServeConfig { inject_panic_at_tick: Some(30), ..base_config() };
+    // A healthy run serves no slow request, so the fail point slows
+    // one channel ×20 to put `request_served` events in the ring.
+    let config = ServeConfig {
+        inject_panic_at_tick: Some(30),
+        inject_slow_channel: Some(0),
+        inject_slow_factor: 20.0,
+        ..base_config()
+    };
     let runtime = ServeRuntime::new(&db, config).expect("runtime builds");
     let result = std::thread::spawn(move || runtime.run(&trace)).join();
     assert!(result.is_err(), "injected fault must panic the run");
@@ -294,7 +300,7 @@ fn stationary_slo_observed_mean_matches_eq2_prediction() {
     let config = ServeConfig {
         // No drift machinery in the way: one generation end to end.
         detector: DriftDetector { threshold: 10.0, min_observations: u64::MAX },
-        slo: Some(SloConfig { tolerance, ..SloConfig::default() }),
+        slo: Some(SloConfig { tolerance }),
         ..base_config()
     };
     let runtime = ServeRuntime::new(&db, config).expect("runtime builds");

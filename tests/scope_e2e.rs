@@ -2,7 +2,7 @@
 //! and the watchdog, both reading the live obs registry:
 //!
 //! * `dbcast top --once`, pointed at the `/metrics` exposition of a
-//!   paced, threaded serve run while it is in flight, renders a frame
+//!   paced serve run on its own thread while it is in flight, renders a frame
 //!   with req/s, drift, SLO burn and the per-channel Eq. 2 table,
 //! * a watchdog drill (a sustained SLO-burn breach set in the
 //!   registry) latches a firing, records a `watchdog` flight event and
@@ -78,9 +78,8 @@ fn live_metrics_scrape_mid_run_renders_top() {
     let db = db();
     let trace = poisson_trace(&db, 10.0, 3000, 7).expect("trace builds");
     let config = ServeConfig {
-        worker: WorkerMode::Threaded,
         pace_ms: 10,
-        slo: Some(SloConfig { tolerance: 0.5, ..SloConfig::default() }),
+        slo: Some(SloConfig { tolerance: 0.5 }),
         ..base_config()
     };
     let server = dbcast_flight::ExpositionServer::bind(

@@ -6,20 +6,13 @@
 //!    move count to the strict-improvement cutoff.
 //! 3. **GOPT budget** — quality/time tradeoff across population and
 //!    generation budgets.
-//! 4. **Heterogeneous bandwidths** — bandwidth-aware DRP-H vs the
-//!    bandwidth-oblivious paper pipeline, as channel speeds diverge.
-//! 5. **Replication** — simulated waiting time of greedy replication on
-//!    flat vs DRP-CDS bases.
 
 use std::time::Instant;
 
 use dbcast_alloc::{Cds, Drp, DrpCds, SplitPriority};
 use dbcast_baselines::{Gopt, GoptConfig};
-use dbcast_hetero::{hetero_waiting_time, Bandwidths, HeteroDrpCds};
-use dbcast_model::{Allocation, BroadcastProgram, ChannelAllocator, Database};
-use dbcast_replication::GreedyReplicator;
-use dbcast_sim::Simulation;
-use dbcast_workload::{SizeDistribution, TraceBuilder, WorkloadBuilder};
+use dbcast_model::{ChannelAllocator, Database};
+use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 use crate::report::ReportTable;
 
@@ -153,102 +146,6 @@ pub fn ablate_gopt_budget(seeds: &[u64]) -> ReportTable {
     }
 }
 
-/// Ablation 4: bandwidth-aware DRP-H vs the bandwidth-oblivious paper
-/// pipeline as channel speeds diverge (`spread` = fastest/slowest).
-pub fn ablate_hetero(seeds: &[u64]) -> ReportTable {
-    let dbs = workloads(seeds, 100);
-    let k = 5;
-    let mut rows = Vec::new();
-    for spread in [1.0f64, 2.0, 4.0, 8.0, 16.0] {
-        // Geometric bandwidth ladder with the given spread, mean 10.
-        let ratio = spread.powf(1.0 / (k as f64 - 1.0));
-        let mut raw: Vec<f64> = (0..k).map(|i| ratio.powi(i as i32)).collect();
-        let mean: f64 = raw.iter().sum::<f64>() / k as f64;
-        for b in &mut raw {
-            *b *= 10.0 / mean;
-        }
-        let bw = Bandwidths::try_new(raw).unwrap();
-        let mut oblivious = 0.0;
-        let mut aware = 0.0;
-        for db in &dbs {
-            let plain = DrpCds::new().allocate(db, k).unwrap();
-            oblivious += hetero_waiting_time(db, &plain, &bw).unwrap();
-            let h = HeteroDrpCds::new(bw.clone()).allocate(db).unwrap();
-            aware += hetero_waiting_time(db, &h, &bw).unwrap();
-        }
-        let d = dbs.len() as f64;
-        rows.push(vec![
-            format!("{spread:.0}x"),
-            format!("{:.3}", oblivious / d),
-            format!("{:.3}", aware / d),
-            format!("{:.1}%", 100.0 * (oblivious - aware) / oblivious),
-        ]);
-    }
-    ReportTable {
-        title: "Ablation: heterogeneous bandwidths (N = 100, K = 5, mean b = 10)"
-            .to_string(),
-        header: vec![
-            "bandwidth spread".into(),
-            "oblivious W_b (s)".into(),
-            "DRP-H W_b (s)".into(),
-            "improvement".into(),
-        ],
-        rows,
-    }
-}
-
-/// Ablation 5: greedy replication measured by the discrete-event
-/// simulator, on flat and DRP-CDS bases.
-pub fn ablate_replication(seeds: &[u64]) -> ReportTable {
-    let mut rows = Vec::new();
-    for &seed in seeds.iter().take(3) {
-        let db = WorkloadBuilder::new(60)
-            .skewness(1.2)
-            .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
-            .seed(seed)
-            .build()
-            .unwrap();
-        let trace =
-            TraceBuilder::new(&db).requests(20_000).seed(seed + 500).build().unwrap();
-        for (label, base) in [
-            (
-                "flat",
-                Allocation::from_assignment(&db, 5, (0..60).map(|i| i % 5).collect())
-                    .unwrap(),
-            ),
-            ("drp-cds", DrpCds::new().allocate(&db, 5).unwrap()),
-        ] {
-            let out = GreedyReplicator::new().replicate(&db, base.clone(), 10.0).unwrap();
-            let w_base = {
-                let p = BroadcastProgram::new(&db, &base, 10.0).unwrap();
-                Simulation::new(&p, &trace).run().unwrap().waiting().mean()
-            };
-            let w_repl = {
-                let p = out.allocation.to_program(&db, 10.0).unwrap();
-                Simulation::new(&p, &trace).run().unwrap().waiting().mean()
-            };
-            rows.push(vec![
-                format!("seed {seed} / {label}"),
-                out.accepted.len().to_string(),
-                format!("{w_base:.3}"),
-                format!("{w_repl:.3}"),
-                format!("{:.1}%", 100.0 * (w_base - w_repl) / w_base),
-            ]);
-        }
-    }
-    ReportTable {
-        title: "Ablation: greedy replication, simulated (N = 60, K = 5)".to_string(),
-        header: vec![
-            "base".into(),
-            "replicas".into(),
-            "base W (s)".into(),
-            "replicated W (s)".into(),
-            "gain".into(),
-        ],
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,20 +162,5 @@ mod tests {
         let t = ablate_cds_threshold(&[0, 1]);
         let moves: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         assert!(moves.first().unwrap() >= moves.last().unwrap());
-    }
-
-    #[test]
-    fn hetero_gain_grows_with_spread() {
-        let t = ablate_hetero(&[0, 1, 2]);
-        // Improvement at the largest spread should exceed the uniform case.
-        let first: f64 = t.rows[0][3].trim_end_matches('%').parse().unwrap();
-        let last: f64 = t.rows.last().unwrap()[3].trim_end_matches('%').parse().unwrap();
-        assert!(last > first, "{first}% -> {last}%");
-    }
-
-    #[test]
-    fn replication_table_has_flat_and_optimized_rows() {
-        let t = ablate_replication(&[0]);
-        assert_eq!(t.rows.len(), 2);
     }
 }

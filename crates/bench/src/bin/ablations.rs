@@ -3,8 +3,7 @@
 //! Usage: `cargo run --release -p dbcast-bench --bin ablations [--quick]`
 
 use dbcast_bench::ablations::{
-    ablate_cds_threshold, ablate_gopt_budget, ablate_hetero, ablate_replication,
-    ablate_split_priority,
+    ablate_cds_threshold, ablate_gopt_budget, ablate_split_priority,
 };
 use dbcast_bench::render_markdown;
 
@@ -13,16 +12,12 @@ fn main() -> std::io::Result<()> {
     let seeds: Vec<u64> = if quick { (0..3).collect() } else { (0..10).collect() };
 
     let mut md = String::new();
-    eprintln!("[1/5] DRP split priority");
+    eprintln!("[1/3] DRP split priority");
     md.push_str(&render_markdown(&ablate_split_priority(&seeds)));
-    eprintln!("[2/5] CDS threshold");
+    eprintln!("[2/3] CDS threshold");
     md.push_str(&render_markdown(&ablate_cds_threshold(&seeds)));
-    eprintln!("[3/5] GOPT budget");
+    eprintln!("[3/3] GOPT budget");
     md.push_str(&render_markdown(&ablate_gopt_budget(&seeds)));
-    eprintln!("[4/5] heterogeneous bandwidths");
-    md.push_str(&render_markdown(&ablate_hetero(&seeds)));
-    eprintln!("[5/5] replication (simulated)");
-    md.push_str(&render_markdown(&ablate_replication(&seeds)));
 
     std::fs::create_dir_all("results")?;
     std::fs::write("results/ablations.md", &md)?;

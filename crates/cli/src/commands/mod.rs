@@ -8,7 +8,6 @@ mod flight_cmd;
 mod generate;
 mod index_cmd;
 mod paper_example;
-mod replicate;
 mod serve_cmd;
 mod simulate;
 mod stats;
@@ -24,7 +23,6 @@ pub use flight_cmd::run_flight;
 pub use generate::run_generate;
 pub use index_cmd::run_index;
 pub use paper_example::run_paper_example;
-pub use replicate::run_replicate;
 pub use serve_cmd::run_serve;
 pub use simulate::run_simulate;
 pub use stats::run_stats;

@@ -31,7 +31,6 @@ COMMANDS:
     paper-example   Replay the paper's Tables 2-4 worked example
     sweep           Run one of the paper's parameter sweeps
     index           (1, m) air-indexing report (access/tuning/energy)
-    replicate       Greedy replication on top of an allocation
     stats           Run one allocation under telemetry, print metrics JSON
     conformance     Fuzz every allocator against the invariant suite
     flight          Inspect telemetry artifacts (dump | check | catalog)
@@ -205,7 +204,6 @@ fn run() -> Result<(), CliError> {
         Some("paper-example") => commands::run_paper_example(&args, &mut stdout),
         Some("sweep") => commands::run_sweep_cmd(&args, &mut stdout),
         Some("index") => commands::run_index(&args, &mut stdout),
-        Some("replicate") => commands::run_replicate(&args, &mut stdout),
         Some("stats") => commands::run_stats(&args, &mut stdout),
         Some("conformance") => commands::run_conformance(&args, &mut stdout),
         Some("flight") => commands::run_flight(&args, &mut stdout),

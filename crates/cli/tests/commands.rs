@@ -116,15 +116,6 @@ fn index_rejects_inverted_radio_powers() {
 }
 
 #[test]
-fn replicate_reports_accepted_replicas() {
-    let args =
-        Args::parse(["replicate", "--items", "30", "--channels", "3", "--algo", "flat"])
-            .unwrap();
-    let out = run(|w| commands::run_replicate(&args, w));
-    assert!(out.contains("estimated W_b"));
-}
-
-#[test]
 fn unknown_algorithm_is_a_clean_error() {
     let args = Args::parse(["allocate", "--items", "5", "--algo", "nope"]).unwrap();
     let mut out = Vec::new();

@@ -77,6 +77,18 @@ pub enum ModelError {
         /// The claimed source channel.
         channel: usize,
     },
+    /// A channel schedule is malformed: a cycle size that is not finite
+    /// and positive (exactly 0 on an empty channel), a slot size that is
+    /// not finite and positive, or a slot offset outside
+    /// `[0, cycle_size)`.
+    InvalidSchedule {
+        /// Index of the offending channel.
+        channel: usize,
+        /// Index of the offending slot; `None` when the cycle size is.
+        slot: Option<usize>,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -122,6 +134,13 @@ impl fmt::Display for ModelError {
             ModelError::ItemNotOnChannel { item, channel } => {
                 write!(f, "item {item} is not allocated to channel {channel}")
             }
+            ModelError::InvalidSchedule { channel, slot: None, value } => {
+                write!(f, "channel {channel} has invalid cycle size {value}")
+            }
+            ModelError::InvalidSchedule { channel, slot: Some(slot), value } => write!(
+                f,
+                "channel {channel} slot {slot} has invalid size or offset {value}"
+            ),
         }
     }
 }
@@ -147,6 +166,8 @@ mod tests {
             ModelError::InvalidBandwidth { value: 0.0 },
             ModelError::ProgramTooLarge { channels: 1, slots: 1 << 33 },
             ModelError::ItemNotOnChannel { item: 2, channel: 0 },
+            ModelError::InvalidSchedule { channel: 1, slot: None, value: 0.0 },
+            ModelError::InvalidSchedule { channel: 1, slot: Some(0), value: -1.0 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

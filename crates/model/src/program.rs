@@ -394,13 +394,45 @@ impl BroadcastProgram {
         BroadcastProgram::from_channels(channels, bandwidth)
     }
 
-    /// Validates the bandwidth and indexes `channels`.
+    /// Validates the bandwidth and every schedule's geometry, then
+    /// indexes `channels`. The decoder shares this path, so a peer's
+    /// program can never carry a cycle or slot the Eq. 1 kernel cannot
+    /// wait on.
     fn from_channels(
         channels: Vec<ChannelSchedule>,
         bandwidth: f64,
     ) -> Result<Self, ModelError> {
         if !bandwidth.is_finite() || bandwidth <= 0.0 {
             return Err(ModelError::InvalidBandwidth { value: bandwidth });
+        }
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        for (ch, schedule) in channels.iter().enumerate() {
+            let cycle = schedule.cycle_size;
+            let cycle_ok =
+                if schedule.slots.is_empty() { cycle == 0.0 } else { positive(cycle) };
+            if !cycle_ok {
+                return Err(ModelError::InvalidSchedule {
+                    channel: ch,
+                    slot: None,
+                    value: cycle,
+                });
+            }
+            for (i, slot) in schedule.slots.iter().enumerate() {
+                let bad = if !positive(slot.size) {
+                    Some(slot.size)
+                } else if !(0.0..cycle).contains(&slot.offset) {
+                    Some(slot.offset)
+                } else {
+                    None
+                };
+                if let Some(value) = bad {
+                    return Err(ModelError::InvalidSchedule {
+                        channel: ch,
+                        slot: Some(i),
+                        value,
+                    });
+                }
+            }
         }
         let table = PlacementTable::build(&channels)?;
         Ok(BroadcastProgram { channels, bandwidth, table })

@@ -45,10 +45,14 @@ fn bits(x: Option<(ChannelId, f64, f64)>) -> Option<(ChannelId, u64, u64)> {
     x.map(|(c, t, z)| (c, t.to_bits(), z.to_bits()))
 }
 
-/// Asserts kernel == oracle by bits for every item at every instant.
+/// Asserts kernel == oracle by bits for every item at every instant,
+/// and that no broadcast is caught before it starts.
 fn assert_agrees(program: &BroadcastProgram, items: usize, arrivals: &[f64]) {
     for item in (0..items).map(ItemId::new) {
         for &now in arrivals {
+            if let Some((_, start, _)) = program.best_start(item, now) {
+                assert!(start >= now, "best_start({item}, {now}) airs before the request");
+            }
             assert_eq!(
                 bits(program.best_start(item, now)),
                 bits(oracle_best_start(program, item, now)),
@@ -261,6 +265,20 @@ fn hostile_programs_are_rejected_with_typed_errors() {
         let json = GOLDEN_PARTITION.replace(r#"{"item":2,"#, &format!(r#"{{"item":{id},"#));
         let err = serde_json::from_str::<BroadcastProgram>(&json).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{id}: {err}");
+    }
+    // Every cycle must be positive, every slot positive and inside it.
+    let bad_geometry = [
+        (r#""cycle_size":8}"#, r#""cycle_size":0}"#),
+        (r#""cycle_size":8}"#, r#""cycle_size":-8}"#),
+        (r#"{"item":2,"offset":3,"#, r#"{"item":2,"offset":8,"#),
+        (r#"{"item":2,"offset":3,"#, r#"{"item":2,"offset":-1,"#),
+        (r#""offset":3,"size":5}"#, r#""offset":3,"size":0}"#),
+    ];
+    for (honest, hostile) in bad_geometry {
+        assert!(GOLDEN_PARTITION.contains(honest), "{honest}");
+        let json = GOLDEN_PARTITION.replace(honest, hostile);
+        let err = serde_json::from_str::<BroadcastProgram>(&json).unwrap_err();
+        assert!(err.to_string().contains("channel 1"), "{hostile}: {err}");
     }
     // The builders report the same typed errors.
     let db = db4();

@@ -5,9 +5,9 @@
 //! only then evaluates its request workload *analytically* against the
 //! recorded generations. Each request is planned with the exact model
 //! crates the server schedules with (`index` for selective tuning,
-//! `cache` for broadcast-aware eviction, `query`'s greedy ordering for
-//! multi-item requests, `replication`'s earliest occurrence across
-//! channels), and every planned download is then *verified* against a
+//! `cache` for broadcast-aware eviction, a greedy nearest-completion
+//! order for multi-item requests, the earliest occurrence across every
+//! carrying channel), and every planned download is then *verified* against a
 //! frame that actually aired: a plan the air log cannot corroborate is
 //! counted as a torn frame. Because requests are timestamped in virtual
 //! broadcast time, results are bit-reproducible and directly comparable
@@ -445,9 +445,8 @@ fn measure_one(
             outcome.incomplete = true;
             break;
         };
-        // Greedy nearest-completion-first over the outstanding set —
-        // the same rule as `dbcast_query::retrieve`, applied under the
-        // directory's replication-aware earliest-occurrence planner.
+        // Greedy nearest-completion-first over the outstanding set,
+        // each item planned at its earliest occurrence on any carrier.
         let mut chosen: Option<(usize, crate::world::FetchPlan)> = None;
         for (pos, &item) in outstanding.iter().enumerate() {
             let Some(plan) = world.plan_fetch(item, now) else {

@@ -17,9 +17,9 @@
 //!   at the boundary and are announced by a fresh directory.
 //! * [`world`] — the client's analytic picture: a [`Directory`] plus
 //!   derived (1,m) index models, planning fetches exactly the way the
-//!   `index`/`replication` crates model them.
-//! * [`client`] — record-then-measure clients composing the `index`,
-//!   `cache`, `query`, and `replication` crates over the recorded air.
+//!   `model` and `index` crates schedule them.
+//! * [`client`] — record-then-measure clients composing the `index` and
+//!   `cache` crates over the recorded air.
 //! * [`fleet`] — N concurrent clients folded into a schema-versioned,
 //!   bit-reproducible [`FleetReport`].
 //! * [`uplink`] — the reverse path: clients push generation-stamped

@@ -62,6 +62,24 @@ fn a_program_with_a_non_positive_bandwidth_fails_to_decode() {
 }
 
 #[test]
+fn a_program_with_a_non_positive_cycle_size_fails_to_decode() {
+    let honest = directory_json();
+    for cycle_size in ["0", "-1"] {
+        // Channel 0 carries item 0 alone, so its cycle size is 1.
+        let hostile = honest.replacen(
+            r#""cycle_size":1}"#,
+            &format!(r#""cycle_size":{cycle_size}}}"#),
+            1,
+        );
+        assert_ne!(honest, hostile, "channel 0's cycle size must be replaced");
+        assert!(serde_json::from_str::<Directory>(&hostile).is_err());
+        let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
+        assert!(err.contains("bad directory payload"), "{cycle_size}: {err}");
+        assert!(err.contains("cycle size"), "{cycle_size}: {err}");
+    }
+}
+
+#[test]
 fn a_data_frame_with_a_nan_start_counts_as_a_decode_error() {
     let frame =
         |start| DataFrame { channel: 0, item: 0, generation: 0, start, duration: 1.0 };

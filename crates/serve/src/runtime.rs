@@ -825,13 +825,21 @@ impl ServeRuntime {
                             .value(repair.wall_ns as f64 / 1e6)
                             .extra(repair.moves as u64),
                         );
-                        pending = Some(RepairResult {
-                            db,
-                            assignment,
-                            repair,
-                            drift: drift.distance,
-                            dispatched_at: boundary,
-                        });
+                        if assignment == serving.value.assignment {
+                            // Nothing moved: republishing would swap in
+                            // the serving program again. Keep it, and
+                            // restart the floor so the next dispatch
+                            // waits for fresh mass.
+                            monitor.installed();
+                        } else {
+                            pending = Some(RepairResult {
+                                db,
+                                assignment,
+                                repair,
+                                drift: drift.distance,
+                                dispatched_at: boundary,
+                            });
+                        }
                     }
                 }
                 tick_end += tick_len;

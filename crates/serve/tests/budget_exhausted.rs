@@ -1,18 +1,24 @@
 //! Budgeted repair that runs out of moves, on `e2e_shift`'s scenario: a
 //! one-move budget cannot absorb the shift, so every repair must say so
-//! in its report and in the flight recorder, with the gain it left.
+//! in its report and in the flight recorder, with the gain it left; and
+//! a repair that moves nothing must not swap at all.
 //!
-//! The flight ring is process-global; this binary holds one test so no
-//! other run records into the ring while this one is read back.
+//! The flight ring is process-global; the tests hold one lock so no
+//! other run records into the ring while one is read back.
+
+use std::sync::Mutex;
 
 use dbcast_flight::EventKind;
 use dbcast_serve::{
-    shifted_trace, shifted_workload, EstimatorConfig, RepairMode, ServeConfig, ServeRuntime,
+    shifted_trace, shifted_workload, EstimatorConfig, RepairMode, ServeConfig, ServeReport,
+    ServeRuntime,
 };
 use dbcast_workload::WorkloadBuilder;
 
-#[test]
-fn a_one_move_budget_reports_the_gain_it_left() {
+static RING: Mutex<()> = Mutex::new(());
+
+/// Runs `e2e_shift`'s scenario under a budgeted repair of `budget` moves.
+fn run_with_budget(budget: usize) -> ServeReport {
     let seed = 41;
     let pre = WorkloadBuilder::new(60).skewness(0.8).seed(seed).build().unwrap();
     let post = shifted_workload(&pre, 1.2, 30).unwrap();
@@ -20,11 +26,25 @@ fn a_one_move_budget_reports_the_gain_it_left() {
     let config = ServeConfig {
         channels: 5,
         estimator: EstimatorConfig { decay: 0.98, seed, ..EstimatorConfig::default() },
-        repair: RepairMode::Budgeted { budget: 1 },
+        repair: RepairMode::Budgeted { budget },
         ..ServeConfig::default()
     };
+    ServeRuntime::new(&pre, config).unwrap().run(&trace).unwrap()
+}
+
+#[test]
+fn a_zero_move_budget_never_swaps() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    let report = run_with_budget(0);
+    assert!(report.drift_events >= 1, "the shift must still be detected: {report:?}");
+    assert_eq!(report.swaps, 0, "a repair that moves nothing must not swap: {report:?}");
+}
+
+#[test]
+fn a_one_move_budget_reports_the_gain_it_left() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let first_seq = dbcast_flight::recorder().recorded();
-    let report = ServeRuntime::new(&pre, config).unwrap().run(&trace).unwrap();
+    let report = run_with_budget(1);
     let events = dbcast_flight::recorder().snapshot();
 
     let exhausted: Vec<_> = report

@@ -12,21 +12,13 @@
 //! * [`baselines`] — VF^K, GOPT (genetic), FLAT, GREEDY and exact
 //!   references.
 //! * [`sim`] — the discrete-event broadcast simulator.
-//! * [`hetero`] — extension: channels with heterogeneous bandwidths
-//!   (generalized model, optimal group→channel assignment, H-CDS).
-//! * [`replication`] — extension: items broadcast on several channels
-//!   (greedy replica placement, analytical approximation).
 //! * [`index`] — substrate: (1, m) air indexing for selective tuning
 //!   (tuning-time and energy models).
-//! * [`query`] — substrate: multi-item query retrieval with a single
-//!   tuner, plus co-access-aware channel ordering.
-//! * [`disks`] — substrate: broadcast-disk intra-channel scheduling
-//!   (the square-root rule) and its relationship to DRP's grouping.
 //! * [`cache`] — substrate: client-side caching (LRU vs PIX) over
 //!   broadcast programs.
 //! * [`serve`] — the online serving runtime: live workload estimation
-//!   (count-min + EWMA), drift detection, background re-allocation and
-//!   hot program swap at cycle boundaries.
+//!   (count-min + EWMA), drift detection, inline re-allocation and hot
+//!   program swap at cycle boundaries.
 //! * [`net`] — the framed TCP broadcast transport and simulated client
 //!   fleet: real frames on a real wire, with per-request access *and*
 //!   tuning time measured against the Eq. 2 expectations.
@@ -64,13 +56,9 @@ pub use dbcast_alloc as alloc;
 pub use dbcast_baselines as baselines;
 pub use dbcast_cache as cache;
 pub use dbcast_conformance as conformance;
-pub use dbcast_disks as disks;
-pub use dbcast_hetero as hetero;
 pub use dbcast_index as index;
 pub use dbcast_model as model;
 pub use dbcast_net as net;
-pub use dbcast_query as query;
-pub use dbcast_replication as replication;
 pub use dbcast_serve as serve;
 pub use dbcast_sim as sim;
 pub use dbcast_workload as workload;

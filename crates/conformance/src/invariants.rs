@@ -23,13 +23,13 @@ use dbcast_alloc::{Cds, CdsOutcome, Drp, ReferenceCds};
 use dbcast_baselines::ExactBnB;
 use dbcast_model::{
     allocation_cost, AllocError, Allocation, BroadcastProgram, ChannelAllocator, ChannelId,
-    Database, ItemId, Move,
+    Database, ItemId, Move, ScheduledItem,
 };
 use dbcast_sim::Simulation;
 use dbcast_workload::{Request, RequestTrace, TraceBuilder};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::instance::Instance;
 use crate::registry::Subject;
@@ -602,7 +602,8 @@ fn check_cds_differential(instance: &Instance, db: &Database, v: &mut Vec<Violat
 /// Wait-kernel agreement: the program's placement-table kernel
 /// (`best_start`, `response_time`) must equal a brute-force scan of
 /// every channel's slots **bit for bit**, on a random partition and on
-/// a replicated program with in-channel duplicates, at random arrivals,
+/// the same partition in a shuffled per-channel order (decoded from its
+/// `{channels, bandwidth}` wire value), at random arrivals,
 /// exact slot starts and exact cycle multiples; and the discrete-event
 /// simulator's per-request waits must match `response_time` to 1e-9
 /// (relative to the wait, absolute below one second).
@@ -622,20 +623,40 @@ fn check_wait_kernel(instance: &Instance, db: &Database, v: &mut Vec<Violation>)
         })
     };
     let home: Vec<usize> = (0..db.len()).map(|_| rng.gen_range(0..k)).collect();
-    let mut groups: Vec<Vec<ItemId>> = vec![Vec::new(); k];
-    for (item, &c) in home.iter().enumerate() {
-        groups[c].push(ItemId::new(item));
-        // Replicas on other channels, and repeats within one channel.
-        if rng.gen_bool(0.3) {
-            groups[rng.gen_range(0..k)].push(ItemId::new(item));
-        }
-    }
+    let mut order: Vec<(usize, u64, usize)> =
+        home.iter().enumerate().map(|(item, &c)| (c, rng.gen(), item)).collect();
+    order.sort_unstable();
+    let channels: Vec<Value> = (0..k)
+        .map(|c| {
+            let mut offset = 0.0;
+            let slots = order
+                .iter()
+                .filter(|&&(home, _, _)| home == c)
+                .map(|&(_, _, item)| {
+                    let size = db.items()[item].size();
+                    let slot = ScheduledItem { item: ItemId::new(item), offset, size };
+                    offset += size;
+                    slot.to_value()
+                })
+                .collect();
+            Value::Map(vec![
+                ("channel".to_string(), Value::U64(c as u64)),
+                ("slots".to_string(), Value::Seq(slots)),
+                ("cycle_size".to_string(), Value::F64(offset)),
+            ])
+        })
+        .collect();
+    let shuffled = Value::Map(vec![
+        ("channels".to_string(), Value::Seq(channels)),
+        ("bandwidth".to_string(), Value::F64(BANDWIDTH)),
+    ]);
     let programs = [
         Allocation::from_assignment(db, k, home)
-            .and_then(|alloc| BroadcastProgram::new(db, &alloc, BANDWIDTH)),
-        BroadcastProgram::from_overlapping_groups(db, &groups, BANDWIDTH),
+            .and_then(|alloc| BroadcastProgram::new(db, &alloc, BANDWIDTH))
+            .map_err(|e| e.to_string()),
+        BroadcastProgram::from_value(&shuffled).map_err(|e| e.to_string()),
     ];
-    for (label, program) in ["partition", "replicated"].into_iter().zip(programs) {
+    for (label, program) in ["partition", "shuffled partition"].into_iter().zip(programs) {
         let program = match program {
             Ok(p) => p,
             Err(e) => {
@@ -704,8 +725,8 @@ fn check_wait_kernel(instance: &Instance, db: &Database, v: &mut Vec<Violation>)
 }
 
 /// The paper-literal Eq. 1 oracle: scan every channel for the item's
-/// first slot, compute its next start with the textbook formula and
-/// keep the earliest (the first, i.e. lowest channel, on ties).
+/// slot, compute its next start with the textbook formula and keep the
+/// earliest.
 fn brute_force_best_start(
     program: &BroadcastProgram,
     item: ItemId,

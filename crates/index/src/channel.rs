@@ -199,19 +199,16 @@ impl IndexedChannel {
     /// The next start time `>= now` of `item`'s slot (seconds), or
     /// `None` if the channel does not carry the item.
     pub fn next_item_start(&self, item: ItemId, now: f64, bandwidth: f64) -> Option<f64> {
-        let slot = self
-            .slots
-            .iter()
-            .find(|s| matches!(s.entry, LayoutEntry::Item { item: i } if i == item))?;
+        let slot = self.item_slot(item)?;
         Some(next_slot_start(slot.offset, self.cycle_size, now, bandwidth))
     }
 
-    /// Item size (size units), if carried.
-    fn item_size(&self, item: ItemId) -> Option<f64> {
+    /// The data slot carrying `item`, if any: the one scan of the layout
+    /// behind every per-item query.
+    fn item_slot(&self, item: ItemId) -> Option<&Slot> {
         self.slots
             .iter()
             .find(|s| matches!(s.entry, LayoutEntry::Item { item: i } if i == item))
-            .map(|s| s.size)
     }
 
     /// Access and tuning time (seconds) for a request of `item` issued
@@ -226,7 +223,13 @@ impl IndexedChannel {
         now: f64,
         bandwidth: f64,
     ) -> Option<(f64, f64)> {
-        let size = self.item_size(item)?;
+        Some(self.slot_metrics(self.item_slot(item)?, now, bandwidth))
+    }
+
+    /// [`request_metrics`](Self::request_metrics) for the data slot
+    /// `slot`, already found.
+    fn slot_metrics(&self, slot: &Slot, now: f64, bandwidth: f64) -> (f64, f64) {
+        let size = slot.size;
         let index_start = self.next_index_start(now, bandwidth);
         let index_end = index_start + self.index_size / bandwidth;
         // Tolerance guards the exact-boundary case where the item slot
@@ -234,11 +237,12 @@ impl IndexedChannel {
         // whole extra cycle.
         let eps = 1e-9 * self.cycle_size / bandwidth;
         let item_start =
-            self.next_item_start(item, index_end - eps, bandwidth)?.max(index_end);
+            next_slot_start(slot.offset, self.cycle_size, index_end - eps, bandwidth)
+                .max(index_end);
         let access = item_start + size / bandwidth - now;
         let header_active = (self.header_size / bandwidth).min(index_start - now);
         let tuning = header_active + (self.index_size + size) / bandwidth;
-        Some((access, tuning))
+        (access, tuning)
     }
 
     /// Access time (seconds) for a request of `item` issued at `now`.
@@ -256,7 +260,7 @@ impl IndexedChannel {
     ///
     /// Returns `None` if the channel does not carry the item.
     pub fn tuning_time(&self, item: ItemId, bandwidth: f64) -> Option<f64> {
-        let size = self.item_size(item)?;
+        let size = self.item_slot(item)?.size;
         Some((self.header_size + self.index_size + size) / bandwidth)
     }
 
@@ -269,12 +273,13 @@ impl IndexedChannel {
         bandwidth: f64,
         samples: usize,
     ) -> Option<(f64, f64)> {
+        let slot = self.item_slot(item)?;
         let cycle_time = self.cycle_size / bandwidth;
         let mut access_sum = 0.0;
         let mut tuning_sum = 0.0;
         for i in 0..samples {
             let t = cycle_time * (i as f64 + 0.5) / samples as f64;
-            let (a, tu) = self.request_metrics(item, t, bandwidth)?;
+            let (a, tu) = self.slot_metrics(slot, t, bandwidth);
             access_sum += a;
             tuning_sum += tu;
         }

@@ -70,6 +70,13 @@ pub enum ModelError {
         /// Total number of slots across all channels.
         slots: usize,
     },
+    /// A broadcast program places an item in more than one slot, on two
+    /// channels or twice on one: a program is a partition, so every item
+    /// airs in at most one `(channel, slot)`.
+    ItemPlacedTwice {
+        /// The item placed twice.
+        item: usize,
+    },
     /// A move's source channel does not currently hold the item.
     ItemNotOnChannel {
         /// The item being moved.
@@ -131,6 +138,9 @@ impl fmt::Display for ModelError {
                 f,
                 "program of {channels} channels and {slots} slots exceeds the u32 index range"
             ),
+            ModelError::ItemPlacedTwice { item } => {
+                write!(f, "item {item} is placed in more than one broadcast slot")
+            }
             ModelError::ItemNotOnChannel { item, channel } => {
                 write!(f, "item {item} is not allocated to channel {channel}")
             }
@@ -165,6 +175,7 @@ mod tests {
             ModelError::ItemOutOfRange { item: 10, items: 10 },
             ModelError::InvalidBandwidth { value: 0.0 },
             ModelError::ProgramTooLarge { channels: 1, slots: 1 << 33 },
+            ModelError::ItemPlacedTwice { item: 2 },
             ModelError::ItemNotOnChannel { item: 2, channel: 0 },
             ModelError::InvalidSchedule { channel: 1, slot: None, value: 0.0 },
             ModelError::InvalidSchedule { channel: 1, slot: Some(0), value: -1.0 },

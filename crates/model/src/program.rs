@@ -1,13 +1,13 @@
 //! Concrete broadcast programs: the cyclic per-channel schedules a server
 //! actually transmits, derived from an [`Allocation`].
 //!
-//! Every Eq. 1 question ("when does item j next air, and on which
-//! channel?") is answered by one kernel: a per-item placement table,
-//! built once with the program, that maps each item to its slot on every
-//! channel carrying it. Lookups are O(1) and allocation-free; the wait
-//! arithmetic itself lives in one function shared with
-//! [`ChannelSchedule::next_start`], so every engine gets bit-identical
-//! waits.
+//! A program is a partition: every item airs in at most one
+//! `(channel, slot)`. Every Eq. 1 question ("when does item j next air,
+//! and on which channel?") is answered by one kernel: a per-item
+//! placement table, built once with the program, that maps each item to
+//! its one slot. Lookups are O(1) and allocation-free; the wait
+//! arithmetic itself lives in [`next_slot_start`], so every engine gets
+//! bit-identical waits.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -59,25 +59,6 @@ impl ChannelSchedule {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-
-    /// Slot for `item`, if it is broadcast on this channel.
-    pub fn slot_of(&self, item: ItemId) -> Option<&ScheduledItem> {
-        self.slots.iter().find(|s| s.item == item)
-    }
-
-    /// The next time `>= now` (in seconds) at which `item` *starts*
-    /// broadcasting, given channel bandwidth `bandwidth`.
-    ///
-    /// Returns `None` if the item is not on this channel or the channel
-    /// is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `bandwidth <= 0` or `now < 0`.
-    pub fn next_start(&self, item: ItemId, now: f64, bandwidth: f64) -> Option<f64> {
-        let slot = self.slot_of(item)?;
-        Some(next_slot_start(slot.offset, self.cycle_size, now, bandwidth))
-    }
 }
 
 /// The Eq. 1 kernel: the first time `>= now` (seconds) at which a slot
@@ -106,142 +87,47 @@ pub fn next_slot_start(offset: f64, cycle_size: f64, now: f64, bandwidth: f64) -
     t
 }
 
-/// Where one item airs: a channel index and the item's first slot on
-/// that channel.
+/// Where one item airs: a channel index and the item's slot on that
+/// channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Placement {
     channel: u32,
     slot: u32,
 }
 
-/// Packed entry of an item no channel carries.
-const ABSENT: u32 = u32::MAX;
+/// Table entry of an item no channel carries.
+const ABSENT: Placement = Placement { channel: u32::MAX, slot: u32::MAX };
 
-/// The per-item placement table behind every Eq. 1 lookup. Within a
-/// channel only an item's first slot counts, as with
-/// [`ChannelSchedule::slot_of`]; replicas are listed lowest channel
-/// first, so ties go to the lowest channel.
-#[derive(Debug, Clone, PartialEq)]
-enum PlacementTable {
-    /// Every item on at most one channel: item j's placement packed as
-    /// `channel << shift | slot`, 4 bytes per item.
-    Single { shift: u32, packed: Vec<u32> },
-    /// Some item on several channels, or indices too wide to pack: item
-    /// j's placements are `all[start[j]..start[j + 1]]`.
-    Spread { start: Vec<u32>, all: Vec<Placement> },
-}
-
-impl PlacementTable {
-    /// Indexes `channels`. Sized by the largest item id, which must be
-    /// below the total slot count (every program built from a database
-    /// satisfies this), so a hostile id cannot size the table.
-    fn build(channels: &[ChannelSchedule]) -> Result<Self, ModelError> {
-        let slots: usize = channels.iter().map(|c| c.slots.len()).sum();
-        if channels.len() >= u32::MAX as usize || slots > u32::MAX as usize {
-            return Err(ModelError::ProgramTooLarge { channels: channels.len(), slots });
-        }
-        let items = match placements(channels).map(|(item, _)| item).max() {
-            Some(max) if max >= slots => {
-                return Err(ModelError::ItemOutOfRange { item: max, items: slots })
-            }
-            Some(max) => max + 1,
-            None => 0,
-        };
-        let longest = channels.iter().map(|c| c.slots.len()).max().unwrap_or(0) as u64;
-        let shift = u64::BITS - longest.saturating_sub(1).leading_zeros();
-        let widest = ((channels.len() as u64).saturating_sub(1) << shift)
-            | longest.saturating_sub(1);
-        if shift < 32 && widest < u64::from(ABSENT) {
-            let mut packed = vec![ABSENT; items];
-            let mut single = true;
-            for (item, p) in placements(channels) {
-                let entry = &mut packed[item];
-                if *entry == ABSENT {
-                    *entry = p.channel << shift | p.slot;
-                } else if *entry >> shift != p.channel {
-                    single = false;
-                    break;
-                }
-            }
-            if single {
-                return Ok(PlacementTable::Single { shift, packed });
-            }
-        }
-        // First slot per (item, channel), in (item, channel) order.
-        let mut all: Vec<(usize, Placement)> = placements(channels).collect();
-        all.sort_by_key(|&(item, p)| (item, p.channel, p.slot));
-        all.dedup_by_key(|&mut (item, p)| (item, p.channel));
-        let mut start = vec![0u32; items + 1];
-        for &(item, _) in &all {
-            start[item + 1] += 1;
-        }
-        for j in 0..items {
-            start[j + 1] += start[j];
-        }
-        Ok(PlacementTable::Spread { start, all: all.into_iter().map(|(_, p)| p).collect() })
+/// Builds the placement table behind every Eq. 1 lookup: entry j is item
+/// j's one placement, 8 bytes per item. Sized by the total slot count,
+/// which every item id must stay below (every program built from a
+/// database satisfies this), so a hostile id cannot size the table.
+///
+/// # Errors
+///
+/// * [`ModelError::ProgramTooLarge`] if a channel or slot index does
+///   not fit `u32`.
+/// * [`ModelError::ItemOutOfRange`] for an id at or above the slot count.
+/// * [`ModelError::ItemPlacedTwice`] for an item in more than one slot.
+fn placement_table(channels: &[ChannelSchedule]) -> Result<Vec<Placement>, ModelError> {
+    let slots: usize = channels.iter().map(|c| c.slots.len()).sum();
+    if channels.len() >= u32::MAX as usize || slots > u32::MAX as usize {
+        return Err(ModelError::ProgramTooLarge { channels: channels.len(), slots });
     }
-
-    /// Every placement of `item`, lowest channel first (none when no
-    /// channel carries it).
-    #[inline]
-    fn of(&self, item: ItemId) -> Placements<'_> {
-        let j = item.index();
-        match self {
-            PlacementTable::Single { shift, packed } => {
-                Placements::One(packed.get(j).filter(|&&e| e != ABSENT).map(|&e| {
-                    Placement { channel: e >> shift, slot: e & ((1 << shift) - 1) }
-                }))
+    let mut table = vec![ABSENT; slots];
+    for (c, schedule) in channels.iter().enumerate() {
+        for (s, slot) in schedule.slots.iter().enumerate() {
+            let item = slot.item.index();
+            let entry = table
+                .get_mut(item)
+                .ok_or(ModelError::ItemOutOfRange { item, items: slots })?;
+            if *entry != ABSENT {
+                return Err(ModelError::ItemPlacedTwice { item });
             }
-            PlacementTable::Spread { start, all } => {
-                let range = match (start.get(j), start.get(j + 1)) {
-                    (Some(&a), Some(&b)) => &all[a as usize..b as usize],
-                    _ => &[],
-                };
-                Placements::Many(range.iter())
-            }
+            *entry = Placement { channel: c as u32, slot: s as u32 };
         }
     }
-}
-
-/// An item's placements, as [`PlacementTable::of`] yields them.
-enum Placements<'a> {
-    One(Option<Placement>),
-    Many(std::slice::Iter<'a, Placement>),
-}
-
-impl Iterator for Placements<'_> {
-    type Item = Placement;
-
-    #[inline]
-    fn next(&mut self) -> Option<Placement> {
-        match self {
-            Placements::One(p) => p.take(),
-            Placements::Many(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            Placements::One(p) => usize::from(p.is_some()),
-            Placements::Many(it) => it.len(),
-        };
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Placements<'_> {}
-
-/// Every slot of `channels` as `(item index, placement)`, in channel
-/// then slot order. [`PlacementTable::build`] checks first that channel
-/// and slot indices fit `u32`.
-fn placements(
-    channels: &[ChannelSchedule],
-) -> impl Iterator<Item = (usize, Placement)> + '_ {
-    channels.iter().enumerate().flat_map(|(c, schedule)| {
-        schedule.slots.iter().enumerate().map(move |(s, slot)| {
-            (slot.item.index(), Placement { channel: c as u32, slot: s as u32 })
-        })
-    })
+    Ok(table)
 }
 
 /// A complete broadcast program: one [`ChannelSchedule`] per channel plus
@@ -254,7 +140,8 @@ fn placements(
 ///
 /// Serializes as `{channels, bandwidth}`; the placement table is rebuilt
 /// on deserialization, which rejects a non-finite or non-positive
-/// bandwidth and any item id at or above the program's slot count.
+/// bandwidth, any item id at or above the program's slot count and any
+/// item placed in more than one slot.
 ///
 /// # Example
 ///
@@ -276,8 +163,9 @@ fn placements(
 pub struct BroadcastProgram {
     channels: Vec<ChannelSchedule>,
     bandwidth: f64,
-    /// Derived from `channels`; never serialized.
-    table: PlacementTable,
+    /// Item j's one placement, derived from `channels`; never
+    /// serialized.
+    table: Vec<Placement>,
 }
 
 /// The serialized shape of a [`BroadcastProgram`].
@@ -341,63 +229,10 @@ impl BroadcastProgram {
         BroadcastProgram::from_channels(channels, bandwidth)
     }
 
-    /// Builds a program from explicit per-channel groups that may
-    /// **overlap** (an item broadcast on several channels — the
-    /// replication extension). Every item must appear on at least one
-    /// channel; within a channel, slots follow the given order.
-    ///
-    /// # Errors
-    ///
-    /// * [`ModelError::InvalidBandwidth`] for non-positive bandwidth.
-    /// * [`ModelError::ZeroChannels`] for an empty group list.
-    /// * [`ModelError::ItemOutOfRange`] for unknown item ids.
-    /// * [`ModelError::AssignmentLength`] if some item appears on no
-    ///   channel.
-    pub fn from_overlapping_groups(
-        db: &Database,
-        groups: &[Vec<ItemId>],
-        bandwidth: f64,
-    ) -> Result<Self, ModelError> {
-        if groups.is_empty() {
-            return Err(ModelError::ZeroChannels);
-        }
-        let mut covered = vec![false; db.len()];
-        let mut channels = Vec::with_capacity(groups.len());
-        for (ch, group) in groups.iter().enumerate() {
-            let mut slots = Vec::with_capacity(group.len());
-            let mut offset = 0.0;
-            for &id in group {
-                if id.index() >= db.len() {
-                    return Err(ModelError::ItemOutOfRange {
-                        item: id.index(),
-                        items: db.len(),
-                    });
-                }
-                covered[id.index()] = true;
-                let size = db.items()[id.index()].size();
-                slots.push(ScheduledItem { item: id, offset, size });
-                offset += size;
-            }
-            channels.push(ChannelSchedule {
-                channel: ChannelId::new(ch),
-                slots,
-                cycle_size: offset,
-            });
-        }
-        let missing = covered.iter().filter(|&&c| !c).count();
-        if missing > 0 {
-            return Err(ModelError::AssignmentLength {
-                expected: db.len(),
-                actual: db.len() - missing,
-            });
-        }
-        BroadcastProgram::from_channels(channels, bandwidth)
-    }
-
     /// Validates the bandwidth and every schedule's geometry, then
-    /// indexes `channels`. The decoder shares this path, so a peer's
-    /// program can never carry a cycle or slot the Eq. 1 kernel cannot
-    /// wait on.
+    /// indexes `channels`, one placement per item. The decoder shares
+    /// this path, so a peer's program can never carry a cycle or slot
+    /// the Eq. 1 kernel cannot wait on, nor an item placed twice.
     fn from_channels(
         channels: Vec<ChannelSchedule>,
         bandwidth: f64,
@@ -434,7 +269,7 @@ impl BroadcastProgram {
                 }
             }
         }
-        let table = PlacementTable::build(&channels)?;
+        let table = placement_table(&channels)?;
         Ok(BroadcastProgram { channels, bandwidth, table })
     }
 
@@ -448,57 +283,29 @@ impl BroadcastProgram {
         self.bandwidth
     }
 
-    /// The schedule and slot a placement points at.
+    /// The schedule carrying `item`, with the item's slot on it.
     #[inline]
-    fn resolve(&self, p: Placement) -> (&ChannelSchedule, &ScheduledItem) {
-        let schedule = &self.channels[p.channel as usize];
-        (schedule, &schedule.slots[p.slot as usize])
-    }
-
-    /// The first schedule carrying `item`, with its slot. With
-    /// replication, prefer [`locate_all`](Self::locate_all) or
-    /// [`best_start`](Self::best_start).
     pub fn locate(&self, item: ItemId) -> Option<(&ChannelSchedule, &ScheduledItem)> {
-        self.table.of(item).next().map(|p| self.resolve(p))
+        let p = self.table.get(item.index()).filter(|&&p| p != ABSENT)?;
+        let schedule = &self.channels[p.channel as usize];
+        Some((schedule, &schedule.slots[p.slot as usize]))
     }
 
-    /// Every schedule carrying `item` (more than one under replication),
-    /// lowest channel first, each with the item's first slot there.
-    pub fn locate_all(
-        &self,
-        item: ItemId,
-    ) -> impl ExactSizeIterator<Item = (&ChannelSchedule, &ScheduledItem)> + '_ {
-        self.table.of(item).map(|p| self.resolve(p))
-    }
-
-    /// The earliest upcoming broadcast of `item` at or after `now`,
-    /// across all channels carrying it: `(channel, start time, size)`.
-    /// Ties go to the lowest channel.
+    /// The next broadcast of `item` at or after `now`:
+    /// `(channel, start time, size)`.
     ///
     /// Returns `None` if no channel broadcasts the item.
     #[inline]
     pub fn best_start(&self, item: ItemId, now: f64) -> Option<(ChannelId, f64, f64)> {
-        let start_on = |p: Placement| {
-            let (schedule, slot) = self.resolve(p);
-            let t = next_slot_start(slot.offset, schedule.cycle_size, now, self.bandwidth);
-            (schedule.channel, t, slot.size)
-        };
-        let mut placements = self.table.of(item);
-        let mut best = start_on(placements.next()?);
-        for p in placements {
-            let candidate = start_on(p);
-            if candidate.1.total_cmp(&best.1).is_lt() {
-                best = candidate;
-            }
-        }
-        Some(best)
+        let (schedule, slot) = self.locate(item)?;
+        let t = next_slot_start(slot.offset, schedule.cycle_size, now, self.bandwidth);
+        Some((schedule.channel, t, slot.size))
     }
 
     /// Time (seconds) a request for `item` issued at `now` waits until
-    /// the *download completes*: wait for the item's next slot start
-    /// (on whichever channel broadcasts it soonest), then download it.
-    /// This is the quantity whose expectation Eq. 1 describes (for the
-    /// unreplicated case).
+    /// the *download completes*: wait for the item's next slot start,
+    /// then download it. This is the quantity whose expectation Eq. 1
+    /// describes.
     ///
     /// Returns `None` if no channel broadcasts the item.
     #[inline]
@@ -539,20 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn next_start_wraps_cycles() {
+    fn best_start_wraps_cycles() {
         let (_, p) = setup();
-        let c0 = &p.channels()[0];
         // d1 occupies offsets [2, 5) size units => [0.2s, 0.5s) each 0.5s cycle.
-        assert!((c0.next_start(ItemId::new(1), 0.0, 10.0).unwrap() - 0.2).abs() < 1e-12);
-        assert!((c0.next_start(ItemId::new(1), 0.2, 10.0).unwrap() - 0.2).abs() < 1e-12);
-        assert!((c0.next_start(ItemId::new(1), 0.21, 10.0).unwrap() - 0.7).abs() < 1e-12);
-        assert!((c0.next_start(ItemId::new(1), 1.7, 10.0).unwrap() - 1.7).abs() < 1e-9);
+        let start = |now| {
+            let (channel, t, size) = p.best_start(ItemId::new(1), now).unwrap();
+            assert_eq!((channel.index(), size), (0, 3.0));
+            t
+        };
+        assert!((start(0.0) - 0.2).abs() < 1e-12);
+        assert!((start(0.2) - 0.2).abs() < 1e-12);
+        assert!((start(0.21) - 0.7).abs() < 1e-12);
+        assert!((start(1.7) - 1.7).abs() < 1e-9);
     }
 
     #[test]
-    fn next_start_unknown_item_is_none() {
+    fn best_start_unknown_item_is_none() {
         let (_, p) = setup();
-        assert!(p.channels()[0].next_start(ItemId::new(2), 0.0, 10.0).is_none());
+        assert!(p.best_start(ItemId::new(4), 0.0).is_none());
+        assert!(p.locate(ItemId::new(4)).is_none());
     }
 
     #[test]
@@ -604,76 +416,5 @@ mod tests {
         let alloc = Allocation::from_assignment(&db, 1, vec![0; 4]).unwrap();
         assert!(BroadcastProgram::new(&db, &alloc, 0.0).is_err());
         assert!(BroadcastProgram::new(&db, &alloc, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn overlapping_groups_build_replicated_programs() {
-        let (db, _) = setup();
-        // d0 replicated onto both channels.
-        let groups = vec![
-            vec![ItemId::new(0), ItemId::new(1)],
-            vec![ItemId::new(0), ItemId::new(2), ItemId::new(3)],
-        ];
-        let p = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-        assert_eq!(p.locate_all(ItemId::new(0)).len(), 2);
-        assert_eq!(p.locate_all(ItemId::new(2)).len(), 1);
-    }
-
-    #[test]
-    fn overlapping_groups_reject_uncovered_items() {
-        let (db, _) = setup();
-        let groups = vec![vec![ItemId::new(0)], vec![ItemId::new(1)]];
-        assert!(matches!(
-            BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0),
-            Err(ModelError::AssignmentLength { .. })
-        ));
-        let unknown = vec![vec![ItemId::new(9)]];
-        assert!(BroadcastProgram::from_overlapping_groups(&db, &unknown, 10.0).is_err());
-        assert!(BroadcastProgram::from_overlapping_groups(&db, &[], 10.0).is_err());
-    }
-
-    #[test]
-    fn replication_never_increases_response_time() {
-        let (db, _) = setup();
-        let base_groups = vec![
-            vec![ItemId::new(0), ItemId::new(1)],
-            vec![ItemId::new(2), ItemId::new(3)],
-        ];
-        let repl_groups = vec![
-            vec![ItemId::new(0), ItemId::new(1)],
-            vec![ItemId::new(2), ItemId::new(3), ItemId::new(0)],
-        ];
-        let base =
-            BroadcastProgram::from_overlapping_groups(&db, &base_groups, 10.0).unwrap();
-        let repl =
-            BroadcastProgram::from_overlapping_groups(&db, &repl_groups, 10.0).unwrap();
-        // The replicated item's response never worsens at any probe time;
-        // (its own channel-0 schedule is unchanged, and channel 1 only
-        // adds an extra opportunity).
-        for i in 0..200 {
-            let t = i as f64 * 0.013;
-            let b = base.response_time(ItemId::new(0), t).unwrap();
-            let r = repl.response_time(ItemId::new(0), t).unwrap();
-            assert!(r <= b + 1e-9, "at t = {t}: {r} > {b}");
-        }
-    }
-
-    #[test]
-    fn best_start_picks_the_sooner_replica() {
-        let (db, _) = setup();
-        let groups = vec![
-            vec![ItemId::new(1), ItemId::new(0)], // d0 at offset 3 of cycle 5
-            vec![ItemId::new(0), ItemId::new(2), ItemId::new(3)], // d0 at offset 0 of cycle 8
-        ];
-        let p = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-        // At t = 0, channel 1 starts d0 immediately.
-        let (ch, start, _) = p.best_start(ItemId::new(0), 0.0).unwrap();
-        assert_eq!(ch.index(), 1);
-        assert_eq!(start, 0.0);
-        // Just after, channel 0's copy at 0.3s beats channel 1's next
-        // cycle at 0.8s.
-        let (ch, start, _) = p.best_start(ItemId::new(0), 0.05).unwrap();
-        assert_eq!(ch.index(), 0);
-        assert!((start - 0.3).abs() < 1e-12);
     }
 }

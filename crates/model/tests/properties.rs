@@ -152,7 +152,8 @@ proptest! {
         let slot_count: usize = program.channels().iter().map(|c| c.slots().len()).sum();
         prop_assert_eq!(slot_count, db.len());
         for d in db.iter() {
-            prop_assert_eq!(program.locate_all(d.id()).len(), 1);
+            let (schedule, _) = program.locate(d.id()).unwrap();
+            prop_assert_eq!(schedule.channel(), alloc.channel_of(d.id()).unwrap());
             let response = program.response_time(d.id(), 0.123).unwrap();
             prop_assert!(response >= d.size() / 10.0 - 1e-9);
         }

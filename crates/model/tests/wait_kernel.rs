@@ -3,14 +3,16 @@
 //!
 //! `BroadcastProgram` answers "when does item j next air?" from a
 //! per-item placement table. The oracle below is the paper-literal
-//! alternative: scan every channel for the item's first slot, apply the
-//! next-start formula, keep the earliest (lowest channel on ties). The
-//! two must agree **bit for bit**, not within a tolerance.
+//! alternative: scan every channel for the item's slot, apply the
+//! next-start formula, keep the earliest. The two must agree **bit for
+//! bit**, not within a tolerance.
 
 use dbcast_model::{
     Allocation, BroadcastProgram, ChannelId, Database, ItemId, ItemSpec, ModelError,
+    ScheduledItem,
 };
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 /// Brute-force `best_start`: a scan over every channel's slots.
 fn oracle_best_start(
@@ -81,37 +83,43 @@ fn probe_instants(program: &BroadcastProgram, extra: &[f64]) -> Vec<f64> {
     arrivals
 }
 
-/// Random programs: each item on a home channel, with up to two extra
-/// placements that may land on another channel (a replica) or on the
-/// same one (an in-channel duplicate), in a random order per channel.
+/// Random partitions: each item on one channel, in a random order per
+/// channel, decoded from their `{channels, bandwidth}` wire value so the
+/// decoder's checks run too.
 fn program_strategy() -> impl Strategy<Value = (usize, BroadcastProgram, f64)> {
-    let item =
-        (0.01f64..100.0, 0usize..5, prop::collection::vec((0usize..5, 0u32..1000), 0..3));
+    let item = (0.01f64..100.0, 0usize..5);
     (prop::collection::vec(item, 1..30), 1usize..5, 0.5f64..50.0, 0u32..=u32::MAX).prop_map(
         |(items, k, bandwidth, order_seed)| {
             let n = items.len();
-            let db = Database::try_from_specs(
-                items
-                    .iter()
-                    .map(|&(size, _, _)| ItemSpec::new(1.0, size))
-                    .collect::<Vec<_>>(),
-            )
-            .expect("valid specs");
-            let mut placed: Vec<(usize, u32, ItemId)> = Vec::new();
-            for (j, (_, home, extra)) in items.iter().enumerate() {
-                placed.push((home % k, j as u32 ^ order_seed, ItemId::new(j)));
-                for &(c, key) in extra {
-                    placed.push((c % k, key ^ order_seed, ItemId::new(j)));
+            let mut placed: Vec<(usize, u32, usize)> = items
+                .iter()
+                .enumerate()
+                .map(|(j, &(_, home))| (home % k, j as u32 ^ order_seed, j))
+                .collect();
+            placed.sort_unstable();
+            let mut channels = Vec::with_capacity(k);
+            let mut placed = placed.into_iter().peekable();
+            for c in 0..k {
+                let mut slots = Vec::new();
+                let mut offset = 0.0;
+                while let Some((_, _, j)) = placed.next_if(|&(home, _, _)| home == c) {
+                    let size = items[j].0;
+                    slots.push(
+                        ScheduledItem { item: ItemId::new(j), offset, size }.to_value(),
+                    );
+                    offset += size;
                 }
+                channels.push(Value::Map(vec![
+                    ("channel".to_string(), Value::U64(c as u64)),
+                    ("slots".to_string(), Value::Seq(slots)),
+                    ("cycle_size".to_string(), Value::F64(offset)),
+                ]));
             }
-            placed.sort_by_key(|&(c, key, _)| (c, key));
-            let mut groups = vec![Vec::new(); k];
-            for (c, _, item) in placed {
-                groups[c].push(item);
-            }
-            let program =
-                BroadcastProgram::from_overlapping_groups(&db, &groups, bandwidth)
-                    .expect("every item is placed");
+            let wire = Value::Map(vec![
+                ("channels".to_string(), Value::Seq(channels)),
+                ("bandwidth".to_string(), Value::F64(bandwidth)),
+            ]);
+            let program = BroadcastProgram::from_value(&wire).expect("a valid partition");
             let longest =
                 program.channels().iter().map(|c| c.cycle_size()).fold(0.0, f64::max);
             (n, program, longest / bandwidth)
@@ -144,10 +152,9 @@ proptest! {
         let alloc = Allocation::from_assignment(&db, k, assignment.clone()).unwrap();
         let program = BroadcastProgram::new(&db, &alloc, 10.0).unwrap();
         for (j, &c) in assignment.iter().enumerate() {
-            let carriers: Vec<_> = program.locate_all(ItemId::new(j)).collect();
-            prop_assert_eq!(carriers.len(), 1);
-            prop_assert_eq!(carriers[0].0.channel().index(), c);
-            prop_assert_eq!(carriers[0].1.item, ItemId::new(j));
+            let (schedule, slot) = program.locate(ItemId::new(j)).unwrap();
+            prop_assert_eq!(schedule.channel().index(), c);
+            prop_assert_eq!(slot.item, ItemId::new(j));
         }
         assert_agrees(&program, db.len() + 1, &probe_instants(&program, &instants));
     }
@@ -164,90 +171,44 @@ fn db4() -> Database {
 }
 
 #[test]
-fn replica_ties_go_to_the_lowest_channel() {
+fn an_item_no_channel_carries_is_not_located() {
     let db = db4();
-    // Channels 0 and 1 air the same 5-unit cycle, so every start of
-    // items 0 and 1 is a tie; channel 2 repeats item 3.
-    let groups = vec![
-        vec![ItemId::new(0), ItemId::new(1)],
-        vec![ItemId::new(0), ItemId::new(1)],
-        vec![ItemId::new(3), ItemId::new(3), ItemId::new(2)],
-    ];
-    let p = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-    for now in [0.0, 0.25, 0.5, 1.0, 1.2] {
-        for item in [0, 1] {
-            let (channel, _, _) = p.best_start(ItemId::new(item), now).unwrap();
-            assert_eq!(channel.index(), 0, "tie for item {item} at {now}");
-        }
-    }
-    assert_eq!(p.best_start(ItemId::new(0), 0.25).unwrap().1, 0.5);
-    // Only an item's first slot in a channel counts.
-    let offsets: Vec<f64> = p.locate_all(ItemId::new(3)).map(|(_, s)| s.offset).collect();
-    assert_eq!(offsets, vec![0.0]);
-    assert_agrees(&p, 5, &probe_instants(&p, &[0.01, 0.77, 1.3]));
-}
-
-#[test]
-fn locate_all_lists_carriers_lowest_channel_first() {
-    let db = db4();
-    let groups = vec![
-        vec![ItemId::new(1), ItemId::new(0)],
-        vec![ItemId::new(0), ItemId::new(2), ItemId::new(3)],
-    ];
-    let p = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-    let carriers = p.locate_all(ItemId::new(0));
-    assert_eq!(carriers.len(), 2);
-    let channels: Vec<usize> = carriers.map(|(c, _)| c.channel().index()).collect();
-    assert_eq!(channels, vec![0, 1]);
-    assert_eq!(p.locate_all(ItemId::new(9)).len(), 0);
+    let alloc = Allocation::from_assignment(&db, 2, vec![0, 1, 1, 0]).unwrap();
+    let p = BroadcastProgram::new(&db, &alloc, 10.0).unwrap();
     assert!(p.locate(ItemId::new(9)).is_none());
     assert!(p.best_start(ItemId::new(9), 0.0).is_none());
+    assert!(p.response_time(ItemId::new(9), 0.0).is_none());
 }
 
 /// The directory frames carry programs as this JSON; the table must not
 /// move a byte of it.
 const GOLDEN_PARTITION: &str = r#"{"channels":[{"channel":0,"slots":[{"item":0,"offset":0,"size":2},{"item":3,"offset":2,"size":1.5}],"cycle_size":3.5},{"channel":1,"slots":[{"item":1,"offset":0,"size":3},{"item":2,"offset":3,"size":5}],"cycle_size":8}],"bandwidth":10}"#;
-const GOLDEN_REPLICATED: &str = r#"{"channels":[{"channel":0,"slots":[{"item":0,"offset":0,"size":2},{"item":1,"offset":2,"size":3}],"cycle_size":5},{"channel":1,"slots":[{"item":2,"offset":0,"size":5},{"item":0,"offset":5,"size":2},{"item":3,"offset":7,"size":1.5}],"cycle_size":8.5}],"bandwidth":2.5}"#;
 
-fn golden_programs() -> [(BroadcastProgram, &'static str); 2] {
-    let db = db4();
-    let alloc = Allocation::from_assignment(&db, 2, vec![0, 1, 1, 0]).unwrap();
-    let groups = vec![
-        vec![ItemId::new(0), ItemId::new(1)],
-        vec![ItemId::new(2), ItemId::new(0), ItemId::new(3)],
-    ];
-    [
-        (BroadcastProgram::new(&db, &alloc, 10.0).unwrap(), GOLDEN_PARTITION),
-        (
-            BroadcastProgram::from_overlapping_groups(&db, &groups, 2.5).unwrap(),
-            GOLDEN_REPLICATED,
-        ),
-    ]
+fn golden_program() -> BroadcastProgram {
+    let alloc = Allocation::from_assignment(&db4(), 2, vec![0, 1, 1, 0]).unwrap();
+    BroadcastProgram::new(&db4(), &alloc, 10.0).unwrap()
 }
 
 #[test]
 fn serialization_matches_the_golden_wire_form() {
-    for (program, golden) in golden_programs() {
-        assert_eq!(serde_json::to_string(&program).unwrap(), golden);
-    }
+    assert_eq!(serde_json::to_string(&golden_program()).unwrap(), GOLDEN_PARTITION);
 }
 
 #[test]
 fn deserialization_rebuilds_the_table() {
-    for (program, golden) in golden_programs() {
-        let back: BroadcastProgram = serde_json::from_str(golden).unwrap();
-        assert_eq!(back, program);
-        let arrivals = probe_instants(&back, &[0.3, 1.7, 2.9]);
-        for item in (0..4).map(ItemId::new) {
-            for &now in &arrivals {
-                assert_eq!(
-                    bits(back.best_start(item, now)),
-                    bits(program.best_start(item, now))
-                );
-            }
+    let program = golden_program();
+    let back: BroadcastProgram = serde_json::from_str(GOLDEN_PARTITION).unwrap();
+    assert_eq!(back, program);
+    let arrivals = probe_instants(&back, &[0.3, 1.7, 2.9]);
+    for item in (0..4).map(ItemId::new) {
+        for &now in &arrivals {
+            assert_eq!(
+                bits(back.best_start(item, now)),
+                bits(program.best_start(item, now))
+            );
         }
-        assert_agrees(&back, 5, &arrivals);
     }
+    assert_agrees(&back, 5, &arrivals);
 }
 
 #[test]
@@ -279,6 +240,17 @@ fn hostile_programs_are_rejected_with_typed_errors() {
         let json = GOLDEN_PARTITION.replace(honest, hostile);
         let err = serde_json::from_str::<BroadcastProgram>(&json).unwrap_err();
         assert!(err.to_string().contains("channel 1"), "{hostile}: {err}");
+    }
+    // A program is a partition: item 0 airs on channel 0, so placing it
+    // on channel 1 too, or twice on channel 0, is rejected.
+    for (honest, hostile) in
+        [(r#"{"item":2,"#, r#"{"item":0,"#), (r#"{"item":3,"#, r#"{"item":0,"#)]
+    {
+        assert!(GOLDEN_PARTITION.contains(honest), "{honest}");
+        let json = GOLDEN_PARTITION.replace(honest, hostile);
+        let err = serde_json::from_str::<BroadcastProgram>(&json).unwrap_err();
+        let placed_twice = ModelError::ItemPlacedTwice { item: 0 }.to_string();
+        assert!(err.to_string().contains(&placed_twice), "{honest}: {err}");
     }
     // The builders report the same typed errors.
     let db = db4();

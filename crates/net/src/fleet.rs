@@ -318,9 +318,9 @@ impl FleetReport {
 
 /// The paper's Eq. 2 expectation for the world's program: the
 /// frequency-weighted mean access time over a request instant uniform
-/// in phase. Replicated items use the independent-phase earliest-probe
-/// approximation; indexed single-carrier items use the exact (1,m)
-/// grid expectation.
+/// in phase. Each item waits half its channel's cycle, plus its
+/// download; on an indexed stream each item uses the exact (1,m) grid
+/// expectation ([`WorldView::expected_access`]).
 pub fn predicted_access(world: &WorldView) -> f64 {
     let dir = &world.directory;
     let mut weighted = 0.0;

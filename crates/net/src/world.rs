@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use dbcast_index::{optimal_segments, IndexedChannel};
-use dbcast_model::{BroadcastProgram, ChannelId, ItemId};
+use dbcast_model::{next_slot_start, BroadcastProgram, ChannelId, ItemId};
 use serde::{Deserialize, Serialize};
 
 /// (1,m) air-index parameters shared by server and clients.
@@ -123,23 +123,15 @@ impl WorldView {
         let mut worst = 0.0f64;
         for idx in 0..self.directory.frequencies.len() {
             let item = ItemId::new(idx);
-            let Some((_, slot)) = self.directory.program.locate(item) else {
+            let Some((schedule, slot)) = self.directory.program.locate(item) else {
                 continue;
             };
-            let size = slot.size;
-            // The client can always fall back to the fastest-cycle
-            // carrier, so its wait-to-start is bounded by that cycle.
-            let best_cycle = self
-                .directory
-                .program
-                .locate_all(item)
-                .map(|(s, _)| s.cycle_size())
-                .fold(f64::INFINITY, f64::min);
+            let (cycle, size) = (schedule.cycle_size(), slot.size);
             let bound = match self.directory.index {
                 // Indexed: wait for an index copy (≤ one cycle), read
                 // it, then doze to the item (≤ one more cycle).
-                Some(params) => (2.0 * best_cycle + params.index_size + size) / bandwidth,
-                None => (best_cycle + size) / bandwidth,
+                Some(params) => (2.0 * cycle + params.index_size + size) / bandwidth,
+                None => (cycle + size) / bandwidth,
             };
             worst = worst.max(bound);
         }
@@ -148,9 +140,8 @@ impl WorldView {
 
     /// The Eq. 2 expectation for a single-item request for `item`
     /// arriving uniformly in phase: probe to the next occurrence plus
-    /// the download itself. Replicated items use the independent-phase
-    /// earliest-probe approximation; indexed single-carrier items use
-    /// the exact (1,m) grid expectation.
+    /// the download itself: half the item's cycle plus its download
+    /// time, or on an indexed stream the exact (1,m) grid expectation.
     ///
     /// Returns `None` when the program does not carry the item.
     ///
@@ -165,27 +156,19 @@ impl WorldView {
 
     fn compute_expected_access(&self, item: ItemId) -> Option<f64> {
         let bandwidth = self.directory.bandwidth;
-        let carriers = self.directory.program.locate_all(item);
-        let replicas = carriers.len();
         let (schedule, slot) = self.directory.program.locate(item)?;
-        let size = slot.size;
         match &self.indexed {
-            Some(per_channel) if replicas == 1 => per_channel
+            Some(per_channel) => per_channel
                 .get(schedule.channel().index())
                 .and_then(|c| c.as_ref())
                 .and_then(|ic| ic.expected_metrics(item, bandwidth, 512))
                 .map(|(access, _)| access),
-            _ => {
-                let cycles: Vec<f64> =
-                    carriers.map(|(s, _)| s.cycle_size() / bandwidth).collect();
-                Some(expected_min_probe(&cycles) + size / bandwidth)
-            }
+            None => Some((schedule.cycle_size() / bandwidth) / 2.0 + slot.size / bandwidth),
         }
     }
 
-    /// Plans the cheapest fetch of `item` for a request issued at the
-    /// virtual instant `now`, considering every channel that carries a
-    /// replica (earliest completion wins; ties break on channel index).
+    /// Plans the fetch of `item` for a request issued at the virtual
+    /// instant `now`, on the one channel that carries it.
     ///
     /// Without an air index the client must listen continuously from
     /// `now` until the download ends, so tuning equals access. With the
@@ -197,95 +180,36 @@ impl WorldView {
         let origin = self.directory.origin;
         let bandwidth = self.directory.bandwidth;
         let local = now - origin;
-        let mut best: Option<FetchPlan> = None;
-        for (schedule, slot) in self.directory.program.locate_all(item) {
-            let candidate = match &self.indexed {
-                Some(per_channel) => {
-                    let ic = per_channel
-                        .get(schedule.channel().index())
-                        .and_then(|c| c.as_ref())?;
-                    let (access, tuning) = ic.request_metrics(item, local, bandwidth)?;
-                    let completion = now + access;
-                    FetchPlan {
-                        channel: schedule.channel(),
-                        start: completion - slot.size / bandwidth,
-                        completion,
-                        access,
-                        tuning,
-                    }
-                }
-                None => {
-                    let start = schedule.next_start(item, local, bandwidth)? + origin;
-                    let completion = start + slot.size / bandwidth;
-                    FetchPlan {
-                        channel: schedule.channel(),
-                        start,
-                        completion,
-                        access: completion - now,
-                        tuning: completion - now,
-                    }
-                }
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    candidate.completion < b.completion - 1e-12
-                        || (candidate.completion <= b.completion + 1e-12
-                            && candidate.channel.index() < b.channel.index())
-                }
-            };
-            if better {
-                best = Some(candidate);
+        let (schedule, slot) = self.directory.program.locate(item)?;
+        let channel = schedule.channel();
+        match &self.indexed {
+            Some(per_channel) => {
+                let ic = per_channel.get(channel.index()).and_then(|c| c.as_ref())?;
+                let (access, tuning) = ic.request_metrics(item, local, bandwidth)?;
+                let completion = now + access;
+                Some(FetchPlan {
+                    channel,
+                    start: completion - slot.size / bandwidth,
+                    completion,
+                    access,
+                    tuning,
+                })
+            }
+            None => {
+                let start =
+                    next_slot_start(slot.offset, schedule.cycle_size(), local, bandwidth)
+                        + origin;
+                let completion = start + slot.size / bandwidth;
+                Some(FetchPlan {
+                    channel,
+                    start,
+                    completion,
+                    access: completion - now,
+                    tuning: completion - now,
+                })
             }
         }
-        best
     }
-}
-
-/// Expected probe time of an item carried by channels with cycle times
-/// `cycles` (seconds), under the independent-uniform-phase
-/// approximation:
-///
-/// `E[min_i U_i] = ∫_0^{T_min} Π_i (1 − t/T_i) dt`,  `U_i ~ U(0, T_i)`.
-///
-/// For a single channel this is exactly `T/2` (the paper's probe term).
-/// The integrand is a degree-`r` polynomial; it is integrated
-/// numerically with Simpson's rule at 1e-6 relative accuracy, which is
-/// far below the approximation error of the independence assumption.
-///
-/// # Panics
-///
-/// Panics if `cycles` is empty or contains a non-positive entry.
-fn expected_min_probe(cycles: &[f64]) -> f64 {
-    assert!(!cycles.is_empty(), "at least one cycle time required");
-    assert!(
-        cycles.iter().all(|&t| t.is_finite() && t > 0.0),
-        "cycle times must be positive"
-    );
-    let t_min = cycles.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    // Closed forms for the common cases.
-    match cycles.len() {
-        1 => return cycles[0] / 2.0,
-        2 => {
-            // E[min] = T1/2 − T1²/(6 T2) with T1 = min, T2 = max.
-            let t1 = t_min;
-            let t2 = cycles[0].max(cycles[1]);
-            return t1 / 2.0 - t1 * t1 / (6.0 * t2);
-        }
-        _ => {}
-    }
-    let survivor = |t: f64| cycles.iter().map(|&ti| 1.0 - t / ti).product::<f64>();
-    // Composite Simpson over [0, t_min]; the integrand is a smooth
-    // low-degree polynomial, so 512 panels are far beyond the needed
-    // accuracy.
-    let n = 512;
-    let h = t_min / n as f64;
-    let mut sum = survivor(0.0) + survivor(t_min);
-    for i in 1..n {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += w * survivor(i as f64 * h);
-    }
-    sum * h / 3.0
 }
 
 #[cfg(test)]
@@ -356,130 +280,16 @@ mod tests {
 
     #[test]
     fn single_channel_probe_is_half_cycle() {
-        for t in [0.5, 3.0, 120.0] {
-            assert!((expected_min_probe(&[t]) - t / 2.0).abs() < 1e-6 * t);
-        }
-    }
-
-    #[test]
-    fn equal_pair_is_third_of_cycle() {
-        // min of two independent U(0,T): E = T/3.
-        assert!((expected_min_probe(&[9.0, 9.0]) - 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn closed_form_for_unequal_pair() {
-        // E[min] = T1/2 − T1²/(6 T2) for T1 <= T2.
-        let (t1, t2) = (4.0, 10.0);
-        let expected = t1 / 2.0 - t1 * t1 / (6.0 * t2);
-        assert!((expected_min_probe(&[t2, t1]) - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn more_replicas_never_increase_probe() {
-        let mut prev = expected_min_probe(&[10.0]);
-        for r in 2..=5 {
-            let cycles = vec![10.0; r];
-            let cur = expected_min_probe(&cycles);
-            assert!(cur < prev);
-            prev = cur;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_cycle_panics() {
-        let _ = expected_min_probe(&[0.0]);
-    }
-
-    #[test]
-    fn expected_min_probe_matches_grid_integration() {
-        // E[min_i U_i] with U_i ~ U(0, T_i) independent, evaluated by a
-        // deterministic midpoint grid over the unit cube — an entirely
-        // different computation from the closed forms / Simpson's rule
-        // inside `expected_min_probe`.
-        let cases: [&[f64]; 4] = [&[8.0], &[4.0, 10.0], &[3.0, 5.0, 7.0], &[2.0, 2.0, 9.0]];
-        for cycles in cases {
-            let n = match cycles.len() {
-                1 => 4096,
-                2 => 512,
-                _ => 96,
-            };
-            let mut sum = 0.0;
-            let mut count = 0u64;
-            let mut grid = vec![0usize; cycles.len()];
-            loop {
-                let min = grid
-                    .iter()
-                    .zip(cycles)
-                    .map(|(&g, &t)| (g as f64 + 0.5) / n as f64 * t)
-                    .fold(f64::INFINITY, f64::min);
-                sum += min;
-                count += 1;
-                let mut dim = 0;
-                loop {
-                    if dim == cycles.len() {
-                        break;
-                    }
-                    grid[dim] += 1;
-                    if grid[dim] < n {
-                        break;
-                    }
-                    grid[dim] = 0;
-                    dim += 1;
-                }
-                if dim == cycles.len() {
-                    break;
-                }
-            }
-            let empirical = sum / count as f64;
-            let analytic = expected_min_probe(cycles);
-            let tol = 2.0 / n as f64 * cycles.iter().fold(0.0f64, |a, &b| a.max(b));
-            assert!(
-                (empirical - analytic).abs() <= tol,
-                "cycles {cycles:?}: grid {empirical:.6} vs analytic {analytic:.6} \
-                 (tol {tol:.6})"
-            );
-        }
-    }
-
-    mod props {
-        use super::expected_min_probe;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn min_probe_is_bounded_and_monotone(
-                cycles in prop::collection::vec(0.1f64..100.0, 1..6),
-            ) {
-                let e = expected_min_probe(&cycles);
-                let t_min = cycles.iter().cloned().fold(f64::INFINITY, f64::min);
-                // Bounds: adding channels can only reduce the wait below the
-                // single-best-channel expectation; and the wait is positive.
-                prop_assert!(e > 0.0);
-                prop_assert!(e <= t_min / 2.0 + 1e-9);
-                // Monotonicity: appending one more channel cannot increase it.
-                let mut extended = cycles.clone();
-                extended.push(50.0);
-                prop_assert!(expected_min_probe(&extended) <= e + 1e-9);
-            }
-
-            #[test]
-            fn equal_cycles_follow_the_uniform_order_statistic(
-                t in 0.5f64..50.0,
-                r in 1usize..6,
-            ) {
-                // E[min of r iid U(0,T)] = T/(r+1).
-                let cycles = vec![t; r];
-                let e = expected_min_probe(&cycles);
-                prop_assert!(
-                    (e - t / (r as f64 + 1.0)).abs() < 1e-3 * t,
-                    "r = {r}: {e} vs {}",
-                    t / (r as f64 + 1.0)
-                );
-            }
+        // Without an index, an item's expected access is half its
+        // channel's cycle plus its own download: Z_i/(2b) + z_j/b.
+        let world = WorldView::from_directory(demo_directory(None)).unwrap();
+        let b = world.directory.bandwidth;
+        for idx in 0..3 {
+            let item = ItemId::new(idx);
+            let (schedule, slot) = world.directory.program.locate(item).unwrap();
+            let eq1 = schedule.cycle_size() / (2.0 * b) + slot.size / b;
+            let got = world.expected_access(item).unwrap();
+            assert!((got - eq1).abs() < 1e-12, "item {idx}: {got} vs {eq1}");
         }
     }
 }

@@ -1,9 +1,11 @@
 //! A directory frame is peer input: a program inside it that names an
 //! item far past its own slot count must fail to decode with an error,
-//! never panic or size a table from the hostile id. Data frames are peer
-//! input too: a non-finite start must never reach the recorder's sort.
+//! never panic or size a table from the hostile id; so must one that
+//! airs an item in two slots, since a program is a partition. Data
+//! frames are peer input too: a non-finite start must never reach the
+//! recorder's sort.
 
-use dbcast_model::{Allocation, BroadcastProgram, Database, ItemSpec};
+use dbcast_model::{Allocation, BroadcastProgram, Database, ItemSpec, ModelError};
 use dbcast_net::{
     encode_data_frame_into, encode_frame_into, AirLog, DataFrame, Directory, Frame,
 };
@@ -76,6 +78,22 @@ fn a_program_with_a_non_positive_cycle_size_fails_to_decode() {
         let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
         assert!(err.contains("bad directory payload"), "{cycle_size}: {err}");
         assert!(err.contains("cycle size"), "{cycle_size}: {err}");
+    }
+}
+
+#[test]
+fn a_program_airing_an_item_in_two_slots_fails_to_decode() {
+    let honest = directory_json();
+    // Channel 0 airs item 0; channel 1 airs items 1 and 2. Renaming
+    // item 2 puts item 0 on a second channel, or item 1 twice on one.
+    for item in [0, 1] {
+        let hostile = honest.replacen(r#"{"item":2,"#, &format!(r#"{{"item":{item},"#), 1);
+        assert_ne!(honest, hostile, "the program must carry item 2");
+        assert!(serde_json::from_str::<Directory>(&hostile).is_err());
+        let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
+        assert!(err.contains("bad directory payload"), "item {item}: {err}");
+        let placed_twice = ModelError::ItemPlacedTwice { item }.to_string();
+        assert!(err.contains(&placed_twice), "item {item}: {err}");
     }
 }
 

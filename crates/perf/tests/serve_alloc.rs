@@ -2,9 +2,9 @@
 //! allocator is installed for this test binary, so the deltas below are
 //! real heap traffic, not estimates.
 //!
-//! 1. The Eq. 1 wait kernel (`response_time`, `best_start`,
-//!    `locate_all`) reads the program's placement table and performs
-//!    no heap allocation, replicated programs included.
+//! 1. The Eq. 1 wait kernel (`response_time`, `best_start`, `locate`)
+//!    reads the program's placement table and performs no heap
+//!    allocation.
 //! 2. `ServeRuntime::run` allocates a fixed amount per run: serving ten
 //!    times the requests costs no more allocations and no more bytes,
 //!    with the SLO verdict (read from the audit ledger at tick
@@ -52,28 +52,17 @@ fn wait_kernel_is_allocation_free() {
     .unwrap();
     let alloc = Allocation::from_assignment(&db, 4, (0..db.len()).map(|i| i % 4).collect())
         .unwrap();
-    let partition = BroadcastProgram::new(&db, &alloc, 10.0).unwrap();
-    let mut groups: Vec<Vec<ItemId>> = vec![Vec::new(); 4];
-    for i in 0..db.len() {
-        groups[i % 4].push(ItemId::new(i));
-        groups[(i + 1) % 4].push(ItemId::new(i));
-    }
-    let replicated = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-
-    for program in [&partition, &replicated] {
-        let (allocs, _) = fewest_allocations(|| {
-            for r in 0..10_000u32 {
-                let item = ItemId::new(r as usize % 60);
-                let now = f64::from(r) * 0.0137;
-                black_box(program.response_time(black_box(item), now));
-                black_box(program.best_start(black_box(item), now));
-                for carrier in program.locate_all(black_box(item)) {
-                    black_box(carrier);
-                }
-            }
-        });
-        assert_eq!(allocs, 0, "the wait kernel allocated over 10000 lookups");
-    }
+    let program = BroadcastProgram::new(&db, &alloc, 10.0).unwrap();
+    let (allocs, _) = fewest_allocations(|| {
+        for r in 0..10_000u32 {
+            let item = ItemId::new(r as usize % 60);
+            let now = f64::from(r) * 0.0137;
+            black_box(program.response_time(black_box(item), now));
+            black_box(program.best_start(black_box(item), now));
+            black_box(program.locate(black_box(item)));
+        }
+    });
+    assert_eq!(allocs, 0, "the wait kernel allocated over 10000 lookups");
 }
 
 #[test]

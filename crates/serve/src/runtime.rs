@@ -48,7 +48,7 @@ use dbcast_audit::{
 use dbcast_flight::{EventKind, FlightEvent};
 use dbcast_model::{
     average_waiting_time, AllocError, Allocation, BroadcastProgram, ChannelAllocator,
-    Database, ItemId, ItemSpec, ModelError,
+    ChannelSchedule, Database, ItemId, ItemSpec, ModelError, ScheduledItem,
 };
 use dbcast_obs::metrics::{Counter, Gauge, Histogram, HistogramCells};
 use dbcast_workload::RequestTrace;
@@ -400,23 +400,17 @@ fn recompute(
     Some((alloc.assignment().to_vec(), repair))
 }
 
-/// The request's position in the channel's cyclic "queue" at `now`:
+/// The request's position in its channel's cyclic "queue" at `now`:
 /// how many of the channel's slots start strictly between the current
-/// broadcast phase and the requested item's next start. Deterministic
-/// and allocation-free (the slot comes from the program's placement
-/// table; only the count scans the channel).
+/// broadcast phase and the requested item's next start. `placement` is
+/// the item's one `(schedule, slot)`, as
+/// [`BroadcastProgram::locate`] finds it. Deterministic and
+/// allocation-free (only the count scans the channel).
 fn queue_position(
-    program: &BroadcastProgram,
-    channel: usize,
-    item: ItemId,
+    (schedule, slot): (&ChannelSchedule, &ScheduledItem),
     now: f64,
     bandwidth: f64,
 ) -> u64 {
-    let Some((schedule, slot)) =
-        program.locate_all(item).find(|(s, _)| s.channel().index() == channel)
-    else {
-        return 0;
-    };
     let cycle = schedule.cycle_size();
     if cycle <= 0.0 {
         return 0;
@@ -896,6 +890,10 @@ impl ServeRuntime {
                             } else {
                                 0
                             };
+                        let position =
+                            serving.value.program.locate(r.item).map_or(0, |placement| {
+                                queue_position(placement, r.time, self.config.bandwidth)
+                            });
                         self.audit.record(&TraceRecord {
                             request_id,
                             item: r.item.index() as u64,
@@ -903,13 +901,7 @@ impl ServeRuntime {
                             satisfied_tick,
                             generation: serving.generation,
                             channel: channel as u64,
-                            queue_position: queue_position(
-                                &serving.value.program,
-                                channel,
-                                r.item,
-                                r.time,
-                                self.config.bandwidth,
-                            ),
+                            queue_position: position,
                             arrival: r.time,
                             wait,
                             predicted,

@@ -197,8 +197,8 @@ impl<'a> Simulation<'a> {
             }
             match event {
                 Event::Arrival { request, item } => {
-                    // With replication the client tunes to whichever
-                    // channel broadcasts the item soonest.
+                    // The client tunes to the item's one channel and
+                    // waits for its next slot.
                     let (channel, slot_start, size) = self
                         .program
                         .best_start(item, now)

@@ -1,11 +1,10 @@
 //! Integration test: the discrete-event simulator agrees with the
-//! analytical model across allocations, parameters and algorithms, and
-//! runs programs that carry an item on several channels.
+//! analytical model across allocations, parameters and algorithms.
 
 use dbcast::alloc::DrpCds;
 use dbcast::baselines::{Flat, Vfk};
-use dbcast::model::{BroadcastProgram, ChannelAllocator, ItemId};
-use dbcast::sim::{validate_against_model, Simulation};
+use dbcast::model::ChannelAllocator;
+use dbcast::sim::validate_against_model;
 use dbcast::workload::{SizeDistribution, TraceBuilder, WorkloadBuilder};
 
 fn check(n: usize, k: usize, phi: f64, theta: f64, algo: &dyn ChannelAllocator) {
@@ -64,31 +63,4 @@ fn empirical_ranking_matches_analytical_ranking() {
     let smart = validate_against_model(&db, &smart_alloc, &trace, 10.0).unwrap();
     assert!(smart.empirical < flat.empirical);
     assert!(smart.analytical < flat.analytical);
-}
-
-#[test]
-fn overlapping_programs_simulate_with_all_engine_invariants() {
-    // A decoded directory may carry an item on several channels; the
-    // event engine must handle such a program (3 events per request,
-    // every request completes, no negative probe).
-    let db = WorkloadBuilder::new(30).skewness(1.0).seed(49).build().unwrap();
-    let mut groups: Vec<Vec<ItemId>> = vec![Vec::new(); 3];
-    for i in 0..30 {
-        groups[i % 3].push(ItemId::new(i));
-    }
-    // The hottest item airs on all three channels, the next on two.
-    groups[1].push(ItemId::new(0));
-    groups[2].push(ItemId::new(0));
-    groups[0].push(ItemId::new(1));
-    let program = BroadcastProgram::from_overlapping_groups(&db, &groups, 10.0).unwrap();
-    assert_eq!(program.locate_all(ItemId::new(0)).len(), 3);
-    assert_eq!(program.locate_all(ItemId::new(1)).len(), 2);
-    let trace = TraceBuilder::new(&db).requests(5_000).seed(50).build().unwrap();
-    let report = Simulation::new(&program, &trace).run().unwrap();
-    assert_eq!(report.completed(), 5_000);
-    assert_eq!(report.events_processed(), 15_000);
-    for r in report.records() {
-        assert!(r.probe_time() >= -1e-12);
-        assert!(r.download_time() > 0.0);
-    }
 }

@@ -105,7 +105,7 @@ pub fn run_serve(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     let config = ServeConfig {
         channels,
         bandwidth,
-        estimator: EstimatorConfig { decay, seed, ..EstimatorConfig::default() },
+        estimator: EstimatorConfig { decay },
         detector: DriftDetector {
             threshold: args
                 .opt_or("drift-threshold", DriftDetector::default().threshold)?,

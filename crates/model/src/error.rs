@@ -77,6 +77,14 @@ pub enum ModelError {
         /// The item placed twice.
         item: usize,
     },
+    /// A channel schedule names a channel other than its own position
+    /// in the program: schedule `i` must be channel `i`.
+    ChannelOutOfPlace {
+        /// The schedule's position in the program.
+        position: usize,
+        /// The channel id the schedule names.
+        channel: usize,
+    },
     /// A move's source channel does not currently hold the item.
     ItemNotOnChannel {
         /// The item being moved.
@@ -141,6 +149,10 @@ impl fmt::Display for ModelError {
             ModelError::ItemPlacedTwice { item } => {
                 write!(f, "item {item} is placed in more than one broadcast slot")
             }
+            ModelError::ChannelOutOfPlace { position, channel } => write!(
+                f,
+                "channel schedule at position {position} names channel {channel}"
+            ),
             ModelError::ItemNotOnChannel { item, channel } => {
                 write!(f, "item {item} is not allocated to channel {channel}")
             }
@@ -176,6 +188,7 @@ mod tests {
             ModelError::InvalidBandwidth { value: 0.0 },
             ModelError::ProgramTooLarge { channels: 1, slots: 1 << 33 },
             ModelError::ItemPlacedTwice { item: 2 },
+            ModelError::ChannelOutOfPlace { position: 0, channel: 7 },
             ModelError::ItemNotOnChannel { item: 2, channel: 0 },
             ModelError::InvalidSchedule { channel: 1, slot: None, value: 0.0 },
             ModelError::InvalidSchedule { channel: 1, slot: Some(0), value: -1.0 },

@@ -140,8 +140,9 @@ fn placement_table(channels: &[ChannelSchedule]) -> Result<Vec<Placement>, Model
 ///
 /// Serializes as `{channels, bandwidth}`; the placement table is rebuilt
 /// on deserialization, which rejects a non-finite or non-positive
-/// bandwidth, any item id at or above the program's slot count and any
-/// item placed in more than one slot.
+/// bandwidth, a schedule whose channel id is not its position, any item
+/// id at or above the program's slot count and any item placed in more
+/// than one slot.
 ///
 /// # Example
 ///
@@ -229,10 +230,11 @@ impl BroadcastProgram {
         BroadcastProgram::from_channels(channels, bandwidth)
     }
 
-    /// Validates the bandwidth and every schedule's geometry, then
-    /// indexes `channels`, one placement per item. The decoder shares
-    /// this path, so a peer's program can never carry a cycle or slot
-    /// the Eq. 1 kernel cannot wait on, nor an item placed twice.
+    /// Validates the bandwidth and every schedule's channel id and
+    /// geometry, then indexes `channels`, one placement per item. The
+    /// decoder shares this path, so a peer's program can never carry a
+    /// channel id that indexes past or into another schedule, a cycle or
+    /// slot the Eq. 1 kernel cannot wait on, nor an item placed twice.
     fn from_channels(
         channels: Vec<ChannelSchedule>,
         bandwidth: f64,
@@ -242,6 +244,12 @@ impl BroadcastProgram {
         }
         let positive = |v: f64| v.is_finite() && v > 0.0;
         for (ch, schedule) in channels.iter().enumerate() {
+            if schedule.channel.index() != ch {
+                return Err(ModelError::ChannelOutOfPlace {
+                    position: ch,
+                    channel: schedule.channel.index(),
+                });
+            }
             let cycle = schedule.cycle_size;
             let cycle_ok =
                 if schedule.slots.is_empty() { cycle == 0.0 } else { positive(cycle) };

@@ -252,6 +252,22 @@ fn hostile_programs_are_rejected_with_typed_errors() {
         let placed_twice = ModelError::ItemPlacedTwice { item: 0 }.to_string();
         assert!(err.to_string().contains(&placed_twice), "{honest}: {err}");
     }
+    // Schedule i must be channel i: an id past the program would index
+    // out of bounds, and a swapped one would name another schedule.
+    let out_of_place = [
+        (
+            r#"{"channels":[{"channel":7,"slots":[{"item":0,"offset":0,"size":1},{"item":1,"offset":1,"size":1}],"cycle_size":2}],"bandwidth":1}"#.to_string(),
+            ModelError::ChannelOutOfPlace { position: 0, channel: 7 },
+        ),
+        (
+            GOLDEN_PARTITION.replace(r#"{"channel":1,"#, r#"{"channel":0,"#),
+            ModelError::ChannelOutOfPlace { position: 1, channel: 0 },
+        ),
+    ];
+    for (json, expected) in &out_of_place {
+        let err = serde_json::from_str::<BroadcastProgram>(json).unwrap_err();
+        assert!(err.to_string().contains(&expected.to_string()), "{json}: {err}");
+    }
     // The builders report the same typed errors.
     let db = db4();
     let alloc = Allocation::from_assignment(&db, 1, vec![0; 4]).unwrap();

@@ -98,6 +98,22 @@ fn a_program_airing_an_item_in_two_slots_fails_to_decode() {
 }
 
 #[test]
+fn a_program_whose_channel_id_is_out_of_place_fails_to_decode() {
+    // One schedule, at position 0, that names channel 7: a client would
+    // index its per-channel state past the program's one channel.
+    let honest = directory_json();
+    let program = r#"{"channels":[{"channel":7,"slots":[{"item":0,"offset":0,"size":1},{"item":1,"offset":1,"size":1}],"cycle_size":2}],"bandwidth":1}"#;
+    // The program is the directory's last field.
+    let start = honest.find(r#""program":"#).expect("the directory carries a program");
+    let hostile = format!(r#"{}"program":{program}}}"#, &honest[..start]);
+    assert!(serde_json::from_str::<Directory>(&hostile).is_err(), "{hostile}");
+    let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
+    assert!(err.contains("bad directory payload"), "{err}");
+    let expected = ModelError::ChannelOutOfPlace { position: 0, channel: 7 }.to_string();
+    assert!(err.contains(&expected), "{err}");
+}
+
+#[test]
 fn a_data_frame_with_a_nan_start_counts_as_a_decode_error() {
     let frame =
         |start| DataFrame { channel: 0, item: 0, generation: 0, start, duration: 1.0 };

@@ -11,7 +11,7 @@
 //!
 //! `G` never reads 1, even for a perfect allocation: the bound is a
 //! few percent loose, and estimator noise inflates `C` against `LB`
-//! (at N=2000 the truth-optimal allocation reads `G ≈ 1.20` under the
+//! (at N=2000 the truth-optimal allocation reads `G ≈ 1.12` under the
 //! estimate, against 1.024 under the truth). So the reference is `G`'s
 //! own floor, its minimum over the serving generation's checks, and a
 //! repair is dispatched when `G > (1 + ε) · floor`. The score reported
@@ -137,7 +137,7 @@ impl GapMonitor {
     }
 
     /// Ages the carried input masses by `dt` virtual seconds, by the
-    /// same factor the estimator's sketch decays by.
+    /// same factor the estimator's counts decay by.
     pub fn tick(&mut self, dt: f64) {
         let factor = self.decay.powf(dt);
         self.serving_input *= factor;
@@ -244,7 +244,7 @@ mod tests {
     }
 
     fn estimator() -> FrequencyEstimator {
-        FrequencyEstimator::new(4, EstimatorConfig { decay: 0.5, ..Default::default() })
+        FrequencyEstimator::new(4, EstimatorConfig { decay: 0.5 })
     }
 
     fn feed(est: &mut FrequencyEstimator, monitor: &mut GapMonitor, items: &[usize]) {

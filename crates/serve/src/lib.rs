@@ -6,7 +6,7 @@
 //! server whose workload is neither known nor stationary:
 //!
 //! ```text
-//!   request stream ──▶ FrequencyEstimator (count-min + EWMA)
+//!   request stream ──▶ FrequencyEstimator (exact decayed counts + Dirichlet prior)
 //!                          │ frequency vector
 //!                          ▼
 //!                      GapMonitor (Eq. 3 cost vs certified bound)
@@ -32,7 +32,6 @@ mod drift;
 mod estimator;
 mod fleet;
 mod runtime;
-mod sketch;
 mod slo;
 mod source;
 mod swap;
@@ -45,7 +44,6 @@ pub use runtime::{
     GenerationStats, ProgramGeneration, RepairMode, RepairReport, ServeConfig, ServeError,
     ServeReport, ServeRuntime, WaitStats, WorkerMode,
 };
-pub use sketch::CountMinSketch;
 pub use slo::{SloConfig, SloReport, SloTracker, SloVerdict};
 pub use source::{poisson_trace, shifted_trace, shifted_workload};
 pub use swap::{EpochCell, Versioned};

@@ -101,7 +101,8 @@ pub struct ServeConfig {
     pub channels: usize,
     /// Channel bandwidth in size units per second.
     pub bandwidth: f64,
-    /// Workload estimator (count-min + EWMA) parameters.
+    /// Workload estimator parameters (exact decayed per-item counts;
+    /// see [`FrequencyEstimator`]).
     pub estimator: EstimatorConfig,
     /// Drift detector parameters.
     pub detector: DriftDetector,

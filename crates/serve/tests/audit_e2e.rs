@@ -39,11 +39,7 @@ fn config(sample_shift: u32) -> ServeConfig {
     ServeConfig {
         channels: CHANNELS,
         bandwidth: 10.0,
-        estimator: EstimatorConfig {
-            decay: 0.98,
-            seed: SEED,
-            ..EstimatorConfig::default()
-        },
+        estimator: EstimatorConfig { decay: 0.98 },
         detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,

@@ -25,7 +25,7 @@ fn run_with_budget(budget: usize) -> ServeReport {
     let trace = shifted_trace(&pre, &post, 3_000, 9_000, 50.0, seed).unwrap();
     let config = ServeConfig {
         channels: 5,
-        estimator: EstimatorConfig { decay: 0.98, seed, ..EstimatorConfig::default() },
+        estimator: EstimatorConfig { decay: 0.98 },
         repair: RepairMode::Budgeted { budget },
         ..ServeConfig::default()
     };

@@ -10,7 +10,7 @@ use dbcast_serve::{
     shifted_trace, shifted_workload, DriftDetector, EstimatorConfig, RepairMode,
     ServeConfig, ServeRuntime, WorkerMode,
 };
-use dbcast_workload::WorkloadBuilder;
+use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 const CHANNELS: usize = 5;
 const SEED: u64 = 41;
@@ -32,11 +32,7 @@ fn config() -> ServeConfig {
     ServeConfig {
         channels: CHANNELS,
         bandwidth: 10.0,
-        estimator: EstimatorConfig {
-            decay: 0.98,
-            seed: SEED,
-            ..EstimatorConfig::default()
-        },
+        estimator: EstimatorConfig { decay: 0.98 },
         detector: DriftDetector::default(),
         repair: RepairMode::Full,
         worker: WorkerMode::Deterministic,
@@ -152,4 +148,27 @@ fn budgeted_repair_also_closes_most_of_the_gap() {
         serving_cost <= oracle_cost * 1.25,
         "budgeted serving cost {serving_cost:.4} vs oracle {oracle_cost:.4}"
     );
+}
+
+#[test]
+fn one_shift_at_n2000_is_absorbed_in_a_few_swaps() {
+    // The CLI shape `serve --items 2000 --channels 16 --poisson 50
+    // --requests 200000 --shift-at 0.5 --seed 3`: one θ=1.2 shift onto
+    // the catalogue's cold half, halfway through.
+    let seed = 3;
+    let pre = WorkloadBuilder::new(2_000)
+        .skewness(0.8)
+        .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
+        .seed(seed)
+        .build()
+        .unwrap();
+    let post = shifted_workload(&pre, 1.2, 1_000).unwrap();
+    let trace = shifted_trace(&pre, &post, 100_000, 100_000, 50.0, seed).unwrap();
+    let config = ServeConfig { channels: 16, ..config() };
+    let report = ServeRuntime::new(&pre, config).unwrap().run(&trace).unwrap();
+    assert_eq!(report.requests, trace.len() as u64);
+    assert!(report.swaps >= 1, "the shift must be absorbed: {} swaps", report.swaps);
+    assert!(report.swaps <= 5, "{} swaps for one shift", report.swaps);
+    let mean = report.waiting.mean();
+    assert!(mean <= 60.94, "mean wait {mean:.4} s");
 }

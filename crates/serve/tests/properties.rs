@@ -3,103 +3,107 @@
 
 use dbcast_model::ItemId;
 use dbcast_serve::{
-    poisson_trace, shifted_trace, shifted_workload, CountMinSketch, DriftDetector,
-    EstimatorConfig, FrequencyEstimator, RepairMode, ServeConfig, ServeRuntime, WorkerMode,
+    poisson_trace, shifted_trace, shifted_workload, DriftDetector, EstimatorConfig,
+    FrequencyEstimator, RepairMode, ServeConfig, ServeRuntime, WorkerMode,
 };
 use dbcast_workload::WorkloadBuilder;
 use proptest::prelude::*;
 
-/// A request stream over a small key universe: (key, weight) pairs.
-fn stream_strategy() -> impl Strategy<Value = Vec<(u64, f64)>> {
-    prop::collection::vec((0u64..64, 0.1f64..10.0), 1..200)
+/// The estimator's documented Dirichlet prior, in pseudo-requests per
+/// item.
+const PRIOR: f64 = 0.2;
+const ITEMS: usize = 16;
+
+/// A request stream over a small catalogue: each request's item, and
+/// the virtual seconds the estimator ages after it (0 = no tick).
+fn stream_strategy() -> impl Strategy<Value = Vec<(usize, f64)>> {
+    let request = (0usize..ITEMS, 0u8..3, 0.0f64..2.0)
+        .prop_map(|(item, tick, dt)| (item, if tick == 0 { dt } else { 0.0 }));
+    prop::collection::vec(request, 0..400)
+}
+
+fn feed(decay: f64, stream: &[(usize, f64)]) -> FrequencyEstimator {
+    let mut est = FrequencyEstimator::new(ITEMS, EstimatorConfig { decay });
+    for &(item, dt) in stream {
+        est.observe(ItemId::new(item));
+        if dt > 0.0 {
+            est.tick(dt);
+        }
+    }
+    est
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The count-min guarantee, both sides: a point query never
-    /// undercounts the true (weighted) frequency, and it never
-    /// overcounts by more than the total stream mass that could have
-    /// collided into the bucket.
+    /// The counts are exact: each equals the sum over the item's
+    /// requests of `decay` raised to the virtual time since that
+    /// request, and the mass is their sum.
     #[test]
-    fn sketch_estimates_are_bounded(
+    fn counts_match_a_naive_recomputation(
         stream in stream_strategy(),
-        width in 8usize..128,
-        depth in 1usize..6,
-        seed in 0u64..u64::MAX,
+        decay in 0.8f64..=1.0,
     ) {
-        let mut sketch = CountMinSketch::new(width, depth, seed);
-        let mut truth = std::collections::HashMap::<u64, f64>::new();
-        let mut total = 0.0;
-        for &(key, w) in &stream {
-            sketch.record_weighted(key, w);
-            *truth.entry(key).or_default() += w;
-            total += w;
+        let est = feed(decay, &stream);
+        let mut arrivals = Vec::with_capacity(stream.len());
+        let mut now = 0.0;
+        for &(item, dt) in &stream {
+            arrivals.push((item, now));
+            now += dt;
         }
-        for (&key, &exact) in &truth {
-            let est = sketch.estimate(key);
-            prop_assert!(est >= exact - 1e-9, "undercount: {est} < {exact}");
-            prop_assert!(
-                est <= total + 1e-9,
-                "overcount beyond total mass: {est} > {total}"
-            );
+        let mut naive = [0.0f64; ITEMS];
+        for &(item, at) in &arrivals {
+            naive[item] += decay.powf(now - at);
         }
-        prop_assert!((sketch.total() - total).abs() < 1e-6);
+        for (j, (&c, &n)) in est.counts().iter().zip(&naive).enumerate() {
+            prop_assert!(close(c, n), "item {}: count {} vs naive {}", j, c, n);
+        }
+        prop_assert!(close(est.mass(), naive.iter().sum()), "mass {}", est.mass());
     }
 
-    /// EWMA decay is monotone and composable: decaying by `a` never
-    /// increases any estimate, and decaying by `a` then `b` equals
-    /// decaying once by `a·b`.
+    /// Ageing composes: ticking `a` then `b` seconds equals one tick of
+    /// `a + b`.
     #[test]
-    fn decay_is_monotone_and_composable(
+    fn ticks_compose(
         stream in stream_strategy(),
-        a in 0.0f64..1.0,
-        b in 0.0f64..1.0,
-        seed in 0u64..u64::MAX,
+        decay in 0.8f64..=1.0,
+        a in 0.0f64..5.0,
+        b in 0.0f64..5.0,
     ) {
-        let mut sketch = CountMinSketch::new(32, 4, seed);
-        for &(key, w) in &stream {
-            sketch.record_weighted(key, w);
+        let mut once = feed(decay, &stream);
+        let mut twice = once.clone();
+        once.tick(a + b);
+        twice.tick(a);
+        twice.tick(b);
+        for (&x, &y) in once.counts().iter().zip(twice.counts()) {
+            prop_assert!(close(x, y), "{} vs {}", x, y);
         }
-        let mut once = sketch.clone();
-        let mut twice = sketch.clone();
-        once.decay(a * b);
-        twice.decay(a);
-        twice.decay(b);
-        for key in 0u64..64 {
-            let before = sketch.estimate(key);
-            let after = twice.estimate(key);
-            prop_assert!(after <= before + 1e-9, "decay increased {before} -> {after}");
-            prop_assert!((once.estimate(key) - after).abs() < 1e-6);
-        }
+        prop_assert!(close(once.mass(), twice.mass()));
     }
 
-    /// The estimator's frequency vector is always a valid profile:
-    /// positive entries summing to 1, whatever it observed.
+    /// The frequency vector is the posterior mean, so always a valid
+    /// profile: it sums to 1, and no entry falls below an unseen item's
+    /// prior share `α / (m + N·α)`.
     #[test]
     fn estimator_vector_is_always_a_distribution(
-        observations in prop::collection::vec(0usize..16, 0..400),
-        ticks_between in 0usize..4,
+        stream in stream_strategy(),
+        decay in 0.8f64..=1.0,
     ) {
-        let mut est = FrequencyEstimator::new(
-            16,
-            EstimatorConfig { decay: 0.9, ..EstimatorConfig::default() },
-        );
-        for (i, &item) in observations.iter().enumerate() {
-            est.observe(ItemId::new(item));
-            if ticks_between > 0 && i % ticks_between == 0 {
-                est.tick(1.5);
-            }
-        }
+        let est = feed(decay, &stream);
         let v = est.frequency_vector();
-        prop_assert_eq!(v.len(), 16);
-        prop_assert!(v.iter().all(|&f| f > 0.0));
+        prop_assert_eq!(v.len(), ITEMS);
+        let floor = PRIOR / (est.mass() + ITEMS as f64 * PRIOR);
+        prop_assert!(v.iter().all(|&f| f >= floor), "{:?} below {}", v, floor);
         prop_assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }
 
 proptest! {
-    // The full serve loop is heavier than a sketch query; fewer cases
+    // The full serve loop is heavier than an estimator update; fewer cases
     // keep the suite fast while still sweeping seeds and shapes.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -120,7 +124,7 @@ proptest! {
         let config = ServeConfig {
             channels: 4,
             bandwidth: 10.0,
-            estimator: EstimatorConfig { decay: 0.9, seed, ..EstimatorConfig::default() },
+            estimator: EstimatorConfig { decay: 0.9 },
             detector: DriftDetector { threshold: 0.2, min_observations: 100 },
             repair: if budgeted == 1 {
                 RepairMode::Budgeted { budget: 8 }

@@ -17,8 +17,8 @@
 //! * [`cache`] — substrate: client-side caching (LRU vs PIX) over
 //!   broadcast programs.
 //! * [`serve`] — the online serving runtime: live workload estimation
-//!   (count-min + EWMA), drift detection, inline re-allocation and hot
-//!   program swap at cycle boundaries.
+//!   (exact decayed counts under a Dirichlet prior), drift detection,
+//!   inline re-allocation and hot program swap at cycle boundaries.
 //! * [`net`] — the framed TCP broadcast transport and simulated client
 //!   fleet: real frames on a real wire, with per-request access *and*
 //!   tuning time measured against the Eq. 2 expectations.

@@ -17,9 +17,9 @@ use serde::{Deserialize, Serialize};
 /// | `RequestServed` | waiting time (virtual s) of a tail-slow request | item id |
 /// | `DriftScore` | Eq. 3 gap over its floor, minus 1 | 1 if drift declared |
 /// | `RepairStart` | drift score at dispatch | base generation |
-/// | `RepairOutcome` | repair wall time (ms) | CDS moves applied |
+/// | `RepairOutcome` | repair wall time (ms) | items the repair moves |
 /// | `SwapPublish` | Eq. 3 cost of the new generation | new generation |
-/// | `BudgetExhausted` | remaining-gain lower bound | CDS moves applied |
+/// | `BudgetExhausted` | remaining-gain lower bound | items the repair moves |
 /// | `SloBreach` | budget burn rate | slow requests so far |
 /// | `Fault` | — | fault code (free-form) |
 /// | `Watchdog` | observed signal value | rule index |

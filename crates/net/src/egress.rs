@@ -17,11 +17,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dbcast_index::{optimal_segments, IndexedChannel, LayoutEntry};
-use dbcast_model::BroadcastProgram;
+use dbcast_model::{next_slot_start, BroadcastProgram};
 use dbcast_serve::{EpochCell, ProgramGeneration};
 
 use crate::frame::{
-    encode_frame, encode_frame_into, DataFrame, Frame, IndexEntry, IndexFrame,
+    encode_data_frame_into, encode_frame, encode_frame_into, encode_index_frame_into,
+    DataFrame, Frame, IndexEntry,
 };
 use crate::world::{Directory, IndexParams};
 use crate::BroadcastServer;
@@ -142,6 +143,10 @@ struct ChannelCursor {
     /// `(entry, offset_size_units, size)` of one cycle, in air order.
     layout: Vec<(LayoutEntry, f64, f64)>,
     cycle_size: f64,
+    /// The layout's data slots as `(item, offset_size_units)`, in item
+    /// order: an index frame's entries before they are timed. Empty
+    /// when the air index is off.
+    index_table: Vec<(u32, f64)>,
     cycle: u64,
     pos: usize,
 }
@@ -163,17 +168,24 @@ impl ChannelCursor {
     }
 }
 
+/// One frame of the window being encoded: when it starts airing and
+/// which layout entry of which cursor it carries.
+#[derive(Clone, Copy)]
+struct Airing {
+    start: f64,
+    channel: u32,
+    cursor: u32,
+    pos: u32,
+}
+
 /// The streaming state for one generation.
 struct OnAir {
-    source: SourceGeneration,
+    /// What the generation airs; its `origin` is the virtual time of
+    /// the generation's phase 0.
     directory: Directory,
-    /// Virtual time of the generation's phase 0.
-    origin: f64,
     /// Window length: one cycle of the fastest non-empty channel.
     window: f64,
     cursors: Vec<ChannelCursor>,
-    /// Per-channel indexed models (index mode only), for index entries.
-    indexed: Vec<Option<IndexedChannel>>,
 }
 
 fn derive_sizes(program: &BroadcastProgram, items: usize) -> Vec<f64> {
@@ -194,23 +206,32 @@ fn build_on_air(
     origin: f64,
     index: Option<IndexParams>,
 ) -> Result<OnAir, String> {
-    let program = &source.program;
+    let program = source.program;
     let bandwidth = program.bandwidth();
     let mut cursors = Vec::new();
-    let mut indexed = Vec::with_capacity(program.channels().len());
     let mut fastest = f64::INFINITY;
     for schedule in program.channels() {
         if schedule.is_empty() {
-            indexed.push(None);
             continue;
         }
-        let (layout, cycle_size, ic) = match index {
+        let (layout, cycle_size, index_table) = match index {
             Some(params) => {
                 let m = optimal_segments(schedule.cycle_size(), params.index_size);
                 let ic =
                     IndexedChannel::new(schedule, m, params.index_size, params.header_size)
                         .map_err(|e| format!("index build failed: {e}"))?;
-                (ic.layout().collect::<Vec<_>>(), ic.cycle_size(), Some(ic))
+                let layout = ic.layout().collect::<Vec<_>>();
+                // A program places each item once, so every item has
+                // exactly one data slot here.
+                let mut table: Vec<(u32, f64)> = layout
+                    .iter()
+                    .filter_map(|&(entry, offset, _)| match entry {
+                        LayoutEntry::Item { item } => Some((item.index() as u32, offset)),
+                        LayoutEntry::Index { .. } => None,
+                    })
+                    .collect();
+                table.sort_unstable_by_key(|&(item, _)| item);
+                (layout, ic.cycle_size(), table)
             }
             None => (
                 schedule
@@ -219,7 +240,7 @@ fn build_on_air(
                     .map(|s| (LayoutEntry::Item { item: s.item }, s.offset, s.size))
                     .collect::<Vec<_>>(),
                 schedule.cycle_size(),
-                None,
+                Vec::new(),
             ),
         };
         fastest = fastest.min(cycle_size / bandwidth);
@@ -227,10 +248,10 @@ fn build_on_air(
             channel: schedule.channel().index() as u32,
             layout,
             cycle_size,
+            index_table,
             cycle: 0,
             pos: 0,
         });
-        indexed.push(ic);
     }
     if cursors.is_empty() {
         return Err("program has no non-empty channel".into());
@@ -240,102 +261,109 @@ fn build_on_air(
         generation: source.generation,
         origin,
         bandwidth,
-        frequencies: source.frequencies.clone(),
-        sizes: derive_sizes(program, items),
+        sizes: derive_sizes(&program, items),
+        frequencies: source.frequencies,
         index,
-        program: program.clone(),
+        program,
     };
-    Ok(OnAir { source, directory, origin, window: fastest, cursors, indexed })
+    Ok(OnAir { directory, window: fastest, cursors })
 }
 
 impl OnAir {
-    /// Emits every frame finishing by `window_end` into `frames`.
-    /// Frames straddling `window_end` stay pending in their cursor.
-    fn emit_until(&mut self, window_end: f64, frames: &mut Vec<Frame>) {
-        let bandwidth = self.directory.bandwidth;
-        let generation = self.source.generation;
-        let mark = frames.len();
-        for cursor in &mut self.cursors {
+    /// Encodes every frame finishing by `window_end`, in global
+    /// `(start, channel)` order, onto the end of `out`, pushing each
+    /// frame's end offset onto `ends`. Frames straddling `window_end`
+    /// stay pending in their cursor. `airings` is scratch space.
+    fn emit_until(
+        &mut self,
+        window_end: f64,
+        airings: &mut Vec<Airing>,
+        out: &mut Vec<u8>,
+        ends: &mut Vec<usize>,
+    ) {
+        let Directory { generation, origin, bandwidth, .. } = self.directory;
+        airings.clear();
+        for (c, cursor) in self.cursors.iter_mut().enumerate() {
             loop {
-                let (start, end) = cursor.peek(self.origin, bandwidth);
+                let (start, end) = cursor.peek(origin, bandwidth);
                 if end > window_end + 1e-12 {
                     break;
                 }
-                let (entry, _, size) = cursor.layout[cursor.pos];
-                match entry {
-                    LayoutEntry::Item { item } => frames.push(Frame::Data(DataFrame {
-                        channel: cursor.channel,
-                        item: item.index() as u32,
-                        generation,
-                        start,
-                        duration: size / bandwidth,
-                    })),
-                    LayoutEntry::Index { copy } => {
-                        let ic = self.indexed[cursor.channel as usize]
-                            .as_ref()
-                            .expect("index layout implies indexed channel");
-                        let local_end = end - self.origin;
-                        let mut entries: Vec<IndexEntry> = self.source.program.channels()
-                            [cursor.channel as usize]
-                            .slots()
-                            .iter()
-                            .map(|slot| IndexEntry {
-                                item: slot.item.index() as u32,
-                                next_start: ic
-                                    .next_item_start(slot.item, local_end, bandwidth)
-                                    .expect("slot item is carried")
-                                    + self.origin,
-                            })
-                            .collect();
-                        entries.sort_by_key(|e| e.item);
-                        frames.push(Frame::Index(IndexFrame {
-                            channel: cursor.channel,
-                            copy: copy as u32,
-                            generation,
-                            start,
-                            duration: size / bandwidth,
-                            entries,
-                        }));
-                    }
-                }
+                let (channel, pos) = (cursor.channel, cursor.pos as u32);
+                airings.push(Airing { start, channel, cursor: c as u32, pos });
                 cursor.advance();
             }
         }
-        // Deterministic on-air order across channels.
-        frames[mark..].sort_by(|a, b| {
-            let (sa, ca) = frame_order_key(a);
-            let (sb, cb) = frame_order_key(b);
-            sa.partial_cmp(&sb).expect("finite starts").then(ca.cmp(&cb))
+        // Deterministic on-air order across channels; a channel's
+        // starts strictly increase, so no two keys tie.
+        airings.sort_unstable_by(|a, b| {
+            a.start
+                .partial_cmp(&b.start)
+                .expect("finite starts")
+                .then(a.channel.cmp(&b.channel))
         });
+        for a in airings.iter() {
+            let cursor = &self.cursors[a.cursor as usize];
+            let (entry, _, size) = cursor.layout[a.pos as usize];
+            let duration = size / bandwidth;
+            match entry {
+                LayoutEntry::Item { item } => encode_data_frame_into(
+                    out,
+                    &DataFrame {
+                        channel: a.channel,
+                        item: item.index() as u32,
+                        generation,
+                        start: a.start,
+                        duration,
+                    },
+                ),
+                LayoutEntry::Index { copy } => {
+                    // Entries are timed from the index frame's end, as
+                    // `IndexedChannel::next_item_start` times them.
+                    let local_end = a.start + duration - origin;
+                    let cycle = cursor.cycle_size;
+                    let entries =
+                        cursor.index_table.iter().map(|&(item, offset)| IndexEntry {
+                            item,
+                            next_start: next_slot_start(
+                                offset, cycle, local_end, bandwidth,
+                            ) + origin,
+                        });
+                    encode_index_frame_into(
+                        out,
+                        a.channel,
+                        copy as u32,
+                        generation,
+                        a.start,
+                        duration,
+                        entries,
+                    );
+                }
+            }
+            ends.push(out.len());
+        }
     }
 
     /// Counts frames already started before `boundary` but unfinished:
     /// exactly the straddlers a swap at `boundary` truncates.
     fn pending_straddlers(&self, boundary: f64) -> u64 {
-        let bandwidth = self.directory.bandwidth;
+        let Directory { origin, bandwidth, .. } = self.directory;
         self.cursors
             .iter()
             .filter(|c| {
-                let (start, end) = c.peek(self.origin, bandwidth);
+                let (start, end) = c.peek(origin, bandwidth);
                 start < boundary - 1e-12 && end > boundary + 1e-12
             })
             .count() as u64
     }
 }
 
-fn frame_order_key(frame: &Frame) -> (f64, u32) {
-    match frame {
-        Frame::Data(d) => (d.start, d.channel),
-        Frame::Index(ix) => (ix.start, ix.channel),
-        Frame::Directory(_) => (f64::NEG_INFINITY, 0),
-        Frame::End { horizon } => (*horizon, u32::MAX),
-        // Telemetry never travels the downlink; sort it last if it did.
-        Frame::Telemetry(_) => (f64::INFINITY, u32::MAX),
-    }
-}
-
 /// Runs the egress loop until `stop` is raised or `max_windows` elapse,
 /// then broadcasts an [`Frame::End`] carrying the covered horizon.
+///
+/// Each window is encoded once, straight into one buffer that every
+/// subscriber queue shares; the buffer is reused whenever no queue
+/// still holds the previous window.
 ///
 /// # Errors
 ///
@@ -355,8 +383,9 @@ pub fn run_egress(
     let mut now = 0.0f64;
     publish_directory(server, &on_air, &mut report);
 
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut wire: Vec<Arc<Vec<u8>>> = Vec::new();
+    let mut airings = Vec::new();
+    let mut window = Arc::new(Vec::new());
+    let mut ends = Vec::new();
     let mut window_index: u64 = 0;
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -368,14 +397,16 @@ pub fn run_egress(
             }
         }
         let window_end = now + on_air.window;
-        frames.clear();
-        on_air.emit_until(window_end, &mut frames);
-        // Each frame is encoded straight into the blob the subscriber
-        // queues share, and the window fans out in one call.
-        wire.clear();
-        wire.extend(frames.iter().map(|frame| Arc::new(encode_frame(frame))));
-        server.broadcast(&wire);
-        report.frames += frames.len() as u64;
+        if Arc::get_mut(&mut window).is_none() {
+            // A subscriber still holds the previous window.
+            window = Arc::new(Vec::with_capacity(window.len()));
+        }
+        let bytes = Arc::get_mut(&mut window).expect("the window buffer is unshared");
+        bytes.clear();
+        ends.clear();
+        on_air.emit_until(window_end, &mut airings, bytes, &mut ends);
+        server.broadcast(&window, &ends);
+        report.frames += ends.len() as u64;
         now = window_end;
         window_index += 1;
         if let Some(pace) = config.pace {
@@ -389,7 +420,8 @@ pub fn run_egress(
             publish_directory(server, &on_air, &mut report);
         }
     }
-    server.broadcast(&[Arc::new(encode_frame(&Frame::End { horizon: now }))]);
+    let end = Arc::new(encode_frame(&Frame::End { horizon: now }));
+    server.broadcast(&end, &[end.len()]);
     report.windows = window_index;
     Ok(report)
 }
@@ -402,4 +434,200 @@ fn publish_directory(server: &BroadcastServer, on_air: &OnAir, report: &mut Egre
     encode_frame_into(&mut wire, &Frame::Directory(json));
     server.set_directory(Arc::new(wire));
     report.generations += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    use dbcast_alloc::DrpCds;
+    use dbcast_model::ChannelAllocator;
+    use dbcast_workload::{SizeDistribution, WorkloadBuilder};
+
+    use super::*;
+    use crate::frame::{IndexFrame, HEADER_LEN, TRAILER_LEN};
+    use crate::{NetConfig, OverflowPolicy};
+
+    const WINDOWS: u64 = 90;
+    const SWAP_AT: u64 = 37;
+    const INDEX: IndexParams = IndexParams { index_size: 0.5, header_size: 0.05 };
+
+    /// Two generations of one catalogue of diverse sizes, on 3 then 4
+    /// channels, the second activating at window `SWAP_AT`.
+    fn source() -> ScriptedSource {
+        let db = WorkloadBuilder::new(40)
+            .skewness(0.8)
+            .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
+            .seed(7)
+            .build()
+            .expect("workload builds");
+        let frequencies: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
+        let stages = [(0, 3), (SWAP_AT, 4)]
+            .into_iter()
+            .enumerate()
+            .map(|(generation, (at, channels))| {
+                let alloc = DrpCds::new().allocate(&db, channels).expect("allocates");
+                let program = BroadcastProgram::new(&db, &alloc, 10.0).expect("builds");
+                let frequencies = frequencies.clone();
+                (
+                    at,
+                    SourceGeneration {
+                        generation: generation as u64,
+                        program,
+                        frequencies,
+                    },
+                )
+            })
+            .collect();
+        ScriptedSource::new(stages)
+    }
+
+    fn push_frame(out: &mut Vec<u8>, ends: &mut Vec<usize>, frame: &Frame) {
+        encode_frame_into(out, frame);
+        ends.push(out.len());
+    }
+
+    fn push_directory(out: &mut Vec<u8>, ends: &mut Vec<usize>, on_air: &OnAir) {
+        let json = serde_json::to_string(&on_air.directory).expect("directory serializes");
+        push_frame(out, ends, &Frame::Directory(json.into_bytes()));
+    }
+
+    /// Reference emitter: every frame is built as a [`Frame`], with index
+    /// entries timed by `IndexedChannel::next_item_start` and sorted by
+    /// item; each window is put in `(start, channel)` order by a stable
+    /// sort, and every frame is encoded by `encode_frame_into`. Returns
+    /// the stream's bytes, each frame's end offset and the report.
+    fn reference_stream(
+        source: &dyn ProgramSource,
+        index: Option<IndexParams>,
+    ) -> (Vec<u8>, Vec<usize>, EgressReport) {
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        let mut report = EgressReport { windows: WINDOWS, ..EgressReport::default() };
+        let mut on_air = build_on_air(source.poll(0).expect("initial"), 0.0, index)
+            .expect("goes on air");
+        push_directory(&mut out, &mut ends, &on_air);
+        report.generations += 1;
+        let mut now = 0.0;
+        for w in 1..=WINDOWS {
+            let Directory { generation, origin, bandwidth, .. } = on_air.directory;
+            let program = &on_air.directory.program;
+            let window_end = now + on_air.window;
+            let mut frames = Vec::new();
+            for cursor in &mut on_air.cursors {
+                let schedule = &program.channels()[cursor.channel as usize];
+                let indexed = index.map(|p| {
+                    let m = optimal_segments(schedule.cycle_size(), p.index_size);
+                    IndexedChannel::new(schedule, m, p.index_size, p.header_size)
+                        .expect("index builds")
+                });
+                loop {
+                    let (start, end) = cursor.peek(origin, bandwidth);
+                    if end > window_end + 1e-12 {
+                        break;
+                    }
+                    let (entry, _, size) = cursor.layout[cursor.pos];
+                    let (channel, duration) = (cursor.channel, size / bandwidth);
+                    frames.push(match entry {
+                        LayoutEntry::Item { item } => Frame::Data(DataFrame {
+                            channel,
+                            item: item.index() as u32,
+                            generation,
+                            start,
+                            duration,
+                        }),
+                        LayoutEntry::Index { copy } => {
+                            let ic = indexed.as_ref().expect("index layout implies index");
+                            let mut entries: Vec<IndexEntry> = schedule
+                                .slots()
+                                .iter()
+                                .map(|slot| IndexEntry {
+                                    item: slot.item.index() as u32,
+                                    next_start: ic
+                                        .next_item_start(slot.item, end - origin, bandwidth)
+                                        .expect("slot item is carried")
+                                        + origin,
+                                })
+                                .collect();
+                            entries.sort_by_key(|e| e.item);
+                            Frame::Index(IndexFrame {
+                                channel,
+                                copy: copy as u32,
+                                generation,
+                                start,
+                                duration,
+                                entries,
+                            })
+                        }
+                    });
+                    cursor.advance();
+                }
+            }
+            let key = |f: &Frame| match f {
+                Frame::Data(d) => (d.start, d.channel),
+                Frame::Index(ix) => (ix.start, ix.channel),
+                _ => unreachable!("windows hold data and index frames"),
+            };
+            frames.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("finite starts"));
+            for frame in &frames {
+                push_frame(&mut out, &mut ends, frame);
+            }
+            report.frames += frames.len() as u64;
+            now = window_end;
+            if let Some(next) = source.poll(w) {
+                report.truncated += on_air.pending_straddlers(now);
+                on_air = build_on_air(next, now, index).expect("goes on air");
+                push_directory(&mut out, &mut ends, &on_air);
+                report.generations += 1;
+            }
+        }
+        push_frame(&mut out, &mut ends, &Frame::End { horizon: now });
+        (out, ends, report)
+    }
+
+    /// Runs the egress to one subscriber and returns what it received,
+    /// each frame's end offset (read from the envelopes) and the report.
+    fn egress_stream(
+        source: &dyn ProgramSource,
+        index: Option<IndexParams>,
+    ) -> (Vec<u8>, Vec<usize>, EgressReport) {
+        let net = NetConfig { overflow: OverflowPolicy::Block, ..NetConfig::default() };
+        let server = BroadcastServer::bind("127.0.0.1:0", net).expect("bind");
+        let client = TcpStream::connect(server.addr()).expect("connect");
+        while server.subscriber_count() < 1 {
+            std::thread::yield_now();
+        }
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            (&client).read_to_end(&mut bytes).expect("read the stream");
+            bytes
+        });
+        let config = EgressConfig { index, max_windows: Some(WINDOWS), pace: None };
+        let report = run_egress(&server, source, &config, &AtomicBool::new(false))
+            .expect("egress runs");
+        server.shutdown();
+        let bytes = reader.join().expect("reader");
+        let mut ends = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len =
+                u32::from_le_bytes(bytes[at + 6..at + 10].try_into().expect("4 bytes"));
+            at += HEADER_LEN + len as usize + TRAILER_LEN;
+            ends.push(at);
+        }
+        (bytes, ends, report)
+    }
+
+    #[test]
+    fn window_encoding_matches_the_frame_path_byte_for_byte() {
+        for index in [Some(INDEX), None] {
+            let (bytes, ends, report) = egress_stream(&source(), index);
+            let (ref_bytes, ref_ends, ref_report) = reference_stream(&source(), index);
+            assert_eq!(report.generations, 2, "the scripted swap must air");
+            assert!(report.truncated > 0, "the swap must cut a straddling frame");
+            assert_eq!(ends, ref_ends, "frame boundaries (index {index:?})");
+            assert!(bytes == ref_bytes, "wire bytes differ (index {index:?})");
+            assert_eq!(report, ref_report, "index {index:?}");
+        }
+    }
 }

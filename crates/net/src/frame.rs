@@ -256,22 +256,46 @@ pub fn encode_telemetry_frame_into(out: &mut Vec<u8>, t: &FleetDigest) {
     });
 }
 
+/// Appends the wire encoding of an index frame to `out`, with the
+/// fields of [`IndexFrame`] and its entries in the order given. Taking
+/// the entries as an iterator lets the egress time each one as it
+/// writes it, with no [`IndexFrame`] in between.
+pub(crate) fn encode_index_frame_into(
+    out: &mut Vec<u8>,
+    channel: u32,
+    copy: u32,
+    generation: u64,
+    start: f64,
+    duration: f64,
+    entries: impl ExactSizeIterator<Item = IndexEntry>,
+) {
+    encode_envelope(out, TYPE_INDEX, |buf| {
+        buf.extend_from_slice(&channel.to_le_bytes());
+        buf.extend_from_slice(&copy.to_le_bytes());
+        buf.extend_from_slice(&generation.to_le_bytes());
+        push_f64(buf, start);
+        push_f64(buf, duration);
+        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for e in entries {
+            buf.extend_from_slice(&e.item.to_le_bytes());
+            push_f64(buf, e.next_start);
+        }
+    });
+}
+
 /// Appends the wire encoding of any frame to `out`.
 pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Data(d) => encode_data_frame_into(out, d),
-        Frame::Index(ix) => encode_envelope(out, TYPE_INDEX, |buf| {
-            buf.extend_from_slice(&ix.channel.to_le_bytes());
-            buf.extend_from_slice(&ix.copy.to_le_bytes());
-            buf.extend_from_slice(&ix.generation.to_le_bytes());
-            push_f64(buf, ix.start);
-            push_f64(buf, ix.duration);
-            buf.extend_from_slice(&(ix.entries.len() as u32).to_le_bytes());
-            for e in &ix.entries {
-                buf.extend_from_slice(&e.item.to_le_bytes());
-                push_f64(buf, e.next_start);
-            }
-        }),
+        Frame::Index(ix) => encode_index_frame_into(
+            out,
+            ix.channel,
+            ix.copy,
+            ix.generation,
+            ix.start,
+            ix.duration,
+            ix.entries.iter().copied(),
+        ),
         Frame::Directory(json) => encode_envelope(out, TYPE_DIRECTORY, |buf| {
             buf.extend_from_slice(json);
         }),

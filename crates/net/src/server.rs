@@ -5,8 +5,9 @@
 //! accept thread registers each one as a subscriber with the current
 //! directory already queued, then the subscriber's writer drains its
 //! bounded frame queue on a thread of its own. The egress hands over a
-//! window of frames at a time, queued under one lock per subscriber, and
-//! each writer wake-up sends everything queued with one socket write.
+//! window at a time, one encoded buffer that every subscriber queue
+//! shares by byte range, queued under one lock per subscriber, and each
+//! writer wake-up sends everything queued with one socket write.
 //! The serve loop only ever *enqueues* — a stalled client fills its own queue and (under
 //! [`OverflowPolicy::DropNewest`]) loses frames, counted on
 //! `net.dropped_frames`, while every other subscriber and the broadcast
@@ -16,6 +17,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -86,13 +88,23 @@ impl NetMetrics {
     }
 }
 
-/// Bounded MPSC byte-blob queue with close semantics.
+/// A run of whole frames: `range` of a window buffer that subscriber
+/// queues share, holding `frames` frames.
+#[derive(Debug)]
+struct Chunk {
+    bytes: Arc<Vec<u8>>,
+    range: Range<usize>,
+    frames: usize,
+}
+
+/// Bounded MPSC frame queue with close semantics.
 ///
 /// Hand-rolled because the vendored crossbeam shim only offers an
 /// unbounded channel, and the slow-client policy needs a hard bound.
 /// The bound counts frames, those queued plus those the writer has taken
 /// but not yet written, so a subscriber never holds more than
-/// `capacity`. A whole window is pushed under one lock, and the writer
+/// `capacity`. A window is pushed under one lock as one chunk (two or
+/// more only when a blocking push waits for room), and the writer
 /// drains everything queued under one lock.
 #[derive(Debug)]
 struct BoundedQueue {
@@ -104,7 +116,9 @@ struct BoundedQueue {
 
 #[derive(Debug)]
 struct QueueState {
-    items: VecDeque<Arc<Vec<u8>>>,
+    chunks: VecDeque<Chunk>,
+    /// Frames in `chunks`.
+    queued: usize,
     /// Frames of the writer's current batch, still being written.
     in_flight: usize,
     closed: bool,
@@ -113,7 +127,7 @@ struct QueueState {
 impl QueueState {
     /// Frames counted against the capacity.
     fn held(&self) -> usize {
-        self.items.len() + self.in_flight
+        self.queued + self.in_flight
     }
 }
 
@@ -121,7 +135,8 @@ impl BoundedQueue {
     fn new(capacity: usize) -> Self {
         BoundedQueue {
             state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity.min(1024)),
+                chunks: VecDeque::new(),
+                queued: 0,
                 in_flight: 0,
                 closed: false,
             }),
@@ -131,49 +146,59 @@ impl BoundedQueue {
         }
     }
 
-    /// Enqueues `frames` in order. Frames that find the queue full are
+    /// Enqueues the frames of the window `bytes`, which end at the
+    /// offsets `ends`, in order. Frames that find the queue full are
     /// dropped (`block == false`) or wait for the writer to make room
     /// (`block == true`); on a closed queue the rest are undelivered.
     /// Returns the undelivered frame count and the frames then held.
-    fn push(&self, frames: &[Arc<Vec<u8>>], block: bool) -> (usize, usize) {
+    fn push(&self, bytes: &Arc<Vec<u8>>, ends: &[usize], block: bool) -> (usize, usize) {
         let mut st = self.state.lock().expect("queue poisoned");
-        let mut rest = frames;
+        let mut sent = 0;
         loop {
             if st.closed {
-                return (rest.len(), st.held());
+                return (ends.len() - sent, st.held());
             }
-            let was_empty = st.items.is_empty();
-            let room = self.capacity.saturating_sub(st.held()).min(rest.len());
-            st.items.extend(rest[..room].iter().cloned());
-            rest = &rest[room..];
-            // The writer only ever waits on an empty queue, so only the
-            // first frames into one need to wake it — and they must wake
-            // it before a blocking push waits, or a window larger than
-            // the queue would deadlock.
-            if was_empty && room > 0 {
-                self.not_empty.notify_one();
+            let room = self.capacity.saturating_sub(st.held()).min(ends.len() - sent);
+            if room > 0 {
+                let was_empty = st.chunks.is_empty();
+                let from = if sent == 0 { 0 } else { ends[sent - 1] };
+                let to = ends[sent + room - 1];
+                st.chunks.push_back(Chunk {
+                    bytes: Arc::clone(bytes),
+                    range: from..to,
+                    frames: room,
+                });
+                st.queued += room;
+                sent += room;
+                // The writer only ever waits on an empty queue, so only
+                // the first frames into one need to wake it — and they
+                // must wake it before a blocking push waits, or a window
+                // larger than the queue would deadlock.
+                if was_empty {
+                    self.not_empty.notify_one();
+                }
             }
-            if rest.is_empty() || !block {
-                return (rest.len(), st.held());
+            if sent == ends.len() || !block {
+                return (ends.len() - sent, st.held());
             }
             st = self.not_full.wait(st).expect("queue poisoned");
         }
     }
 
     /// Releases the writer's previous batch, which it has finished
-    /// writing, then moves every queued frame into `batch`, blocking
+    /// writing, then moves every queued chunk into `batch`, blocking
     /// until there is one. Returns `false` once the queue is closed and
     /// fully drained.
-    fn drain_into(&self, batch: &mut Vec<Arc<Vec<u8>>>) -> bool {
+    fn drain_into(&self, batch: &mut Vec<Chunk>) -> bool {
         let mut st = self.state.lock().expect("queue poisoned");
         if st.in_flight > 0 {
             st.in_flight = 0;
             self.not_full.notify_one();
         }
         loop {
-            if !st.items.is_empty() {
-                st.in_flight = st.items.len();
-                batch.extend(st.items.drain(..));
+            if !st.chunks.is_empty() {
+                st.in_flight = std::mem::take(&mut st.queued);
+                batch.extend(st.chunks.drain(..));
                 return true;
             }
             if st.closed {
@@ -203,8 +228,8 @@ struct Subscriber {
 #[derive(Debug)]
 struct Roster {
     subscribers: Vec<Subscriber>,
-    /// Latest directory blob; handed to every new subscriber first so a
-    /// late joiner can interpret the frames that follow.
+    /// Latest directory frame; handed to every new subscriber first so
+    /// a late joiner can interpret the frames that follow.
     directory: Option<Arc<Vec<u8>>>,
 }
 
@@ -263,25 +288,40 @@ impl BroadcastServer {
         self.listener.addr()
     }
 
-    /// Publishes the directory handed to every future subscriber, and
-    /// broadcasts it to everyone currently connected.
-    pub fn set_directory(&self, blob: Arc<Vec<u8>>) {
+    /// Publishes the directory, one encoded frame, handed to every
+    /// future subscriber, and broadcasts it to everyone currently
+    /// connected as a one-frame window.
+    pub fn set_directory(&self, frame: Arc<Vec<u8>>) {
         let mut roster = self.shared.roster.lock().expect("roster poisoned");
-        broadcast_locked(&self.shared, &mut roster, std::slice::from_ref(&blob));
-        roster.directory = Some(blob);
+        broadcast_locked(&self.shared, &mut roster, &frame, &[frame.len()]);
+        roster.directory = Some(frame);
     }
 
-    /// Enqueues a window of pre-encoded frames, in order, for every live
-    /// subscriber: one roster lock, and one queue lock and at most one
-    /// wake-up per subscriber, however many frames the window holds.
+    /// Enqueues one encoded window for every live subscriber: `bytes`
+    /// holds its frames back to back, and frame `k` ends at byte
+    /// `ends[k]`. Every queue shares `bytes` and holds a byte range of
+    /// it, so nothing is copied per subscriber or per frame: one roster
+    /// lock, and one queue lock and at most one wake-up per subscriber,
+    /// however many frames the window holds.
     ///
-    /// Under [`OverflowPolicy::DropNewest`] the frames that find a
+    /// The queue bound still counts frames. Under
+    /// [`OverflowPolicy::DropNewest`] the tail frames that find a
     /// subscriber's queue full are dropped *for that subscriber only*,
-    /// each counted on `net.dropped_frames`; under
-    /// [`OverflowPolicy::Block`] the call waits for room frame by frame.
-    pub fn broadcast(&self, frames: &[Arc<Vec<u8>>]) {
+    /// each counted on `net.dropped_frames`, and the rest arrive whole;
+    /// under [`OverflowPolicy::Block`] the call waits for room.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ends` ascends strictly and ends at `bytes.len()`.
+    pub fn broadcast(&self, bytes: &Arc<Vec<u8>>, ends: &[usize]) {
+        assert!(
+            ends.windows(2).all(|w| w[0] < w[1])
+                && ends.first().is_none_or(|&e| e > 0)
+                && ends.last().is_none_or(|&e| e == bytes.len()),
+            "frame ends must ascend to the window's length"
+        );
         let mut roster = self.shared.roster.lock().expect("roster poisoned");
-        broadcast_locked(&self.shared, &mut roster, frames);
+        broadcast_locked(&self.shared, &mut roster, bytes, ends);
     }
 
     /// Number of currently live subscribers.
@@ -356,7 +396,7 @@ fn subscribe(shared: &Arc<Shared>, stream: TcpStream) -> Writer {
     if let Some(dir) = &roster.directory {
         // The directory must be the first thing a subscriber sees; the
         // queue is empty here so this cannot fail short of a close.
-        queue.push(std::slice::from_ref(dir), false);
+        queue.push(dir, &[dir.len()], false);
     }
     roster
         .subscribers
@@ -375,24 +415,32 @@ struct Writer {
 }
 
 impl Writer {
-    /// Each wake-up drains everything queued and writes it as one
-    /// contiguous buffer, so a window costs one `write_all`, not one
-    /// write per frame.
+    /// Each wake-up drains everything queued and writes it with one
+    /// `write_all`: a single chunk straight from the shared window
+    /// buffer, several copied into one contiguous buffer first.
     fn run(mut self) {
         let mut batch = Vec::new();
         let mut wire = Vec::new();
         while self.queue.drain_into(&mut batch) {
-            let frames = batch.len() as u64;
-            wire.clear();
-            for blob in batch.drain(..) {
-                wire.extend_from_slice(&blob);
-            }
-            if self.stream.write_all(&wire).is_err() {
+            let frames = batch.iter().map(|c| c.frames as u64).sum::<u64>();
+            let out: &[u8] = if let [chunk] = batch.as_slice() {
+                &chunk.bytes[chunk.range.clone()]
+            } else {
+                wire.clear();
+                for chunk in &batch {
+                    wire.extend_from_slice(&chunk.bytes[chunk.range.clone()]);
+                }
+                &wire
+            };
+            if self.stream.write_all(out).is_err() {
                 // Timeout or hangup: evict this client (see `Drop`).
                 return;
             }
+            let bytes = out.len() as u64;
+            // Hand the windows back, so the egress can reuse a buffer
+            // no queue holds any more.
+            batch.clear();
             let shared = &self.shared;
-            let bytes = wire.len() as u64;
             shared.frames_sent.fetch_add(frames, Ordering::SeqCst);
             shared.bytes_sent.fetch_add(bytes, Ordering::SeqCst);
             shared.socket_writes.fetch_add(1, Ordering::SeqCst);
@@ -413,7 +461,12 @@ impl Drop for Writer {
     }
 }
 
-fn broadcast_locked(shared: &Shared, roster: &mut Roster, frames: &[Arc<Vec<u8>>]) {
+fn broadcast_locked(
+    shared: &Shared,
+    roster: &mut Roster,
+    bytes: &Arc<Vec<u8>>,
+    ends: &[usize],
+) {
     let block = shared.config.overflow == OverflowPolicy::Block;
     let mut pruned = false;
     let mut depth = 0;
@@ -422,7 +475,7 @@ fn broadcast_locked(shared: &Shared, roster: &mut Roster, frames: &[Arc<Vec<u8>>
             pruned = true;
             continue;
         }
-        let (undelivered, queued) = sub.queue.push(frames, block);
+        let (undelivered, queued) = sub.queue.push(bytes, ends, block);
         if undelivered > 0 {
             shared.dropped.fetch_add(undelivered as u64, Ordering::SeqCst);
             shared.metrics.dropped_frames.add(undelivered as u64);
@@ -447,11 +500,21 @@ fn broadcast_locked(shared: &Shared, roster: &mut Roster, frames: &[Arc<Vec<u8>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{
+        encode_data_frame_into, encode_frame_into, DataFrame, Frame, FrameDecoder,
+        IndexEntry, IndexFrame,
+    };
     use std::io::Read;
     use std::time::Instant;
 
-    fn frame_blob(tag: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![tag; 64])
+    /// A window of 64-byte frames, frame `k` filled with byte `tags[k]`.
+    fn window(tags: impl IntoIterator<Item = u8>) -> (Arc<Vec<u8>>, Vec<usize>) {
+        let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+        for tag in tags {
+            bytes.extend_from_slice(&[tag; 64]);
+            ends.push(bytes.len());
+        }
+        (Arc::new(bytes), ends)
     }
 
     fn wait_for_subscribers(server: &BroadcastServer, n: usize) {
@@ -468,7 +531,8 @@ mod tests {
         let mut clients: Vec<TcpStream> =
             (0..3).map(|_| TcpStream::connect(addr).expect("connect")).collect();
         wait_for_subscribers(&server, 3);
-        server.broadcast(&[frame_blob(7)]);
+        let (bytes, ends) = window([7]);
+        server.broadcast(&bytes, &ends);
         for c in &mut clients {
             let mut buf = [0u8; 64];
             c.read_exact(&mut buf).expect("read fan-out");
@@ -494,9 +558,8 @@ mod tests {
         let windows = 2_500;
         let start = Instant::now();
         for w in 0..windows {
-            let window: Vec<_> =
-                (0..8).map(|i| frame_blob(((w * 8 + i) % 251) as u8)).collect();
-            server.broadcast(&window);
+            let (bytes, ends) = window((0..8).map(|i| ((w * 8 + i) % 251) as u8));
+            server.broadcast(&bytes, &ends);
         }
         assert!(
             start.elapsed() < Duration::from_secs(10),
@@ -531,9 +594,9 @@ mod tests {
         let server = Arc::new(BroadcastServer::bind("127.0.0.1:0", config).expect("bind"));
         let mut client = TcpStream::connect(server.addr()).expect("connect");
         wait_for_subscribers(&server, 1);
-        let window: Vec<_> = (0..100).map(frame_blob).collect();
+        let (bytes, ends) = window(0..100);
         let broadcaster = Arc::clone(&server);
-        let sender = std::thread::spawn(move || broadcaster.broadcast(&window));
+        let sender = std::thread::spawn(move || broadcaster.broadcast(&bytes, &ends));
         // A deadlocked broadcaster sends nothing more: fail, not hang.
         client.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
         let mut buf = vec![0u8; 100 * 64];
@@ -558,8 +621,8 @@ mod tests {
         let mut client = TcpStream::connect(server.addr()).expect("connect");
         wait_for_subscribers(&server, 1);
         for w in 0..WINDOWS {
-            let window: Vec<_> = (0..FRAMES).map(|i| frame_blob((w + i) as u8)).collect();
-            server.broadcast(&window);
+            let (bytes, ends) = window((0..FRAMES).map(|i| (w + i) as u8));
+            server.broadcast(&bytes, &ends);
         }
         let mut buf = vec![0u8; 16 + WINDOWS * FRAMES * 64];
         client.read_exact(&mut buf).expect("every frame");
@@ -585,10 +648,81 @@ mod tests {
         server.set_directory(Arc::new(vec![9u8; 16]));
         let mut client = TcpStream::connect(server.addr()).expect("connect");
         wait_for_subscribers(&server, 1);
-        server.broadcast(&[frame_blob(1)]);
+        let (bytes, ends) = window([1]);
+        server.broadcast(&bytes, &ends);
         let mut dir = [0u8; 16];
         client.read_exact(&mut dir).expect("directory first");
         assert!(dir.iter().all(|&b| b == 9));
         server.shutdown();
+    }
+
+    #[test]
+    fn dropped_tails_leave_only_whole_frames_on_the_wire() {
+        let config = NetConfig {
+            queue_capacity: 5,
+            overflow: OverflowPolicy::DropNewest,
+            ..NetConfig::default()
+        };
+        let server = BroadcastServer::bind("127.0.0.1:0", config).expect("bind");
+        // A subscriber that reads nothing until shutdown. Every window
+        // holds more frames than the 5-slot queue, so each one that
+        // finds the writer behind loses a tail, cut between two frames
+        // of a shared buffer.
+        let stalled = TcpStream::connect(server.addr()).expect("connect");
+        wait_for_subscribers(&server, 1);
+        let mut sent = 0u64;
+        for w in 0..2_000u32 {
+            let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+            for k in 0..6 + w % 5 {
+                // Index frames of 0 to 39 entries between data frames:
+                // frames of many sizes.
+                if k % 3 == 0 {
+                    let entries = (0..(w + k) % 40)
+                        .map(|item| IndexEntry { item, next_start: f64::from(item) })
+                        .collect();
+                    let frame = IndexFrame {
+                        channel: k,
+                        copy: 0,
+                        generation: 1,
+                        start: f64::from(w),
+                        duration: 0.5,
+                        entries,
+                    };
+                    encode_frame_into(&mut bytes, &Frame::Index(frame));
+                } else {
+                    let frame = DataFrame {
+                        channel: k,
+                        item: w % 120,
+                        generation: 1,
+                        start: f64::from(w),
+                        duration: 0.25,
+                    };
+                    encode_data_frame_into(&mut bytes, &frame);
+                }
+                ends.push(bytes.len());
+            }
+            sent += ends.len() as u64;
+            server.broadcast(&Arc::new(bytes), &ends);
+        }
+        assert!(server.dropped_frames() > 0, "overflowing a 5-slot queue must count drops");
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            (&stalled).read_to_end(&mut bytes).expect("drain");
+            bytes
+        });
+        server.shutdown();
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&reader.join().expect("reader"));
+        let (mut received, mut errors) = (0u64, 0u64);
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(_)) => received += 1,
+                Ok(None) => break,
+                Err(_) => errors += 1,
+            }
+        }
+        assert_eq!(errors, 0, "a dropped tail must not cut a frame");
+        assert_eq!(decoder.pending(), 0, "the stream must end on a frame boundary");
+        assert_eq!(received + server.dropped_frames(), sent);
     }
 }

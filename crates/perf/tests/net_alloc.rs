@@ -4,18 +4,25 @@
 //!
 //! The contract from the transport design: appending a data frame's
 //! wire encoding to a warm (pre-sized) buffer performs zero heap
-//! allocations. The egress loop encodes every slot of every window
-//! through this path, so a single allocation here would turn into
-//! per-frame heap churn on the server.
+//! allocations. The egress encodes each window's data frames through
+//! this path, and its index frames through their own encoder, straight
+//! into one window buffer, so no frame costs an allocation of its own.
+//! The last test pins the whole egress loop to a few allocations per
+//! window.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 
+use dbcast_alloc::DrpCds;
+use dbcast_model::{BroadcastProgram, ChannelAllocator};
 use dbcast_net::{
     decode_telemetry_payload, encode_data_frame_into, encode_telemetry_frame_into,
-    DataFrame, HEADER_LEN, TRAILER_LEN,
+    run_egress, BroadcastServer, DataFrame, EgressConfig, IndexParams, NetConfig,
+    ScriptedSource, SourceGeneration, HEADER_LEN, TRAILER_LEN,
 };
 use dbcast_perf::{allocation_counts, CountingAllocator};
 use dbcast_serve::FleetDigest;
+use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -116,5 +123,49 @@ fn steady_state_telemetry_encode_and_decode_are_allocation_free() {
         after - before < 16,
         "telemetry encode+decode allocated {} time(s) over 9999 digests",
         after - before
+    );
+}
+
+#[test]
+fn the_egress_allocates_per_window_not_per_frame() {
+    const WINDOWS: u64 = 500;
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The `fleet_wire` shape: 120 items of diverse sizes on 6 channels,
+    // with the (1,m) air index on.
+    let db = WorkloadBuilder::new(120)
+        .skewness(0.8)
+        .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
+        .seed(1)
+        .build()
+        .expect("workload builds");
+    let alloc = DrpCds::new().allocate(&db, 6).expect("allocates");
+    let program = BroadcastProgram::new(&db, &alloc, 10.0).expect("program builds");
+    let frequencies = db.iter().map(|d| d.frequency()).collect();
+    let source = ScriptedSource::new(vec![(
+        0,
+        SourceGeneration { generation: 0, program, frequencies },
+    )]);
+    // No subscriber: what is left is the egress itself, which encodes
+    // every window and hands it to the fan-out.
+    let server = BroadcastServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+    let config = EgressConfig {
+        index: Some(IndexParams { index_size: 0.5, header_size: 0.05 }),
+        max_windows: Some(WINDOWS),
+        pace: None,
+    };
+
+    let (before, _) = allocation_counts();
+    let report = run_egress(&server, &source, &config, &AtomicBool::new(false))
+        .expect("egress runs");
+    let (after, _) = allocation_counts();
+    server.shutdown();
+    assert!(report.frames > 20 * WINDOWS, "{} frames in {WINDOWS} windows", report.frames);
+    // Putting the generation on the air and its directory allocate a
+    // fixed amount; one allocation per frame would be >= 20 per window.
+    let allocs = after - before;
+    assert!(
+        allocs < 8 * WINDOWS,
+        "the egress allocated {allocs} time(s) for {} frames in {WINDOWS} windows",
+        report.frames
     );
 }

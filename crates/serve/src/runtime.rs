@@ -213,7 +213,7 @@ pub struct ProgramGeneration {
 pub struct RepairReport {
     /// `"full"` or `"budgeted"`.
     pub mode: String,
-    /// CDS moves applied (budgeted mode; 0 for full recompute).
+    /// Items whose channel differs from the serving assignment's.
     pub moves: usize,
     /// Whether the budgeted repair ran out of moves with gain left.
     pub budget_exhausted: bool,
@@ -382,15 +382,16 @@ fn recompute(
 ) -> Option<(Vec<usize>, RepairReport)> {
     let _span = dbcast_obs::span!("serve.repair");
     let start = Instant::now();
-    let (alloc, moves, exhausted, bound) = match mode {
-        RepairMode::Full => (DrpCds::new().allocate(db, channels).ok()?, 0, false, 0.0),
+    let (alloc, exhausted, bound) = match mode {
+        RepairMode::Full => (DrpCds::new().allocate(db, channels).ok()?, false, 0.0),
         RepairMode::Budgeted { budget } => {
             let seed =
                 Allocation::from_assignment(db, channels, assignment.to_vec()).ok()?;
             let out = Cds::new().max_iterations(budget).refine(db, seed).ok()?;
-            (out.allocation, out.steps.len(), !out.converged, out.remaining_gain_bound)
+            (out.allocation, !out.converged, out.remaining_gain_bound)
         }
     };
+    let moves = alloc.assignment().iter().zip(assignment).filter(|(a, b)| a != b).count();
     let repair = RepairReport {
         mode: mode.name().to_string(),
         moves,

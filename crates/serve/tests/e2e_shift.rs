@@ -3,8 +3,14 @@
 //! it, hot-swap the program at a cycle boundary without dropping a
 //! request, and converge the serving Eq. 3 cost to within 10% of an
 //! oracle DRP-CDS re-run on the *true* post-shift workload.
+//!
+//! The flight ring is process-global; the tests hold one lock so no
+//! other run records into the ring while one is read back.
+
+use std::sync::Mutex;
 
 use dbcast_alloc::DrpCds;
+use dbcast_flight::EventKind;
 use dbcast_model::{Allocation, ChannelAllocator};
 use dbcast_serve::{
     shifted_trace, shifted_workload, DriftDetector, EstimatorConfig, RepairMode,
@@ -14,6 +20,8 @@ use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 const CHANNELS: usize = 5;
 const SEED: u64 = 41;
+
+static RING: Mutex<()> = Mutex::new(());
 
 fn scenario(
 ) -> (dbcast_model::Database, dbcast_model::Database, dbcast_workload::RequestTrace) {
@@ -48,6 +56,7 @@ fn config() -> ServeConfig {
 
 #[test]
 fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let (pre, post, trace) = scenario();
     let runtime = ServeRuntime::new(&pre, config()).unwrap();
     let report = runtime.run(&trace).unwrap();
@@ -109,6 +118,7 @@ fn detects_the_shift_swaps_at_a_boundary_and_converges_to_the_oracle() {
 
 #[test]
 fn the_acceptance_run_is_seed_replayable() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let (pre, _, trace) = scenario();
     let mut reports = (0..2).map(|_| {
         let runtime = ServeRuntime::new(&pre, config()).unwrap();
@@ -128,6 +138,7 @@ fn the_acceptance_run_is_seed_replayable() {
 
 #[test]
 fn budgeted_repair_also_closes_most_of_the_gap() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let (pre, post, trace) = scenario();
     let mut cfg = config();
     cfg.repair = RepairMode::Budgeted { budget: 64 };
@@ -152,6 +163,7 @@ fn budgeted_repair_also_closes_most_of_the_gap() {
 
 #[test]
 fn one_shift_at_n2000_is_absorbed_in_a_few_swaps() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     // The CLI shape `serve --items 2000 --channels 16 --poisson 50
     // --requests 200000 --shift-at 0.5 --seed 3`: one θ=1.2 shift onto
     // the catalogue's cold half, halfway through.
@@ -171,4 +183,46 @@ fn one_shift_at_n2000_is_absorbed_in_a_few_swaps() {
     assert!(report.swaps <= 5, "{} swaps for one shift", report.swaps);
     let mean = report.waiting.mean();
     assert!(mean <= 60.94, "mean wait {mean:.4} s");
+}
+
+#[test]
+fn every_full_repair_reports_the_items_it_moves() {
+    let _ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    let (pre, _, trace) = scenario();
+    let first_seq = dbcast_flight::recorder().recorded();
+    let report = ServeRuntime::new(&pre, config()).unwrap().run(&trace).unwrap();
+    let events = dbcast_flight::recorder().snapshot();
+    assert!(report.swaps >= 1, "no swap performed: {report:?}");
+
+    // The assignment serving just before a generation installs: a run
+    // cut at that generation's install tick ends on it.
+    let serving_before = |tick: u64| {
+        let capped = ServeConfig { max_ticks: Some(tick), ..config() };
+        ServeRuntime::new(&pre, capped).unwrap().run(&trace).unwrap().final_assignment
+    };
+    let gens = &report.generations;
+    for (k, g) in gens.iter().enumerate().skip(1) {
+        let repair = g.repair.as_ref().expect("installed generations carry their repair");
+        let before = serving_before(g.installed_tick);
+        let after = match gens.get(k + 1) {
+            Some(next) => serving_before(next.installed_tick),
+            None => report.final_assignment.clone(),
+        };
+        let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
+        assert!(repair.moves > 0, "generation {} installed no move", g.generation);
+        assert_eq!(repair.moves, moved, "generation {}", g.generation);
+        // The boundary that dispatched the repair, on the generation it
+        // replaces, records the move count as the outcome's extra.
+        let wall_ms = repair.wall_ns as f64 / 1e6;
+        let event = events
+            .iter()
+            .find(|e| {
+                e.seq >= first_seq
+                    && e.kind == EventKind::RepairOutcome
+                    && e.generation == g.generation - 1
+                    && e.value.to_bits() == wall_ms.to_bits()
+            })
+            .unwrap_or_else(|| panic!("no repair_outcome event for {}", g.generation));
+        assert_eq!(event.extra, repair.moves as u64, "generation {}", g.generation);
+    }
 }

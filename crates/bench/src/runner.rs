@@ -14,17 +14,6 @@ use crate::report::{write_reports, ReportTable};
 use crate::sweep::run_sweep;
 use crate::timing::run_timing_sweep;
 
-/// Writes the telemetry snapshot accumulated so far next to a figure's
-/// report files (`<stem>.metrics.json`). A no-op unless the caller
-/// turned recording on ([`dbcast_obs::set_enabled`]); the bench
-/// binaries never do.
-fn write_metrics_json(dir: &Path, stem: &str) -> io::Result<()> {
-    if dbcast_obs::enabled() {
-        dbcast_obs::snapshot::write_global(&dir.join(format!("{stem}.metrics.json")))?;
-    }
-    Ok(())
-}
-
 fn waiting_figure(
     config: &ExperimentConfig,
     axis: SweepAxis,
@@ -34,9 +23,7 @@ fn waiting_figure(
 ) -> io::Result<String> {
     let result = run_sweep(config, &axis, &AlgoSpec::paper_lineup());
     let table = ReportTable::from_sweep(title, &result);
-    let md = write_reports(dir, stem, &table)?;
-    write_metrics_json(dir, stem)?;
-    Ok(md)
+    write_reports(dir, stem, &table)
 }
 
 /// Figure 2: number of channels `K` vs average waiting time.
@@ -109,9 +96,7 @@ pub fn run_fig6(config: &ExperimentConfig, dir: &Path) -> io::Result<String> {
         run_timing_sweep(config, &SweepAxis::paper_channels(), &AlgoSpec::timing_lineup());
     let table =
         ReportTable::from_timing("Figure 6: channel number K vs execution time", &result);
-    let md = write_reports(dir, "fig6_exec_channels", &table)?;
-    write_metrics_json(dir, "fig6_exec_channels")?;
-    Ok(md)
+    write_reports(dir, "fig6_exec_channels", &table)
 }
 
 /// Figure 7: number of broadcast items `N` vs execution time.
@@ -124,9 +109,7 @@ pub fn run_fig7(config: &ExperimentConfig, dir: &Path) -> io::Result<String> {
         run_timing_sweep(config, &SweepAxis::paper_items(), &AlgoSpec::timing_lineup());
     let table =
         ReportTable::from_timing("Figure 7: broadcast items N vs execution time", &result);
-    let md = write_reports(dir, "fig7_exec_items", &table)?;
-    write_metrics_json(dir, "fig7_exec_items")?;
-    Ok(md)
+    write_reports(dir, "fig7_exec_items", &table)
 }
 
 /// Tables 2–4: replays the paper's worked example (the Table 2 profile,
@@ -190,7 +173,6 @@ pub fn run_tables(dir: &Path) -> io::Result<String> {
 
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("tables_2_3_4.md"), &md)?;
-    write_metrics_json(dir, "tables_2_3_4")?;
     Ok(md)
 }
 
@@ -236,9 +218,7 @@ pub fn run_sim_validation(config: &ExperimentConfig, dir: &Path) -> io::Result<S
             format!("{:.4}", report.ci95),
         ]);
     }
-    let md = write_reports(dir, "sim_validation", &table)?;
-    write_metrics_json(dir, "sim_validation")?;
-    Ok(md)
+    write_reports(dir, "sim_validation", &table)
 }
 
 #[cfg(test)]

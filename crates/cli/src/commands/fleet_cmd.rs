@@ -1,6 +1,7 @@
 //! `dbcast fleet` — run a simulated client fleet against a broadcast
-//! stream and report measured access / tuning times, or validate a
-//! saved fleet report.
+//! stream and report measured access / tuning times. The report is the
+//! `fleet-run` document (`--out`, `--json`); `dbcast flight check`
+//! validates a saved one.
 
 use dbcast_alloc::DrpCds;
 use dbcast_model::{BroadcastProgram, ChannelAllocator, Database};
@@ -9,13 +10,12 @@ use dbcast_net::{
     FleetReport, IndexParams, NetConfig, ScriptedSource, SourceGeneration, UplinkConfig,
     WorkloadPattern,
 };
+use dbcast_obs::doc;
 
 use crate::args::Args;
 use crate::commands::CliError;
 
-/// Dispatches `dbcast fleet [check]`.
-///
-/// Without an action, runs a fleet of `--clients` concurrent clients:
+/// Runs `dbcast fleet`: a fleet of `--clients` concurrent clients
 /// against a live server (`--connect ADDR`, e.g. one started by `dbcast
 /// serve --listen-bcast`) or against an in-process loopback stream
 /// built from `--items/--theta/--phi/--seed/--channels/--bandwidth`
@@ -26,39 +26,19 @@ use crate::commands::CliError;
 /// `dbcast serve --listen-uplink` aggregator; `--straggle-ms MS` paces
 /// client 0's acks to drill the straggler detection.
 ///
-/// The action `check` validates a saved report (`--input FILE`) and
-/// exits non-zero when any invariant fails — the CI smoke contract.
-///
 /// # Errors
 ///
-/// Bad option domains, I/O failures, fleet runtime failures, report
-/// validation failures.
+/// An action (`fleet` takes none; `dbcast flight check` validates a
+/// saved report), bad option domains, I/O failures, fleet runtime
+/// failures.
 pub fn run_fleet_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    match args.action() {
-        Some("check") => run_check(args, out),
-        Some(other) => Err(CliError::InvalidOption(format!(
-            "fleet action {other:?}; expected no action (run) or check"
-        ))),
-        None => run_run(args, out),
+    if let Some(action) = args.action() {
+        return Err(CliError::InvalidOption(format!(
+            "fleet action {action:?}; fleet takes none (validate a saved report with \
+             `dbcast flight check`)"
+        )));
     }
-}
-
-fn run_check(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
-    let path = args.require::<String>("input")?;
-    let raw = std::fs::read_to_string(&path)?;
-    let report: FleetReport = serde_json::from_str(&raw)
-        .map_err(|e| CliError::Fleet(format!("{path}: not a fleet report: {e}")))?;
-    report.validate().map_err(|e| CliError::Fleet(format!("{path}: {e}")))?;
-    writeln!(
-        out,
-        "{path}: valid fleet report (schema {}, {} client(s), {} request(s), \
-         {} completed)",
-        report.schema,
-        report.clients.len(),
-        report.totals.requests,
-        report.totals.completed
-    )?;
-    Ok(())
+    run_run(args, out)
 }
 
 fn parse_config(args: &Args) -> Result<FleetConfig, CliError> {
@@ -159,15 +139,11 @@ fn run_run(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
     };
 
     if let Some(path) = args.opt::<String>("out")? {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        std::fs::write(&path, json + "\n")?;
+        std::fs::write(&path, doc::render(&report))?;
         writeln!(out, "fleet report written to {path}")?;
     }
     if args.switch("json") {
-        serde_json::to_writer_pretty(&mut *out, &report)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        writeln!(out)?;
+        write!(out, "{}", doc::render(&report))?;
         return Ok(());
     }
 
@@ -301,56 +277,60 @@ fn default_windows(
 mod tests {
     use super::*;
     use crate::args::Args;
+    use crate::commands::run_flight;
 
     fn parse(raw: &[&str]) -> Args {
         Args::parse(raw.iter().map(|s| s.to_string())).expect("args parse")
     }
 
+    /// `dbcast flight check --input path`.
+    fn flight_check(path: &str) -> Result<String, CliError> {
+        let mut out = Vec::new();
+        run_flight(&parse(&["flight", "check", "--input", path]), &mut out)?;
+        Ok(String::from_utf8(out).expect("utf8"))
+    }
+
     #[test]
-    fn inline_fleet_runs_and_check_accepts_its_report() {
+    fn inline_fleet_report_passes_flight_check() {
         let dir =
             std::env::temp_dir().join(format!("dbcast-fleet-cmd-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("report.json");
         let path_str = path.to_str().expect("utf8 path").to_string();
-        let args = parse(&[
-            "fleet",
-            "--clients",
-            "2",
-            "--requests",
-            "24",
-            "--rate",
-            "2.0",
-            "--items",
-            "12",
-            "--channels",
-            "2",
-            "--seed",
-            "5",
-            "--out",
-            &path_str,
-        ]);
-        let mut out = Vec::new();
-        run_fleet_cmd(&args, &mut out).expect("fleet runs");
-        let check = parse(&["fleet", "check", "--input", &path_str]);
-        let mut out2 = Vec::new();
-        run_fleet_cmd(&check, &mut out2).expect("report validates");
-        let text = String::from_utf8(out2).expect("utf8");
-        assert!(text.contains("valid fleet report"), "{text}");
+        let run =
+            "fleet --clients 2 --requests 24 --rate 2.0 --items 12 --channels 2 --seed 5";
+        let mut args: Vec<&str> = run.split(' ').collect();
+        args.extend(["--out", &path_str]);
+        run_fleet_cmd(&parse(&args), &mut Vec::new()).expect("fleet runs");
+        let text = flight_check(&path_str).expect("report validates");
+        assert!(text.contains("valid fleet-run document"), "{text}");
+        assert!(text.contains("2 client(s), 48 request(s)"), "{text}");
+        // The document's check is `FleetReport::validate`.
+        let torn = std::fs::read_to_string(&path).expect("report").replacen(
+            "\"torn_frames\": 0",
+            "\"torn_frames\": 1",
+            1,
+        );
+        std::fs::write(&path, torn).expect("write");
+        let err = flight_check(&path_str).expect_err("a torn frame fails the check");
+        assert!(err.to_string().contains("client 0 saw 1 torn frames"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn check_rejects_garbage() {
+    fn flight_check_rejects_a_garbage_fleet_report() {
         let dir =
             std::env::temp_dir().join(format!("dbcast-fleet-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("bad.json");
-        std::fs::write(&path, "{\"schema\": 999}").expect("write");
-        let args = parse(&["fleet", "check", "--input", path.to_str().expect("utf8")]);
-        let mut out = Vec::new();
-        let err = run_fleet_cmd(&args, &mut out).expect_err("must reject");
-        assert!(matches!(err, CliError::Fleet(_)), "{err}");
+        for bad in [
+            "{\"schema\": 999}",
+            "{\"schema\": 1, \"kind\": \"fleet-run\", \"body\": {\"schema\": 1}}",
+        ] {
+            std::fs::write(&path, bad).expect("write");
+            let err = flight_check(path.to_str().expect("utf8")).expect_err("must reject");
+            assert!(matches!(err, CliError::InvalidOption(_)), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,13 +2,14 @@
 //!
 //! * `dbcast flight dump --input <file|dir>` — summarize a postmortem
 //!   dump (the latest one when given a directory),
-//! * `dbcast flight check --input <file|http://host:port/path>` —
-//!   validate any telemetry document: JSON input is decoded from its
-//!   `dbcast_obs::doc` envelope and checked by the type its `kind`
-//!   names (`flight`, `postmortem`, `status`, `exemplars`, `fleet`;
-//!   `--max-gap G` also bounds every fleet generation's
-//!   observed-vs-Eq. 2 gap); anything else must be an OpenMetrics
-//!   scrape (`--min-exemplars N` requires N exemplar annotations),
+//! * `dbcast flight check --input <file|http://host:port/path>` — the
+//!   one validator for every telemetry document: JSON input is decoded
+//!   from its `dbcast_obs::doc` envelope and checked by the type its
+//!   `kind` names (`metrics`, `flight`, `postmortem`, `status`,
+//!   `exemplars`, `fleet`, `fleet-run`; `--max-gap G` also bounds every
+//!   `fleet` generation's observed-vs-Eq. 2 gap); anything else must be
+//!   an OpenMetrics scrape (`--min-exemplars N` requires N exemplar
+//!   annotations),
 //! * `dbcast flight catalog` — print the metrics catalogue as the
 //!   markdown committed at `docs/METRICS.md`.
 
@@ -16,7 +17,9 @@ use std::path::{Path, PathBuf};
 
 use dbcast_audit::AuditSnapshot;
 use dbcast_flight::{FlightDoc, Postmortem, StatusDoc};
+use dbcast_net::FleetReport;
 use dbcast_obs::doc::{self, Document, Envelope};
+use dbcast_obs::snapshot::Snapshot;
 use dbcast_serve::FleetDoc;
 
 use crate::args::Args;
@@ -102,16 +105,13 @@ fn run_dump(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> 
             e.extra,
         )?;
     }
-    let count =
-        |k: &str| dump.metrics.get(k).and_then(|m| m.as_map()).map_or(0, |m| m.len());
-    writeln!(
-        out,
-        "metrics snapshot: {} counter(s), {} gauge(s), {} histogram(s)",
-        count("counters"),
-        count("gauges"),
-        count("histograms"),
-    )?;
+    writeln!(out, "metrics snapshot: {}", metrics_summary(&dump.metrics))?;
     Ok(())
+}
+
+fn metrics_summary(m: &Snapshot) -> String {
+    let (c, g, h) = (m.counters.len(), m.gauges.len(), m.histograms.len());
+    format!("{c} counter(s), {g} gauge(s), {h} histogram(s)")
 }
 
 fn run_check(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError> {
@@ -140,6 +140,15 @@ fn run_check(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliError>
     }
     let envelope = Envelope::parse(&body).map_err(|e| invalid(&e))?;
     let summary = match envelope.kind.as_str() {
+        Snapshot::KIND => metrics_summary(&envelope.open().map_err(|e| invalid(&e))?),
+        FleetReport::KIND => {
+            let d: FleetReport = envelope.open().map_err(|e| invalid(&e))?;
+            let (clients, t) = (d.clients.len(), d.totals);
+            format!(
+                "{clients} client(s), {} request(s), {} completed",
+                t.requests, t.completed
+            )
+        }
         FlightDoc::KIND => {
             let d: FlightDoc = envelope.open().map_err(|e| invalid(&e))?;
             format!(
@@ -307,8 +316,11 @@ mod tests {
         for &kind in events {
             ring.record(dbcast_flight::FlightEvent::new(kind, 1, 0, 0.5));
         }
-        let metrics = r#"{"counters": {"serve.ticks": 1}, "gauges": {}, "histograms": {}}"#;
-        let metrics = serde_json::from_str(metrics).unwrap();
+        let metrics = Snapshot {
+            counters: vec![("serve.ticks".into(), 1)],
+            gauges: vec![],
+            histograms: vec![],
+        };
         doc::render(&Postmortem {
             reason: reason.into(),
             unix_ms: 0,

@@ -1,12 +1,12 @@
 //! `dbcast stats` — run one allocation with telemetry enabled and
-//! print the collected metrics snapshot as JSON.
+//! print the collected metrics snapshot as a `metrics` document.
 
 use crate::args::Args;
 use crate::commands::{algorithm_by_name, CliError};
 
 /// Allocates a workload with `--algo NAME` (default `drp-cds`) under
 /// full telemetry and prints the registry snapshot (counters, gauges,
-/// span-timer histograms; schema version 3) to stdout.
+/// span-timer histograms) to stdout as a `metrics` document.
 ///
 /// With `--simulate`, additionally drives the discrete-event simulator
 /// so engine counters and queue-depth histograms populate too.
@@ -53,6 +53,6 @@ pub fn run_stats(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         );
     }
 
-    write!(out, "{}", dbcast_obs::registry().snapshot().to_json())?;
+    write!(out, "{}", dbcast_obs::doc::render(&dbcast_obs::registry().snapshot()))?;
     Ok(())
 }

@@ -27,11 +27,12 @@ COMMANDS:
                     drift, re-allocate and hot-swap the program
     fleet           Simulated client fleet over the framed TCP broadcast
                     transport: measure per-request access and tuning
-                    time against the Eq. 2 expectations (run | check)
+                    time against the Eq. 2 expectations
     paper-example   Replay the paper's Tables 2-4 worked example
     sweep           Run one of the paper's parameter sweeps
     index           (1, m) air-indexing report (access/tuning/energy)
-    stats           Run one allocation under telemetry, print metrics JSON
+    stats           Run one allocation under telemetry, print the metrics
+                    document
     conformance     Fuzz every allocator against the invariant suite
     flight          Inspect telemetry artifacts (dump | check | catalog)
     top             Live operator console over a serving process's /metrics
@@ -50,7 +51,7 @@ COMMON OPTIONS:
     --channels K      Broadcast channels           [default: 6]
     --bandwidth B     Size units per second        [default: 10]
     --algo NAME       flat|vfk|greedy|drp|drp-cds|dp|gopt [default: drp-cds]
-    --metrics-out P   Write a telemetry snapshot (JSON) to P after the command
+    --metrics-out P   Write the metrics document (JSON) to P after the command
     --trace-out P     Write a Chrome trace (chrome://tracing / Perfetto) of
                       the command's span tree to P
     --log-level L     error|warn|info|debug|trace  [default: warn]
@@ -123,12 +124,11 @@ COMMAND-SPECIFIC:
                --pattern P    single|frequent              [default: single]
                --patterns N   frequent-pattern pool size   [default: 8]
                --max-size M   max items per frequent set   [default: 4]
-               --out PATH     write the fleet report JSON to PATH
-               --json         print the fleet report JSON to stdout
+               --out PATH     write the fleet-run document to PATH
+                              (validate it with `flight check`)
+               --json         print the fleet-run document to stdout
                --once         single measurement pass (the default; CI
                               symmetry with `dbcast top --once`)
-    fleet check: --input FILE validate a saved fleet report; any
-                              violated invariant exits non-zero
     sweep:     --axis A       k | n | phi | theta  [default: k]
                --seeds S      average over S seeds
                --quick        3 seeds instead of 20
@@ -143,9 +143,11 @@ COMMAND-SPECIFIC:
                check         validate any telemetry document or an
                              OpenMetrics scrape (--input FILE or
                              http://H:P/PATH); JSON dispatches on its
-                             envelope kind; --max-gap G bounds a fleet
-                             document's Eq. 2 gaps, --min-exemplars N
-                             requires N scrape exemplars
+                             envelope kind (metrics, flight, postmortem,
+                             status, exemplars, fleet, fleet-run) and any
+                             violated invariant exits non-zero; --max-gap
+                             G bounds a fleet document's Eq. 2 gaps,
+                             --min-exemplars N requires N scrape exemplars
                catalog       print the metrics catalogue (docs/METRICS.md)
     trace:     dump | slowest | residuals | explain
                --input FILE  a saved /exemplars document, or

@@ -15,6 +15,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use dbcast_obs::doc::{self, Document};
+use dbcast_obs::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
 
 use crate::{recorder, FlightDoc};
@@ -30,8 +31,8 @@ pub struct Postmortem {
     pub unix_ms: u64,
     /// The flight ring at dump time.
     pub flight: FlightDoc,
-    /// The obs registry snapshot (its own versioned JSON shape).
-    pub metrics: serde_json::Value,
+    /// The obs registry snapshot, checked as the `metrics` document is.
+    pub metrics: Snapshot,
 }
 
 impl Postmortem {
@@ -41,20 +42,17 @@ impl Postmortem {
             reason: reason.to_string(),
             unix_ms: unix_ms(),
             flight: recorder().doc(),
-            metrics: serde_json::from_str(&dbcast_obs::registry().snapshot().to_json())
-                .unwrap_or(serde_json::Value::Null),
+            metrics: dbcast_obs::registry().snapshot(),
         }
     }
 }
 
 impl Document for Postmortem {
     const KIND: &'static str = "postmortem";
-    const SCHEMA: u32 = 1;
+    const SCHEMA: u32 = 2;
 
     fn check(&self) -> Result<(), String> {
-        if self.metrics.as_map().is_none() {
-            return Err("metrics is not a snapshot object".into());
-        }
+        self.metrics.check().map_err(|e| format!("metrics: {e}"))?;
         self.flight.check()
     }
 }
@@ -155,7 +153,6 @@ mod tests {
         let dump: Postmortem = doc::decode(&body).expect("dump decodes");
         assert_eq!(dump.reason, "unit-test incident");
         assert!(dump.flight.events.iter().any(|e| e.kind == EventKind::DriftScore));
-        assert!(dump.metrics.get("counters").is_some(), "{body}");
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(name.starts_with("postmortem-") && name.ends_with(".json"), "{name}");
         let _ = std::fs::remove_dir_all(&dir);

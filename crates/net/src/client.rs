@@ -23,7 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{DataFrame, Frame, FrameDecoder, IndexFrame};
-use crate::world::{Directory, WorldView};
+use crate::world::{airs_by, Directory, WorldView};
 
 /// Which cache policy a client runs in front of the broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -466,7 +466,7 @@ fn measure_one(
             break;
         };
         let boundary = world.valid_until;
-        if plan.completion > boundary + 1e-9 {
+        if !airs_by(plan.completion, boundary) {
             // The planned download would cross a hot swap: whatever was
             // on the air gets truncated at the boundary, so the client
             // burns its listening up to the boundary and retunes under

@@ -8,10 +8,11 @@
 //! which case the straddler is **dropped**: it never fully aired, so a
 //! correct client must not count on it. The new generation starts its
 //! phase 0 exactly at the boundary, and the swap is announced on the
-//! wire by a fresh [`Directory`] frame. Clients mirror
-//! the same rule (a planned fetch only counts if it completes before the
-//! directory's `valid_until`), which is what makes hot swaps visible but
-//! never *torn* on the wire.
+//! wire by a fresh [`Directory`] frame. "Finishes by" is one function
+//! (`world::airs_by`), which clients also call, on a planned fetch's
+//! completion and the directory's `valid_until`. Sharing it, tolerance
+//! included, is what makes hot swaps visible but never *torn* on the
+//! wire.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,7 +25,7 @@ use crate::frame::{
     encode_data_frame_into, encode_frame, encode_frame_into, encode_index_frame_into,
     DataFrame, Frame, IndexEntry,
 };
-use crate::world::{Directory, IndexParams};
+use crate::world::{airs_by, Directory, IndexParams};
 use crate::BroadcastServer;
 
 /// A self-contained description of one generation to put on the air.
@@ -286,7 +287,7 @@ impl OnAir {
         for (c, cursor) in self.cursors.iter_mut().enumerate() {
             loop {
                 let (start, end) = cursor.peek(origin, bandwidth);
-                if end > window_end + 1e-12 {
+                if !airs_by(end, window_end) {
                     break;
                 }
                 let (channel, pos) = (cursor.channel, cursor.pos as u32);
@@ -352,7 +353,7 @@ impl OnAir {
             .iter()
             .filter(|c| {
                 let (start, end) = c.peek(origin, bandwidth);
-                start < boundary - 1e-12 && end > boundary + 1e-12
+                start < boundary - 1e-12 && !airs_by(end, boundary)
             })
             .count() as u64
     }
@@ -442,10 +443,12 @@ mod tests {
     use std::net::TcpStream;
 
     use dbcast_alloc::DrpCds;
-    use dbcast_model::ChannelAllocator;
+    use dbcast_model::{Allocation, ChannelAllocator, Database, ItemSpec};
     use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
     use super::*;
+    use crate::client::{measure, AirLog, GeneratedRequest};
+    use crate::fleet::FleetConfig;
     use crate::frame::{IndexFrame, HEADER_LEN, TRAILER_LEN};
     use crate::{NetConfig, OverflowPolicy};
 
@@ -616,6 +619,37 @@ mod tests {
             ends.push(at);
         }
         (bytes, ends, report)
+    }
+
+    /// The frame that ends 5e-10 s past a swap is truncated by the
+    /// egress, so a client that planned it must retune, not count it:
+    /// a client tolerance looser than the egress's tore such frames.
+    #[test]
+    fn a_frame_ending_just_past_a_swap_is_retuned_not_torn() {
+        let specs = [(0.4, 1.0), (0.3, 0.5), (0.3, 0.5 + 5e-10)];
+        let db = Database::try_from_specs(specs.map(|(f, z)| ItemSpec::new(f, z)).to_vec())
+            .expect("valid items");
+        let alloc = Allocation::from_assignment(&db, 2, vec![0, 1, 1]).expect("valid");
+        let program = BroadcastProgram::new(&db, &alloc, 1.0).expect("builds");
+        // Channel 0 sets the 1 s window; channel 1's second frame ends
+        // at 1 + 5e-10, just after the swap at window 1.
+        let late = program.channels()[1].slots().last().expect("two slots").item;
+        let frequencies: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
+        let stage = |generation| {
+            let (program, frequencies) = (program.clone(), frequencies.clone());
+            (generation, SourceGeneration { generation, program, frequencies })
+        };
+        let source = ScriptedSource::new(vec![stage(0), stage(1)]);
+        let (bytes, _, report) = egress_stream(&source, None);
+        assert_eq!(report.truncated, 1, "the late frame must be cut at the swap");
+        let log = AirLog::record(&bytes[..]).expect("the stream records");
+        assert_eq!(log.worlds[0].valid_until, 1.0);
+        let request = GeneratedRequest { arrival: 0.25, items: vec![late] };
+        let outcomes =
+            measure(&FleetConfig::default().client(0), &log, &[request]).expect("measures");
+        let outcome = &outcomes[0];
+        assert_eq!((outcome.torn, outcome.retunes), (0, 1), "{outcome:?}");
+        assert!(!outcome.incomplete);
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! Every fleet member runs the full client pipeline (subscribe → record
 //! the air → measure analytically) on its own thread with its own seed,
 //! then the fleet joins them in id order and folds the results into a
-//! schema-versioned [`FleetReport`]. Because each client's measurement
-//! depends only on its seed and the recorded frames — never on thread
-//! interleaving — the same seed over the same program yields a
-//! bit-identical report.
+//! [`FleetReport`], the `fleet-run` telemetry document. Because each
+//! client's measurement depends only on its seed and the recorded
+//! frames — never on thread interleaving — the same seed over the same
+//! program yields a bit-identical report.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dbcast_obs::doc::Document;
 use dbcast_serve::FleetDigest;
 use serde::{Deserialize, Serialize};
 
@@ -42,6 +43,7 @@ pub const FLEET_SCHEMA: u32 = 1;
 
 /// Fleet-level workload knobs; per-client configs are derived from this.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetConfig {
     /// Number of concurrent clients.
     pub clients: usize,
@@ -98,6 +100,7 @@ impl FleetConfig {
 
 /// Order statistics of one measured series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StatSummary {
     /// Number of samples.
     pub count: u64,
@@ -151,6 +154,7 @@ impl StatSummary {
 
 /// One generation as experienced by one client.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GenerationSlice {
     /// Generation counter from the directory.
     pub generation: u64,
@@ -173,6 +177,7 @@ pub struct GenerationSlice {
 
 /// One fleet member's results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClientReport {
     /// Client id within the fleet.
     pub id: usize,
@@ -202,6 +207,7 @@ pub struct ClientReport {
 
 /// Fleet-wide sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetTotals {
     /// Requests across all clients.
     pub requests: u64,
@@ -222,8 +228,10 @@ pub struct FleetTotals {
     pub dropped_frames: Option<u64>,
 }
 
-/// The schema-versioned fleet run artifact.
+/// The fleet run artifact: the `fleet-run` document (schema
+/// [`FLEET_SCHEMA`]), whose check is [`FleetReport::validate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetReport {
     /// Schema version, [`FLEET_SCHEMA`].
     pub schema: u32,
@@ -313,6 +321,15 @@ impl FleetReport {
             }
         }
         Ok(())
+    }
+}
+
+impl Document for FleetReport {
+    const KIND: &'static str = "fleet-run";
+    const SCHEMA: u32 = FLEET_SCHEMA;
+
+    fn check(&self) -> Result<(), String> {
+        self.validate()
     }
 }
 

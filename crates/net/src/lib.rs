@@ -20,8 +20,8 @@
 //!   `model` and `index` crates schedule them.
 //! * [`client`] — record-then-measure clients composing the `index` and
 //!   `cache` crates over the recorded air.
-//! * [`fleet`] — N concurrent clients folded into a schema-versioned,
-//!   bit-reproducible [`FleetReport`].
+//! * [`fleet`] — N concurrent clients folded into a bit-reproducible
+//!   [`FleetReport`], the `fleet-run` telemetry document.
 //! * [`uplink`] — the reverse path: clients push generation-stamped
 //!   telemetry digests over a second TCP connection, decoded with the
 //!   same envelope discipline and folded into the serve-side

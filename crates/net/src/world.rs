@@ -59,6 +59,14 @@ pub struct FetchPlan {
     pub tuning: f64,
 }
 
+/// Whether a frame ending at `end` airs whole by `boundary` (a window's
+/// end, or a hot swap). The egress holds back, and at a swap truncates,
+/// every frame this rejects; a client retunes rather than count on one.
+/// One tolerance on both sides: any gap between them tears frames.
+pub(crate) fn airs_by(end: f64, boundary: f64) -> bool {
+    end <= boundary + 1e-12
+}
+
 /// A decoded directory plus the derived per-channel air indexes.
 #[derive(Debug)]
 pub struct WorldView {

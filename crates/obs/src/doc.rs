@@ -1,7 +1,11 @@
 //! The one envelope every telemetry document travels in.
 //!
-//! `/flight`, `/status`, `/exemplars`, `/fleet` and postmortem dumps
-//! are all rendered by [`render`] and read back by [`decode`]:
+//! Every schema-versioned JSON document the workspace writes is
+//! rendered by [`render`] and read back by [`decode`]: the metrics
+//! snapshot (`--metrics-out`, `dbcast stats`), postmortem dumps, the
+//! fleet run report (`dbcast fleet --out`/`--json`) and the `/flight`,
+//! `/status`, `/exemplars` and `/fleet` endpoints. `dbcast flight check`
+//! validates any of them by its `kind`:
 //!
 //! ```text
 //! { "schema": <u32>, "kind": "<Document::KIND>", "body": { … } }

@@ -2,11 +2,12 @@
 //! monotonic counters, gauges, log-scale histograms with lock-free
 //! recording, RAII span timers, hierarchical span trees with
 //! self-time attribution and Chrome trace-event export ([`tree`]),
-//! a leveled logger, a JSON snapshot exporter, the seqlock ring
-//! ([`ring::SeqRing`]) under the flight recorder and the audit trace
-//! ring, and the one envelope every telemetry document is rendered and
-//! decoded through ([`doc`]). Its only dependencies are the
-//! workspace's serde shims.
+//! a leveled logger, registry snapshots (the `metrics` document,
+//! [`snapshot`]), the seqlock ring ([`ring::SeqRing`]) under the flight
+//! recorder and the audit trace ring, and the one envelope every
+//! telemetry document is rendered and decoded through ([`doc`]). Its
+//! only dependencies are the workspace's serde shims, and every JSON it
+//! writes goes through them.
 //!
 //! Optimizer progress (DRP's splits, CDS's moves, GOPT's best cost per
 //! generation) is not recorded here: each optimizer returns it in its

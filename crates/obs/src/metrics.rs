@@ -170,114 +170,25 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Dense per-bucket cumulative counts (one relaxed load per
-    /// bucket; no allocation).
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Mean observation, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        let n = self.count();
-        (n > 0).then(|| self.sum() as f64 / n as f64)
-    }
-
-    /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
-    }
-
-    /// Upper-bound estimate of the `q`-th percentile (`0..=100`): the
-    /// inclusive upper bound of the first bucket whose cumulative
-    /// count reaches `q%` of observations, clamped to the observed
-    /// min/max. `None` when empty.
-    ///
-    /// **Caution:** because the buckets are powers of two, the upper
-    /// bound can overstate the true percentile by up to 2× (the full
-    /// bucket width) — e.g. a p95 that truly sits at 520 ns reports as
-    /// 1023 ns. Use [`percentile_bounds`](Self::percentile_bounds) for
-    /// the honest `(lo, hi)` interval, or
-    /// [`percentile_midpoint`](Self::percentile_midpoint) for a
-    /// centered point estimate (what snapshots report).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        self.percentile_bounds(q).map(|(_, hi)| hi)
-    }
-
-    /// The `(lo, hi)` inclusive bounds of the bucket containing the
-    /// `q`-th percentile, clamped to the observed min/max — the true
-    /// percentile is guaranteed to lie within. `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile_bounds(&self, q: f64) -> Option<(u64, u64)> {
-        self.cells().percentile_bounds(q)
-    }
-
-    /// Midpoint of [`percentile_bounds`](Self::percentile_bounds): a
-    /// centered estimate whose error is at most half the bucket width,
-    /// where the raw upper bound can be pessimistic by the full width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile_midpoint(&self, q: f64) -> Option<u64> {
-        self.cells().percentile_midpoint(q)
-    }
-
-    /// Copies the non-empty buckets as `(upper_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        (0..BUCKETS)
-            .filter_map(|i| {
-                let c = self.buckets[i].load(Ordering::Relaxed);
-                (c > 0).then(|| (bucket_upper_bound(i), c))
-            })
-            .collect()
-    }
-
-    /// Freezes the current state into a plain-data snapshot. The
+    /// Freezes the current state into a plain-data snapshot, computed
+    /// from one [`cells`](Self::cells) read so that its count, bounds
+    /// and percentiles all describe the same observations. The
     /// percentile fields are bucket **midpoints**
-    /// ([`percentile_midpoint`](Self::percentile_midpoint)), not the
-    /// pessimistic bucket upper bounds.
+    /// ([`HistogramCells::percentile_midpoint`]), not the pessimistic
+    /// bucket upper bounds.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Read the buckets *before* the count: a record racing this
-        // snapshot (bucket bumped, count not yet) then at worst
-        // inflates `count` past the bucket total, never the other way
-        // around — so the cumulative OpenMetrics bucket series always
-        // stays <= the `+Inf`/`_count` line. The clamp covers a
-        // record landing wholly between the two reads.
-        let buckets = self.nonzero_buckets();
-        let bucket_total: u64 = buckets.iter().map(|&(_, c)| c).sum();
-        HistogramSnapshot {
-            count: self.count().max(bucket_total),
-            sum: self.sum(),
-            mean: self.mean().unwrap_or(0.0),
-            min: self.min().unwrap_or(0),
-            max: self.max().unwrap_or(0),
-            p50: self.percentile_midpoint(50.0).unwrap_or(0),
-            p90: self.percentile_midpoint(90.0).unwrap_or(0),
-            p95: self.percentile_midpoint(95.0).unwrap_or(0),
-            p99: self.percentile_midpoint(99.0).unwrap_or(0),
-            buckets,
-        }
+        self.cells().snapshot()
     }
 
     /// Freezes the raw cells — dense buckets plus count/sum/min/max —
-    /// as plain mergeable data. Like [`snapshot`](Self::snapshot) the
-    /// buckets are read before the count, and the count is clamped up
-    /// to the bucket total, so a racing record can only inflate
-    /// `count`, never leave it below the bucket series.
+    /// as plain mergeable data. The buckets are read before the count,
+    /// and the count is clamped up to the bucket total, so a racing
+    /// record can only inflate `count`, never leave it below the bucket
+    /// series (the cumulative OpenMetrics bucket lines stay at or under
+    /// `_count`).
     pub fn cells(&self) -> HistogramCells {
-        let buckets = self.bucket_counts();
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         let bucket_total: u64 = buckets.iter().sum();
         HistogramCells {
             buckets,
@@ -311,12 +222,6 @@ impl Histogram {
             self.min.fetch_min(cells.min, Ordering::Relaxed);
             self.max.fetch_max(cells.max, Ordering::Relaxed);
         }
-    }
-
-    /// Folds another histogram's current contents into this one (when
-    /// recording is enabled).
-    pub fn merge_from(&self, other: &Histogram) {
-        self.merge_cells(&other.cells());
     }
 
     pub(crate) fn reset(&self) {
@@ -443,12 +348,35 @@ impl HistogramCells {
     pub fn percentile_midpoint(&self, q: f64) -> Option<u64> {
         self.percentile_bounds(q).map(|(lo, hi)| lo + (hi - lo) / 2)
     }
+
+    /// These cells as a snapshot: the non-empty buckets, and zeros for
+    /// every statistic of an empty histogram.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let seen = |v: u64| if self.is_empty() { 0 } else { v };
+        let p = |q: f64| self.percentile_midpoint(q).unwrap_or(0);
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            mean: self.mean().unwrap_or(0.0),
+            min: seen(self.min),
+            max: seen(self.max),
+            p50: p(50.0),
+            p90: p(90.0),
+            p95: p(95.0),
+            p99: p(99.0),
+            buckets: (0..BUCKETS)
+                .filter(|&i| self.buckets[i] > 0)
+                .map(|i| (bucket_upper_bound(i), self.buckets[i]))
+                .collect(),
+        }
+    }
 }
 
 /// Plain-data copy of a [`Histogram`], used by snapshots. The `p*`
-/// fields are bucket-midpoint estimates (schema v2; v1 reported the
-/// bucket upper bound, overstating by up to 2×).
-#[derive(Debug, Clone, PartialEq)]
+/// fields are bucket-midpoint estimates (the bucket upper bound would
+/// overstate by up to 2×).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
@@ -490,11 +418,9 @@ mod tests {
         for v in [0u64, 1, 5, 5, 100, 1000] {
             h.force_record(v);
         }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1111);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(1000));
-        assert!((h.mean().unwrap() - 1111.0 / 6.0).abs() < 1e-12);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum, s.min, s.max), (6, 1111, 0, 1000));
+        assert!((s.mean - 1111.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -503,42 +429,39 @@ mod tests {
         for v in 1..=1000u64 {
             h.force_record(v);
         }
-        let p50 = h.percentile(50.0).unwrap();
-        let p90 = h.percentile(90.0).unwrap();
-        let p95 = h.percentile(95.0).unwrap();
-        let p100 = h.percentile(100.0).unwrap();
-        assert!(p50 <= p90 && p90 <= p95 && p95 <= p100);
-        assert_eq!(p100, 1000);
+        let cells = h.cells();
+        let hi = |q: f64| cells.percentile_bounds(q).unwrap().1;
+        assert!(hi(50.0) <= hi(90.0) && hi(90.0) <= hi(95.0) && hi(95.0) <= hi(100.0));
+        assert_eq!(hi(100.0), 1000);
         // p50 of 1..=1000 lands in the bucket holding 500, whose upper
         // bound is 511.
-        assert_eq!(p50, 511);
+        assert_eq!(hi(50.0), 511);
         // Estimates never leave the observed range.
-        assert!(h.percentile(0.0).unwrap() >= 1);
+        assert!(cells.percentile_bounds(0.0).unwrap().0 >= 1);
     }
 
     #[test]
     fn empty_histogram_yields_none() {
         let h = Histogram::new();
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.percentile_bounds(50.0), None);
-        assert_eq!(h.percentile_midpoint(50.0), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
+        let cells = h.cells();
+        assert_eq!(cells.percentile_bounds(50.0), None);
+        assert_eq!(cells.percentile_midpoint(50.0), None);
+        assert_eq!(cells.mean(), None);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min, s.max, s.p50, s.mean), (0, 0, 0, 0, 0.0));
     }
 
     #[test]
     fn percentile_upper_bound_can_overstate_but_bounds_bracket_the_truth() {
         // Two observations, 520 and 1000, both in bucket [512, 1023].
-        // The true p50 is 520; the raw upper-bound estimate reports
-        // max-clamped 1000 — nearly 2× pessimistic — while the bounds
-        // bracket the truth and the midpoint halves the error.
+        // The true p50 is 520; the bucket's max-clamped upper bound is
+        // 1000 — nearly 2× pessimistic — while the bounds bracket the
+        // truth and the midpoint halves the error.
         let h = Histogram::new();
         h.force_record(520);
         h.force_record(1000);
-        assert_eq!(h.percentile(50.0), Some(1000));
-        assert_eq!(h.percentile_bounds(50.0), Some((520, 1000)));
-        assert_eq!(h.percentile_midpoint(50.0), Some(760));
+        assert_eq!(h.cells().percentile_bounds(50.0), Some((520, 1000)));
+        assert_eq!(h.cells().percentile_midpoint(50.0), Some(760));
         // Snapshots report the midpoint, not the upper bound.
         assert_eq!(h.snapshot().p50, 760);
     }
@@ -549,15 +472,16 @@ mod tests {
         for v in 1..=1000u64 {
             h.force_record(v);
         }
+        let cells = h.cells();
         for q in [0.0, 50.0, 90.0, 99.0, 100.0] {
-            let (lo, hi) = h.percentile_bounds(q).unwrap();
+            let (lo, hi) = cells.percentile_bounds(q).unwrap();
             assert!(lo <= hi, "q={q}: lo {lo} > hi {hi}");
             assert!(lo >= 1 && hi <= 1000, "q={q}: ({lo}, {hi}) escapes [1, 1000]");
-            let mid = h.percentile_midpoint(q).unwrap();
+            let mid = cells.percentile_midpoint(q).unwrap();
             assert!((lo..=hi).contains(&mid));
         }
         // p50 of 1..=1000 is 500, inside bucket [256, 511].
-        assert_eq!(h.percentile_bounds(50.0), Some((256, 511)));
+        assert_eq!(cells.percentile_bounds(50.0), Some((256, 511)));
     }
 
     #[test]
@@ -599,7 +523,7 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 40_000);
-        let bucket_total: u64 = h.nonzero_buckets().iter().map(|&(_, c)| c).sum();
+        let bucket_total: u64 = h.cells().buckets.iter().sum();
         assert_eq!(bucket_total, 40_000);
     }
 
@@ -666,8 +590,7 @@ mod tests {
         // Merging empty into a live histogram leaves min/max untouched.
         let h = Histogram::detached();
         h.force_merge_cells(&HistogramCells::empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
+        assert_eq!(h.cells(), HistogramCells::empty());
     }
 
     #[test]
@@ -680,11 +603,8 @@ mod tests {
         h.merge_cells(&cells);
         assert_eq!(h.count(), 0, "disabled merge must be a no-op");
         crate::set_enabled(true);
-        let g = Histogram::detached();
-        g.force_merge_cells(&cells);
-        let f = Histogram::detached();
-        f.merge_from(&g);
-        assert_eq!(f.count(), 1);
+        h.merge_cells(&cells);
+        assert_eq!(h.count(), 1);
         crate::set_enabled(false);
     }
 

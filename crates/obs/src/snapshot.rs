@@ -1,39 +1,35 @@
-//! Point-in-time snapshots of the registry, exportable as JSON.
+//! Point-in-time snapshots of the registry: the `metrics` document.
 //!
-//! The writer is hand-written and outside the `doc` envelope: this is
-//! the `--metrics-out` file format, and postmortems embed it verbatim.
-//! Schema, version 3
-//! (v2 changed the histogram `p50`/`p90`/`p95`/`p99` fields from
-//! bucket upper bounds — pessimistic by up to 2× — to bucket
-//! midpoints; see `Histogram::percentile_bounds`. v3 dropped the
-//! `traces` array: optimizer progress lives in each optimizer's
-//! returned outcome, so a snapshot's size no longer grows with the
-//! number of optimizer runs):
+//! A [`Snapshot`] is the body of the `metrics` [`Document`]: it is what
+//! `--metrics-out` writes, what `dbcast stats` prints and what every
+//! postmortem dump carries, all rendered by [`crate::doc::render`].
+//! Each section lists `[name, value]` pairs in strictly ascending name
+//! order, as the registry enumerates them:
 //!
 //! ```json
-//! {
-//!   "version": 3,
-//!   "counters": { "<name>": <u64>, ... },
-//!   "gauges": { "<name>": <f64>, ... },
-//!   "histograms": {
-//!     "<name>": {
+//! { "schema": 4, "kind": "metrics", "body": {
+//!   "counters": [ ["<name>", <u64>], ... ],
+//!   "gauges": [ ["<name>", <f64>], ... ],
+//!   "histograms": [ ["<name>", {
 //!       "count": <u64>, "sum": <u64>, "mean": <f64>,
 //!       "min": <u64>, "max": <u64>,
 //!       "p50": <u64>, "p90": <u64>, "p95": <u64>, "p99": <u64>,
-//!       "buckets": [ { "le": <u64>, "count": <u64> }, ... ]
-//!     }, ...
-//!   }
-//! }
+//!       "buckets": [ [<inclusive upper bound>, <count>], ... ]
+//!   } ], ... ]
+//! } }
 //! ```
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use serde::{Deserialize, Serialize};
+
+use crate::doc::Document;
 use crate::metrics::HistogramSnapshot;
 
 /// Plain-data copy of the registry at one instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
@@ -46,131 +42,82 @@ impl Snapshot {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Looks up a gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// Looks up a histogram snapshot by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
+}
 
-    /// Renders the snapshot as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"version\": 3,\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {v}", json_string(name));
-        }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {}", json_string(name), json_f64(*v));
-        }
-        out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"mean\": {}, \
-                 \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \
-                 \"p95\": {}, \"p99\": {}, \"buckets\": [",
-                json_string(name),
-                h.count,
-                h.sum,
-                json_f64(h.mean),
-                h.min,
-                h.max,
-                h.p50,
-                h.p90,
-                h.p95,
-                h.p99,
-            );
-            for (j, &(le, count)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"le\": {le}, \"count\": {count}}}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.histograms.is_empty() { "}\n}\n" } else { "\n  }\n}\n" });
-        out
-    }
+/// The first name in `section` that does not sort strictly after its
+/// predecessor (a duplicate or an out-of-order entry).
+fn misordered<T>(section: &[(String, T)]) -> Option<&str> {
+    section.windows(2).find(|w| w[0].0 >= w[1].0).map(|w| w[1].0.as_str())
+}
 
-    /// Writes the JSON snapshot to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+impl Document for Snapshot {
+    const KIND: &'static str = "metrics";
+    const SCHEMA: u32 = 4;
+
+    /// Names strictly ascend within each section; per histogram, bucket
+    /// bounds strictly ascend, the buckets hold no more than `count`,
+    /// and a non-empty histogram has `min ≤ p50 ≤ p90 ≤ p95 ≤ p99 ≤ max`.
+    fn check(&self) -> Result<(), String> {
+        for (section, name) in [
+            ("counters", misordered(&self.counters)),
+            ("gauges", misordered(&self.gauges)),
+            ("histograms", misordered(&self.histograms)),
+        ] {
+            if let Some(name) = name {
+                return Err(format!("{section}: {name:?} is out of order or repeated"));
             }
         }
-        std::fs::write(path, self.to_json())
+        for (name, h) in &self.histograms {
+            if h.buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err(format!("histogram {name:?}: bucket bounds do not ascend"));
+            }
+            let total = h.buckets.iter().try_fold(0u64, |sum, &(_, c)| sum.checked_add(c));
+            if total.is_none_or(|total| total > h.count) {
+                return Err(format!("histogram {name:?}: buckets hold more than count"));
+            }
+            let order = [h.min, h.p50, h.p90, h.p95, h.p99, h.max];
+            if h.count > 0 && order.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!(
+                    "histogram {name:?}: min ≤ p50 ≤ p90 ≤ p95 ≤ p99 ≤ max fails: {order:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Renders `v` as a JSON number in Rust's shortest round-tripping
-/// form (`1.0`, `2.5e-7`); non-finite values become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes `s` as a JSON string literal (shared with the span-tree
-/// trace writer).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `text` to `path`, creating parent directories.
+pub(crate) fn write_file(path: &Path, text: &str) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
         }
     }
-    out.push('"');
-    out
+    std::fs::write(path, text)
 }
 
-/// Convenience: snapshot the global registry and write it to `path`.
+/// Snapshots the global registry and writes it to `path` as a `metrics`
+/// document, creating parent directories.
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures.
 pub fn write_global(path: &Path) -> io::Result<()> {
-    crate::registry().snapshot().write_json(path)
+    write_file(path, &crate::doc::render(&crate::registry().snapshot()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::{decode, render, DocError};
 
     fn sample() -> Snapshot {
         Snapshot {
-            counters: vec![("a.b.c".into(), 3)],
+            counters: vec![("a.b.c".into(), 3), ("a.b.d".into(), 0)],
             gauges: vec![("g".into(), 1.5)],
             histograms: vec![(
                 "h".into(),
@@ -194,37 +141,46 @@ mod tests {
     fn lookup_helpers() {
         let s = sample();
         assert_eq!(s.counter("a.b.c"), Some(3));
-        assert_eq!(s.gauge("g"), Some(1.5));
         assert_eq!(s.histogram("h").unwrap().count, 2);
         assert_eq!(s.counter("missing"), None);
     }
 
     #[test]
-    fn json_contains_all_sections() {
-        let j = sample().to_json();
-        for needle in [
-            "\"version\": 3",
-            "\"a.b.c\": 3",
-            "\"g\": 1.5",
-            "\"count\": 2",
-            "\"buckets\": [{\"le\": 3, \"count\": 1}, {\"le\": 7, \"count\": 1}]",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in:\n{j}");
+    fn round_trips_through_the_envelope() {
+        for s in
+            [sample(), Snapshot { counters: vec![], gauges: vec![], histograms: vec![] }]
+        {
+            let text = render(&s);
+            assert!(text.contains("\"kind\": \"metrics\""), "{text}");
+            assert_eq!(decode::<Snapshot>(&text), Ok(s));
         }
     }
 
-    #[test]
-    fn empty_snapshot_is_valid_shape() {
-        let s = Snapshot { counters: vec![], gauges: vec![], histograms: vec![] };
-        let j = s.to_json();
-        assert!(j.contains("\"counters\": {}"));
-        assert!(j.contains("\"histograms\": {}"));
-        assert!(!j.contains("traces"));
-    }
+    type Tamper = (&'static str, fn(&mut Snapshot));
 
     #[test]
-    fn string_escaping() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    fn check_rejects_each_broken_invariant() {
+        let broken: [Tamper; 7] = [
+            ("counters", |s| s.counters.swap(0, 1)),
+            ("counters", |s| s.counters[1].0 = "a.b.c".into()),
+            ("gauges", |s| s.gauges.push(("f".into(), 0.0))),
+            ("histograms", |s| {
+                let h = s.histograms[0].clone();
+                s.histograms.push(h);
+            }),
+            ("bucket bounds", |s| s.histograms[0].1.buckets.reverse()),
+            ("more than count", |s| s.histograms[0].1.count = 1),
+            ("p50", |s| s.histograms[0].1.p50 = 1),
+        ];
+        for (needle, tamper) in broken {
+            let mut s = sample();
+            tamper(&mut s);
+            let err = decode::<Snapshot>(&render(&s)).expect_err(needle);
+            assert!(
+                matches!(&err, DocError::Check { kind: "metrics", reason } if reason.contains(needle)),
+                "{needle}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -232,9 +188,9 @@ mod tests {
         let dir = std::env::temp_dir().join("dbcast_obs_snapshot_test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested").join("metrics.json");
-        sample().write_json(&path).unwrap();
+        write_global(&path).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"version\": 3"));
+        decode::<Snapshot>(&body).expect("the written snapshot decodes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,12 +23,13 @@
 //! cap are counted in [`dropped`] rather than growing without limit.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use serde::Serialize;
 
 /// One completed span in a flushed tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,9 +185,48 @@ pub fn take_spans() -> Vec<SpanRecord> {
     std::mem::take(&mut *collected().lock().expect("span collector poisoned"))
 }
 
-/// Number of spans currently held by the collector.
-pub fn collected_len() -> usize {
-    collected().lock().expect("span collector poisoned").len()
+/// The Chrome trace-event file. It stays a bare `{"traceEvents": …}`
+/// object rather than a [`crate::doc`] envelope, because that is the
+/// shape `chrome://tracing` and Perfetto load.
+#[derive(Serialize)]
+#[allow(non_snake_case)]
+struct ChromeTrace {
+    displayTimeUnit: &'static str,
+    traceEvents: Vec<serde_json::Value>,
+}
+
+/// A metadata (`"ph": "M"`) event naming one thread.
+#[derive(Serialize)]
+struct ThreadName {
+    name: &'static str,
+    ph: &'static str,
+    pid: u32,
+    tid: u64,
+    args: ThreadNameArgs,
+}
+
+#[derive(Serialize)]
+struct ThreadNameArgs {
+    name: String,
+}
+
+/// A complete (`"ph": "X"`) event: one span, times in microseconds.
+#[derive(Serialize)]
+struct Complete {
+    name: &'static str,
+    cat: &'static str,
+    ph: &'static str,
+    pid: u32,
+    tid: u64,
+    ts: f64,
+    dur: f64,
+    args: CompleteArgs,
+}
+
+#[derive(Serialize)]
+struct CompleteArgs {
+    self_us: f64,
+    depth: usize,
 }
 
 /// Renders spans as Chrome trace-event JSON (the `{"traceEvents":
@@ -194,36 +234,31 @@ pub fn collected_len() -> usize {
 /// Each span becomes a complete (`"ph": "X"`) event with microsecond
 /// `ts`/`dur` and its self time and depth in `args`.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(spans.len() + 4);
     let mut threads: Vec<u64> = spans.iter().map(|s| s.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    for t in threads {
-        events.push(format!(
-            "  {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {t}, \
-             \"args\": {{\"name\": \"dbcast thread {t}\"}}}}"
-        ));
-    }
-    for s in spans {
-        let mut e = String::new();
-        let _ = write!(
-            e,
-            "  {{\"name\": {}, \"cat\": \"dbcast\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {}, \"dur\": {}, \
-             \"args\": {{\"self_us\": {}, \"depth\": {}}}}}",
-            crate::snapshot::json_string(s.name),
-            s.thread,
-            s.start_ns as f64 / 1e3,
-            s.dur_ns as f64 / 1e3,
-            s.self_ns() as f64 / 1e3,
-            s.depth,
-        );
-        events.push(e);
-    }
-    format!(
-        "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n{}\n]}}\n",
-        events.join(",\n")
-    )
+    let names = threads.into_iter().map(|tid| {
+        let args = ThreadNameArgs { name: format!("dbcast thread {tid}") };
+        ThreadName { name: "thread_name", ph: "M", pid: 1, tid, args }.to_value()
+    });
+    let spans = spans.iter().map(|s| {
+        Complete {
+            name: s.name,
+            cat: "dbcast",
+            ph: "X",
+            pid: 1,
+            tid: s.thread,
+            ts: s.start_ns as f64 / 1e3,
+            dur: s.dur_ns as f64 / 1e3,
+            args: CompleteArgs { self_us: s.self_ns() as f64 / 1e3, depth: s.depth },
+        }
+        .to_value()
+    });
+    let trace =
+        ChromeTrace { displayTimeUnit: "ms", traceEvents: names.chain(spans).collect() };
+    let mut out = serde_json::to_string(&trace).expect("a value tree renders");
+    out.push('\n');
+    out
 }
 
 /// Writes [`chrome_trace_json`] to `path`, creating parent
@@ -233,12 +268,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 ///
 /// Propagates filesystem failures.
 pub fn write_chrome_trace(path: &Path, spans: &[SpanRecord]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, chrome_trace_json(spans))
+    crate::snapshot::write_file(path, &chrome_trace_json(spans))
 }
 
 #[cfg(test)]
@@ -288,23 +318,22 @@ mod tests {
     #[test]
     fn chrome_trace_shape() {
         let json = chrome_trace_json(&sample_batch());
-        for needle in [
-            "\"traceEvents\"",
-            "\"ph\": \"X\"",
-            "\"name\": \"root\"",
-            "\"self_us\": 0.03",
-            "\"depth\": 1",
-            "\"thread_name\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
+        let trace: serde_json::Value = serde_json::from_str(&json).expect("trace parses");
+        assert_eq!(trace.get("displayTimeUnit").and_then(|v| v.as_str()), Some("ms"));
+        let events = trace.get("traceEvents").and_then(|v| v.as_seq()).expect("events");
+        assert_eq!(events.len(), 4, "one thread name plus three spans");
+        let text = |i: usize, key: &str| events[i].get(key).and_then(|v| v.as_str());
+        let arg = |i: usize, key: &str| events[i].get("args").and_then(|a| a.get(key));
+        assert_eq!((text(0, "name"), text(0, "ph")), (Some("thread_name"), Some("M")));
+        assert_eq!((text(1, "name"), text(1, "ph")), (Some("root"), Some("X")));
+        assert_eq!(arg(1, "self_us").and_then(|v| v.as_f64()), Some(0.03));
+        assert_eq!(arg(2, "depth").and_then(|v| v.as_u64()), Some(1));
     }
 
     #[test]
     fn empty_trace_is_valid() {
         let json = chrome_trace_json(&[]);
-        assert!(json.contains("\"traceEvents\": ["));
-        assert!(!json.contains("\"ph\": \"X\""));
+        assert_eq!(json, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
     }
 
     #[test]
@@ -320,7 +349,7 @@ mod tests {
                 let _leaf = crate::span!("tree.test.leaf");
             }
             // Nothing flushes until the root closes.
-            assert_eq!(collected_len(), 0);
+            assert!(take_spans().is_empty());
         }
         set_profiling(false);
         let spans: Vec<SpanRecord> =

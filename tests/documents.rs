@@ -1,15 +1,22 @@
-//! Every telemetry document — `/flight`, postmortem dumps, `/status`,
-//! `/exemplars` and `/fleet` — goes through the one `dbcast_obs::doc`
-//! envelope. One table drives all five kinds: each
-//! must render and decode back to an equal value, and each must reject
-//! the same five envelope-level tamperings with the same typed error.
-//! The per-kind semantic checks are tested next to each body type.
+//! Every telemetry document — the metrics snapshot, `/flight`,
+//! postmortem dumps, `/status`, `/exemplars`, `/fleet` and the fleet run
+//! report — goes through the one `dbcast_obs::doc` envelope. One table
+//! drives all seven kinds: each must render and decode back to an equal
+//! value, and each must reject the same five envelope-level tamperings
+//! with the same typed error. The per-kind semantic checks are tested
+//! next to each body type.
 
 use std::fmt::Debug;
 
 use dbcast_audit::{AuditConfig, AuditTracer, TraceRecord, FLAG_SEEDED, FLAG_TAIL};
 use dbcast_flight::{EventKind, FlightEvent, FlightRing, Postmortem, StatusDoc};
+use dbcast_net::{
+    ClientReport, FleetConfig, FleetReport, FleetTotals, GenerationSlice, StatSummary,
+    FLEET_SCHEMA,
+};
 use dbcast_obs::doc::{decode, render, DocError, Document};
+use dbcast_obs::metrics::Histogram;
+use dbcast_obs::snapshot::Snapshot;
 use dbcast_serve::{FleetAggregator, FleetDigest};
 use serde_json::Value;
 
@@ -43,6 +50,54 @@ fn flight_ring() -> FlightRing {
     ring.record(FlightEvent::new(EventKind::SwapPublish, 2, 1, 1.25).value(9.75).extra(1));
     ring.record(FlightEvent::new(EventKind::Fault, 3, 1, 1.5).extra(7));
     ring
+}
+
+fn metrics() -> Snapshot {
+    let wait = Histogram::detached();
+    for ns in [3, 70, 70, 900] {
+        wait.force_record(ns);
+    }
+    Snapshot {
+        counters: vec![("serve.requests".into(), 8), ("serve.ticks".into(), 3)],
+        gauges: vec![("serve.drift_distance".into(), 0.125)],
+        histograms: vec![("serve.tick".into(), wait.snapshot())],
+    }
+}
+
+/// A one-client, one-generation run, as `dbcast fleet` reports it.
+fn fleet_report() -> FleetReport {
+    let access = StatSummary::from_values(&[1.5, 2.5]);
+    let generation = GenerationSlice {
+        generation: 0,
+        origin: 0.0,
+        requests: 2,
+        mean_access: 2.0,
+        mean_tuning: 2.0,
+        predicted_access: 1.75,
+    };
+    let client = ClientReport {
+        id: 0,
+        seed: 1,
+        requests: 2,
+        completed: 2,
+        cache_hits: 0,
+        conflicts: 0,
+        retunes: 0,
+        torn_frames: 0,
+        decode_errors: 0,
+        access,
+        tuning: access,
+        generations: vec![generation],
+    };
+    let totals = FleetTotals { requests: 2, completed: 2, ..FleetTotals::default() };
+    let config = FleetConfig { clients: 1, requests: 2, ..FleetConfig::default() };
+    FleetReport {
+        schema: FLEET_SCHEMA,
+        config,
+        indexed: false,
+        clients: vec![client],
+        totals,
+    }
 }
 
 fn table() -> Vec<(&'static str, String, Decoder)> {
@@ -81,14 +136,13 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
 
     let json = |s: &str| serde_json::from_str::<Value>(s).unwrap();
     vec![
+        case(metrics()),
         case(flight_ring().doc()),
         case(Postmortem {
             reason: "panic: table".into(),
             unix_ms: 1_700_000_000_000,
             flight: flight_ring().doc(),
-            metrics: json(
-                r#"{"version": 2, "counters": {"serve.ticks": 3}, "gauges": {}}"#,
-            ),
+            metrics: metrics(),
         }),
         case(StatusDoc {
             command: "serve".into(),
@@ -99,6 +153,7 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
         }),
         case(tracer.snapshot()),
         case(fleet.doc()),
+        case(fleet_report()),
     ]
 }
 
@@ -136,7 +191,10 @@ const TAMPERS: [Tamper; 5] = [
 fn every_document_kind_round_trips_and_rejects_envelope_tampering() {
     let table = table();
     let kinds: Vec<&str> = table.iter().map(|(kind, _, _)| *kind).collect();
-    assert_eq!(kinds, ["flight", "postmortem", "status", "exemplars", "fleet"]);
+    assert_eq!(
+        kinds,
+        ["metrics", "flight", "postmortem", "status", "exemplars", "fleet", "fleet-run"]
+    );
     for (kind, text, decode) in &table {
         decode(text).unwrap_or_else(|e| panic!("{kind} does not round-trip: {e}\n{text}"));
         let envelope: Value = serde_json::from_str(text).unwrap();

@@ -76,17 +76,14 @@ proptest! {
             }
             rebuilt.force_merge_cells(&digest);
         }
-        prop_assert_eq!(rebuilt.count(), pooled.count());
-        prop_assert_eq!(rebuilt.sum(), pooled.sum());
-        prop_assert_eq!(rebuilt.min(), pooled.min());
-        prop_assert_eq!(rebuilt.max(), pooled.max());
+        let (rebuilt, pooled) = (rebuilt.cells(), pooled.cells());
+        prop_assert_eq!(&rebuilt, &pooled);
         prop_assert_eq!(rebuilt.mean(), pooled.mean());
-        prop_assert_eq!(rebuilt.bucket_counts(), pooled.bucket_counts());
         for q in quantiles.into_iter().chain([50.0, 90.0, 95.0, 99.0, 100.0]) {
-            prop_assert_eq!(rebuilt.percentile(q), pooled.percentile(q));
             prop_assert_eq!(rebuilt.percentile_bounds(q), pooled.percentile_bounds(q));
             prop_assert_eq!(rebuilt.percentile_midpoint(q), pooled.percentile_midpoint(q));
         }
+        prop_assert_eq!(rebuilt.snapshot(), pooled.snapshot());
         // And the percentile estimate brackets the true order statistic
         // of the pooled values whenever there are observations.
         let mut sorted: Vec<u64> = shards.into_iter().flatten().collect();

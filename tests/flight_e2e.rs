@@ -219,8 +219,7 @@ fn injected_panic_dumps_a_postmortem_with_deep_history() {
 
     // The metrics snapshot rode along, with the request count the
     // loop publishes at each tick boundary.
-    let counters = doc.metrics.get("counters").expect("no metrics snapshot in the dump");
-    let served = counters.get("serve.requests").and_then(|v| v.as_u64());
+    let served = doc.metrics.counter("serve.requests");
     assert!(served.is_some_and(|n| n > 0), "serve.requests in the dump: {served:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

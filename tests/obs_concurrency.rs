@@ -1,13 +1,25 @@
 //! Telemetry robustness under concurrency: snapshots taken while
 //! writer threads are mid-flight must be internally consistent and
-//! JSON-parseable, and `Registry::reset` must leave a clean registry
-//! even when racing recorders.
+//! decode as `metrics` documents (which checks their invariants), and
+//! `Registry::reset` must leave a clean registry even when racing
+//! recorders.
 //!
 //! Uses `force_add`/`force_record` so the test is meaningful in both
 //! feature configurations (the runtime switch is bypassed).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+use dbcast_obs::doc::{decode, render};
+use dbcast_obs::snapshot::Snapshot;
+
+/// Renders `snap` as a `metrics` document and decodes it back, which
+/// runs the document's invariant check.
+fn round_trip(snap: &Snapshot) -> Snapshot {
+    let back = decode::<Snapshot>(&render(snap)).expect("snapshot document decodes");
+    assert_eq!(&back, snap);
+    back
+}
 
 #[test]
 fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
@@ -32,7 +44,7 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
         .collect();
 
     // Consecutive snapshots observe a monotone counter, and every one
-    // of them serializes to JSON that the (vendored) parser accepts.
+    // of them round-trips through the document envelope.
     let mut last = 0u64;
     for _ in 0..20 {
         let snap = reg.snapshot();
@@ -49,10 +61,7 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
             let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
             assert!(h.count >= bucket_total, "count {} < buckets {bucket_total}", h.count);
         }
-        let json = snap.to_json();
-        let parsed: serde_json::Value =
-            serde_json::from_str(&json).expect("snapshot JSON parses");
-        assert_eq!(parsed.get("version").and_then(|v| v.as_u64()), Some(3));
+        round_trip(&snap);
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -60,17 +69,11 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
         w.join().expect("writer thread exits cleanly");
     }
 
-    // JSON round-trip: the final quiescent snapshot re-parses with the
-    // recorded values intact.
+    // The final quiescent snapshot decodes with the recorded values
+    // intact.
     let snap = reg.snapshot();
     let total = snap.counter("concurrency.test.events").expect("counter present");
-    let parsed: serde_json::Value =
-        serde_json::from_str(&snap.to_json()).expect("final snapshot parses");
-    let counters = parsed.get("counters").expect("counters section");
-    assert_eq!(
-        counters.get("concurrency.test.events").and_then(|v| v.as_u64()),
-        Some(total)
-    );
+    assert_eq!(round_trip(&snap).counter("concurrency.test.events"), Some(total));
 
     // Reset with no writers racing leaves everything zeroed...
     reg.reset();
@@ -93,9 +96,7 @@ fn snapshots_under_concurrent_recording_are_consistent_and_parse() {
     };
     for _ in 0..10 {
         reg.reset();
-        let snap = reg.snapshot();
-        serde_json::from_str::<serde_json::Value>(&snap.to_json())
-            .expect("snapshot during reset race parses");
+        round_trip(&reg.snapshot());
     }
     stop.store(true, Ordering::Relaxed);
     racer.join().expect("racer exits cleanly");

@@ -57,12 +57,9 @@ fn snapshot_captures_drp_cds_and_gopt_telemetry() {
         assert!(w[1] <= w[0] + 1e-9, "GOPT best cost rose: {w:?}");
     }
 
-    // The JSON export carries everything above, and no trace list.
-    let json = snap.to_json();
-    for needle in
-        ["alloc.drp.split_scan", "alloc.cds.iterations", "baselines.gopt", "\"version\": 3"]
-    {
-        assert!(json.contains(needle), "snapshot JSON missing {needle}");
-    }
-    assert!(!json.contains("\"traces\""));
+    // The `metrics` document carries everything above, and no trace
+    // list.
+    let text = dbcast_obs::doc::render(&snap);
+    assert_eq!(dbcast_obs::doc::decode(&text), Ok(snap));
+    assert!(!text.contains("\"traces\""));
 }

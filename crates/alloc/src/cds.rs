@@ -11,11 +11,15 @@
 //!   iteration. It is the oracle: simple enough to audit by eye.
 //! * [`Cds`] — the production engine, backed by
 //!   [`BestMoveEngine`](crate::engine::BestMoveEngine): maintained
-//!   per-group `(F, Z)` aggregates plus a lazily-invalidated per-item
-//!   best-move cache, `O(N)` amortized per iteration. Its step sequence
-//!   is **bit-for-bit identical** to the reference's — the conformance
-//!   crate's differential battery replays both on every generated and
-//!   regression instance and fails on the first diverging step.
+//!   per-group `(F, Z)` aggregates plus a `K × K` table of each
+//!   (source, destination) pair's best move. A move re-scores only the
+//!   pairs whose value can rise (every pair into the move's source,
+//!   every pair out of the destination), `O(N + K·|q*|)` per iteration;
+//!   the pairs that can only fall stay as upper bounds until they reach
+//!   the pick. Its step sequence is **bit-for-bit identical** to the
+//!   reference's — the conformance crate's differential battery replays
+//!   both on every generated and regression instance and fails on the
+//!   first diverging step.
 
 use dbcast_model::{Allocation, ChannelId, ItemId, ModelError, Move};
 use serde::{Deserialize, Serialize};

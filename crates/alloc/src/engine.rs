@@ -5,49 +5,43 @@
 //! iteration even though Eq. 4's reduction
 //! `Δc = f_x(Z_p − Z_q) + z_x(F_p − F_q) − 2 f_x z_x`
 //! only reads the two touched groups' aggregates. [`BestMoveEngine`]
-//! instead maintains, per item, the best and second-best destination
-//! under the reference scan's exact ordering (larger reduction first,
-//! ties to the smaller channel id), and a global best. After applying
-//! the move `(x*: p → q*)` only candidates touching `p` or `q*` can
-//! change, so one `O(N)` pass repairs the caches.
+//! instead keeps a `K × K` **pair table**: for each source channel `c`
+//! and destination `q`, the best `(Δc, item)` over `c`'s members (larger
+//! reduction first, ties to the smaller item id), plus the best pair of
+//! each row. Members live in channel-major columns (`f`, `z`, `2fz`,
+//! item id), so scoring a pair is one pass over one contiguous segment.
 //!
-//! The pass runs **channel by channel**. Each channel keeps a member
-//! list holding its items' Eq. 4 inputs and cached top-2: one segment
-//! of a channel-major slot array, and each item knows its slot. A move
-//! walks the item's entry across the segment bounds between `p` and
-//! `q*` (one swap and one bound shift per bound, at most `K − 1`, never
-//! an allocation). Everything an item's repair reads besides its
-//! own entry is a property of its source channel `c`, so it is hoisted
-//! out of the member loop:
+//! A move `x: p → q*` lowers `F_p`, `Z_p` and raises `F_q*`, `Z_q*`.
+//! IEEE rounding is monotone and `f, z ≥ 0`, so each pair's values move
+//! one way only:
 //!
-//! * on `p` and `q*` the source aggregates changed, which shifts
-//!   *every* candidate: the difference row `(Z_c − Z_q, F_c − F_q)` is
-//!   computed once over all `q`, and each member rescans all `K`
-//!   destinations as `f·dz[q] + z·df[q] − 2fz`;
-//! * on every other channel `c` the four differences
-//!   `Z_c − Z_p, F_c − F_p, Z_c − Z_q*, F_c − F_q*` are computed once.
-//!   Destination `p` improved for everyone (both aggregates strictly
-//!   shrank), so it is merged against the cached top-2 in O(1);
-//!   destination `q*` worsened, so a cached entry pointing at it is
-//!   re-evaluated and, when it falls behind candidates we can no
-//!   longer bound, the second-best slot is *invalidated* rather than
-//!   repaired. A later demotion with an invalid runner-up triggers the
-//!   full rescan lazily.
+//! * `(c, p)` for every `c`, and `(q*, d)` for every `d`, can only
+//!   **rise** (`q*` also gained `x`): they are re-scored;
+//! * `(c, q*)` and `(p, d)` can only **fall** (`p` also lost `x`): they
+//!   keep their stored value as a *stale* upper bound;
+//! * every other pair is unchanged.
 //!
-//! A hoisted difference is the same IEEE subtraction of the same two
-//! aggregates the exhaustive scan performs per candidate, and every
-//! cached reduction is the scan's canonical expression over aggregate
-//! values maintained by the same update operations, so the engine's
-//! move sequence is **bit-for-bit identical** to the reference scan's —
-//! the differential battery in `dbcast-conformance` pins that
-//! equivalence. Members are not visited in item order, so the global
-//! best is folded with the explicit rule the ascending strict-`>` scan
-//! implies: larger reduction first, then smaller item id.
+//! A stale pair's stored `(Δc, item)` still bounds its true one in the
+//! pick order: its members' values can only fall, and its source gained
+//! no member, so at an equal value its best member can only have a
+//! larger id. The pick folds the `K` row maxima under that order; when
+//! the winner is stale it is re-scored and the pick repeats. A move
+//! therefore costs one column and one row of re-scores,
+//! `O(N + K·|q*|)`, plus `O(K)` row upkeep; no pick reads all `K²` pairs.
+//!
+//! Every fresh value is the exhaustive scan's canonical expression over
+//! aggregates updated by the same operations, and the pick order is the
+//! one the ascending strict-`>` scan implies (larger reduction, then
+//! smaller item id, then smaller destination), so the engine's move
+//! sequence is **bit-for-bit identical** to the reference scan's. The
+//! differential battery in `dbcast-conformance` pins that equivalence.
 
-/// Sentinel channel id: an empty candidate slot. In the second-best
-/// slot it means "unknown" — either fewer than two destinations exist
-/// or lazy invalidation discarded the runner-up.
-const NONE_CH: u32 = u32::MAX;
+/// Sentinel item id: the pair's source channel has no members.
+const NO_ITEM: u32 = u32::MAX;
+
+/// Lanes of the pair kernel: independent accumulators the compiler can
+/// keep in vector registers.
+const LANES: usize = 8;
 
 /// One move selected (and possibly applied) by the engine, in dense
 /// item-index coordinates.
@@ -63,261 +57,79 @@ pub struct EngineMove {
     pub reduction: f64,
 }
 
-/// One item's entry in its channel's member list: the Eq. 4 inputs
-/// (`2fz` precomputed; IEEE multiplication is deterministic, so the
-/// bits match the scan's) and the cached top-2 destinations.
+/// One `(source, destination)` entry of the pair table.
 #[derive(Debug, Clone, Copy)]
-struct Member {
-    item: u32,
-    q1: u32,
-    q2: u32,
-    f: f64,
-    z: f64,
-    t2fz: f64,
-    r1: f64,
-    r2: f64,
-}
-
-impl Member {
-    /// Canonical Eq. 4 evaluation against hoisted source-minus-
-    /// destination differences — the exact expression shape
-    /// `f·(Z_c − Z_q) + z·(F_c − F_q) − 2fz` the exhaustive scan computes.
-    #[inline]
-    fn eval(&self, dz: f64, df: f64) -> f64 {
-        self.f * dz + self.z * df - self.t2fz
-    }
-
-    /// Recomputes the exact top-2 over every destination but the
-    /// source `c`, from `c`'s difference row.
-    #[inline]
-    fn rescan(&mut self, c: usize, row: &[(f64, f64)]) {
-        let mut b1q = NONE_CH;
-        let mut b1r = f64::NEG_INFINITY;
-        let mut b2q = NONE_CH;
-        let mut b2r = f64::NEG_INFINITY;
-        for (q, &(dz, df)) in row.iter().enumerate() {
-            if q == c {
-                continue;
-            }
-            let r = self.eval(dz, df);
-            // The common case: strictly below the runner-up, hence
-            // below both.
-            if r < b2r {
-                continue;
-            }
-            if lex_gt(r, q as u32, b1r, b1q) {
-                b2q = b1q;
-                b2r = b1r;
-                b1q = q as u32;
-                b1r = r;
-            } else if lex_gt(r, q as u32, b2r, b2q) {
-                b2q = q as u32;
-                b2r = r;
-            }
-        }
-        (self.q1, self.r1, self.q2, self.r2) = (b1q, b1r, b2q, b2r);
-    }
-}
-
-/// The reference scan's candidate order: larger reduction wins, equal
-/// reductions go to the smaller channel id (ascending `q` with strict
-/// `>` keeps the first).
-#[inline]
-fn lex_gt(r: f64, q: u32, best_r: f64, best_q: u32) -> bool {
-    r > best_r || (r == best_r && q < best_q)
-}
-
-/// Fills `row[q] = (Z_c − Z_q, F_c − F_q)`: the differences every
-/// candidate of an item on channel `c` reads.
-fn fill_row(row: &mut [(f64, f64)], c: usize, freq: &[f64], size: &[f64]) {
-    let (zc, fc) = (size[c], freq[c]);
-    for (d, (&zq, &fq)) in row.iter_mut().zip(size.iter().zip(freq)) {
-        *d = (zc - zq, fc - fq);
-    }
-}
-
-/// The running global best of a pass plus the rescans it performed.
-#[derive(Debug, Clone, Copy)]
-struct Local {
-    item: usize,
+struct Pair {
+    /// The best member's reduction; an upper bound when `stale`.
     r: f64,
-    rescans: u64,
+    /// The best member (smallest id among equal reductions).
+    item: u32,
+    /// Whether a move may have lowered the true value since scoring.
+    stale: bool,
 }
 
-impl Local {
-    /// Seeded at `threshold`: a candidate must clear it strictly.
-    fn new(threshold: f64) -> Self {
-        Local { item: usize::MAX, r: threshold, rescans: 0 }
-    }
-
-    /// The reference scan's global order, made explicit because
-    /// members are not visited in item order: larger reduction first,
-    /// then smaller item id — the winner the ascending strict-`>` scan
-    /// keeps.
-    #[inline]
-    fn offer(&mut self, item: usize, r: f64) {
-        if r > self.r || (r == self.r && item < self.item && self.item != usize::MAX) {
-            self.item = item;
-            self.r = r;
-        }
-    }
+impl Pair {
+    /// An empty source channel: no candidate at all.
+    const NONE: Pair = Pair { r: f64::NEG_INFINITY, item: NO_ITEM, stale: false };
 }
 
-/// Read-only inputs of one pass.
-struct Pass<'a> {
-    freq: &'a [f64],
-    size: &'a [f64],
-    threshold: f64,
-    /// The applied move's `(p, q*)`; `None` for the init scan, which
-    /// rescans every channel.
-    moved: Option<(u32, u32)>,
-}
-
-impl Pass<'_> {
-    /// Runs the pass over every channel (channel `c` owns the slot range
-    /// `start[c]..start[c + 1]`), using `row` (length `K`) as
-    /// difference-row scratch.
-    fn run(&self, start: &[usize], slots: &mut [Member], row: &mut [(f64, f64)]) -> Local {
-        let mut best = Local::new(self.threshold);
-        for (c, seg) in start.windows(2).enumerate() {
-            let members = &mut slots[seg[0]..seg[1]];
-            if members.is_empty() {
-                continue;
-            }
-            match self.moved {
-                Some((p, qs)) if c != p as usize && c != qs as usize => {
-                    self.repair(c, members, row, p, qs, &mut best);
-                }
-                moved => {
-                    fill_row(row, c, self.freq, self.size);
-                    for m in members.iter_mut() {
-                        m.rescan(c, row);
-                        if m.q1 != NONE_CH {
-                            best.offer(m.item as usize, m.r1);
-                        }
-                    }
-                    if moved.is_some() {
-                        best.rescans += members.len() as u64;
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Repairs the members of a channel `c ∉ {p, q*}` after the move
-    /// `p → q*` (aggregates already updated).
-    fn repair(
-        &self,
-        c: usize,
-        members: &mut [Member],
-        row: &mut [(f64, f64)],
-        p: u32,
-        qs: u32,
-        best: &mut Local,
-    ) {
-        let (zc, fc) = (self.size[c], self.freq[c]);
-        let (dzp, dfp) = (zc - self.size[p as usize], fc - self.freq[p as usize]);
-        let (dzq, dfq) = (zc - self.size[qs as usize], fc - self.freq[qs as usize]);
-        let mut row_ready = false;
-        for m in members.iter_mut() {
-            let (q1, q2) = (m.q1, m.q2);
-            if q1 == qs && q2 == NONE_CH {
-                // The cached best worsened with no exact runner-up left
-                // to bound the untouched candidates: recompute exactly.
-                if !row_ready {
-                    fill_row(row, c, self.freq, self.size);
-                    row_ready = true;
-                }
-                m.rescan(c, row);
-                best.rescans += 1;
-            } else if q1 != NONE_CH {
-                let rp = m.eval(dzp, dfp);
-                if q1 != p && q1 != qs && q2 != p && q2 != qs {
-                    // Fast path (the overwhelmingly common case): the
-                    // cached pair kept its exact values, and `p` — the
-                    // only destination that improved — is the sole
-                    // candidate that can break into the top-2. One
-                    // evaluation decides.
-                    if q2 != NONE_CH {
-                        if lex_gt(rp, p, m.r2, q2) {
-                            if lex_gt(rp, p, m.r1, q1) {
-                                (m.q2, m.r2) = (q1, m.r1);
-                                (m.q1, m.r1) = (p, rp);
-                            } else {
-                                (m.q2, m.r2) = (p, rp);
-                            }
-                        }
-                    } else if lex_gt(rp, p, m.r1, q1) {
-                        // The dethroned best was strictly lex-above
-                        // every other destination and none of them
-                        // moved, so the promotion recovers an exact
-                        // runner-up.
-                        (m.q2, m.r2) = (q1, m.r1);
-                        (m.q1, m.r1) = (p, rp);
-                    }
-                } else {
-                    merge_touched(m, p, qs, rp, m.eval(dzq, dfq));
-                }
-            }
-            if m.q1 != NONE_CH {
-                best.offer(m.item as usize, m.r1);
-            }
-        }
-    }
-}
-
-/// General merge for a member whose cached pair points at `p` or `q*`
-/// (`rp`, `rq` are its exact post-move reductions to them): revalue the
-/// touched entries (aggregate changes are monotone per destination, so
-/// re-evaluation is exact), add `p`, and rank. The pre-move runner-up
-/// entry is a strict lex upper bound on every untouched third candidate
-/// — the merged top is therefore exact, and the merged second is kept
-/// only when it clears that bound.
+/// The pick order, `a` at destination `qa` strictly ahead of `b` at
+/// `qb`: larger reduction first, then the smaller item id, then the
+/// smaller destination — the candidate the ascending strict-`>` scan
+/// keeps.
 #[inline]
-fn merge_touched(m: &mut Member, p: u32, qs: u32, rp: f64, rq: f64) {
-    let (q1, q2) = (m.q1, m.q2);
-    let revalue = |q: u32, cached: f64| {
-        if q == p {
-            rp
-        } else if q == qs {
-            rq
-        } else {
-            cached
-        }
-    };
-    let mut eq = [NONE_CH; 3];
-    let mut er = [f64::NEG_INFINITY; 3];
-    eq[0] = q1;
-    er[0] = revalue(q1, m.r1);
-    let mut n = 1;
-    if q2 != NONE_CH {
-        eq[1] = q2;
-        er[1] = revalue(q2, m.r2);
-        n = 2;
+fn ahead(a: Pair, qa: usize, b: Pair, qb: usize) -> bool {
+    if a.r != b.r {
+        return a.r > b.r;
     }
-    if q1 != p && q2 != p {
-        eq[n] = p;
-        er[n] = rp;
-        n += 1;
-    }
-    let mut ti = 0;
-    for i in 1..n {
-        if lex_gt(er[i], eq[i], er[ti], eq[ti]) {
-            ti = i;
+    (a.item, qa) < (b.item, qb)
+}
+
+/// Scores one pair over its source's member segment: the largest
+/// `f·dz + z·df − 2fz` (the scan's canonical expression), and the
+/// smallest item id reaching it with that item's own value, so even a
+/// `±0` tie reports the scan's bits. Two passes of [`LANES`]
+/// independent lanes: the maximum, then the smallest id.
+fn score(f: &[f64], z: &[f64], t2fz: &[f64], item: &[u32], dz: f64, df: f64) -> Pair {
+    let n = item.len();
+    let (f, z, t2fz) = (&f[..n], &z[..n], &t2fz[..n]);
+    let (fc, _) = f.as_chunks::<LANES>();
+    let (zc, _) = z.as_chunks::<LANES>();
+    let (tc, _) = t2fz.as_chunks::<LANES>();
+    let (ic, _) = item.as_chunks::<LANES>();
+    let tail = fc.len() * LANES..n;
+    let eval = |i: usize| f[i] * dz + z[i] * df - t2fz[i];
+
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    for ((f, z), t) in fc.iter().zip(zc).zip(tc) {
+        for l in 0..LANES {
+            let r = f[l] * dz + z[l] * df - t[l];
+            hi[l] = if r > hi[l] { r } else { hi[l] };
         }
     }
-    let mut si = usize::MAX;
-    for i in 0..n {
-        if i != ti && (si == usize::MAX || lex_gt(er[i], eq[i], er[si], eq[si])) {
-            si = i;
+    let mut top = hi.into_iter().fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
+    for i in tail.clone() {
+        let r = eval(i);
+        top = if r > top { r } else { top };
+    }
+
+    let mut ids = [NO_ITEM; LANES];
+    let mut rs = [f64::NEG_INFINITY; LANES];
+    for (((f, z), t), it) in fc.iter().zip(zc).zip(tc).zip(ic) {
+        for l in 0..LANES {
+            let r = f[l] * dz + z[l] * df - t[l];
+            let take = r == top && it[l] < ids[l];
+            ids[l] = if take { it[l] } else { ids[l] };
+            rs[l] = if take { r } else { rs[l] };
         }
     }
-    (m.q1, m.r1) = (eq[ti], er[ti]);
-    let keep = si != usize::MAX
-        && q2 != NONE_CH
-        && (er[si] > m.r2 || (er[si] == m.r2 && eq[si] <= q2));
-    (m.q2, m.r2) = if keep { (eq[si], er[si]) } else { (NONE_CH, f64::NEG_INFINITY) };
+    let mut best = Pair::NONE;
+    for (id, r) in ids.into_iter().zip(rs).chain(tail.map(|i| (item[i], eval(i)))) {
+        if r == top && id < best.item {
+            best = Pair { r, item: id, stale: false };
+        }
+    }
+    best
 }
 
 /// Incrementally maintained best-move state over raw `(f, z)` columns,
@@ -335,19 +147,24 @@ pub struct BestMoveEngine {
     channels: usize,
     threshold: f64,
     assign: Vec<u32>,
-    /// Each item's index in `slots`.
+    /// Each item's slot in the member columns.
     pos: Vec<u32>,
-    /// Every item's [`Member`] entry, channel-major: channel `c`'s
-    /// member list is `slots[start[c]..start[c + 1]]`.
-    slots: Vec<Member>,
-    /// `K + 1` segment bounds into `slots`.
+    /// Member columns, channel-major: channel `c`'s members occupy the
+    /// slots `start[c]..start[c + 1]`.
+    f: Vec<f64>,
+    z: Vec<f64>,
+    t2fz: Vec<f64>,
+    item: Vec<u32>,
+    /// `K + 1` segment bounds into the member columns.
     start: Vec<usize>,
     freq: Vec<f64>,
     size: Vec<f64>,
-    /// Difference-row scratch of the serial pass, length `K`.
-    row: Vec<(f64, f64)>,
-    best_item: usize,
-    rescans: u64,
+    /// The pair table, row-major by source channel; the diagonal stays
+    /// [`Pair::NONE`].
+    pairs: Vec<Pair>,
+    /// Each row's best destination under [`ahead`].
+    row_best: Vec<usize>,
+    best: Option<EngineMove>,
 }
 
 impl std::fmt::Debug for BestMoveEngine {
@@ -356,13 +173,12 @@ impl std::fmt::Debug for BestMoveEngine {
             .field("items", &self.assign.len())
             .field("channels", &self.channels)
             .field("threshold", &self.threshold)
-            .field("rescans", &self.rescans)
             .finish_non_exhaustive()
     }
 }
 
 impl BestMoveEngine {
-    /// Builds the engine and runs the initial `O(NK)` scan.
+    /// Builds the engine and scores every pair, `O(NK)`.
     ///
     /// `freq`/`size` are the *current* per-channel aggregates the
     /// caller maintains; the engine takes them over verbatim (it does
@@ -372,9 +188,10 @@ impl BestMoveEngine {
     ///
     /// # Panics
     ///
-    /// Panics on column length mismatches, an assignment outside
-    /// `0..channels`, `channels == 0`, or more than `u32::MAX` items or
-    /// channels.
+    /// Panics on column length mismatches, an `f` or `z` that is not
+    /// finite and `≥ 0` (the stale-bound rule relies on it), an
+    /// assignment outside `0..channels`, `channels == 0`, or `u32::MAX`
+    /// items or more.
     pub fn new(
         channels: usize,
         threshold: f64,
@@ -385,13 +202,18 @@ impl BestMoveEngine {
         size: Vec<f64>,
     ) -> Self {
         assert!(channels > 0, "at least one channel required");
-        assert!(channels <= NONE_CH as usize, "channel count exceeds engine range");
         let n = assign.len();
-        assert!(n <= u32::MAX as usize, "item count exceeds engine range");
+        assert!(n < NO_ITEM as usize, "item count exceeds engine range");
         assert_eq!(f.len(), n, "frequency column length mismatch");
         assert_eq!(z.len(), n, "size column length mismatch");
         assert_eq!(freq.len(), channels, "aggregate frequency length mismatch");
         assert_eq!(size.len(), channels, "aggregate size length mismatch");
+        for (x, (&fx, &zx)) in f.iter().zip(&z).enumerate() {
+            assert!(
+                fx.is_finite() && fx >= 0.0 && zx.is_finite() && zx >= 0.0,
+                "item {x}: f = {fx} and z = {zx} must be finite and >= 0"
+            );
+        }
         // Counting sort by channel; each segment starts in item order.
         let mut start = vec![0usize; channels + 1];
         for &c in &assign {
@@ -402,43 +224,38 @@ impl BestMoveEngine {
         }
         let mut next = start.clone();
         let mut pos = vec![0u32; n];
-        let empty = Member {
-            item: 0,
-            q1: NONE_CH,
-            q2: NONE_CH,
-            f: 0.0,
-            z: 0.0,
-            t2fz: 0.0,
-            r1: f64::NEG_INFINITY,
-            r2: f64::NEG_INFINITY,
-        };
-        let mut slots = vec![empty; n];
+        let mut order = vec![0u32; n];
         for (x, &c) in assign.iter().enumerate() {
             let i = next[c as usize];
             next[c as usize] += 1;
             pos[x] = i as u32;
-            slots[i] = Member {
-                item: x as u32,
-                f: f[x],
-                z: z[x],
-                t2fz: 2.0 * f[x] * z[x],
-                ..empty
-            };
+            order[i] = x as u32;
         }
+        let column = |v: &[f64]| order.iter().map(|&x| v[x as usize]).collect::<Vec<_>>();
+        let t2fz: Vec<f64> = f.iter().zip(&z).map(|(&fx, &zx)| 2.0 * fx * zx).collect();
         let mut engine = BestMoveEngine {
             channels,
             threshold,
             assign,
             pos,
-            slots,
+            f: column(&f),
+            z: column(&z),
+            t2fz: column(&t2fz),
+            item: order,
             start,
             freq,
             size,
-            row: vec![(0.0, 0.0); channels],
-            best_item: usize::MAX,
-            rescans: 0,
+            pairs: vec![Pair::NONE; channels * channels],
+            row_best: vec![0; channels],
+            best: None,
         };
-        engine.init_scan();
+        for c in 0..channels {
+            for q in (0..channels).filter(|&q| q != c) {
+                engine.rescore(c, q);
+            }
+            engine.settle_row(c);
+        }
+        engine.pick();
         engine
     }
 
@@ -472,52 +289,41 @@ impl BestMoveEngine {
         &self.size
     }
 
-    /// Full `O(K)` rescans performed so far (members of the move's two
-    /// channels plus the lazy-invalidation slow path; everything else
-    /// is O(1) per item per move).
-    pub fn rescans(&self) -> u64 {
-        self.rescans
-    }
-
     /// The best strictly-improving move above the threshold, if any —
     /// the same `(item, to, Δc)` the exhaustive reference scan returns,
     /// bit-for-bit.
     pub fn best(&self) -> Option<EngineMove> {
-        if self.best_item == usize::MAX {
-            return None;
-        }
-        let x = self.best_item;
-        let m = &self.slots[self.pos[x] as usize];
-        Some(EngineMove {
-            item: x,
-            from: self.assign[x] as usize,
-            to: m.q1 as usize,
-            reduction: m.r1,
-        })
+        self.best
     }
 
     /// Applies the current best move (if any), updates the aggregates
     /// with the same operations an exhaustive caller would use, moves
-    /// the item into its new channel's member list, and repairs the
-    /// candidate caches in one `O(N)` pass.
+    /// the item into its new channel's segment, re-scores the pairs
+    /// that can rise and picks the next best move.
     pub fn apply_best(&mut self) -> Option<EngineMove> {
-        let mv = self.best()?;
+        let mv = self.best?;
+        self.shift(mv);
+        self.settle(mv.from, mv.to);
+        self.pick();
+        Some(mv)
+    }
+
+    /// Moves the item and its Eq. 4 mass from `mv.from` to `mv.to`.
+    fn shift(&mut self, mv: EngineMove) {
         let (x, p, q) = (mv.item, mv.from, mv.to);
-        let Member { f, z, .. } = self.slots[self.pos[x] as usize];
+        let i = self.pos[x] as usize;
+        let (f, z) = (self.f[i], self.z[i]);
         self.freq[p] -= f;
         self.size[p] -= z;
         self.freq[q] += f;
         self.size[q] += z;
         self.assign[x] = q as u32;
         self.relocate(x, p, q);
-        self.run_pass(Some((p as u32, q as u32)));
-        Some(mv)
     }
 
-    /// Moves item `x`'s entry from segment `p` to segment `q` by
-    /// walking it across the segment bounds in between: one swap and
-    /// one bound shift per bound, `|p − q| < K` in all, and never an
-    /// allocation.
+    /// Moves item `x`'s slot from segment `p` to segment `q` by walking
+    /// it across the segment bounds in between: one swap and one bound
+    /// shift per bound, `|p − q| < K` in all, and never an allocation.
     fn relocate(&mut self, x: usize, p: usize, q: usize) {
         let mut i = self.pos[x] as usize;
         if p < q {
@@ -539,31 +345,115 @@ impl BestMoveEngine {
                 i = j;
             }
         }
-        self.pos[x] = i as u32;
     }
 
-    /// Swaps slots `i` and `j`, re-pointing the entry that lands in `i`.
+    /// Swaps slots `i` and `j` in every member column, re-pointing both
+    /// items.
     fn swap_slots(&mut self, i: usize, j: usize) {
-        self.slots.swap(i, j);
-        self.pos[self.slots[i].item as usize] = i as u32;
+        self.f.swap(i, j);
+        self.z.swap(i, j);
+        self.t2fz.swap(i, j);
+        self.item.swap(i, j);
+        self.pos[self.item[i] as usize] = i as u32;
+        self.pos[self.item[j] as usize] = j as u32;
     }
 
-    fn init_scan(&mut self) {
-        self.run_pass(None);
+    /// Restores the table after a move `p → qs`: the pairs that can
+    /// rise are re-scored, the pairs that can only fall turn stale, and
+    /// each row's best follows.
+    fn settle(&mut self, p: usize, qs: usize) {
+        let k = self.channels;
+        let p_empty = self.start[p] == self.start[p + 1];
+        for d in (0..k).filter(|&d| d != p) {
+            let pair = &mut self.pairs[p * k + d];
+            *pair = if p_empty { Pair::NONE } else { Pair { stale: true, ..*pair } };
+        }
+        for c in (0..k).filter(|&c| c != qs) {
+            self.pairs[c * k + qs].stale = true;
+        }
+        for d in (0..k).filter(|&d| d != qs) {
+            self.rescore(qs, d);
+        }
+        for c in (0..k).filter(|&c| c != p && c != qs) {
+            let old = self.pairs[c * k + p];
+            self.rescore(c, p);
+            // A stale (c, p) may have been the row's best and fallen.
+            if self.row_best[c] == p && ahead(old, p, self.pairs[c * k + p], p) {
+                self.settle_row(c);
+            } else {
+                self.offer(c, p);
+                self.offer(c, qs);
+            }
+        }
+        self.settle_row(p);
+        self.settle_row(qs);
     }
 
-    fn run_pass(&mut self, moved: Option<(u32, u32)>) {
-        let pass =
-            Pass { freq: &self.freq, size: &self.size, threshold: self.threshold, moved };
-        let local = pass.run(&self.start, &mut self.slots, &mut self.row);
-        self.best_item = local.item;
-        self.rescans += local.rescans;
+    /// Scores pair `(c, q)` afresh from `c`'s member segment.
+    fn rescore(&mut self, c: usize, q: usize) {
+        let seg = self.start[c]..self.start[c + 1];
+        self.pairs[c * self.channels + q] = score(
+            &self.f[seg.clone()],
+            &self.z[seg.clone()],
+            &self.t2fz[seg.clone()],
+            &self.item[seg],
+            self.size[c] - self.size[q],
+            self.freq[c] - self.freq[q],
+        );
+    }
+
+    /// Makes `(c, q)` row `c`'s best if it is ahead of the current one.
+    fn offer(&mut self, c: usize, q: usize) {
+        let (k, b) = (self.channels, self.row_best[c]);
+        if ahead(self.pairs[c * k + q], q, self.pairs[c * k + b], b) {
+            self.row_best[c] = q;
+        }
+    }
+
+    /// Recomputes row `c`'s best over all `K` destinations.
+    fn settle_row(&mut self, c: usize) {
+        let k = self.channels;
+        let row = &self.pairs[c * k..(c + 1) * k];
+        self.row_best[c] =
+            (1..k).fold(0, |b, q| if ahead(row[q], q, row[b], b) { q } else { b });
+    }
+
+    /// Folds the row maxima into the best move, re-scoring a stale pair
+    /// that reaches the top until a fresh one holds it.
+    fn pick(&mut self) {
+        let k = self.channels;
+        loop {
+            let (c, q) = (1..k).fold((0, self.row_best[0]), |(bc, bq), c| {
+                let q = self.row_best[c];
+                if ahead(self.pairs[c * k + q], q, self.pairs[bc * k + bq], bq) {
+                    (c, q)
+                } else {
+                    (bc, bq)
+                }
+            });
+            let top = self.pairs[c * k + q];
+            // Stale values are upper bounds: one that does not clear
+            // the threshold rules out every pair.
+            let clears = top.r > self.threshold;
+            if !clears {
+                self.best = None;
+                return;
+            }
+            if !top.stale {
+                let item = top.item as usize;
+                self.best = Some(EngineMove { item, from: c, to: q, reduction: top.r });
+                return;
+            }
+            self.rescore(c, q);
+            self.settle_row(c);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbcast_model::{Allocation, ChannelId, Database, ItemId, ItemSpec, Move};
 
     /// Deterministic xorshift features for self-contained tests.
     fn features(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -589,51 +479,45 @@ mod tests {
         (freq, size)
     }
 
+    /// Eq. 4 for item `x` from `p` to `q`, as the exhaustive scan
+    /// writes it.
+    fn eq4(x: usize, p: usize, q: usize, f: &[f64], z: &[f64], e: &BestMoveEngine) -> f64 {
+        let (freq, size) = (&e.freq, &e.size);
+        f[x] * (size[p] - size[q]) + z[x] * (freq[p] - freq[q]) - 2.0 * f[x] * z[x]
+    }
+
     /// The exhaustive scan the engine must reproduce bit-for-bit.
     fn brute_best(
-        k: usize,
-        threshold: f64,
+        e: &BestMoveEngine,
         f: &[f64],
         z: &[f64],
-        assign: &[u32],
-        freq: &[f64],
-        size: &[f64],
-    ) -> Option<(usize, usize, f64)> {
+        threshold: f64,
+    ) -> Option<(usize, usize, u64)> {
         let mut best = None;
         let mut best_r = threshold;
-        for (x, &p) in assign.iter().enumerate() {
-            let p = p as usize;
-            for q in 0..k {
-                if q == p {
-                    continue;
-                }
-                let r = f[x] * (size[p] - size[q]) + z[x] * (freq[p] - freq[q])
-                    - 2.0 * f[x] * z[x];
+        for (x, &p) in e.assign.iter().enumerate() {
+            for q in (0..e.channels).filter(|&q| q != p as usize) {
+                let r = eq4(x, p as usize, q, f, z, e);
                 if r > best_r {
                     best_r = r;
-                    best = Some((x, q, r));
+                    best = Some((x, q, r.to_bits()));
                 }
             }
         }
         best
     }
 
-    /// Exact top-2 `(q1, r1, q2, r2)` for item `x`, evaluated straight
-    /// from the aggregates without any hoisting.
-    fn exact_top2(engine: &BestMoveEngine, x: usize) -> (u32, f64, u32, f64) {
-        let m = &engine.slots[engine.pos[x] as usize];
-        let p = engine.assign[x] as usize;
-        let (freq, size) = (&engine.freq, &engine.size);
-        let mut top = (NONE_CH, f64::NEG_INFINITY, NONE_CH, f64::NEG_INFINITY);
-        for q in (0..engine.channels).filter(|&q| q != p) {
-            let r = m.f * (size[p] - size[q]) + m.z * (freq[p] - freq[q]) - 2.0 * m.f * m.z;
-            if lex_gt(r, q as u32, top.1, top.0) {
-                top = (q as u32, r, top.0, top.1);
-            } else if lex_gt(r, q as u32, top.3, top.2) {
-                top = (top.0, top.1, q as u32, r);
+    /// Pair `(c, q)` by brute force: `c`'s members in id order, strict
+    /// `>` from `−∞`.
+    fn brute_pair(e: &BestMoveEngine, f: &[f64], z: &[f64], c: usize, q: usize) -> Pair {
+        let mut best = Pair::NONE;
+        for x in (0..e.len()).filter(|&x| e.assign[x] as usize == c) {
+            let r = eq4(x, c, q, f, z, e);
+            if r > best.r || best.item == NO_ITEM {
+                best = Pair { r, item: x as u32, stale: false };
             }
         }
-        top
+        best
     }
 
     fn engine_for(n: usize, k: usize, seed: u64) -> BestMoveEngine {
@@ -649,21 +533,9 @@ mod tests {
         let (f, z) = features(n, seed);
         let mut engine = engine_for(n, k, seed);
         for step in 0..10_000 {
-            let brute = brute_best(
-                engine.channels,
-                engine.threshold,
-                &f,
-                &z,
-                &engine.assign,
-                &engine.freq,
-                &engine.size,
-            );
             let got = engine.best().map(|m| (m.item, m.to, m.reduction.to_bits()));
-            assert_eq!(
-                got,
-                brute.map(|(x, q, r)| (x, q, r.to_bits())),
-                "n {n} k {k} seed {seed} step {step}"
-            );
+            let brute = brute_best(&engine, &f, &z, engine.threshold);
+            assert_eq!(got, brute, "n {n} k {k} seed {seed} step {step}");
             if engine.apply_best().is_none() {
                 break;
             }
@@ -671,22 +543,25 @@ mod tests {
         assert!(engine.best().is_none(), "descent must terminate");
     }
 
-    /// Every channel's member list is exactly `{x : assign[x] == c}`
-    /// and every stored position points back at its item.
-    fn assert_members_consistent(engine: &BestMoveEngine) {
+    /// Every channel's segment holds exactly `{x : assign[x] == c}`
+    /// with its own columns, and every stored position points back at
+    /// its item.
+    fn assert_members_consistent(engine: &BestMoveEngine, f: &[f64], z: &[f64]) {
         let (start, n) = (&engine.start, engine.len());
         assert_eq!(start.len(), engine.channels + 1);
         assert_eq!((start[0], start[engine.channels]), (0, n), "segments cover the slots");
         assert!(start.windows(2).all(|w| w[0] <= w[1]), "segment bounds ascend");
-        assert_eq!((engine.slots.len(), engine.pos.len()), (n, n));
+        assert_eq!((engine.item.len(), engine.pos.len()), (n, n));
         let mut seen = vec![false; n];
         for c in 0..engine.channels {
             for slot in start[c]..start[c + 1] {
-                let x = engine.slots[slot].item as usize;
+                let x = engine.item[slot] as usize;
                 assert!(!seen[x], "item {x} listed twice");
                 seen[x] = true;
                 assert_eq!(engine.assign[x] as usize, c, "item {x} listed on channel {c}");
                 assert_eq!(engine.pos[x] as usize, slot, "item {x} position");
+                let cols = (engine.f[slot], engine.z[slot], engine.t2fz[slot]);
+                assert_eq!(cols, (f[x], z[x], 2.0 * f[x] * z[x]), "item {x} columns");
             }
         }
         assert!(seen.iter().all(|&s| s), "an item is on no member list");
@@ -697,40 +572,112 @@ mod tests {
         for seed in [3u64, 17, 99] {
             assert_descent_matches_brute_force(60, 5, seed);
         }
+        // More members than kernel lanes per segment, and a remainder.
+        assert_descent_matches_brute_force(203, 7, 5);
     }
 
     #[test]
-    fn cached_top2_is_exact_where_known() {
-        let mut engine = engine_for(40, 6, 8);
-        for _ in 0..25 {
-            for x in 0..engine.len() {
-                let (q1, r1, q2, r2) = exact_top2(&engine, x);
-                let m = &engine.slots[engine.pos[x] as usize];
-                assert_eq!(m.q1, q1, "item {x} best destination");
-                assert_eq!(m.r1.to_bits(), r1.to_bits(), "item {x} best value");
-                if m.q2 != NONE_CH {
-                    assert_eq!(m.q2, q2, "item {x} runner-up destination");
-                    assert_eq!(m.r2.to_bits(), r2.to_bits(), "item {x} runner-up value");
+    fn fresh_pairs_are_exact_and_stale_pairs_bound_along_descent() {
+        let (n, k, seed) = (90, 6, 8);
+        let (f, z) = features(n, seed);
+        let mut engine = engine_for(n, k, seed);
+        let (mut steps, mut stale) = (0, 0);
+        loop {
+            for c in 0..k {
+                for q in (0..k).filter(|&q| q != c) {
+                    let (got, want) =
+                        (engine.pairs[c * k + q], brute_pair(&engine, &f, &z, c, q));
+                    if got.stale {
+                        stale += 1;
+                        let bound = !ahead(want, q, got, q);
+                        assert!(
+                            bound,
+                            "step {steps} pair ({c}, {q}) behind its true value"
+                        );
+                    } else {
+                        let (g, w) =
+                            ((got.r.to_bits(), got.item), (want.r.to_bits(), want.item));
+                        assert_eq!(g, w, "step {steps} pair ({c}, {q})");
+                    }
                 }
+                let b = engine.row_best[c];
+                let row = &engine.pairs[c * k..(c + 1) * k];
+                assert!((0..k).all(|q| !ahead(row[q], q, row[b], b)), "row {c} best");
             }
             if engine.apply_best().is_none() {
                 break;
             }
+            steps += 1;
         }
+        assert!(steps > 10 && stale > 0, "{steps} steps, {stale} stale pairs seen");
+    }
+
+    #[test]
+    fn stale_ties_match_reference_cds() {
+        // Identical items tie on every candidate, and channel 3 starts
+        // empty. Before each pick, count the stale pairs whose stored
+        // bound ties the best fresh value: the pick settles those ties
+        // on the stored item id, and must still take the reference's
+        // move.
+        let specs = vec![ItemSpec::new(0.5, 2.0); 12];
+        let db = Database::try_from_specs(specs).unwrap();
+        let k = 4;
+        let start: Vec<usize> = (0..12).map(|x| [0, 0, 0, 1, 1, 2][x % 6]).collect();
+        let mut alloc = Allocation::from_assignment(&db, k, start).unwrap();
+        let f: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
+        let z: Vec<f64> = db.iter().map(|d| d.size()).collect();
+        let stats = alloc.all_channel_stats();
+        let mut engine = BestMoveEngine::new(
+            k,
+            1e-9,
+            f,
+            z,
+            alloc.assignment().iter().map(|&c| c as u32).collect(),
+            stats.iter().map(|s| s.frequency).collect(),
+            stats.iter().map(|s| s.size).collect(),
+        );
+        let reference = crate::ReferenceCds::new();
+        let mut ties = 0;
+        loop {
+            let want = reference.best_move(&alloc);
+            let got = engine.best().map(|m| {
+                let mv = Move {
+                    item: ItemId::new(m.item),
+                    from: ChannelId::new(m.from),
+                    to: ChannelId::new(m.to),
+                };
+                (mv, m.reduction)
+            });
+            assert_eq!(
+                got.map(|(mv, r)| (mv, r.to_bits())),
+                want.map(|(mv, r)| (mv, r.to_bits()))
+            );
+            let Some((mv, _)) = got else { break };
+            alloc.apply_move(mv).unwrap();
+            engine.shift(engine.best.unwrap());
+            engine.settle(mv.from.index(), mv.to.index());
+            let fresh = engine.pairs.iter().filter(|p| !p.stale).map(|p| p.r);
+            let top = fresh.fold(f64::NEG_INFINITY, f64::max);
+            ties += engine.pairs.iter().filter(|p| p.stale && p.r == top).count();
+            engine.pick();
+        }
+        assert!(ties > 0, "no stale pair tied the fresh winner");
     }
 
     #[test]
     fn member_lists_track_the_assignment() {
+        let (f, z) = features(70, 44);
         let mut engine = engine_for(70, 6, 44);
-        assert_members_consistent(&engine);
+        assert_members_consistent(&engine, &f, &z);
         let mut moves = 0;
         while engine.apply_best().is_some() {
             moves += 1;
-            assert_members_consistent(&engine);
+            assert_members_consistent(&engine, &f, &z);
         }
         assert!(moves > 0, "the descent must walk entries across segment bounds");
+        let (f, z) = features(10, 5);
         let single = engine_for(10, 1, 5);
-        assert_members_consistent(&single);
+        assert_members_consistent(&single, &f, &z);
         assert!(single.best().is_none(), "one channel has no moves");
         let empty = BestMoveEngine::new(
             3,
@@ -741,7 +688,7 @@ mod tests {
             vec![0.0; 3],
             vec![0.0; 3],
         );
-        assert_members_consistent(&empty);
+        assert_members_consistent(&empty, &[], &[]);
         assert!(empty.best().is_none(), "no items, no moves");
     }
 
@@ -769,32 +716,63 @@ mod tests {
     }
 
     #[test]
-    fn two_channels_keep_exactness_through_source_rescans() {
-        // K = 2 puts every item on a source channel: every move rescans
-        // all of them over the hoisted difference rows.
+    fn two_channels_keep_exactness() {
+        // K = 2: every move re-scores both pairs.
         assert_descent_matches_brute_force(32, 2, 13);
     }
 
     #[test]
     fn equal_reductions_go_to_the_smaller_item_id() {
         // Identical items on one channel tie on every candidate; the
-        // slot swaps of the descent reorder the member lists, so only
-        // the explicit rule picks the smallest id.
+        // slot swaps of the descent reorder the segments, so only the
+        // explicit rule picks the smallest id.
         let n = 8;
-        let f = vec![0.5; n];
-        let z = vec![2.0; n];
+        let (f, z) = (vec![0.5; n], vec![2.0; n]);
         let assign = vec![0u32; n];
         let (freq, size) = aggregates(3, &f, &z, &assign);
         let mut engine =
             BestMoveEngine::new(3, 1e-9, f.clone(), z.clone(), assign, freq, size);
         loop {
-            let brute =
-                brute_best(3, 1e-9, &f, &z, &engine.assign, &engine.freq, &engine.size);
             let got = engine.best().map(|m| (m.item, m.to, m.reduction.to_bits()));
-            assert_eq!(got, brute.map(|(x, q, r)| (x, q, r.to_bits())));
+            assert_eq!(got, brute_best(&engine, &f, &z, 1e-9));
             if engine.apply_best().is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn a_row_tie_goes_to_the_smaller_item_not_the_smaller_destination() {
+        // Item 1 → channel 1 and item 0 → channel 2 both reduce the
+        // cost by exactly 13 (dyadic inputs, exact arithmetic): the
+        // scan meets item 0 first.
+        let (f, z) = (vec![1.0, 4.0, 2.0, 0.5], vec![4.0, 1.0, 0.5, 2.0]);
+        let assign = vec![0, 0, 1, 2];
+        let (freq, size) = aggregates(3, &f, &z, &assign);
+        let engine = BestMoveEngine::new(3, 1e-9, f, z, assign, freq, size);
+        let m = engine.best().unwrap();
+        assert_eq!((m.item, m.to, m.reduction), (0, 2, 13.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 2: f = 0.5 and z = -1 must be finite and >= 0")]
+    fn negative_size_panics() {
+        let (f, z) = (vec![0.5; 3], vec![1.0, 1.0, -1.0]);
+        let _ =
+            BestMoveEngine::new(2, 1e-9, f, z, vec![0, 1, 0], vec![1.0; 2], vec![1.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 0: f = NaN")]
+    fn nan_frequency_panics() {
+        let _ = BestMoveEngine::new(
+            1,
+            1e-9,
+            vec![f64::NAN],
+            vec![1.0],
+            vec![0],
+            vec![0.0],
+            vec![0.0],
+        );
     }
 }

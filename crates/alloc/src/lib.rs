@@ -9,6 +9,12 @@
 //!
 //! combined as the paper's two-step scheme **DRP-CDS** ([`DrpCds`]).
 //!
+//! CDS runs on [`BestMoveEngine`]: a `K × K` table of each (source,
+//! destination) channel pair's best move. A move re-scores only the
+//! pairs whose value can rise; the pairs it can only lower keep their
+//! stored value as an upper bound until they reach the pick. The steps
+//! are bit-for-bit those of the exhaustive scan [`ReferenceCds`].
+//!
 //! All three implement
 //! [`ChannelAllocator`](dbcast_model::ChannelAllocator), so they drop
 //! into the same harnesses as the baselines in `dbcast-baselines`.

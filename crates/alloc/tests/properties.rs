@@ -3,8 +3,8 @@
 //!
 //! 1. **No staleness** — after any prefix of applied moves, the cached
 //!    global best equals an exhaustive from-scratch scan, bit-for-bit.
-//!    (A lazy-invalidation bug shows up here as a skipped fresh
-//!    candidate or a surfaced stale one.)
+//!    (A stale-bound bug shows up here as a skipped re-score or a
+//!    surfaced stale pair.)
 //! 2. **Aggregate integrity** — the maintained per-channel `(F, Z)`
 //!    columns match a from-scratch recomputation after the full
 //!    descent.

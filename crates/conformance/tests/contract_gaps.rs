@@ -131,7 +131,7 @@ fn vfk_cost_increases_with_an_extra_channel() {
 /// produces a bit-identical Eq. 4 reduction, so the steepest-descent
 /// scan faces genuine ties at (almost) every step and resolves them by
 /// lowest item id, then lowest destination channel. If the incremental
-/// engine's lazy-invalidation cache ever surfaced a *stale sibling*
+/// engine's pair table ever surfaced a *stale sibling*
 /// (higher id, equal reduction) the step sequences would diverge here
 /// long before any cost difference appeared.
 #[test]

@@ -117,8 +117,8 @@ fn standard_harness_run_is_clean_with_differential_check() {
 
 /// Instances beyond the generator's `N ≤ 40` envelope: skewed diverse
 /// workloads at a few hundred items, where the incremental engine's
-/// lazy invalidation actually kicks in (hot channels, demoted cached
-/// bests, runner-up recoveries).
+/// stale pairs actually reach the pick (hot channels, emptied sources,
+/// re-scored upper bounds).
 #[test]
 fn midsize_workloads_are_bit_identical_across_engines() {
     use dbcast_workload::{SizeDistribution, WorkloadBuilder};

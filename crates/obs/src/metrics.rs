@@ -186,17 +186,28 @@ impl Histogram {
     /// record can only inflate `count`, never leave it below the bucket
     /// series (the cumulative OpenMetrics bucket lines stay at or under
     /// `_count`).
+    ///
+    /// A record publishes its bucket and count before `min` and `max`,
+    /// so a read racing the first records can see `min > max`. The
+    /// bounds then come from the non-empty buckets; with none visible
+    /// yet, the cells are empty.
     pub fn cells(&self) -> HistogramCells {
         let buckets: [u64; BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         let bucket_total: u64 = buckets.iter().sum();
-        HistogramCells {
-            buckets,
-            count: self.count().max(bucket_total),
-            sum: self.sum(),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+        let count = self.count().max(bucket_total);
+        let sum = self.sum();
+        let mut min = self.min.load(Ordering::Relaxed);
+        let mut max = self.max.load(Ordering::Relaxed);
+        if min > max {
+            let first = buckets.iter().position(|&c| c > 0);
+            let last = buckets.iter().rposition(|&c| c > 0);
+            let (Some(lo), Some(hi)) = (first, last) else {
+                return HistogramCells::empty();
+            };
+            (min, max) = (bucket_lower_bound(lo), bucket_upper_bound(hi));
         }
+        HistogramCells { buckets, count, sum, min, max }
     }
 
     /// Folds a cells digest into this histogram element-wise (when
@@ -482,6 +493,34 @@ mod tests {
         }
         // p50 of 1..=1000 is 500, inside bucket [256, 511].
         assert_eq!(cells.percentile_bounds(50.0), Some((256, 511)));
+    }
+
+    #[test]
+    fn a_read_racing_the_first_record_stays_self_consistent() {
+        use crate::doc::Document;
+        let check = |h: HistogramSnapshot| {
+            let doc = crate::snapshot::Snapshot {
+                counters: Vec::new(),
+                gauges: Vec::new(),
+                histograms: vec![("h".into(), h)],
+            };
+            doc.check()
+        };
+        // `force_record` has bumped the bucket and the count of 700 but
+        // not yet `min` and `max`.
+        let h = Histogram::new();
+        h.buckets[bucket_index(700)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min, s.max), (1, 512, 1023));
+        assert!((s.min..=s.max).contains(&s.p50));
+        assert_eq!(check(s), Ok(()));
+        // Only the count is visible: nothing to bound yet.
+        let h = Histogram::new();
+        h.count.fetch_add(1, Ordering::Relaxed);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min, s.max, s.p99), (0, 0, 0, 0));
+        assert_eq!(check(s), Ok(()));
     }
 
     #[test]

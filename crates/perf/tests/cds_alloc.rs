@@ -3,8 +3,8 @@
 //! estimate.
 //!
 //! `BestMoveEngine` sizes every buffer it needs when it is built, so a
-//! move — apply, repair the two touched channels' member lists and
-//! rescan the items whose best destination changed — never allocates.
+//! move — apply, walk the item between segments, re-score the pairs
+//! that can rise and pick the next best — never allocates.
 //! The count is exact and host independent, unlike the move's wall time.
 
 use dbcast_alloc::{BestMoveEngine, Drp};

@@ -2,12 +2,17 @@
 //!
 //! Every fleet member runs the full client pipeline (subscribe → record
 //! the air → measure analytically) on its own thread with its own seed,
-//! then the fleet joins them in id order and folds the results into a
+//! then folds its outcomes once: one pass makes its [`ClientReport`]
+//! and one record per recorded generation, a [`FleetDigest`] carrying
+//! the client's [`GenerationSlice`]. The report's per-generation rows
+//! are those slices, and with an uplink the client sends the digests as
+//! they are. The fleet joins the clients in id order into a
 //! [`FleetReport`], the `fleet-run` telemetry document. Because each
 //! client's measurement depends only on its seed and the recorded
 //! frames — never on thread interleaving — the same seed over the same
-//! program yields a bit-identical report.
+//! program yields a bit-identical report and bit-identical uplink bytes.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 use std::thread::JoinHandle;
@@ -15,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use dbcast_obs::doc::Document;
 use dbcast_serve::FleetDigest;
+pub use dbcast_serve::GenerationSlice;
 use serde::{Deserialize, Serialize};
 
 use crate::client::{
@@ -99,7 +105,7 @@ impl FleetConfig {
 }
 
 /// Order statistics of one measured series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct StatSummary {
     /// Number of samples.
@@ -120,14 +126,7 @@ impl StatSummary {
     /// Summarises `values` (order-independent; empty series are zero).
     pub fn from_values(values: &[f64]) -> Self {
         if values.is_empty() {
-            return StatSummary {
-                count: 0,
-                mean: 0.0,
-                min: 0.0,
-                max: 0.0,
-                p50: 0.0,
-                p95: 0.0,
-            };
+            return StatSummary::default();
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
@@ -150,29 +149,6 @@ impl StatSummary {
             && self.p50.is_finite()
             && self.p95.is_finite()
     }
-}
-
-/// One generation as experienced by one client.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct GenerationSlice {
-    /// Generation counter from the directory.
-    pub generation: u64,
-    /// Virtual origin of the generation's phase 0.
-    pub origin: f64,
-    /// Requests served entirely inside this generation.
-    pub requests: u64,
-    /// Mean measured access time of those requests (0 when none).
-    pub mean_access: f64,
-    /// Mean measured tuning time of those requests (0 when none).
-    pub mean_tuning: f64,
-    /// The Eq. 2 expectation for the requests counted in this slice:
-    /// the mean per-request expectation conditioned on the items the
-    /// client actually drew, so sampling the workload does not show up
-    /// as prediction error. Falls back to the population
-    /// frequency-weighted expectation when the slice has no
-    /// single-item samples.
-    pub predicted_access: f64,
 }
 
 /// One fleet member's results.
@@ -228,6 +204,25 @@ pub struct FleetTotals {
     pub dropped_frames: Option<u64>,
 }
 
+impl FleetTotals {
+    /// The field-by-field sum of `clients` (saturating, so a tampered
+    /// document cannot overflow its check), with `dropped_frames` as
+    /// given.
+    fn sum(clients: &[ClientReport], dropped_frames: Option<u64>) -> FleetTotals {
+        let mut t = FleetTotals { dropped_frames, ..FleetTotals::default() };
+        for c in clients {
+            t.requests = t.requests.saturating_add(c.requests);
+            t.completed = t.completed.saturating_add(c.completed);
+            t.cache_hits = t.cache_hits.saturating_add(c.cache_hits);
+            t.conflicts = t.conflicts.saturating_add(c.conflicts);
+            t.retunes = t.retunes.saturating_add(c.retunes);
+            t.torn_frames = t.torn_frames.saturating_add(c.torn_frames);
+            t.decode_errors = t.decode_errors.saturating_add(c.decode_errors);
+        }
+        t
+    }
+}
+
 /// The fleet run artifact: the `fleet-run` document (schema
 /// [`FLEET_SCHEMA`]), whose check is [`FleetReport::validate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -247,8 +242,10 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Structural validation: schema, finite stats, tuning never above
-    /// access, zero torn frames / decode errors, and generation
-    /// consistency (every client saw the same generation sequence).
+    /// access, no more completions than requests nor clean slice
+    /// requests than completions, zero torn frames / decode errors,
+    /// generation consistency (every client saw the same generation
+    /// sequence), and totals that are the sum of the client rows.
     ///
     /// # Errors
     ///
@@ -267,13 +264,11 @@ impl FleetReport {
                 self.config.clients
             ));
         }
-        let reference: Vec<(u64, u64)> = self
-            .clients
-            .first()
-            .map(|c| {
-                c.generations.iter().map(|g| (g.generation, g.origin.to_bits())).collect()
-            })
-            .unwrap_or_default();
+        // Every client saw the same generations at the same origins.
+        let sequence = |c: &ClientReport| -> Vec<(u64, f64)> {
+            c.generations.iter().map(|g| (g.generation, g.origin)).collect()
+        };
+        let reference = self.clients.first().map(sequence).unwrap_or_default();
         for (i, client) in self.clients.iter().enumerate() {
             if client.id != i {
                 return Err(format!("client {i} reported id {}", client.id));
@@ -287,6 +282,20 @@ impl FleetReport {
                     client.tuning.mean, client.access.mean
                 ));
             }
+            if client.completed > client.requests {
+                return Err(format!(
+                    "client {i} completed {} of {} requests",
+                    client.completed, client.requests
+                ));
+            }
+            let clean =
+                client.generations.iter().fold(0u64, |n, g| n.saturating_add(g.requests));
+            if clean > client.completed {
+                return Err(format!(
+                    "client {i} slices count {clean} requests, more than its {} completed",
+                    client.completed
+                ));
+            }
             if client.torn_frames != 0 {
                 return Err(format!("client {i} saw {} torn frames", client.torn_frames));
             }
@@ -296,16 +305,10 @@ impl FleetReport {
                     client.decode_errors
                 ));
             }
-            let seen: Vec<(u64, u64)> = client
-                .generations
-                .iter()
-                .map(|g| (g.generation, g.origin.to_bits()))
-                .collect();
-            if seen != reference {
+            if sequence(client) != reference {
                 return Err(format!(
-                    "client {i} saw generation sequence {:?}, client 0 saw {:?}",
-                    client.generations.iter().map(|g| g.generation).collect::<Vec<_>>(),
-                    reference.iter().map(|(g, _)| *g).collect::<Vec<_>>()
+                    "client {i} saw generation sequence {:?}, client 0 saw {reference:?}",
+                    sequence(client)
                 ));
             }
             for g in &client.generations {
@@ -319,6 +322,9 @@ impl FleetReport {
                     ));
                 }
             }
+        }
+        if self.totals != FleetTotals::sum(&self.clients, self.totals.dropped_frames) {
+            return Err("totals are not the sum of the client rows".into());
         }
         Ok(())
     }
@@ -357,207 +363,162 @@ pub fn predicted_access(world: &WorldView) -> f64 {
     }
 }
 
-/// Resolved `fleet.*` metric handles.
-struct FleetMetrics {
-    requests: &'static dbcast_obs::metrics::Counter,
-    cache_hits: &'static dbcast_obs::metrics::Counter,
-    conflicts: &'static dbcast_obs::metrics::Counter,
-    retunes: &'static dbcast_obs::metrics::Counter,
-    torn: &'static dbcast_obs::metrics::Counter,
-    access: &'static dbcast_obs::metrics::Histogram,
-    tuning: &'static dbcast_obs::metrics::Histogram,
+/// One generation's running fold over a client's outcomes.
+struct GenerationFold<'a> {
+    world: &'a WorldView,
+    /// The span `[start, end)` the generation was on the air: requests
+    /// that arrived in it count in the digest.
+    span: (f64, f64),
+    /// Only arrivals by this instant can be clean: a later one could
+    /// straddle the generation's end.
+    clean_until: f64,
+    digest: FleetDigest,
+    /// Clean requests, and the sums of their access and tuning times.
+    clean: (u64, f64, f64),
+    /// Clean requests with an Eq. 2 expectation, and its sum.
+    expected: (u64, f64),
 }
 
-impl FleetMetrics {
-    fn resolve() -> Self {
-        let r = dbcast_obs::registry();
-        FleetMetrics {
-            requests: r.counter("fleet.requests"),
-            cache_hits: r.counter("fleet.cache_hits"),
-            conflicts: r.counter("fleet.conflicts"),
-            retunes: r.counter("fleet.retunes"),
-            torn: r.counter("fleet.torn_frames"),
-            access: r.histogram("fleet.access"),
-            tuning: r.histogram("fleet.tuning"),
+impl GenerationFold<'_> {
+    fn add(&mut self, o: &RequestOutcome) {
+        // Same arrival-epsilon as `AirLog::world_at`, so the
+        // attribution agrees with the measurement loop.
+        let arrival = o.arrival + 1e-12;
+        if self.span.0 <= arrival && arrival < self.span.1 {
+            let d = &mut self.digest;
+            d.requests += 1;
+            d.cache_hits += o.cache_hits;
+            d.conflicts += o.conflicts;
+            d.retunes += o.retunes;
+            d.torn += o.torn;
+            if !o.incomplete {
+                d.completed += 1;
+                d.access.record((o.access * 1e6) as u64);
+                d.tuning.record((o.tuning * 1e6) as u64);
+            }
         }
+        if o.generation == Some(self.world.directory.generation)
+            && !o.incomplete
+            && o.torn == 0
+            && o.arrival <= self.clean_until
+        {
+            self.clean =
+                (self.clean.0 + 1, self.clean.1 + o.access, self.clean.2 + o.tuning);
+            if let Some(expected) = o.expected_access {
+                self.expected = (self.expected.0 + 1, self.expected.1 + expected);
+            }
+        }
+    }
+
+    /// The digest, carrying the finished slice.
+    fn finish(self) -> FleetDigest {
+        let mean = |n: u64, sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
+        let (n, access, tuning) = self.clean;
+        let slice = GenerationSlice {
+            generation: self.world.directory.generation,
+            origin: self.world.directory.origin,
+            requests: n,
+            mean_access: mean(n, access),
+            mean_tuning: mean(n, tuning),
+            // Conditioned on the realized workload when possible: the
+            // sampled request mix differs from the population
+            // frequencies, and access is heavy-tailed across items, so
+            // the unconditioned mean is a noisy yardstick.
+            predicted_access: match self.expected {
+                (0, _) => predicted_access(self.world),
+                (n, sum) => mean(n, sum),
+            },
+        };
+        FleetDigest { slice: Some(slice), ..self.digest }
     }
 }
 
+/// Folds one client's outcomes, in one pass, into its report and one
+/// uplink digest per recorded generation. Each digest carries the
+/// client's [`GenerationSlice`] of the generation, which is also the
+/// report's row for it, plus counters and microsecond log2 histogram
+/// cells of the requests that arrived while the generation was on the
+/// air (every outcome lands in exactly one generation's counters), and
+/// the recorded per-channel frame coverage.
 fn summarize(
     config: &ClientConfig,
     log: &AirLog,
     outcomes: &[RequestOutcome],
-) -> ClientReport {
-    let metrics = FleetMetrics::resolve();
-    let mut access = Vec::new();
-    let mut tuning = Vec::new();
-    let mut cache_hits = 0;
-    let mut conflicts = 0;
-    let mut retunes = 0;
-    let mut torn = 0;
-    let mut completed = 0;
-    for o in outcomes {
-        cache_hits += o.cache_hits;
-        conflicts += o.conflicts;
-        retunes += o.retunes;
-        torn += o.torn;
-        metrics.requests.inc();
-        if !o.incomplete {
-            completed += 1;
-            access.push(o.access);
-            tuning.push(o.tuning);
-            metrics.access.record((o.access * 1e6) as u64);
-            metrics.tuning.record((o.tuning * 1e6) as u64);
-        }
-    }
-    metrics.cache_hits.add(cache_hits);
-    metrics.conflicts.add(conflicts);
-    metrics.retunes.add(retunes);
-    metrics.torn.add(torn);
-    let generations = log
-        .worlds
+) -> (ClientReport, Vec<FleetDigest>) {
+    let mut coverage: BTreeMap<(u64, u32), u64> = BTreeMap::new();
+    for key in log
+        .frames
         .iter()
-        .map(|world| {
-            let generation = world.directory.generation;
-            // Only requests that arrived early enough that they could
-            // not possibly straddle the generation's end contribute to
-            // the per-generation means: straddlers are retuned and
-            // excluding them any other way would censor the longest
-            // waits and bias the mean below the Eq. 2 expectation.
-            let end = world.valid_until.min(log.horizon);
-            let unbiased_until = end - world.worst_case_access();
-            let mut a = Vec::new();
-            let mut t = Vec::new();
-            let mut p = Vec::new();
-            for o in outcomes {
-                if o.generation == Some(generation)
-                    && !o.incomplete
-                    && o.torn == 0
-                    && o.arrival <= unbiased_until
-                {
-                    a.push(o.access);
-                    t.push(o.tuning);
-                    if let Some(expected) = o.expected_access {
-                        p.push(expected);
-                    }
-                }
-            }
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            GenerationSlice {
-                generation,
-                origin: world.directory.origin,
-                requests: a.len() as u64,
-                mean_access: mean(&a),
-                mean_tuning: mean(&t),
-                // Conditioned on the realized workload when possible:
-                // the sampled request mix differs from the population
-                // frequencies, and access is heavy-tailed across items,
-                // so the unconditioned mean is a noisy yardstick.
-                predicted_access: if p.is_empty() {
-                    predicted_access(world)
-                } else {
-                    mean(&p)
-                },
-            }
-        })
-        .collect();
-    ClientReport {
-        id: config.id,
-        seed: config.seed,
-        requests: outcomes.len() as u64,
-        completed,
-        cache_hits,
-        conflicts,
-        retunes,
-        torn_frames: torn,
-        decode_errors: log.decode_errors,
-        access: StatSummary::from_values(&access),
-        tuning: StatSummary::from_values(&tuning),
-        generations,
+        .map(|f| (f.generation, f.channel))
+        .chain(log.index_frames.iter().map(|f| (f.generation, f.channel)))
+    {
+        *coverage.entry(key).or_insert(0) += 1;
     }
-}
-
-/// Builds the per-generation telemetry slice digests one client sends
-/// after measuring: the exact [`GenerationSlice`] values (bit-exact, so
-/// the serve-side aggregates reconcile with the post-hoc report), plus
-/// delta counters attributed to the generation on the air at each
-/// request's arrival (a total-preserving attribution: every outcome
-/// lands in exactly one slice), microsecond log2 histogram cells of the
-/// completed outcomes, and the recorded per-channel frame coverage.
-fn build_slices(
-    config: &ClientConfig,
-    log: &AirLog,
-    outcomes: &[RequestOutcome],
-    report: &ClientReport,
-) -> Vec<FleetDigest> {
     let last_generation =
         log.worlds.last().map(|w| w.directory.generation).unwrap_or_default();
-    let spans: Vec<(f64, f64)> = log
+    let mut folds: Vec<GenerationFold> = log
         .worlds
         .iter()
         .enumerate()
-        .map(|(i, w)| {
-            let end = log
-                .worlds
-                .get(i + 1)
-                .map(|next| next.directory.origin)
-                .unwrap_or(f64::INFINITY);
-            (w.directory.origin, end)
+        .map(|(i, world)| {
+            let generation = world.directory.generation;
+            let mut digest = FleetDigest::ack(config.id as u32, 0, last_generation);
+            digest.coverage = coverage
+                .range((generation, 0)..=(generation, u32::MAX))
+                .map(|(&(_, channel), &frames)| (channel, frames))
+                .collect();
+            let end = log.worlds.get(i + 1).map_or(f64::INFINITY, |w| w.directory.origin);
+            GenerationFold {
+                world,
+                span: (world.directory.origin, end),
+                clean_until: world.valid_until.min(log.horizon) - world.worst_case_access(),
+                digest,
+                clean: (0, 0.0, 0.0),
+                expected: (0, 0.0),
+            }
         })
         .collect();
-    log.worlds
-        .iter()
-        .zip(&report.generations)
-        .zip(&spans)
-        .map(|((world, slice), &(start, end))| {
-            let mut t = FleetDigest::ack(config.id as u32, 0, last_generation);
-            t.slice = true;
-            t.generation = slice.generation;
-            t.origin = slice.origin;
-            t.samples = slice.requests;
-            t.mean_access = slice.mean_access;
-            t.mean_tuning = slice.mean_tuning;
-            t.predicted_access = slice.predicted_access;
-            for o in outcomes {
-                // Same arrival-epsilon as `AirLog::world_at`, so the
-                // attribution agrees with the measurement loop.
-                if o.arrival + 1e-12 < start || o.arrival + 1e-12 >= end {
-                    continue;
-                }
-                t.requests += 1;
-                t.cache_hits += o.cache_hits;
-                t.conflicts += o.conflicts;
-                t.retunes += o.retunes;
-                t.torn += o.torn;
-                if !o.incomplete {
-                    t.completed += 1;
-                    t.access.record((o.access * 1e6) as u64);
-                    t.tuning.record((o.tuning * 1e6) as u64);
-                }
-            }
-            let generation = world.directory.generation;
-            let mut coverage: std::collections::BTreeMap<u32, u64> =
-                std::collections::BTreeMap::new();
-            for (g, channel) in log
-                .frames
-                .iter()
-                .map(|f| (f.generation, f.channel))
-                .chain(log.index_frames.iter().map(|f| (f.generation, f.channel)))
-            {
-                if g == generation {
-                    *coverage.entry(channel).or_insert(0) += 1;
-                }
-            }
-            t.coverage = coverage.into_iter().collect();
-            t
-        })
-        .collect()
+    let mut report = ClientReport {
+        id: config.id,
+        seed: config.seed,
+        requests: outcomes.len() as u64,
+        completed: 0,
+        cache_hits: 0,
+        conflicts: 0,
+        retunes: 0,
+        torn_frames: 0,
+        decode_errors: log.decode_errors,
+        access: StatSummary::default(),
+        tuning: StatSummary::default(),
+        generations: Vec::new(),
+    };
+    let (mut access, mut tuning) = (Vec::new(), Vec::new());
+    for o in outcomes {
+        report.cache_hits += o.cache_hits;
+        report.conflicts += o.conflicts;
+        report.retunes += o.retunes;
+        report.torn_frames += o.torn;
+        if !o.incomplete {
+            report.completed += 1;
+            access.push(o.access);
+            tuning.push(o.tuning);
+            dbcast_obs::histogram!("fleet.access").record((o.access * 1e6) as u64);
+            dbcast_obs::histogram!("fleet.tuning").record((o.tuning * 1e6) as u64);
+        }
+        for fold in &mut folds {
+            fold.add(o);
+        }
+    }
+    dbcast_obs::counter!("fleet.requests").add(report.requests);
+    dbcast_obs::counter!("fleet.cache_hits").add(report.cache_hits);
+    dbcast_obs::counter!("fleet.conflicts").add(report.conflicts);
+    dbcast_obs::counter!("fleet.retunes").add(report.retunes);
+    dbcast_obs::counter!("fleet.torn_frames").add(report.torn_frames);
+    report.access = StatSummary::from_values(&access);
+    report.tuning = StatSummary::from_values(&tuning);
+    let digests: Vec<FleetDigest> = folds.into_iter().map(GenerationFold::finish).collect();
+    report.generations = digests.iter().filter_map(|d| d.slice).collect();
+    (report, digests)
 }
 
 /// Runs one client end to end over an established TCP stream,
@@ -590,9 +551,9 @@ fn run_client_with(
     let first = &log.worlds[0].directory;
     let requests = generate_requests(&config, first, log.coverage_start());
     let outcomes = measure(&config, &log, &requests)?;
-    let report = summarize(&config, &log, &outcomes);
+    let (report, digests) = summarize(&config, &log, &outcomes);
     if let Some((client, _)) = &mut up {
-        for mut digest in build_slices(&config, &log, &outcomes, &report) {
+        for mut digest in digests {
             client
                 .send(&mut digest)
                 .map_err(|e| format!("client {id} uplink send failed: {e}"))?;
@@ -618,25 +579,6 @@ fn resolve_uplink(
     let straggle =
         if id == 0 { Duration::from_millis(config.straggle_ms) } else { Duration::ZERO };
     Ok(Some((addr, straggle)))
-}
-
-fn fold_report(
-    config: &FleetConfig,
-    indexed: bool,
-    clients: Vec<ClientReport>,
-    dropped_frames: Option<u64>,
-) -> FleetReport {
-    let mut totals = FleetTotals { dropped_frames, ..FleetTotals::default() };
-    for c in &clients {
-        totals.requests += c.requests;
-        totals.completed += c.completed;
-        totals.cache_hits += c.cache_hits;
-        totals.conflicts += c.conflicts;
-        totals.retunes += c.retunes;
-        totals.torn_frames += c.torn_frames;
-        totals.decode_errors += c.decode_errors;
-    }
-    FleetReport { schema: FLEET_SCHEMA, config: *config, indexed, clients, totals }
 }
 
 /// Connects `config.clients` clients to the broadcast server at `addr`
@@ -692,7 +634,8 @@ pub fn run_fleet_with(
     // infer index frames from tuning strictly below access.
     let indexed =
         clients.iter().any(|c| c.completed > 0 && c.tuning.mean < c.access.mean - 1e-9);
-    Ok(fold_report(config, indexed, clients, None))
+    let totals = FleetTotals::sum(&clients, None);
+    Ok(FleetReport { schema: FLEET_SCHEMA, config: *config, indexed, clients, totals })
 }
 
 /// Runs a complete in-process scenario: bind a loopback server, connect
@@ -745,6 +688,9 @@ pub fn run_fleet_inline_with(
     let clients = join_clients(handles)?;
     let dropped = server.dropped_frames();
     server.shutdown();
+    let totals = FleetTotals::sum(&clients, Some(dropped));
     let indexed = egress.index.is_some();
-    Ok((fold_report(config, indexed, clients, Some(dropped)), egress_report))
+    let report =
+        FleetReport { schema: FLEET_SCHEMA, config: *config, indexed, clients, totals };
+    Ok((report, egress_report))
 }

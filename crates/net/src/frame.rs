@@ -23,7 +23,7 @@
 use std::fmt;
 
 use dbcast_obs::metrics::{HistogramCells, BUCKETS};
-use dbcast_serve::FleetDigest;
+use dbcast_serve::{FleetDigest, GenerationSlice};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"DBN1";
@@ -52,10 +52,13 @@ const TYPE_TELEMETRY: u8 = 5;
 const DATA_PAYLOAD_LEN: usize = 32;
 
 /// Telemetry flags bit for [`FleetDigest::slice`]: the digest carries
-/// a finished per-generation measurement slice (means, Eq. 2
-/// prediction, histogram deltas). Unset means a lightweight live
-/// **ack**. No other flag bit is defined; the decoder rejects them.
+/// a client's [`GenerationSlice`]. Unset means a lightweight live
+/// **ack**, whose slice bytes are all zero. No other flag bit is
+/// defined; the decoder rejects them.
 const TELEMETRY_FLAG_SLICE: u32 = 1;
+
+/// Bytes of a [`GenerationSlice`] on the wire: six 8-byte fields.
+const SLICE_LEN: usize = 48;
 
 /// One item occurrence on the air.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,9 +118,10 @@ pub enum Frame {
     /// One client telemetry digest (uplink direction). Boxed: the
     /// inline histogram cells would otherwise quintuple the size of
     /// every `Frame` moved through the broadcast egress path.
-    /// On the wire, flag bit 1 is [`FleetDigest::slice`], and histogram
-    /// cells travel as sparse `(bucket, count)` pairs in strictly
-    /// ascending bucket order (the canonical encoding).
+    /// On the wire, flag bit 1 says [`FleetDigest::slice`] is present
+    /// (an ack sends its slice fields as zeros), and histogram cells
+    /// travel as sparse `(bucket, count)` pairs in strictly ascending
+    /// bucket order (the canonical encoding).
     Telemetry(Box<FleetDigest>),
 }
 
@@ -232,17 +236,18 @@ fn push_cells(buf: &mut Vec<u8>, cells: &HistogramCells) {
 /// by a perf test, like the data-frame egress path.
 pub fn encode_telemetry_frame_into(out: &mut Vec<u8>, t: &FleetDigest) {
     encode_envelope(out, TYPE_TELEMETRY, |buf| {
-        let flags = if t.slice { TELEMETRY_FLAG_SLICE } else { 0 };
+        let flags = if t.slice.is_some() { TELEMETRY_FLAG_SLICE } else { 0 };
+        let slice = t.slice.unwrap_or_default();
         buf.extend_from_slice(&t.client.to_le_bytes());
         buf.extend_from_slice(&t.seq.to_le_bytes());
         buf.extend_from_slice(&flags.to_le_bytes());
         buf.extend_from_slice(&t.last_generation.to_le_bytes());
-        buf.extend_from_slice(&t.generation.to_le_bytes());
-        push_f64(buf, t.origin);
-        buf.extend_from_slice(&t.samples.to_le_bytes());
-        push_f64(buf, t.mean_access);
-        push_f64(buf, t.mean_tuning);
-        push_f64(buf, t.predicted_access);
+        buf.extend_from_slice(&slice.generation.to_le_bytes());
+        push_f64(buf, slice.origin);
+        buf.extend_from_slice(&slice.requests.to_le_bytes());
+        push_f64(buf, slice.mean_access);
+        push_f64(buf, slice.mean_tuning);
+        push_f64(buf, slice.predicted_access);
         for v in [t.requests, t.completed, t.cache_hits, t.conflicts, t.retunes, t.torn] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -409,32 +414,51 @@ fn parse_cells_into(
     Ok(())
 }
 
-fn parse_telemetry_into(
-    c: &mut Cursor<'_>,
+/// Parses a telemetry payload into a caller-owned digest, reusing its
+/// coverage buffer. With warm capacity this is the **zero-allocation**
+/// steady-state uplink decode path (pinned by a perf test); the
+/// general [`FrameDecoder`] route allocates a fresh frame instead.
+///
+/// # Errors
+///
+/// Returns the same typed [`DecodeError::Payload`] failures the frame
+/// decoder reports for a malformed telemetry body.
+pub fn decode_telemetry_payload(
+    payload: &[u8],
     t: &mut FleetDigest,
 ) -> Result<(), DecodeError> {
+    let mut c = Cursor::new(payload);
     t.client = c.u32()?;
     t.seq = c.u32()?;
     let flags = c.u32()?;
     if flags & !TELEMETRY_FLAG_SLICE != 0 {
         return Err(DecodeError::Payload("unknown telemetry flag bits"));
     }
-    t.slice = flags != 0;
     t.last_generation = c.u64()?;
-    t.generation = c.u64()?;
-    t.origin = c.finite_f64("non-finite telemetry origin")?;
-    t.samples = c.u64()?;
-    t.mean_access = c.finite_f64("non-finite telemetry mean access")?;
-    t.mean_tuning = c.finite_f64("non-finite telemetry mean tuning")?;
-    t.predicted_access = c.finite_f64("non-finite telemetry predicted access")?;
+    let fields = c.take(SLICE_LEN)?;
+    t.slice = if flags != 0 {
+        let mut c = Cursor::new(fields);
+        Some(GenerationSlice {
+            generation: c.u64()?,
+            origin: c.finite_f64("non-finite telemetry origin")?,
+            requests: c.u64()?,
+            mean_access: c.finite_f64("non-finite telemetry mean access")?,
+            mean_tuning: c.finite_f64("non-finite telemetry mean tuning")?,
+            predicted_access: c.finite_f64("non-finite telemetry predicted access")?,
+        })
+    } else if fields.iter().all(|&b| b == 0) {
+        None
+    } else {
+        return Err(DecodeError::Payload("telemetry ack carries slice fields"));
+    };
     t.requests = c.u64()?;
     t.completed = c.u64()?;
     t.cache_hits = c.u64()?;
     t.conflicts = c.u64()?;
     t.retunes = c.u64()?;
     t.torn = c.u64()?;
-    parse_cells_into(c, &mut t.access)?;
-    parse_cells_into(c, &mut t.tuning)?;
+    parse_cells_into(&mut c, &mut t.access)?;
+    parse_cells_into(&mut c, &mut t.tuning)?;
     let n = c.u32()? as usize;
     if c.remaining() != n * 12 {
         return Err(DecodeError::Payload("telemetry coverage count disagrees with length"));
@@ -450,28 +474,6 @@ fn parse_telemetry_into(
         t.coverage.push((channel, c.u64()?));
     }
     Ok(())
-}
-
-/// Parses a telemetry payload into a caller-owned digest, reusing its
-/// coverage buffer. With warm capacity this is the **zero-allocation**
-/// steady-state uplink decode path (pinned by a perf test); the
-/// general [`FrameDecoder`] route allocates a fresh frame instead.
-///
-/// # Errors
-///
-/// Returns the same typed [`DecodeError::Payload`] failures the frame
-/// decoder reports for a malformed telemetry body.
-pub fn decode_telemetry_payload(
-    payload: &[u8],
-    t: &mut FleetDigest,
-) -> Result<(), DecodeError> {
-    let mut c = Cursor::new(payload);
-    parse_telemetry_into(&mut c, t)?;
-    if c.done() {
-        Ok(())
-    } else {
-        Err(DecodeError::Payload("trailing bytes after payload fields"))
-    }
 }
 
 fn parse_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
@@ -518,9 +520,9 @@ fn parse_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
             Frame::End { horizon: c.finite_f64("non-finite stream horizon")? }
         }
         TYPE_TELEMETRY => {
-            let mut t = Box::new(FleetDigest::ack(0, 0, 0));
-            parse_telemetry_into(&mut c, &mut t)?;
-            Frame::Telemetry(t)
+            let mut t = Box::<FleetDigest>::default();
+            decode_telemetry_payload(payload, &mut t)?;
+            return Ok(Frame::Telemetry(t));
         }
         other => return Err(DecodeError::UnknownType(other)),
     };
@@ -643,14 +645,15 @@ mod tests {
         FleetDigest {
             client: 4,
             seq: 9,
-            slice: true,
             last_generation: 3,
-            generation: 2,
-            origin: 17.25,
-            samples: 3,
-            mean_access: 1.25,
-            mean_tuning: 0.41,
-            predicted_access: 1.19,
+            slice: Some(GenerationSlice {
+                generation: 2,
+                origin: 17.25,
+                requests: 3,
+                mean_access: 1.25,
+                mean_tuning: 0.41,
+                predicted_access: 1.19,
+            }),
             requests: 5,
             completed: 5,
             cache_hits: 1,
@@ -791,6 +794,13 @@ mod tests {
                 "flags {flags:#x} decoded"
             );
         }
+        // An ack sends zeros where a slice would be: clearing the flag
+        // of a slice leaves slice bytes no ack may carry.
+        payload[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode_telemetry_payload(&payload, &mut out),
+            Err(DecodeError::Payload("telemetry ack carries slice fields"))
+        );
     }
 
     #[test]

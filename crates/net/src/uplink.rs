@@ -283,13 +283,14 @@ mod tests {
 
     fn slice_frame(client: u32, generation: u64) -> FleetDigest {
         let mut t = FleetDigest::ack(client, 0, generation);
-        t.slice = true;
-        t.generation = generation;
-        t.origin = 3.0 * generation as f64;
-        t.samples = 2;
-        t.mean_access = 1.5;
-        t.mean_tuning = 0.5;
-        t.predicted_access = 1.4;
+        t.slice = Some(dbcast_serve::GenerationSlice {
+            generation,
+            origin: 3.0 * generation as f64,
+            requests: 2,
+            mean_access: 1.5,
+            mean_tuning: 0.5,
+            predicted_access: 1.4,
+        });
         t.requests = 2;
         t.completed = 2;
         t.access.record(1_400_000);

@@ -5,20 +5,21 @@
 use dbcast_net::{
     encode_frame_into, DataFrame, Frame, FrameDecoder, IndexEntry, IndexFrame,
 };
-use dbcast_serve::FleetDigest;
+use dbcast_serve::{FleetDigest, GenerationSlice};
 use proptest::prelude::*;
 
 /// Builds a telemetry digest honestly — histogram cells populated via
 /// `record` so the sparse encoding stays canonical.
 fn build_telemetry(channel: u32, item: u32, generation: u64, a: f64, b: f64) -> Frame {
     let mut t = FleetDigest::ack(channel, item, generation);
-    t.slice = item.is_multiple_of(2);
-    t.generation = generation;
-    t.origin = a;
-    t.samples = u64::from(item % 9);
-    t.mean_access = a / 3.0;
-    t.mean_tuning = b / 5.0;
-    t.predicted_access = a / 2.0;
+    t.slice = item.is_multiple_of(2).then_some(GenerationSlice {
+        generation,
+        origin: a,
+        requests: u64::from(item % 9),
+        mean_access: a / 3.0,
+        mean_tuning: b / 5.0,
+        predicted_access: a / 2.0,
+    });
     t.requests = u64::from(item);
     t.completed = u64::from(item / 2);
     t.cache_hits = u64::from(item % 3);

@@ -21,7 +21,7 @@ use dbcast_net::{
     ScriptedSource, SourceGeneration, HEADER_LEN, TRAILER_LEN,
 };
 use dbcast_perf::{allocation_counts, CountingAllocator};
-use dbcast_serve::FleetDigest;
+use dbcast_serve::{FleetDigest, GenerationSlice};
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 #[global_allocator]
@@ -72,13 +72,14 @@ fn steady_state_frame_encode_is_allocation_free() {
 /// upload.
 fn telemetry(i: u32) -> FleetDigest {
     let mut t = FleetDigest::ack(i % 8, i, 1);
-    t.slice = true;
-    t.generation = u64::from(i % 2);
-    t.origin = f64::from(i % 2) * 12.5;
-    t.samples = 6;
-    t.mean_access = 0.42 + f64::from(i % 5) * 0.01;
-    t.mean_tuning = 0.03;
-    t.predicted_access = 0.40;
+    t.slice = Some(GenerationSlice {
+        generation: u64::from(i % 2),
+        origin: f64::from(i % 2) * 12.5,
+        requests: 6,
+        mean_access: 0.42 + f64::from(i % 5) * 0.01,
+        mean_tuning: 0.03,
+        predicted_access: 0.40,
+    });
     t.requests = 8;
     t.completed = 6;
     t.cache_hits = 1;
@@ -111,7 +112,9 @@ fn steady_state_telemetry_encode_and_decode_are_allocation_free() {
         // Mutate the warm digest in place — a client reuses one frame
         // per slice the same way.
         digest.seq = i;
-        digest.generation = u64::from(i % 2);
+        if let Some(slice) = &mut digest.slice {
+            slice.generation = u64::from(i % 2);
+        }
         wire.clear();
         encode_telemetry_frame_into(&mut wire, &digest);
         decode_telemetry_payload(&wire[HEADER_LEN..wire.len() - TRAILER_LEN], &mut decoded)

@@ -1,22 +1,30 @@
 //! Fleet-wide aggregation of client telemetry digests.
 //!
 //! Clients on the broadcast downlink measure what the allocator can
-//! only promise: end-to-end access and tuning time against Eq. 2. The
-//! uplink (crates/net) decodes their telemetry frames straight into
-//! [`FleetDigest`]s and feeds them here; the [`FleetAggregator`] folds
-//! them into exact per-generation fleet rollups, tracks stragglers
-//! whose acked generation trails the published one, and exposes the
-//! whole state as the `/fleet` document ([`FleetDoc`], in the
+//! only promise: end-to-end access and tuning time against Eq. 2. Each
+//! client folds its outcomes once into one [`GenerationSlice`] per
+//! generation; the uplink (crates/net) carries each slice inside a
+//! [`FleetDigest`] and feeds it here. The [`FleetAggregator`] pools the
+//! slices into per-generation fleet rollups, tracks stragglers whose
+//! acked generation trails the published one, and exposes the whole
+//! state as the `/fleet` document ([`FleetDoc`], in the
 //! `dbcast_obs::doc` envelope) plus live `fleet.*` metrics; the
 //! digests' mergeable [`HistogramCells`] go straight into the
 //! fleet-wide `fleet.uplink.{access,tuning}` histograms.
 //!
-//! The aggregation is *exact*, not approximate: a slice digest carries
-//! the client's per-generation sample count and means bit-exact, so the
-//! fleet mean `Σ nᵢ·x̄ᵢ / Σ nᵢ` reconciles with the post-hoc
-//! `FleetReport` computed from the same outcomes to within float
-//! round-off, and histogram cells merge like count-min sketch rows —
-//! associative, commutative, with the empty digest as identity.
+//! The aggregation is *exact*, not approximate: a digest carries the
+//! client's slice bit for bit, and the fleet means are
+//! [`GenerationSlice::pool`] over the clients' slices in client-id
+//! order, the same function a post-hoc reconciliation of the
+//! `fleet-run` report calls, so the two agree to the last bit.
+//! Histogram cells merge associatively and commutatively, with the
+//! empty cells as identity.
+//!
+//! Everything the aggregator keeps is keyed by ids a peer sends, so
+//! every map is capped ([`MAX_FLEET_CLIENTS`],
+//! [`MAX_FLEET_GENERATIONS`], [`MAX_FLEET_CHANNELS`]); a full map
+//! keeps its highest ids and drops the lowest. Per-generation gauges
+//! are minted only for generations the server has published.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,33 +38,102 @@ use dbcast_obs::metrics::HistogramCells;
 use crate::runtime::ProgramGeneration;
 use crate::swap::EpochCell;
 
+/// Most clients the aggregator tracks (acks, and reporters per
+/// generation); past it the lowest client ids are dropped.
+const MAX_FLEET_CLIENTS: usize = 1024;
+
+/// Most generations the aggregator keeps; past it the oldest go.
+const MAX_FLEET_GENERATIONS: usize = 32;
+
+/// Most coverage channels kept per generation; past it the lowest
+/// channel ids are dropped.
+const MAX_FLEET_CHANNELS: usize = 1024;
+
+/// One generation as one client measured it, or, pooled, as the fleet
+/// did.
+///
+/// A client's slice counts its *clean* requests of the generation:
+/// served entirely by it, with no torn frame, and arrived early enough
+/// that no request could straddle the generation's end. Straddlers
+/// are retuned, and excluding them any other way would censor the
+/// longest waits and bias the mean below the Eq. 2 expectation.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct GenerationSlice {
+    /// Generation counter from the directory.
+    pub generation: u64,
+    /// Virtual origin of the generation's phase 0.
+    pub origin: f64,
+    /// Clean requests behind the means.
+    pub requests: u64,
+    /// Mean measured access time of those requests (0 when none).
+    pub mean_access: f64,
+    /// Mean measured tuning time of those requests (0 when none).
+    pub mean_tuning: f64,
+    /// The Eq. 2 expectation for the requests counted in this slice:
+    /// the mean per-request expectation conditioned on the items the
+    /// client actually drew, so sampling the workload does not show up
+    /// as prediction error. Falls back to the population
+    /// frequency-weighted expectation when the slice has no
+    /// single-item samples.
+    pub predicted_access: f64,
+}
+
+impl GenerationSlice {
+    /// Pools slices of one generation by sample weight: each mean is
+    /// `Σ nᵢ·x̄ᵢ / Σ nᵢ`, summed in iteration order, and 0 when no
+    /// slice has a sample. Generation and origin are the first
+    /// slice's. The aggregator's `/fleet` rows and any post-hoc
+    /// reconciliation of client reports both pool through here, so
+    /// for the same slices in the same order they agree bit for bit.
+    pub fn pool<'a>(slices: impl IntoIterator<Item = &'a GenerationSlice>) -> Self {
+        let mut pooled = GenerationSlice::default();
+        let (mut access, mut tuning, mut predicted) = (0.0, 0.0, 0.0);
+        for (i, s) in slices.into_iter().enumerate() {
+            if i == 0 {
+                (pooled.generation, pooled.origin) = (s.generation, s.origin);
+            }
+            let n = s.requests as f64;
+            pooled.requests = pooled.requests.saturating_add(s.requests);
+            access += n * s.mean_access;
+            tuning += n * s.mean_tuning;
+            predicted += n * s.predicted_access;
+        }
+        if pooled.requests > 0 {
+            let n = pooled.requests as f64;
+            pooled.mean_access = access / n;
+            pooled.mean_tuning = tuning / n;
+            pooled.predicted_access = predicted / n;
+        }
+        pooled
+    }
+
+    /// The relative observed-vs-Eq. 2 gap `|obs − pred| / pred`, 0 when
+    /// there is no prediction.
+    pub fn gap(&self) -> f64 {
+        if self.predicted_access > 0.0 {
+            (self.mean_access - self.predicted_access).abs() / self.predicted_access
+        } else {
+            0.0
+        }
+    }
+}
+
 /// One client telemetry digest, as the aggregator folds it and as the
 /// uplink codec in `crates/net` (which depends on this crate, not the
 /// other way around) encodes and decodes it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct FleetDigest {
     /// Reporting client id.
     pub client: u32,
     /// Client-local digest sequence number.
     pub seq: u32,
-    /// `true` for a per-generation measurement slice, `false` for a
-    /// live generation acknowledgement.
-    pub slice: bool,
     /// Newest generation the client has seen a directory for.
     pub last_generation: u64,
-    /// Generation this slice measures (slices only).
-    pub generation: u64,
-    /// Virtual origin of that generation.
-    pub origin: f64,
-    /// Unbiased per-generation samples behind the means.
-    pub samples: u64,
-    /// Mean measured access time of those samples, virtual seconds.
-    pub mean_access: f64,
-    /// Mean measured tuning time of those samples, virtual seconds.
-    pub mean_tuning: f64,
-    /// Mean Eq. 2 expectation conditioned on the client's draws.
-    pub predicted_access: f64,
-    /// Requests attributed to this generation (by arrival span).
+    /// The client's measurement of one generation; `None` for a live
+    /// generation acknowledgement.
+    pub slice: Option<GenerationSlice>,
+    /// Requests that arrived while the generation was on the air.
     pub requests: u64,
     /// Completed requests among those.
     pub completed: u64,
@@ -68,38 +145,20 @@ pub struct FleetDigest {
     pub retunes: u64,
     /// Torn frames among those.
     pub torn: u64,
-    /// Access-time log2 histogram cells, microseconds.
+    /// Access-time log2 histogram cells of the completed ones,
+    /// microseconds.
     pub access: HistogramCells,
-    /// Tuning-time log2 histogram cells, microseconds.
+    /// Tuning-time log2 histogram cells of the completed ones,
+    /// microseconds.
     pub tuning: HistogramCells,
-    /// Recorded frames per channel for this generation.
+    /// Recorded frames per channel for the generation.
     pub coverage: Vec<(u32, u64)>,
 }
 
 impl FleetDigest {
     /// A zeroed acknowledgement digest.
     pub fn ack(client: u32, seq: u32, last_generation: u64) -> FleetDigest {
-        FleetDigest {
-            client,
-            seq,
-            slice: false,
-            last_generation,
-            generation: 0,
-            origin: 0.0,
-            samples: 0,
-            mean_access: 0.0,
-            mean_tuning: 0.0,
-            predicted_access: 0.0,
-            requests: 0,
-            completed: 0,
-            cache_hits: 0,
-            conflicts: 0,
-            retunes: 0,
-            torn: 0,
-            access: HistogramCells::empty(),
-            tuning: HistogramCells::empty(),
-            coverage: Vec::new(),
-        }
+        FleetDigest { client, seq, last_generation, ..FleetDigest::default() }
     }
 }
 
@@ -114,7 +173,7 @@ pub struct FleetCoverage {
 }
 
 /// One generation's fleet-wide aggregate in the `/fleet` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct FleetGeneration {
     /// Generation counter from the directory.
@@ -239,33 +298,18 @@ impl Document for FleetDoc {
     }
 }
 
-/// One client's sample-weighted share of a generation fold.
-#[derive(Debug, Default, Clone, Copy)]
-struct Contribution {
-    samples: u64,
-    weighted_access: f64,
-    weighted_tuning: f64,
-    weighted_predicted: f64,
-}
-
-/// One generation's running fold.
-///
-/// The float parts are kept **per client** and summed in client-id
-/// order at read time: uplink reader threads ingest digests in
-/// whatever order the sockets drain, and folding `Σ nᵢ·x̄ᵢ` eagerly
-/// would make the last few bits of the fleet means depend on that
-/// arrival order. Integer counters and coverage are order-independent
-/// already.
+/// One generation's running fold. Slices are kept per client and
+/// pooled in client-id order at read time: uplink reader threads ingest
+/// digests in whatever order the sockets drain, and pooling eagerly
+/// would make the last bits of the fleet means depend on that order.
+/// The counters and coverage are order-independent sums.
 #[derive(Debug, Default)]
 struct GenAgg {
-    origin: f64,
-    contributions: BTreeMap<u32, Contribution>,
-    requests: u64,
-    completed: u64,
-    cache_hits: u64,
-    conflicts: u64,
-    retunes: u64,
-    torn: u64,
+    /// Each client's latest slice of the generation: a slice is the
+    /// client's whole measurement, so a repeat replaces it.
+    slices: BTreeMap<u32, GenerationSlice>,
+    /// The summed counters; the rest of the row is filled at read time.
+    counters: FleetGeneration,
     coverage: BTreeMap<u32, u64>,
 }
 
@@ -277,26 +321,21 @@ struct AggState {
     digests: u64,
 }
 
-/// Resolved `fleet.*` aggregation metric handles.
-struct AggMetrics {
-    digests: &'static dbcast_obs::metrics::Counter,
-    clients: &'static dbcast_obs::metrics::Gauge,
-    stragglers: &'static dbcast_obs::metrics::Gauge,
-    access: &'static dbcast_obs::metrics::Histogram,
-    tuning: &'static dbcast_obs::metrics::Histogram,
-}
-
-impl AggMetrics {
-    fn resolve() -> Self {
-        let r = dbcast_obs::registry();
-        AggMetrics {
-            digests: r.counter("fleet.uplink.digests"),
-            clients: r.gauge("fleet.clients"),
-            stragglers: r.gauge("fleet.stragglers"),
-            access: r.histogram("fleet.uplink.access"),
-            tuning: r.histogram("fleet.uplink.tuning"),
+/// `map[key]`, inserted as the default when absent. A map already
+/// holding `cap` keys first drops its lowest key, unless `key` is lower
+/// still: then nothing is kept and the result is `None`.
+fn capped<K: Ord + Copy, V: Default>(
+    map: &mut BTreeMap<K, V>,
+    key: K,
+    cap: usize,
+) -> Option<&mut V> {
+    if map.len() >= cap && !map.contains_key(&key) {
+        if map.first_key_value().is_some_and(|(&lowest, _)| key < lowest) {
+            return None;
         }
+        map.pop_first();
     }
+    Some(map.entry(key).or_default())
 }
 
 /// Folds client telemetry digests into live fleet-wide aggregates.
@@ -309,7 +348,6 @@ pub struct FleetAggregator {
     cell: Option<Arc<EpochCell<ProgramGeneration>>>,
     published: AtomicU64,
     state: Mutex<AggState>,
-    metrics: AggMetrics,
 }
 
 impl std::fmt::Debug for FleetAggregator {
@@ -330,23 +368,25 @@ impl FleetAggregator {
     /// A free-standing aggregator; the published generation is whatever
     /// [`FleetAggregator::set_published`] last set (initially 0).
     pub fn new() -> FleetAggregator {
+        // Registered up front, so a scrape shows the fleet before its
+        // first digest.
+        let r = dbcast_obs::registry();
+        r.counter("fleet.uplink.digests");
+        r.gauge("fleet.clients");
+        r.gauge("fleet.stragglers");
+        r.histogram("fleet.uplink.access");
+        r.histogram("fleet.uplink.tuning");
         FleetAggregator {
             cell: None,
             published: AtomicU64::new(0),
             state: Mutex::new(AggState::default()),
-            metrics: AggMetrics::resolve(),
         }
     }
 
     /// An aggregator that reads the published generation straight from
     /// the serving runtime's [`EpochCell`].
     pub fn following(cell: Arc<EpochCell<ProgramGeneration>>) -> FleetAggregator {
-        FleetAggregator {
-            cell: Some(cell),
-            published: AtomicU64::new(0),
-            state: Mutex::new(AggState::default()),
-            metrics: AggMetrics::resolve(),
-        }
+        FleetAggregator { cell: Some(cell), ..FleetAggregator::new() }
     }
 
     /// Sets the published generation stragglers are judged against
@@ -364,57 +404,58 @@ impl FleetAggregator {
     }
 
     /// Folds one digest into the aggregates and refreshes the live
-    /// `fleet.*` metrics.
+    /// `fleet.*` metrics. What the caps leave no room for is dropped.
     pub fn ingest(&self, d: &FleetDigest) {
         let published = self.published();
         let mut state = self.state.lock().expect("fleet aggregator poisoned");
         state.digests += 1;
-        let acked = state.acked.entry(d.client).or_insert(0);
-        *acked = (*acked).max(d.last_generation);
-        if d.slice {
-            let agg = state.generations.entry(d.generation).or_default();
-            agg.origin = d.origin;
-            let share = agg.contributions.entry(d.client).or_default();
-            share.samples += d.samples;
-            let n = d.samples as f64;
-            share.weighted_access += n * d.mean_access;
-            share.weighted_tuning += n * d.mean_tuning;
-            share.weighted_predicted += n * d.predicted_access;
-            agg.requests += d.requests;
-            agg.completed += d.completed;
-            agg.cache_hits += d.cache_hits;
-            agg.conflicts += d.conflicts;
-            agg.retunes += d.retunes;
-            agg.torn += d.torn;
-            for &(channel, frames) in &d.coverage {
-                *agg.coverage.entry(channel).or_insert(0) += frames;
-            }
+        if let Some(acked) = capped(&mut state.acked, d.client, MAX_FLEET_CLIENTS) {
+            *acked = (*acked).max(d.last_generation);
         }
+        // Saturating sums: a peer's counters must not overflow them.
+        let pooled = d.slice.and_then(|slice| {
+            let agg =
+                capped(&mut state.generations, slice.generation, MAX_FLEET_GENERATIONS)?;
+            if let Some(kept) = capped(&mut agg.slices, d.client, MAX_FLEET_CLIENTS) {
+                *kept = slice;
+            }
+            let row = &mut agg.counters;
+            for (sum, add) in [
+                (&mut row.requests, d.requests),
+                (&mut row.completed, d.completed),
+                (&mut row.cache_hits, d.cache_hits),
+                (&mut row.conflicts, d.conflicts),
+                (&mut row.retunes, d.retunes),
+                (&mut row.torn, d.torn),
+            ] {
+                *sum = sum.saturating_add(add);
+            }
+            for &(channel, frames) in &d.coverage {
+                if let Some(sum) = capped(&mut agg.coverage, channel, MAX_FLEET_CHANNELS) {
+                    *sum = sum.saturating_add(frames);
+                }
+            }
+            Some(GenerationSlice::pool(agg.slices.values()))
+        });
         let clients = state.acked.len() as f64;
         let stragglers = state.acked.values().filter(|&&g| g < published).count() as f64;
         drop(state);
-        self.metrics.digests.inc();
-        self.metrics.clients.set(clients);
-        self.metrics.stragglers.set(stragglers);
-        if d.slice {
-            self.metrics.access.merge_cells(&d.access);
-            self.metrics.tuning.merge_cells(&d.tuning);
-            self.publish_generation_gauges(d.generation);
+        dbcast_obs::counter!("fleet.uplink.digests").inc();
+        dbcast_obs::gauge!("fleet.clients").set(clients);
+        dbcast_obs::gauge!("fleet.stragglers").set(stragglers);
+        if d.slice.is_some() {
+            dbcast_obs::histogram!("fleet.uplink.access").merge_cells(&d.access);
+            dbcast_obs::histogram!("fleet.uplink.tuning").merge_cells(&d.tuning);
         }
-    }
-
-    /// Refreshes the indexed `fleet.generation.*.<g>` gauges for `g`.
-    fn publish_generation_gauges(&self, generation: u64) {
-        let state = self.state.lock().expect("fleet aggregator poisoned");
-        let Some(agg) = state.generations.get(&generation) else {
-            return;
-        };
-        let (obs, pred, gap) = gen_means(agg);
-        drop(state);
-        let r = dbcast_obs::registry();
-        r.gauge(&format!("fleet.generation.access.{generation}")).set(obs);
-        r.gauge(&format!("fleet.generation.predicted.{generation}")).set(pred);
-        r.gauge(&format!("fleet.generation.gap.{generation}")).set(gap);
+        // Gauges are interned for the life of the process, so only a
+        // generation the server has published may mint them.
+        if let Some(fleet) = pooled.filter(|p| p.generation <= published) {
+            let r = dbcast_obs::registry();
+            let g = fleet.generation;
+            r.gauge(&format!("fleet.generation.access.{g}")).set(fleet.mean_access);
+            r.gauge(&format!("fleet.generation.predicted.{g}")).set(fleet.predicted_access);
+            r.gauge(&format!("fleet.generation.gap.{g}")).set(fleet.gap());
+        }
     }
 
     /// The current aggregate state as a `/fleet` document.
@@ -427,33 +468,22 @@ impl FleetAggregator {
             .generations
             .iter()
             .map(|(&generation, agg)| {
-                let fold = fold_contributions(agg);
-                let (mean_access, predicted_access, gap) = gen_means(agg);
-                let mean_tuning = if fold.samples > 0 {
-                    fold.weighted_tuning / fold.samples as f64
-                } else {
-                    0.0
-                };
+                let fleet = GenerationSlice::pool(agg.slices.values());
                 FleetGeneration {
                     generation,
-                    origin: agg.origin,
-                    reporters: agg.contributions.len() as u64,
-                    samples: fold.samples,
-                    mean_access,
-                    mean_tuning,
-                    predicted_access,
-                    gap,
-                    requests: agg.requests,
-                    completed: agg.completed,
-                    cache_hits: agg.cache_hits,
-                    conflicts: agg.conflicts,
-                    retunes: agg.retunes,
-                    torn: agg.torn,
+                    origin: fleet.origin,
+                    reporters: agg.slices.len() as u64,
+                    samples: fleet.requests,
+                    mean_access: fleet.mean_access,
+                    mean_tuning: fleet.mean_tuning,
+                    predicted_access: fleet.predicted_access,
+                    gap: fleet.gap(),
                     coverage: agg
                         .coverage
                         .iter()
                         .map(|(&channel, &frames)| FleetCoverage { channel, frames })
                         .collect(),
+                    ..agg.counters.clone()
                 }
             })
             .collect();
@@ -468,32 +498,6 @@ impl FleetAggregator {
     }
 }
 
-/// Sums the per-client contributions in client-id order — the one
-/// float summation order every read of the fold agrees on.
-fn fold_contributions(agg: &GenAgg) -> Contribution {
-    let mut total = Contribution::default();
-    for share in agg.contributions.values() {
-        total.samples += share.samples;
-        total.weighted_access += share.weighted_access;
-        total.weighted_tuning += share.weighted_tuning;
-        total.weighted_predicted += share.weighted_predicted;
-    }
-    total
-}
-
-/// Sample-weighted (observed, predicted, relative-gap) for one fold.
-fn gen_means(agg: &GenAgg) -> (f64, f64, f64) {
-    let fold = fold_contributions(agg);
-    if fold.samples == 0 {
-        return (0.0, 0.0, 0.0);
-    }
-    let n = fold.samples as f64;
-    let obs = fold.weighted_access / n;
-    let pred = fold.weighted_predicted / n;
-    let gap = if pred > 0.0 { (obs - pred).abs() / pred } else { 0.0 };
-    (obs, pred, gap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,13 +505,14 @@ mod tests {
 
     fn slice_digest(client: u32, generation: u64, samples: u64, mean: f64) -> FleetDigest {
         let mut d = FleetDigest::ack(client, 0, generation);
-        d.slice = true;
-        d.generation = generation;
-        d.origin = 10.0 * generation as f64;
-        d.samples = samples;
-        d.mean_access = mean;
-        d.mean_tuning = mean / 2.0;
-        d.predicted_access = mean * 0.9;
+        d.slice = Some(GenerationSlice {
+            generation,
+            origin: 10.0 * generation as f64,
+            requests: samples,
+            mean_access: mean,
+            mean_tuning: mean / 2.0,
+            predicted_access: mean * 0.9,
+        });
         d.requests = samples + 1;
         d.completed = samples;
         for i in 0..samples {
@@ -544,6 +549,12 @@ mod tests {
             ]
         );
         assert_eq!(doc::decode::<FleetDoc>(&doc::render(&agg.doc())), Ok(agg.doc()));
+        // A slice is a client's whole measurement, so a repeat replaces
+        // the client's earlier one; the counters are deltas and add up.
+        agg.ingest(&slice_digest(0, 1, 4, 6.0));
+        let g = &agg.doc().generations[0];
+        assert_eq!((g.reporters, g.samples, g.mean_access), (2, 16, 4.5));
+        assert_eq!((g.requests, g.completed), (23, 20));
     }
 
     #[test]
@@ -629,6 +640,54 @@ mod tests {
             let err = bad.check().expect_err(needle);
             assert!(err.contains(needle), "{needle}: {err}");
         }
+    }
+
+    #[test]
+    fn spoofed_ids_stay_within_the_caps() {
+        // Half the digests pile spoofed clients and channels onto one
+        // far-future generation, a quarter spread over thousands of
+        // generations, and a quarter cycle through generations 0-7,
+        // around the published one. Every counter is at its maximum,
+        // so the sums must saturate rather than overflow.
+        let published = 5;
+        let heavy = 1 << 40;
+        let agg = FleetAggregator::new();
+        agg.set_published(published);
+        for i in 0..10_000u32 {
+            let generation = match i % 4 {
+                1 => u64::from(i * 31 % 100_000),
+                3 => u64::from(i / 4 % 8),
+                _ => heavy,
+            };
+            let mut d = slice_digest(i.wrapping_mul(2_654_435_761), generation, 1, 2.0);
+            d.coverage = vec![(i * 13 % 100_000, u64::MAX)];
+            (d.requests, d.completed) = (u64::MAX, u64::MAX);
+            agg.ingest(&d);
+        }
+        let doc = agg.doc();
+        assert_eq!(doc.digests, 10_000);
+        assert_eq!(doc.clients, MAX_FLEET_CLIENTS as u64);
+        assert_eq!(doc.generations.len(), MAX_FLEET_GENERATIONS);
+        let top = doc.generations.last().expect("kept generations");
+        assert_eq!(top.generation, heavy, "the newest generation is kept");
+        assert_eq!(top.reporters, MAX_FLEET_CLIENTS as u64);
+        assert_eq!(top.coverage.len(), MAX_FLEET_CHANNELS);
+        assert_eq!(doc.check(), Ok(()));
+        let minted: Vec<u64> = dbcast_obs::registry()
+            .snapshot()
+            .gauges
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("fleet.generation."))
+            .filter_map(|rest| rest.rsplit_once('.')?.1.parse().ok())
+            .collect();
+        assert!(minted.contains(&published), "a published generation mints its gauges");
+        let past: Vec<u64> = minted.into_iter().filter(|&g| g > published).collect();
+        assert!(
+            past.is_empty(),
+            "{} gauges minted past published generation {published}, e.g. {:?}",
+            past.len(),
+            &past[..past.len().min(4)]
+        );
     }
 
     #[test]

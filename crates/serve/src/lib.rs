@@ -39,7 +39,9 @@ mod swap;
 pub use dbcast_audit::{AuditConfig, AuditSummary};
 pub use drift::{l1_distance, Drift, DriftDetector, GapMonitor};
 pub use estimator::{EstimatorConfig, FrequencyEstimator};
-pub use fleet::{FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration};
+pub use fleet::{
+    FleetAggregator, FleetCoverage, FleetDigest, FleetDoc, FleetGeneration, GenerationSlice,
+};
 pub use runtime::{
     GenerationStats, ProgramGeneration, RepairMode, RepairReport, ServeConfig, ServeError,
     ServeReport, ServeRuntime, WaitStats, WorkerMode,

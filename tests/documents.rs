@@ -127,10 +127,15 @@ fn table() -> Vec<(&'static str, String, Decoder)> {
     fleet.ingest(&FleetDigest::ack(0, 0, 2));
     fleet.ingest(&FleetDigest::ack(1, 0, 1));
     let mut slice = FleetDigest::ack(0, 1, 2);
-    slice.slice = true;
-    slice.generation = 2;
-    (slice.samples, slice.requests, slice.completed) = (4, 5, 4);
-    (slice.mean_access, slice.mean_tuning, slice.predicted_access) = (1.5, 0.75, 1.375);
+    slice.slice = Some(GenerationSlice {
+        generation: 2,
+        origin: 0.0,
+        requests: 4,
+        mean_access: 1.5,
+        mean_tuning: 0.75,
+        predicted_access: 1.375,
+    });
+    (slice.requests, slice.completed) = (5, 4);
     slice.coverage = vec![(0, 12), (1, 4)];
     fleet.ingest(&slice);
 
@@ -204,6 +209,40 @@ fn every_document_kind_round_trips_and_rejects_envelope_tampering() {
             let err = decode(&serde_json::to_string(&bad).unwrap())
                 .expect_err(&format!("{kind}: {what} accepted"));
             assert!(expected(&err), "{kind}: {what} gave {err:?}");
+        }
+    }
+}
+
+/// A `fleet-run` document must be the fold of its client rows: the
+/// totals are their field-by-field sum (`dropped_frames` is the
+/// server's own count), no client completes more than it requested,
+/// and a client's clean slice requests never outnumber its completions.
+#[test]
+fn fleet_run_check_rejects_a_report_that_is_not_its_own_fold() {
+    type Edit = fn(&mut FleetReport);
+    let mut dropped = fleet_report();
+    dropped.totals.dropped_frames = Some(7);
+    assert_eq!(decode::<FleetReport>(&render(&dropped)), Ok(dropped));
+    let cases: [(&str, Edit); 5] = [
+        ("totals are not the sum", |r| r.totals.requests += 1),
+        ("totals are not the sum", |r| r.totals.retunes += 1),
+        ("totals are not the sum", |r| r.clients[0].conflicts += 1),
+        ("completed 3 of 2 requests", |r| {
+            r.clients[0].completed = 3;
+            r.totals.completed = 3;
+        }),
+        ("slices count 3 requests, more than its 2 completed", |r| {
+            r.clients[0].generations[0].requests = 3;
+        }),
+    ];
+    for (needle, edit) in cases {
+        let mut bad = fleet_report();
+        edit(&mut bad);
+        match decode::<FleetReport>(&render(&bad)) {
+            Err(DocError::Check { reason, .. }) => {
+                assert!(reason.contains(needle), "{needle}: {reason}");
+            }
+            other => panic!("{needle}: tampered report gave {other:?}"),
         }
     }
 }

@@ -8,106 +8,29 @@
 //!   the strict `/fleet` decoder and shows per-generation fleet
 //!   access time within 10% of the Eq. 2 expectation;
 //! * live aggregates for fully-covered generations reconcile with the
-//!   final post-hoc `FleetReport` within 1e-6;
-//! * the same seed produces bit-identical per-client digest streams.
+//!   final post-hoc `FleetReport` bit for bit;
+//! * the same seed produces bit-identical per-client digest streams,
+//!   pinned to fixed fingerprints.
 
 mod common;
+#[path = "common/fleet.rs"]
+mod fleet;
 
 use common::http_get;
+use fleet::{
+    fleet_config, fnv64, net_config, scripted_stages, seeded_db, swap_and_windows, CLIENTS,
+};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dbcast::alloc::DrpCds;
-use dbcast::model::{BroadcastProgram, ChannelAllocator, Database};
 use dbcast::net::{
-    encode_telemetry_frame_into, run_fleet_inline_with, CacheKind, DigestSink,
-    EgressConfig, FleetConfig, FleetReport, NetConfig, OverflowPolicy, ScriptedSource,
-    SourceGeneration, UplinkConfig, UplinkServer, WorkloadPattern,
+    encode_telemetry_frame_into, run_fleet_inline_with, DigestSink, EgressConfig,
+    FleetReport, ScriptedSource, UplinkConfig, UplinkServer,
 };
-use dbcast::serve::{FleetAggregator, FleetDigest, FleetDoc};
+use dbcast::serve::{FleetAggregator, FleetDigest, FleetDoc, GenerationSlice};
 use dbcast_obs::doc;
-
-use dbcast::workload::{SizeDistribution, WorkloadBuilder};
-
-const BANDWIDTH: f64 = 1.0;
-const CLIENTS: usize = 8;
-
-fn seeded_db() -> Database {
-    WorkloadBuilder::new(24)
-        .skewness(0.8)
-        .sizes(SizeDistribution::Diversity { phi_max: 1.0 })
-        .seed(11)
-        .build()
-        .expect("workload builds")
-}
-
-/// Two generations over the same database: the swap changes the channel
-/// count (3 → 4), so every channel's cycle — and Eq. 2 — changes.
-fn scripted_stages(db: &Database, swap_at_window: u64) -> Vec<(u64, SourceGeneration)> {
-    let frequencies: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
-    let mut stages = Vec::new();
-    for (generation, channels) in [(0u64, 3usize), (1, 4)] {
-        let alloc = DrpCds::new().allocate(db, channels).expect("allocates");
-        let program = BroadcastProgram::new(db, &alloc, BANDWIDTH).expect("program builds");
-        stages.push((
-            if generation == 0 { 0 } else { swap_at_window },
-            SourceGeneration { generation, program, frequencies: frequencies.clone() },
-        ));
-    }
-    stages
-}
-
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        clients: CLIENTS,
-        seed: 2024,
-        requests: 220,
-        rate: 1.0,
-        cache: CacheKind::None,
-        cache_budget: 0.0,
-        pattern: WorkloadPattern::Single,
-        patterns: 8,
-        max_size: 4,
-    }
-}
-
-/// Swap mid-arrival-span and budget enough windows that the last
-/// request plus a full slow cycle always fits before the horizon
-/// (same sizing logic as the transport e2e test).
-fn swap_and_windows(db: &Database, config: &FleetConfig) -> (u64, u64) {
-    let stages = scripted_stages(db, 1);
-    let mut gen0_window = f64::INFINITY;
-    let mut min_window = f64::INFINITY;
-    let mut max_cycle = 0.0f64;
-    for (i, (_, stage)) in stages.iter().enumerate() {
-        for schedule in stage.program.channels() {
-            if schedule.is_empty() {
-                continue;
-            }
-            let cycle = schedule.cycle_size() / BANDWIDTH;
-            if i == 0 {
-                gen0_window = gen0_window.min(cycle);
-            }
-            min_window = min_window.min(cycle);
-            max_cycle = max_cycle.max(cycle);
-        }
-    }
-    let arrival_span = config.requests as f64 / config.rate;
-    let swap_at = ((arrival_span * 0.45) / gen0_window).ceil().max(1.0) as u64;
-    let horizon_needed = arrival_span * 1.6 + 4.0 * max_cycle;
-    let max_windows = swap_at + (horizon_needed / min_window).ceil() as u64 + 4;
-    (swap_at, max_windows)
-}
-
-fn net_config() -> NetConfig {
-    NetConfig {
-        queue_capacity: 1 << 15,
-        overflow: OverflowPolicy::Block,
-        write_timeout: Some(Duration::from_secs(30)),
-    }
-}
 
 /// Folds every digest into the aggregator *and* re-encodes it into a
 /// per-client byte stream — TCP keeps each client's frames in order,
@@ -218,27 +141,29 @@ fn fleet_uplink_tracks_eq2_through_a_hot_swap() {
             g.gap * 100.0
         );
 
-        // Reconciliation: the live aggregate folded from uplink digests
-        // must equal the post-hoc report's sample-weighted mean.
-        let mut weighted = 0.0;
-        let mut samples = 0.0;
-        for client in &report.clients {
-            for slice in &client.generations {
-                if slice.generation == g.generation {
-                    weighted += slice.requests as f64 * slice.mean_access;
-                    samples += slice.requests as f64;
-                }
-            }
-        }
-        let posthoc = weighted / samples;
-        assert_eq!(g.samples as f64, samples, "sample counts reconcile");
-        assert!(
-            (g.mean_access - posthoc).abs() <= 1e-6,
-            "generation {}: live {:.9} vs post-hoc {:.9}",
-            g.generation,
-            g.mean_access,
-            posthoc
+        // Reconciliation: the live aggregate pools the clients' uplinked
+        // slices with the same function, in the same client order, as
+        // the post-hoc report's rows, so every figure agrees bit for bit.
+        let posthoc = GenerationSlice::pool(
+            report
+                .clients
+                .iter()
+                .flat_map(|c| &c.generations)
+                .filter(|s| s.generation == g.generation),
         );
+        assert_eq!(g.samples, posthoc.requests, "sample counts reconcile");
+        for (what, live, post) in [
+            ("mean access", g.mean_access, posthoc.mean_access),
+            ("mean tuning", g.mean_tuning, posthoc.mean_tuning),
+            ("predicted access", g.predicted_access, posthoc.predicted_access),
+        ] {
+            assert_eq!(
+                live.to_bits(),
+                post.to_bits(),
+                "generation {} {what}: live {live} vs post-hoc {post}",
+                g.generation
+            );
+        }
 
         // Counters fold exactly: requests arrive at most once per slice.
         assert!(g.completed <= g.requests);
@@ -262,6 +187,25 @@ fn same_seed_produces_bit_identical_digest_streams() {
             "client {client}: digest streams diverged between same-seed runs"
         );
     }
+    // And they are pinned: (length, FNV-1a/64) per client stream. A
+    // change to the client fold, the digest layout or the telemetry
+    // codec that moves any byte fails here.
+    let pinned: Vec<(u32, usize, u64)> =
+        first.iter().map(|(&c, bytes)| (c, bytes.len(), fnv64(bytes))).collect();
+    assert_eq!(
+        pinned,
+        vec![
+            (0, 1060, 0xf252_f81b_ba7a_3524),
+            (1, 1042, 0xa635_3bfa_a597_d540),
+            (2, 1060, 0x8a5e_1ee1_c36e_a90d),
+            (3, 1042, 0x4880_84c5_214b_0883),
+            (4, 1042, 0x58ba_bf00_f4f6_1e6d),
+            (5, 1042, 0x102f_5d4f_1979_aae0),
+            (6, 1060, 0x1957_0ce2_a2bc_ac3d),
+            (7, 1060, 0x9d55_8ca7_2df3_3141),
+        ],
+        "uplink digest streams moved"
+    );
     // And the documents built from those streams agree too.
     assert_eq!(
         serde_json::to_string(&first_doc).unwrap(),

@@ -24,7 +24,7 @@ use dbcast::net::{
     encode_telemetry_frame_into, BroadcastServer, NetConfig, UplinkClient, UplinkServer,
     MAX_SUBSCRIBERS, MAX_UPLINKS,
 };
-use dbcast::serve::{FleetAggregator, FleetDigest};
+use dbcast::serve::{FleetAggregator, FleetDigest, GenerationSlice};
 use dbcast_flight::ExpositionServer;
 
 /// Connections past the cap in each flood.
@@ -73,11 +73,13 @@ fn closed(streams: &[TcpStream]) -> usize {
 
 fn slice(client: u32) -> FleetDigest {
     let mut d = FleetDigest::ack(client, 0, 1);
-    d.slice = true;
-    d.generation = 1;
-    d.samples = 1;
-    d.mean_access = 0.5;
-    d.predicted_access = 0.5;
+    d.slice = Some(GenerationSlice {
+        generation: 1,
+        requests: 1,
+        mean_access: 0.5,
+        predicted_access: 0.5,
+        ..GenerationSlice::default()
+    });
     d.requests = 1;
     d.completed = 1;
     d.access.record(500_000);

@@ -9,109 +9,27 @@
 //!   10% of the Eq. 2 expectation for that generation's program;
 //! * with (1,m) index frames on the air, tuning time is strictly below
 //!   the full-listening time;
-//! * the same seed produces a bit-identical fleet report;
+//! * the same seed produces a bit-identical fleet report, pinned to a
+//!   fixed fingerprint;
 //! * a subscriber that never reads is evicted by the write timeout,
 //!   while a reading subscriber records the whole stream.
 
-use dbcast::alloc::DrpCds;
-use dbcast::model::{BroadcastProgram, ChannelAllocator, Database};
+#[path = "common/fleet.rs"]
+mod fleet;
+
+use fleet::{
+    fleet_config, fnv64, net_config, scripted_stages, seeded_db, swap_and_windows,
+};
+
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 use dbcast::net::{
     run_egress, run_fleet_inline, AirLog, BroadcastServer, CacheKind, EgressConfig,
-    FleetConfig, IndexParams, NetConfig, OverflowPolicy, ScriptedSource, SourceGeneration,
-    WorkloadPattern,
+    IndexParams, NetConfig, OverflowPolicy, ScriptedSource, WorkloadPattern,
 };
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
-
-const BANDWIDTH: f64 = 1.0;
-
-fn seeded_db() -> Database {
-    WorkloadBuilder::new(24)
-        .skewness(0.8)
-        .sizes(SizeDistribution::Diversity { phi_max: 1.0 })
-        .seed(11)
-        .build()
-        .expect("workload builds")
-}
-
-/// Two generations over the same database: the swap changes the channel
-/// count (3 → 4), so every channel's cycle — and Eq. 2 — changes.
-fn scripted_stages(db: &Database, swap_at_window: u64) -> Vec<(u64, SourceGeneration)> {
-    let frequencies: Vec<f64> = db.iter().map(|d| d.frequency()).collect();
-    let mut stages = Vec::new();
-    for (generation, channels) in [(0u64, 3usize), (1, 4)] {
-        let alloc = DrpCds::new().allocate(db, channels).expect("allocates");
-        let program = BroadcastProgram::new(db, &alloc, BANDWIDTH).expect("program builds");
-        stages.push((
-            if generation == 0 { 0 } else { swap_at_window },
-            SourceGeneration { generation, program, frequencies: frequencies.clone() },
-        ));
-    }
-    stages
-}
-
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        clients: 8,
-        seed: 2024,
-        requests: 220,
-        rate: 1.0,
-        cache: CacheKind::None,
-        cache_budget: 0.0,
-        pattern: WorkloadPattern::Single,
-        patterns: 8,
-        max_size: 4,
-    }
-}
-
-/// Per-generation cycle-time extremes of the scripted scenario:
-/// `(gen0 window, min window, max cycle)` in virtual seconds. The
-/// egress window is one cycle of the fastest non-empty channel.
-fn cycle_bounds(db: &Database) -> (f64, f64, f64) {
-    let stages = scripted_stages(db, 1);
-    let mut gen0_window = f64::INFINITY;
-    let mut min_window = f64::INFINITY;
-    let mut max_cycle = 0.0f64;
-    for (i, (_, stage)) in stages.iter().enumerate() {
-        for schedule in stage.program.channels() {
-            if schedule.is_empty() {
-                continue;
-            }
-            let cycle = schedule.cycle_size() / BANDWIDTH;
-            if i == 0 {
-                gen0_window = gen0_window.min(cycle);
-            }
-            min_window = min_window.min(cycle);
-            max_cycle = max_cycle.max(cycle);
-        }
-    }
-    (gen0_window, min_window, max_cycle)
-}
-
-/// Swap mid-arrival-span (so both generations serve plenty of
-/// requests) and budget enough windows that the last request plus a
-/// full slow cycle always fits before the horizon.
-fn swap_and_windows(db: &Database, config: &FleetConfig) -> (u64, u64) {
-    let (gen0_window, min_window, max_cycle) = cycle_bounds(db);
-    let arrival_span = config.requests as f64 / config.rate;
-    let swap_at = ((arrival_span * 0.45) / gen0_window).ceil().max(1.0) as u64;
-    let horizon_needed = arrival_span * 1.6 + 4.0 * max_cycle;
-    let max_windows = swap_at + (horizon_needed / min_window).ceil() as u64 + 4;
-    (swap_at, max_windows)
-}
-
-fn net_config() -> NetConfig {
-    NetConfig {
-        queue_capacity: 1 << 15,
-        // The e2e contract is *zero* dropped frames: block rather than
-        // shed if a client thread is briefly scheduled out.
-        overflow: OverflowPolicy::Block,
-        write_timeout: Some(std::time::Duration::from_secs(30)),
-    }
-}
 
 #[test]
 fn fleet_measures_eq2_across_a_hot_swap() {
@@ -209,6 +127,13 @@ fn same_seed_produces_bit_identical_reports() {
     let first = run();
     let second = run();
     assert_eq!(first, second, "same seed must give a bit-identical report");
+    // And it is pinned: a change to the client fold that moves any
+    // byte of the report fails here.
+    assert_eq!(
+        (first.len(), fnv64(first.as_bytes())),
+        (6286, 0x6381_9729_ae1d_b479),
+        "fleet report moved:\n{first}"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use dbcast_alloc::DrpCds;
 use dbcast_baselines::Flat;
 use dbcast_bench::{render_markdown, ReportTable};
-use dbcast_index::{EnergyModel, IndexedProgram};
+use dbcast_index::{EnergyModel, IndexParams, IndexedProgram};
 use dbcast_model::{BroadcastProgram, ChannelAllocator};
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
@@ -15,7 +15,7 @@ fn main() -> std::io::Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
     let seeds: u64 = if quick { 3 } else { 10 };
     let radio = EnergyModel::typical();
-    let index_size = 1.0;
+    let params = IndexParams { index_size: 1.0, header_size: 0.1 };
     let k = 5;
 
     let mut table = ReportTable {
@@ -51,12 +51,10 @@ fn main() -> std::io::Result<()> {
                 let alloc = algo.allocate(&db, k).expect("feasible");
                 let program = BroadcastProgram::new(&db, &alloc, 10.0).expect("valid");
                 let indexed = match m_choice {
-                    "m*" => {
-                        IndexedProgram::with_optimal_segments(&program, index_size, 0.1)
-                    }
+                    "m*" => IndexedProgram::with_optimal_segments(&program, params),
                     fixed => {
                         let m: usize = fixed.parse().expect("numeric m");
-                        IndexedProgram::new(&program, &vec![m; k], index_size, 0.1)
+                        IndexedProgram::new(&program, &vec![m; k], params)
                     }
                 }
                 .expect("valid indexing");

@@ -1,6 +1,6 @@
 //! `dbcast index` — (1, m) air indexing report for an allocated program.
 
-use dbcast_index::{EnergyModel, IndexedProgram};
+use dbcast_index::{EnergyModel, IndexParams, IndexedProgram};
 use dbcast_model::BroadcastProgram;
 
 use crate::args::Args;
@@ -40,9 +40,10 @@ pub fn run_index(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     let alloc = algo.allocate(&db, channels)?;
     let program = BroadcastProgram::new(&db, &alloc, bandwidth)?;
 
+    let params = IndexParams { index_size, header_size: header };
     let indexed = match args.opt::<usize>("m")? {
-        Some(m) => IndexedProgram::new(&program, &vec![m; channels], index_size, header)?,
-        None => IndexedProgram::with_optimal_segments(&program, index_size, header)?,
+        Some(m) => IndexedProgram::new(&program, &vec![m; channels], params)?,
+        None => IndexedProgram::with_optimal_segments(&program, params)?,
     };
     let metrics = indexed.expected_metrics(&db)?;
 
@@ -50,7 +51,7 @@ pub fn run_index(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     writeln!(
         out,
         "segments m: {:?}",
-        indexed.channels().iter().map(|c| c.segments()).collect::<Vec<_>>()
+        indexed.channels().iter().flatten().map(|c| c.segments()).collect::<Vec<_>>()
     )?;
     writeln!(out, "expected access time:   {:.4} s", metrics.access)?;
     writeln!(out, "expected tuning time:   {:.4} s", metrics.tuning)?;

@@ -3,6 +3,35 @@
 use dbcast_model::{next_slot_start, ChannelSchedule, ItemId, ModelError};
 use serde::{Deserialize, Serialize};
 
+/// (1, m) air-index parameters, shared by server and clients.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct IndexParams {
+    /// Size of one index copy (same units as item sizes).
+    pub index_size: f64,
+    /// Size of the per-frame header a dozing client must read before it
+    /// learns when the next index copy starts.
+    pub header_size: f64,
+}
+
+impl IndexParams {
+    /// Checks the parameters on their own.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidSize`]: index 0 for an `index_size` that is
+    /// not finite and > 0, index 1 for a `header_size` not finite and ≥ 0.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        let IndexParams { index_size, header_size } = *self;
+        if !index_size.is_finite() || index_size <= 0.0 {
+            return Err(ModelError::InvalidSize { index: 0, value: index_size });
+        }
+        if !header_size.is_finite() || header_size < 0.0 {
+            return Err(ModelError::InvalidSize { index: 1, value: header_size });
+        }
+        Ok(())
+    }
+}
+
 /// One entry of the indexed cycle layout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LayoutEntry {
@@ -30,31 +59,36 @@ struct Slot {
 /// The classic (1, m) rule: choose the number of index copies `m`
 /// minimizing the overhead tradeoff `f(m) = Z/(2m) + m·I/2` for a data
 /// payload of aggregate size `z_total` and an index of size
-/// `index_size` (both in size units). The continuous optimum is
-/// `sqrt(Z/I)`; the exact integer argmin is picked between its floor
-/// and ceiling (plain rounding is off by one near `m(m+1) = Z/I`).
+/// `index_size` (both in size units), over `1..=max_segments`. The
+/// continuous optimum is `sqrt(Z/I)`; `f` is convex, so the exact
+/// integer argmin is its floor or ceiling (plain rounding is off by one
+/// near `m(m+1) = Z/I`), capped at `max_segments` before the two are
+/// compared.
 ///
 /// Returns at least 1.
 ///
 /// # Panics
 ///
-/// Panics when either argument is non-positive or non-finite.
+/// Panics when either size is non-positive or non-finite, or when
+/// `max_segments` is 0.
 ///
 /// # Example
 ///
 /// ```
 /// use dbcast_index::optimal_segments;
-/// assert_eq!(optimal_segments(100.0, 1.0), 10);
-/// assert_eq!(optimal_segments(1.0, 100.0), 1);
+/// assert_eq!(optimal_segments(100.0, 1.0, usize::MAX), 10);
+/// assert_eq!(optimal_segments(100.0, 1.0, 4), 4);
+/// assert_eq!(optimal_segments(1.0, 100.0, usize::MAX), 1);
 /// ```
-pub fn optimal_segments(z_total: f64, index_size: f64) -> usize {
+pub fn optimal_segments(z_total: f64, index_size: f64, max_segments: usize) -> usize {
     assert!(z_total.is_finite() && z_total > 0.0, "payload size must be positive");
     assert!(index_size.is_finite() && index_size > 0.0, "index size must be positive");
+    assert!(max_segments > 0, "at least one segment must be allowed");
     let x = z_total / index_size;
-    let lo = (x.sqrt().floor() as usize).max(1);
-    // Integer argmin of m + x/m: prefer lo unless lo+1 is strictly
-    // better, i.e. unless lo (lo+1) < x.
-    if ((lo * (lo + 1)) as f64) < x {
+    let lo = (x.sqrt().floor() as usize).clamp(1, max_segments);
+    // Integer argmin of m + x/m: prefer lo unless lo+1 is allowed and
+    // strictly better, i.e. unless lo (lo+1) < x.
+    if lo < max_segments && (lo as f64) * (lo as f64 + 1.0) < x {
         lo + 1
     } else {
         lo
@@ -90,32 +124,34 @@ pub struct IndexedChannel {
 }
 
 impl IndexedChannel {
-    /// Interleaves `segments` index copies (each `index_size` size
-    /// units, headers of `header_size` units) into `schedule`.
+    /// Interleaves `segments` index copies (each `params.index_size`
+    /// size units, headers of `params.header_size` units) into
+    /// `schedule`.
     ///
     /// # Errors
     ///
-    /// * [`ModelError::InvalidSize`] for non-positive `index_size` /
-    ///   negative `header_size`.
+    /// * [`ModelError::InvalidSize`] for parameters that fail
+    ///   [`IndexParams::validate`], and (index 0) for an `index_size` too
+    ///   small to lengthen the channel's cycle `Z` (`Z + index_size ==
+    ///   Z`): its copies would air in no time, tied with the item after
+    ///   them.
     /// * [`ModelError::ZeroChannels`] (reused) when `segments == 0`.
     /// * [`ModelError::EmptyDatabase`] (reused) for an empty schedule.
     pub fn new(
         schedule: &ChannelSchedule,
         segments: usize,
-        index_size: f64,
-        header_size: f64,
+        params: IndexParams,
     ) -> Result<Self, ModelError> {
-        if !index_size.is_finite() || index_size <= 0.0 {
-            return Err(ModelError::InvalidSize { index: 0, value: index_size });
-        }
-        if !header_size.is_finite() || header_size < 0.0 {
-            return Err(ModelError::InvalidSize { index: 1, value: header_size });
-        }
+        params.validate()?;
+        let IndexParams { index_size, header_size } = params;
         if segments == 0 {
             return Err(ModelError::ZeroChannels);
         }
         if schedule.is_empty() {
             return Err(ModelError::EmptyDatabase);
+        }
+        if schedule.cycle_size() + index_size == schedule.cycle_size() {
+            return Err(ModelError::InvalidSize { index: 0, value: index_size });
         }
         let m = segments.min(schedule.slots().len());
 
@@ -245,13 +281,6 @@ impl IndexedChannel {
         (access, tuning)
     }
 
-    /// Access time (seconds) for a request of `item` issued at `now`.
-    ///
-    /// Returns `None` if the channel does not carry the item.
-    pub fn access_time(&self, item: ItemId, now: f64, bandwidth: f64) -> Option<f64> {
-        self.request_metrics(item, now, bandwidth).map(|(a, _)| a)
-    }
-
     /// Upper bound on the tuning time (seconds of radio-active time)
     /// for any request of `item`: full header read + index read + item
     /// download. The exact per-request value
@@ -285,16 +314,6 @@ impl IndexedChannel {
         }
         Some((access_sum / samples as f64, tuning_sum / samples as f64))
     }
-
-    /// Mean access time over a request instant uniform in the cycle.
-    pub fn expected_access_time(
-        &self,
-        item: ItemId,
-        bandwidth: f64,
-        samples: usize,
-    ) -> Option<f64> {
-        self.expected_metrics(item, bandwidth, samples).map(|(a, _)| a)
-    }
 }
 
 #[cfg(test)]
@@ -316,22 +335,30 @@ mod tests {
         (db, program)
     }
 
+    fn params(index_size: f64, header_size: f64) -> IndexParams {
+        IndexParams { index_size, header_size }
+    }
+
     #[test]
     fn optimal_segments_formula() {
-        assert_eq!(optimal_segments(400.0, 4.0), 10);
-        assert_eq!(optimal_segments(2.0, 8.0), 1);
+        assert_eq!(optimal_segments(400.0, 4.0, usize::MAX), 10);
+        assert_eq!(optimal_segments(2.0, 8.0, usize::MAX), 1);
+        // The cap applies before the argmin, so a vanishing index size
+        // neither overflows nor asks for more copies than slots.
+        assert_eq!(optimal_segments(3.0, 1e-300, 2), 2);
+        assert_eq!(optimal_segments(1e10, f64::MIN_POSITIVE, usize::MAX), usize::MAX);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn optimal_segments_rejects_zero() {
-        let _ = optimal_segments(0.0, 1.0);
+        let _ = optimal_segments(0.0, 1.0, 1);
     }
 
     #[test]
     fn layout_interleaves_m_indexes() {
         let (_, p) = schedule();
-        let ch = IndexedChannel::new(&p.channels()[0], 2, 0.5, 0.05).unwrap();
+        let ch = IndexedChannel::new(&p.channels()[0], 2, params(0.5, 0.05)).unwrap();
         assert_eq!(ch.segments(), 2);
         // Cycle = data (10) + 2 indexes (1.0).
         assert!((ch.cycle_size() - 11.0).abs() < 1e-12);
@@ -348,7 +375,7 @@ mod tests {
     #[test]
     fn segments_capped_by_slot_count() {
         let (_, p) = schedule();
-        let ch = IndexedChannel::new(&p.channels()[0], 99, 0.5, 0.0).unwrap();
+        let ch = IndexedChannel::new(&p.channels()[0], 99, params(0.5, 0.0)).unwrap();
         assert_eq!(ch.segments(), 4);
     }
 
@@ -356,21 +383,23 @@ mod tests {
     fn validation_rejects_bad_parameters() {
         let (_, p) = schedule();
         let s = &p.channels()[0];
-        assert!(IndexedChannel::new(s, 0, 0.5, 0.0).is_err());
-        assert!(IndexedChannel::new(s, 2, 0.0, 0.0).is_err());
-        assert!(IndexedChannel::new(s, 2, 0.5, -1.0).is_err());
+        assert!(IndexedChannel::new(s, 0, params(0.5, 0.0)).is_err());
+        assert!(IndexedChannel::new(s, 2, params(0.0, 0.0)).is_err());
+        assert!(IndexedChannel::new(s, 2, params(0.5, -1.0)).is_err());
+        // Ten size units of data swallow a 1e-300 index copy whole.
+        assert!(IndexedChannel::new(s, 2, params(1e-300, 0.0)).is_err());
     }
 
     #[test]
     fn tuning_time_is_constant_and_small() {
         let (_, p) = schedule();
-        let ch = IndexedChannel::new(&p.channels()[0], 2, 0.5, 0.05).unwrap();
+        let ch = IndexedChannel::new(&p.channels()[0], 2, params(0.5, 0.05)).unwrap();
         let t = ch.tuning_time(ItemId::new(2), 10.0).unwrap();
         // (0.05 + 0.5 + 4.0) / 10
         assert!((t - 0.455).abs() < 1e-12);
         // Access varies with request time; tuning does not.
-        let a0 = ch.access_time(ItemId::new(2), 0.0, 10.0).unwrap();
-        let a1 = ch.access_time(ItemId::new(2), 0.37, 10.0).unwrap();
+        let a0 = ch.request_metrics(ItemId::new(2), 0.0, 10.0).unwrap().0;
+        let a1 = ch.request_metrics(ItemId::new(2), 0.37, 10.0).unwrap().0;
         assert_ne!(a0, a1);
         assert!(t <= a0 && t <= a1);
     }
@@ -379,29 +408,29 @@ mod tests {
     fn access_walks_index_then_item() {
         let (_, p) = schedule();
         // m = 1: cycle = [Ix 0.5][d0 2][d1 3][d2 4][d3 1], size 10.5.
-        let ch = IndexedChannel::new(&p.channels()[0], 1, 0.5, 0.0).unwrap();
+        let ch = IndexedChannel::new(&p.channels()[0], 1, params(0.5, 0.0)).unwrap();
         // Request d0 at t = 0: index at 0..0.05s, d0 at 0.05..0.25s.
-        let a = ch.access_time(ItemId::new(0), 0.0, 10.0).unwrap();
+        let a = ch.request_metrics(ItemId::new(0), 0.0, 10.0).unwrap().0;
         assert!((a - 0.25).abs() < 1e-12);
         // Request d0 just after cycle start: next index is next cycle
         // (1.05s), then d0 at 1.10s, done 1.30s => access = 1.30 - 0.01.
-        let a = ch.access_time(ItemId::new(0), 0.01, 10.0).unwrap();
+        let a = ch.request_metrics(ItemId::new(0), 0.01, 10.0).unwrap().0;
         assert!((a - (1.30 - 0.01)).abs() < 1e-9, "{a}");
     }
 
     #[test]
     fn unknown_item_yields_none() {
         let (_, p) = schedule();
-        let ch = IndexedChannel::new(&p.channels()[0], 1, 0.5, 0.0).unwrap();
-        assert!(ch.access_time(ItemId::new(9), 0.0, 10.0).is_none());
+        let ch = IndexedChannel::new(&p.channels()[0], 1, params(0.5, 0.0)).unwrap();
+        assert!(ch.request_metrics(ItemId::new(9), 0.0, 10.0).is_none());
         assert!(ch.tuning_time(ItemId::new(9), 10.0).is_none());
     }
 
     #[test]
     fn more_segments_reduce_index_wait_but_grow_cycle() {
         let (_, p) = schedule();
-        let m1 = IndexedChannel::new(&p.channels()[0], 1, 0.5, 0.0).unwrap();
-        let m4 = IndexedChannel::new(&p.channels()[0], 4, 0.5, 0.0).unwrap();
+        let m1 = IndexedChannel::new(&p.channels()[0], 1, params(0.5, 0.0)).unwrap();
+        let m4 = IndexedChannel::new(&p.channels()[0], 4, params(0.5, 0.0)).unwrap();
         assert!(m4.cycle_size() > m1.cycle_size());
         // Mean distance to next index shrinks with more copies.
         let mean_wait = |ch: &IndexedChannel| {
@@ -424,10 +453,10 @@ mod tests {
         // E[wait to index] + index + E[index end -> item start] + item
         // ≈ L/2 + I + L/2-ish; just sanity-bound it by the cycle.
         let (_, p) = schedule();
-        let ch = IndexedChannel::new(&p.channels()[0], 1, 0.5, 0.0).unwrap();
+        let ch = IndexedChannel::new(&p.channels()[0], 1, params(0.5, 0.0)).unwrap();
         let cycle_time = ch.cycle_size() / 10.0;
         for item in 0..4 {
-            let e = ch.expected_access_time(ItemId::new(item), 10.0, 2000).unwrap();
+            let e = ch.expected_metrics(ItemId::new(item), 10.0, 2000).unwrap().0;
             assert!(e > 0.0 && e < 2.0 * cycle_time + 1.0);
         }
     }

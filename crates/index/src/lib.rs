@@ -13,14 +13,14 @@
 //!
 //! This crate layers indexing *on top of* the allocation work of the
 //! main crates: any [`BroadcastProgram`](dbcast_model::BroadcastProgram)
-//! (from DRP-CDS or any baseline) can be indexed per channel, measured
-//! for expected access time, tuning time, and energy per request, and
-//! evaluated against request traces.
+//! (from DRP-CDS or any baseline) can be indexed per channel and
+//! measured for expected access time, tuning time, and energy per
+//! request.
 //!
 //! # Example
 //!
 //! ```
-//! use dbcast_index::{EnergyModel, IndexedProgram};
+//! use dbcast_index::{EnergyModel, IndexParams, IndexedProgram};
 //! use dbcast_alloc::DrpCds;
 //! use dbcast_model::{BroadcastProgram, ChannelAllocator};
 //!
@@ -28,7 +28,8 @@
 //! let db = dbcast_workload::WorkloadBuilder::new(40).seed(1).build()?;
 //! let alloc = DrpCds::new().allocate(&db, 4)?;
 //! let program = BroadcastProgram::new(&db, &alloc, 10.0)?;
-//! let indexed = IndexedProgram::with_optimal_segments(&program, 1.0, 0.1)?;
+//! let params = IndexParams { index_size: 1.0, header_size: 0.1 };
+//! let indexed = IndexedProgram::with_optimal_segments(&program, params)?;
 //! let metrics = indexed.expected_metrics(&db)?;
 //! // Tuning time is a small fraction of access time.
 //! assert!(metrics.tuning < metrics.access / 2.0);
@@ -43,6 +44,6 @@ mod channel;
 mod energy;
 mod program;
 
-pub use channel::{optimal_segments, IndexedChannel, LayoutEntry};
+pub use channel::{optimal_segments, IndexParams, IndexedChannel, LayoutEntry};
 pub use energy::EnergyModel;
-pub use program::{IndexedProgram, ProgramMetrics, TraceMetrics};
+pub use program::{IndexedProgram, ProgramMetrics, EXPECTATION_SAMPLES};

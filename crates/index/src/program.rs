@@ -1,10 +1,14 @@
 //! Indexing a whole multi-channel broadcast program and measuring it.
+//!
+//! [`IndexedProgram`] is the one place an indexed program is built and
+//! looked up: the network egress, a client's world view and the
+//! experiments each hold one, and an item's channel comes from
+//! [`BroadcastProgram::locate`], not a scan.
 
-use dbcast_model::{BroadcastProgram, Database, ItemId, ModelError};
-use dbcast_workload::RequestTrace;
+use dbcast_model::{BroadcastProgram, ChannelSchedule, Database, ItemId, ModelError};
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{optimal_segments, IndexedChannel};
+use crate::channel::{optimal_segments, IndexParams, IndexedChannel};
 use crate::energy::EnergyModel;
 
 /// Frequency-weighted expected metrics of an indexed program.
@@ -36,22 +40,17 @@ impl ProgramMetrics {
     }
 }
 
-/// Empirical per-trace metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceMetrics {
-    /// Requests evaluated.
-    pub requests: usize,
-    /// Mean access time (s).
-    pub access: f64,
-    /// Mean tuning time (s).
-    pub tuning: f64,
-}
+/// Request instants, uniform in an item's indexed cycle, that every
+/// per-item expectation integrates over.
+pub const EXPECTATION_SAMPLES: usize = 512;
 
-/// A fully indexed multi-channel broadcast program.
+/// A broadcast program with every non-empty channel (1, m)-indexed:
+/// the one owner of a program's indexed air layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedProgram {
-    channels: Vec<IndexedChannel>,
-    bandwidth: f64,
+    program: BroadcastProgram,
+    /// By channel position; `None` for an empty channel.
+    channels: Vec<Option<IndexedChannel>>,
 }
 
 impl IndexedProgram {
@@ -61,12 +60,11 @@ impl IndexedProgram {
     /// # Errors
     ///
     /// [`ModelError::AssignmentLength`] when `segments` has the wrong
-    /// length; channel-construction errors propagate.
+    /// length; parameter and channel-construction errors propagate.
     pub fn new(
         program: &BroadcastProgram,
         segments: &[usize],
-        index_size: f64,
-        header_size: f64,
+        params: IndexParams,
     ) -> Result<Self, ModelError> {
         if segments.len() != program.channels().len() {
             return Err(ModelError::AssignmentLength {
@@ -74,67 +72,78 @@ impl IndexedProgram {
                 actual: segments.len(),
             });
         }
-        let mut channels = Vec::new();
-        for (schedule, &m) in program.channels().iter().zip(segments) {
-            if schedule.is_empty() {
-                continue;
-            }
-            channels.push(IndexedChannel::new(schedule, m, index_size, header_size)?);
-        }
-        Ok(IndexedProgram { channels, bandwidth: program.bandwidth() })
+        IndexedProgram::build(program, params, |schedule| {
+            segments[schedule.channel().index()]
+        })
     }
 
-    /// Indexes every channel with its own `m* = sqrt(Z_i / index_size)`.
+    /// Indexes every non-empty channel with its own optimal copy count
+    /// `m* =` [`optimal_segments`]`(Z_i, index_size)`, capped at the
+    /// channel's slot count.
     ///
     /// # Errors
     ///
-    /// Channel-construction errors propagate.
+    /// [`ModelError::InvalidSize`] for parameters that fail
+    /// [`IndexParams::validate`], checked before any `m*` is chosen;
+    /// channel-construction errors propagate.
     pub fn with_optimal_segments(
         program: &BroadcastProgram,
-        index_size: f64,
-        header_size: f64,
+        params: IndexParams,
     ) -> Result<Self, ModelError> {
-        let segments: Vec<usize> = program
-            .channels()
-            .iter()
-            .map(|c| {
-                if c.is_empty() {
-                    1
-                } else {
-                    optimal_segments(c.cycle_size(), index_size)
-                }
-            })
-            .collect();
-        IndexedProgram::new(program, &segments, index_size, header_size)
+        IndexedProgram::build(program, params, |s| {
+            optimal_segments(s.cycle_size(), params.index_size, s.slots().len())
+        })
     }
 
-    /// The indexed channels (empty source channels are dropped).
-    pub fn channels(&self) -> &[IndexedChannel] {
+    fn build(
+        program: &BroadcastProgram,
+        params: IndexParams,
+        segments: impl Fn(&ChannelSchedule) -> usize,
+    ) -> Result<Self, ModelError> {
+        params.validate()?;
+        let channels = (program.channels().iter())
+            .map(|s| {
+                (!s.is_empty())
+                    .then(|| IndexedChannel::new(s, segments(s), params))
+                    .transpose()
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(IndexedProgram { program: program.clone(), channels })
+    }
+
+    /// The indexed channels by position; `None` for an empty channel.
+    pub fn channels(&self) -> &[Option<IndexedChannel>] {
         &self.channels
     }
 
     /// The shared bandwidth (size units / second).
     pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
+        self.program.bandwidth()
     }
 
-    fn channel_of(&self, item: ItemId) -> Option<&IndexedChannel> {
-        self.channels.iter().find(|c| c.tuning_time(item, self.bandwidth).is_some())
-    }
-
-    /// Access time of one request (seconds).
-    pub fn access_time(&self, item: ItemId, now: f64) -> Option<f64> {
-        self.channel_of(item)?.access_time(item, now, self.bandwidth)
+    /// The indexed channel carrying `item`, with the item's unindexed
+    /// schedule and slot.
+    fn carrier(&self, item: ItemId) -> Option<(&IndexedChannel, &ChannelSchedule, f64)> {
+        let (schedule, slot) = self.program.locate(item)?;
+        let channel = self.channels[schedule.channel().index()].as_ref()?;
+        Some((channel, schedule, slot.size))
     }
 
     /// Exact `(access, tuning)` of one request (seconds).
     pub fn request_metrics(&self, item: ItemId, now: f64) -> Option<(f64, f64)> {
-        self.channel_of(item)?.request_metrics(item, now, self.bandwidth)
+        self.carrier(item)?.0.request_metrics(item, now, self.bandwidth())
     }
 
     /// Upper bound on the tuning time of any request for `item`.
     pub fn tuning_time(&self, item: ItemId) -> Option<f64> {
-        self.channel_of(item)?.tuning_time(item, self.bandwidth)
+        self.carrier(item)?.0.tuning_time(item, self.bandwidth())
+    }
+
+    /// Mean `(access, tuning)` of a request for `item` at an instant
+    /// uniform in its channel's indexed cycle, over
+    /// [`EXPECTATION_SAMPLES`] grid points.
+    pub fn expected_item_metrics(&self, item: ItemId) -> Option<(f64, f64)> {
+        self.carrier(item)?.0.expected_metrics(item, self.bandwidth(), EXPECTATION_SAMPLES)
     }
 
     /// Frequency-weighted expected metrics over `db`, with unindexed
@@ -145,56 +154,27 @@ impl IndexedProgram {
     /// [`ModelError::ItemOutOfRange`] if the program does not carry
     /// some database item.
     pub fn expected_metrics(&self, db: &Database) -> Result<ProgramMetrics, ModelError> {
+        let bandwidth = self.bandwidth();
         let mut access = 0.0;
         let mut tuning = 0.0;
         let mut unindexed = 0.0;
         for d in db.iter() {
-            let ch = self.channel_of(d.id()).ok_or(ModelError::ItemOutOfRange {
-                item: d.id().index(),
-                items: db.len(),
-            })?;
-            let (e_access, e_tuning) = ch
-                .expected_metrics(d.id(), self.bandwidth, 512)
-                .expect("channel carries the item");
+            let (channel, schedule, size) =
+                self.carrier(d.id()).ok_or(ModelError::ItemOutOfRange {
+                    item: d.id().index(),
+                    items: db.len(),
+                })?;
+            let (e_access, e_tuning) = channel
+                .expected_metrics(d.id(), bandwidth, EXPECTATION_SAMPLES)
+                .expect("the carrier airs the item");
             access += d.frequency() * e_access;
             tuning += d.frequency() * e_tuning;
-            // Unindexed: probe half the *data-only* cycle + download.
-            let data_cycle = ch.cycle_size() - ch.segments() as f64 * index_overhead_of(ch);
+            // Unindexed: probe half the data-only cycle + download.
             unindexed += d.frequency()
-                * (data_cycle / (2.0 * self.bandwidth) + d.size() / self.bandwidth);
+                * (schedule.cycle_size() / (2.0 * bandwidth) + size / bandwidth);
         }
         Ok(ProgramMetrics { access, tuning, unindexed_access: unindexed })
     }
-
-    /// Evaluates a request trace: per-request access/tuning means.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::ItemOutOfRange`] if the trace requests an item the
-    /// program does not carry.
-    pub fn evaluate_trace(&self, trace: &RequestTrace) -> Result<TraceMetrics, ModelError> {
-        let mut access = 0.0;
-        let mut tuning = 0.0;
-        for r in trace.iter() {
-            let (a, t) =
-                self.request_metrics(r.item, r.time).ok_or(ModelError::ItemOutOfRange {
-                    item: r.item.index(),
-                    items: usize::MAX,
-                })?;
-            access += a;
-            tuning += t;
-        }
-        let n = trace.len().max(1) as f64;
-        Ok(TraceMetrics { requests: trace.len(), access: access / n, tuning: tuning / n })
-    }
-}
-
-/// The per-copy index size of a built channel (recovered from layout).
-fn index_overhead_of(ch: &IndexedChannel) -> f64 {
-    ch.layout()
-        .find(|(e, _, _)| matches!(e, crate::channel::LayoutEntry::Index { .. }))
-        .map(|(_, _, size)| size)
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -203,6 +183,8 @@ mod tests {
     use dbcast_alloc::DrpCds;
     use dbcast_model::ChannelAllocator;
     use dbcast_workload::{TraceBuilder, WorkloadBuilder};
+
+    const PARAMS: IndexParams = IndexParams { index_size: 1.0, header_size: 0.1 };
 
     fn setup() -> (Database, BroadcastProgram) {
         let db = WorkloadBuilder::new(40).seed(5).build().unwrap();
@@ -214,7 +196,7 @@ mod tests {
     #[test]
     fn optimal_indexing_has_low_tuning_and_bounded_overhead() {
         let (db, program) = setup();
-        let indexed = IndexedProgram::with_optimal_segments(&program, 1.0, 0.1).unwrap();
+        let indexed = IndexedProgram::with_optimal_segments(&program, PARAMS).unwrap();
         let m = indexed.expected_metrics(&db).unwrap();
         assert!(m.tuning < m.access, "{m:?}");
         // Indexing cuts tuning to well under a third of the unindexed
@@ -228,7 +210,7 @@ mod tests {
     #[test]
     fn energy_savings_are_dramatic_with_cheap_doze() {
         let (db, program) = setup();
-        let indexed = IndexedProgram::with_optimal_segments(&program, 1.0, 0.1).unwrap();
+        let indexed = IndexedProgram::with_optimal_segments(&program, PARAMS).unwrap();
         let m = indexed.expected_metrics(&db).unwrap();
         let radio = EnergyModel::typical();
         let saving = 1.0 - m.energy(&radio) / m.energy_unindexed(&radio);
@@ -239,9 +221,9 @@ mod tests {
     fn optimal_m_beats_extreme_choices() {
         let (db, program) = setup();
         let k = program.channels().len();
-        let best = IndexedProgram::with_optimal_segments(&program, 1.0, 0.1).unwrap();
-        let m1 = IndexedProgram::new(&program, &vec![1; k], 1.0, 0.1).unwrap();
-        let huge = IndexedProgram::new(&program, &vec![64; k], 1.0, 0.1).unwrap();
+        let best = IndexedProgram::with_optimal_segments(&program, PARAMS).unwrap();
+        let m1 = IndexedProgram::new(&program, &vec![1; k], PARAMS).unwrap();
+        let huge = IndexedProgram::new(&program, &vec![64; k], PARAMS).unwrap();
         let wb = best.expected_metrics(&db).unwrap();
         let w1 = m1.expected_metrics(&db).unwrap();
         let whuge = huge.expected_metrics(&db).unwrap();
@@ -252,19 +234,24 @@ mod tests {
     #[test]
     fn trace_evaluation_matches_expected_metrics() {
         let (db, program) = setup();
-        let indexed = IndexedProgram::with_optimal_segments(&program, 1.0, 0.1).unwrap();
+        let indexed = IndexedProgram::with_optimal_segments(&program, PARAMS).unwrap();
         let expected = indexed.expected_metrics(&db).unwrap();
         let trace = TraceBuilder::new(&db).requests(30_000).seed(6).build().unwrap();
-        let measured = indexed.evaluate_trace(&trace).unwrap();
-        let rel = (measured.access - expected.access).abs() / expected.access;
-        assert!(rel < 0.05, "access {} vs {}", measured.access, expected.access);
-        let rel_t = (measured.tuning - expected.tuning).abs() / expected.tuning;
-        assert!(rel_t < 0.05, "tuning {} vs {}", measured.tuning, expected.tuning);
+        let (access, tuning) = trace.iter().fold((0.0, 0.0), |(a, t), r| {
+            let (access, tuning) = indexed.request_metrics(r.item, r.time).unwrap();
+            (a + access, t + tuning)
+        });
+        let n = trace.len() as f64;
+        let (access, tuning) = (access / n, tuning / n);
+        let rel = (access - expected.access).abs() / expected.access;
+        assert!(rel < 0.05, "access {access} vs {}", expected.access);
+        let rel_t = (tuning - expected.tuning).abs() / expected.tuning;
+        assert!(rel_t < 0.05, "tuning {tuning} vs {}", expected.tuning);
     }
 
     #[test]
     fn wrong_segment_vector_length_errors() {
         let (_, program) = setup();
-        assert!(IndexedProgram::new(&program, &[1, 1], 1.0, 0.1).is_err());
+        assert!(IndexedProgram::new(&program, &[1, 1], PARAMS).is_err());
     }
 }

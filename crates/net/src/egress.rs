@@ -13,11 +13,16 @@
 //! completion and the directory's `valid_until`. Sharing it, tolerance
 //! included, is what makes hot swaps visible but never *torn* on the
 //! wire.
+//!
+//! With the air index on, each generation's (1,m) layouts and index
+//! tables come from one [`IndexedProgram`], built as the generation goes
+//! on the air by the same call a client's
+//! [`WorldView`](crate::WorldView) makes from the directory.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dbcast_index::{optimal_segments, IndexedChannel, LayoutEntry};
+use dbcast_index::{IndexParams, IndexedProgram, LayoutEntry};
 use dbcast_model::{next_slot_start, BroadcastProgram};
 use dbcast_serve::{EpochCell, ProgramGeneration};
 
@@ -25,7 +30,7 @@ use crate::frame::{
     encode_data_frame_into, encode_frame, encode_frame_into, encode_index_frame_into,
     DataFrame, Frame, IndexEntry,
 };
-use crate::world::{airs_by, Directory, IndexParams};
+use crate::world::{airs_by, Directory};
 use crate::BroadcastServer;
 
 /// A self-contained description of one generation to put on the air.
@@ -145,8 +150,7 @@ struct ChannelCursor {
     layout: Vec<(LayoutEntry, f64, f64)>,
     cycle_size: f64,
     /// The layout's data slots as `(item, offset_size_units)`, in item
-    /// order: an index frame's entries before they are timed. Empty
-    /// when the air index is off.
+    /// order: an index frame's entries before they are timed.
     index_table: Vec<(u32, f64)>,
     cycle: u64,
     pos: usize,
@@ -209,44 +213,39 @@ fn build_on_air(
 ) -> Result<OnAir, String> {
     let program = source.program;
     let bandwidth = program.bandwidth();
+    let indexed = index
+        .map(|params| IndexedProgram::with_optimal_segments(&program, params))
+        .transpose()
+        .map_err(|e| format!("index build failed: {e}"))?;
     let mut cursors = Vec::new();
     let mut fastest = f64::INFINITY;
-    for schedule in program.channels() {
-        if schedule.is_empty() {
-            continue;
-        }
-        let (layout, cycle_size, index_table) = match index {
-            Some(params) => {
-                let m = optimal_segments(schedule.cycle_size(), params.index_size);
+    for schedule in program.channels().iter().filter(|s| !s.is_empty()) {
+        let channel = schedule.channel().index();
+        let (layout, cycle_size): (Vec<_>, _) = match &indexed {
+            Some(indexed) => {
                 let ic =
-                    IndexedChannel::new(schedule, m, params.index_size, params.header_size)
-                        .map_err(|e| format!("index build failed: {e}"))?;
-                let layout = ic.layout().collect::<Vec<_>>();
-                // A program places each item once, so every item has
-                // exactly one data slot here.
-                let mut table: Vec<(u32, f64)> = layout
-                    .iter()
-                    .filter_map(|&(entry, offset, _)| match entry {
-                        LayoutEntry::Item { item } => Some((item.index() as u32, offset)),
-                        LayoutEntry::Index { .. } => None,
-                    })
-                    .collect();
-                table.sort_unstable_by_key(|&(item, _)| item);
-                (layout, ic.cycle_size(), table)
+                    indexed.channels()[channel].as_ref().expect("non-empty, so indexed");
+                (ic.layout().collect(), ic.cycle_size())
             }
             None => (
-                schedule
-                    .slots()
-                    .iter()
+                (schedule.slots().iter())
                     .map(|s| (LayoutEntry::Item { item: s.item }, s.offset, s.size))
-                    .collect::<Vec<_>>(),
+                    .collect(),
                 schedule.cycle_size(),
-                Vec::new(),
             ),
         };
+        // A program places each item once, so every item has exactly
+        // one data slot.
+        let mut index_table: Vec<(u32, f64)> = (layout.iter())
+            .filter_map(|&(entry, offset, _)| match entry {
+                LayoutEntry::Item { item } => Some((item.index() as u32, offset)),
+                LayoutEntry::Index { .. } => None,
+            })
+            .collect();
+        index_table.sort_unstable_by_key(|&(item, _)| item);
         fastest = fastest.min(cycle_size / bandwidth);
         cursors.push(ChannelCursor {
-            channel: schedule.channel().index() as u32,
+            channel: channel as u32,
             layout,
             cycle_size,
             index_table,
@@ -443,6 +442,7 @@ mod tests {
     use std::net::TcpStream;
 
     use dbcast_alloc::DrpCds;
+    use dbcast_index::{optimal_segments, IndexedChannel};
     use dbcast_model::{Allocation, ChannelAllocator, Database, ItemSpec};
     use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
@@ -520,9 +520,9 @@ mod tests {
             for cursor in &mut on_air.cursors {
                 let schedule = &program.channels()[cursor.channel as usize];
                 let indexed = index.map(|p| {
-                    let m = optimal_segments(schedule.cycle_size(), p.index_size);
-                    IndexedChannel::new(schedule, m, p.index_size, p.header_size)
-                        .expect("index builds")
+                    let m =
+                        optimal_segments(schedule.cycle_size(), p.index_size, usize::MAX);
+                    IndexedChannel::new(schedule, m, p).expect("index builds")
                 });
                 loop {
                     let (start, end) = cursor.peek(origin, bandwidth);

@@ -18,6 +18,7 @@ use std::sync::atomic::AtomicBool;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dbcast_model::ItemId;
 use dbcast_obs::doc::Document;
 use dbcast_serve::FleetDigest;
 pub use dbcast_serve::GenerationSlice;
@@ -340,22 +341,16 @@ impl Document for FleetReport {
 }
 
 /// The paper's Eq. 2 expectation for the world's program: the
-/// frequency-weighted mean access time over a request instant uniform
-/// in phase. Each item waits half its channel's cycle, plus its
-/// download; on an indexed stream each item uses the exact (1,m) grid
-/// expectation ([`WorldView::expected_access`]).
+/// frequency-weighted mean of the per-item expectation
+/// [`WorldView::expected_access`] (half the item's channel cycle plus
+/// its download, or on an indexed stream the exact (1,m) grid
+/// expectation of the generation's `IndexedProgram`).
 pub fn predicted_access(world: &WorldView) -> f64 {
-    let dir = &world.directory;
-    let mut weighted = 0.0;
-    let mut mass = 0.0;
-    for (idx, &f) in dir.frequencies.iter().enumerate() {
-        let item = dbcast_model::ItemId::new(idx);
-        let Some(access) = world.expected_access(item) else {
-            continue;
-        };
-        weighted += f * access;
-        mass += f;
-    }
+    let (weighted, mass) = (world.directory.frequencies.iter().enumerate())
+        .filter_map(|(idx, &f)| Some((f, world.expected_access(ItemId::new(idx))?)))
+        .fold((0.0, 0.0), |(weighted, mass), (f, access)| {
+            (weighted + f * access, mass + f)
+        });
     if mass > 0.0 {
         weighted / mass
     } else {

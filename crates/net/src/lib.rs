@@ -43,6 +43,7 @@ pub use client::{
     directory_database, generate_requests, measure, AirLog, CacheKind, ClientConfig,
     GeneratedRequest, RequestOutcome, WorkloadPattern,
 };
+pub use dbcast_index::IndexParams;
 pub use egress::{
     run_egress, EgressConfig, EgressReport, EpochSource, ProgramSource, ScriptedSource,
     SourceGeneration,
@@ -59,4 +60,4 @@ pub use frame::{
 };
 pub use server::{BroadcastServer, NetConfig, OverflowPolicy, MAX_SUBSCRIBERS};
 pub use uplink::{DigestSink, UplinkClient, UplinkServer, MAX_UPLINKS};
-pub use world::{Directory, FetchPlan, IndexParams, WorldView};
+pub use world::{Directory, FetchPlan, WorldView};

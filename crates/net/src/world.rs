@@ -4,25 +4,17 @@
 //! [`BroadcastProgram`] plus the virtual-time origin of the generation's
 //! phase zero and the optional (1,m) air-index parameters. From it a
 //! client rebuilds a [`WorldView`] — the exact same structures the
-//! server schedules from — and plans fetches analytically: the plan is
-//! then *verified* against the frames that actually aired, so a wrong
-//! world view shows up as a torn frame, never as a silent bias.
+//! server schedules from, down to the one [`IndexedProgram`] per
+//! indexed generation that the egress also airs — and plans fetches
+//! analytically: the plan is then *verified* against the frames that
+//! actually aired, so a wrong world view shows up as a torn frame,
+//! never as a silent bias.
 
 use std::sync::OnceLock;
 
-use dbcast_index::{optimal_segments, IndexedChannel};
+use dbcast_index::{IndexParams, IndexedProgram};
 use dbcast_model::{next_slot_start, BroadcastProgram, ChannelId, ItemId};
 use serde::{Deserialize, Serialize};
-
-/// (1,m) air-index parameters shared by server and clients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IndexParams {
-    /// Size of one index segment copy (same units as item sizes).
-    pub index_size: f64,
-    /// Size of the per-frame header a dozing client must read before it
-    /// learns when the next index copy starts.
-    pub header_size: f64,
-}
 
 /// Self-description of one program generation, carried in a
 /// [`Frame::Directory`](crate::Frame::Directory) payload as JSON.
@@ -67,14 +59,14 @@ pub(crate) fn airs_by(end: f64, boundary: f64) -> bool {
     end <= boundary + 1e-12
 }
 
-/// A decoded directory plus the derived per-channel air indexes.
+/// A decoded directory plus, on an indexed stream, its (1,m) layout.
 #[derive(Debug)]
 pub struct WorldView {
     /// The directory this view was built from.
     pub directory: Directory,
-    /// Per-channel (1,m) index models, present iff the stream carries
-    /// index frames. `None` entries are empty channels.
-    pub indexed: Option<Vec<Option<IndexedChannel>>>,
+    /// The program's (1,m) layout, present iff the stream carries index
+    /// frames.
+    pub indexed: Option<IndexedProgram>,
     /// Virtual instant this generation stops being on the air.
     /// `f64::INFINITY` until a successor directory arrives.
     pub valid_until: f64,
@@ -90,29 +82,11 @@ impl WorldView {
     /// Returns a description of the inconsistency when the directory's
     /// index parameters cannot model one of its own channels.
     pub fn from_directory(directory: Directory) -> Result<Self, String> {
-        let indexed = match directory.index {
-            None => None,
-            Some(params) => {
-                let mut per_channel =
-                    Vec::with_capacity(directory.program.channels().len());
-                for schedule in directory.program.channels() {
-                    if schedule.is_empty() {
-                        per_channel.push(None);
-                        continue;
-                    }
-                    let m = optimal_segments(schedule.cycle_size(), params.index_size);
-                    let ic = IndexedChannel::new(
-                        schedule,
-                        m,
-                        params.index_size,
-                        params.header_size,
-                    )
-                    .map_err(|e| format!("directory index params invalid: {e}"))?;
-                    per_channel.push(Some(ic));
-                }
-                Some(per_channel)
-            }
-        };
+        let indexed = directory
+            .index
+            .map(|params| IndexedProgram::with_optimal_segments(&directory.program, params))
+            .transpose()
+            .map_err(|e| format!("directory index params invalid: {e}"))?;
         let expected = (0..directory.frequencies.len()).map(|_| OnceLock::new()).collect();
         Ok(WorldView { directory, indexed, valid_until: f64::INFINITY, expected })
     }
@@ -163,16 +137,12 @@ impl WorldView {
     }
 
     fn compute_expected_access(&self, item: ItemId) -> Option<f64> {
+        if let Some(indexed) = &self.indexed {
+            return indexed.expected_item_metrics(item).map(|(access, _)| access);
+        }
         let bandwidth = self.directory.bandwidth;
         let (schedule, slot) = self.directory.program.locate(item)?;
-        match &self.indexed {
-            Some(per_channel) => per_channel
-                .get(schedule.channel().index())
-                .and_then(|c| c.as_ref())
-                .and_then(|ic| ic.expected_metrics(item, bandwidth, 512))
-                .map(|(access, _)| access),
-            None => Some((schedule.cycle_size() / bandwidth) / 2.0 + slot.size / bandwidth),
-        }
+        Some((schedule.cycle_size() / bandwidth) / 2.0 + slot.size / bandwidth)
     }
 
     /// Plans the fetch of `item` for a request issued at the virtual
@@ -189,34 +159,21 @@ impl WorldView {
         let bandwidth = self.directory.bandwidth;
         let local = now - origin;
         let (schedule, slot) = self.directory.program.locate(item)?;
-        let channel = schedule.channel();
-        match &self.indexed {
-            Some(per_channel) => {
-                let ic = per_channel.get(channel.index()).and_then(|c| c.as_ref())?;
-                let (access, tuning) = ic.request_metrics(item, local, bandwidth)?;
+        let (start, completion, access, tuning) = match &self.indexed {
+            Some(indexed) => {
+                let (access, tuning) = indexed.request_metrics(item, local)?;
                 let completion = now + access;
-                Some(FetchPlan {
-                    channel,
-                    start: completion - slot.size / bandwidth,
-                    completion,
-                    access,
-                    tuning,
-                })
+                (completion - slot.size / bandwidth, completion, access, tuning)
             }
             None => {
                 let start =
                     next_slot_start(slot.offset, schedule.cycle_size(), local, bandwidth)
                         + origin;
                 let completion = start + slot.size / bandwidth;
-                Some(FetchPlan {
-                    channel,
-                    start,
-                    completion,
-                    access: completion - now,
-                    tuning: completion - now,
-                })
+                (start, completion, completion - now, completion - now)
             }
-        }
+        };
+        Some(FetchPlan { channel: schedule.channel(), start, completion, access, tuning })
     }
 }
 

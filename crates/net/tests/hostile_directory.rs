@@ -3,14 +3,21 @@
 //! never panic or size a table from the hostile id; so must one that
 //! airs an item in two slots, since a program is a partition. Data
 //! frames are peer input too: a non-finite start must never reach the
-//! recorder's sort.
+//! recorder's sort. So are a directory's air-index parameters: ones
+//! that cannot lay out the program must fail the recording, naming
+//! them, never panic the client.
 
 use dbcast_model::{Allocation, BroadcastProgram, Database, ItemSpec, ModelError};
 use dbcast_net::{
     encode_data_frame_into, encode_frame_into, AirLog, DataFrame, Directory, Frame,
+    IndexParams,
 };
 
 fn directory_json() -> String {
+    indexed_directory_json(None)
+}
+
+fn indexed_directory_json(index: Option<IndexParams>) -> String {
     let db = Database::try_from_specs(vec![
         ItemSpec::new(0.5, 1.0),
         ItemSpec::new(0.3, 2.0),
@@ -24,7 +31,7 @@ fn directory_json() -> String {
         bandwidth: 1.0,
         frequencies: db.iter().map(|d| d.frequency()).collect(),
         sizes: db.iter().map(|d| d.size()).collect(),
-        index: None,
+        index,
         program: BroadcastProgram::new(&db, &alloc, 1.0).unwrap(),
     };
     serde_json::to_string(&directory).unwrap()
@@ -41,6 +48,23 @@ fn stream_of(payload: &str) -> Vec<u8> {
 fn an_honest_directory_records() {
     let log = AirLog::record(&stream_of(&directory_json())[..]).unwrap();
     assert_eq!(log.worlds.len(), 1);
+}
+
+#[test]
+fn index_params_that_cannot_lay_out_the_program_fail_the_recording() {
+    let honest = IndexParams { index_size: 0.5, header_size: 0.05 };
+    let log =
+        AirLog::record(&stream_of(&indexed_directory_json(Some(honest)))[..]).unwrap();
+    assert!(log.worlds[0].indexed.is_some());
+    // A 1e-300 copy vanishes into channel 1's three size units of data.
+    for (index_size, header_size) in
+        [(0.0, 0.05), (-1.0, 0.05), (1e-300, 0.05), (0.5, -1.0)]
+    {
+        let params = IndexParams { index_size, header_size };
+        let json = indexed_directory_json(Some(params));
+        let err = AirLog::record(&stream_of(&json)[..]).unwrap_err();
+        assert!(err.contains("index params"), "{params:?}: {err}");
+    }
 }
 
 #[test]

@@ -299,6 +299,12 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Client telemetry digests folded into the fleet aggregator",
     },
     MetricDef {
+        name: "fleet.uplink.rejected",
+        kind: MetricKind::Counter,
+        unit: "1",
+        help: "Client telemetry digests dropped for a slice no honest client sends",
+    },
+    MetricDef {
         name: "fleet.uplink.tuning",
         kind: MetricKind::Histogram,
         unit: "us",
@@ -682,6 +688,7 @@ mod tests {
             "fleet.stragglers",
             "fleet.uplink.access",
             "fleet.uplink.digests",
+            "fleet.uplink.rejected",
             "fleet.uplink.tuning",
             "net.socket_writes",
             "net.subscriber.queue_depth",

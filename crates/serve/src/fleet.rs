@@ -24,7 +24,8 @@
 //! every map is capped ([`MAX_FLEET_CLIENTS`],
 //! [`MAX_FLEET_GENERATIONS`], [`MAX_FLEET_CHANNELS`]); a full map
 //! keeps its highest ids and drops the lowest. Per-generation gauges
-//! are minted only for generations the server has published.
+//! are minted only for generations the server has published. A digest
+//! no honest client sends is dropped, so `/fleet` always passes its check.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -338,6 +339,20 @@ fn capped<K: Ord + Copy, V: Default>(
     Some(map.entry(key).or_default())
 }
 
+/// Whether a digest keeps `/fleet`'s invariants, as every honest one does
+/// (a clean request arrived and completed while its generation aired).
+fn admissible(d: &FleetDigest) -> bool {
+    d.slice.is_none_or(|s| {
+        let mean = |v: f64| v.is_finite() && v >= 0.0;
+        s.requests <= d.completed
+            && d.completed <= d.requests
+            && s.origin.is_finite()
+            && mean(s.mean_access)
+            && mean(s.mean_tuning)
+            && mean(s.predicted_access)
+    })
+}
+
 /// Folds client telemetry digests into live fleet-wide aggregates.
 ///
 /// Thread-safe: the uplink server ingests from per-connection reader
@@ -372,6 +387,7 @@ impl FleetAggregator {
         // first digest.
         let r = dbcast_obs::registry();
         r.counter("fleet.uplink.digests");
+        r.counter("fleet.uplink.rejected");
         r.gauge("fleet.clients");
         r.gauge("fleet.stragglers");
         r.histogram("fleet.uplink.access");
@@ -404,8 +420,14 @@ impl FleetAggregator {
     }
 
     /// Folds one digest into the aggregates and refreshes the live
-    /// `fleet.*` metrics. What the caps leave no room for is dropped.
+    /// `fleet.*` metrics. What the caps leave no room for is dropped; a
+    /// digest that breaks `/fleet`'s invariants, whole, on
+    /// `fleet.uplink.rejected`.
     pub fn ingest(&self, d: &FleetDigest) {
+        if !admissible(d) {
+            dbcast_obs::counter!("fleet.uplink.rejected").inc();
+            return;
+        }
         let published = self.published();
         let mut state = self.state.lock().expect("fleet aggregator poisoned");
         state.digests += 1;
@@ -555,6 +577,41 @@ mod tests {
         let g = &agg.doc().generations[0];
         assert_eq!((g.reporters, g.samples, g.mean_access), (2, 16, 4.5));
         assert_eq!((g.requests, g.completed), (23, 20));
+    }
+
+    #[test]
+    fn a_digest_breaking_the_document_invariants_is_rejected_and_counted() {
+        dbcast_obs::set_enabled(true);
+        let rejected = || dbcast_obs::registry().counter("fleet.uplink.rejected").get();
+        let agg = FleetAggregator::new();
+        agg.ingest(&slice_digest(0, 1, 4, 2.0));
+        let mut spoofed = FleetDigest::ack(1, 0, 1);
+        spoofed.slice =
+            Some(GenerationSlice { generation: 1, requests: 5, ..Default::default() });
+        let before = rejected();
+        agg.ingest(&spoofed);
+        assert_eq!(agg.doc().check(), Ok(()));
+        assert_eq!(rejected(), before + 1);
+        // Dropped whole: no ack, no counters, no slice.
+        let doc = agg.doc();
+        assert_eq!((doc.clients, doc.digests, doc.generations[0].samples), (1, 1, 4));
+        // Every other invariant the slice must keep.
+        let tampered: [fn(&mut FleetDigest); 6] = [
+            |d| d.completed = d.requests + 1,
+            |d| d.slice.as_mut().unwrap().requests = d.completed + 1,
+            |d| d.slice.as_mut().unwrap().origin = f64::NAN,
+            |d| d.slice.as_mut().unwrap().mean_access = -1.0,
+            |d| d.slice.as_mut().unwrap().mean_tuning = f64::NAN,
+            |d| d.slice.as_mut().unwrap().predicted_access = f64::INFINITY,
+        ];
+        for tamper in tampered {
+            let mut d = slice_digest(2, 1, 3, 1.0);
+            tamper(&mut d);
+            let before = rejected();
+            agg.ingest(&d);
+            assert_eq!(rejected(), before + 1, "{d:?}");
+        }
+        assert_eq!(agg.doc(), doc);
     }
 
     #[test]

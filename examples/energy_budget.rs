@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example energy_budget`
 
 use dbcast::alloc::DrpCds;
-use dbcast::index::{optimal_segments, EnergyModel, IndexedProgram};
+use dbcast::index::{EnergyModel, IndexParams, IndexedProgram};
 use dbcast::model::{BroadcastProgram, ChannelAllocator};
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
 
@@ -19,34 +19,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alloc = DrpCds::new().allocate(&db, 5)?;
     let program = BroadcastProgram::new(&db, &alloc, 10.0)?;
     let radio = EnergyModel::typical();
-    let index_size = 1.0; // one size unit per index copy
+    let params = IndexParams { index_size: 1.0, header_size: 0.1 }; // one size unit per copy
     let k = program.channels().len();
 
     println!(
-        "(1, m) indexing over a DRP-CDS program (N = 100, K = 5, index = {index_size} unit)\n"
+        "(1, m) indexing over a DRP-CDS program (N = 100, K = 5, index = {} unit)\n",
+        params.index_size
     );
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>14}",
         "m", "access (s)", "tuning (s)", "energy (mJ)", "battery ratio"
     );
 
-    let mut rows: Vec<(String, Vec<usize>)> = vec![
-        ("1".into(), vec![1; k]),
-        ("4".into(), vec![4; k]),
-        ("16".into(), vec![16; k]),
-        ("64".into(), vec![64; k]),
-    ];
     // Per-channel sqrt(Z/I) optimum.
-    let opt: Vec<usize> = program
-        .channels()
-        .iter()
-        .map(|c| optimal_segments(c.cycle_size(), index_size))
-        .collect();
-    rows.insert(2, (format!("m*={opt:?}"), opt.clone()));
+    let best = IndexedProgram::with_optimal_segments(&program, params)?;
+    let opt: Vec<usize> = best.channels().iter().flatten().map(|c| c.segments()).collect();
+    let fixed = |m: usize| IndexedProgram::new(&program, &vec![m; k], params);
+    let rows = vec![
+        ("1".to_string(), fixed(1)?),
+        ("4".into(), fixed(4)?),
+        (format!("m*={opt:?}"), best.clone()),
+        ("16".into(), fixed(16)?),
+        ("64".into(), fixed(64)?),
+    ];
 
     let mut baseline_energy = None;
-    for (label, segments) in rows {
-        let indexed = IndexedProgram::new(&program, &segments, index_size, 0.1)?;
+    for (label, indexed) in rows {
         let m = indexed.expected_metrics(&db)?;
         let energy = m.energy(&radio);
         let unindexed_energy = m.energy_unindexed(&radio);
@@ -60,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let indexed = IndexedProgram::with_optimal_segments(&program, index_size, 0.1)?;
-    let m = indexed.expected_metrics(&db)?;
+    let m = best.expected_metrics(&db)?;
     println!(
         "\nwithout any index the radio listens for the full wait: \
          {:.3}s active per request ({:.1} mJ).",

@@ -100,6 +100,7 @@ impl IndexedProgram {
         params: IndexParams,
         segments: impl Fn(&ChannelSchedule) -> usize,
     ) -> Result<Self, ModelError> {
+        // Before any argmin: `optimal_segments` asserts on a bad size.
         params.validate()?;
         let channels = (program.channels().iter())
             .map(|s| {

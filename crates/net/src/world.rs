@@ -80,8 +80,16 @@ impl WorldView {
     /// # Errors
     ///
     /// Returns a description of the inconsistency when the directory's
-    /// index parameters cannot model one of its own channels.
+    /// bandwidth is not its program's, or its index parameters cannot
+    /// lay out one of its own channels.
     pub fn from_directory(directory: Directory) -> Result<Self, String> {
+        let bandwidth = directory.program.bandwidth();
+        if directory.bandwidth != bandwidth {
+            let stated = directory.bandwidth;
+            return Err(format!(
+                "directory bandwidth {stated} is not its program's {bandwidth}"
+            ));
+        }
         let indexed = directory
             .index
             .map(|params| IndexedProgram::with_optimal_segments(&directory.program, params))

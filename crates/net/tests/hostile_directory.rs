@@ -3,9 +3,10 @@
 //! never panic or size a table from the hostile id; so must one that
 //! airs an item in two slots, since a program is a partition. Data
 //! frames are peer input too: a non-finite start must never reach the
-//! recorder's sort. So are a directory's air-index parameters: ones
-//! that cannot lay out the program must fail the recording, naming
-//! them, never panic the client.
+//! recorder's sort. So are a directory's bandwidth and air-index
+//! parameters: a bandwidth that is not its program's, or parameters
+//! that cannot lay out the program, must fail the recording, never
+//! panic the client.
 
 use dbcast_model::{Allocation, BroadcastProgram, Database, ItemSpec, ModelError};
 use dbcast_net::{
@@ -85,6 +86,16 @@ fn a_program_with_a_non_positive_bandwidth_fails_to_decode() {
     assert_ne!(honest, hostile, "the program's bandwidth must be replaced");
     let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
     assert!(err.contains("bandwidth"), "{err}");
+}
+
+#[test]
+fn a_directory_whose_bandwidth_is_not_its_programs_fails_the_recording() {
+    let honest = directory_json();
+    // The directory's own field precedes its program's.
+    let hostile = honest.replacen(r#""bandwidth":1,"#, r#""bandwidth":0,"#, 1);
+    assert_ne!(honest, hostile, "the directory's bandwidth must be replaced");
+    let err = AirLog::record(&stream_of(&hostile)[..]).unwrap_err();
+    assert!(err.contains("directory bandwidth 0"), "{err}");
 }
 
 #[test]

@@ -1,28 +1,11 @@
 //! This crate's allocators (DRP, DRP+CDS, and the CDS refinement
 //! contract) under the shared conformance harness.
 
-use dbcast_alloc::{Drp, DrpCds};
-use dbcast_conformance::{Harness, HarnessConfig, Subject};
+use dbcast_baselines::AlgoSpec;
+use dbcast_conformance::{subjects_where, Harness, HarnessConfig, Subject};
 
 fn subjects() -> Vec<Subject> {
-    vec![
-        Subject {
-            allocator: Box::new(Drp::new()),
-            requires_k_le_n: true,
-            permutation_invariant: true,
-            k_monotone: true,
-            stride: 1,
-        },
-        Subject {
-            allocator: Box::new(DrpCds::new()),
-            requires_k_le_n: true,
-            // CDS tie-breaks equal-Δc moves by item id, so relabeling
-            // can land in a different local optimum (see the registry).
-            permutation_invariant: false,
-            k_monotone: true,
-            stride: 1,
-        },
-    ]
+    subjects_where(0, |spec| matches!(spec, AlgoSpec::Drp | AlgoSpec::DrpCds))
 }
 
 #[test]

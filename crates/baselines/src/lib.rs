@@ -19,7 +19,8 @@
 //!   what any DRP-style splitting can achieve.
 //!
 //! Every algorithm implements
-//! [`ChannelAllocator`](dbcast_model::ChannelAllocator).
+//! [`ChannelAllocator`](dbcast_model::ChannelAllocator); [`AlgoSpec`] is
+//! the registry that names, builds and lists the workspace's allocators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,7 @@ mod exact;
 mod flat;
 mod gopt;
 mod greedy;
+mod registry;
 mod vfk;
 
 pub use contiguous::ContiguousDp;
@@ -36,4 +38,5 @@ pub use exact::ExactBnB;
 pub use flat::Flat;
 pub use gopt::{Gopt, GoptConfig, GoptReport};
 pub use greedy::Greedy;
+pub use registry::AlgoSpec;
 pub use vfk::Vfk;

@@ -1,63 +1,15 @@
 //! This crate's baselines (FLAT, VF^K, GREEDY, contiguous DP, GOPT,
 //! and the exact solver used as oracle) under the shared harness.
 
-use dbcast_baselines::{ContiguousDp, ExactBnB, Flat, Gopt, GoptConfig, Greedy, Vfk};
-use dbcast_conformance::{Harness, HarnessConfig, Subject};
+use dbcast_baselines::{AlgoSpec, ExactBnB};
+use dbcast_conformance::{subjects_where, Harness, HarnessConfig};
 use dbcast_model::ChannelAllocator;
-
-fn subjects(seed: u64) -> Vec<Subject> {
-    vec![
-        Subject {
-            allocator: Box::new(Flat::new()),
-            requires_k_le_n: false,
-            permutation_invariant: false,
-            k_monotone: false,
-            stride: 1,
-        },
-        Subject {
-            allocator: Box::new(Vfk::new()),
-            requires_k_le_n: true,
-            permutation_invariant: true,
-            // Frequency-balancing ignores sizes, so K+1 can cost more
-            // under size diversity (see the registry and corpus).
-            k_monotone: false,
-            stride: 1,
-        },
-        Subject {
-            allocator: Box::new(Greedy::new()),
-            requires_k_le_n: false,
-            permutation_invariant: true,
-            k_monotone: false,
-            stride: 1,
-        },
-        Subject {
-            allocator: Box::new(ContiguousDp::new()),
-            requires_k_le_n: true,
-            permutation_invariant: true,
-            k_monotone: true,
-            stride: 1,
-        },
-        Subject {
-            allocator: Box::new(Gopt::new(GoptConfig {
-                population: 24,
-                max_generations: 40,
-                stagnation_limit: 12,
-                seed,
-                ..GoptConfig::default()
-            })),
-            requires_k_le_n: false,
-            permutation_invariant: false,
-            k_monotone: false,
-            stride: 8,
-        },
-    ]
-}
 
 #[test]
 fn baselines_conform() {
     let report = Harness::with_subjects(
         HarnessConfig { seed: 0xBA5E, cases: 120, sim_stride: 0, ..Default::default() },
-        subjects(0xBA5E),
+        subjects_where(0xBA5E, |spec| !matches!(spec, AlgoSpec::Drp | AlgoSpec::DrpCds)),
     )
     .run();
     assert!(report.is_clean(), "{}", report.render());

@@ -4,11 +4,10 @@
 //!
 //! Usage: `cargo run --release -p dbcast-bench --bin indexing [--quick]`
 
-use dbcast_alloc::DrpCds;
-use dbcast_baselines::Flat;
+use dbcast_baselines::AlgoSpec;
 use dbcast_bench::{render_markdown, ReportTable};
 use dbcast_index::{EnergyModel, IndexParams, IndexedProgram};
-use dbcast_model::{BroadcastProgram, ChannelAllocator};
+use dbcast_model::BroadcastProgram;
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 fn main() -> std::io::Result<()> {
@@ -32,10 +31,8 @@ fn main() -> std::io::Result<()> {
         rows: Vec::new(),
     };
 
-    for (algo_name, algo) in [
-        ("DRP-CDS", &DrpCds::new() as &dyn ChannelAllocator),
-        ("FLAT", &Flat::new() as &dyn ChannelAllocator),
-    ] {
+    for spec in [AlgoSpec::DrpCds, AlgoSpec::Flat] {
+        let algo = spec.build(0);
         for m_choice in ["1", "4", "m*", "32"] {
             let mut access = 0.0;
             let mut tuning = 0.0;
@@ -66,7 +63,7 @@ fn main() -> std::io::Result<()> {
             }
             let d = seeds as f64;
             table.rows.push(vec![
-                algo_name.to_string(),
+                algo.name().to_string(),
                 m_choice.to_string(),
                 format!("{:.3}", access / d),
                 format!("{:.3}", tuning / d),

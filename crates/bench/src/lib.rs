@@ -3,10 +3,11 @@
 //!
 //! Each figure is a *parameter sweep*: one axis parameter varies while
 //! the others stay at the paper's defaults, every (point, seed) cell
-//! generates a fresh Zipf/diversity workload, and every registered
-//! algorithm allocates it. Aggregated average waiting times (Figures
-//! 2–5) or execution times (Figures 6–7) are printed as aligned tables
-//! and written to `results/` as Markdown + CSV.
+//! generates a fresh Zipf/diversity workload, and every algorithm of
+//! the line-up (from the registry, [`dbcast_baselines::AlgoSpec`])
+//! allocates it. Aggregated average waiting times (Figures 2–5) or
+//! execution times (Figures 6–7) are printed as aligned tables and
+//! written to `results/` as Markdown + CSV.
 //!
 //! Binaries (run with `--release`):
 //!
@@ -26,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-mod algos;
 mod config;
 mod report;
 mod runner;
 mod sweep;
 mod timing;
 
-pub use algos::AlgoSpec;
 pub use config::{ExperimentConfig, SweepAxis};
 pub use report::{render_csv, render_markdown, write_reports, ReportTable};
 pub use runner::{

@@ -4,11 +4,11 @@ use std::io;
 use std::path::Path;
 
 use dbcast_alloc::DrpCds;
+use dbcast_baselines::AlgoSpec;
 use dbcast_model::ChannelAllocator;
 use dbcast_sim::validate_against_model;
 use dbcast_workload::{paper, SizeDistribution, TraceBuilder, WorkloadBuilder};
 
-use crate::algos::AlgoSpec;
 use crate::config::{ExperimentConfig, SweepAxis};
 use crate::report::{write_reports, ReportTable};
 use crate::sweep::run_sweep;

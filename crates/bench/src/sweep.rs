@@ -1,11 +1,11 @@
 //! The parallel sweep runner behind Figures 2–5.
 
+use dbcast_baselines::AlgoSpec;
 use dbcast_model::average_waiting_time;
 use dbcast_sim::SummaryStats;
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 use serde::{Deserialize, Serialize};
 
-use crate::algos::AlgoSpec;
 use crate::config::{ExperimentConfig, SweepAxis};
 
 /// Aggregated result of one algorithm at one sweep point.
@@ -75,7 +75,7 @@ fn run_cell(
         .iter()
         .map(|spec| {
             let alloc =
-                spec.allocate(&db, k, seed).expect("paper instances are feasible (K <= N)");
+                spec.build(seed).allocate(&db, k).expect("paper instances have K <= N");
             let waiting = average_waiting_time(&db, &alloc, config.bandwidth)
                 .expect("bandwidth validated by config")
                 .total();
@@ -120,37 +120,32 @@ pub fn run_sweep(
 
     let empty_stats =
         || vec![vec![(SummaryStats::new(), SummaryStats::new()); algos.len()]; points];
-    let mut per_worker: Vec<Option<WorkerStats>> = (0..workers).map(|_| None).collect();
-    let (done_tx, done_rx) = crossbeam_channel::unbounded::<(usize, WorkerStats)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let done_tx = done_tx.clone();
-            let cells = &cells;
-            scope.spawn(move || {
-                let _span = dbcast_obs::span!("bench.sweep.worker");
-                let mut acc = empty_stats();
-                // Static round-robin share: cells w, w+workers, ...
-                for i in (w..cells.len()).step_by(workers) {
-                    let (point, seed) = cells[i];
-                    let cell = run_cell(config, axis, algos, point, seed);
-                    for (a, &(waiting, cost)) in cell.iter().enumerate() {
-                        acc[point][a].0.record(waiting);
-                        acc[point][a].1.record(cost);
+    let per_worker: Vec<WorkerStats> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let cells = &cells;
+                scope.spawn(move || {
+                    let _span = dbcast_obs::span!("bench.sweep.worker");
+                    let mut acc = empty_stats();
+                    // Static round-robin share: cells w, w+workers, ...
+                    for i in (w..cells.len()).step_by(workers) {
+                        let (point, seed) = cells[i];
+                        let cell = run_cell(config, axis, algos, point, seed);
+                        for (a, &(waiting, cost)) in cell.iter().enumerate() {
+                            acc[point][a].0.record(waiting);
+                            acc[point][a].1.record(cost);
+                        }
                     }
-                }
-                done_tx.send((w, acc)).expect("collector alive");
-            });
-        }
-        drop(done_tx);
-        while let Ok((w, acc)) = done_rx.recv() {
-            per_worker[w] = Some(acc);
-        }
+                    acc
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
     });
 
     // Merge worker partials in worker order — deterministic.
     let mut merged = empty_stats();
-    for acc in per_worker.into_iter().map(|a| a.expect("every worker reported")) {
+    for acc in per_worker {
         for (p, row) in acc.into_iter().enumerate() {
             for (a, (waiting, cost)) in row.into_iter().enumerate() {
                 merged[p][a].0.merge(&waiting);
@@ -169,7 +164,7 @@ pub fn run_sweep(
                 .iter()
                 .zip(row)
                 .map(|(spec, (waiting, cost))| AlgoPoint {
-                    algo: spec.name().to_string(),
+                    algo: spec.name(),
                     mean_waiting: waiting.mean(),
                     mean_cost: cost.mean(),
                 })

@@ -2,11 +2,11 @@
 
 use std::time::Instant;
 
+use dbcast_baselines::AlgoSpec;
 use dbcast_sim::SummaryStats;
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 use serde::{Deserialize, Serialize};
 
-use crate::algos::AlgoSpec;
 use crate::config::{ExperimentConfig, SweepAxis};
 
 /// Wall-clock statistics of one algorithm at one sweep point, over the
@@ -96,8 +96,9 @@ pub fn run_timing_sweep_with(
                 .build()
                 .expect("paper parameter space is valid");
             for spec in algos {
+                let algo = spec.build(seed);
                 for _ in 0..warmup {
-                    let alloc = spec.allocate(&db, k, seed).expect("feasible instance");
+                    let alloc = algo.allocate(&db, k).expect("feasible instance");
                     std::hint::black_box(&alloc);
                 }
             }
@@ -110,8 +111,9 @@ pub fn run_timing_sweep_with(
                 .build()
                 .expect("paper parameter space is valid");
             for (a, spec) in algos.iter().enumerate() {
+                let algo = spec.build(seed);
                 let start = Instant::now();
-                let alloc = spec.allocate(&db, k, seed).expect("feasible instance");
+                let alloc = algo.allocate(&db, k).expect("feasible instance");
                 let elapsed = start.elapsed().as_secs_f64() * 1e3;
                 // Keep the allocation alive past the timer so the work
                 // cannot be optimized away.
@@ -125,7 +127,7 @@ pub fn run_timing_sweep_with(
                 .iter()
                 .zip(&samples)
                 .map(|(spec, s)| AlgoTiming {
-                    algo: spec.name().to_string(),
+                    algo: spec.name(),
                     mean_ms: s.mean(),
                     median_ms: s.percentile(50.0).expect("at least one seed"),
                     p95_ms: s.percentile(95.0).expect("at least one seed"),

@@ -1,19 +1,10 @@
 //! `dbcast allocate` — run one algorithm and print the program.
 
-use dbcast_model::ChannelAllocator;
-
 use crate::args::Args;
-use crate::commands::{algorithm_by_name, describe_allocation, CliError};
+use crate::commands::{algorithm_arg, describe_allocation, CliError};
 
 /// Allocates a database onto `--channels K` with `--algo NAME`
 /// (default `drp-cds`) and prints per-channel groups plus the summary.
-///
-/// `--cds-engine reference|incremental` (default `incremental`) picks
-/// the CDS implementation for `--algo drp-cds`: the production
-/// incremental engine or the paper-literal exhaustive scan. The two
-/// are bit-identical (the conformance differential battery pins it),
-/// so the flag exists for cross-checking and for timing the oracle at
-/// scale, not because outputs differ.
 ///
 /// With `--json`, emits the raw allocation as JSON instead.
 ///
@@ -25,27 +16,8 @@ pub fn run_allocate(args: &Args, out: &mut impl std::io::Write) -> Result<(), Cl
     let channels = args.opt_or("channels", 6usize)?;
     let bandwidth = args.opt_or("bandwidth", 10.0f64)?;
     let seed = args.opt_or("seed", 0u64)?;
-    let algo_name: String = args.opt_or("algo", "drp-cds".to_string())?;
-    let engine: String = args.opt_or("cds-engine", "incremental".to_string())?;
-    let algo = algorithm_by_name(&algo_name, seed)?;
-    let alloc = match engine.as_str() {
-        "incremental" => algo.allocate(&db, channels)?,
-        "reference" => {
-            if algo_name != "drp-cds" {
-                return Err(CliError::InvalidOption(format!(
-                    "--cds-engine reference only applies to --algo drp-cds \
-                     (got --algo {algo_name})"
-                )));
-            }
-            let rough = dbcast_alloc::Drp::new().allocate(&db, channels)?;
-            dbcast_alloc::ReferenceCds::new().refine(&db, rough)?.allocation
-        }
-        other => {
-            return Err(CliError::InvalidOption(format!(
-                "--cds-engine must be `incremental` or `reference`, got {other:?}"
-            )))
-        }
-    };
+    let algo = algorithm_arg(args, seed)?;
+    let alloc = algo.allocate(&db, channels)?;
 
     if args.switch("json") {
         serde_json::to_writer_pretty(&mut *out, &alloc)

@@ -1,11 +1,11 @@
 //! `dbcast evaluate` — compare every algorithm on one workload.
 
+use dbcast_baselines::AlgoSpec;
+
 use crate::args::Args;
-use crate::commands::{algorithm_by_name, CliError};
+use crate::commands::CliError;
 
-const LINEUP: &[&str] = &["flat", "vfk", "greedy", "drp", "drp-cds", "dp", "gopt"];
-
-/// Runs the full algorithm line-up on one database and prints a
+/// Runs every registered algorithm on one database and prints a
 /// comparison table of costs and waiting times.
 ///
 /// # Errors
@@ -22,8 +22,8 @@ pub fn run_evaluate(args: &Args, out: &mut impl std::io::Write) -> Result<(), Cl
         "{:<10} {:>12} {:>14} {:>12}",
         "algorithm", "cost", "W_b (s)", "time (ms)"
     )?;
-    for name in LINEUP {
-        let algo = algorithm_by_name(name, seed)?;
+    for spec in AlgoSpec::registry() {
+        let algo = spec.build(seed);
         let start = std::time::Instant::now();
         let alloc = algo.allocate(&db, channels)?;
         let elapsed = start.elapsed().as_secs_f64() * 1e3;

@@ -4,7 +4,7 @@ use dbcast_index::{EnergyModel, IndexParams, IndexedProgram};
 use dbcast_model::BroadcastProgram;
 
 use crate::args::Args;
-use crate::commands::{algorithm_by_name, CliError};
+use crate::commands::{algorithm_arg, CliError};
 
 /// Allocates a database, indexes the resulting program and reports
 /// access/tuning/energy per index configuration.
@@ -35,8 +35,7 @@ pub fn run_index(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         )));
     }
     let radio = EnergyModel::new(active_mw, doze_mw);
-    let algo_name: String = args.opt_or("algo", "drp-cds".to_string())?;
-    let algo = algorithm_by_name(&algo_name, seed)?;
+    let algo = algorithm_arg(args, seed)?;
     let alloc = algo.allocate(&db, channels)?;
     let program = BroadcastProgram::new(&db, &alloc, bandwidth)?;
 

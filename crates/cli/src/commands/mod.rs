@@ -32,6 +32,7 @@ pub use trace_cmd::run_trace;
 
 use std::fmt;
 
+use dbcast_baselines::AlgoSpec;
 use dbcast_model::{AllocError, Allocation, ChannelAllocator, Database, ModelError};
 use dbcast_workload::WorkloadError;
 
@@ -83,11 +84,15 @@ impl fmt::Display for CliError {
             CliError::Workload(e) => write!(f, "{e}"),
             CliError::Model(e) => write!(f, "{e}"),
             CliError::Alloc(e) => write!(f, "{e}"),
-            CliError::UnknownAlgorithm(name) => write!(
-                f,
-                "unknown algorithm {name:?}; expected one of: flat, vfk, greedy, drp, \
-                 drp-cds, dp, gopt"
-            ),
+            CliError::UnknownAlgorithm(name) => {
+                let names: Vec<&str> =
+                    AlgoSpec::registry().iter().map(AlgoSpec::cli_name).collect();
+                write!(
+                    f,
+                    "unknown algorithm {name:?}; expected one of: {}",
+                    names.join(", ")
+                )
+            }
             CliError::InvalidOption(msg) => write!(f, "invalid option: {msg}"),
             CliError::Sim(e) => write!(f, "{e}"),
             CliError::Serve(e) => write!(f, "{e}"),
@@ -189,23 +194,15 @@ pub(crate) fn read_input(input: &str) -> Result<String, CliError> {
     }
 }
 
-/// Resolves an algorithm by CLI name.
-pub(crate) fn algorithm_by_name(
-    name: &str,
+/// The allocator named by `--algo NAME` (default `drp-cds`), looked up
+/// in the registry and built with `seed`.
+pub(crate) fn algorithm_arg(
+    args: &crate::args::Args,
     seed: u64,
 ) -> Result<Box<dyn ChannelAllocator>, CliError> {
-    use dbcast_alloc::{Drp, DrpCds};
-    use dbcast_baselines::{ContiguousDp, Flat, Gopt, GoptConfig, Greedy, Vfk};
-    Ok(match name {
-        "flat" => Box::new(Flat::new()),
-        "vfk" => Box::new(Vfk::new()),
-        "greedy" => Box::new(Greedy::new()),
-        "drp" => Box::new(Drp::new()),
-        "drp-cds" => Box::new(DrpCds::new()),
-        "dp" => Box::new(ContiguousDp::new()),
-        "gopt" => Box::new(Gopt::new(GoptConfig { seed, ..GoptConfig::default() })),
-        other => return Err(CliError::UnknownAlgorithm(other.to_string())),
-    })
+    let name = args.opt_or("algo", AlgoSpec::DrpCds.cli_name().to_string())?;
+    let spec = AlgoSpec::from_cli_name(&name).ok_or(CliError::UnknownAlgorithm(name))?;
+    Ok(spec.build(seed))
 }
 
 /// Loads a database from `--db <path>`, or generates one from

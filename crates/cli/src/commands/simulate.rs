@@ -5,7 +5,7 @@ use dbcast_sim::Simulation;
 use dbcast_workload::TraceBuilder;
 
 use crate::args::Args;
-use crate::commands::{algorithm_by_name, CliError};
+use crate::commands::{algorithm_arg, CliError};
 
 /// Allocates, builds the broadcast program, simulates a Poisson request
 /// trace against it, and reports empirical vs analytical waiting times.
@@ -23,9 +23,7 @@ pub fn run_simulate(args: &Args, out: &mut impl std::io::Write) -> Result<(), Cl
     let requests = args.opt_or("requests", 10_000usize)?;
     let rate = args.opt_or("rate", 10.0f64)?;
     let seed = args.opt_or("seed", 0u64)?;
-    let algo_name: String = args.opt_or("algo", "drp-cds".to_string())?;
-
-    let algo = algorithm_by_name(&algo_name, seed)?;
+    let algo = algorithm_arg(args, seed)?;
     let alloc = algo.allocate(&db, channels)?;
     let program = BroadcastProgram::new(&db, &alloc, bandwidth)?;
     let trace = TraceBuilder::new(&db)

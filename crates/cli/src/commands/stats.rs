@@ -2,7 +2,7 @@
 //! print the collected metrics snapshot as a `metrics` document.
 
 use crate::args::Args;
-use crate::commands::{algorithm_by_name, CliError};
+use crate::commands::{algorithm_arg, CliError};
 
 /// Allocates a workload with `--algo NAME` (default `drp-cds`) under
 /// full telemetry and prints the registry snapshot (counters, gauges,
@@ -19,12 +19,11 @@ pub fn run_stats(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
     let channels = args.opt_or("channels", 6usize)?;
     let bandwidth = args.opt_or("bandwidth", 10.0f64)?;
     let seed = args.opt_or("seed", 0u64)?;
-    let algo_name: String = args.opt_or("algo", "drp-cds".to_string())?;
 
     dbcast_obs::set_enabled(true);
     dbcast_obs::registry().reset();
 
-    let algo = algorithm_by_name(&algo_name, seed)?;
+    let algo = algorithm_arg(args, seed)?;
     let alloc = algo.allocate(&db, channels)?;
     dbcast_obs::obs_log!(
         dbcast_obs::log::Level::Info,

@@ -1,7 +1,8 @@
 //! `dbcast sweep` — run one of the paper's parameter sweeps from the
 //! command line.
 
-use dbcast_bench::{run_sweep, AlgoSpec, ExperimentConfig, ReportTable, SweepAxis};
+use dbcast_baselines::AlgoSpec;
+use dbcast_bench::{run_sweep, ExperimentConfig, ReportTable, SweepAxis};
 
 use crate::args::Args;
 use crate::commands::CliError;

@@ -59,8 +59,6 @@ COMMON OPTIONS:
 COMMAND-SPECIFIC:
     generate:  --out PATH     write JSON here instead of stdout
     allocate:  --json         emit the allocation as JSON
-               --cds-engine E incremental|reference CDS for drp-cds
-                              [default: incremental]
     simulate:  --requests R   number of requests   [default: 10000]
                --rate L       arrivals per second  [default: 10]
     paper-example: --trace    print every DRP/CDS iteration

@@ -1,6 +1,7 @@
 //! Integration tests driving every CLI command through the library
 //! surface (no process spawning).
 
+use dbcast_baselines::AlgoSpec;
 use dbcast_cli::args::Args;
 use dbcast_cli::commands;
 
@@ -54,9 +55,39 @@ fn allocate_json_emits_parseable_allocation() {
 fn evaluate_lists_all_algorithms() {
     let args = Args::parse(["evaluate", "--items", "15", "--channels", "3"]).unwrap();
     let out = run(|w| commands::run_evaluate(&args, w));
-    for name in ["FLAT", "VF^K", "GREEDY", "DRP", "DRP-CDS", "GOPT"] {
+    for name in ["FLAT", "VF^K", "GREEDY", "DRP", "DRP-CDS", "DP(br-contiguous)", "GOPT"] {
         assert!(out.contains(name), "missing {name} in:\n{out}");
     }
+    let args = Args::parse(["allocate", "--items", "5", "--algo", "nope"]).unwrap();
+    let err = commands::run_allocate(&args, &mut Vec::new()).unwrap_err();
+    assert!(
+        matches!(&err, commands::CliError::UnknownAlgorithm(name) if name == "nope"),
+        "{err}"
+    );
+}
+
+#[test]
+fn every_registered_allocator_is_named_once() {
+    let specs = AlgoSpec::registry();
+    let mut cli_names: Vec<&str> = specs.iter().map(AlgoSpec::cli_name).collect();
+    for spec in &specs {
+        assert_eq!(AlgoSpec::from_cli_name(spec.cli_name()).as_ref(), Some(spec));
+        assert_eq!(spec.name(), spec.build(0).name());
+    }
+    // The usage line lists exactly the registry, in registry order.
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_dbcast"))
+        .arg("--help")
+        .output()
+        .expect("dbcast binary runs");
+    let help = String::from_utf8(help.stdout).expect("valid utf-8 usage");
+    let line =
+        help.lines().find(|l| l.trim_start().starts_with("--algo ")).expect("--algo");
+    let listed: Vec<&str> =
+        line.split_whitespace().nth(2).expect("names").split('|').collect();
+    assert_eq!(listed, cli_names, "{line}");
+    cli_names.sort_unstable();
+    cli_names.dedup();
+    assert_eq!(cli_names.len(), specs.len(), "CLI names are not unique");
 }
 
 #[test]

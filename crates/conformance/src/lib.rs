@@ -61,5 +61,5 @@ pub use generator::{GeneratorConfig, InstanceGenerator, SHAPES};
 pub use harness::{ConformanceReport, Harness, HarnessConfig};
 pub use instance::{Instance, ItemFeatures};
 pub use invariants::{check_instance, CheckConfig, Violation};
-pub use registry::{core_subjects, standard_subjects, Subject};
+pub use registry::{standard_subjects, subjects_where, Subject};
 pub use shrink::{shrink, ShrinkConfig};

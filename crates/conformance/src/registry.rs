@@ -1,16 +1,18 @@
-//! The registry of allocators under test, with their declared
-//! contracts.
+//! The allocators under test, with their declared contracts.
 //!
 //! Each [`Subject`] pairs a [`ChannelAllocator`] with the guarantees it
 //! claims; the harness checks exactly what is claimed, so a subject
 //! that does not promise permutation invariance (e.g. the id-order
-//! round-robin FLAT) is never flagged for lacking it.
+//! round-robin FLAT) is never flagged for lacking it. The subjects are
+//! the workspace's allocator registry, [`AlgoSpec`], and each spec's
+//! contract is declared once, in an exhaustive `match`, so a new
+//! allocator does not compile until its contract is written.
 
-use dbcast_alloc::{Drp, DrpCds};
-use dbcast_baselines::{ContiguousDp, Flat, Gopt, GoptConfig, Greedy, Vfk};
+use dbcast_baselines::{AlgoSpec, GoptConfig};
 use dbcast_model::ChannelAllocator;
 
-/// One allocator plus its declared contract.
+/// One allocator plus its declared contract. The allocator is a trait
+/// object so the harness's own tests can inject broken ones.
 pub struct Subject {
     /// The algorithm under test.
     pub allocator: Box<dyn ChannelAllocator>,
@@ -50,47 +52,51 @@ impl std::fmt::Debug for Subject {
     }
 }
 
-/// The full standard registry: every production allocator in the
-/// workspace. `seed` parameterizes the randomized subjects (GOPT).
+/// Every registered allocator whose spec `keep` accepts, in registry
+/// order, under its declared contract. `seed` parameterizes the
+/// randomized subjects (GOPT).
 ///
 /// GOPT runs with a deliberately small population/generation budget —
 /// conformance checks its *contract* (validity, determinism,
 /// feasibility, never beating the exact optimum), not its solution
 /// quality, which `tests/cross_algorithm.rs` covers with a full budget.
-pub fn standard_subjects(seed: u64) -> Vec<Subject> {
-    let mut subjects = core_subjects();
-    subjects.push(Subject {
-        allocator: Box::new(Gopt::new(GoptConfig {
-            population: 24,
-            max_generations: 40,
-            stagnation_limit: 12,
-            seed,
-            ..GoptConfig::default()
-        })),
-        requires_k_le_n: false,
-        // The GA's trajectory depends on gene order, so only the
-        // structural contract is claimed.
-        permutation_invariant: false,
-        k_monotone: false,
-        stride: 16,
-    });
-    subjects
+pub fn subjects_where(seed: u64, keep: impl Fn(&AlgoSpec) -> bool) -> Vec<Subject> {
+    AlgoSpec::registry()
+        .into_iter()
+        .filter(|spec| keep(spec))
+        .map(|spec| match spec {
+            AlgoSpec::Gopt(cfg) => AlgoSpec::Gopt(GoptConfig {
+                population: 24,
+                max_generations: 40,
+                stagnation_limit: 12,
+                ..cfg
+            }),
+            other => other,
+        })
+        .map(|spec| declared(&spec, seed))
+        .collect()
 }
 
-/// The deterministic subjects (everything except GOPT) — cheap enough
-/// to run on every case.
-pub fn core_subjects() -> Vec<Subject> {
-    vec![
-        Subject {
-            allocator: Box::new(Flat::new()),
+/// The full standard registry: every production allocator in the
+/// workspace, GOPT strided.
+pub fn standard_subjects(seed: u64) -> Vec<Subject> {
+    subjects_where(seed, |_| true)
+}
+
+/// `spec`'s allocator, built with `seed`, under its declared contract.
+fn declared(spec: &AlgoSpec, seed: u64) -> Subject {
+    let allocator = spec.build(seed);
+    match spec {
+        AlgoSpec::Flat => Subject {
+            allocator,
             requires_k_le_n: false,
             // FLAT assigns by raw item id, so relabeling changes groups.
             permutation_invariant: false,
             k_monotone: false,
             stride: 1,
         },
-        Subject {
-            allocator: Box::new(Vfk::new()),
+        AlgoSpec::Vfk => Subject {
+            allocator,
             requires_k_le_n: true,
             permutation_invariant: true,
             // NOT K-monotone in Eq. 3 cost: VF^K's DP balances
@@ -102,15 +108,15 @@ pub fn core_subjects() -> Vec<Subject> {
             k_monotone: false,
             stride: 1,
         },
-        Subject {
-            allocator: Box::new(Greedy::new()),
+        AlgoSpec::Greedy => Subject {
+            allocator,
             requires_k_le_n: false,
             permutation_invariant: true,
             k_monotone: false,
             stride: 1,
         },
-        Subject {
-            allocator: Box::new(Drp::new()),
+        AlgoSpec::Drp => Subject {
+            allocator,
             requires_k_le_n: true,
             permutation_invariant: true,
             // DRP(K+1) is DRP(K) plus one further split, and a split
@@ -118,8 +124,8 @@ pub fn core_subjects() -> Vec<Subject> {
             k_monotone: true,
             stride: 1,
         },
-        Subject {
-            allocator: Box::new(DrpCds::new()),
+        AlgoSpec::DrpCds => Subject {
+            allocator,
             requires_k_le_n: true,
             // NOT permutation invariant: the DRP start is, but CDS is a
             // steepest-descent local search whose equal-Δc moves are
@@ -134,14 +140,24 @@ pub fn core_subjects() -> Vec<Subject> {
             k_monotone: true,
             stride: 1,
         },
-        Subject {
-            allocator: Box::new(ContiguousDp::new()),
+        AlgoSpec::ContiguousDp => Subject {
+            allocator,
             requires_k_le_n: true,
             permutation_invariant: true,
             k_monotone: true,
             stride: 1,
         },
-    ]
+        AlgoSpec::Gopt(_) => Subject {
+            allocator,
+            requires_k_le_n: false,
+            // The GA's trajectory depends on gene order, so only the
+            // structural contract is claimed.
+            permutation_invariant: false,
+            k_monotone: false,
+            // The expensive subject runs on every 16th case only.
+            stride: 16,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -161,19 +177,26 @@ mod tests {
     fn registry_covers_all_production_allocators() {
         let names: Vec<String> =
             standard_subjects(0).iter().map(|s| s.name().to_string()).collect();
-        for expected in
-            ["FLAT", "VF^K", "GREEDY", "DRP", "DRP-CDS", "DP(br-contiguous)", "GOPT"]
-        {
-            assert!(
-                names.iter().any(|n| n == expected),
-                "registry is missing {expected}; has {names:?}"
-            );
-        }
+        let registered: Vec<String> =
+            AlgoSpec::registry().iter().map(AlgoSpec::name).collect();
+        assert_eq!(names, registered);
+    }
+
+    #[test]
+    fn subjects_are_selected_by_spec() {
+        let names = |subjects: Vec<Subject>| {
+            subjects.iter().map(|s| s.name().to_string()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            names(subjects_where(0, |s| matches!(s, AlgoSpec::Drp | AlgoSpec::DrpCds))),
+            ["DRP", "DRP-CDS"]
+        );
+        assert_eq!(names(subjects_where(0, |_| false)), Vec::<String>::new());
     }
 
     #[test]
     fn debug_is_informative() {
-        let s = &core_subjects()[0];
+        let s = &standard_subjects(0)[0];
         let text = format!("{s:?}");
         assert!(text.contains("FLAT"));
     }

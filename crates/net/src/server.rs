@@ -99,8 +99,7 @@ struct Chunk {
 
 /// Bounded MPSC frame queue with close semantics.
 ///
-/// Hand-rolled because the vendored crossbeam shim only offers an
-/// unbounded channel, and the slow-client policy needs a hard bound.
+/// Hand-rolled because the slow-client policy needs a hard bound.
 /// The bound counts frames, those queued plus those the writer has taken
 /// but not yet written, so a subscriber never holds more than
 /// `capacity`. A window is pushed under one lock as one chunk (two or

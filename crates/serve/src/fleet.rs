@@ -341,9 +341,14 @@ fn capped<K: Ord + Copy, V: Default>(
 
 /// Whether a digest keeps `/fleet`'s invariants, as every honest one does
 /// (a clean request arrived and completed while its generation aired).
+/// Each `requests × mean` is at most `f64::MAX / MAX_FLEET_CLIENTS`, so
+/// [`GenerationSlice::pool`]'s sums over the kept slices stay finite.
 fn admissible(d: &FleetDigest) -> bool {
     d.slice.is_none_or(|s| {
-        let mean = |v: f64| v.is_finite() && v >= 0.0;
+        let weight = s.requests as f64;
+        let mean = |v: f64| {
+            v.is_finite() && v >= 0.0 && weight * v <= f64::MAX / MAX_FLEET_CLIENTS as f64
+        };
         s.requests <= d.completed
             && d.completed <= d.requests
             && s.origin.is_finite()
@@ -525,6 +530,9 @@ mod tests {
     use super::*;
     use dbcast_obs::doc::{self, DocError};
 
+    /// Serializes the tests that count `fleet.uplink.rejected`.
+    static REJECTED: Mutex<()> = Mutex::new(());
+
     fn slice_digest(client: u32, generation: u64, samples: u64, mean: f64) -> FleetDigest {
         let mut d = FleetDigest::ack(client, 0, generation);
         d.slice = Some(GenerationSlice {
@@ -581,6 +589,7 @@ mod tests {
 
     #[test]
     fn a_digest_breaking_the_document_invariants_is_rejected_and_counted() {
+        let _serial = REJECTED.lock().unwrap_or_else(|e| e.into_inner());
         dbcast_obs::set_enabled(true);
         let rejected = || dbcast_obs::registry().counter("fleet.uplink.rejected").get();
         let agg = FleetAggregator::new();
@@ -612,6 +621,50 @@ mod tests {
             assert_eq!(rejected(), before + 1, "{d:?}");
         }
         assert_eq!(agg.doc(), doc);
+    }
+
+    #[test]
+    fn slices_whose_pooled_sums_could_overflow_are_rejected() {
+        let _serial = REJECTED.lock().unwrap_or_else(|e| e.into_inner());
+        dbcast_obs::set_enabled(true);
+        let rejected = || dbcast_obs::registry().counter("fleet.uplink.rejected").get();
+        let large = |client: u32, samples: u64, mean: f64| {
+            let mut d = FleetDigest::ack(client, 0, 1);
+            d.slice = Some(GenerationSlice {
+                generation: 1,
+                requests: samples,
+                mean_access: mean,
+                mean_tuning: mean,
+                predicted_access: mean,
+                ..Default::default()
+            });
+            (d.requests, d.completed) = (samples, samples);
+            d
+        };
+        // 4 × 1e308 overflows `pool`'s Σ nᵢ·x̄ᵢ on its own.
+        let agg = FleetAggregator::new();
+        let before = rejected();
+        agg.ingest(&large(0, 4, 1e308));
+        assert_eq!(agg.doc().check(), Ok(()));
+        assert_eq!(rejected(), before + 1);
+        // Two slices of 1e308 from different clients are each finite,
+        // but their pooled sum is not.
+        let agg = FleetAggregator::new();
+        let before = rejected();
+        agg.ingest(&large(0, 1, 1e308));
+        agg.ingest(&large(1, 1, 1e308));
+        assert_eq!(agg.doc().check(), Ok(()));
+        assert_eq!(rejected(), before + 2);
+        // At the bound a full fleet still pools to a finite mean.
+        let bound = f64::MAX / MAX_FLEET_CLIENTS as f64;
+        let agg = FleetAggregator::new();
+        let before = rejected();
+        for client in 0..MAX_FLEET_CLIENTS as u32 {
+            agg.ingest(&large(client, 1, bound));
+        }
+        assert_eq!(rejected(), before);
+        assert_eq!(agg.doc().check(), Ok(()));
+        assert_eq!(agg.doc().generations[0].mean_access, bound);
     }
 
     #[test]

@@ -7,11 +7,12 @@ PARENT_BIN and CHANGE_BIN are `dbcast-benchmark` binaries built from the
 parent commit and from the change. For every workload in BENCHMARK.json
 the gate runs PAIRS parent/change pairs of SECONDS each at seed 1
 without tracing, alternating which side runs first, then one traced run
-on the change side.
+on each side. The traced runs' per-layer values (BENCHMARK.json
+`per_layer`) are reported side by side; they are never gated.
 
 It fails when
-  * any run of the change exits non-zero, prints no result line, or
-    reports `correct != true` or `failed != 0`; or
+  * any run of the change, traced or not, exits non-zero, prints no
+    result line, or reports `correct != true` or `failed != 0`; or
   * an end-to-end metric is a regression on some workload: the change's
     median is worse than the parent's by more than that metric's
     BENCHMARK.json bound, and either the parent's own runs are steady
@@ -25,8 +26,9 @@ and not passed. A workload or metric that the parent does not report
 still have to be correct. Problems of parent runs are listed as notes.
 
 Both sides run on one host, back to back, so the comparison holds no
-figure recorded elsewhere. Every result line and the verdict table are
-written to the --out JSON file; the table is also printed.
+figure recorded elsewhere. Every result line, the verdict table and the
+per-layer table are written to the --out JSON file; both tables are also
+printed.
 """
 
 import argparse
@@ -116,7 +118,7 @@ def main():
     parser.add_argument("--out", default="bench_gate.json", help="JSON report path")
     args = parser.parse_args()
 
-    runs, failures, notes, verdict = [], [], [], []
+    runs, failures, notes, verdict, layers = [], [], [], [], []
     for workload in (w["name"] for w in SPEC["workloads"]):
         values = {"parent": {}, "change": {}}
         for pair in range(PAIRS):
@@ -133,10 +135,22 @@ def main():
                 for name, m in (result.get("metrics") or {}).items():
                     values[side].setdefault(name, []).append(m["value"])
             print(f"{workload}: pair {pair + 1}/{PAIRS} done", file=sys.stderr, flush=True)
-        result, problems = run(args.change, workload, 1)
-        runs.append({"workload": workload, "pair": None, "side": "change",
-                     "trace": 1, "result": result, "problems": problems})
-        failures += [f"{workload} traced change: {p}" for p in problems]
+        traced = {}
+        for side in ("parent", "change"):
+            result, problems = run(getattr(args, side), workload, 1)
+            runs.append({"workload": workload, "pair": None, "side": side,
+                         "trace": 1, "result": result, "problems": problems})
+            (failures if side == "change" else notes).extend(
+                f"{workload} traced {side}: {p}" for p in problems)
+            traced[side] = (result or {}).get("metrics") or {}
+        for metric in SPEC["per_layer"]:
+            name = metric["name"]
+            side_values = {side: traced[side].get(name, {}).get("value")
+                           for side in ("parent", "change")}
+            if side_values["parent"] is None and side_values["change"] is None:
+                continue
+            layers.append({"workload": workload, "metric": name, "unit": metric["unit"],
+                           "better": metric["better"], **side_values})
 
         for metric in SPEC["end_to_end"]:
             name = metric["name"]
@@ -170,6 +184,15 @@ def main():
         print(f"{v['workload']:<14}{v['metric']:<15}{v['parent_median']:>14.6g}"
               f"{v['change_median']:>14.6g}{v['worse']:>+9.1%}{v['parent_spread']:>9.1%}"
               f"{v['bound']:>7.0%}  {v['status']}")
+    print(f"\n{'workload':<14}{'per layer (traced, not gated)':<33}{'parent':>14}"
+          f"{'change':>14}{'worse':>9}")
+    for v in layers:
+        p, c = v["parent"], v["change"]
+        if p == 0 and c == 0:
+            continue  # a layer this workload does not run; kept in --out
+        cells = [f"{x:>14.6g}" if x is not None else f"{'-':>14}" for x in (p, c)]
+        worse = f"{worse_by(v, p, c):>+9.1%}" if None not in (p, c) and p != 0 else ""
+        print(f"{v['workload']:<14}{v['metric']:<33}{''.join(cells)}{worse}")
     for n in notes:
         print(f"note: {n}")
     for f in failures:
@@ -183,7 +206,7 @@ def main():
     Path(args.out).write_text(json.dumps({
         "pairs": PAIRS, "seed": SEED, "seconds": SECONDS, "passed": passed,
         "failures": failures, "unresolved": unresolved, "notes": notes,
-        "verdict": verdict, "runs": runs,
+        "verdict": verdict, "per_layer": layers, "runs": runs,
     }, indent=1) + "\n")
     return 0 if passed else 1
 

@@ -12,11 +12,11 @@
 //! * [`Cds`] — the production engine, backed by
 //!   [`BestMoveEngine`](crate::engine::BestMoveEngine): maintained
 //!   per-group `(F, Z)` aggregates plus a `K × K` table of each
-//!   (source, destination) pair's best move. A move re-scores only the
-//!   pairs whose value can rise (every pair into the move's source,
-//!   every pair out of the destination), `O(N + K·|q*|)` per iteration;
-//!   the pairs that can only fall stay as upper bounds until they reach
-//!   the pick. Its step sequence is **bit-for-bit identical** to the
+//!   (source, destination) pair's best move. A move re-scores no pair:
+//!   the pairs it raises take an upper bound (or the moved item's exact
+//!   value), the pairs it lowers keep theirs, `O(K)` per iteration, and
+//!   a stale pair is re-scored over its source's members only when it
+//!   reaches the pick. Its step sequence is **bit-for-bit identical** to the
 //!   reference's — the conformance crate's differential battery replays
 //!   both on every generated and regression instance and fails on the
 //!   first diverging step.

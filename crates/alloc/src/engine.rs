@@ -7,27 +7,35 @@
 //! only reads the two touched groups' aggregates. [`BestMoveEngine`]
 //! instead keeps a `K × K` **pair table**: for each source channel `c`
 //! and destination `q`, the best `(Δc, item)` over `c`'s members (larger
-//! reduction first, ties to the smaller item id), plus the best pair of
-//! each row. Members live in channel-major columns (`f`, `z`, `2fz`,
-//! item id), so scoring a pair is one pass over one contiguous segment.
+//! reduction first, ties to the smaller item id), the differences
+//! `(Z_c − Z_q, F_c − F_q)` it was scored or bounded at, plus the best
+//! pair of each row. Members live in channel-major columns (`f`, `z`,
+//! `2fz`, item id), so scoring a pair is one pass over one contiguous
+//! segment. Each channel also keeps its members' largest `f` and `z`.
 //!
 //! A move `x: p → q*` lowers `F_p`, `Z_p` and raises `F_q*`, `Z_q*`.
 //! IEEE rounding is monotone and `f, z ≥ 0`, so each pair's values move
 //! one way only:
 //!
-//! * `(c, p)` for every `c`, and `(q*, d)` for every `d`, can only
-//!   **rise** (`q*` also gained `x`): they are re-scored;
 //! * `(c, q*)` and `(p, d)` can only **fall** (`p` also lost `x`): they
 //!   keep their stored value as a *stale* upper bound;
+//! * `(c, p)` for every `c` can only **rise**, with its members
+//!   unchanged: its stored value is raised by the largest `f` and `z`
+//!   of `c` times the rise of the two differences, plus a rounding
+//!   slack, and turns stale;
+//! * `(q*, d)` for every `d` can only **rise**, and `q*` gained `x`: the
+//!   old members' raised bound, or `x`'s exact value when that is
+//!   above it (then the pair is fresh);
 //! * every other pair is unchanged.
 //!
 //! A stale pair's stored `(Δc, item)` still bounds its true one in the
-//! pick order: its members' values can only fall, and its source gained
-//! no member, so at an equal value its best member can only have a
-//! larger id. The pick folds the `K` row maxima under that order; when
-//! the winner is stale it is re-scored and the pick repeats. A move
-//! therefore costs one column and one row of re-scores,
-//! `O(N + K·|q*|)`, plus `O(K)` row upkeep; no pick reads all `K²` pairs.
+//! pick order: a fallen pair's members' values can only fall and its
+//! source gained no member, so at an equal value its best member can
+//! only have a larger id; a raised pair stores item 0. The pick folds
+//! the `K` row maxima under that order; when the winner is stale it is
+//! re-scored and the pick repeats. A move therefore costs `O(K)` bound
+//! updates and row upkeep, plus one `O(|c| + K)` re-score for each stale
+//! pair that reaches the top; no pick reads all `K²` pairs.
 //!
 //! Every fresh value is the exhaustive scan's canonical expression over
 //! aggregates updated by the same operations, and the pick order is the
@@ -62,15 +70,22 @@ pub struct EngineMove {
 struct Pair {
     /// The best member's reduction; an upper bound when `stale`.
     r: f64,
-    /// The best member (smallest id among equal reductions).
+    /// The best member (smallest id among equal reductions); 0 once
+    /// the value is a raised bound.
     item: u32,
-    /// Whether a move may have lowered the true value since scoring.
+    /// Whether `r` is an upper bound rather than the exact value.
     stale: bool,
+    /// The differences `Z_c − Z_q` and `F_c − F_q` that `r` holds at:
+    /// the ones it was scored with, or the point a raise moved it to.
+    /// The current differences never exceed them.
+    dz: f64,
+    df: f64,
 }
 
 impl Pair {
     /// An empty source channel: no candidate at all.
-    const NONE: Pair = Pair { r: f64::NEG_INFINITY, item: NO_ITEM, stale: false };
+    const NONE: Pair =
+        Pair { r: f64::NEG_INFINITY, item: NO_ITEM, stale: false, dz: 0.0, df: 0.0 };
 }
 
 /// The pick order, `a` at destination `qa` strictly ahead of `b` at
@@ -123,13 +138,34 @@ fn score(f: &[f64], z: &[f64], t2fz: &[f64], item: &[u32], dz: f64, df: f64) -> 
             rs[l] = if take { r } else { rs[l] };
         }
     }
-    let mut best = Pair::NONE;
+    let mut best = Pair { dz, df, ..Pair::NONE };
     for (id, r) in ids.into_iter().zip(rs).chain(tail.map(|i| (item[i], eval(i)))) {
         if r == top && id < best.item {
-            best = Pair { r, item: id, stale: false };
+            best = Pair { r, item: id, ..best };
         }
     }
     best
+}
+
+/// Raises `pair`'s bound from its stored point to the differences
+/// `(dz, df)`, for a source channel that gained no member since and
+/// whose members' `f` and `z` are at most `fmax` and `zmax`. Every
+/// member's exact `f·dz + z·df − 2fz` rises by at most
+/// `fmax·(Δdz)⁺ + zmax·(Δdf)⁺`; the slack covers the rounding of the
+/// stored and of a fresh canonical expression, and of this sum itself
+/// (DESIGN.md §5a derives it). The bound stores item 0, so no true
+/// value is ahead of it at an equal reduction, and it holds at the
+/// componentwise maximum of the two points.
+fn raise(pair: Pair, dz: f64, df: f64, fmax: f64, zmax: f64) -> Pair {
+    let (tz, tf) = (dz.max(pair.dz), df.max(pair.df));
+    let inc = fmax * (tz - pair.dz) + zmax * (tf - pair.df);
+    let scale = pair.r.abs()
+        + inc
+        + fmax * (tz.abs() + pair.dz.abs())
+        + zmax * (tf.abs() + pair.df.abs())
+        + 4.0 * fmax * zmax;
+    let slack = 8.0 * f64::EPSILON * scale + f64::MIN_POSITIVE;
+    Pair { r: pair.r + inc + slack, item: 0, stale: true, dz: tz, df: tf }
 }
 
 /// Incrementally maintained best-move state over raw `(f, z)` columns,
@@ -164,6 +200,9 @@ pub struct BestMoveEngine {
     pairs: Vec<Pair>,
     /// Each row's best destination under [`ahead`].
     row_best: Vec<usize>,
+    /// Each channel's largest member `f` and `z` (0 when empty).
+    fmax: Vec<f64>,
+    zmax: Vec<f64>,
     best: Option<EngineMove>,
 }
 
@@ -247,9 +286,12 @@ impl BestMoveEngine {
             size,
             pairs: vec![Pair::NONE; channels * channels],
             row_best: vec![0; channels],
+            fmax: vec![0.0; channels],
+            zmax: vec![0.0; channels],
             best: None,
         };
         for c in 0..channels {
+            engine.remax(c);
             for q in (0..channels).filter(|&q| q != c) {
                 engine.rescore(c, q);
             }
@@ -298,12 +340,12 @@ impl BestMoveEngine {
 
     /// Applies the current best move (if any), updates the aggregates
     /// with the same operations an exhaustive caller would use, moves
-    /// the item into its new channel's segment, re-scores the pairs
-    /// that can rise and picks the next best move.
+    /// the item into its new channel's segment, bounds the pairs it
+    /// changed and picks the next best move.
     pub fn apply_best(&mut self) -> Option<EngineMove> {
         let mv = self.best?;
         self.shift(mv);
-        self.settle(mv.from, mv.to);
+        self.settle(mv);
         self.pick();
         Some(mv)
     }
@@ -358,11 +400,16 @@ impl BestMoveEngine {
         self.pos[self.item[j] as usize] = j as u32;
     }
 
-    /// Restores the table after a move `p → qs`: the pairs that can
-    /// rise are re-scored, the pairs that can only fall turn stale, and
-    /// each row's best follows.
-    fn settle(&mut self, p: usize, qs: usize) {
-        let k = self.channels;
+    /// Restores the table after `mv` moved `x: p → qs`: the pairs that
+    /// can only fall turn stale, the pairs that can rise take a raised
+    /// bound (or, in row `qs`, `x`'s exact value when that is above
+    /// it), each channel's largest `f` and `z` follow, and so does each
+    /// row's best. Row `p`'s values are unchanged (or all empty), so its
+    /// best stands.
+    fn settle(&mut self, mv: EngineMove) {
+        let (k, x, p, qs) = (self.channels, mv.item, mv.from, mv.to);
+        let i = self.pos[x] as usize;
+        let (fx, zx, tx) = (self.f[i], self.z[i], self.t2fz[i]);
         let p_empty = self.start[p] == self.start[p + 1];
         for d in (0..k).filter(|&d| d != p) {
             let pair = &mut self.pairs[p * k + d];
@@ -371,22 +418,44 @@ impl BestMoveEngine {
         for c in (0..k).filter(|&c| c != qs) {
             self.pairs[c * k + qs].stale = true;
         }
+        let joined_empty = self.start[qs + 1] - self.start[qs] == 1;
         for d in (0..k).filter(|&d| d != qs) {
-            self.rescore(qs, d);
-        }
-        for c in (0..k).filter(|&c| c != p && c != qs) {
-            let old = self.pairs[c * k + p];
-            self.rescore(c, p);
-            // A stale (c, p) may have been the row's best and fallen.
-            if self.row_best[c] == p && ahead(old, p, self.pairs[c * k + p], p) {
-                self.settle_row(c);
+            let (dz, df) = (self.size[qs] - self.size[d], self.freq[qs] - self.freq[d]);
+            let r = fx * dz + zx * df - tx;
+            let own = Pair { r, item: x as u32, stale: false, dz, df };
+            let pair = &mut self.pairs[qs * k + d];
+            if joined_empty {
+                *pair = own;
             } else {
-                self.offer(c, p);
-                self.offer(c, qs);
+                // The old members' bound holds at a point at or above
+                // the current one; there it must also cover `x`.
+                let old = raise(*pair, dz, df, self.fmax[qs], self.zmax[qs]);
+                let at = fx * old.dz + zx * old.df - tx;
+                *pair = if r > old.r { own } else { Pair { r: old.r.max(at), ..old } };
             }
         }
-        self.settle_row(p);
+        self.fmax[qs] = self.fmax[qs].max(fx);
+        self.zmax[qs] = self.zmax[qs].max(zx);
+        if fx == self.fmax[p] || zx == self.zmax[p] {
+            self.remax(p);
+        }
+        for c in (0..k).filter(|&c| c != p && c != qs) {
+            let pair = self.pairs[c * k + p];
+            if pair.item == NO_ITEM {
+                continue;
+            }
+            let (dz, df) = (self.size[c] - self.size[p], self.freq[c] - self.freq[p]);
+            self.pairs[c * k + p] = raise(pair, dz, df, self.fmax[c], self.zmax[c]);
+            self.offer(c, p);
+        }
         self.settle_row(qs);
+    }
+
+    /// Recomputes channel `c`'s largest member `f` and `z`.
+    fn remax(&mut self, c: usize) {
+        let seg = self.start[c]..self.start[c + 1];
+        self.fmax[c] = self.f[seg.clone()].iter().copied().fold(0.0, f64::max);
+        self.zmax[c] = self.z[seg].iter().copied().fold(0.0, f64::max);
     }
 
     /// Scores pair `(c, q)` afresh from `c`'s member segment.
@@ -451,9 +520,15 @@ impl BestMoveEngine {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
+    use super::common::{aggregates, columns};
     use super::*;
     use dbcast_model::{Allocation, ChannelId, Database, ItemId, ItemSpec, Move};
+    use proptest::prelude::*;
 
     /// Deterministic xorshift features for self-contained tests.
     fn features(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -467,16 +542,6 @@ mod tests {
         let f: Vec<f64> = (0..n).map(|_| next() + 1e-3).collect();
         let z: Vec<f64> = (0..n).map(|_| 1.0 + 9.0 * next()).collect();
         (f, z)
-    }
-
-    fn aggregates(k: usize, f: &[f64], z: &[f64], assign: &[u32]) -> (Vec<f64>, Vec<f64>) {
-        let mut freq = vec![0.0; k];
-        let mut size = vec![0.0; k];
-        for (x, &c) in assign.iter().enumerate() {
-            freq[c as usize] += f[x];
-            size[c as usize] += z[x];
-        }
-        (freq, size)
     }
 
     /// Eq. 4 for item `x` from `p` to `q`, as the exhaustive scan
@@ -514,7 +579,7 @@ mod tests {
         for x in (0..e.len()).filter(|&x| e.assign[x] as usize == c) {
             let r = eq4(x, c, q, f, z, e);
             if r > best.r || best.item == NO_ITEM {
-                best = Pair { r, item: x as u32, stale: false };
+                best = Pair { r, item: x as u32, ..Pair::NONE };
             }
         }
         best
@@ -576,40 +641,88 @@ mod tests {
         assert_descent_matches_brute_force(203, 7, 5);
     }
 
+    /// Checks every pair against its brute-force value: a fresh pair
+    /// bit for bit, a stale one not behind it in the pick order. Also
+    /// checks each row's best. Returns the number of stale pairs.
+    fn check_pairs(e: &BestMoveEngine, f: &[f64], z: &[f64]) -> Result<usize, String> {
+        let (k, mut stale) = (e.channels, 0);
+        for c in 0..k {
+            for q in (0..k).filter(|&q| q != c) {
+                let (got, want) = (e.pairs[c * k + q], brute_pair(e, f, z, c, q));
+                if got.stale {
+                    stale += 1;
+                    if ahead(want, q, got, q) {
+                        return Err(format!("pair ({c}, {q}) {got:?} behind {want:?}"));
+                    }
+                } else if (got.r.to_bits(), got.item) != (want.r.to_bits(), want.item) {
+                    return Err(format!("fresh pair ({c}, {q}) {got:?} is not {want:?}"));
+                }
+            }
+            let (b, row) = (e.row_best[c], &e.pairs[c * k..(c + 1) * k]);
+            if (0..k).any(|q| ahead(row[q], q, row[b], b)) {
+                return Err(format!("row {c} best {b} is not the row's best"));
+            }
+        }
+        Ok(stale)
+    }
+
+    /// Descends from `engine`, checking the table after every move both
+    /// before and after the pick re-scores. Returns the moves and the
+    /// stale pairs seen.
+    fn descend_checking_pairs(
+        mut engine: BestMoveEngine,
+        f: &[f64],
+        z: &[f64],
+    ) -> Result<(usize, usize), String> {
+        let (mut moves, mut stale) = (0, check_pairs(&engine, f, z)?);
+        while let Some(mv) = engine.best {
+            engine.shift(mv);
+            engine.settle(mv);
+            stale +=
+                check_pairs(&engine, f, z).map_err(|e| format!("move {moves}: {e}"))?;
+            engine.pick();
+            stale +=
+                check_pairs(&engine, f, z).map_err(|e| format!("pick {moves}: {e}"))?;
+            moves += 1;
+        }
+        Ok((moves, stale))
+    }
+
     #[test]
     fn fresh_pairs_are_exact_and_stale_pairs_bound_along_descent() {
         let (n, k, seed) = (90, 6, 8);
         let (f, z) = features(n, seed);
-        let mut engine = engine_for(n, k, seed);
-        let (mut steps, mut stale) = (0, 0);
-        loop {
-            for c in 0..k {
-                for q in (0..k).filter(|&q| q != c) {
-                    let (got, want) =
-                        (engine.pairs[c * k + q], brute_pair(&engine, &f, &z, c, q));
-                    if got.stale {
-                        stale += 1;
-                        let bound = !ahead(want, q, got, q);
-                        assert!(
-                            bound,
-                            "step {steps} pair ({c}, {q}) behind its true value"
-                        );
-                    } else {
-                        let (g, w) =
-                            ((got.r.to_bits(), got.item), (want.r.to_bits(), want.item));
-                        assert_eq!(g, w, "step {steps} pair ({c}, {q})");
-                    }
-                }
-                let b = engine.row_best[c];
-                let row = &engine.pairs[c * k..(c + 1) * k];
-                assert!((0..k).all(|q| !ahead(row[q], q, row[b], b)), "row {c} best");
-            }
-            if engine.apply_best().is_none() {
-                break;
-            }
-            steps += 1;
-        }
+        let (steps, stale) =
+            descend_checking_pairs(engine_for(n, k, seed), &f, &z).unwrap();
         assert!(steps > 10 && stale > 0, "{steps} steps, {stale} stale pairs seen");
+    }
+
+    proptest! {
+        #[test]
+        fn no_stale_pair_is_behind_its_true_value((k, f, z, assign) in columns()) {
+            let (freq, size) = aggregates(k, &f, &z, &assign);
+            let engine = BestMoveEngine::new(k, 1e-9, f.clone(), z.clone(), assign, freq, size);
+            let checked = descend_checking_pairs(engine, &f, &z);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn a_raised_bound_covers_the_rounding_of_a_fresh_score() {
+        // One member, `f = 0.1` and `z = 0.3`, scored at differences
+        // (0.1, 0.1) and raised to (0.3, 0.3). A search over
+        // one-decimal inputs found this case: the exact rise added to
+        // the stored value lands one ulp below the fresh canonical
+        // expression, so only the slack keeps the bound above it.
+        let (f, z) = (0.1, 0.3);
+        let t = 2.0 * f * z;
+        let stored = score(&[f], &[z], &[t], &[0], 0.1, 0.1);
+        let fresh = score(&[f], &[z], &[t], &[0], 0.3, 0.3);
+        let bare = stored.r + (f * (0.3 - 0.1) + z * (0.3 - 0.1));
+        assert!(bare < fresh.r, "{bare} vs {}: the case is not adversarial", fresh.r);
+        let raised = raise(stored, 0.3, 0.3, f, z);
+        assert!(raised.stale && raised.item == 0);
+        assert!(!ahead(fresh, 1, raised, 1), "bound {} below fresh {}", raised.r, fresh.r);
     }
 
     #[test]
@@ -654,8 +767,9 @@ mod tests {
             );
             let Some((mv, _)) = got else { break };
             alloc.apply_move(mv).unwrap();
-            engine.shift(engine.best.unwrap());
-            engine.settle(mv.from.index(), mv.to.index());
+            let em = engine.best.unwrap();
+            engine.shift(em);
+            engine.settle(em);
             let fresh = engine.pairs.iter().filter(|p| !p.stale).map(|p| p.r);
             let top = fresh.fold(f64::NEG_INFINITY, f64::max);
             ties += engine.pairs.iter().filter(|p| p.stale && p.r == top).count();

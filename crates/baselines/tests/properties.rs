@@ -1,8 +1,19 @@
-//! Property-based tests of the baseline allocators.
+//! Property-based tests of the baseline allocators; the properties every
+//! allocator shares run over the registry.
 
-use dbcast_baselines::{ContiguousDp, ExactBnB, Flat, Greedy, Vfk};
+use dbcast_baselines::{AlgoSpec, ContiguousDp, ExactBnB, Vfk};
 use dbcast_model::{ChannelAllocator, Database, ItemSpec};
 use proptest::prelude::*;
+
+/// Every registered allocator but GOPT, whose GA budget is too slow to
+/// run per case.
+fn fast_allocators() -> Vec<Box<dyn ChannelAllocator>> {
+    AlgoSpec::registry()
+        .into_iter()
+        .filter(|s| !matches!(s, AlgoSpec::Gopt(_)))
+        .map(|s| s.build(0))
+        .collect()
+}
 
 fn db_and_k() -> impl Strategy<Value = (Database, usize)> {
     prop::collection::vec((0.01f64..10.0, 0.1f64..100.0), 1..30).prop_flat_map(|pairs| {
@@ -19,13 +30,7 @@ proptest! {
 
     #[test]
     fn every_baseline_produces_a_valid_partition((db, k) in db_and_k()) {
-        let algos: Vec<Box<dyn ChannelAllocator>> = vec![
-            Box::new(Flat::new()),
-            Box::new(Vfk::new()),
-            Box::new(Greedy::new()),
-            Box::new(ContiguousDp::new()),
-        ];
-        for algo in &algos {
+        for algo in fast_allocators() {
             let alloc = algo.allocate(&db, k).unwrap();
             alloc.validate(&db).unwrap();
             prop_assert_eq!(alloc.channels(), k);
@@ -68,12 +73,7 @@ proptest! {
         .unwrap();
         let k = k.min(db.len());
         let optimum = ExactBnB::new().allocate(&db, k).unwrap().total_cost();
-        for algo in [
-            &Flat::new() as &dyn ChannelAllocator,
-            &Vfk::new(),
-            &Greedy::new(),
-            &ContiguousDp::new(),
-        ] {
+        for algo in fast_allocators() {
             let cost = algo.allocate(&db, k).unwrap().total_cost();
             prop_assert!(
                 cost >= optimum - 1e-9,
@@ -90,12 +90,7 @@ proptest! {
         // allocator is bounded by the one-channel program.
         let stats = db.stats();
         let one_channel = stats.total_frequency * stats.total_size;
-        for algo in [
-            &Flat::new() as &dyn ChannelAllocator,
-            &Vfk::new(),
-            &Greedy::new(),
-            &ContiguousDp::new(),
-        ] {
+        for algo in fast_allocators() {
             let cost = algo.allocate(&db, k).unwrap().total_cost();
             prop_assert!(
                 cost <= one_channel + 1e-9,

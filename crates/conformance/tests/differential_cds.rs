@@ -18,10 +18,14 @@ use dbcast_model::{Allocation, ChannelAllocator, Database};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Bit-compares a full refinement from `start` under both engines.
-fn assert_bit_identical(db: &Database, start: Allocation, context: &str) {
-    let oracle = ReferenceCds::new().refine(db, start.clone()).unwrap();
-    let fast = Cds::new().refine(db, start).unwrap();
+/// Cds' default iteration cap: a full descent.
+const FULL: usize = 1_000_000;
+
+/// Bit-compares a refinement from `start`, capped at `cap` moves, under
+/// both engines.
+fn assert_bit_identical(db: &Database, start: Allocation, cap: usize, context: &str) {
+    let oracle = ReferenceCds::new().max_iterations(cap).refine(db, start.clone()).unwrap();
+    let fast = Cds::new().max_iterations(cap).refine(db, start).unwrap();
     assert_eq!(oracle.steps.len(), fast.steps.len(), "{context}: step counts diverged");
     for (i, (a, b)) in oracle.steps.iter().zip(&fast.steps).enumerate() {
         assert_eq!(a.mv, b.mv, "{context}: step {i} move");
@@ -39,6 +43,11 @@ fn assert_bit_identical(db: &Database, start: Allocation, context: &str) {
         );
     }
     assert_eq!(oracle.converged, fast.converged, "{context}: convergence flag");
+    assert_eq!(
+        oracle.remaining_gain_bound.to_bits(),
+        fast.remaining_gain_bound.to_bits(),
+        "{context}: remaining gain bound"
+    );
     assert_eq!(
         oracle.allocation.assignment(),
         fast.allocation.assignment(),
@@ -62,10 +71,10 @@ fn check_instance_differential(instance: &Instance, context: &str) {
     let mut rng = ChaCha8Rng::seed_from_u64(instance.seed ^ instance.case);
     let random: Vec<usize> = (0..db.len()).map(|_| rng.gen_range(0..k)).collect();
     let start = Allocation::from_assignment(&db, k, random).unwrap();
-    assert_bit_identical(&db, start, &format!("{context} (random start)"));
+    assert_bit_identical(&db, start, FULL, &format!("{context} (random start)"));
     if k <= db.len() {
         if let Ok(rough) = Drp::new().allocate(&db, k) {
-            assert_bit_identical(&db, rough, &format!("{context} (drp start)"));
+            assert_bit_identical(&db, rough, FULL, &format!("{context} (drp start)"));
         }
     }
 }
@@ -130,33 +139,80 @@ fn midsize_workloads_are_bit_identical_across_engines() {
             .build()
             .unwrap();
         let rough = Drp::new().allocate(&db, k).unwrap();
-        assert_bit_identical(&db, rough, &format!("workload n={n} k={k} seed={seed}"));
+        assert_bit_identical(
+            &db,
+            rough,
+            FULL,
+            &format!("workload n={n} k={k} seed={seed}"),
+        );
     }
 }
 
-/// The shapes the `serve_drift` benchmark repairs: N=2000, K=16 over
-/// the Zipf θ=0.8, Φ=2 catalogue (seed 42) with its hot set rotated by
-/// `p·N/5` for `p = 0..4` (phase 0 is the catalogue itself, as in the
-/// benchmark), plus K ∈ {2, 40} on the unrotated catalogue — hundreds
-/// of moves per descent from the DRP start.
-#[test]
-fn serve_drift_scale_is_bit_identical_across_engines() {
-    use dbcast_serve::shifted_workload;
+const N: usize = 2_000;
+
+/// The five phases the `serve_drift` benchmark repairs, with their
+/// rotations: the Zipf θ=0.8, Φ=2 catalogue (seed 42) with its hot set
+/// rotated by `p·N/5` for `p = 0..4` (phase 0 is the catalogue itself,
+/// as in the benchmark).
+fn drift_phases() -> Vec<(usize, Database)> {
     use dbcast_workload::{SizeDistribution, WorkloadBuilder};
-    const N: usize = 2_000;
     let db = WorkloadBuilder::new(N)
         .skewness(0.8)
         .sizes(SizeDistribution::Diversity { phi_max: 2.0 })
         .seed(42)
         .build()
         .unwrap();
-    let mut cases = vec![(db.clone(), 0, 2), (db.clone(), 0, 40), (db.clone(), 0, 16)];
+    let mut phases = vec![(0, db.clone())];
     for p in 1..5 {
         let rotation = p * N / 5;
-        cases.push((shifted_workload(&db, 0.8, rotation).unwrap(), rotation, 16));
+        phases
+            .push((rotation, dbcast_serve::shifted_workload(&db, 0.8, rotation).unwrap()));
     }
-    for (phase, rotation, k) in cases {
-        let rough = Drp::new().allocate(&phase, k).unwrap();
-        assert_bit_identical(&phase, rough, &format!("n={N} k={k} rotation={rotation}"));
+    phases
+}
+
+/// The shapes the `serve_drift` benchmark repairs: N=2000, K=16 over
+/// [`drift_phases`], plus K ∈ {2, 40} on the unrotated catalogue —
+/// hundreds of moves per descent from the DRP start.
+#[test]
+fn serve_drift_scale_is_bit_identical_across_engines() {
+    let phases = drift_phases();
+    let catalogue = &phases[0].1;
+    let extra = [2, 40].map(|k| (0, catalogue, k));
+    for (rotation, phase, k) in
+        extra.into_iter().chain(phases.iter().map(|(r, d)| (*r, d, 16)))
+    {
+        let rough = Drp::new().allocate(phase, k).unwrap();
+        let context = format!("n={N} k={k} rotation={rotation}");
+        assert_bit_identical(phase, rough, FULL, &context);
+    }
+}
+
+/// Budgeted repair at drift scale: refinements capped at 1, 16 and 256
+/// moves (serve's `RepairMode::Budgeted` is `Cds` with such a cap), at
+/// N=2000, K=16 over [`drift_phases`]. Each phase starts from its DRP
+/// allocation and, for phases 1..4, also from the previous phase's
+/// converged assignment re-weighted to this phase's frequencies, the
+/// start a drift repair sees. Steps, `converged` and
+/// `remaining_gain_bound` must match bit for bit.
+#[test]
+fn budgeted_repairs_at_drift_scale_are_bit_identical_across_engines() {
+    const K: usize = 16;
+    let mut previous: Option<Vec<usize>> = None;
+    for (p, (_, phase)) in drift_phases().iter().enumerate() {
+        let rough = Drp::new().allocate(phase, K).unwrap();
+        let mut starts = vec![("drp", rough.clone())];
+        if let Some(assignment) = previous.take() {
+            let carried = Allocation::from_assignment(phase, K, assignment).unwrap();
+            starts.push(("previous phase", carried));
+        }
+        for (name, start) in starts {
+            for cap in [1, 16, 256] {
+                let context = format!("phase {p} from {name}, cap {cap}");
+                assert_bit_identical(phase, start.clone(), cap, &context);
+            }
+        }
+        let done = Cds::new().refine(phase, rough).unwrap();
+        previous = Some(done.allocation.assignment().to_vec());
     }
 }

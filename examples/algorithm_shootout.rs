@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release --example algorithm_shootout`
 
-use dbcast::alloc::{Drp, DrpCds};
-use dbcast::baselines::{ContiguousDp, Flat, Gopt, GoptConfig, Greedy, Vfk};
+use dbcast::baselines::{AlgoSpec, GoptConfig};
 use dbcast::model::{average_waiting_time, ChannelAllocator, Database};
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
 
@@ -25,34 +24,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bandwidth = 10.0;
     let seeds: Vec<u64> = (0..8).collect();
 
-    let gopt = Gopt::new(GoptConfig {
+    // Every registered allocator, GOPT on a smaller GA budget.
+    let quick = GoptConfig {
         population: 80,
         max_generations: 200,
         stagnation_limit: 50,
         ..GoptConfig::default()
-    });
-    let (flat, vfk, greedy, drp, drpcds, dp) = (
-        Flat::new(),
-        Vfk::new(),
-        Greedy::new(),
-        Drp::new(),
-        DrpCds::new(),
-        ContiguousDp::new(),
-    );
-    let algos: Vec<(&str, &dyn ChannelAllocator)> = vec![
-        ("FLAT", &flat),
-        ("VF^K", &vfk),
-        ("GREEDY", &greedy),
-        ("DRP", &drp),
-        ("DRP-CDS", &drpcds),
-        ("DP", &dp),
-        ("GOPT", &gopt),
-    ];
+    };
+    let algos: Vec<(String, Box<dyn ChannelAllocator>)> = AlgoSpec::registry()
+        .into_iter()
+        .map(|spec| match spec {
+            AlgoSpec::Gopt(_) => AlgoSpec::Gopt(quick),
+            other => other,
+        })
+        .map(|spec| (spec.name(), spec.build(0)))
+        .collect();
+    let width = |name: &str| name.len().max(8) + 1;
 
     println!("mean W_b (s) over {} seeded workloads, N = 120, K = {k}\n", seeds.len());
     print!("{:<22}", "scenario");
     for (name, _) in &algos {
-        print!("{name:>9}");
+        print!("{name:>w$}", w = width(name));
     }
     println!();
 
@@ -75,8 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         print!("{label:<22}");
-        for (_, algo) in &algos {
-            print!("{:>9.3}", mean_wait(*algo, &dbs, k, bandwidth));
+        for (name, algo) in &algos {
+            print!(
+                "{:>w$.3}",
+                mean_wait(algo.as_ref(), &dbs, k, bandwidth),
+                w = width(name)
+            );
         }
         println!();
     }

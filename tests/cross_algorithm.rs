@@ -2,7 +2,7 @@
 //! paper's evaluation relies on, checked across many seeded workloads.
 
 use dbcast::alloc::{Drp, DrpCds};
-use dbcast::baselines::{ContiguousDp, ExactBnB, Flat, Gopt, GoptConfig, Greedy, Vfk};
+use dbcast::baselines::{AlgoSpec, ExactBnB, Flat, Gopt, GoptConfig, Vfk};
 use dbcast::model::{ChannelAllocator, Database};
 use dbcast::workload::{SizeDistribution, WorkloadBuilder};
 
@@ -27,14 +27,13 @@ fn mean_cost(algo: &dyn ChannelAllocator, dbs: &[Database], k: usize) -> f64 {
 #[test]
 fn exact_lower_bounds_every_heuristic_on_small_instances() {
     let exact = ExactBnB::new();
-    let heuristics: Vec<Box<dyn ChannelAllocator>> = vec![
-        Box::new(Flat::new()),
-        Box::new(Vfk::new()),
-        Box::new(Greedy::new()),
-        Box::new(Drp::new()),
-        Box::new(DrpCds::new()),
-        Box::new(ContiguousDp::new()),
-    ];
+    // Every registered allocator but GOPT, whose GA budget is too slow
+    // to run per seed.
+    let heuristics: Vec<Box<dyn ChannelAllocator>> = AlgoSpec::registry()
+        .into_iter()
+        .filter(|s| !matches!(s, AlgoSpec::Gopt(_)))
+        .map(|s| s.build(0))
+        .collect();
     for seed in 0..8 {
         let db = WorkloadBuilder::new(11).seed(seed).build().unwrap();
         let optimum = exact.allocate(&db, 3).unwrap().total_cost();
@@ -111,9 +110,7 @@ fn gopt_tracks_the_best_heuristic() {
 fn increasing_channels_reduces_cost_for_every_algorithm() {
     // Figure 2's x-axis effect.
     let db = WorkloadBuilder::new(90).seed(3).build().unwrap();
-    let algos: Vec<Box<dyn ChannelAllocator>> =
-        vec![Box::new(Vfk::new()), Box::new(Drp::new()), Box::new(DrpCds::new())];
-    for algo in &algos {
+    for algo in [AlgoSpec::Vfk, AlgoSpec::Drp, AlgoSpec::DrpCds].map(|s| s.build(0)) {
         let mut prev = f64::INFINITY;
         for k in [4, 6, 8, 10] {
             let cost = algo.allocate(&db, k).unwrap().total_cost();

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and algorithms.
 
 use dbcast::alloc::{best_split, Cds, Drp, DrpCds};
-use dbcast::baselines::{ContiguousDp, Flat, Greedy, Vfk};
+use dbcast::baselines::{AlgoSpec, Flat, Greedy};
 use dbcast::model::{
     allocation_cost, Allocation, ChannelAllocator, ChannelId, Database, ItemId, ItemSpec,
     Move,
@@ -33,16 +33,11 @@ proptest! {
 
     #[test]
     fn every_allocator_produces_a_valid_partition((db, k) in db_and_channels()) {
-        let algos: Vec<Box<dyn ChannelAllocator>> = vec![
-            Box::new(Flat::new()),
-            Box::new(Vfk::new()),
-            Box::new(Greedy::new()),
-            Box::new(Drp::new()),
-            Box::new(DrpCds::new()),
-            Box::new(ContiguousDp::new()),
-        ];
-        for algo in &algos {
-            let alloc = algo.allocate(&db, k).unwrap();
+        // Every registered allocator but GOPT, whose GA budget is too
+        // slow to run per case.
+        let specs = AlgoSpec::registry().into_iter().filter(|s| !matches!(s, AlgoSpec::Gopt(_)));
+        for spec in specs {
+            let alloc = spec.build(0).allocate(&db, k).unwrap();
             prop_assert_eq!(alloc.channels(), k);
             prop_assert_eq!(alloc.items(), db.len());
             alloc.validate(&db).unwrap();

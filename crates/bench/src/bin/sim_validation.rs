@@ -1,5 +1,5 @@
 //! Validates the analytical waiting-time model (Eq. 2) against the
-//! discrete-event simulator.
+//! one-pass trace simulator.
 //!
 //! Usage: `cargo run --release -p dbcast-bench --bin sim_validation [--quick]`
 

@@ -20,7 +20,7 @@
 //! | `fig6_exec_channels` | Figure 6 — K vs execution time |
 //! | `fig7_exec_items` | Figure 7 — N vs execution time |
 //! | `tables` | Tables 2–4 — the worked example traces |
-//! | `sim_validation` | analytical Eq. 2 vs discrete-event simulation |
+//! | `sim_validation` | analytical Eq. 2 vs the trace simulator |
 //! | `run_all` | everything above |
 
 #![forbid(unsafe_code)]

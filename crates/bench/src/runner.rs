@@ -176,7 +176,7 @@ pub fn run_tables(dir: &Path) -> io::Result<String> {
     Ok(md)
 }
 
-/// Extra experiment: analytical Eq. 2 vs the discrete-event simulator
+/// Extra experiment: analytical Eq. 2 vs the trace simulator
 /// over several seeded workloads.
 ///
 /// # Errors

@@ -1,4 +1,4 @@
-//! `dbcast simulate` — drive the discrete-event simulator.
+//! `dbcast simulate` — drive the trace simulator.
 
 use dbcast_model::BroadcastProgram;
 use dbcast_sim::Simulation;

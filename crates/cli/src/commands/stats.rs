@@ -8,8 +8,9 @@ use crate::commands::{algorithm_arg, CliError};
 /// full telemetry and prints the registry snapshot (counters, gauges,
 /// span-timer histograms) to stdout as a `metrics` document.
 ///
-/// With `--simulate`, additionally drives the discrete-event simulator
-/// so engine counters and queue-depth histograms populate too.
+/// With `--simulate`, additionally runs the trace simulator so the
+/// `sim.engine.*` request counter, mean gauges and run span populate
+/// too.
 ///
 /// # Errors
 ///
@@ -46,9 +47,8 @@ pub fn run_stats(args: &Args, out: &mut impl std::io::Write) -> Result<(), CliEr
         let report = dbcast_sim::Simulation::new(&program, &trace).run()?;
         dbcast_obs::obs_log!(
             dbcast_obs::log::Level::Info,
-            "simulated {} requests ({} events)",
-            report.completed(),
-            report.events_processed()
+            "simulated {} requests",
+            report.completed()
         );
     }
 

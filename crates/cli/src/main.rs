@@ -22,7 +22,8 @@ COMMANDS:
     generate        Generate a workload database (JSON)
     allocate        Allocate a database onto K channels with one algorithm
     evaluate        Compare all algorithms on one workload
-    simulate        Run the discrete-event broadcast simulator
+    simulate        Simulate clients against the broadcast program, one
+                    pass over a Poisson request trace
     serve           Online serving: estimate the workload live, detect
                     drift, re-allocate and hot-swap the program
     fleet           Simulated client fleet over the framed TCP broadcast

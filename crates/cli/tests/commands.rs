@@ -96,9 +96,51 @@ fn simulate_reports_percentiles_and_loads() {
         Args::parse(["simulate", "--items", "15", "--channels", "3", "--requests", "500"])
             .unwrap();
     let out = run(|w| commands::run_simulate(&args, w));
-    assert!(out.contains("requests completed: 500"));
-    assert!(out.contains("p50/p95/p99"));
-    assert!(out.contains("channel 2:"));
+    // Pinned at seed 0: the report must not move by a printed digit.
+    assert_eq!(
+        out,
+        "algorithm: DRP-CDS
+requests completed: 500
+analytical W_b: 4.7744 s
+empirical mean: 4.8453 s
+empirical p50/p95/p99: 3.7832 / 17.5153 / 25.3124 s
+probe mean: 3.1745 s, download mean: 1.6708 s
+channel 0: 354 requests, mean wait 3.3199 s
+channel 1: 97 requests, mean wait 4.4895 s
+channel 2: 49 requests, mean wait 16.5697 s
+"
+    );
+}
+
+#[test]
+fn stats_simulate_records_the_simulator_metrics() {
+    let args = Args::parse([
+        "stats",
+        "--items",
+        "20",
+        "--channels",
+        "3",
+        "--simulate",
+        "--requests",
+        "400",
+    ])
+    .unwrap();
+    let out = run(|w| commands::run_stats(&args, w));
+    let snapshot: dbcast_obs::snapshot::Snapshot =
+        dbcast_obs::doc::decode(&out).expect("a valid metrics document");
+    // Other tests in this binary share the registry, so counts are
+    // lower bounds.
+    let requests = snapshot.counter("sim.engine.requests").expect("requests counted");
+    assert!(requests >= 400, "sim.engine.requests = {requests}");
+    assert!(snapshot.histogram("sim.engine.run").is_some_and(|h| h.count >= 1));
+    // The simulator records these five metrics and no other.
+    let mut sim: Vec<&str> = (snapshot.counters.iter().map(|(n, _)| n))
+        .chain(snapshot.gauges.iter().map(|(n, _)| n))
+        .chain(snapshot.histograms.iter().map(|(n, _)| n))
+        .filter_map(|n| n.strip_prefix("sim.engine."))
+        .collect();
+    sim.sort_unstable();
+    assert_eq!(sim, ["mean_download", "mean_probe", "mean_waiting", "requests", "run"]);
 }
 
 #[test]

@@ -78,7 +78,7 @@ pub struct CheckConfig {
     pub oracle_max_items: usize,
     /// See [`CheckConfig::oracle_max_items`].
     pub oracle_max_channels: usize,
-    /// Run the discrete-event-simulator agreement check (it costs a
+    /// Run the simulator agreement check (it costs a
     /// few milliseconds per instance, so the harness strides it).
     pub check_sim: bool,
     /// Requests per simulator agreement run.
@@ -604,7 +604,7 @@ fn check_cds_differential(instance: &Instance, db: &Database, v: &mut Vec<Violat
 /// every channel's slots **bit for bit**, on a random partition and on
 /// the same partition in a shuffled per-channel order (decoded from its
 /// `{channels, bandwidth}` wire value), at random arrivals,
-/// exact slot starts and exact cycle multiples; and the discrete-event
+/// exact slot starts and exact cycle multiples; and the trace
 /// simulator's per-request waits must match `response_time` to 1e-9
 /// (relative to the wait, absolute below one second).
 fn check_wait_kernel(instance: &Instance, db: &Database, v: &mut Vec<Violation>) {
@@ -856,7 +856,7 @@ fn check_oracle(
 }
 
 /// Eq. 1/Eq. 2 agreement: the analytical waiting time must match the
-/// discrete-event simulator within statistical tolerance.
+/// trace simulator within statistical tolerance.
 fn check_sim_agreement(
     instance: &Instance,
     db: &Database,

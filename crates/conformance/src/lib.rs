@@ -13,7 +13,7 @@
 //!   two scales the cost by exactly that factor, scaling raw
 //!   frequencies is erased by normalization, adding a channel never
 //!   hurts, CDS never worsens its input and genuinely converges, and
-//!   the Eq. 2 analytical waiting time matches the discrete-event
+//!   the Eq. 2 analytical waiting time matches the trace
 //!   simulator.
 //! * **Differential/structural** — outputs are valid `K`-way
 //!   partitions, incremental cost bookkeeping matches the from-scratch

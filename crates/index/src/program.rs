@@ -122,29 +122,27 @@ impl IndexedProgram {
         self.program.bandwidth()
     }
 
-    /// The indexed channel carrying `item`, with the item's unindexed
-    /// schedule and slot.
-    fn carrier(&self, item: ItemId) -> Option<(&IndexedChannel, &ChannelSchedule, f64)> {
-        let (schedule, slot) = self.program.locate(item)?;
-        let channel = self.channels[schedule.channel().index()].as_ref()?;
-        Some((channel, schedule, slot.size))
+    /// The indexed channel carrying `item`.
+    fn carrier(&self, item: ItemId) -> Option<&IndexedChannel> {
+        let (schedule, _) = self.program.locate(item)?;
+        self.channels[schedule.channel().index()].as_ref()
     }
 
     /// Exact `(access, tuning)` of one request (seconds).
     pub fn request_metrics(&self, item: ItemId, now: f64) -> Option<(f64, f64)> {
-        self.carrier(item)?.0.request_metrics(item, now, self.bandwidth())
+        self.carrier(item)?.request_metrics(item, now, self.bandwidth())
     }
 
     /// Upper bound on the tuning time of any request for `item`.
     pub fn tuning_time(&self, item: ItemId) -> Option<f64> {
-        self.carrier(item)?.0.tuning_time(item, self.bandwidth())
+        self.carrier(item)?.tuning_time(item, self.bandwidth())
     }
 
     /// Mean `(access, tuning)` of a request for `item` at an instant
     /// uniform in its channel's indexed cycle, over
     /// [`EXPECTATION_SAMPLES`] grid points.
     pub fn expected_item_metrics(&self, item: ItemId) -> Option<(f64, f64)> {
-        self.carrier(item)?.0.expected_metrics(item, self.bandwidth(), EXPECTATION_SAMPLES)
+        self.carrier(item)?.expected_metrics(item, self.bandwidth(), EXPECTATION_SAMPLES)
     }
 
     /// Frequency-weighted expected metrics over `db`, with unindexed
@@ -160,11 +158,10 @@ impl IndexedProgram {
         let mut tuning = 0.0;
         let mut unindexed = 0.0;
         for d in db.iter() {
-            let (channel, schedule, size) =
-                self.carrier(d.id()).ok_or(ModelError::ItemOutOfRange {
-                    item: d.id().index(),
-                    items: db.len(),
-                })?;
+            let channel = self.carrier(d.id()).ok_or(ModelError::ItemOutOfRange {
+                item: d.id().index(),
+                items: db.len(),
+            })?;
             let (e_access, e_tuning) = channel
                 .expected_metrics(d.id(), bandwidth, EXPECTATION_SAMPLES)
                 .expect("the carrier airs the item");
@@ -172,7 +169,7 @@ impl IndexedProgram {
             tuning += d.frequency() * e_tuning;
             // Unindexed: probe half the data-only cycle + download.
             unindexed += d.frequency()
-                * (schedule.cycle_size() / (2.0 * bandwidth) + size / bandwidth);
+                * self.program.expected_response_time(d.id()).expect("the carrier airs it");
         }
         Ok(ProgramMetrics { access, tuning, unindexed_access: unindexed })
     }

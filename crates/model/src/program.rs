@@ -136,7 +136,8 @@ fn placement_table(channels: &[ChannelSchedule]) -> Result<Vec<Placement>, Model
 /// The program fixes the *intra-channel order* of items (the allocation
 /// only fixes the grouping). Waiting-time expectations (Eq. 1–2) are
 /// order-independent, but a concrete order is needed to actually
-/// broadcast — and for the discrete-event simulator.
+/// broadcast — and for the simulator, which replays it request by
+/// request.
 ///
 /// Serializes as `{channels, bandwidth}`; the placement table is rebuilt
 /// on deserialization, which rejects a non-finite or non-positive
@@ -320,6 +321,18 @@ impl BroadcastProgram {
     pub fn response_time(&self, item: ItemId, now: f64) -> Option<f64> {
         let (_, start, size) = self.best_start(item, now)?;
         Some(start - now + size / self.bandwidth)
+    }
+
+    /// Eq. 1: the expected [`response_time`](Self::response_time) of a
+    /// request for `item` arriving uniformly in phase, half its channel's
+    /// cycle plus its own download, `Z_c/(2b) + z/b`. The one place this
+    /// expectation is computed from a program.
+    ///
+    /// Returns `None` if no channel broadcasts the item.
+    #[inline]
+    pub fn expected_response_time(&self, item: ItemId) -> Option<f64> {
+        let (schedule, slot) = self.locate(item)?;
+        Some(schedule.cycle_size / (2.0 * self.bandwidth) + slot.size / self.bandwidth)
     }
 }
 

@@ -8,8 +8,8 @@
 //! bit**, not within a tolerance.
 
 use dbcast_model::{
-    Allocation, BroadcastProgram, ChannelId, Database, ItemId, ItemSpec, ModelError,
-    ScheduledItem,
+    item_waiting_time, Allocation, BroadcastProgram, ChannelId, Database, ItemId, ItemSpec,
+    ModelError, ScheduledItem,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -155,6 +155,11 @@ proptest! {
             let (schedule, slot) = program.locate(ItemId::new(j)).unwrap();
             prop_assert_eq!(schedule.channel().index(), c);
             prop_assert_eq!(slot.item, ItemId::new(j));
+            let eq1 = item_waiting_time(&db, &alloc, ItemId::new(j), 10.0).unwrap();
+            prop_assert_eq!(
+                program.expected_response_time(ItemId::new(j)).map(f64::to_bits),
+                Some(eq1.to_bits())
+            );
         }
         assert_agrees(&program, db.len() + 1, &probe_instants(&program, &instants));
     }

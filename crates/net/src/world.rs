@@ -145,12 +145,10 @@ impl WorldView {
     }
 
     fn compute_expected_access(&self, item: ItemId) -> Option<f64> {
-        if let Some(indexed) = &self.indexed {
-            return indexed.expected_item_metrics(item).map(|(access, _)| access);
+        match &self.indexed {
+            Some(indexed) => indexed.expected_item_metrics(item).map(|(access, _)| access),
+            None => self.directory.program.expected_response_time(item),
         }
-        let bandwidth = self.directory.bandwidth;
-        let (schedule, slot) = self.directory.program.locate(item)?;
-        Some((schedule.cycle_size() / bandwidth) / 2.0 + slot.size / bandwidth)
     }
 
     /// Plans the fetch of `item` for a request issued at the virtual

@@ -538,18 +538,6 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Per-request waiting time in virtual microseconds (published per tick)",
     },
     MetricDef {
-        name: "sim.engine.event_loop",
-        kind: MetricKind::Histogram,
-        unit: "ns",
-        help: "Span: the simulator's event-dispatch loop",
-    },
-    MetricDef {
-        name: "sim.engine.events",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Discrete events processed by the simulator",
-    },
-    MetricDef {
         name: "sim.engine.mean_download",
         kind: MetricKind::Gauge,
         unit: "s",
@@ -568,12 +556,6 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Mean total waiting time of the last simulation run",
     },
     MetricDef {
-        name: "sim.engine.queue_depth",
-        kind: MetricKind::Histogram,
-        unit: "1",
-        help: "Pending-event queue depth sampled per dispatched event",
-    },
-    MetricDef {
         name: "sim.engine.requests",
         kind: MetricKind::Counter,
         unit: "1",
@@ -584,12 +566,6 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Histogram,
         unit: "ns",
         help: "Span: one complete simulation run",
-    },
-    MetricDef {
-        name: "sim.engine.schedule",
-        kind: MetricKind::Histogram,
-        unit: "ns",
-        help: "Span: building the simulator's broadcast schedule",
     },
 ];
 

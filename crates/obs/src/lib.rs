@@ -27,7 +27,7 @@
 //! # Naming
 //!
 //! Metric names follow `<crate>.<algo>.<event>`, e.g.
-//! `alloc.drp.split_scan` or `sim.engine.events`. Dots are separators
+//! `alloc.drp.split_scan` or `sim.engine.requests`. Dots are separators
 //! only by convention; names are opaque keys to the registry.
 //!
 //! # Hot path

@@ -11,11 +11,9 @@
 //!    allocations for a run depend on the request count, never on how
 //!    many scheduling ticks the same stream is chopped into.
 
-use std::sync::Mutex;
-
 use dbcast_audit::{TraceRecord, TraceRing, FLAG_SEEDED};
 use dbcast_flight::{EventKind, FlightEvent};
-use dbcast_perf::{allocation_counts, thread_allocations, CountingAllocator};
+use dbcast_perf::{thread_allocations, CountingAllocator};
 use dbcast_serve::{
     poisson_trace, DriftDetector, EstimatorConfig, RepairMode, ServeConfig, ServeRuntime,
     WorkerMode,
@@ -24,10 +22,8 @@ use dbcast_serve::{
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The serve-loop test reads the process-wide counters, whose window
-/// sees every thread's heap traffic — the tests below must not overlap
-/// it. The record-path tests count the calling thread only.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+// Every window counts the calling thread only (the serve loop runs on
+// it), so the tests may run in parallel without seeing each other.
 
 fn event(i: u64) -> FlightEvent {
     FlightEvent::new(EventKind::RequestServed, i, 0, i as f64 * 0.25)
@@ -37,7 +33,6 @@ fn event(i: u64) -> FlightEvent {
 
 #[test]
 fn flight_record_is_allocation_free() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // First record initializes the global ring (one-time slot table
     // allocation); do it outside the measured window.
     dbcast_flight::record(event(0));
@@ -52,7 +47,6 @@ fn flight_record_is_allocation_free() {
 
 #[test]
 fn trace_ring_record_and_mark_straddles_are_allocation_free() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ring = TraceRing::new(256);
     let mut marked = 0;
     let before = thread_allocations();
@@ -109,9 +103,9 @@ fn run_allocs(rate: f64) -> u64 {
         inject_slow_factor: 1.0,
     };
     let runtime = ServeRuntime::new(&db, config).expect("runtime builds");
-    let (before, _) = allocation_counts();
+    let before = thread_allocations();
     let report = runtime.run(&trace).expect("run succeeds");
-    let (after, _) = allocation_counts();
+    let after = thread_allocations();
     assert_eq!(report.requests + report.dropped + report.unserved, 1500);
     assert_eq!(report.swaps, 0, "quiet run must not swap");
     after - before
@@ -119,17 +113,15 @@ fn run_allocs(rate: f64) -> u64 {
 
 #[test]
 fn serve_loop_heap_traffic_is_independent_of_tick_count() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Warm up global state (obs registry interning, flight ring, lazy
     // statics) so neither measured run pays one-time costs.
     let _ = run_allocs(10.0);
 
     let fast = run_allocs(10.0); // ~150 virtual seconds
     let slow = run_allocs(1.0); // ~1500 virtual seconds, ~10x the ticks
-    let delta = fast.abs_diff(slow);
-    assert!(
-        delta <= 8,
-        "per-tick allocations detected: {fast} allocs at rate 10 vs {slow} at rate 1 \
-         (delta {delta}); the tick path must not touch the heap"
+    assert_eq!(
+        fast, slow,
+        "per-tick allocations detected: {fast} allocs at rate 10 vs {slow} at rate 1; \
+         the tick path must not touch the heap"
     );
 }

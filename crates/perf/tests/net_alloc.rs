@@ -11,7 +11,6 @@
 //! window.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
 
 use dbcast_alloc::DrpCds;
 use dbcast_model::{BroadcastProgram, ChannelAllocator};
@@ -20,17 +19,15 @@ use dbcast_net::{
     run_egress, BroadcastServer, DataFrame, EgressConfig, IndexParams, NetConfig,
     ScriptedSource, SourceGeneration, HEADER_LEN, TRAILER_LEN,
 };
-use dbcast_perf::{allocation_counts, CountingAllocator};
+use dbcast_perf::{thread_allocations, CountingAllocator};
 use dbcast_serve::{FleetDigest, GenerationSlice};
 use dbcast_workload::{SizeDistribution, WorkloadBuilder};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The allocation counters are process-wide, so a test's measured
-/// window sees every thread's heap traffic — the tests below must not
-/// overlap.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+// Every window counts the calling thread only, so the tests may run in
+// parallel without seeing each other's (or the harness's) heap traffic.
 
 fn frame(i: u32) -> DataFrame {
     DataFrame {
@@ -44,27 +41,19 @@ fn frame(i: u32) -> DataFrame {
 
 #[test]
 fn steady_state_frame_encode_is_allocation_free() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Warm the buffer outside the measured window: the first encode may
     // grow it once, after which clear() keeps the capacity.
     let mut buf = Vec::with_capacity(256);
     encode_data_frame_into(&mut buf, &frame(0));
 
-    let (before, _) = allocation_counts();
+    let before = thread_allocations();
     for i in 1..10_000u32 {
         buf.clear();
         encode_data_frame_into(&mut buf, &frame(i));
         assert!(!buf.is_empty());
     }
-    let (after, _) = allocation_counts();
-    // The counters are process-wide, so the harness thread printing a
-    // sibling test's result can leak a couple of allocations into the
-    // window; any per-frame allocation would show up as >= 9999.
-    assert!(
-        after - before < 16,
-        "frame encode allocated {} time(s) over 9999 frames",
-        after - before
-    );
+    let allocs = thread_allocations() - before;
+    assert_eq!(allocs, 0, "frame encode allocated {allocs} time(s) over 9999 frames");
 }
 
 /// A representative measurement-slice digest: populated histogram
@@ -96,7 +85,6 @@ fn telemetry(i: u32) -> FleetDigest {
 
 #[test]
 fn steady_state_telemetry_encode_and_decode_are_allocation_free() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Warm every buffer outside the measured window: the scratch wire
     // buffer grows once, and the decode target's coverage vector keeps
     // its capacity across `clear()`.
@@ -107,7 +95,7 @@ fn steady_state_telemetry_encode_and_decode_are_allocation_free() {
         .expect("warm-up digest decodes");
     let mut digest = telemetry(0);
 
-    let (before, _) = allocation_counts();
+    let before = thread_allocations();
     for i in 1..10_000u32 {
         // Mutate the warm digest in place — a client reuses one frame
         // per slice the same way.
@@ -121,18 +109,16 @@ fn steady_state_telemetry_encode_and_decode_are_allocation_free() {
             .expect("clean digest decodes");
         assert_eq!(decoded.seq, i);
     }
-    let (after, _) = allocation_counts();
-    assert!(
-        after - before < 16,
-        "telemetry encode+decode allocated {} time(s) over 9999 digests",
-        after - before
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "telemetry encode+decode allocated {allocs} time(s) over 9999 digests"
     );
 }
 
 #[test]
 fn the_egress_allocates_per_window_not_per_frame() {
     const WINDOWS: u64 = 500;
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The `fleet_wire` shape: 120 items of diverse sizes on 6 channels,
     // with the (1,m) air index on.
     let db = WorkloadBuilder::new(120)
@@ -157,15 +143,16 @@ fn the_egress_allocates_per_window_not_per_frame() {
         pace: None,
     };
 
-    let (before, _) = allocation_counts();
+    // The egress encodes and fans out on the calling thread; the window
+    // leaves out only the listener's accept thread.
+    let before = thread_allocations();
     let report = run_egress(&server, &source, &config, &AtomicBool::new(false))
         .expect("egress runs");
-    let (after, _) = allocation_counts();
+    let allocs = thread_allocations() - before;
     server.shutdown();
     assert!(report.frames > 20 * WINDOWS, "{} frames in {WINDOWS} windows", report.frames);
     // Putting the generation on the air and its directory allocate a
     // fixed amount; one allocation per frame would be >= 20 per window.
-    let allocs = after - before;
     assert!(
         allocs < 8 * WINDOWS,
         "the egress allocated {allocs} time(s) for {} frames in {WINDOWS} windows",

@@ -7,7 +7,7 @@
 //! (`BroadcastProgram::response_time`, the same O(1) placement-table
 //! kernel the simulator and the fleet planner use), so the loop is
 //! exact, deterministic and runs millions of requests per second — the
-//! serving-side dual of the discrete-event simulator.
+//! serving-side dual of the one-pass trace simulator.
 //!
 //! Time is chopped into **ticks** of one full cycle of the fastest
 //! non-empty channel of the active generation. All control actions
@@ -48,7 +48,7 @@ use dbcast_audit::{
 use dbcast_flight::{EventKind, FlightEvent};
 use dbcast_model::{
     average_waiting_time, AllocError, Allocation, BroadcastProgram, ChannelAllocator,
-    ChannelSchedule, Database, ItemId, ItemSpec, ModelError, ScheduledItem,
+    ChannelSchedule, Database, ItemSpec, ModelError, ScheduledItem,
 };
 use dbcast_obs::metrics::{Counter, Gauge, Histogram, HistogramCells};
 use dbcast_workload::RequestTrace;
@@ -577,16 +577,6 @@ impl ServeRuntime {
         Arc::clone(&self.audit)
     }
 
-    /// The per-item Eq. 2 prediction for `item` on `channel` of `gen`:
-    /// the expected probe wait of a cycle, `cycle_c/(2b)`, plus the
-    /// item's own download time `z_i/b`.
-    fn predicted_wait(&self, gen: &ProgramGeneration, channel: usize, item: ItemId) -> f64 {
-        let cycle =
-            gen.program.channels().get(channel).map(|c| c.cycle_size()).unwrap_or(0.0);
-        let size = self.sizes.get(item.index()).copied().unwrap_or(0.0);
-        cycle / (2.0 * self.config.bandwidth) + size / self.config.bandwidth
-    }
-
     /// One tick = one full cycle of the *fastest* non-empty channel of
     /// `gen`: the finest cycle boundary the program offers. All control
     /// actions (estimator aging, drift checks, swap installs) land on
@@ -868,7 +858,11 @@ impl ServeRuntime {
                     // seeded sample plus every slow (tail) request, and
                     // only a slow one takes a flight-ring slot. The
                     // registry hears of requests once per tick.
-                    let predicted = self.predicted_wait(&serving.value, channel, r.item);
+                    let predicted = serving
+                        .value
+                        .program
+                        .expected_response_time(r.item)
+                        .expect("the program carries every item it serves");
                     self.audit.observe_wait(channel, wait, predicted);
                     let seeded = self.audit.should_sample(request_id);
                     let slow = self.audit.tail_slow(wait, predicted);

@@ -1,4 +1,4 @@
-//! The discrete-event simulation engine.
+//! The simulation engine: one pass over the request trace.
 
 use std::fmt;
 
@@ -6,7 +6,6 @@ use dbcast_model::{BroadcastProgram, ChannelId, ItemId};
 use dbcast_workload::RequestTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, EventQueue};
 use crate::stats::SummaryStats;
 
 /// Errors produced by the simulation engine.
@@ -94,7 +93,6 @@ pub struct SimReport {
     probe: SummaryStats,
     download: SummaryStats,
     channel_loads: Vec<ChannelLoad>,
-    events_processed: u64,
 }
 
 impl SimReport {
@@ -127,22 +125,15 @@ impl SimReport {
     pub fn channel_loads(&self) -> &[ChannelLoad] {
         &self.channel_loads
     }
-
-    /// Total events the engine processed.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
 }
 
 /// A configured simulation: a broadcast program plus a request trace.
 ///
-/// The engine is a textbook three-phase DES: arrivals are pre-scheduled
-/// from the trace; each arrival computes the deterministic next slot
-/// start of its item on its channel (cyclic schedules make per-tick
-/// channel events unnecessary); slot-start events fire download
-/// completions. All state transitions flow through the
-/// [`EventQueue`](crate::EventQueue), and runs are bit-for-bit
-/// deterministic.
+/// In push-based cyclic broadcast a request's wait depends only on its
+/// arrival time and the program, never on other requests, so the run is
+/// one pass over the trace: each arrival asks the program for its item's
+/// next slot start on its one channel, then downloads for `size / b`.
+/// Runs are bit-for-bit deterministic.
 #[derive(Debug)]
 pub struct Simulation<'a> {
     program: &'a BroadcastProgram,
@@ -159,83 +150,40 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// [`SimError::ItemNotBroadcast`] if the trace requests an item that
-    /// the program does not carry.
+    /// [`SimError::ItemNotBroadcast`] for the first request, in trace
+    /// order, whose item the program does not carry.
     pub fn run(&self) -> Result<SimReport, SimError> {
         let _span = dbcast_obs::span!("sim.engine.run");
         let bandwidth = self.program.bandwidth();
-        let mut queue = EventQueue::new();
-        {
-            let _schedule = dbcast_obs::span!("sim.engine.schedule");
-            for (i, r) in self.trace.iter().enumerate() {
-                queue.schedule(r.time, Event::Arrival { request: i, item: r.item });
-            }
-        }
-
-        #[derive(Clone, Copy)]
-        struct Pending {
-            item: ItemId,
-            channel: ChannelId,
-            arrival: f64,
-            slot_start: f64,
-            size: f64,
-        }
-
-        let mut pending: Vec<Option<Pending>> = vec![None; self.trace.len()];
-        let mut records: Vec<Option<RequestRecord>> = vec![None; self.trace.len()];
+        let mut records = Vec::with_capacity(self.trace.len());
         let mut waiting = SummaryStats::new();
         let mut probe = SummaryStats::new();
         let mut download = SummaryStats::new();
         let mut channel_loads = vec![ChannelLoad::default(); self.program.channels().len()];
-        let mut events_processed = 0u64;
 
-        let _event_loop = dbcast_obs::span!("sim.engine.event_loop");
-        while let Some((now, event)) = queue.pop() {
-            events_processed += 1;
-            if dbcast_obs::enabled() {
-                dbcast_obs::histogram!("sim.engine.queue_depth").record(queue.len() as u64);
-            }
-            match event {
-                Event::Arrival { request, item } => {
-                    // The client tunes to the item's one channel and
-                    // waits for its next slot.
-                    let (channel, slot_start, size) = self
-                        .program
-                        .best_start(item, now)
-                        .ok_or(SimError::ItemNotBroadcast { item, request })?;
-                    pending[request] =
-                        Some(Pending { item, channel, arrival: now, slot_start, size });
-                    queue.schedule(slot_start, Event::SlotStart { request, channel });
-                }
-                Event::SlotStart { request, channel } => {
-                    let p = pending[request].expect("slot start follows arrival");
-                    debug_assert_eq!(p.channel, channel);
-                    queue.schedule(
-                        now + p.size / bandwidth,
-                        Event::DownloadComplete { request },
-                    );
-                }
-                Event::DownloadComplete { request } => {
-                    let p = pending[request].take().expect("completion follows arrival");
-                    let record = RequestRecord {
-                        item: p.item,
-                        channel: p.channel,
-                        arrival: p.arrival,
-                        slot_start: p.slot_start,
-                        completion: now,
-                    };
-                    waiting.record(record.waiting_time());
-                    probe.record(record.probe_time());
-                    download.record(record.download_time());
-                    let load = &mut channel_loads[p.channel.index()];
-                    load.requests += 1;
-                    load.total_waiting += record.waiting_time();
-                    records[request] = Some(record);
-                }
-            }
+        for (request, r) in self.trace.iter().enumerate() {
+            // The client tunes to the item's one channel, waits for its
+            // next slot and downloads it.
+            let (channel, slot_start, size) = self
+                .program
+                .best_start(r.item, r.time)
+                .ok_or(SimError::ItemNotBroadcast { item: r.item, request })?;
+            let record = RequestRecord {
+                item: r.item,
+                channel,
+                arrival: r.time,
+                slot_start,
+                completion: slot_start + size / bandwidth,
+            };
+            waiting.record(record.waiting_time());
+            probe.record(record.probe_time());
+            download.record(record.download_time());
+            let load = &mut channel_loads[channel.index()];
+            load.requests += 1;
+            load.total_waiting += record.waiting_time();
+            records.push(record);
         }
 
-        dbcast_obs::counter!("sim.engine.events").add(events_processed);
         dbcast_obs::counter!("sim.engine.requests").add(self.trace.len() as u64);
         if dbcast_obs::enabled() {
             // The report's own SummaryStats doubles as the telemetry
@@ -245,17 +193,7 @@ impl<'a> Simulation<'a> {
             dbcast_obs::gauge!("sim.engine.mean_download").set(download.mean());
         }
 
-        Ok(SimReport {
-            records: records
-                .into_iter()
-                .map(|r| r.expect("every request completes"))
-                .collect(),
-            waiting,
-            probe,
-            download,
-            channel_loads,
-            events_processed,
-        })
+        Ok(SimReport { records, waiting, probe, download, channel_loads })
     }
 }
 
@@ -329,8 +267,21 @@ mod tests {
         assert_eq!(report.completed(), 1000);
         let served: u64 = report.channel_loads().iter().map(|l| l.requests).sum();
         assert_eq!(served, 1000);
-        // 3 events per request.
-        assert_eq!(report.events_processed(), 3000);
+        // The summaries and loads are exactly a fold over the records.
+        let (mut waiting, mut probe, mut download) =
+            (SummaryStats::new(), SummaryStats::new(), SummaryStats::new());
+        let mut loads = vec![ChannelLoad::default(); 3];
+        for r in report.records() {
+            waiting.record(r.waiting_time());
+            probe.record(r.probe_time());
+            download.record(r.download_time());
+            loads[r.channel.index()].requests += 1;
+            loads[r.channel.index()].total_waiting += r.waiting_time();
+        }
+        assert_eq!(report.waiting(), &waiting);
+        assert_eq!(report.probe(), &probe);
+        assert_eq!(report.download(), &download);
+        assert_eq!(report.channel_loads(), &loads[..]);
     }
 
     #[test]

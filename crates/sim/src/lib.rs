@@ -1,13 +1,14 @@
-//! Discrete-event simulator for multi-channel cyclic data broadcasting.
+//! Simulator for multi-channel cyclic data broadcasting.
 //!
 //! The ICDCS 2005 paper evaluates allocations through the analytical
-//! model (Eq. 1–2). This crate provides the end-to-end counterpart: a
-//! classic event-heap simulation in which a server replays each
-//! channel's cyclic schedule, clients arrive by a Poisson process,
-//! tune in to the channel carrying their item, wait for the item's next
-//! slot and download it. Empirical waiting times converge to the
-//! analytical expectation, which is verified both in tests and by the
-//! `sim_validation` bench binary.
+//! model (Eq. 1–2). This crate provides the empirical counterpart:
+//! clients arrive by a Poisson process, tune in to the channel carrying
+//! their item, wait for the item's next slot in that channel's cyclic
+//! schedule and download it. In push-based broadcast a request's wait
+//! depends only on its arrival time and the program, never on other
+//! requests, so the simulation is one pass over the trace. Empirical
+//! waiting times converge to the analytical expectation, which is
+//! verified both in tests and by the `sim_validation` bench binary.
 //!
 //! # Example
 //!
@@ -32,11 +33,9 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod event;
 mod stats;
 mod validate;
 
 pub use engine::{ChannelLoad, RequestRecord, SimError, SimReport, Simulation};
-pub use event::{Event, EventQueue};
 pub use stats::SummaryStats;
 pub use validate::{validate_against_model, ValidationError, ValidationReport};

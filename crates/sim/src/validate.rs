@@ -1,5 +1,5 @@
 //! End-to-end validation of the analytical model (Eq. 1–2) against the
-//! discrete-event simulator.
+//! one-pass trace simulator.
 
 use dbcast_model::{
     average_waiting_time, Allocation, BroadcastProgram, Database, ModelError,

@@ -1,6 +1,6 @@
 //! Analytical-vs-simulated agreement (Eq. 1/Eq. 2) driven through the
 //! shared conformance generator: every strided case builds a broadcast
-//! program and checks the discrete-event simulator against the model.
+//! program and checks the trace simulator against the model.
 
 use dbcast_conformance::{Harness, HarnessConfig};
 

@@ -34,11 +34,19 @@ proptest! {
         let trace = TraceBuilder::new(&db).requests(requests).seed(seed).build().unwrap();
         let report = Simulation::new(&program, &trace).run().unwrap();
         prop_assert_eq!(report.completed(), requests);
-        prop_assert_eq!(report.events_processed(), 3 * requests as u64);
         let served: u64 = report.channel_loads().iter().map(|l| l.requests).sum();
         prop_assert_eq!(served, requests as u64);
         for (r, req) in report.records().iter().zip(trace.iter()) {
-            prop_assert!((r.arrival - req.time).abs() < 1e-12);
+            // Each record is the program's next slot start for its
+            // arrival plus the download, bit for bit.
+            let (channel, start, size) = program.best_start(req.item, req.time).unwrap();
+            prop_assert_eq!((r.item, r.channel), (req.item, channel));
+            prop_assert_eq!(r.arrival.to_bits(), req.time.to_bits());
+            prop_assert_eq!(r.slot_start.to_bits(), start.to_bits());
+            prop_assert_eq!(
+                r.completion.to_bits(),
+                (start + size / program.bandwidth()).to_bits()
+            );
             prop_assert!(r.slot_start >= r.arrival - 1e-9);
             prop_assert!(r.completion > r.slot_start);
             // Download time equals item size / bandwidth exactly.

@@ -2,7 +2,7 @@
 //! the database's access frequencies.
 //!
 //! The paper evaluates allocations analytically; the trace machinery
-//! feeds the discrete-event simulator (`dbcast-sim`), which validates
+//! feeds the trace simulator (`dbcast-sim`), which validates
 //! the analytical model end-to-end.
 
 use dbcast_model::{Database, ItemId};

@@ -1,5 +1,5 @@
 //! Validates the paper's analytical waiting-time model (Eq. 1–2)
-//! against the discrete-event simulator, end to end: server schedules,
+//! against the trace simulator, end to end: server schedules,
 //! Poisson clients, per-request probe + download measurement.
 //!
 //! Run with: `cargo run --release --example simulator_validation`

@@ -11,7 +11,7 @@
 //! * [`alloc`] — the paper's contribution: DRP, CDS and DRP-CDS.
 //! * [`baselines`] — VF^K, GOPT (genetic), FLAT, GREEDY and exact
 //!   references.
-//! * [`sim`] — the discrete-event broadcast simulator.
+//! * [`sim`] — the broadcast simulator: one pass over a request trace.
 //! * [`index`] — substrate: (1, m) air indexing for selective tuning
 //!   (tuning-time and energy models).
 //! * [`cache`] — substrate: client-side caching (LRU vs PIX) over

@@ -1,4 +1,4 @@
-//! Integration test: the discrete-event simulator agrees with the
+//! Integration test: the trace simulator agrees with the
 //! analytical model across allocations, parameters and algorithms.
 
 use dbcast::alloc::DrpCds;

@@ -1,9 +1,5 @@
 //! Rendering sweep results as aligned Markdown tables and CSV files.
 
-use std::fs;
-use std::io;
-use std::path::Path;
-
 use crate::sweep::SweepResult;
 use crate::timing::TimingResult;
 
@@ -110,20 +106,6 @@ pub fn render_csv(table: &ReportTable) -> String {
     out
 }
 
-/// Writes `<stem>.md` and `<stem>.csv` under `dir`, creating it if
-/// needed, and returns the Markdown rendering.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_reports(dir: &Path, stem: &str, table: &ReportTable) -> io::Result<String> {
-    fs::create_dir_all(dir)?;
-    let md = render_markdown(table);
-    fs::write(dir.join(format!("{stem}.md")), &md)?;
-    fs::write(dir.join(format!("{stem}.csv")), render_csv(table))?;
-    Ok(md)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,16 +202,5 @@ mod tests {
         let table = ReportTable::from_sweep("t", &sweep);
         assert_eq!(table.rows[0][0], "0.50");
         assert_eq!(table.rows[1][0], "5");
-    }
-
-    #[test]
-    fn files_are_written() {
-        let dir = std::env::temp_dir().join("dbcast-report-test");
-        let table = ReportTable::from_sweep("Figure X", &sample_sweep());
-        let md = write_reports(&dir, "figx", &table).unwrap();
-        assert!(dir.join("figx.md").exists());
-        assert!(dir.join("figx.csv").exists());
-        assert_eq!(std::fs::read_to_string(dir.join("figx.md")).unwrap(), md);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -84,15 +84,12 @@ fn run_cell(
         .collect()
 }
 
-/// Per-worker accumulator: `[point][algo] -> (waiting, cost)` stats.
-type WorkerStats = Vec<Vec<(SummaryStats, SummaryStats)>>;
-
 /// Runs a full sweep: every `(point, seed)` cell evaluates every
-/// algorithm. Cells are partitioned statically (round-robin) across
-/// worker threads; each worker accumulates its share into per-point
-/// [`SummaryStats`] and the partials combine with
-/// [`SummaryStats::merge`] (parallel Welford) in worker order, so the
-/// output is deterministic for a given worker count.
+/// algorithm. Worker threads evaluate the cells in parallel (worker `w`
+/// takes cells `w, w + workers, ...`), each cell's results are kept by
+/// cell index, and the per-point [`SummaryStats`] then fold them in
+/// `(point, seed)` order, so the output is the same on every machine
+/// whatever its core count.
 ///
 /// # Panics
 ///
@@ -107,10 +104,9 @@ pub fn run_sweep(
     assert!(!algos.is_empty(), "need at least one algorithm");
     assert!(!config.seeds.is_empty(), "need at least one seed");
 
-    let points = axis.len();
     let seeds = &config.seeds;
     let cells: Vec<(usize, u64)> =
-        (0..points).flat_map(|p| seeds.iter().map(move |&s| (p, s))).collect();
+        (0..axis.len()).flat_map(|p| seeds.iter().map(move |&s| (p, s))).collect();
     dbcast_obs::counter!("bench.sweep.cells").add(cells.len() as u64);
 
     let workers = std::thread::available_parallelism()
@@ -118,46 +114,43 @@ pub fn run_sweep(
         .unwrap_or(4)
         .min(cells.len().max(1));
 
-    let empty_stats =
-        || vec![vec![(SummaryStats::new(), SummaryStats::new()); algos.len()]; points];
-    let per_worker: Vec<WorkerStats> = std::thread::scope(|scope| {
+    let mut by_cell = vec![Vec::new(); cells.len()];
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let cells = &cells;
                 scope.spawn(move || {
                     let _span = dbcast_obs::span!("bench.sweep.worker");
-                    let mut acc = empty_stats();
-                    // Static round-robin share: cells w, w+workers, ...
-                    for i in (w..cells.len()).step_by(workers) {
-                        let (point, seed) = cells[i];
-                        let cell = run_cell(config, axis, algos, point, seed);
-                        for (a, &(waiting, cost)) in cell.iter().enumerate() {
-                            acc[point][a].0.record(waiting);
-                            acc[point][a].1.record(cost);
-                        }
-                    }
-                    acc
+                    (w..cells.len())
+                        .step_by(workers)
+                        .map(|i| {
+                            let (point, seed) = cells[i];
+                            (i, run_cell(config, axis, algos, point, seed))
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        for handle in handles {
+            for (i, cell) in handle.join().expect("sweep worker panicked") {
+                by_cell[i] = cell;
+            }
+        }
     });
 
-    // Merge worker partials in worker order — deterministic.
-    let mut merged = empty_stats();
-    for acc in per_worker {
-        for (p, row) in acc.into_iter().enumerate() {
-            for (a, (waiting, cost)) in row.into_iter().enumerate() {
-                merged[p][a].0.merge(&waiting);
-                merged[p][a].1.merge(&cost);
-            }
+    let mut stats =
+        vec![vec![(SummaryStats::new(), SummaryStats::new()); algos.len()]; axis.len()];
+    for (&(point, _), cell) in cells.iter().zip(&by_cell) {
+        for (a, &(waiting, cost)) in cell.iter().enumerate() {
+            stats[point][a].0.record(waiting);
+            stats[point][a].1.record(cost);
         }
     }
 
     let xs = axis.values();
     let out = xs
         .iter()
-        .zip(&merged)
+        .zip(&stats)
         .map(|(&x, row)| SweepPoint {
             x,
             algos: algos
@@ -255,6 +248,29 @@ mod tests {
         for (a, point) in result.points[0].algos.iter().enumerate() {
             assert!((point.mean_waiting - sums[a].0 / denom).abs() < 1e-9);
             assert!((point.mean_cost - sums[a].1 / denom).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn means_are_a_serial_fold_in_seed_order() {
+        // Bit for bit, so the reports do not depend on the core count.
+        let cfg = ExperimentConfig { seeds: (0..7).collect(), ..tiny_config() };
+        let axis = SweepAxis::Channels(vec![3, 4]);
+        let algos = fast_algos();
+        let result = run_sweep(&cfg, &axis, &algos);
+        for (p, point) in result.points.iter().enumerate() {
+            let mut folds = vec![(SummaryStats::new(), SummaryStats::new()); algos.len()];
+            for &seed in &cfg.seeds {
+                let cell = run_cell(&cfg, &axis, &algos, p, seed);
+                for (fold, (waiting, cost)) in folds.iter_mut().zip(cell) {
+                    fold.0.record(waiting);
+                    fold.1.record(cost);
+                }
+            }
+            for (got, (waiting, cost)) in point.algos.iter().zip(&folds) {
+                assert_eq!(got.mean_waiting.to_bits(), waiting.mean().to_bits(), "{got:?}");
+                assert_eq!(got.mean_cost.to_bits(), cost.mean().to_bits(), "{got:?}");
+            }
         }
     }
 

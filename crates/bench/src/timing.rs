@@ -42,8 +42,12 @@ pub struct TimingResult {
 }
 
 /// Measures wall-clock execution time per algorithm per point,
-/// reporting mean, median and p95 over the seeds, with one warmup
-/// iteration discarded per cell (see [`run_timing_sweep_with`]).
+/// reporting mean, median and p95 over the seeds. Before the recorded
+/// runs of each (point, algorithm) cell, the algorithm runs once on the
+/// first seed's workload and that sample is discarded: without the
+/// warmup, the first sample absorbs cold-cache and lazy-initialization
+/// noise (metric-registry interning, allocator warm-up) and skews the
+/// mean and p95 upward.
 ///
 /// Unlike [`run_sweep`](crate::run_sweep) this runs **serially** —
 /// concurrent cells would contend for cores and corrupt the
@@ -59,25 +63,6 @@ pub fn run_timing_sweep(
     axis: &SweepAxis,
     algos: &[AlgoSpec],
 ) -> TimingResult {
-    run_timing_sweep_with(config, axis, algos, 1)
-}
-
-/// [`run_timing_sweep`] with an explicit warmup count: before the
-/// recorded runs of each (point, algorithm) cell, the algorithm runs
-/// `warmup` extra times on the first seed's workload and those samples
-/// are discarded. Without a warmup, the first sample absorbs
-/// cold-cache and lazy-initialization noise (metric-registry
-/// interning, allocator warm-up) and skews the mean and p95 upward.
-///
-/// # Panics
-///
-/// Panics on an empty axis, algorithm list, or seed list.
-pub fn run_timing_sweep_with(
-    config: &ExperimentConfig,
-    axis: &SweepAxis,
-    algos: &[AlgoSpec],
-    warmup: usize,
-) -> TimingResult {
     assert!(!axis.is_empty(), "sweep axis must have points");
     assert!(!algos.is_empty(), "need at least one algorithm");
     assert!(!config.seeds.is_empty(), "need at least one seed");
@@ -87,29 +72,22 @@ pub fn run_timing_sweep_with(
     for (p, &x) in xs.iter().enumerate() {
         let (n, k, phi, theta) = config.at_point(axis, p);
         let mut samples = vec![SummaryStats::new(); algos.len()];
-        if warmup > 0 {
-            let seed = config.seeds[0];
-            let db = WorkloadBuilder::new(n)
+        let workload = |seed| {
+            WorkloadBuilder::new(n)
                 .skewness(theta)
                 .sizes(SizeDistribution::Diversity { phi_max: phi })
                 .seed(seed)
                 .build()
-                .expect("paper parameter space is valid");
-            for spec in algos {
-                let algo = spec.build(seed);
-                for _ in 0..warmup {
-                    let alloc = algo.allocate(&db, k).expect("feasible instance");
-                    std::hint::black_box(&alloc);
-                }
-            }
+                .expect("paper parameter space is valid")
+        };
+        let first = config.seeds[0];
+        let db = workload(first);
+        for spec in algos {
+            let warmup = spec.build(first).allocate(&db, k).expect("feasible instance");
+            std::hint::black_box(&warmup);
         }
         for &seed in &config.seeds {
-            let db = WorkloadBuilder::new(n)
-                .skewness(theta)
-                .sizes(SizeDistribution::Diversity { phi_max: phi })
-                .seed(seed)
-                .build()
-                .expect("paper parameter space is valid");
+            let db = workload(seed);
             for (a, spec) in algos.iter().enumerate() {
                 let algo = spec.build(seed);
                 let start = Instant::now();
@@ -160,30 +138,6 @@ mod tests {
                 assert!(t.median_ms >= 0.0);
                 assert!(t.p95_ms >= t.median_ms - 1e-12, "{}: p95 below median", t.algo);
             }
-        }
-    }
-
-    #[test]
-    fn warmup_runs_are_discarded_from_the_samples() {
-        let cfg = ExperimentConfig {
-            items: 12,
-            channels: 2,
-            seeds: vec![0],
-            ..ExperimentConfig::default()
-        };
-        let axis = SweepAxis::Channels(vec![2]);
-        // With a single recorded seed, every statistic collapses onto
-        // that one sample — regardless of how many warmup iterations
-        // ran first. If warmup runs leaked into the samples, mean and
-        // p95 would diverge from the median.
-        for warmup in [0usize, 3] {
-            let result = run_timing_sweep_with(&cfg, &axis, &[AlgoSpec::Drp], warmup);
-            let t = &result.points[0].algos[0];
-            assert!(
-                (t.mean_ms - t.median_ms).abs() < 1e-12
-                    && (t.p95_ms - t.median_ms).abs() < 1e-12,
-                "warmup {warmup} leaked into the recorded samples: {t:?}"
-            );
         }
     }
 

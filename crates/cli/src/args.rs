@@ -3,13 +3,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed command line: a subcommand, an optional action (second
-/// positional, e.g. `dbcast flight dump`), plus `--key value` options
-/// and bare `--switch` flags.
+/// A parsed command line: a subcommand, its positionals (at most one,
+/// the action, e.g. `dump` in `dbcast flight dump`, except for the
+/// commands that take many, like `dbcast paper NAME...`), plus
+/// `--key value` options and bare `--switch` flags.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Args {
     command: Option<String>,
-    action: Option<String>,
+    positionals: Vec<String>,
     options: BTreeMap<String, String>,
     switches: Vec<String>,
 }
@@ -52,14 +53,17 @@ impl std::error::Error for ArgsError {}
 /// Option keys that act as bare switches (no value).
 const SWITCHES: &[&str] = &["json", "quick", "help", "trace", "simulate", "once"];
 
+/// Commands that take any number of positionals (`dbcast paper NAME...`).
+const VARIADIC: &[&str] = &["paper"];
+
 impl Args {
     /// Parses an iterator of raw arguments (without the program name).
     ///
     /// # Errors
     ///
     /// [`ArgsError::MissingValue`] when a valued `--key` is last;
-    /// [`ArgsError::UnexpectedPositional`] for stray positionals after
-    /// the subcommand.
+    /// [`ArgsError::UnexpectedPositional`] for a second positional after
+    /// the subcommand, unless the subcommand takes many.
     pub fn parse<I, S>(raw: I) -> Result<Self, ArgsError>
     where
         I: IntoIterator<Item = S>,
@@ -78,8 +82,10 @@ impl Args {
                 }
             } else if args.command.is_none() {
                 args.command = Some(tok);
-            } else if args.action.is_none() {
-                args.action = Some(tok);
+            } else if args.positionals.is_empty()
+                || VARIADIC.contains(&args.command.as_deref().unwrap_or_default())
+            {
+                args.positionals.push(tok);
             } else {
                 return Err(ArgsError::UnexpectedPositional(tok));
             }
@@ -95,7 +101,12 @@ impl Args {
     /// The action (second positional, e.g. `dump` in
     /// `dbcast flight dump`), if any.
     pub fn action(&self) -> Option<&str> {
-        self.action.as_deref()
+        self.positionals.first().map(String::as_str)
+    }
+
+    /// Every positional after the subcommand, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// Whether a bare switch (e.g. `--json`) was given.
@@ -182,6 +193,14 @@ mod tests {
             Args::parse(["gen", "act", "stray"]),
             Err(ArgsError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn variadic_commands_take_every_positional() {
+        let args = Args::parse(["paper", "tables", "--quick", "indexing"]).unwrap();
+        assert_eq!(args.positionals(), ["tables", "indexing"]);
+        assert_eq!(args.action(), Some("tables"));
+        assert!(args.switch("quick"));
     }
 
     #[test]

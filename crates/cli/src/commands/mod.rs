@@ -7,7 +7,7 @@ mod fleet_cmd;
 mod flight_cmd;
 mod generate;
 mod index_cmd;
-mod paper_example;
+mod paper;
 mod serve_cmd;
 mod simulate;
 mod stats;
@@ -22,7 +22,7 @@ pub use fleet_cmd::run_fleet_cmd;
 pub use flight_cmd::run_flight;
 pub use generate::run_generate;
 pub use index_cmd::run_index;
-pub use paper_example::run_paper_example;
+pub use paper::run_paper;
 pub use serve_cmd::run_serve;
 pub use simulate::run_simulate;
 pub use stats::run_stats;

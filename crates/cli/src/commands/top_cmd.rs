@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use dbcast_flight::watchdog::counter_rate;
-use dbcast_obs::metrics::{bucket_index, bucket_lower_bound, bucket_upper_bound, BUCKETS};
+use dbcast_obs::metrics::{bucket_index, HistogramCells, BUCKETS};
 use dbcast_obs::openmetrics::{self, Family, FamilyKind};
 
 use crate::args::Args;
@@ -155,23 +155,16 @@ fn window_quantiles(window: &VecDeque<Scrape>, family: &str) -> Option<(u64, [f6
             }
         }
     }
-    let count: u64 = delta.iter().sum();
-    let quantile = |q: f64| -> f64 {
-        if count == 0 {
-            return 0.0;
-        }
-        let target = (q * count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, &c) in delta.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= target {
-                let (lo, hi) = (bucket_lower_bound(i), bucket_upper_bound(i));
-                return (lo + (hi - lo) / 2) as f64;
-            }
-        }
-        bucket_upper_bound(BUCKETS - 1) as f64
+    let cells = HistogramCells {
+        buckets: delta,
+        count: delta.iter().sum(),
+        sum: 0,
+        // Nothing to clamp to: the scrape carries no min or max.
+        min: 0,
+        max: u64::MAX,
     };
-    Some((count, [quantile(0.5), quantile(0.9), quantile(0.99)]))
+    let quantile = |q: f64| cells.percentile_midpoint(q).unwrap_or(0) as f64;
+    Some((cells.count, [quantile(50.0), quantile(90.0), quantile(99.0)]))
 }
 
 /// Gauge families named `<prefix><index>`, as `(index, family name)`

@@ -6,7 +6,7 @@
 //! dbcast allocate  --db db.json --channels 6 --algo drp-cds
 //! dbcast evaluate  --db db.json --channels 6
 //! dbcast simulate  --db db.json --channels 6 --requests 10000 --rate 10
-//! dbcast paper-example --trace
+//! dbcast paper pinned
 //! ```
 
 use dbcast_cli::args::Args;
@@ -29,8 +29,9 @@ COMMANDS:
     fleet           Simulated client fleet over the framed TCP broadcast
                     transport: measure per-request access and tuning
                     time against the Eq. 2 expectations
-    paper-example   Replay the paper's Tables 2-4 worked example
-    sweep           Run one of the paper's parameter sweeps
+    paper           Regenerate the paper's tables and figures into results/
+                    and print them (NAME... | all | pinned)
+    sweep           Run one of the paper's parameter sweeps with overrides
     index           (1, m) air-indexing report (access/tuning/energy)
     stats           Run one allocation under telemetry, print the metrics
                     document
@@ -62,7 +63,6 @@ COMMAND-SPECIFIC:
     allocate:  --json         emit the allocation as JSON
     simulate:  --requests R   number of requests   [default: 10000]
                --rate L       arrivals per second  [default: 10]
-    paper-example: --trace    print every DRP/CDS iteration
     serve:     --replay PATH  replay a saved request trace (JSON)
                --poisson L    synthetic arrivals per second   [default: 10]
                --requests R   synthetic stream length         [default: 10000]
@@ -128,6 +128,14 @@ COMMAND-SPECIFIC:
                --json         print the fleet-run document to stdout
                --once         single measurement pass (the default; CI
                               symmetry with `dbcast top --once`)
+    paper:     NAME...        tables | fig2_channels | fig3_items |
+                              fig4_diversity | fig5_skewness |
+                              fig6_exec_channels | fig7_exec_items |
+                              sim_validation | indexing | ablations;
+                              or all, or pinned (the seeded reports CI
+                              diffs against the committed results/)
+               --quick        3 seeds instead of 20 (instead of 10 for
+                              indexing and ablations)
     sweep:     --axis A       k | n | phi | theta  [default: k]
                --seeds S      average over S seeds
                --quick        3 seeds instead of 20
@@ -202,7 +210,7 @@ fn run() -> Result<(), CliError> {
         Some("simulate") => commands::run_simulate(&args, &mut stdout),
         Some("serve") => commands::run_serve(&args, &mut stdout),
         Some("fleet") => commands::run_fleet_cmd(&args, &mut stdout),
-        Some("paper-example") => commands::run_paper_example(&args, &mut stdout),
+        Some("paper") => commands::run_paper(&args, &mut stdout),
         Some("sweep") => commands::run_sweep_cmd(&args, &mut stdout),
         Some("index") => commands::run_index(&args, &mut stdout),
         Some("stats") => commands::run_stats(&args, &mut stdout),

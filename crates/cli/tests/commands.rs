@@ -2,6 +2,7 @@
 //! surface (no process spawning).
 
 use dbcast_baselines::AlgoSpec;
+use dbcast_bench::Report;
 use dbcast_cli::args::Args;
 use dbcast_cli::commands;
 
@@ -144,11 +145,32 @@ fn stats_simulate_records_the_simulator_metrics() {
 }
 
 #[test]
-fn paper_example_prints_published_costs() {
-    let args = Args::parse(["paper-example", "--trace"]).unwrap();
-    let out = run(|w| commands::run_paper_example(&args, w));
-    assert!(out.contains("22.29"));
-    assert!(out.contains("CDS step 1: move d10 from group 4 to group 2"));
+fn every_paper_report_is_listed_in_order() {
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_dbcast"))
+        .arg("--help")
+        .output()
+        .expect("dbcast binary runs");
+    let help = String::from_utf8(help.stdout).expect("valid utf-8 usage");
+    // The `paper:` entry lists the names `|`-separated up to a `;`.
+    let start = help.find("    paper:     NAME...").expect("paper usage");
+    let (names, _) = help[start..].split_once(';').expect("names end with ';'");
+    let listed: Vec<&str> = names
+        .trim_start_matches("    paper:     NAME...")
+        .split('|')
+        .map(str::trim)
+        .collect();
+    let registry: Vec<&str> = Report::ALL.iter().map(|r| r.name()).collect();
+    assert_eq!(listed, registry, "{names}");
+}
+
+#[test]
+fn paper_rejects_unknown_or_missing_report_names() {
+    for argv in [vec!["paper"], vec!["paper", "tables", "fig9"]] {
+        let args = Args::parse(argv.clone()).unwrap();
+        let err = commands::run_paper(&args, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, commands::CliError::InvalidOption(_)), "{argv:?}: {err}");
+        assert!(err.to_string().contains("fig2_channels"), "{err}");
+    }
 }
 
 #[test]

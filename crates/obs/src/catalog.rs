@@ -514,12 +514,6 @@ pub const CATALOG: &[MetricDef] = &[
         help: "Eq. 2 expected wait W_b of the serving generation (the SLO target)",
     },
     MetricDef {
-        name: "serve.swap_latency",
-        kind: MetricKind::Histogram,
-        unit: "ns",
-        help: "Wall-clock duration of drift-triggered re-allocations",
-    },
-    MetricDef {
         name: "serve.swaps",
         kind: MetricKind::Counter,
         unit: "1",

@@ -560,7 +560,7 @@ mod tests {
             counters: vec![("serve.requests".into(), 42)],
             gauges: vec![("serve.drift_distance".into(), 0.125)],
             histograms: vec![(
-                "serve.swap_latency".into(),
+                "serve.wait".into(),
                 HistogramSnapshot {
                     count: 3,
                     sum: 900,
@@ -585,15 +585,15 @@ mod tests {
         assert_eq!(families.len(), 3);
         assert_eq!(sample_value(&families, "serve_requests_total"), Some(42.0));
         assert_eq!(sample_value(&families, "serve_drift_distance"), Some(0.125));
-        assert_eq!(sample_value(&families, "serve_swap_latency_count"), Some(3.0));
-        assert_eq!(sample_value(&families, "serve_swap_latency_sum"), Some(900.0));
+        assert_eq!(sample_value(&families, "serve_wait_count"), Some(3.0));
+        assert_eq!(sample_value(&families, "serve_wait_sum"), Some(900.0));
     }
 
     #[test]
     fn histogram_buckets_are_cumulative() {
         let text = render(&sample_snapshot());
         let families = parse(&text).unwrap();
-        let hist = families.iter().find(|f| f.name == "serve_swap_latency").unwrap();
+        let hist = families.iter().find(|f| f.name == "serve_wait").unwrap();
         let buckets: Vec<f64> = hist
             .samples
             .iter()
@@ -663,7 +663,7 @@ mod tests {
         };
         let snapshot = sample_snapshot();
         let provider = move |name: &str| {
-            if name == "serve.swap_latency" {
+            if name == "serve.wait" {
                 vec![(1023u64, exemplar.clone())]
             } else {
                 Vec::new()
@@ -672,13 +672,13 @@ mod tests {
         let text = render_with_exemplars(&snapshot, &provider);
         assert!(
             text.contains(
-                "serve_swap_latency_bucket{le=\"1023\"} 3 \
+                "serve_wait_bucket{le=\"1023\"} 3 \
                  # {request_id=\"4711\",channel=\"2\"} 1250000 12.5"
             ),
             "exemplar line missing:\n{text}"
         );
         let families = parse(&text).expect("exemplar-annotated output parses");
-        let hist = families.iter().find(|f| f.name == "serve_swap_latency").unwrap();
+        let hist = families.iter().find(|f| f.name == "serve_wait").unwrap();
         let annotated: Vec<&Sample> =
             hist.samples.iter().filter(|s| s.exemplar.is_some()).collect();
         assert_eq!(annotated.len(), 1);

@@ -17,7 +17,7 @@
 //!                          │ new assignment
 //!                          ▼
 //!                      EpochCell::publish — hot swap at the next cycle
-//!                      boundary; readers never block, in-flight
+//!                      boundary; readers never wait on it, in-flight
 //!                      requests stay accounted to their generation
 //! ```
 //!

@@ -476,7 +476,6 @@ struct ServeMetrics {
     generation_cost: &'static Gauge,
     slo_burn_rate: &'static Gauge,
     slo_target_wait: &'static Gauge,
-    swap_latency: &'static Histogram,
     wait: &'static Histogram,
     audit_sampled: &'static Counter,
     audit_tail: &'static Counter,
@@ -500,7 +499,6 @@ impl ServeMetrics {
             generation_cost: r.gauge("serve.generation_cost"),
             slo_burn_rate: r.gauge("serve.slo.burn_rate"),
             slo_target_wait: r.gauge("serve.slo.target_wait"),
-            swap_latency: r.histogram("serve.swap_latency"),
             wait: r.histogram("serve.wait"),
             audit_sampled: r.counter("serve.audit.sampled"),
             audit_tail: r.counter("serve.audit.tail_sampled"),
@@ -992,7 +990,6 @@ impl ServeRuntime {
         self.metrics.audit_straddled.add(straddled);
         report.swaps += 1;
         self.metrics.swaps.inc();
-        self.metrics.swap_latency.record(result.repair.wall_ns);
         dbcast_flight::record(
             FlightEvent::new(EventKind::SwapPublish, tick, gen, boundary)
                 .value(cost)

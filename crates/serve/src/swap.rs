@@ -2,17 +2,13 @@
 //! reader threads pick up the newest broadcast program without ever
 //! blocking on the re-allocator.
 //!
-//! [`EpochCell`] is a single-writer, many-reader ring of `Arc` slots
-//! fronted by an atomic generation counter. Publishing writes the new
-//! value into the slot `generation % capacity` *before* bumping the
-//! counter (release ordering), so a reader that observes generation `g`
-//! (acquire) always finds a value at least as new as `g` in the slot it
-//! indexes. Readers take a slot read-lock only for the nanoseconds of
-//! an `Arc` clone, and the writer only ever write-locks the slot one
-//! *ahead* of the published one — reader and writer touch the same slot
-//! only if the writer laps the whole ring (`capacity` swaps) while a
-//! reader is mid-clone, which the capacity makes practically
-//! impossible. No reader ever waits on allocation work.
+//! [`EpochCell`] holds one `Arc` to the newest value behind an
+//! `RwLock`, fronted by an atomic generation counter. Readers take the
+//! read lock only for the nanoseconds of an `Arc` clone; the publisher
+//! takes the write lock only to swap the pointer, and drops the
+//! replaced `Arc` after releasing it. No reader ever waits on
+//! allocation work, and the cell keeps no replaced generation alive:
+//! one lives on only while a reader still holds its `Arc`.
 //!
 //! Each published value carries its generation number, so in-flight
 //! requests hold an `Arc` to the exact generation that served them and
@@ -47,62 +43,50 @@ pub struct Versioned<T> {
 /// ```
 #[derive(Debug)]
 pub struct EpochCell<T> {
-    slots: Vec<RwLock<Option<Arc<Versioned<T>>>>>,
-    current: AtomicU64,
+    value: RwLock<Arc<Versioned<T>>>,
+    /// The published generation, readable without the lock (the serve
+    /// loop stamps every tick's flight events with it).
+    generation: AtomicU64,
 }
 
 impl<T> EpochCell<T> {
-    /// Ring capacity: a reader would have to stay inside its
-    /// nanosecond-scale clone while 64 swaps complete to collide with
-    /// the writer.
-    const CAPACITY: usize = 64;
-
     /// Creates the cell holding `initial` as generation 0.
     pub fn new(initial: T) -> Self {
-        let slots: Vec<RwLock<Option<Arc<Versioned<T>>>>> =
-            (0..Self::CAPACITY).map(|_| RwLock::new(None)).collect();
-        *slots[0].write().expect("fresh lock") =
-            Some(Arc::new(Versioned { generation: 0, value: initial }));
-        EpochCell { slots, current: AtomicU64::new(0) }
+        EpochCell {
+            value: RwLock::new(Arc::new(Versioned { generation: 0, value: initial })),
+            generation: AtomicU64::new(0),
+        }
     }
 
     /// The latest published generation number.
     pub fn generation(&self) -> u64 {
-        self.current.load(Ordering::Acquire)
+        self.generation.load(Ordering::Acquire)
     }
 
-    /// Returns the current value (an `Arc` clone; never blocks on the
-    /// writer's re-allocation work).
+    /// Returns the current value: an `Arc` clone, which waits at most
+    /// for a publisher's pointer swap, never for its re-allocation work.
     pub fn current(&self) -> Arc<Versioned<T>> {
-        loop {
-            let gen = self.current.load(Ordering::Acquire);
-            let slot = &self.slots[(gen as usize) % Self::CAPACITY];
-            let guard = slot.read().expect("epoch slot poisoned");
-            if let Some(v) = guard.as_ref() {
-                // Only the exact published generation may be returned.
-                // The slot holds a *newer* one when the writer lapped us
-                // mid-read (it fills the slot before bumping the
-                // counter); returning that unpublished value would let a
-                // reader observe generations out of order across calls.
-                // Older means we raced the initial store of a wrapped
-                // slot. Either way the counter has moved — retry.
-                if v.generation == gen {
-                    return Arc::clone(v);
-                }
-            }
-        }
+        Arc::clone(&self.value.read().expect("epoch cell poisoned"))
     }
 
     /// Publishes `value` as the next generation and returns its number.
     ///
-    /// Intended for a single writer (the serving runtime); concurrent
-    /// publishers would contend on the counter but not corrupt the ring.
+    /// Intended for a single writer (the serving runtime): concurrent
+    /// publishers would each read the same generation and publish it
+    /// twice.
     pub fn publish(&self, value: T) -> u64 {
-        let gen = self.current.load(Ordering::Acquire) + 1;
-        let slot = &self.slots[(gen as usize) % Self::CAPACITY];
-        *slot.write().expect("epoch slot poisoned") =
-            Some(Arc::new(Versioned { generation: gen, value }));
-        self.current.store(gen, Ordering::Release);
+        let gen = self.generation.load(Ordering::Acquire) + 1;
+        let next = Arc::new(Versioned { generation: gen, value });
+        let replaced = {
+            let mut slot = self.value.write().expect("epoch cell poisoned");
+            // Bumped under the lock: a reader never gets a value newer
+            // than the counter it reads afterwards.
+            self.generation.store(gen, Ordering::Release);
+            std::mem::replace(&mut *slot, next)
+        };
+        // A replaced generation's program can be large; free it (when no
+        // reader still holds it) outside the lock.
+        drop(replaced);
         gen
     }
 }
@@ -126,9 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn wraps_past_ring_capacity() {
+    fn every_publish_replaces_the_current_value() {
         let cell = EpochCell::new(0usize);
-        for i in 1..=(EpochCell::<usize>::CAPACITY * 3) {
+        for i in 1..=192 {
             cell.publish(i);
             assert_eq!(cell.current().value, i);
         }

@@ -8,7 +8,7 @@
 //! depends only on its arrival time and the program, never on other
 //! requests, so the simulation is one pass over the trace. Empirical
 //! waiting times converge to the analytical expectation, which is
-//! verified both in tests and by the `sim_validation` bench binary.
+//! verified both in tests and by the `sim_validation` paper report.
 //!
 //! # Example
 //!

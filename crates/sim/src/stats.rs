@@ -118,27 +118,6 @@ impl SummaryStats {
         let sd = self.std_dev()?;
         Some(1.96 * sd / (self.count as f64).sqrt())
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &SummaryStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.samples.extend_from_slice(&other.samples);
-    }
 }
 
 #[cfg(test)]
@@ -191,45 +170,6 @@ mod tests {
         let mut s = SummaryStats::new();
         s.record(1.0);
         let _ = s.percentile(120.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0, 30.0, 40.0];
-        let mut a = SummaryStats::new();
-        let mut b = SummaryStats::new();
-        for &x in &a_data {
-            a.record(x);
-        }
-        for &x in &b_data {
-            b.record(x);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-
-        let mut reference = SummaryStats::new();
-        for &x in a_data.iter().chain(&b_data) {
-            reference.record(x);
-        }
-        assert_eq!(merged.count(), reference.count());
-        assert!((merged.mean() - reference.mean()).abs() < 1e-12);
-        assert!((merged.variance().unwrap() - reference.variance().unwrap()).abs() < 1e-12);
-        assert_eq!(merged.min(), reference.min());
-        assert_eq!(merged.max(), reference.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = SummaryStats::new();
-        s.record(5.0);
-        let before = s.clone();
-        s.merge(&SummaryStats::new());
-        assert_eq!(s, before);
-
-        let mut empty = SummaryStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.mean(), before.mean());
     }
 
     #[test]

@@ -80,27 +80,4 @@ proptest! {
         let p90 = s.percentile(90.0).unwrap();
         prop_assert!(min <= p10 && p10 <= p50 && p50 <= p90 && p90 <= max);
     }
-
-    #[test]
-    fn merged_stats_equal_sequential_stats(
-        a in prop::collection::vec(0.0f64..100.0, 0..50),
-        b in prop::collection::vec(0.0f64..100.0, 0..50),
-    ) {
-        let mut sa = SummaryStats::new();
-        for &x in &a { sa.record(x); }
-        let mut sb = SummaryStats::new();
-        for &x in &b { sb.record(x); }
-        let mut merged = sa.clone();
-        merged.merge(&sb);
-
-        let mut reference = SummaryStats::new();
-        for &x in a.iter().chain(&b) { reference.record(x); }
-        prop_assert_eq!(merged.count(), reference.count());
-        prop_assert!((merged.mean() - reference.mean()).abs() < 1e-9);
-        match (merged.variance(), reference.variance()) {
-            (Some(v1), Some(v2)) => prop_assert!((v1 - v2).abs() < 1e-6),
-            (None, None) => {}
-            _ => prop_assert!(false, "variance presence mismatch"),
-        }
-    }
 }
